@@ -7,7 +7,10 @@
 #include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
+
+#include <vector>
 
 #include "base/string_util.h"
 
@@ -108,15 +111,37 @@ Status SetNonBlocking(int fd, bool nonblocking) {
 }
 
 Status SendAll(int fd, const void* data, size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t n = send(fd, p, len, MSG_NOSIGNAL);
+  const std::span<const uint8_t> part(static_cast<const uint8_t*>(data), len);
+  return SendAllGather(fd, {&part, 1});
+}
+
+Status SendAllGather(int fd,
+                     std::span<const std::span<const uint8_t>> parts) {
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  for (std::span<const uint8_t> part : parts) {
+    iov.push_back({const_cast<uint8_t*>(part.data()), part.size()});
+  }
+  size_t first = 0;  // first part with unsent bytes
+  while (first < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + first;
+    msg.msg_iovlen = iov.size() - first;
+    const ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("send");
+      return Errno("sendmsg");
     }
-    p += n;
-    len -= static_cast<size_t>(n);
+    // Skip the parts this call finished; resume inside a partial one.
+    size_t sent = static_cast<size_t>(n);
+    while (first < iov.size() && sent >= iov[first].iov_len) {
+      sent -= iov[first].iov_len;
+      ++first;
+    }
+    if (first < iov.size()) {
+      iov[first].iov_base = static_cast<uint8_t*>(iov[first].iov_base) + sent;
+      iov[first].iov_len -= sent;
+    }
   }
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "base/statusor.h"
 
@@ -37,6 +38,11 @@ Status SetNonBlocking(int fd, bool nonblocking);
 
 // Blocking loop until all `len` bytes are sent (client-side helper).
 Status SendAll(int fd, const void* data, size_t len);
+
+// Blocking gather send of `parts`, in order, as one byte stream: each
+// sendmsg takes every unsent part over an iovec, so the parts are never
+// joined into one buffer (client-side helper).
+Status SendAllGather(int fd, std::span<const std::span<const uint8_t>> parts);
 
 // Blocking loop until all `len` bytes are received. kUnavailable on a
 // clean peer close mid-message.

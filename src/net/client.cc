@@ -21,11 +21,19 @@ NetClient::NetClient(NetClient&& other) noexcept : fd_(other.fd_) {
   other.fd_ = -1;
 }
 
-Status NetClient::RoundTrip(Op op, std::span<const uint8_t> request_payload,
-                            std::vector<uint8_t>* response_payload) {
+Status NetClient::RoundTrip(
+    Op op, std::initializer_list<std::span<const uint8_t>> payload_parts,
+    std::vector<uint8_t>* response_payload) {
   if (fd_ < 0) return Status::FailedPrecondition("client moved-from");
-  const std::vector<uint8_t> frame = EncodeFrame(op, request_payload);
-  Status sent = SendAll(fd_, frame.data(), frame.size());
+  size_t payload_len = 0;
+  for (std::span<const uint8_t> part : payload_parts) {
+    payload_len += part.size();
+  }
+  std::vector<uint8_t> frame_header;
+  AppendFrameHeader(&frame_header, op, static_cast<uint32_t>(payload_len));
+  std::vector<std::span<const uint8_t>> frame = {frame_header};
+  frame.insert(frame.end(), payload_parts.begin(), payload_parts.end());
+  Status sent = SendAllGather(fd_, frame);
   if (!sent.ok()) return sent;
 
   uint8_t header_bytes[kHeaderBytes];
@@ -51,7 +59,7 @@ Status NetClient::RoundTrip(Op op, std::span<const uint8_t> request_payload,
 Status NetClient::Ping() {
   static constexpr uint8_t kProbe[] = {0xDE, 0xAD, 0xBE, 0xEF};
   std::vector<uint8_t> reply;
-  Status rt = RoundTrip(Op::kPing, kProbe, &reply);
+  Status rt = RoundTrip(Op::kPing, {kProbe}, &reply);
   if (!rt.ok()) return rt;
   // Status block (u8 code, u16 len, msg), then the raw echo.
   PayloadReader reader(reply);
@@ -76,9 +84,18 @@ Status NetClient::Ping() {
 
 StatusOr<std::vector<Detection>> NetClient::Detect(
     const DetectRequest& request) {
-  const std::vector<uint8_t> payload = EncodeDetectRequest(request);
+  // Refuse what the wire cannot carry before touching the socket: the
+  // fields would be truncated, and the server cuts an oversized frame off
+  // mid-send.
+  Status valid = ValidateDetectRequest(request);
+  if (!valid.ok()) return valid;
+  std::vector<uint8_t> prefix;
+  AppendDetectRequestPrefix(&prefix, request);
+  const std::span<const uint8_t> pixels(
+      reinterpret_cast<const uint8_t*>(request.image.data()),
+      static_cast<size_t>(request.image.size()) * sizeof(float));
   std::vector<uint8_t> reply;
-  Status rt = RoundTrip(Op::kDetect, payload, &reply);
+  Status rt = RoundTrip(Op::kDetect, {prefix, pixels}, &reply);
   if (!rt.ok()) return rt;
   Status wire_status;
   std::vector<Detection> detections;

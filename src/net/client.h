@@ -2,6 +2,8 @@
 #define THALI_NET_CLIENT_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,8 +33,11 @@ class NetClient {
   // Round-trips a PING; kInternal if the echo does not match.
   Status Ping();
 
-  // Submits one image and blocks for the detections. A server-side
+  // Submits one image and blocks for the detections. A request the wire
+  // cannot carry (see ValidateDetectRequest) fails with kInvalidArgument
+  // or kResourceExhausted before anything is sent. A server-side
   // rejection (shed, deadline, bad request) comes back as that Status.
+  // The pixels go out straight from request.image, uncopied.
   StatusOr<std::vector<Detection>> Detect(const DetectRequest& request);
 
   // Fetches the server's stats JSON.
@@ -41,10 +46,12 @@ class NetClient {
  private:
   explicit NetClient(int fd) : fd_(fd) {}
 
-  // Sends one frame and reads the complete reply frame (validating the
-  // header and echoed op).
-  Status RoundTrip(Op op, std::span<const uint8_t> request_payload,
-                   std::vector<uint8_t>* response_payload);
+  // Sends one frame whose payload is `payload_parts` back to back (one
+  // gather send, the parts are not joined) and reads the complete reply
+  // frame (validating the header and echoed op).
+  Status RoundTrip(
+      Op op, std::initializer_list<std::span<const uint8_t>> payload_parts,
+      std::vector<uint8_t>* response_payload);
 
   int fd_;
 };

@@ -15,11 +15,11 @@ namespace thali {
 namespace net {
 
 // Per-client connection state: a FrameReader reassembling the inbound
-// byte stream, an ordered pending-reply queue, and an outbound byte
-// buffer with partial-write continuation. All methods run on the event
-// loop thread — a Connection is single-threaded state; the only
+// byte stream in place, an ordered pending-reply queue, and an outbound
+// byte buffer with partial-write continuation. All methods run on the
+// event loop thread — a Connection is single-threaded state; the only
 // cross-thread touch is the serve-layer worker fulfilling a pending
-// reply's future.
+// reply's future (and then waking the loop, see NetServer).
 //
 // Responses go out in request order (the protocol has no correlation
 // ids): a DETECT reply whose future resolved early waits behind an
@@ -40,16 +40,11 @@ class Connection {
 
   int fd() const { return fd_; }
 
-  // Feeds received bytes into the frame reassembler. A framing error is
-  // sticky and means the connection must be closed.
-  Status FeedBytes(std::span<const uint8_t> bytes) {
-    return reader_.Feed(bytes);
-  }
-
-  // Pops the next complete inbound frame, if any.
-  bool NextFrame(FrameHeader* header, std::vector<uint8_t>* payload) {
-    return reader_.NextFrame(header, payload);
-  }
+  // The inbound frame reassembler: the server receives straight into its
+  // buffer and drains frames from it. A framing error is sticky and means
+  // the connection must be closed.
+  FrameReader& reader() { return reader_; }
+  const FrameReader& reader() const { return reader_; }
 
   // Queues an already-encoded reply (keeps request order).
   void EnqueueReady(std::vector<uint8_t> frame);
@@ -60,11 +55,6 @@ class Connection {
   // Returns true if new bytes became writable.
   bool PumpPending();
 
-  // True while any reply is queued or buffered (the event loop polls
-  // futures only for connections that report true).
-  bool HasPendingWork() const {
-    return !pending_.empty() || !outbox_.empty();
-  }
   size_t pending_count() const { return pending_.size(); }
 
   // Flushes the write buffer with non-blocking send(); returns

@@ -144,5 +144,36 @@ StatusOr<int> EventLoop::Wait(std::vector<Event>* out, int timeout_ms) {
   return static_cast<int>(out->size());
 }
 
+StatusOr<std::shared_ptr<Waker>> Waker::Create() {
+  int fds[2];
+  if (pipe(fds) != 0) return Errno("pipe");
+  for (int fd : fds) {
+    Status nb = SetNonBlocking(fd, true);
+    if (!nb.ok()) {
+      CloseFd(fds[0]);
+      CloseFd(fds[1]);
+      return nb;
+    }
+  }
+  return std::shared_ptr<Waker>(new Waker(fds[0], fds[1]));
+}
+
+Waker::~Waker() {
+  CloseFd(rx_);
+  CloseFd(tx_);
+}
+
+void Waker::Notify() {
+  const char byte = 'w';
+  // EAGAIN means the pipe is full of unread wakes, which is as good.
+  (void)!write(tx_, &byte, 1);
+}
+
+void Waker::Drain() {
+  char drain[64];
+  while (read(rx_, drain, sizeof(drain)) > 0) {
+  }
+}
+
 }  // namespace net
 }  // namespace thali

@@ -1,6 +1,7 @@
 #ifndef THALI_NET_EVENT_LOOP_H_
 #define THALI_NET_EVENT_LOOP_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -56,6 +57,35 @@ class EventLoop {
   Backend backend_;
   int epoll_fd_ = -1;                       // kEpoll only
   std::unordered_map<int, bool> want_write_;  // fd -> write interest
+};
+
+// Wakes an EventLoop from other threads through a non-blocking self-pipe
+// whose read end the loop watches. Shared ownership is the point: every
+// notifier holds a reference, so a notification that lands after the
+// loop is gone still writes to this open pipe, never to a closed or
+// reused fd. The pipe closes with the last reference.
+class Waker {
+ public:
+  static StatusOr<std::shared_ptr<Waker>> Create();
+  ~Waker();
+
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  // The fd to register with the loop (readable while a wake is pending).
+  int read_fd() const { return rx_; }
+
+  // Thread-safe and never blocks: a full pipe already holds a wake.
+  void Notify();
+  // Consumes pending wakes; call from the loop thread before it re-checks
+  // the state the notifiers changed.
+  void Drain();
+
+ private:
+  Waker(int rx, int tx) : rx_(rx), tx_(tx) {}
+
+  const int rx_;
+  const int tx_;
 };
 
 }  // namespace net

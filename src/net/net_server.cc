@@ -1,9 +1,7 @@
 #include "net/net_server.h"
 
 #include <errno.h>
-#include <string.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -18,8 +16,8 @@ namespace net {
 
 namespace {
 
-// Loop sleep while replies are pending (futures need polling) vs idle.
-constexpr int kBusyTimeoutMs = 1;
+// Backstop sleep: every state change the loop acts on arrives as an fd
+// event or a Waker notification, so this bound only caps a lost wake.
 constexpr int kIdleTimeoutMs = 50;
 
 }  // namespace
@@ -41,35 +39,27 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
     CloseFd(*listen_fd);
     return loop.status();
   }
-  int pipe_fds[2];
-  if (pipe(pipe_fds) != 0) {
+  StatusOr<std::shared_ptr<Waker>> waker = Waker::Create();
+  if (!waker.ok()) {
     CloseFd(*listen_fd);
-    return Status::IOError(StrFormat("pipe: %s", strerror(errno)));
-  }
-  Status nb = SetNonBlocking(pipe_fds[0], true);
-  if (!nb.ok()) {
-    CloseFd(*listen_fd);
-    CloseFd(pipe_fds[0]);
-    CloseFd(pipe_fds[1]);
-    return nb;
+    return waker.status();
   }
   return std::unique_ptr<NetServer>(
       new NetServer(options, router, std::move(loop).value(), *listen_fd,
-                    *port, pipe_fds[0], pipe_fds[1]));
+                    *port, std::move(waker).value()));
 }
 
 NetServer::NetServer(const Options& options, serve::ModelRouter* router,
                      EventLoop loop, int listen_fd, uint16_t port,
-                     int wake_rx, int wake_tx)
+                     std::shared_ptr<Waker> waker)
     : options_(options),
       router_(router),
       loop_(std::move(loop)),
       listen_fd_(listen_fd),
       port_(port),
-      wake_rx_(wake_rx),
-      wake_tx_(wake_tx) {
+      waker_(std::move(waker)) {
   THALI_CHECK_OK(loop_.Add(listen_fd_, /*want_write=*/false));
-  THALI_CHECK_OK(loop_.Add(wake_rx_, /*want_write=*/false));
+  THALI_CHECK_OK(loop_.Add(waker_->read_fd(), /*want_write=*/false));
   loop_thread_ = std::thread([this] { LoopThread(); });
 }
 
@@ -78,15 +68,13 @@ NetServer::~NetServer() { Shutdown(); }
 void NetServer::Shutdown() {
   if (shut_down_.exchange(true)) return;
   stop_.store(true, std::memory_order_release);
-  // Wake the loop out of its idle sleep.
-  const char byte = 'x';
-  (void)!write(wake_tx_, &byte, 1);
+  waker_->Notify();  // out of the event wait
   loop_thread_.join();
   for (auto& [fd, conn] : conns_) CloseFd(fd);
   conns_.clear();
   CloseFd(listen_fd_);
-  CloseFd(wake_rx_);
-  CloseFd(wake_tx_);
+  // The Waker stays open: completion hooks of requests still inside serve
+  // hold it, and the last one to finish closes it.
 }
 
 void NetServer::AcceptPending() {
@@ -116,14 +104,15 @@ void NetServer::AcceptPending() {
 }
 
 bool NetServer::ReadFromConnection(Connection* conn) {
-  uint8_t buf[64 * 1024];
+  FrameReader& reader = conn->reader();
   for (;;) {
-    const ssize_t n = recv(conn->fd(), buf, sizeof(buf), 0);
+    // Receive in place: the kernel copies straight into the frame buffer.
+    const std::span<uint8_t> tail = reader.WritableTail();
+    const ssize_t n = recv(conn->fd(), tail.data(), tail.size(), 0);
     if (n > 0) {
-      Status fed = conn->FeedBytes(std::span<const uint8_t>(
-          buf, static_cast<size_t>(n)));
-      if (!fed.ok()) return false;  // framing error: cut the peer off
-      if (static_cast<size_t>(n) < sizeof(buf)) return true;
+      Status committed = reader.Commit(static_cast<size_t>(n));
+      if (!committed.ok()) return false;  // framing error: cut the peer off
+      if (static_cast<size_t>(n) < tail.size()) return true;
       continue;  // more may be buffered
     }
     if (n == 0) return false;  // EOF
@@ -160,8 +149,14 @@ std::string NetServer::BuildStatsJson() const {
   return json;
 }
 
+bool NetServer::CanDispatch(const Connection& conn) const {
+  return conn.pending_count() <
+             static_cast<size_t>(options_.max_inflight_per_conn) &&
+         conn.reader().HasFrame();
+}
+
 void NetServer::DispatchFrame(Connection* conn, const FrameHeader& header,
-                              std::vector<uint8_t> payload) {
+                              std::span<const uint8_t> payload) {
   counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
   switch (static_cast<Op>(header.op)) {
     case Op::kPing:
@@ -190,6 +185,9 @@ void NetServer::DispatchFrame(Connection* conn, const FrameHeader& header,
       }
       serve::Server::SubmitOptions submit;
       submit.priority = req.priority;
+      // The worker wakes the loop once the reply is ready. The hook owns a
+      // Waker reference, so a completion after Shutdown stays harmless.
+      submit.on_complete = [waker = waker_] { waker->Notify(); };
       if (req.deadline_ms > 0) {
         submit.deadline = serve::ServeClock::now() +
                           std::chrono::milliseconds(req.deadline_ms);
@@ -222,15 +220,16 @@ void NetServer::LoopThread() {
   std::vector<EventLoop::Event> events;
   std::vector<int> dead;
   while (!stop_.load(std::memory_order_acquire)) {
-    bool any_pending = false;
+    // Sleep until an fd event or a Waker notification (serve completion,
+    // shutdown) — unless a buffered frame can be dispatched right away.
+    bool dispatchable = false;
     for (const auto& [fd, conn] : conns_) {
-      if (conn->HasPendingWork()) {
-        any_pending = true;
+      if (CanDispatch(*conn)) {
+        dispatchable = true;
         break;
       }
     }
-    StatusOr<int> n =
-        loop_.Wait(&events, any_pending ? kBusyTimeoutMs : kIdleTimeoutMs);
+    StatusOr<int> n = loop_.Wait(&events, dispatchable ? 0 : kIdleTimeoutMs);
     if (!n.ok()) {
       THALI_LOG(Warning) << "event loop wait failed: "
                          << n.status().ToString();
@@ -246,10 +245,10 @@ void NetServer::LoopThread() {
         accept_ready = e.readable;
         continue;
       }
-      if (e.fd == wake_rx_) {
-        char drain[16];
-        while (read(wake_rx_, drain, sizeof(drain)) > 0) {
-        }
+      if (e.fd == waker_->read_fd()) {
+        // Drained before the connections are pumped below, so a
+        // completion that lands after a pump re-arms the next wait.
+        waker_->Drain();
         continue;
       }
       by_fd[e.fd] = e;
@@ -286,13 +285,10 @@ void NetServer::LoopThread() {
       }
       // Dispatch at most one frame, and only while the connection is
       // under its in-flight cap (per-client backpressure).
-      if (conn->pending_count() <
-          static_cast<size_t>(options_.max_inflight_per_conn)) {
-        FrameHeader header;
-        std::vector<uint8_t> payload;
-        if (conn->NextFrame(&header, &payload)) {
-          DispatchFrame(conn, header, std::move(payload));
-        }
+      FrameHeader header;
+      std::span<const uint8_t> payload;
+      if (CanDispatch(*conn) && conn->reader().NextFrame(&header, &payload)) {
+        DispatchFrame(conn, header, payload);
       }
       // Move resolved replies into the write buffer and flush.
       conn->PumpPending();

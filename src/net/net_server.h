@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -18,14 +19,16 @@ namespace net {
 
 // Loopback TCP front-end over a ModelRouter: one event-loop thread
 // multiplexes every client with epoll (or poll — see EventLoop),
-// non-blocking reads feed per-connection frame reassembly, DETECT frames
-// are admitted through the routed serve::Server (priority lanes, deadline
-// and shed policies run there), and responses stream back with partial-
-// write continuation, in request order per connection.
+// non-blocking reads land straight in each connection's frame buffer,
+// DETECT frames are decoded from a view of that buffer (the pixels'
+// only copy) and admitted through the routed serve::Server (priority
+// lanes, deadline and shed policies run there), and responses stream
+// back with partial-write continuation, in request order per connection.
 //
 //   clients ──TCP──▶ EventLoop ──decode──▶ ModelRouter::Route
-//                        ▲                       │ Submit (admission)
-//                        └──encode ◀── future ◀──┘ worker pool
+//                      ▲    ▲                    │ Submit (admission)
+//                      │    └── Waker ◀── done ──┤
+//                      └──encode ◀── future ◀────┘ worker pool
 //
 // Fairness: each loop tick services ready connections starting from a
 // rotating offset and dispatches at most one frame per connection per
@@ -33,9 +36,11 @@ namespace net {
 // max_inflight_per_conn unanswered DETECTs stops being parsed until
 // replies drain (per-client backpressure that also bounds memory).
 //
-// The detection futures resolve on serve-layer worker threads; the loop
-// polls pending heads with a zero-timeout wait while any reply is
-// outstanding (1 ms ticks), and sleeps long otherwise.
+// Replies are event-driven: each DETECT is submitted with a completion
+// hook that pokes a shared Waker after the serve worker fulfils its
+// future, so the loop wakes, encodes and writes the reply at once instead
+// of polling futures on a timer. The Waker is reference-counted by those
+// hooks and outlives Shutdown while requests are still inside serve.
 class NetServer {
  public:
   struct Options {
@@ -72,23 +77,27 @@ class NetServer {
 
   // Stops the loop thread and closes every connection. Requests already
   // handed to the serve layer still complete there (their replies are
-  // dropped with the sockets). Idempotent; also run by the destructor.
+  // dropped with the sockets; their wakes go to the still-open Waker).
+  // Idempotent; also run by the destructor.
   void Shutdown();
 
  private:
   NetServer(const Options& options, serve::ModelRouter* router,
-            EventLoop loop, int listen_fd, uint16_t port, int wake_rx,
-            int wake_tx);
+            EventLoop loop, int listen_fd, uint16_t port,
+            std::shared_ptr<Waker> waker);
 
   void LoopThread();
   void AcceptPending();
   // Reads whatever the socket has; returns false if the connection died
   // (io/framing error or EOF) and must be closed.
   bool ReadFromConnection(Connection* conn);
+  // True when `conn` holds a complete frame and is under its in-flight
+  // cap, i.e. the next tick can dispatch without waiting for an event.
+  bool CanDispatch(const Connection& conn) const;
   // Decodes and dispatches one frame. Never fails the connection: bad
   // requests get error replies (framing errors are handled upstream).
   void DispatchFrame(Connection* conn, const FrameHeader& header,
-                     std::vector<uint8_t> payload);
+                     std::span<const uint8_t> payload);
   void CloseConnection(int fd);
   std::string BuildStatsJson() const;
 
@@ -97,9 +106,8 @@ class NetServer {
   EventLoop loop_;
   int listen_fd_;
   uint16_t port_;
-  // Self-pipe waking the loop out of a long sleep for shutdown.
-  int wake_rx_;
-  int wake_tx_;
+  // Wakes the loop for shutdown and for every serve completion.
+  std::shared_ptr<Waker> waker_;
 
   Counters counters_;
   std::map<int, std::unique_ptr<Connection>> conns_;  // loop thread only

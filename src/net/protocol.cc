@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "base/logging.h"
 #include "base/string_util.h"
 
 namespace thali {
@@ -68,13 +69,18 @@ Status PayloadReader::ReadF32(float* v) {
 
 // ----------------------------------------------------------- framing --
 
+void AppendFrameHeader(std::vector<uint8_t>* buf, Op op,
+                       uint32_t payload_len) {
+  AppendU32(buf, kMagic);
+  AppendU16(buf, kProtocolVersion);
+  AppendU16(buf, static_cast<uint16_t>(op));
+  AppendU32(buf, payload_len);
+}
+
 std::vector<uint8_t> EncodeFrame(Op op, std::span<const uint8_t> payload) {
   std::vector<uint8_t> frame;
   frame.reserve(kHeaderBytes + payload.size());
-  AppendU32(&frame, kMagic);
-  AppendU16(&frame, kProtocolVersion);
-  AppendU16(&frame, static_cast<uint16_t>(op));
-  AppendU32(&frame, static_cast<uint32_t>(payload.size()));
+  AppendFrameHeader(&frame, op, static_cast<uint32_t>(payload.size()));
   AppendBytes(&frame, payload.data(), payload.size());
   return frame;
 }
@@ -105,64 +111,143 @@ Status ParseHeader(std::span<const uint8_t> bytes, FrameHeader* header) {
   return Status::OK();
 }
 
-Status FrameReader::Feed(std::span<const uint8_t> bytes) {
-  if (!error_.ok()) return error_;
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+std::span<uint8_t> FrameReader::WritableTail() {
+  const size_t unconsumed = end_ - begin_;
+  if (buf_.size() - end_ < kRecvChunk && begin_ > 0 && unconsumed <= begin_) {
+    // Slide the unconsumed bytes to the front. They are no more than the
+    // consumed prefix, so every moved byte was paid for by a consumed one.
+    std::memmove(buf_.data(), buf_.data() + begin_, unconsumed);
+    begin_ = 0;
+    end_ = unconsumed;
+  }
+  if (buf_.size() - end_ < kRecvChunk) {
+    // Grow by one receive chunk; capacity doubles with the bytes held,
+    // never with a length some header claims.
+    const size_t want = end_ + kRecvChunk;
+    if (want > buf_.capacity()) buf_.reserve(std::max(want, 2 * end_));
+    buf_.resize(want);
+  }
+  return std::span<uint8_t>(buf_).subspan(end_);
+}
+
+Status FrameReader::Commit(size_t n) {
+  THALI_CHECK_LE(n, buf_.size() - end_);
+  end_ += n;
   // Validate the header as soon as it is complete so a bad peer is cut
   // off before it streams an entire bogus payload.
-  if (buf_.size() >= kHeaderBytes) {
-    FrameHeader h;
-    Status st = ParseHeader(buf_, &h);
-    if (!st.ok()) error_ = st;
+  ValidateHead();
+  return error_;
+}
+
+Status FrameReader::Feed(std::span<const uint8_t> bytes) {
+  while (error_.ok() && !bytes.empty()) {
+    const std::span<uint8_t> tail = WritableTail();
+    const size_t n = std::min(tail.size(), bytes.size());
+    std::memcpy(tail.data(), bytes.data(), n);
+    bytes = bytes.subspan(n);
+    Commit(n);
   }
   return error_;
 }
 
-bool FrameReader::NextFrame(FrameHeader* header, std::vector<uint8_t>* payload) {
-  if (!error_.ok() || buf_.size() < kHeaderBytes) return false;
+void FrameReader::ValidateHead() {
+  if (!error_.ok() || end_ - begin_ < kHeaderBytes) return;
   FrameHeader h;
-  Status st = ParseHeader(buf_, &h);
-  if (!st.ok()) {
-    error_ = st;
-    return false;
-  }
-  const size_t total = kHeaderBytes + h.payload_len;
-  if (buf_.size() < total) return false;
-  *header = h;
-  payload->assign(buf_.begin() + kHeaderBytes, buf_.begin() + total);
-  buf_.erase(buf_.begin(), buf_.begin() + total);
+  error_ = ParseHeader(std::span<const uint8_t>(buf_).subspan(begin_),
+                       &h);
+}
+
+bool FrameReader::PeekFrame(FrameHeader* header) const {
+  const size_t buffered = end_ - begin_;
+  return error_.ok() && buffered >= kHeaderBytes &&
+         ParseHeader(std::span<const uint8_t>(buf_).subspan(begin_), header)
+             .ok() &&
+         buffered - kHeaderBytes >= header->payload_len;
+}
+
+bool FrameReader::HasFrame() const {
+  FrameHeader header;
+  return PeekFrame(&header);
+}
+
+bool FrameReader::NextFrame(FrameHeader* header,
+                            std::span<const uint8_t>* payload) {
+  if (!PeekFrame(header)) return false;
+  *payload = std::span<const uint8_t>(buf_).subspan(begin_ + kHeaderBytes,
+                                                    header->payload_len);
+  begin_ += kHeaderBytes + header->payload_len;
+  // Fully drained: rewind for free. The view stays valid because bytes
+  // are only overwritten by the next receive.
+  if (begin_ == end_) begin_ = end_ = 0;
   // The next frame's header (if buffered) gets validated eagerly too.
-  if (buf_.size() >= kHeaderBytes) {
-    FrameHeader next;
-    Status nst = ParseHeader(buf_, &next);
-    if (!nst.ok()) error_ = nst;
-  }
+  ValidateHead();
   return true;
 }
 
 // ------------------------------------------------------------ detect --
 
-std::vector<uint8_t> EncodeDetectRequest(const DetectRequest& req) {
-  std::vector<uint8_t> payload;
+namespace {
+
+// priority u8, deadline u32, model_len u8, width u16, height u16,
+// channels u8; the model id bytes come on top.
+constexpr size_t kDetectPrefixFixedBytes = 11;
+
+}  // namespace
+
+Status ValidateDetectRequest(const DetectRequest& req) {
   const Image& img = req.image;
-  payload.reserve(16 + req.model_id.size() +
-                  static_cast<size_t>(img.size()) * 4);
-  AppendU8(&payload, req.priority == serve::Priority::kBatch ? 1 : 0);
-  AppendU32(&payload, req.deadline_ms);
-  AppendU8(&payload, static_cast<uint8_t>(req.model_id.size()));
-  AppendBytes(&payload, req.model_id.data(), req.model_id.size());
-  AppendU16(&payload, static_cast<uint16_t>(img.width()));
-  AppendU16(&payload, static_cast<uint16_t>(img.height()));
-  AppendU8(&payload, static_cast<uint8_t>(img.channels()));
-  AppendBytes(&payload, img.data(), static_cast<size_t>(img.size()) * 4);
+  if (req.model_id.size() > 0xff) {
+    return Status::InvalidArgument(
+        StrFormat("model id of %zu bytes exceeds the 255-byte limit",
+                  req.model_id.size()));
+  }
+  if (img.width() < 1 || img.width() > 0xffff || img.height() < 1 ||
+      img.height() > 0xffff || img.channels() < 1 || img.channels() > 4) {
+    return Status::InvalidArgument(
+        StrFormat("image geometry %dx%dx%d outside the wire limits "
+                  "(1-65535 x 1-65535 x 1-4)",
+                  img.width(), img.height(), img.channels()));
+  }
+  const uint64_t payload_bytes = kDetectPrefixFixedBytes +
+                                 req.model_id.size() +
+                                 static_cast<uint64_t>(img.size()) * 4;
+  if (payload_bytes > kMaxPayloadBytes) {
+    return Status::ResourceExhausted(
+        StrFormat("request payload of %llu bytes exceeds limit %u",
+                  static_cast<unsigned long long>(payload_bytes),
+                  kMaxPayloadBytes));
+  }
+  return Status::OK();
+}
+
+void AppendDetectRequestPrefix(std::vector<uint8_t>* buf,
+                               const DetectRequest& req) {
+  THALI_CHECK_OK(ValidateDetectRequest(req));
+  const Image& img = req.image;
+  AppendU8(buf, req.priority == serve::Priority::kBatch ? 1 : 0);
+  AppendU32(buf, req.deadline_ms);
+  AppendU8(buf, static_cast<uint8_t>(req.model_id.size()));
+  AppendBytes(buf, req.model_id.data(), req.model_id.size());
+  AppendU16(buf, static_cast<uint16_t>(img.width()));
+  AppendU16(buf, static_cast<uint16_t>(img.height()));
+  AppendU8(buf, static_cast<uint8_t>(img.channels()));
+}
+
+std::vector<uint8_t> EncodeDetectRequest(const DetectRequest& req) {
+  const size_t pixel_bytes = static_cast<size_t>(req.image.size()) * 4;
+  std::vector<uint8_t> payload;
+  payload.reserve(kDetectPrefixFixedBytes + req.model_id.size() +
+                  pixel_bytes);
+  AppendDetectRequestPrefix(&payload, req);
+  AppendBytes(&payload, req.image.data(), pixel_bytes);
   return payload;
 }
 
 Status DecodeDetectRequest(std::span<const uint8_t> payload,
                            DetectRequest* req) {
   PayloadReader r(payload);
-  uint8_t priority, model_len, channels;
-  uint16_t width, height;
+  uint8_t priority = 0, model_len = 0, channels = 0;
+  uint16_t width = 0, height = 0;
   THALI_RETURN_IF_ERROR(r.ReadU8(&priority));
   if (priority > 1) {
     return Status::InvalidArgument(

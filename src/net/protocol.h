@@ -96,6 +96,9 @@ class PayloadReader {
 
 // ----------------------------------------------------------- framing --
 
+// Appends the 12-byte header of a frame carrying `payload_len` bytes.
+void AppendFrameHeader(std::vector<uint8_t>* buf, Op op, uint32_t payload_len);
+
 // Serializes a complete frame: header + payload.
 std::vector<uint8_t> EncodeFrame(Op op, std::span<const uint8_t> payload);
 
@@ -104,21 +107,54 @@ std::vector<uint8_t> EncodeFrame(Op op, std::span<const uint8_t> payload);
 // oversized payload length.
 Status ParseHeader(std::span<const uint8_t> bytes, FrameHeader* header);
 
-// Incremental frame reassembly over a byte stream: Feed whatever arrived
-// (any split points, including mid-header), then drain complete frames
-// with NextFrame. A framing error (bad magic/version/length) is sticky —
-// the connection cannot be resynchronized and must be closed.
+// Incremental frame reassembly over a byte stream, receiving in place:
+// the caller reads the socket straight into WritableTail() and Commits
+// what arrived (at any split point, including mid-header), then drains
+// complete frames with NextFrame. A frame comes out as a view into the
+// receive buffer behind a consumed offset, so reassembly itself copies
+// nothing; the buffer keeps its capacity between frames.
+//
+// The buffer grows with the bytes actually received, never with the
+// payload_len a header claims (a hostile length never allocates). A
+// framing error (bad magic/version/length) is sticky — the connection
+// cannot be resynchronized and must be closed.
 class FrameReader {
  public:
-  // Appends received bytes; returns the first framing error encountered.
+  // Free space the buffer guarantees before each receive.
+  static constexpr size_t kRecvChunk = 64 * 1024;
+
+  // Free space after the buffered bytes: at least kRecvChunk bytes, or
+  // everything left in an already-larger buffer. Invalidates payload
+  // views from earlier NextFrame calls (the buffer may move).
+  std::span<uint8_t> WritableTail();
+
+  // Marks the first `n` bytes of WritableTail() as received; returns the
+  // first framing error encountered.
+  Status Commit(size_t n);
+
+  // Copies `bytes` in through WritableTail/Commit.
   Status Feed(std::span<const uint8_t> bytes);
 
-  // Moves the next complete frame out; false if none is buffered.
-  bool NextFrame(FrameHeader* header, std::vector<uint8_t>* payload);
+  // True when a complete frame is buffered (and no framing error).
+  bool HasFrame() const;
+
+  // Pops the next complete frame, if any: *payload views the receive
+  // buffer and stays valid until the next WritableTail or Feed.
+  bool NextFrame(FrameHeader* header, std::span<const uint8_t>* payload);
+
+  // Bytes the receive buffer has allocated.
+  size_t capacity() const { return buf_.capacity(); }
 
  private:
-  std::vector<uint8_t> buf_;
-  Status error_;  // sticky
+  // Records a framing error if the buffered data starts with a bad header.
+  void ValidateHead();
+  // Parses the buffered head; true when its whole frame has arrived.
+  bool PeekFrame(FrameHeader* header) const;
+
+  std::vector<uint8_t> buf_;  // size() is the usable capacity
+  size_t begin_ = 0;          // first unconsumed byte
+  size_t end_ = 0;            // one past the last received byte
+  Status error_;              // sticky
 };
 
 // ------------------------------------------------------------ detect --
@@ -129,6 +165,18 @@ struct DetectRequest {
   std::string model_id;      // "" = default route (A/B split applies)
   Image image;
 };
+
+// Checks `req` against the limits of the DETECT fields: a model id of
+// at most 255 bytes, width and height in [1, 65535], 1 to 4 channels
+// (kInvalidArgument), and a payload of at most kMaxPayloadBytes
+// (kResourceExhausted). The encoders below require a valid request.
+Status ValidateDetectRequest(const DetectRequest& req);
+
+// Appends the DETECT payload up to the pixel block: priority, deadline,
+// model id and geometry. The pixel block follows as the image's raw
+// f32 bytes, which the client sends straight from the Image.
+void AppendDetectRequestPrefix(std::vector<uint8_t>* buf,
+                               const DetectRequest& req);
 
 // Encodes the request *payload* only (callers frame it with EncodeFrame;
 // the response encoders below return complete frames because the server

@@ -28,8 +28,7 @@ bool Batcher::ExpireIfLate(RequestPtr* req, ServeClock::time_point now) {
   metrics_->ForClass((*req)->priority)
       .timed_out.fetch_add(1, std::memory_order_relaxed);
   metrics_->e2e_ms.Record(ToMs(now - (*req)->submit_time));
-  (*req)->promise.set_value(
-      Status::DeadlineExceeded("deadline expired while queued"));
+  (*req)->Complete(Status::DeadlineExceeded("deadline expired while queued"));
   req->reset();
   return true;
 }
@@ -50,10 +49,13 @@ bool Batcher::NextBatch(std::vector<RequestPtr>* batch) {
   batch->push_back(std::move(first));
 
   while (static_cast<int>(batch->size()) < options_.max_batch_size) {
+    // Requests already queued join at once; only the rest of an explicit
+    // linger is spent waiting for more (a zero wait is a plain poll).
     const ServeClock::time_point now = ServeClock::now();
-    if (now >= linger_end) break;
+    const ServeClock::duration wait =
+        now < linger_end ? linger_end - now : ServeClock::duration::zero();
     RequestPtr next;
-    if (!queue_->PopWait(&next, linger_end - now)) break;  // timeout or drained
+    if (!queue_->PopWait(&next, wait)) break;  // empty after the linger
     if (ExpireIfLate(&next, ServeClock::now())) continue;
     metrics_->queue_wait_ms.Record(
         ToMs(ServeClock::now() - next->submit_time));

@@ -2,6 +2,7 @@
 #define THALI_SERVE_BATCHER_H_
 
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <vector>
@@ -18,8 +19,8 @@ namespace serve {
 
 using ServeClock = std::chrono::steady_clock;
 
-// One in-flight detection request. The promise is fulfilled exactly once,
-// with either the detections for `image` or an error status
+// One in-flight detection request. Complete fulfils the promise exactly
+// once, with either the detections for `image` or an error status
 // (kDeadlineExceeded when the deadline passed while the request waited in
 // the queue).
 struct Request {
@@ -29,6 +30,14 @@ struct Request {
   ServeClock::time_point deadline = ServeClock::time_point::max();
   Priority priority = Priority::kInteractive;
   std::promise<StatusOr<std::vector<Detection>>> promise;
+  // Runs right after the promise is fulfilled, on the completing thread;
+  // may be empty (see Server::SubmitOptions::on_complete).
+  std::function<void()> on_complete;
+
+  void Complete(StatusOr<std::vector<Detection>> result) {
+    promise.set_value(std::move(result));
+    if (on_complete) on_complete();
+  }
 };
 
 using RequestPtr = std::unique_ptr<Request>;
@@ -37,11 +46,15 @@ using RequestPtr = std::unique_ptr<Request>;
 using RequestQueue = LaneQueue<RequestPtr>;
 
 // Dynamic micro-batcher: pulls requests off a shared queue and groups them
-// into batches of at most `max_batch_size`, waiting up to `max_linger`
-// after the first request for stragglers — whichever limit trips first
-// closes the batch. Requests whose deadline already passed are completed
-// with kDeadlineExceeded at pop time and never occupy a batch slot, so an
-// expired request costs no network time.
+// into batches of at most `max_batch_size`. It blocks for the first
+// request, then takes whatever is already queued behind it; by default
+// (max_linger 0) the batch closes the moment the queue is empty, so a lone
+// request never waits for company. An explicit `max_linger` additionally
+// holds an underfull batch open that long after the first request for
+// stragglers — whichever limit trips first closes the batch. Requests
+// whose deadline already passed are completed with kDeadlineExceeded at
+// pop time and never occupy a batch slot, so an expired request costs no
+// network time.
 //
 // Stateless between batches: several workers may run NextBatch on the same
 // queue concurrently, each forming its own batches (the queue is the only
@@ -50,7 +63,7 @@ class Batcher {
  public:
   struct Options {
     int max_batch_size = 8;
-    std::chrono::microseconds max_linger{2000};
+    std::chrono::microseconds max_linger{0};
   };
 
   // `queue` and `metrics` must outlive the batcher. Records queue-wait

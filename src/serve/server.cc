@@ -78,15 +78,14 @@ StatusOr<std::future<Server::Result>> Server::Submit(Image image) {
 
 StatusOr<std::future<Server::Result>> Server::Submit(
     Image image, std::chrono::milliseconds deadline) {
-  return Submit(std::move(image),
-                SubmitOptions{ServeClock::now() + deadline,
-                              Priority::kInteractive});
+  return Submit(std::move(image), ServeClock::now() + deadline);
 }
 
 StatusOr<std::future<Server::Result>> Server::Submit(
     Image image, ServeClock::time_point deadline) {
-  return Submit(std::move(image),
-                SubmitOptions{deadline, Priority::kInteractive});
+  SubmitOptions submit;
+  submit.deadline = deadline;
+  return Submit(std::move(image), submit);
 }
 
 double Server::EstimateQueueWaitMs(Priority lane) const {
@@ -169,6 +168,7 @@ StatusOr<std::future<Server::Result>> Server::Submit(
   req->submit_time = now;
   req->deadline = submit.deadline;
   req->priority = submit.priority;
+  req->on_complete = submit.on_complete;
   std::future<Result> future = req->promise.get_future();
   Status pushed = queue_.TryPush(std::move(req), submit.priority);
   if (!pushed.ok()) {
@@ -250,7 +250,7 @@ void Server::WorkerLoop(Detector* detector) {
       ServerMetrics::PerClass& cls = metrics_.ForClass(batch[i]->priority);
       cls.completed.fetch_add(1, std::memory_order_relaxed);
       cls.completed_e2e_ms.Record(e2e);
-      batch[i]->promise.set_value(std::move(results[i]));
+      batch[i]->Complete(std::move(results[i]));
     }
   }
 }

@@ -64,8 +64,9 @@ class Server {
     // Capacity of the batch-priority lane; -1 mirrors queue_capacity.
     int batch_queue_capacity = -1;
     int max_batch_size = 8;
-    // How long a worker holds an underfull batch open for stragglers.
-    std::chrono::microseconds max_linger{2000};
+    // How long a worker holds an underfull batch open for stragglers. At
+    // the default 0 a batch takes what is already queued and closes.
+    std::chrono::microseconds max_linger{0};
     // Applied by Submit(image); zero means requests never expire.
     std::chrono::milliseconds default_deadline{0};
     AdmissionOptions admission;
@@ -76,6 +77,10 @@ class Server {
     // time_point::max() means no deadline.
     ServeClock::time_point deadline = ServeClock::time_point::max();
     Priority priority = Priority::kInteractive;
+    // Runs on the serving thread right after an accepted request's future
+    // becomes ready (result or expiry). Must be cheap and must not block;
+    // the network front-end uses it to wake its event loop.
+    std::function<void()> on_complete;
   };
 
   using Result = StatusOr<std::vector<Detection>>;

@@ -1,13 +1,21 @@
-// Network front-end tests: THL1 protocol framing (round-trips, partial
-// reassembly at every split point, hostile-frame rejection), the event
-// loop backend selection, and the loopback end-to-end path — including
-// the acceptance pin that socket-served detections are bitwise equal to
-// in-process Server::Submit on the same model.
+// Network front-end tests: THL1 protocol framing (round-trips, in-place
+// reassembly at every split point, hostile-frame rejection and buffer
+// bounds), the event loop backend selection, client-side request
+// validation, shutdown with a request still inside serve, and the
+// loopback end-to-end path — including the acceptance pin that
+// socket-served detections are bitwise equal to in-process
+// Server::Submit on the same model.
 
+#include <errno.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/net_util.h"
@@ -108,6 +116,10 @@ TEST(ProtocolTest, DetectResponseRoundTripCarriesBoxesAndStatus) {
   EXPECT_TRUE(back.empty());
 }
 
+std::vector<uint8_t> Bytes(std::span<const uint8_t> view) {
+  return std::vector<uint8_t>(view.begin(), view.end());
+}
+
 TEST(ProtocolTest, FrameReaderReassemblesAtEverySplitPoint) {
   const std::vector<uint8_t> ping_payload = {1, 2, 3, 4, 5};
   const std::vector<uint8_t> frame = EncodeFrame(Op::kPing, ping_payload);
@@ -116,21 +128,23 @@ TEST(ProtocolTest, FrameReaderReassemblesAtEverySplitPoint) {
     SCOPED_TRACE("split=" + std::to_string(split));
     FrameReader reader;
     FrameHeader header;
-    std::vector<uint8_t> payload;
+    std::span<const uint8_t> payload;
 
     ASSERT_TRUE(reader
                     .Feed(std::span<const uint8_t>(frame.data(), split))
                     .ok());
     if (split < frame.size()) {
+      EXPECT_FALSE(reader.HasFrame());
       EXPECT_FALSE(reader.NextFrame(&header, &payload));
       ASSERT_TRUE(reader
                       .Feed(std::span<const uint8_t>(frame.data() + split,
                                                      frame.size() - split))
                       .ok());
     }
+    ASSERT_TRUE(reader.HasFrame());
     ASSERT_TRUE(reader.NextFrame(&header, &payload));
     EXPECT_EQ(header.op, static_cast<uint16_t>(Op::kPing));
-    EXPECT_EQ(payload, ping_payload);
+    EXPECT_EQ(Bytes(payload), ping_payload);
     EXPECT_FALSE(reader.NextFrame(&header, &payload));
   }
 }
@@ -143,14 +157,94 @@ TEST(ProtocolTest, FrameReaderDrainsBackToBackFrames) {
   FrameReader reader;
   ASSERT_TRUE(reader.Feed(stream).ok());
   FrameHeader header;
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
   ASSERT_TRUE(reader.NextFrame(&header, &payload));
   EXPECT_EQ(header.op, static_cast<uint16_t>(Op::kPing));
-  EXPECT_EQ(payload, std::vector<uint8_t>{9});
+  EXPECT_EQ(Bytes(payload), std::vector<uint8_t>{9});
   ASSERT_TRUE(reader.NextFrame(&header, &payload));
   EXPECT_EQ(header.op, static_cast<uint16_t>(Op::kStats));
   EXPECT_TRUE(payload.empty());
   EXPECT_FALSE(reader.NextFrame(&header, &payload));
+}
+
+// The server's receive pattern over a stream of frames from empty to
+// several receive chunks long: bytes arrive in arbitrary pieces straight
+// into WritableTail(), and complete frames are drained between receives,
+// so the buffer slides and grows under partially received frames.
+TEST(ProtocolTest, FrameReaderReassemblesLargeFramesReceivedInPieces) {
+  std::mt19937 rng(5);
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<uint8_t> stream;
+  for (size_t len : {size_t{0}, size_t{1}, size_t{3 * FrameReader::kRecvChunk},
+                     size_t{777}, size_t{FrameReader::kRecvChunk - 12},
+                     size_t{200'000}, size_t{5}}) {
+    std::vector<uint8_t> payload(len);
+    for (uint8_t& b : payload) b = static_cast<uint8_t>(rng());
+    const std::vector<uint8_t> frame = EncodeFrame(Op::kPing, payload);
+    stream.insert(stream.end(), frame.begin(), frame.end());
+    payloads.push_back(std::move(payload));
+  }
+
+  FrameReader reader;
+  size_t sent = 0;
+  size_t next = 0;
+  while (sent < stream.size()) {
+    const std::span<uint8_t> tail = reader.WritableTail();
+    ASSERT_GE(tail.size(), FrameReader::kRecvChunk);
+    const size_t piece = std::min<size_t>(
+        {tail.size(), stream.size() - sent, 1 + rng() % 100'000});
+    std::memcpy(tail.data(), stream.data() + sent, piece);
+    sent += piece;
+    ASSERT_TRUE(reader.Commit(piece).ok());
+    FrameHeader header;
+    std::span<const uint8_t> payload;
+    while (reader.NextFrame(&header, &payload)) {
+      ASSERT_LT(next, payloads.size());
+      EXPECT_EQ(header.op, static_cast<uint16_t>(Op::kPing));
+      EXPECT_EQ(Bytes(payload), payloads[next]) << "frame " << next;
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, payloads.size());
+}
+
+// Frames come out as views of one receive buffer that keeps its
+// capacity: a second frame of the same size lands in the same bytes,
+// with no new allocation and no per-frame copy.
+TEST(ProtocolTest, FrameReaderReusesItsBufferAcrossFrames) {
+  const std::vector<uint8_t> frame =
+      EncodeFrame(Op::kPing, std::vector<uint8_t>(300'000, 0x5A));
+  FrameReader reader;
+  FrameHeader header;
+  std::span<const uint8_t> first;
+  ASSERT_TRUE(reader.Feed(frame).ok());
+  ASSERT_TRUE(reader.NextFrame(&header, &first));
+  const size_t capacity = reader.capacity();
+  const uint8_t* const first_data = first.data();
+
+  std::span<const uint8_t> second;
+  ASSERT_TRUE(reader.Feed(frame).ok());
+  ASSERT_TRUE(reader.NextFrame(&header, &second));
+  EXPECT_EQ(reader.capacity(), capacity);
+  EXPECT_EQ(second.data(), first_data);
+  EXPECT_EQ(second.size(), 300'000u);
+}
+
+// DESIGN.md promises that a hostile length never allocates: a legal
+// header that claims the maximum payload, with nothing behind it, leaves
+// the buffer at the bytes received plus one receive chunk.
+TEST(ProtocolTest, ClaimedPayloadLengthDoesNotGrowTheBuffer) {
+  std::vector<uint8_t> header_bytes;
+  AppendFrameHeader(&header_bytes, Op::kDetect, kMaxPayloadBytes);
+  FrameReader reader;
+  ASSERT_TRUE(reader.Feed(header_bytes).ok());
+  FrameHeader header;
+  std::span<const uint8_t> payload;
+  EXPECT_FALSE(reader.NextFrame(&header, &payload));
+  EXPECT_LE(reader.capacity(), header_bytes.size() + FrameReader::kRecvChunk);
+  // Asking for room to receive into does not grow it either.
+  reader.WritableTail();
+  EXPECT_LE(reader.capacity(), header_bytes.size() + FrameReader::kRecvChunk);
 }
 
 TEST(ProtocolTest, BadMagicIsAStickyFramingError) {
@@ -162,7 +256,8 @@ TEST(ProtocolTest, BadMagicIsAStickyFramingError) {
   const std::vector<uint8_t> good = EncodeFrame(Op::kPing, {});
   EXPECT_EQ(reader.Feed(good).code(), StatusCode::kCorruption);
   FrameHeader header;
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
+  EXPECT_FALSE(reader.HasFrame());
   EXPECT_FALSE(reader.NextFrame(&header, &payload));
 }
 
@@ -181,6 +276,8 @@ TEST(ProtocolTest, OversizedPayloadLengthRejectedFromHeaderAlone) {
   FrameReader reader;
   EXPECT_EQ(reader.Feed(header_bytes).code(),
             StatusCode::kResourceExhausted);
+  std::span<const uint8_t> payload;
+  EXPECT_FALSE(reader.NextFrame(&header, &payload));
 }
 
 TEST(ProtocolTest, VersionMismatchRejected) {
@@ -192,6 +289,11 @@ TEST(ProtocolTest, VersionMismatchRejected) {
   FrameHeader header;
   EXPECT_EQ(ParseHeader(header_bytes, &header).code(),
             StatusCode::kUnimplemented);
+  // The reader turns it into a sticky error too.
+  FrameReader reader;
+  EXPECT_EQ(reader.Feed(header_bytes).code(), StatusCode::kUnimplemented);
+  std::span<const uint8_t> payload;
+  EXPECT_FALSE(reader.NextFrame(&header, &payload));
 }
 
 TEST(ProtocolTest, TruncatedDetectPayloadRejected) {
@@ -342,6 +444,159 @@ TEST_F(NetServerTest, MalformedFrameCutsOnlyThatConnection) {
   auto client = NetClient::Connect(server_->port());
   ASSERT_TRUE(client.ok());
   EXPECT_TRUE(client->Ping().ok());
+}
+
+// Reads one complete reply frame from a blocking socket.
+void ReadReply(int fd, FrameHeader* header, std::vector<uint8_t>* payload) {
+  uint8_t header_bytes[kHeaderBytes];
+  ASSERT_TRUE(RecvAll(fd, header_bytes, kHeaderBytes).ok());
+  ASSERT_TRUE(
+      ParseHeader(std::span<const uint8_t>(header_bytes, kHeaderBytes),
+                  header)
+          .ok());
+  payload->resize(header->payload_len);
+  ASSERT_TRUE(RecvAll(fd, payload->data(), payload->size()).ok());
+}
+
+// Several frames in one write land in one receive: each is dispatched
+// from the same buffer, and the replies keep request order.
+TEST_F(NetServerTest, PipelinedFramesAreAnsweredInOrder) {
+  StartServer();
+  auto fd = ConnectLoopback(server_->port());
+  ASSERT_TRUE(fd.ok());
+  DetectRequest req;
+  req.image = RenderPlatter();
+  std::vector<uint8_t> stream;
+  for (Op op : {Op::kPing, Op::kDetect, Op::kStats, Op::kDetect}) {
+    const std::vector<uint8_t> frame =
+        op == Op::kDetect ? EncodeFrame(op, EncodeDetectRequest(req))
+                          : EncodeFrame(op, {});
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(SendAll(*fd, stream.data(), stream.size()).ok());
+
+  std::vector<std::vector<Detection>> detected;
+  for (Op op : {Op::kPing, Op::kDetect, Op::kStats, Op::kDetect}) {
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ReadReply(*fd, &header, &payload);
+    ASSERT_EQ(header.op, static_cast<uint16_t>(op));
+    if (op != Op::kDetect) continue;
+    Status wire;
+    std::vector<Detection> dets;
+    ASSERT_TRUE(DecodeDetectResponse(payload, &wire, &dets).ok());
+    ASSERT_TRUE(wire.ok()) << wire.ToString();
+    detected.push_back(std::move(dets));
+  }
+  ASSERT_FALSE(detected[0].empty());
+  ExpectSameDetections(detected[0], detected[1]);
+  CloseFd(*fd);
+}
+
+// What the THL1 fields cannot carry is refused on the client, before
+// the socket is touched: a 256-byte model id would go out with length 0
+// and a >16 MB frame would get the connection cut mid-send.
+TEST_F(NetServerTest, DetectRefusesUnencodableRequestsBeforeSending) {
+  StartServer();
+  auto client = NetClient::Connect(server_->port());
+  ASSERT_TRUE(client.ok());
+
+  DetectRequest req;
+  req.image = RenderPlatter();
+  req.model_id = std::string(256, 'm');
+  EXPECT_EQ(client->Detect(req).status().code(),
+            StatusCode::kInvalidArgument);
+  req.model_id = std::string(255, 'm');  // the longest id that fits
+  EXPECT_EQ(client->Detect(req).status().code(), StatusCode::kNotFound);
+  req.model_id.clear();
+
+  const std::vector<Image> bad_geometry = {Image(), Image(65536, 1, 1),
+                                           Image(1, 65536, 1), Image(2, 2, 5)};
+  for (const Image& image : bad_geometry) {
+    req.image = image;
+    EXPECT_EQ(client->Detect(req).status().code(),
+              StatusCode::kInvalidArgument)
+        << image.width() << "x" << image.height() << "x" << image.channels();
+  }
+  // 16 MB of pixels alone fill the payload limit; the prefix tips it over.
+  req.image = Image(4096, 1024, 1);
+  EXPECT_EQ(client->Detect(req).status().code(),
+            StatusCode::kResourceExhausted);
+
+  // Only the 255-byte id reached the server, and the connection is intact.
+  EXPECT_EQ(server_->counters().frames_received.load(), 1);
+  EXPECT_TRUE(client->Ping().ok());
+  req.image = RenderPlatter();
+  EXPECT_TRUE(client->Detect(req).ok());
+}
+
+// Shutdown while a DETECT is still inside serve: the worker's later
+// completion wake must go to the still-open Waker, never to an fd
+// Shutdown closed (and the process may have reused), nor touch the
+// destroyed front-end; and the serve drain invariant must hold.
+TEST(NetServerLifecycleTest, ShutdownWithADetectInsideServe) {
+  serve::ModelRouter router;
+  serve::Server::Options opts;
+  opts.num_workers = 1;
+  opts.queue_capacity = 16;
+  opts.max_batch_size = 1;
+  THALI_CHECK_OK(router.AddModel("yolo", opts, YoloFactory()));
+  serve::Server* yolo = router.Find("yolo");
+  auto net_server = NetServer::Start(NetServer::Options{}, &router);
+  ASSERT_TRUE(net_server.ok()) << net_server.status().ToString();
+
+  // In-process work ahead of it keeps the single worker busy, so the
+  // socket request is still queued when the front-end goes away.
+  const Image image = RenderPlatter();
+  constexpr int kAhead = 8;
+  std::vector<std::future<serve::Server::Result>> ahead;
+  for (int i = 0; i < kAhead; ++i) {
+    auto fut = yolo->Submit(Image(image));
+    ASSERT_TRUE(fut.ok());
+    ahead.push_back(std::move(fut).value());
+  }
+  auto fd = ConnectLoopback((*net_server)->port());
+  ASSERT_TRUE(fd.ok());
+  DetectRequest req;
+  req.image = image;
+  const std::vector<uint8_t> frame =
+      EncodeFrame(Op::kDetect, EncodeDetectRequest(req));
+  ASSERT_TRUE(SendAll(*fd, frame.data(), frame.size()).ok());
+  const serve::ServerMetrics& m = yolo->metrics();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (m.submitted.load() < kAhead + 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_EQ(m.submitted.load(), kAhead + 1);
+  const bool detect_inside_serve = m.completed.load() < kAhead + 1;
+
+  (*net_server)->Shutdown();
+  net_server->reset();
+  // Fresh pipes take the lowest free fds, i.e. whatever Shutdown closed.
+  int probes[4][2];
+  for (auto& probe : probes) {
+    ASSERT_EQ(pipe(probe), 0);
+    ASSERT_TRUE(SetNonBlocking(probe[0], true).ok());
+  }
+
+  for (auto& f : ahead) EXPECT_TRUE(f.get().ok());
+  yolo->Shutdown();  // drains the socket request; its wake fires by now
+
+  EXPECT_TRUE(detect_inside_serve);
+  for (auto& probe : probes) {
+    char byte;
+    errno = 0;
+    EXPECT_EQ(read(probe[0], &byte, 1), -1);
+    EXPECT_EQ(errno, EAGAIN) << "a wake hit reused fd " << probe[0];
+    CloseFd(probe[0]);
+    CloseFd(probe[1]);
+  }
+  EXPECT_EQ(m.completed.load(), kAhead + 1);
+  EXPECT_EQ(m.submitted.load(),
+            m.completed.load() + m.rejected.load() + m.timed_out.load());
+  CloseFd(*fd);
 }
 
 TEST_F(NetServerTest, ServesUnderForcedPollBackend) {

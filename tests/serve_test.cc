@@ -367,6 +367,45 @@ TEST(BatcherTest, FullBatchFormsWithoutWaitingForLinger) {
   EXPECT_EQ(metrics.batched_images.load(), 6);
 }
 
+// With no linger (the default) a batch takes every request already
+// queued, up to max_batch_size, and closes the moment the queue is empty;
+// nothing waits, and the queue stays open throughout.
+TEST(BatcherTest, ZeroLingerBatchesWhatIsAlreadyQueued) {
+  EXPECT_EQ(Batcher::Options{}.max_linger.count(), 0);
+  EXPECT_EQ(Server::Options{}.max_linger.count(), 0);
+  RequestQueue queue(16);
+  ServerMetrics metrics;
+  Batcher batcher(&queue, Batcher::Options{4, microseconds(0)}, &metrics);
+  std::vector<Image> images = RenderImages(6);
+  for (Image& img : images) {
+    THALI_CHECK_OK(queue.TryPush(MakeRequest(std::move(img))));
+  }
+  std::vector<RequestPtr> batch;
+  ASSERT_TRUE(batcher.NextBatch(&batch));
+  EXPECT_EQ(batch.size(), 4u);
+  ASSERT_TRUE(batcher.NextBatch(&batch));
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(metrics.batches.load(), 2);
+  EXPECT_EQ(metrics.batched_images.load(), 6);
+  EXPECT_EQ(queue.Depth(), 0u);
+  EXPECT_FALSE(queue.closed());
+}
+
+// An explicit linger that has run out still takes what is queued: the
+// wait only decides how long to hold out for requests not yet there.
+TEST(BatcherTest, ExpiredLingerStillTakesQueuedRequests) {
+  RequestQueue queue(16);
+  ServerMetrics metrics;
+  Batcher batcher(&queue, Batcher::Options{4, microseconds(1)}, &metrics);
+  std::vector<Image> images = RenderImages(3);
+  for (Image& img : images) {
+    THALI_CHECK_OK(queue.TryPush(MakeRequest(std::move(img))));
+  }
+  std::vector<RequestPtr> batch;
+  ASSERT_TRUE(batcher.NextBatch(&batch));
+  EXPECT_EQ(batch.size(), 3u);
+}
+
 TEST(BatcherTest, LingerFlushesPartialBatch) {
   RequestQueue queue(16);
   ServerMetrics metrics;
@@ -645,9 +684,9 @@ TEST(ServerTest, AdmissionRejectsDeadlinesDoomedByQueueWait) {
       if (fut.ok()) accepted.push_back(std::move(fut).value());
     }
     for (int i = 0; i < 20; ++i) {
-      auto fut = server->Submit(
-          img, Server::SubmitOptions{ServeClock::now() + microseconds(50),
-                                     Priority::kInteractive});
+      Server::SubmitOptions tight;  // interactive
+      tight.deadline = ServeClock::now() + microseconds(50);
+      auto fut = server->Submit(img, tight);
       if (!fut.ok() && fut.status().code() == StatusCode::kDeadlineExceeded) {
         saw_deadline_shed = true;
         break;

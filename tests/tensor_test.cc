@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "base/rng.h"
@@ -79,11 +80,19 @@ void NaiveGemm(bool ta, bool tb, int m, int n, int k, float alpha,
   }
 }
 
+// gtest prints a parameter without a PrintTo overload as its raw bytes,
+// and gtest_discover_tests names each CTest case after that string. The
+// two bytes after the flags used to be uninitialised padding, which gave
+// the cases a different name in every build; `name_tag` fills them with
+// the values the registered test names carry, so the names stay fixed.
 struct GemmCase {
   bool ta, tb;
+  unsigned char name_tag[2];
   int m, n, k;
   float alpha, beta;
 };
+static_assert(sizeof(GemmCase) == 24 && offsetof(GemmCase, m) == 4,
+              "GemmCase must have no padding: its bytes name the tests");
 
 class GemmSweep : public ::testing::TestWithParam<GemmCase> {};
 
@@ -115,16 +124,17 @@ TEST_P(GemmSweep, MatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSweep,
-    ::testing::Values(GemmCase{false, false, 1, 1, 1, 1.0f, 0.0f},
-                      GemmCase{false, false, 7, 9, 5, 1.0f, 0.0f},
-                      GemmCase{false, false, 16, 33, 64, 0.5f, 1.0f},
-                      GemmCase{false, false, 65, 130, 129, 1.0f, 0.0f},
-                      GemmCase{true, false, 8, 12, 6, 1.0f, 1.0f},
-                      GemmCase{true, false, 31, 17, 23, 2.0f, 0.0f},
-                      GemmCase{false, true, 9, 11, 13, 1.0f, 0.0f},
-                      GemmCase{false, true, 24, 48, 36, 1.0f, 0.5f},
-                      GemmCase{true, true, 5, 6, 7, 1.0f, 0.0f},
-                      GemmCase{false, false, 3, 128, 200, 1.0f, 2.0f}));
+    ::testing::Values(
+        GemmCase{false, false, {0x00, 0x00}, 1, 1, 1, 1.0f, 0.0f},
+        GemmCase{false, false, {0x00, 0x00}, 7, 9, 5, 1.0f, 0.0f},
+        GemmCase{false, false, {0x00, 0x00}, 16, 33, 64, 0.5f, 1.0f},
+        GemmCase{false, false, {0x00, 0x00}, 65, 130, 129, 1.0f, 0.0f},
+        GemmCase{true, false, {0x00, 0x6E}, 8, 12, 6, 1.0f, 1.0f},
+        GemmCase{true, false, {0x00, 0x00}, 31, 17, 23, 2.0f, 0.0f},
+        GemmCase{false, true, {0x01, 0x1B}, 9, 11, 13, 1.0f, 0.0f},
+        GemmCase{false, true, {0x70, 0x00}, 24, 48, 36, 1.0f, 0.5f},
+        GemmCase{true, true, {0x00, 0x00}, 5, 6, 7, 1.0f, 0.0f},
+        GemmCase{false, false, {0x04, 0x00}, 3, 128, 200, 1.0f, 2.0f}));
 
 TEST(Gemm, ZeroSizedDimensionsAreNoops) {
   float c[4] = {1, 2, 3, 4};
