@@ -4,16 +4,16 @@
 // batch-norm folding, plus the letterboxed path for off-size inputs and
 // DetectBatch throughput at batch 1/4/8.
 //
-// Before the google-benchmark suite runs, main() sweeps batch 1/4/8 with
-// the activation arena planned vs disabled (THALI_NO_ARENA) and writes
-// peak activation bytes + images/sec to BENCH_memory.json.
+// Before the google-benchmark suite runs, main() sweeps batch 1/4/8 and
+// writes the activation arena's peak bytes, the planner's no-reuse
+// baseline (sum of every layer's output) and images/sec to
+// BENCH_memory.json.
 //
 // Uses randomly initialized weights: inference cost is independent of the
 // weight values, so this bench never needs the trained-model cache.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -96,12 +96,9 @@ void BM_DetectBatch(benchmark::State& state) {
 BENCHMARK(BM_DetectBatch)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// One row of the BENCH_memory.json sweep: `planned` toggles the arena
-// via THALI_NO_ARENA before the detector is built.
-std::string MemorySweepRow(int batch, bool planned, bool last) {
-  if (!planned) setenv("THALI_NO_ARENA", "1", 1);
+// One row of the BENCH_memory.json sweep.
+std::string MemorySweepRow(int batch, bool last) {
   auto det_or = Detector::FromCfg(bench::StandardCfg());
-  if (!planned) unsetenv("THALI_NO_ARENA");
   THALI_CHECK(det_or.ok());
   Detector det = std::move(det_or).value();
 
@@ -119,10 +116,10 @@ std::string MemorySweepRow(int batch, bool planned, bool last) {
   const double images_per_sec = iters * batch / sw.ElapsedSeconds();
 
   return StrFormat(
-      "    {\"batch\": %d, \"planned\": %s, \"activation_bytes\": %lld, "
+      "    {\"batch\": %d, \"activation_bytes\": %lld, "
       "\"arena_floats\": %lld, \"sum_output_floats\": %lld, "
       "\"images_per_sec\": %.2f}%s\n",
-      batch, planned ? "true" : "false", static_cast<long long>(bytes),
+      batch, static_cast<long long>(bytes),
       static_cast<long long>(plan.arena_floats),
       static_cast<long long>(plan.sum_output_floats), images_per_sec,
       last ? "" : ",");
@@ -132,18 +129,17 @@ void WriteMemoryBench() {
   std::string json;
   json += "{\n";
   json +=
-      "  \"note\": \"yolov4-thali inference activation footprint: arena "
-      "planner (planned=true) vs one-buffer-per-layer seed allocator "
-      "(planned=false, THALI_NO_ARENA). activation_bytes is "
-      "Network::ActivationBytes() after DetectBatch at the given batch; "
+      "  \"note\": \"yolov4-thali inference activation footprint: "
+      "activation_bytes is Network::ActivationBytes() (the planned arena) "
+      "after DetectBatch at the given batch; sum_output_floats is the "
+      "planner's one-buffer-per-layer baseline from the same plan; "
       "images_per_sec is end-to-end DetectBatch throughput on this "
       "host.\",\n";
   json += "  \"model\": \"yolov4-thali 96x96\",\n";
   json += "  \"rows\": [\n";
   const int batches[] = {1, 4, 8};
   for (int i = 0; i < 3; ++i) {
-    json += MemorySweepRow(batches[i], /*planned=*/true, /*last=*/false);
-    json += MemorySweepRow(batches[i], /*planned=*/false, /*last=*/i == 2);
+    json += MemorySweepRow(batches[i], /*last=*/i == 2);
   }
   json += "  ]\n}\n";
   THALI_CHECK_OK(WriteStringToFile("BENCH_memory.json", json));

@@ -104,7 +104,6 @@ BENCHMARK(BM_GemmSeedScalar)->Arg(256);
 // every distinct conv shape of the yolov4-thali model.
 void GemmPackedShapeBench(benchmark::State& state, int64_t m, int64_t n,
                           int64_t k) {
-  internal::SetGemmPackingForTesting(1);
   Rng rng(1);
   std::vector<float> a(static_cast<size_t>(m * k)),
       b(static_cast<size_t>(k * n)), c(static_cast<size_t>(m * n));
@@ -118,7 +117,6 @@ void GemmPackedShapeBench(benchmark::State& state, int64_t m, int64_t n,
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * m * n * k);
-  internal::SetGemmPackingForTesting(-1);
 }
 
 void BM_GemmPacked(benchmark::State& state) {
@@ -204,14 +202,11 @@ void BM_ThaliInference(benchmark::State& state) {
     for (int i = 0; i < net.num_layers(); ++i) {
       Layer& l = net.layer(i);
       if (std::string_view(l.kind()) != "convolutional") continue;
-      if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-          l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-        continue;
-      }
+      if (!l.plan().quantizable) continue;
       static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
     }
-    // Arm the quantize-once chains: the dtype pass only emits u8 edges
-    // once every conv in a domain has a calibrated range.
+    // Arm the quantized algorithms and their quantize-once chains: the
+    // plan compiler emits them only for convs with a calibrated range.
     THALI_CHECK_OK(net.ReplanInference());
   }
   net.Forward(input, /*train=*/false);  // warm: lazy prepack outside timing
@@ -258,12 +253,10 @@ void BM_ConvForward(benchmark::State& state) {
 BENCHMARK(BM_ConvForward)->Arg(16)->Arg(64);
 
 // Inference-mode conv forward with batch norm already folded (the
-// deployment configuration): packed=1 runs the pre-packed GEMM with the
-// fused bias+leaky epilogue, packed=0 the unpacked reference path.
+// deployment configuration): the pre-packed GEMM with the fused
+// bias+leaky epilogue.
 void BM_ConvForwardInference(benchmark::State& state) {
   const int channels = static_cast<int>(state.range(0));
-  const bool packed = state.range(1) != 0;
-  internal::SetGemmPackingForTesting(packed ? 1 : 0);
   Network net(24, 24, channels, 1);
   ConvLayer::Options o;
   o.filters = channels;
@@ -281,12 +274,8 @@ void BM_ConvForwardInference(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.Forward(input).data());
   }
-  internal::SetGemmPackingForTesting(-1);
 }
-BENCHMARK(BM_ConvForwardInference)
-    ->ArgNames({"channels", "packed"})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_ConvForwardInference)->ArgNames({"channels"})->Arg(64);
 
 void BM_ConvTrainStep(benchmark::State& state) {
   Network net(24, 24, 16, 2);

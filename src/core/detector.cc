@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "base/fastpre.h"
 #include "base/thread_pool.h"
@@ -209,6 +208,7 @@ void Detector::FuseBatchNorm() {
       static_cast<ConvLayer&>(net_->layer(i)).FoldBatchNorm();
     }
   }
+  THALI_CHECK_OK(net_->ReplanInference());
 }
 
 void Detector::ForwardImage(const Image& image) {
@@ -216,27 +216,8 @@ void Detector::ForwardImage(const Image& image) {
   if (!(input_staging_.shape() == net_->input_shape())) {
     input_staging_.Resize(net_->input_shape());
   }
-  // Calibration forwards observe fp32 activations: the input chain is
-  // down while ranges are being collected (CalibrateInt8 replans after
-  // resetting them), so the fused-quantize route never applies here.
-  const bool fused_quant = net_->exec_plan().input_u8 && FastPreEnabled();
-  LoadImageIntoSlot(image, 0, fused_quant);
-  if (fused_quant) net_->set_input_prequantized(true);
+  LoadImageIntoSlot(image, 0, /*fused_quant=*/false);
   net_->Forward(input_staging_, /*train=*/false);
-}
-
-Detector::Int8CalibrationOptions Detector::CalibrationOptionsFromEnv() {
-  Int8CalibrationOptions options;
-  const char* mode = std::getenv("THALI_INT8_CALIB");
-  if (mode != nullptr && std::string_view(mode) == "percentile") {
-    options.mode = Int8CalibrationOptions::Mode::kPercentile;
-  }
-  const char* pct = std::getenv("THALI_INT8_PERCENTILE");
-  if (pct != nullptr && pct[0] != '\0') {
-    const double v = std::atof(pct);
-    if (v > 0.0 && v <= 100.0) options.percentile = v;
-  }
-  return options;
 }
 
 int Detector::CalibrateInt8(const FoodDataset& dataset,
@@ -246,26 +227,18 @@ int Detector::CalibrateInt8(const FoodDataset& dataset,
   // The quantized path runs on folded weights; fold first so the
   // observed ranges describe the network int8 actually executes.
   // (FoldBatchNorm is a per-layer no-op once folded.)
-  for (int i = 0; i < net_->num_layers(); ++i) {
-    if (std::string_view(net_->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net_->layer(i)).FoldBatchNorm();
-    }
-  }
+  FuseBatchNorm();
   std::vector<ConvLayer*> eligible;
   for (int i = 0; i < net_->num_layers(); ++i) {
     Layer& l = net_->layer(i);
     if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
-    }
+    if (!l.plan().quantizable) continue;
     eligible.push_back(static_cast<ConvLayer*>(&l));
   }
   if (eligible.empty() || indices.empty()) return 0;
+  // Ranges from a previous calibration are dropped; the calibration
+  // phases below replan every conv onto its fp32 algorithm anyway.
   for (ConvLayer* conv : eligible) conv->ResetCalibration();
-  // Dropping the ranges invalidates any quantize-once chains a previous
-  // calibration installed; re-plan before the fp32 calibration forwards.
-  THALI_CHECK_OK(net_->ReplanInference());
 
   const int limit = std::min(static_cast<int>(indices.size()),
                              std::max(1, options.max_images));
@@ -286,8 +259,9 @@ int Detector::CalibrateInt8(const FoodDataset& dataset,
     conv->FinalizeCalibration(percentile ? options.percentile : 100.0);
     if (conv->has_activation_range()) ++armed;
   }
-  // The freshly installed ranges make quantize-once chains legal;
-  // recompile the plan so the next Forward runs them.
+  // The freshly installed ranges arm the quantized algorithms and their
+  // quantize-once chains; recompile the plan so the next Forward runs
+  // them.
   THALI_CHECK_OK(net_->ReplanInference());
   return armed;
 }

@@ -113,8 +113,9 @@ class Detector {
   void set_options(const Options& o) { opts_ = o; }
 
   // Folds batch norms for faster inference (irreversible; do not train
-  // afterwards). Composes with the inference-mode arena plan: folding
-  // touches only weights/biases, never activation buffers.
+  // afterwards), then replans: folded convs with installed int8 ranges
+  // arm. Composes with the inference-mode arena plan: folding touches
+  // only weights/biases, never activation buffers.
   void FuseBatchNorm();
 
   // How Detector::CalibrateInt8 derives activation ranges.
@@ -132,8 +133,8 @@ class Detector {
   // Arms the THALI_INT8 conv path: folds batch norms (the quantized
   // path runs on folded weights), then runs fp32 forward passes over
   // `indices` into `dataset` with the network's calibration phase set,
-  // and installs each eligible conv's activation range. A no-op network
-  // without kQuantInt8 plan entries (int8 off) returns 0. Returns the
+  // installs each quantizable conv's activation range and replans. A
+  // network without quantizable convs (int8 off) returns 0. Returns the
   // number of conv layers armed for int8. Persist the result with
   // darknet/calibration_io.h to skip this pass on later loads.
   int CalibrateInt8(const FoodDataset& dataset, std::span<const int> indices,
@@ -141,11 +142,6 @@ class Detector {
   int CalibrateInt8(const FoodDataset& dataset, std::span<const int> indices) {
     return CalibrateInt8(dataset, indices, Int8CalibrationOptions());
   }
-
-  // Builds calibration options from the environment:
-  // THALI_INT8_CALIB = minmax (default) | percentile, and
-  // THALI_INT8_PERCENTILE = the percentile (default 99.9).
-  static Int8CalibrationOptions CalibrationOptionsFromEnv();
 
  private:
   // Geometry of one letterboxed batch slot, for mapping boxes back into
@@ -168,8 +164,8 @@ class Detector {
   SlotMapping LoadImageIntoSlot(const Image& image, int64_t b,
                                 bool fused_quant);
 
-  // Letterboxes one image into the staging tensor and runs a batch-1
-  // forward pass (calibration passes).
+  // Letterboxes one image into the fp32 staging tensor and runs a
+  // batch-1 forward pass (calibration passes, whose plan is fp32).
   void ForwardImage(const Image& image);
   std::unique_ptr<Network> net_;
   std::vector<DetectionHead*> heads_;

@@ -78,8 +78,8 @@ std::string NetworkSummary(const Network& net) {
                     DimString(layer.output_shape()).c_str(),
                     static_cast<long long>(params));
   }
-  // Compiled-plan table: which algorithm/layout/dtype each layer actually
-  // runs with, so plan decisions are inspectable without digging through
+  // Compiled-plan table: the algorithm/layout/dtype each layer runs
+  // with, so plan decisions are inspectable without digging through
   // ExecPlan::ToString logs. Only meaningful once a fused inference plan
   // exists; reference plans print the headline line only.
   const ExecPlan& plan = net.exec_plan();
@@ -92,18 +92,18 @@ std::string NetworkSummary(const Network& net) {
     for (int i = 0; i < net.num_layers(); ++i) {
       const Layer& layer = net.layer(i);
       const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
+      const bool conv = std::string_view(layer.kind()) == "convolutional";
       const char* dtype = "f32";
       if (lp.conv_algo == ConvAlgo::kQuantInt8 ||
           lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1) {
-        const auto& conv = static_cast<const ConvLayer&>(layer);
-        // A quantized plan entry runs fp32 until calibration arms it.
-        dtype = conv.has_activation_range() ? DTypeName(DType::kI8) : "f32*";
-        int8_bytes += conv.int8_weight_bytes();
+        dtype = DTypeName(DType::kI8);
+        int8_bytes += static_cast<const ConvLayer&>(layer).int8_weight_bytes();
         ++int8_layers;
       }
       os << StrFormat("plan: %4d  %-14s %10s  %5s %5s  %6s %5s  %4s %4s %8s\n",
                       i, std::string(layer.kind()).c_str(),
-                      ConvAlgoName(lp.conv_algo), ActLayoutName(lp.in_layout),
+                      conv ? ConvAlgoName(lp.conv_algo) : "-",
+                      ActLayoutName(lp.in_layout),
                       ActLayoutName(lp.out_layout),
                       lp.copy_elided ? "elide" : "-", dtype,
                       DTypeName(lp.in_dtype), DTypeName(lp.out_dtype),

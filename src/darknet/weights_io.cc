@@ -94,6 +94,19 @@ StatusOr<int> LoadWeights(Network& net, const std::string& path, int cutoff) {
   }
 
   const int limit = cutoff < 0 ? net.num_layers() : cutoff;
+  // A folded conv no longer holds the batch-norm tensors its cfg's
+  // .weights layout carries, so every later tensor would be read from
+  // the wrong offset.
+  for (int i = 0; i < net.num_layers() && i < limit; ++i) {
+    const Layer& l = net.layer(i);
+    if (std::string_view(l.kind()) == "convolutional" &&
+        static_cast<const ConvLayer&>(l).folded()) {
+      return Status::FailedPrecondition(StrFormat(
+          "conv layer %d has folded batch norm; load weights before "
+          "folding",
+          i));
+    }
+  }
   int loaded = 0;
   for (int i = 0; i < net.num_layers() && i < limit; ++i) {
     Layer& l = net.layer(i);

@@ -26,7 +26,9 @@ Status SaveWeights(Network& net, const std::string& path,
 
 // Loads parameters into an already-built network. Layers beyond `cutoff`
 // (or beyond the data present in the file) keep their current weights.
-// Returns the number of conv layers loaded.
+// Returns the number of conv layers loaded, or FailedPrecondition —
+// touching nothing — when a conv within `cutoff` had its batch norm
+// folded (ConvLayer::FoldBatchNorm, Detector::FuseBatchNorm).
 StatusOr<int> LoadWeights(Network& net, const std::string& path,
                           int cutoff = -1);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "base/thread_pool.h"
 #include "nn/network.h"
@@ -25,6 +26,26 @@ constexpr int64_t kColCacheMaxFloats = int64_t{1} << 24;
 constexpr int64_t kBnGrainElems = int64_t{1} << 14;
 // Histogram resolution of the percentile calibration pass.
 constexpr int64_t kCalibBins = 2048;
+
+// The activation a GEMM write-back applies in place of the layer's
+// separate activation pass, or nullopt when that pass must still run
+// (logistic; mish unless the fast family is the kernel either way).
+std::optional<GemmActivation> FusableActivation(Activation a,
+                                                bool fast_mish) {
+  switch (a) {
+    case Activation::kLinear:
+      return GemmActivation::kNone;  // nothing to apply
+    case Activation::kLeaky:
+      return GemmActivation::kLeaky;
+    case Activation::kRelu:
+      return GemmActivation::kRelu;
+    case Activation::kMish:
+      if (fast_mish) return GemmActivation::kMish;
+      return std::nullopt;
+    default:
+      return std::nullopt;
+  }
+}
 }  // namespace
 
 Status ConvLayer::Configure(const Shape& input_shape, const Network&) {
@@ -101,34 +122,9 @@ int64_t ConvLayer::WorkspaceSize() const {
     case ConvAlgo::kWinograd:
       return WinogradWorkspaceFloats(in_c_, opts_.filters, in_shape_.dim(2),
                                      in_shape_.dim(3));
-    case ConvAlgo::kQuantInt8: {
-      // The int8 path's byte scratch, and enough for the fp32 forward it
-      // falls back to before calibration (or under THALI_NO_PACK):
-      // Winograd at stride 1, the im2col panel at stride 2.
-      const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-      const int64_t int8_floats =
-          (Int8ConvWorkspaceBytes(opts_.filters, out_h_ * out_w_, k,
-                                  in_c_ * in_shape_.dim(2) *
-                                      in_shape_.dim(3)) +
-           3) /
-          4;
-      const int64_t fallback_floats =
-          opts_.stride == 1
-              ? WinogradWorkspaceFloats(in_c_, opts_.filters,
-                                        in_shape_.dim(2), in_shape_.dim(3))
-              : k * out_h_ * out_w_;
-      return std::max(int8_floats, fallback_floats);
-    }
-    case ConvAlgo::kQuantInt8Direct1x1: {
-      // With CNHW on both sides the whole batch is one GEMM over a
-      // [C, batch*HW] panel; otherwise the path runs per item. The
-      // fp32 kDirect1x1 fallback needs no scratch at all.
-      const bool whole = plan().in_layout == ActLayout::kCNHW &&
-                         plan().out_layout == ActLayout::kCNHW;
-      const int64_t n =
-          (whole ? in_shape_.dim(0) : int64_t{1}) * out_h_ * out_w_;
-      return (Int8Direct1x1WorkspaceBytes(opts_.filters, n, in_c_) + 3) / 4;
-    }
+    case ConvAlgo::kQuantInt8:
+    case ConvAlgo::kQuantInt8Direct1x1:
+      return int8_ws_.ws_floats;  // OnPlanUpdated ran first
     case ConvAlgo::kIm2col:
       break;
   }
@@ -137,8 +133,12 @@ int64_t ConvLayer::WorkspaceSize() const {
 }
 
 void ConvLayer::OnPlanUpdated() {
-  int8_ws_ = Int8Sections();
   const ConvAlgo algo = plan().conv_algo;
+  // The held weight copy always matches the planned algorithm: the first
+  // plan and every replan onto another algorithm pack here, while weight
+  // mutations repack lazily in Forward.
+  if (inference() && packed_algo_ != algo) PrepackWeights();
+  int8_ws_ = Int8Sections();
   if (algo != ConvAlgo::kQuantInt8 &&
       algo != ConvAlgo::kQuantInt8Direct1x1) {
     return;
@@ -157,6 +157,8 @@ void ConvLayer::OnPlanUpdated() {
     int8_ws_.ws_floats =
         (Int8ConvWorkspaceBytes(opts_.filters, out_hw, k, in_planes) + 3) / 4;
   } else {
+    // With CNHW on both sides the whole batch is one GEMM over a
+    // [C, batch*HW] panel; otherwise the path runs per item.
     int8_ws_.whole_batch = plan().in_layout == ActLayout::kCNHW &&
                            plan().out_layout == ActLayout::kCNHW;
     const int64_t n =
@@ -169,7 +171,6 @@ void ConvLayer::OnPlanUpdated() {
     int8_ws_.ws_floats =
         (Int8Direct1x1WorkspaceBytes(opts_.filters, n, k) + 3) / 4;
   }
-  int8_ws_.valid = true;
 }
 
 void ConvLayer::InitWeights(Rng& rng) {
@@ -189,16 +190,13 @@ void ConvLayer::InitWeights(Rng& rng) {
 }
 
 void ConvLayer::PrepackWeights() {
-  if (!inference()) return;
-  const bool quant_algo = plan().conv_algo == ConvAlgo::kQuantInt8 ||
-                          plan().conv_algo == ConvAlgo::kQuantInt8Direct1x1;
-  if (quant_algo) {
-    // Quantize the fp32 weights per output channel. The fp32 pack below
-    // (Winograd for stride-1 3x3, plain panels for 1x1 and the strided
-    // prefix) is kept too: Forward falls back to it until the layer has
-    // a calibrated activation range (and under THALI_NO_PACK).
-    const int64_t m = opts_.filters;
-    const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const ConvAlgo algo = plan().conv_algo;
+  const bool quant = algo == ConvAlgo::kQuantInt8 ||
+                     algo == ConvAlgo::kQuantInt8Direct1x1;
+  if (quant) {
+    // Per-output-channel symmetric int8 rows plus their column sums.
     const Shape qshape({m, Int8PackedK(k)});
     if (qweights_.q.dtype() != DType::kI8 ||
         !(qweights_.q.shape() == qshape)) {
@@ -213,42 +211,19 @@ void ConvLayer::PrepackWeights() {
     qweights_.Clear();
     wcolsum_.clear();
   }
-  if (plan().conv_algo == ConvAlgo::kQuantInt8Direct1x1) {
-    // The 1x1 quant path shares the plain fp32 panel pack below for its
-    // kDirect1x1 fallback; no Winograd state.
-    u_ = Tensor();
+  if (algo == ConvAlgo::kWinograd) {
+    wino_packed_.Resize(Shape({WinogradPackedWeightFloats(m, in_c_)}));
+    WinogradPackWeights(weights_.data(), m, in_c_, wino_packed_.data());
+  } else {
     wino_packed_ = Tensor();
   }
-  if (plan().conv_algo == ConvAlgo::kWinograd ||
-      (plan().conv_algo == ConvAlgo::kQuantInt8 && opts_.stride == 1)) {
-    // Winograd plans always hold U = G w G^T (the GEMM A matrices); the
-    // prepacked panel copy exists only while the packed driver is on —
-    // THALI_NO_PACK runs the 16 GEMMs through the reference entry point
-    // straight from u_.
-    const int64_t uf = WinogradWeightFloats(opts_.filters, in_c_);
-    if (u_.size() != uf) u_.Resize(Shape({uf}));
-    WinogradTransformWeights(weights_.data(), opts_.filters, in_c_, u_.data());
-    if (GemmPackingEnabled()) {
-      const int64_t pf = WinogradPackedWeightFloats(opts_.filters, in_c_);
-      if (wino_packed_.size() != pf) wino_packed_.Resize(Shape({pf}));
-      WinogradPackWeights(u_.data(), opts_.filters, in_c_, wino_packed_.data());
-    } else {
-      wino_packed_ = Tensor();
-    }
+  if (algo == ConvAlgo::kIm2col || algo == ConvAlgo::kDirect1x1) {
+    packed_weights_.Resize(Shape({GemmPackedWeightFloats(m, k)}));
+    GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
+  } else {
     packed_weights_ = Tensor();
-    packed_dirty_ = false;
-    return;
   }
-  if (!GemmPackingEnabled()) return;
-  const int64_t m = opts_.filters;
-  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const int64_t floats = GemmPackedWeightFloats(m, k);
-  if (packed_weights_.size() != floats) {
-    packed_weights_.Resize(Shape({floats}));
-  }
-  GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
-  u_ = Tensor();
-  wino_packed_ = Tensor();
+  packed_algo_ = algo;
   packed_dirty_ = false;
 }
 
@@ -268,129 +243,65 @@ const float* ConvLayer::PrepareCol(const float* in, int64_t chan_stride,
 }
 
 void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
+  // A calibration phase replans every conv onto its fp32 algorithm, so
+  // the statistics describe the unquantized network.
+  if (plan().quantizable && net.calib_phase() != CalibPhase::kOff) {
+    ObserveCalibration(input, net.calib_phase());
+  }
+  // InitWeights, FoldBatchNorm and weight loading invalidate the packed
+  // copy.
+  if (inference() && packed_dirty_) PrepackWeights();
+
   const int64_t batch = in_shape_.dim(0);
   const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
   const int64_t out_hw = out_h_ * out_w_;
-  const int64_t in_plane = in_c_ * in_hw;
-  const int64_t out_plane = opts_.filters * out_hw;
   const int64_t m = opts_.filters;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
   const int64_t n = out_hw;
   const bool direct = IsDirect1x1();
 
   // Layout strides from the compiled plan. NCHW: item b's channel c
-  // plane at (b*C + c)*HW — per-item base b*in_plane, channel stride
+  // plane at (b*C + c)*HW — per-item base b*C*HW, channel stride
   // HW. CNHW: plane (c, b) at (c*batch + b)*HW — per-item base b*HW,
   // channel stride batch*HW. Both the im2col gather and the GEMM C
   // write-back absorb either layout through these strides.
-  ConvAlgo algo = plan().conv_algo;
-  if (algo == ConvAlgo::kQuantInt8 ||
-      algo == ConvAlgo::kQuantInt8Direct1x1) {
-    if (net.calib_phase() != CalibPhase::kOff) {
-      ObserveCalibration(input, net.calib_phase());
-    }
-    // The quantized path needs a calibrated input range, folded batch
-    // norm and the packed-GEMM regime; until then (and during
-    // calibration passes) the layer runs its fp32 fallback — Winograd
-    // for the 3x3 geometry, direct 1x1 otherwise. A CHAINED layer has
-    // no fp32 fallback (its u8 input is never materialized as floats),
-    // which is why every calibration-state change must go through
-    // Network::ReplanInference before the next Forward.
-    const bool int8_active = !opts_.batch_normalize && has_act_range_ &&
-                             net.calib_phase() == CalibPhase::kOff &&
-                             GemmPackingEnabled();
-    if (!int8_active) {
-      THALI_CHECK(plan().in_dtype == DType::kF32 &&
-                  plan().out_dtype == DType::kF32)
-          << "conv " << index()
-          << ": chained int8 plan with an inactive quantized path — "
-             "ReplanInference was skipped after a calibration change";
-      if (algo == ConvAlgo::kQuantInt8) {
-        // Stride-1 3x3 falls back to Winograd; the strided prefix convs
-        // have no Winograd form and fall back to the im2col reference.
-        algo = opts_.stride == 1 ? ConvAlgo::kWinograd : ConvAlgo::kIm2col;
-      } else {
-        algo = ConvAlgo::kDirect1x1;
-      }
-    }
-  }
   const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
   const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
   const int64_t in_chan_stride = cnhw_in ? batch * in_hw : in_hw;
   const int64_t out_chan_stride = cnhw_out ? batch * out_hw : out_hw;
-  const int64_t in_item = cnhw_in ? in_hw : in_plane;
-  const int64_t out_item = cnhw_out ? out_hw : out_plane;
+  const int64_t in_item = cnhw_in ? in_hw : in_c_ * in_hw;
+  const int64_t out_item = cnhw_out ? out_hw : m * out_hw;
   const int64_t col_plane =
-      algo == ConvAlgo::kIm2col && !direct ? in_c_ * opts_.ksize *
-                                                 opts_.ksize * out_hw
-                                           : 0;
+      plan().conv_algo == ConvAlgo::kIm2col && !direct ? k * out_hw : 0;
 
   // During training, keep the per-item im2col panels around so Backward's
   // weight-gradient GEMM reuses them instead of recomputing (bounded by
   // kColCacheMaxFloats; larger layers fall back to recompute).
   cols_cached_ =
-      train && !direct && batch * col_plane <= kColCacheMaxFloats &&
-      col_plane > 0;
+      train && batch * col_plane <= kColCacheMaxFloats && col_plane > 0;
   if (cols_cached_ && col_cache_.size() != batch * col_plane) {
     col_cache_.Resize(Shape({batch, col_plane}));
   }
 
-  // Inference networks run the GEMM from a pre-packed weight copy, and —
-  // once batch norm has been folded away — fuse the bias add and simple
-  // activations into the GEMM's C write-back. Leaky/ReLU fusion
-  // replicates the separate passes op for op, so outputs stay bitwise
-  // identical to the staged path (and to THALI_NO_PACK=1 runs); the
-  // mish epilogue (fused plans only) runs the same fast kernel the
-  // separate pass would, so packed and unpacked runs still agree.
-  const bool use_packed = inference() && GemmPackingEnabled();
-  if (algo == ConvAlgo::kWinograd ||
-      (algo == ConvAlgo::kQuantInt8 && opts_.stride == 1)) {
-    // FoldBatchNorm and weight loading invalidate the transformed (and
-    // quantized) weights too; re-derive lazily like the packed panels.
-    if (packed_dirty_ || u_.size() == 0 ||
-        (use_packed && wino_packed_.size() == 0) ||
-        (plan().conv_algo == ConvAlgo::kQuantInt8 && qweights_.empty())) {
-      PrepackWeights();
-    }
-  } else if (algo == ConvAlgo::kQuantInt8) {
-    // Strided quantized conv: no Winograd state; the packed fp32 panels
-    // back the im2col fallback.
-    if (packed_dirty_ || qweights_.empty() ||
-        (use_packed && packed_weights_.size() == 0)) {
-      PrepackWeights();
-    }
-  } else if (use_packed && (packed_dirty_ || packed_weights_.size() == 0)) {
-    PrepackWeights();
-  }
+  // Inference GEMMs run from the prepacked weight copy and — once batch
+  // norm has been folded away — fuse the bias add and simple activations
+  // into the C write-back. Leaky/ReLU fusion replicates the separate
+  // passes op for op, so outputs stay bitwise identical to the staged
+  // path a training network runs; the mish epilogue (fused plans only)
+  // runs the same fast kernel the separate pass would. Winograd keeps
+  // both passes separate (no GEMM C traversal spans the whole output).
   GemmEpilogue epilogue;
   bool fused_bias = false;
-  bool fused_act = false;
-  if (use_packed && algo != ConvAlgo::kWinograd &&
-      algo != ConvAlgo::kQuantInt8 && !opts_.batch_normalize) {
-    epilogue.bias = biases_.data();
+  std::optional<GemmActivation> fused_act;
+  if ((plan().conv_algo == ConvAlgo::kIm2col ||
+       plan().conv_algo == ConvAlgo::kDirect1x1) &&
+      inference() && !opts_.batch_normalize) {
     fused_bias = true;
-    switch (opts_.activation) {
-      case Activation::kLinear:
-        fused_act = true;  // nothing to apply
-        break;
-      case Activation::kLeaky:
-        epilogue.activation = GemmActivation::kLeaky;
-        fused_act = true;
-        break;
-      case Activation::kRelu:
-        epilogue.activation = GemmActivation::kRelu;
-        fused_act = true;
-        break;
-      case Activation::kMish:
-        if (plan().fast_act) {
-          epilogue.activation = GemmActivation::kMish;
-          fused_act = true;
-        }
-        break;
-      default:
-        break;  // logistic keeps its separate activation pass
-    }
+    fused_act = FusableActivation(opts_.activation, plan().fast_act);
+    epilogue.bias = biases_.data();
+    epilogue.activation = fused_act.value_or(GemmActivation::kNone);
   }
+  const GemmEpilogue* gemm_epilogue = fused_bias ? &epilogue : nullptr;
 
   // Inference layers keep no pre-BN cache: the GEMM lands in output_
   // and BN normalizes it in place (elementwise, so bitwise identical to
@@ -398,261 +309,241 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
   Tensor& raw =
       opts_.batch_normalize && !inference() ? conv_out_ : output_;
 
-  if (algo == ConvAlgo::kQuantInt8 ||
-      algo == ConvAlgo::kQuantInt8Direct1x1) {
-    // Quantized path: the u8 activation columns come either from the
-    // chained producer's buffer (plan().in_dtype == kU8 — quantize-once)
-    // or from quantizing the fp32 input planes here; then pack,
-    // exact-integer GEMM, and the shared requantize epilogue fuses bias
-    // and leaky/relu. When plan().out_dtype == kU8 the epilogue also
-    // requantizes straight into this layer's u8 buffer (mish included,
-    // via the fast-math vector kernel); f32-out mish keeps its separate
-    // FastMishInPlace pass below so unchained values stay bitwise
-    // identical to the pre-chaining path.
-    const bool chained_in = plan().in_dtype == DType::kU8;
-    const bool u8_out = plan().out_dtype == DType::kU8;
-    Int8Epilogue epi;
-    epi.in_scale = chained_in ? plan().in_qscale : act_in_scale_;
-    epi.in_zp = chained_in ? plan().in_qzp : act_in_zp_;
-    epi.wscale = qweights_.scale.data();
-    epi.wcolsum = wcolsum_.data();
-    epi.bias = biases_.data();
-    fused_bias = true;
-    switch (opts_.activation) {
-      case Activation::kLinear:
-        fused_act = true;  // nothing to apply
-        break;
-      case Activation::kLeaky:
-        epi.activation = GemmActivation::kLeaky;
-        fused_act = true;
-        break;
-      case Activation::kRelu:
-        epi.activation = GemmActivation::kRelu;
-        fused_act = true;
-        break;
-      case Activation::kMish:
-        if (u8_out) {
-          epi.activation = GemmActivation::kMish;
-          fused_act = true;
-        }
-        break;
-      default:
-        break;
-    }
-    if (u8_out) {
-      THALI_CHECK(fused_act)
-          << "conv " << index() << ": u8-out plan with unfusable activation";
-      epi.out_inv_scale = 1.0f / plan().out_qscale;
-      epi.out_zp = plan().out_qzp;
-    }
-    // A chained layer 0 reads the quantized NETWORK INPUT (filled by
-    // Network::Forward or staged by the detector's fused
-    // letterbox-quantize); every other chained conv reads its producer's
-    // u8 activation block.
-    const uint8_t* qsrc =
-        !chained_in ? nullptr
-                    : (index() == 0 ? net.quant_input()
-                                    : net.quant_act(index() - 1));
-    uint8_t* qdst = u8_out ? net.quant_act(index()) : nullptr;
-    THALI_CHECK(int8_ws_.valid) << "conv " << index()
-                                << ": int8 sections not planned";
-    THALI_CHECK(!chained_in || qsrc != nullptr);
-    THALI_CHECK(!u8_out || qdst != nullptr);
-    const int64_t ws_floats = int8_ws_.ws_floats;
-    const float inv_scale = 1.0f / act_in_scale_;
-    const int8_t* qw = qweights_.q.data<int8_t>();
-    if (algo == ConvAlgo::kQuantInt8) {
-      THALI_CHECK(int8_ws_.gemm_n == n);
-      const uint8_t in_zp_byte =
-          static_cast<uint8_t>(chained_in ? plan().in_qzp : act_in_zp_);
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int tid) {
-            // Byte sections inside the float workspace, precomputed by
-            // OnPlanUpdated to match Int8ConvWorkspaceBytes.
-            uint8_t* wsb =
-                reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
-            uint8_t* qin = wsb + int8_ws_.qin;
-            uint8_t* col = wsb + int8_ws_.col;
-            uint8_t* packed = wsb + int8_ws_.packed;
-            int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-            for (int64_t b = b0; b < b1; ++b) {
-              const uint8_t* qim;
-              int64_t qim_stride;
-              if (chained_in) {
-                // The producer already wrote this layer's input domain;
-                // im2col gathers straight from its u8 planes (border
-                // pad = the shared zero point, exact x = 0).
-                qim = qsrc + b * in_item;
-                qim_stride = in_chan_stride;
-              } else {
-                const float* in = input.data() + b * in_item;
-                for (int64_t c = 0; c < in_c_; ++c) {
-                  Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
-                                          inv_scale, act_in_zp_,
-                                          qin + c * in_hw);
-                }
-                qim = qin;
-                qim_stride = in_hw;
-              }
-              Im2ColStridedU8(qim, qim_stride, in_c_, in_shape_.dim(2),
-                              in_shape_.dim(3), opts_.ksize, opts_.stride,
-                              opts_.pad, in_zp_byte, col);
-              Int8PackActCols(col, k, n, packed);
-              Int8Epilogue e = epi;
-              float* cmat = nullptr;
-              if (u8_out) {
-                e.out_u8 = qdst + b * out_item;
-              } else {
-                cmat = raw.data() + b * out_item;
-              }
-              Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
-                                out_chan_stride, acc);
-            }
-          });
-    } else if (int8_ws_.whole_batch) {
-      // 1x1, blocked layout on both sides: the whole batch is one GEMM
-      // over the [C, batch*HW] block (no im2col — the channel planes
-      // already form the col matrix). Runs inline; the GEMM itself
-      // row-parallelizes across the pool.
-      const int64_t nb = batch * n;
-      THALI_CHECK(int8_ws_.gemm_n == nb);
-      uint8_t* wsb = reinterpret_cast<uint8_t*>(net.workspace(0, ws_floats));
-      uint8_t* packed = wsb + int8_ws_.packed;
-      int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-      const uint8_t* qcols;
-      if (chained_in) {
-        qcols = qsrc;
-      } else {
-        uint8_t* qin = wsb + int8_ws_.qin;
-        Int8QuantizeActivations(input.data(), k * nb, inv_scale, act_in_zp_,
-                                qin);
-        qcols = qin;
-      }
-      Int8PackActCols(qcols, k, nb, packed);
-      Int8Epilogue e = epi;
-      float* cmat = nullptr;
+  switch (plan().conv_algo) {
+    case ConvAlgo::kQuantInt8:
+    case ConvAlgo::kQuantInt8Direct1x1: {
+      // Quantized path: the u8 activation columns come either from the
+      // chained producer's buffer (plan().in_dtype == kU8 —
+      // quantize-once) or from quantizing the fp32 input planes here, in
+      // the input domain the plan derived from the calibrated range; then
+      // pack, exact-integer GEMM, and the shared requantize epilogue
+      // fuses bias and leaky/relu. When plan().out_dtype == kU8 the
+      // epilogue also requantizes straight into this layer's u8 buffer
+      // (mish included, via the fast-math vector kernel); f32-out mish
+      // keeps its separate FastMishInPlace pass below so unchained values
+      // stay bitwise identical to the pre-chaining path.
+      const bool chained_in = plan().in_dtype == DType::kU8;
+      const bool u8_out = plan().out_dtype == DType::kU8;
+      fused_bias = true;
+      fused_act = FusableActivation(opts_.activation, u8_out);
+      Int8Epilogue epi;
+      epi.in_scale = plan().in_qscale;
+      epi.in_zp = plan().in_qzp;
+      epi.wscale = qweights_.scale.data();
+      epi.wcolsum = wcolsum_.data();
+      epi.bias = biases_.data();
+      epi.activation = fused_act.value_or(GemmActivation::kNone);
       if (u8_out) {
-        e.out_u8 = qdst;
-      } else {
-        cmat = raw.data();
+        THALI_CHECK(fused_act.has_value())
+            << "conv " << index() << ": u8-out plan with unfusable activation";
+        epi.out_inv_scale = 1.0f / plan().out_qscale;
+        epi.out_zp = plan().out_qzp;
       }
-      Int8GemmPrepacked(m, nb, k, qw, packed, e, cmat, batch * out_hw, acc);
-    } else {
-      // 1x1, mixed or NCHW layouts: one GEMM per item, packing the u8
-      // columns straight from the (possibly strided) channel planes.
-      THALI_CHECK(int8_ws_.gemm_n == n);
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int tid) {
-            uint8_t* wsb =
-                reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
-            uint8_t* qin = wsb + int8_ws_.qin;
-            uint8_t* packed = wsb + int8_ws_.packed;
-            int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-            for (int64_t b = b0; b < b1; ++b) {
-              if (chained_in) {
-                Int8PackActColsStrided(qsrc + b * in_item, in_chan_stride, k,
-                                       n, packed);
-              } else {
-                const float* in = input.data() + b * in_item;
-                if (cnhw_in) {
+      // A chained layer 0 reads the quantized NETWORK INPUT (filled by
+      // Network::Forward or staged by the detector's fused
+      // letterbox-quantize); every other chained conv reads its
+      // producer's u8 activation block.
+      const uint8_t* qsrc =
+          !chained_in ? nullptr
+                      : (index() == 0 ? net.quant_input()
+                                      : net.quant_act(index() - 1));
+      uint8_t* qdst = u8_out ? net.quant_act(index()) : nullptr;
+      THALI_CHECK(!chained_in || qsrc != nullptr);
+      THALI_CHECK(!u8_out || qdst != nullptr);
+      const int64_t ws_floats = int8_ws_.ws_floats;
+      const float inv_scale = 1.0f / plan().in_qscale;
+      const int32_t in_zp = plan().in_qzp;
+      const int8_t* qw = qweights_.q.data<int8_t>();
+      if (plan().conv_algo == ConvAlgo::kQuantInt8) {
+        THALI_CHECK(int8_ws_.gemm_n == n);
+        const uint8_t in_zp_byte = static_cast<uint8_t>(in_zp);
+        ParallelForBounded(
+            0, batch, 1, net.workspace_slots(),
+            [&](int64_t b0, int64_t b1, int tid) {
+              // Byte sections inside the float workspace, precomputed by
+              // OnPlanUpdated to match Int8ConvWorkspaceBytes.
+              uint8_t* wsb =
+                  reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
+              uint8_t* qin = wsb + int8_ws_.qin;
+              uint8_t* col = wsb + int8_ws_.col;
+              uint8_t* packed = wsb + int8_ws_.packed;
+              int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
+              for (int64_t b = b0; b < b1; ++b) {
+                const uint8_t* qim;
+                int64_t qim_stride;
+                if (chained_in) {
+                  // The producer already wrote this layer's input domain;
+                  // im2col gathers straight from its u8 planes (border
+                  // pad = the shared zero point, exact x = 0).
+                  qim = qsrc + b * in_item;
+                  qim_stride = in_chan_stride;
+                } else {
+                  const float* in = input.data() + b * in_item;
                   for (int64_t c = 0; c < in_c_; ++c) {
                     Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
-                                            inv_scale, act_in_zp_,
+                                            inv_scale, in_zp,
                                             qin + c * in_hw);
                   }
-                } else {
-                  // NCHW item: the k*HW block is contiguous.
-                  Int8QuantizeActivations(in, k * in_hw, inv_scale,
-                                          act_in_zp_, qin);
+                  qim = qin;
+                  qim_stride = in_hw;
                 }
-                Int8PackActCols(qin, k, n, packed);
+                Im2ColStridedU8(qim, qim_stride, in_c_, in_shape_.dim(2),
+                                in_shape_.dim(3), opts_.ksize, opts_.stride,
+                                opts_.pad, in_zp_byte, col);
+                Int8PackActCols(col, k, n, packed);
+                Int8Epilogue e = epi;
+                float* cmat = nullptr;
+                if (u8_out) {
+                  e.out_u8 = qdst + b * out_item;
+                } else {
+                  cmat = raw.data() + b * out_item;
+                }
+                Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
+                                  out_chan_stride, acc);
               }
-              Int8Epilogue e = epi;
-              float* cmat = nullptr;
-              if (u8_out) {
-                e.out_u8 = qdst + b * out_item;
-              } else {
-                cmat = raw.data() + b * out_item;
+            });
+      } else if (int8_ws_.whole_batch) {
+        // 1x1, blocked layout on both sides: the whole batch is one GEMM
+        // over the [C, batch*HW] block (no im2col — the channel planes
+        // already form the col matrix). Runs inline; the GEMM itself
+        // row-parallelizes across the pool.
+        const int64_t nb = batch * n;
+        THALI_CHECK(int8_ws_.gemm_n == nb);
+        uint8_t* wsb =
+            reinterpret_cast<uint8_t*>(net.workspace(0, ws_floats));
+        uint8_t* packed = wsb + int8_ws_.packed;
+        int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
+        const uint8_t* qcols;
+        if (chained_in) {
+          qcols = qsrc;
+        } else {
+          uint8_t* qin = wsb + int8_ws_.qin;
+          Int8QuantizeActivations(input.data(), k * nb, inv_scale, in_zp,
+                                  qin);
+          qcols = qin;
+        }
+        Int8PackActCols(qcols, k, nb, packed);
+        Int8Epilogue e = epi;
+        float* cmat = nullptr;
+        if (u8_out) {
+          e.out_u8 = qdst;
+        } else {
+          cmat = raw.data();
+        }
+        Int8GemmPrepacked(m, nb, k, qw, packed, e, cmat, batch * out_hw, acc);
+      } else {
+        // 1x1, mixed or NCHW layouts: one GEMM per item, packing the u8
+        // columns straight from the (possibly strided) channel planes.
+        THALI_CHECK(int8_ws_.gemm_n == n);
+        ParallelForBounded(
+            0, batch, 1, net.workspace_slots(),
+            [&](int64_t b0, int64_t b1, int tid) {
+              uint8_t* wsb =
+                  reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
+              uint8_t* qin = wsb + int8_ws_.qin;
+              uint8_t* packed = wsb + int8_ws_.packed;
+              int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
+              for (int64_t b = b0; b < b1; ++b) {
+                if (chained_in) {
+                  Int8PackActColsStrided(qsrc + b * in_item, in_chan_stride,
+                                         k, n, packed);
+                } else {
+                  const float* in = input.data() + b * in_item;
+                  if (cnhw_in) {
+                    for (int64_t c = 0; c < in_c_; ++c) {
+                      Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
+                                              inv_scale, in_zp,
+                                              qin + c * in_hw);
+                    }
+                  } else {
+                    // NCHW item: the k*HW block is contiguous.
+                    Int8QuantizeActivations(in, k * in_hw, inv_scale, in_zp,
+                                            qin);
+                  }
+                  Int8PackActCols(qin, k, n, packed);
+                }
+                Int8Epilogue e = epi;
+                float* cmat = nullptr;
+                if (u8_out) {
+                  e.out_u8 = qdst + b * out_item;
+                } else {
+                  cmat = raw.data() + b * out_item;
+                }
+                Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
+                                  out_chan_stride, acc);
               }
-              Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
-                                out_chan_stride, acc);
+            });
+      }
+      if (u8_out) return;  // bias + activation fused; no fp32 output exists
+      break;
+    }
+    case ConvAlgo::kWinograd: {
+      // Per-item Winograd; at batch 1 the single chunk runs inline so the
+      // 16 transform-domain GEMMs fan out across the pool instead.
+      const int64_t wino_ws = WinogradWorkspaceFloats(
+          in_c_, opts_.filters, in_shape_.dim(2), in_shape_.dim(3));
+      ParallelForBounded(
+          0, batch, 1, net.workspace_slots(),
+          [&](int64_t b0, int64_t b1, int tid) {
+            float* ws = net.workspace(tid, wino_ws);
+            for (int64_t b = b0; b < b1; ++b) {
+              WinogradForward(input.data() + b * in_item, in_chan_stride,
+                              in_c_, in_shape_.dim(2), in_shape_.dim(3),
+                              wino_packed_.data(), opts_.filters,
+                              raw.data() + b * out_item, out_chan_stride, ws);
             }
           });
+      break;
     }
-    if (u8_out) return;  // bias + activation fused; no fp32 output exists
-  } else if (algo == ConvAlgo::kWinograd) {
-    // Per-item Winograd; at batch 1 the single chunk runs inline so the
-    // 16 transform-domain GEMMs fan out across the pool instead. Bias
-    // and activation stay separate passes (no GEMM C traversal to fuse
-    // into spans the whole output).
-    const int64_t wino_ws = WinogradWorkspaceFloats(
-        in_c_, opts_.filters, in_shape_.dim(2), in_shape_.dim(3));
-    const float* u_packed = use_packed ? wino_packed_.data() : nullptr;
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int tid) {
-          float* ws = net.workspace(tid, wino_ws);
-          for (int64_t b = b0; b < b1; ++b) {
-            WinogradForward(input.data() + b * in_item, in_chan_stride,
-                            in_c_, in_shape_.dim(2), in_shape_.dim(3),
-                            u_.data(), u_packed, opts_.filters,
-                            raw.data() + b * out_item, out_chan_stride, ws);
-          }
-        });
-  } else if (algo == ConvAlgo::kDirect1x1 && cnhw_in && cnhw_out) {
-    // Blocked layout on both sides: the whole batch is one GEMM over
-    // the [C, batch*HW] input block — identical per-element accumulation
-    // chains to the per-item GEMMs, just wider.
-    if (use_packed) {
-      GemmPrepacked(m, batch * n, k, packed_weights_.data(), /*tb=*/false,
-                    input.data(), batch * in_hw, 0.0f, raw.data(),
-                    batch * out_hw, fused_bias ? &epilogue : nullptr);
-    } else {
-      Gemm(false, false, m, batch * n, k, 1.0f, weights_.data(), k,
-           input.data(), batch * in_hw, 0.0f, raw.data(), batch * out_hw);
-    }
-  } else if (algo == ConvAlgo::kDirect1x1) {
-    // Mixed or NCHW layouts: one strided GEMM per item, no im2col.
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int) {
-          for (int64_t b = b0; b < b1; ++b) {
-            const float* bmat = input.data() + b * in_item;
-            float* cmat = raw.data() + b * out_item;
-            if (use_packed) {
+    case ConvAlgo::kDirect1x1:
+      if (cnhw_in && cnhw_out) {
+        // Blocked layout on both sides: the whole batch is one GEMM over
+        // the [C, batch*HW] input block — identical per-element
+        // accumulation chains to the per-item GEMMs, just wider.
+        GemmPrepacked(m, batch * n, k, packed_weights_.data(), /*tb=*/false,
+                      input.data(), batch * in_hw, 0.0f, raw.data(),
+                      batch * out_hw, gemm_epilogue);
+        break;
+      }
+      // Mixed or NCHW layouts: one strided GEMM per item, no im2col.
+      ParallelForBounded(
+          0, batch, 1, net.workspace_slots(),
+          [&](int64_t b0, int64_t b1, int) {
+            for (int64_t b = b0; b < b1; ++b) {
               GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                            bmat, in_chan_stride, 0.0f, cmat,
-                            out_chan_stride, fused_bias ? &epilogue : nullptr);
-            } else {
-              Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, bmat,
-                   in_chan_stride, 0.0f, cmat, out_chan_stride);
+                            input.data() + b * in_item, in_chan_stride, 0.0f,
+                            raw.data() + b * out_item, out_chan_stride,
+                            gemm_epilogue);
             }
-          }
-        });
-  } else {
-    // Reference im2col path. Batch items are independent: each strand
-    // owns disjoint output planes and its own im2col scratch.
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int tid) {
-          float* ws = nullptr;
-          if (!direct && !cols_cached_) ws = net.workspace(tid, col_plane);
-          for (int64_t b = b0; b < b1; ++b) {
-            float* dst = cols_cached_ ? col_cache_.data() + b * col_plane : ws;
-            const float* col =
-                PrepareCol(input.data() + b * in_item, in_chan_stride, dst);
-            if (use_packed) {
-              GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                            col, n, 0.0f, raw.data() + b * out_item,
-                            out_chan_stride, fused_bias ? &epilogue : nullptr);
-            } else {
-              Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, col, n,
-                   0.0f, raw.data() + b * out_item, out_chan_stride);
+          });
+      break;
+    case ConvAlgo::kIm2col:
+      // Reference im2col path. Batch items are independent: each strand
+      // owns disjoint output planes and its own im2col scratch. Training
+      // networks multiply the live weights (packed per call); inference
+      // ones read the prepacked panels.
+      ParallelForBounded(
+          0, batch, 1, net.workspace_slots(),
+          [&](int64_t b0, int64_t b1, int tid) {
+            float* ws = nullptr;
+            if (!direct && !cols_cached_) ws = net.workspace(tid, col_plane);
+            for (int64_t b = b0; b < b1; ++b) {
+              float* dst =
+                  cols_cached_ ? col_cache_.data() + b * col_plane : ws;
+              const float* col =
+                  PrepareCol(input.data() + b * in_item, in_chan_stride, dst);
+              float* cmat = raw.data() + b * out_item;
+              if (inference()) {
+                GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
+                              col, n, 0.0f, cmat, out_chan_stride,
+                              gemm_epilogue);
+              } else {
+                Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, col, n,
+                     0.0f, cmat, out_chan_stride);
+              }
             }
-          }
-        });
+          });
+      break;
   }
 
   if (opts_.batch_normalize) {
@@ -679,7 +570,7 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
   // layout awareness; fused plans route mish through the fast kernel
   // family (deterministic and identical across the scalar/AVX2 paths).
   if (inference()) {
-    if (!fused_act) {
+    if (!fused_act.has_value()) {
       if (plan().fast_act && opts_.activation == Activation::kMish) {
         ParallelFor(0, output_.size(), kBnGrainElems,
                     [&](int64_t i0, int64_t i1, int) {
@@ -944,15 +835,12 @@ std::vector<ConstParam> ConvLayer::Params() const {
 void ConvLayer::SetActivationRange(float range_min, float range_max) {
   act_in_min_ = range_min;
   act_in_max_ = range_max;
-  Int8RangeToScaleZp(range_min, range_max, &act_in_scale_, &act_in_zp_);
   has_act_range_ = true;
 }
 
 void ConvLayer::ResetCalibration() {
   has_act_range_ = false;
   act_in_min_ = act_in_max_ = 0.0f;
-  act_in_scale_ = 1.0f;
-  act_in_zp_ = 0;
   calib_seen_ = false;
   calib_min_ = calib_max_ = 0.0f;
   calib_hist_.clear();
@@ -1032,6 +920,7 @@ void ConvLayer::FoldBatchNorm() {
     biases_[f] = biases_[f] - scales_[f] * rolling_mean_[f] * inv_std;
   }
   opts_.batch_normalize = false;
+  folded_ = true;
   packed_dirty_ = true;
   scales_ = Tensor();
   scale_grads_ = Tensor();

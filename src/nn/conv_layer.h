@@ -1,6 +1,7 @@
 #ifndef THALI_NN_CONV_LAYER_H_
 #define THALI_NN_CONV_LAYER_H_
 
+#include <optional>
 #include <vector>
 
 #include "base/rng.h"
@@ -13,10 +14,12 @@ namespace thali {
 // 2-d convolution with optional fused batch normalization and activation —
 // Darknet's `[convolutional]` layer. Weight layout is
 // (out_channels, in_channels, ksize, ksize); the reference computation is
-// im2col + GEMM. Under a fused inference plan (nn/exec_plan.h) Forward
-// instead dispatches on plan().conv_algo — a direct whole-batch GEMM for
-// 1x1 convs, Winograd F(2x2,3x3) for stride-1 3x3 convs — and reads/
-// writes either NCHW or the blocked CNHW layout through GEMM strides.
+// im2col + GEMM. Forward runs exactly the algorithm plan().conv_algo
+// names (nn/exec_plan.h) — a direct whole-batch GEMM for 1x1 convs,
+// Winograd F(2x2,3x3) for stride-1 3x3 convs, the int8 paths once the
+// plan compiler armed them — and reads/writes either NCHW or the blocked
+// CNHW layout through GEMM strides. It never re-decides: calibration
+// changes reach it only through a replan (Network::ReplanInference).
 //
 // With batch_normalize, the layer carries scales (gamma), biases (beta)
 // and rolling mean/variance exactly like Darknet, so the serialized
@@ -45,16 +48,9 @@ class ConvLayer : public Layer {
   int64_t WorkspaceSize() const override;
 
   // Precomputes the int8 byte-workspace section offsets for the current
-  // plan/shapes (quant algos only). Forward used to re-derive these
-  // inside its batch loop on every call; now they are computed exactly
-  // once per plan push and asserted against in the hot path.
+  // plan/shapes (quant algos only), once per plan push, and repacks the
+  // weights of an inference layer whose planned algorithm changed.
   void OnPlanUpdated() override;
-
-  // Packs weights_ into the GEMM panel layout so inference forwards skip
-  // the per-call A packing (and fuse bias/activation into the GEMM
-  // write-back once batch norm has been folded). No-op for training
-  // networks or when the packed path is disabled.
-  void PrepackWeights() override;
 
   // Invalidates the packed copy after any mutation of weights_ (weight
   // loading, optimizer steps, batch-norm folding); the next inference
@@ -67,20 +63,20 @@ class ConvLayer : public Layer {
   }
 
   // Bytes held by the quantized int8 weight copy (0 when the layer's
-  // plan is not kQuantInt8 or weights are not packed yet).
+  // plan is not a quantized algorithm or weights are not packed yet).
   int64_t int8_weight_bytes() const { return qweights_.q.bytes(); }
 
-  // --- int8 activation calibration (kQuantInt8 plans only) ---
+  // --- int8 activation calibration (LayerPlan::quantizable convs) ---
   //
   // The quantized path needs the input activation range of each int8
   // conv. Detector::CalibrateInt8 collects it by running fp32 forwards
   // with net.calib_phase() set (kRange then optionally kHist) and then
   // calling FinalizeCalibration; a persisted calibration instead lands
-  // directly in SetActivationRange. Until a range is set, Forward falls
-  // back to the fp32 Winograd path.
+  // directly in SetActivationRange. The plan compiler arms the quantized
+  // algorithm (deriving the input domain from this range) only once a
+  // range is installed; until then the layer's plan is its fp32 one.
 
-  // Installs the input range; derives (scale, zero point) per
-  // tensor/gemm_int8.h and arms the quantized path.
+  // Installs the input range the next replan quantizes with.
   void SetActivationRange(float range_min, float range_max);
   bool has_activation_range() const { return has_act_range_; }
   float activation_range_min() const { return act_in_min_; }
@@ -113,6 +109,9 @@ class ConvLayer : public Layer {
   // Irreversible; the layer afterwards behaves as batch_normalize=false.
   // Only valid on a layer that will no longer be trained.
   void FoldBatchNorm();
+  // True once FoldBatchNorm folded this layer's batch norm: its
+  // parameters no longer match the .weights layout of its cfg.
+  bool folded() const { return folded_; }
 
  private:
   // 1x1/stride-1/pad-0 convs need no im2col: the input planes already
@@ -132,6 +131,12 @@ class ConvLayer : public Layer {
   // under kRange, histogram under kHist).
   void ObserveCalibration(const Tensor& input, CalibPhase phase);
 
+  // Builds the weight copy the planned algorithm reads — GEMM panels
+  // (im2col / direct 1x1), prepacked Winograd U (kWinograd) or
+  // per-channel int8 rows (the quantized algorithms) — and releases the
+  // others. Inference layers only: training multiplies weights_ live.
+  void PrepackWeights();
+
   // Sizes the activation-shaped caches for the current out_shape_ and
   // mode (inference layers keep none); shared by Configure and Rebatch.
   void SizeActivationCaches();
@@ -142,13 +147,15 @@ class ConvLayer : public Layer {
   int64_t in_c_ = 0;
 
   Tensor weights_, weight_grads_;
-  Tensor packed_weights_;      // microkernel panel layout (inference only)
-  QTensor qweights_;           // per-channel int8 rows (kQuantInt8 plans)
+  // Inference weight copies; PrepackWeights holds only the one the
+  // planned algorithm reads.
+  Tensor packed_weights_;      // microkernel panels (im2col / direct 1x1)
+  QTensor qweights_;           // per-channel int8 rows (quantized algos)
   std::vector<int32_t> wcolsum_;  // per-filter quantized-row sums
-  Tensor u_;                   // Winograd-transformed weights U = G w G^T
-                               // (16 x F x C; kWinograd plans only)
-  Tensor wino_packed_;         // the 16 U_k prepacked into GEMM A panels
+  Tensor wino_packed_;         // the 16 U_k = (G w G^T)_k as GEMM A panels
   bool packed_dirty_ = true;   // weights_ changed since the last pack
+  std::optional<ConvAlgo> packed_algo_;  // what the held copy serves
+  bool folded_ = false;
   Tensor biases_, bias_grads_;
   // Batch-norm parameters (allocated only when batch_normalize).
   Tensor scales_, scale_grads_;
@@ -165,7 +172,7 @@ class ConvLayer : public Layer {
   // quantized paths, laid out exactly as Int8ConvWorkspaceBytes /
   // Int8Direct1x1WorkspaceBytes size them. Derived from the plan once
   // in OnPlanUpdated (Finalize / SetBatch / ReplanInference), never in
-  // Forward.
+  // Forward; WorkspaceSize reports ws_floats.
   struct Int8Sections {
     int64_t qin = 0;     // quantized input planes (u8)
     int64_t col = 0;     // u8 im2col panel (kQuantInt8 only)
@@ -174,15 +181,12 @@ class ConvLayer : public Layer {
     int64_t ws_floats = 0;  // floats to request from net.workspace()
     int64_t gemm_n = 0;     // GEMM width the sections were sized for
     bool whole_batch = false;  // direct-1x1 CNHW both sides: one GEMM
-    bool valid = false;
   };
   Int8Sections int8_ws_;
 
-  // int8 activation quantization state (quantized plans).
+  // Installed int8 input range (the plan compiler derives the domain).
   bool has_act_range_ = false;
   float act_in_min_ = 0.0f, act_in_max_ = 0.0f;
-  float act_in_scale_ = 1.0f;
-  int32_t act_in_zp_ = 0;
   // Calibration accumulators (only touched while a phase is active).
   float calib_min_ = 0.0f, calib_max_ = 0.0f;
   bool calib_seen_ = false;

@@ -12,7 +12,6 @@
 #include "nn/network.h"
 #include "nn/route_layer.h"
 #include "nn/shortcut_layer.h"
-#include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 
 namespace thali {
@@ -147,10 +146,6 @@ ArenaPlan PlanArenaGrouped(const Network& net, const std::vector<int>& last_use,
 
 }  // namespace
 
-const char* ExecModeName(ExecMode mode) {
-  return mode == ExecMode::kTraining ? "training" : "inference";
-}
-
 const char* ActLayoutName(ActLayout layout) {
   return layout == ActLayout::kNCHW ? "nchw" : "cnhw";
 }
@@ -204,15 +199,7 @@ bool Int8EnvValueEnables(const char* value) {
 
 }  // namespace internal
 
-ArenaPlan PlanActivationArena(const Network& net) {
-  const int n = net.num_layers();
-  return PlanArenaGrouped(net, ComputeLastUse(net),
-                          std::vector<int>(static_cast<size_t>(n), -1),
-                          std::vector<int64_t>(static_cast<size_t>(n), 0));
-}
-
-ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
-                         bool int8) {
+ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
   const int n = net.num_layers();
   ExecPlan plan;
   plan.fused = fuse;
@@ -295,116 +282,126 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
       }
     }
 
-    // 2. Conv algorithm and fast-activation selection by geometry.
+    // 2. Conv algorithm and fast-activation selection by geometry, then
+    // int8 arming. A conv int8 covers is `quantizable`; it runs the
+    // quantized algorithm only when that path can run right now — batch
+    // norm folded, an input range installed, no calibration pass active
+    // — and its geometry's fp32 algorithm otherwise.
     for (int i = 0; i < n; ++i) {
       if (cls[static_cast<size_t>(i)] != kConv) continue;
       LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-      const auto& o = static_cast<const ConvLayer&>(net.layer(i)).options();
+      const auto& cv = static_cast<const ConvLayer&>(net.layer(i));
+      const auto& o = cv.options();
+      ConvAlgo quant_algo = ConvAlgo::kQuantInt8;
       if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
         // int8 takes 1x1s regardless of layout pins — like kDirect1x1,
         // the quantized GEMM absorbs layouts through strides, so even
         // the NCHW-pinned head feeders quantize (their f32 output is a
         // dequant edge into the yolo heads).
-        lp.conv_algo =
-            int8 ? ConvAlgo::kQuantInt8Direct1x1 : ConvAlgo::kDirect1x1;
+        lp.conv_algo = ConvAlgo::kDirect1x1;
+        quant_algo = ConvAlgo::kQuantInt8Direct1x1;
+        lp.quantizable = int8;
       } else if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
         // int8 takes the Winograd geometry, but NCHW-pinned convs stay
         // fp32 to protect whatever consumer forced the pin (in the
         // thali net the head feeders are 1x1 direct convs, already
         // fp32; the guard covers pinned 3x3s in other topologies).
-        lp.conv_algo = int8 && !forced[static_cast<size_t>(i)]
-                           ? ConvAlgo::kQuantInt8
-                           : ConvAlgo::kWinograd;
-      } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1 && int8 &&
-                 !forced[static_cast<size_t>(i)]) {
-        // Strided 3x3 (the thali downsampling prefix, convs 0-1): no
-        // Winograd form exists, but the u8 im2col already walks any
-        // stride, so int8 takes it; fp32 plans stay on im2col.
-        lp.conv_algo = ConvAlgo::kQuantInt8;
+        lp.conv_algo = ConvAlgo::kWinograd;
+        lp.quantizable = int8 && !forced[static_cast<size_t>(i)];
       } else {
+        // Every other geometry runs im2col. int8 also covers the strided
+        // 3x3 (the thali downsampling prefix, convs 0-1): no Winograd
+        // form exists, but the u8 im2col already walks any stride.
         lp.conv_algo = ConvAlgo::kIm2col;
+        lp.quantizable = int8 && o.ksize == 3 && o.stride == 2 &&
+                         o.pad == 1 && !forced[static_cast<size_t>(i)];
+      }
+      if (lp.quantizable && !o.batch_normalize && cv.has_activation_range() &&
+          net.calib_phase() == CalibPhase::kOff) {
+        lp.conv_algo = quant_algo;
+        Int8RangeToScaleZp(cv.activation_range_min(),
+                           cv.activation_range_max(), &lp.in_qscale,
+                           &lp.in_qzp);
       }
       lp.fast_act = o.activation == Activation::kMish;
     }
 
-    // 3. Copy elision. Only legal with the arena (aliases are offsets
-    // into shared storage) and when a channel range is one contiguous
-    // span: CNHW at any batch, or any layout at batch 1.
-    if (arena_enabled) {
-      const int64_t batch = net.batch();
-      std::vector<char> has_child(static_cast<size_t>(n), 0);
-      auto resolve_root = [&](int i) {
-        while (parent[static_cast<size_t>(i)] >= 0) {
-          i = parent[static_cast<size_t>(i)];
-        }
-        return i;
-      };
-      for (int r = 0; r < n; ++r) {
-        const std::string_view kind = net.layer(r).kind();
-        LayerPlan& lp = plan.layers[static_cast<size_t>(r)];
-        const bool span_ok =
-            lp.in_layout == lp.out_layout &&
-            (lp.out_layout == ActLayout::kCNHW || batch == 1);
-        if (!span_ok) continue;
-        if (kind == "route") {
-          const auto& rt = static_cast<const RouteLayer&>(net.layer(r));
-          const std::vector<int>& srcs = rt.source_indices();
-          const int64_t plane =
-              batch * net.layer(r).output_shape().dim(2) *
-              net.layer(r).output_shape().dim(3);
-          if (srcs.size() == 1) {
-            // Group-split view: the route's output is a contiguous
-            // channel slice of its (sole) source; alias it in place.
-            // Safe even when the source is itself aliased — the route
-            // writes nothing.
-            parent[static_cast<size_t>(r)] = srcs[0];
-            poffset[static_cast<size_t>(r)] =
-                rt.source_offsets()[0] * plane;
-            has_child[static_cast<size_t>(srcs[0])] = 1;
-            lp.copy_elided = true;
-            continue;
-          }
-          // Concat adoption: every source writes its output directly
-          // into the concat's block (this folds upsample+route pairs
-          // too). All-or-nothing — a source that is partial (grouped
-          // slice), already aliased elsewhere, or repeated keeps the
-          // whole route on the plain copy path.
-          bool ok = true;
-          for (size_t s = 0; s < srcs.size() && ok; ++s) {
-            const int src = srcs[s];
-            ok = rt.source_offsets()[s] == 0 &&
-                 rt.source_channels()[s] ==
-                     net.layer(src).output_shape().dim(1) &&
-                 parent[static_cast<size_t>(src)] == -1 &&
-                 resolve_root(src) == src;
-            for (size_t t = 0; t < s && ok; ++t) ok = srcs[t] != src;
-          }
-          if (!ok) continue;
-          int64_t chan_base = 0;
-          for (size_t s = 0; s < srcs.size(); ++s) {
-            parent[static_cast<size_t>(srcs[s])] = r;
-            poffset[static_cast<size_t>(srcs[s])] = chan_base * plane;
-            chan_base += rt.source_channels()[s];
-          }
-          has_child[static_cast<size_t>(r)] = 1;
+    // 3. Copy elision, legal when a channel range is one contiguous
+    // span: CNHW at any batch, or any layout at batch 1 (aliases are
+    // offsets into the shared arena storage).
+    const int64_t batch = net.batch();
+    std::vector<char> has_child(static_cast<size_t>(n), 0);
+    auto resolve_root = [&](int i) {
+      while (parent[static_cast<size_t>(i)] >= 0) {
+        i = parent[static_cast<size_t>(i)];
+      }
+      return i;
+    };
+    for (int r = 0; r < n; ++r) {
+      const std::string_view kind = net.layer(r).kind();
+      LayerPlan& lp = plan.layers[static_cast<size_t>(r)];
+      const bool span_ok =
+          lp.in_layout == lp.out_layout &&
+          (lp.out_layout == ActLayout::kCNHW || batch == 1);
+      if (!span_ok) continue;
+      if (kind == "route") {
+        const auto& rt = static_cast<const RouteLayer&>(net.layer(r));
+        const std::vector<int>& srcs = rt.source_indices();
+        const int64_t plane =
+            batch * net.layer(r).output_shape().dim(2) *
+            net.layer(r).output_shape().dim(3);
+        if (srcs.size() == 1) {
+          // Group-split view: the route's output is a contiguous
+          // channel slice of its (sole) source; alias it in place.
+          // Safe even when the source is itself aliased — the route
+          // writes nothing.
+          parent[static_cast<size_t>(r)] = srcs[0];
+          poffset[static_cast<size_t>(r)] =
+              rt.source_offsets()[0] * plane;
+          has_child[static_cast<size_t>(srcs[0])] = 1;
           lp.copy_elided = true;
-        } else if (kind == "shortcut" && r > 0) {
-          // In-place residual add: output aliases the previous layer's
-          // block when nothing reads that block after this step and it
-          // is not shared with anyone else. The elementwise o=a+b reads
-          // each element before overwriting it, so no code change is
-          // needed in the layer.
-          const int prev = r - 1;
-          if (last_use[static_cast<size_t>(prev)] == r &&
-              parent[static_cast<size_t>(prev)] == -1 &&
-              !has_child[static_cast<size_t>(prev)] &&
-              net.layer(prev).output_shape().num_elements() ==
-                  net.layer(r).output_shape().num_elements()) {
-            parent[static_cast<size_t>(r)] = prev;
-            poffset[static_cast<size_t>(r)] = 0;
-            has_child[static_cast<size_t>(prev)] = 1;
-            lp.copy_elided = true;
-          }
+          continue;
+        }
+        // Concat adoption: every source writes its output directly
+        // into the concat's block (this folds upsample+route pairs
+        // too). All-or-nothing — a source that is partial (grouped
+        // slice), already aliased elsewhere, or repeated keeps the
+        // whole route on the plain copy path.
+        bool ok = true;
+        for (size_t s = 0; s < srcs.size() && ok; ++s) {
+          const int src = srcs[s];
+          ok = rt.source_offsets()[s] == 0 &&
+               rt.source_channels()[s] ==
+                   net.layer(src).output_shape().dim(1) &&
+               parent[static_cast<size_t>(src)] == -1 &&
+               resolve_root(src) == src;
+          for (size_t t = 0; t < s && ok; ++t) ok = srcs[t] != src;
+        }
+        if (!ok) continue;
+        int64_t chan_base = 0;
+        for (size_t s = 0; s < srcs.size(); ++s) {
+          parent[static_cast<size_t>(srcs[s])] = r;
+          poffset[static_cast<size_t>(srcs[s])] = chan_base * plane;
+          chan_base += rt.source_channels()[s];
+        }
+        has_child[static_cast<size_t>(r)] = 1;
+        lp.copy_elided = true;
+      } else if (kind == "shortcut" && r > 0) {
+        // In-place residual add: output aliases the previous layer's
+        // block when nothing reads that block after this step and it
+        // is not shared with anyone else. The elementwise o=a+b reads
+        // each element before overwriting it, so no code change is
+        // needed in the layer.
+        const int prev = r - 1;
+        if (last_use[static_cast<size_t>(prev)] == r &&
+            parent[static_cast<size_t>(prev)] == -1 &&
+            !has_child[static_cast<size_t>(prev)] &&
+            net.layer(prev).output_shape().num_elements() ==
+                net.layer(r).output_shape().num_elements()) {
+          parent[static_cast<size_t>(r)] = prev;
+          poffset[static_cast<size_t>(r)] = 0;
+          has_child[static_cast<size_t>(prev)] = 1;
+          lp.copy_elided = true;
         }
       }
     }
@@ -412,15 +409,13 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
     // 4. Quantize-once dtype assignment. A u8 edge means the producer's
     // requantize epilogue emits 7-bit bytes in the edge domain and the
     // consumer skips quantize + pack-from-fp32. The pass only sees
-    // chains once calibration ranges exist: the Finalize-time compile is
+    // chains between armed convs: the Finalize-time compile is
     // chain-free (nothing is calibrated yet) and
     // Network::ReplanInference recompiles after Detector::CalibrateInt8
-    // or LoadCalibration installs ranges. Dropping ranges
-    // (ResetCalibration) must likewise replan, because a chained conv
-    // has no fp32 fallback.
-    if (int8 && GemmPackingEnabled()) {
-      // qconv: convs the runtime int8 gate will actually keep quantized
-      // (algo selected int8, range installed, batch norm folded).
+    // or LoadCalibration installs ranges (ResetCalibration and
+    // calibration phases disarm them again the same way).
+    if (int8) {
+      // qconv: convs step 2 armed with a quantized algorithm.
       // qprod: qconv whose activation the requantize epilogue can apply
       // (linear/leaky/relu, mish through the FastMish family) so its
       // OUTPUT may be u8. qpass: layout-uniform passthroughs that move
@@ -438,12 +433,9 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
               lp.conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
             continue;
           }
-          const auto& cv = static_cast<const ConvLayer&>(net.layer(i));
-          if (cv.options().batch_normalize || !cv.has_activation_range()) {
-            continue;
-          }
           qconv[static_cast<size_t>(i)] = 1;
-          const Activation a = cv.options().activation;
+          const Activation a =
+              static_cast<const ConvLayer&>(net.layer(i)).options().activation;
           qprod[static_cast<size_t>(i)] =
               a == Activation::kLinear || a == Activation::kLeaky ||
               a == Activation::kRelu ||
@@ -614,17 +606,14 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
       }
       // Layer-0 chaining: the network input is an edge InputsOf cannot
       // express (layer 0 has no producer layer). When layer 0 is a
-      // quantized conv, the input becomes a u8 edge whose domain is
-      // layer 0's calibrated activation range — by definition the
-      // observed range of the net input itself. Network::Forward (or
-      // the detector's fused letterbox-quantize) supplies the bytes.
+      // quantized conv, the input becomes a u8 edge in layer 0's own
+      // input domain (step 2) — derived from its calibrated range, by
+      // definition the observed range of the net input itself.
+      // Network::Forward (or the detector's fused letterbox-quantize)
+      // supplies the bytes.
       if (n > 0 && qconv[0] && net.layer(0).ReadsPreviousOutput()) {
         LayerPlan& lp0 = plan.layers[0];
-        const auto& cv0 = static_cast<const ConvLayer&>(net.layer(0));
         lp0.in_dtype = DType::kU8;
-        Int8RangeToScaleZp(cv0.activation_range_min(),
-                           cv0.activation_range_max(), &lp0.in_qscale,
-                           &lp0.in_qzp);
         plan.input_u8 = true;
         plan.input_qscale = lp0.in_qscale;
         plan.input_qzp = lp0.in_qzp;
@@ -649,7 +638,7 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
   }
 
   plan.arena = PlanArenaGrouped(net, last_use, parent, poffset);
-  plan.arena.enabled = arena_enabled;
+  plan.arena.enabled = net.exec_mode() == ExecMode::kInference;
   return plan;
 }
 

@@ -16,15 +16,12 @@ class Network;
 //  kTraining  — every layer owns its output and a same-sized delta
 //               tensor plus whatever backward caches it needs; batch
 //               statistics may be updated. This is the seed behaviour.
-//  kInference — no delta tensors, no backward caches, and (unless the
-//               THALI_NO_ARENA environment variable is set) layer
-//               outputs live at planned offsets inside one shared
-//               activation arena, reusing storage between layers whose
-//               liveness intervals do not overlap. Forward(train=true)
-//               is a programming error on an inference network.
+//  kInference — no delta tensors, no backward caches, and layer outputs
+//               live at planned offsets inside one shared activation
+//               arena, reusing storage between layers whose liveness
+//               intervals do not overlap. Forward(train=true) is a
+//               programming error on an inference network.
 enum class ExecMode { kTraining, kInference };
-
-const char* ExecModeName(ExecMode mode);
 
 // Which activation-statistics pass, if any, the network's Forward is
 // currently running (int8 calibration — see Detector::CalibrateInt8).
@@ -34,8 +31,10 @@ const char* ExecModeName(ExecMode mode);
 //  kHist  — conv layers accumulate an input histogram over the range
 //           found by a prior kRange pass (percentile calibration).
 //
-// While a calibration phase is active every conv runs its fp32 path, so
-// the observed statistics describe the unquantized network.
+// While a calibration phase is active the plan compiler arms no int8
+// conv (Network::set_calib_phase replans), so every conv runs its fp32
+// algorithm and the observed statistics describe the unquantized
+// network.
 enum class CalibPhase { kOff, kRange, kHist };
 
 // Memory layout of one layer's activation tensor.
@@ -70,18 +69,16 @@ const char* ActLayoutName(ActLayout layout);
 //               tolerance (see tensor/winograd.h).
 //  kQuantInt8 — per-channel symmetric int8 (tensor/gemm_int8.h) for
 //               3x3/pad-1 at stride 1 or 2 (the u8 im2col walks any
-//               stride), selected only when the network was finalized
-//               with THALI_INT8 enabled and the layer is not NCHW-pinned
-//               (detection-head feeders stay fp32). Forward falls back
-//               to kWinograd (stride 1) or kIm2col (stride 2) at runtime
-//               until the layer has a calibrated activation range.
+//               stride) on a LayerPlan::quantizable conv, emitted only
+//               once the quantized path can run (see CompileExecPlan);
+//               until then the conv plans kWinograd (stride 1) or
+//               kIm2col (stride 2).
 //  kQuantInt8Direct1x1 — int8 variant of kDirect1x1 (1x1/stride-1/
 //               pad-0): the quantized channel planes ARE the GEMM B
 //               matrix, so the path quantizes (or chains) and packs
-//               with no im2col at all. Selected under THALI_INT8
-//               regardless of layout pins (the GEMM absorbs layouts
-//               through strides like kDirect1x1 does). Forward falls
-//               back to kDirect1x1 until calibrated.
+//               with no im2col at all. Covers 1x1s regardless of layout
+//               pins (the GEMM absorbs layouts through strides like
+//               kDirect1x1 does); kDirect1x1 until armed.
 enum class ConvAlgo {
   kIm2col,
   kDirect1x1,
@@ -108,9 +105,14 @@ struct LayerPlan {
   // (route view/concat) so its Forward copies nothing. The arena
   // planner places every aliased layer inside its group root's block.
   bool copy_elided = false;
+  // A conv the int8 path covers (THALI_INT8 on, eligible geometry, a
+  // 3x3 not NCHW-pinned), armed or not: calibration observes exactly
+  // these convs, and conv_algo turns quantized once they are armed.
+  bool quantizable = false;
 
-  // --- Quantize-once chaining (filled by Network::ReplanInference once
-  // calibration ranges exist; kF32 everywhere before that). ---
+  // --- int8 input domains and quantize-once chaining (filled by
+  // Network::ReplanInference once calibration ranges exist; kF32
+  // everywhere before that). ---
   //
   // Dtype of the activation tensor this layer READS and WRITES. kU8
   // means the 7-bit unsigned quantized domain of gemm_int8.h: an
@@ -120,13 +122,14 @@ struct LayerPlan {
   // this layer is never written in steady state.
   DType in_dtype = DType::kF32;
   DType out_dtype = DType::kF32;
-  // Quantization domain of the u8 edge tensors (meaningful only when
-  // the matching dtype is kU8). One tensor can feed several quantized
-  // convs, so the domain is per-TENSOR, not per-consumer: the dtype
-  // pass unions the calibrated ranges of every quantized consumer
-  // reachable through passthroughs and derives one (scale, zp) for the
-  // whole component. A chained conv therefore dequantizes with the
-  // edge domain here rather than its own calibrated range.
+  // Quantization domains. An armed int8 conv quantizes its fp32 input
+  // in the in_* domain derived from its own calibrated range. On u8
+  // edges (meaningful only when the matching dtype is kU8) the domain
+  // is per-TENSOR, not per-consumer, because one tensor can feed several
+  // quantized convs: the dtype pass unions the calibrated ranges of
+  // every quantized consumer reachable through passthroughs and derives
+  // one (scale, zp) for the whole component. A chained conv therefore
+  // dequantizes with the edge domain here rather than its own range.
   float in_qscale = 1.0f;
   float out_qscale = 1.0f;
   int32_t in_qzp = 0;
@@ -156,7 +159,7 @@ struct ArenaAssignment {
 // The planner's result: per-layer offsets plus the headline numbers the
 // acceptance bench reports (peak arena floats vs the no-reuse sum).
 struct ArenaPlan {
-  // False when planning was skipped (training mode or THALI_NO_ARENA);
+  // False for training networks, which own per-layer buffers;
   // assignments/arena_floats are still filled so reports can show what
   // the planner *would* save.
   bool enabled = false;
@@ -206,9 +209,19 @@ struct ExecPlan {
 
 // Compiles the execution plan for a configured network.
 //
+// Arena placement is liveness-based first-fit over the network DAG. A
+// layer's output is live from the step that produces it through its
+// last consumer — the next layer when it reads its input argument, any
+// route/shortcut that references it, and "after the forward pass" for
+// detection-head outputs and the network's final output (modelled as a
+// consumer at index num_layers). Offsets are assigned greedily in layer
+// order, first-fit into gaps left by expired buffers, 16-float aligned.
+// Inference networks bind their outputs to it (arena.enabled); training
+// networks get it for reporting only.
+//
 // With fuse=false, every layer gets a default LayerPlan and the arena
-// is the plain liveness plan (PlanActivationArena) — the seed
-// behaviour. With fuse=true the compiler decides, in order:
+// is the plain liveness plan — the seed behaviour. With fuse=true the
+// compiler decides, in order:
 //
 //  1. Layouts: a fixpoint over the DAG assigns kCNHW to conv-chain
 //     interiors. Detection heads, the final output, any layer a
@@ -218,32 +231,25 @@ struct ExecPlan {
 //     always layout-uniform; convs absorb either layout on either side
 //     through GEMM strides, so no standalone convert pass ever runs.
 //  2. Conv algorithms: kDirect1x1 / kWinograd / kIm2col by geometry,
-//     plus fast_act for mish convs.
-//  3. Copy elision (only when arena_enabled): route layers whose
-//     sources can legally alias arena storage are folded away — a
-//     group-split route becomes a view into its source, a concat route
-//     adopts its sources so they write into the concat's block
-//     directly (this also folds upsample+route pairs), and a shortcut
-//     whose addend dies at the shortcut runs in place. The arena
-//     planner then places each alias group as one block.
+//     plus fast_act for mish convs. With int8=true (latched from
+//     THALI_INT8 by Network::Finalize) eligible convs are marked
+//     quantizable, and a quantizable conv gets kQuantInt8 /
+//     kQuantInt8Direct1x1 plus its input domain exactly when its batch
+//     norm is folded, a range is installed and net.calib_phase() is
+//     kOff.
+//  3. Copy elision: route layers whose sources can legally alias
+//     arena storage are folded away — a group-split route becomes a
+//     view into its source, a concat route adopts its sources so they
+//     write into the concat's block directly (this also folds
+//     upsample+route pairs), and a shortcut whose addend dies at the
+//     shortcut runs in place. The arena planner then places each alias
+//     group as one block.
+//  4. Dtypes: armed int8 convs chain through u8 edges (quantize-once).
 //
 // Elision requires layout-uniform members and (kCNHW or batch == 1) so
 // a member's storage is one contiguous range. Requires every layer to
 // be configured (shapes known).
-// With int8=true (latched from THALI_INT8 by Network::Finalize), step 2
-// upgrades eligible Winograd-geometry convs to kQuantInt8.
-ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
-                         bool int8 = false);
-
-// Liveness-based first-fit arena planning over the network DAG. A
-// layer's output is live from the step that produces it through its last
-// consumer — the next layer when it reads its input argument, any
-// route/shortcut that references it, and "after the forward pass" for
-// detection-head outputs and the network's final output (modelled as a
-// consumer at index num_layers). Offsets are assigned greedily in layer
-// order, first-fit into gaps left by expired buffers, 16-float aligned.
-// Requires every layer to be configured (shapes known).
-ArenaPlan PlanActivationArena(const Network& net);
+ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8 = false);
 
 // False when THALI_NO_FUSE=1 (or a testing override) disables the
 // inference plan compiler's fused paths. Network::Finalize latches the

@@ -40,7 +40,7 @@ struct ConstParam {
 // mode (set by Network::Finalize before Configure runs) decides what
 // Configure allocates: kTraining layers own output + delta + backward
 // caches; kInference layers allocate neither delta nor caches, and their
-// output storage is provided by the network (arena-planned or owned).
+// output storage is a slot of the network's planned activation arena.
 // Batch size is taken from the input shape and may later change via
 // Rebatch (Network::SetBatch), which re-derives shapes and resizes
 // activation buffers without touching parameters.
@@ -86,12 +86,6 @@ class Layer {
   // Scratch floats this layer needs from the shared network workspace.
   virtual int64_t WorkspaceSize() const { return 0; }
 
-  // Gives layers with GEMM weights a chance to pre-pack them into the
-  // microkernel panel layout (inference-mode networks call this from
-  // Network::Finalize; layers re-pack lazily after weight mutations).
-  // Default: nothing to pack.
-  virtual void PrepackWeights() {}
-
   // --- Dataflow hooks for the activation arena planner. Valid after
   // Configure (layer references resolved). ---
 
@@ -124,16 +118,18 @@ class Layer {
 
   // This layer's slice of the compiled execution plan, pushed by
   // Network::PlanBuffers after CompileExecPlan runs (and re-pushed on
-  // every SetBatch). The default-constructed LayerPlan (NCHW, im2col,
-  // nothing fused or elided) is what training networks and standalone
-  // layers run with.
+  // every SetBatch and ReplanInference). Forward runs what it says and
+  // decides nothing itself. The default-constructed LayerPlan (NCHW,
+  // im2col, nothing fused or elided) is what training networks and
+  // standalone layers run with.
   const LayerPlan& plan() const { return plan_; }
   void set_plan(const LayerPlan& plan) { plan_ = plan; }
 
   // Called by Network::PlanBuffers after every layer's plan has been
-  // (re)pushed — at Finalize, SetBatch and ReplanInference. Layers that
-  // derive per-forward state from the plan (the conv int8 workspace
-  // sections) recompute it here instead of on every Forward.
+  // (re)pushed — at Finalize, SetBatch and ReplanInference — and before
+  // WorkspaceSize is queried. Layers that derive per-forward state from
+  // the plan (conv int8 workspace sections, conv weights packed for the
+  // planned algorithm) recompute it here instead of on every Forward.
   virtual void OnPlanUpdated() {}
 
   // When frozen, the optimizer skips this layer's parameters (transfer
@@ -150,8 +146,8 @@ class Layer {
 
   // Records shapes and allocates the mode-appropriate buffers: training
   // layers own output_ and delta_; inference layers get their output
-  // storage from Network::Finalize (arena slot or owned fallback) after
-  // all layers are configured.
+  // storage (an arena slot) from Network::Finalize after all layers are
+  // configured.
   void SetShapes(Shape input_shape, Shape output_shape) {
     in_shape_ = std::move(input_shape);
     out_shape_ = std::move(output_shape);

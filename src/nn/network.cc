@@ -2,22 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 
 #include "base/logging.h"
 #include "base/thread_pool.h"
 #include "tensor/gemm_int8.h"
 
 namespace thali {
-
-namespace {
-
-bool ArenaDisabledByEnv() {
-  const char* env = std::getenv("THALI_NO_ARENA");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-}  // namespace
 
 Network::Network(int width, int height, int channels, int batch)
     : width_(width), height_(height), channels_(channels), batch_(batch) {
@@ -39,7 +29,6 @@ Status Network::Finalize(ExecMode mode) {
   mode_ = mode;
   // Latched here so later SetBatch re-plans keep the same decision even
   // if the environment changes while the process runs.
-  arena_disabled_ = ArenaDisabledByEnv();
   fuse_disabled_ = !FusionEnabled();
   int8_enabled_ = mode == ExecMode::kInference && Int8Enabled();
   Shape prev = input_shape();
@@ -59,11 +48,6 @@ Status Network::Finalize(ExecMode mode) {
   workspace_floats_ = max_ws;
   workspaces_.resize(static_cast<size_t>(MaxParallelism()));
   for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
-  if (mode_ == ExecMode::kInference) {
-    // Pack GEMM weights into microkernel panel layout up front. Layers
-    // re-pack lazily if weights change afterwards (loading, BN folding).
-    for (auto& layer : layers_) layer->PrepackWeights();
-  }
   finalized_ = true;
   return Status::OK();
 }
@@ -98,9 +82,9 @@ Status Network::ReplanInference() {
   THALI_CHECK(finalized_) << "ReplanInference before Finalize";
   if (mode_ != ExecMode::kInference) return Status::OK();
   PlanBuffers();
-  // Grow-only workspace re-derivation, like SetBatch: a freshly chained
-  // plan can change per-layer scratch needs (e.g. a conv that now skips
-  // its fp32 im2col panel never needs MORE, but keep the general form).
+  // Grow-only workspace re-derivation, like SetBatch: arming or
+  // disarming int8 switches convs between the quantized and the fp32
+  // algorithms, whose scratch needs differ.
   int64_t max_ws = 0;
   for (auto& layer : layers_) {
     max_ws = std::max(max_ws, layer->WorkspaceSize());
@@ -112,10 +96,14 @@ Status Network::ReplanInference() {
   return Status::OK();
 }
 
+void Network::set_calib_phase(CalibPhase phase) {
+  calib_phase_ = phase;
+  THALI_CHECK_OK(ReplanInference());
+}
+
 void Network::PlanBuffers() {
   const bool fuse = mode_ == ExecMode::kInference && !fuse_disabled_;
-  const bool use_arena = mode_ == ExecMode::kInference && !arena_disabled_;
-  eplan_ = CompileExecPlan(*this, fuse, use_arena, fuse && int8_enabled_);
+  eplan_ = CompileExecPlan(*this, fuse, fuse && int8_enabled_);
   for (int i = 0; i < num_layers(); ++i) {
     layers_[static_cast<size_t>(i)]->set_plan(
         eplan_.layers[static_cast<size_t>(i)]);
@@ -149,38 +137,28 @@ void Network::PlanBuffers() {
     qinput_.Clear();
   }
   input_prequantized_ = false;
-  // Plan-derived layer state (conv int8 workspace sections) recomputes
-  // once here instead of per Forward.
+  // Plan-derived layer state (conv int8 workspace sections, weights
+  // packed for the planned algorithm) recomputes once here instead of
+  // per Forward.
   for (auto& layer : layers_) layer->OnPlanUpdated();
   if (mode_ != ExecMode::kInference) return;  // SetShapes owns the buffers
-  if (use_arena) {
-    // Slots are 16-float (64-byte) aligned relative to the arena base,
-    // but vector<float> storage only guarantees 16 bytes — over-allocate
-    // and align the base up so BindExternal's cache-line contract holds.
-    arena_.Resize(Shape({eplan_.arena.arena_floats + 15}));
-    const uintptr_t raw = reinterpret_cast<uintptr_t>(arena_.data());
-    float* base = reinterpret_cast<float*>((raw + 63) & ~uintptr_t{63});
-    for (int i = 0; i < num_layers(); ++i) {
-      const ArenaAssignment& slot =
-          eplan_.arena.assignments[static_cast<size_t>(i)];
-      Tensor& out = layers_[static_cast<size_t>(i)]->output();
-      if (slot.aliased) {
-        // Interior view of another layer's block (copy-elided route /
-        // adopted concat source / in-place shortcut): arbitrary offset.
-        out.BindExternalAliased(base + slot.offset,
-                                layers_[static_cast<size_t>(i)]
-                                    ->output_shape());
-      } else {
-        out.BindExternal(base + slot.offset, layers_[static_cast<size_t>(i)]
-                                                 ->output_shape());
-      }
-    }
-  } else {
-    arena_ = Tensor();
-    for (auto& layer : layers_) {
-      // THALI_NO_ARENA fallback: per-layer owned outputs, as in training
-      // mode (a previously bound output is replaced by owned storage).
-      layer->output() = Tensor(layer->output_shape());
+  // Slots are 16-float (64-byte) aligned relative to the arena base, but
+  // vector<float> storage only guarantees 16 bytes — over-allocate and
+  // align the base up so BindExternal's cache-line contract holds.
+  arena_.Resize(Shape({eplan_.arena.arena_floats + 15}));
+  const uintptr_t raw = reinterpret_cast<uintptr_t>(arena_.data());
+  float* base = reinterpret_cast<float*>((raw + 63) & ~uintptr_t{63});
+  for (int i = 0; i < num_layers(); ++i) {
+    const ArenaAssignment& slot =
+        eplan_.arena.assignments[static_cast<size_t>(i)];
+    Tensor& out = layers_[static_cast<size_t>(i)]->output();
+    const Shape& shape = layers_[static_cast<size_t>(i)]->output_shape();
+    if (slot.aliased) {
+      // Interior view of another layer's block (copy-elided route /
+      // adopted concat source / in-place shortcut): arbitrary offset.
+      out.BindExternalAliased(base + slot.offset, shape);
+    } else {
+      out.BindExternal(base + slot.offset, shape);
     }
   }
 }
@@ -188,11 +166,7 @@ void Network::PlanBuffers() {
 int64_t Network::ActivationBytes() const {
   int64_t floats = 0;
   if (mode_ == ExecMode::kInference) {
-    if (eplan_.arena.enabled) {
-      floats = eplan_.arena.arena_floats;
-    } else {
-      floats = eplan_.arena.sum_output_floats;
-    }
+    floats = eplan_.arena.arena_floats;
   } else {
     for (const auto& layer : layers_) {
       floats += layer->output().size() + layer->delta().size();

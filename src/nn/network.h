@@ -37,8 +37,7 @@ class Network {
   // workspace and plans output storage. Must be called once after the
   // last Add. kTraining reproduces the seed allocator (per-layer output
   // + delta); kInference skips deltas/backward caches and places outputs
-  // in a liveness-planned shared arena unless the THALI_NO_ARENA
-  // environment variable is set (each layer then owns its output).
+  // in a liveness-planned shared arena.
   Status Finalize(ExecMode mode = ExecMode::kTraining);
 
   // Changes the batch dimension of an already-finalized network:
@@ -48,13 +47,14 @@ class Network {
   Status SetBatch(int batch);
 
   // Recompiles the execution plan of a finalized inference network
-  // without touching shapes. Quantize-once chaining depends on
-  // calibration state the plan compiler reads from the conv layers, so
-  // this must run after Detector::CalibrateInt8 / LoadCalibration
-  // install activation ranges (to pick the chains up) and after
-  // ResetCalibration drops them (a chained conv has no fp32 fallback).
-  // No-op outside THALI_INT8 inference. Grows workspaces if the fresh
-  // plan needs more scratch.
+  // without touching shapes. The plan arms int8 convs from calibration
+  // state it reads from the conv layers (folded batch norm, installed
+  // ranges), so this must run after those change — LoadCalibration,
+  // Detector::CalibrateInt8 and Detector::FuseBatchNorm do it for their
+  // callers; direct SetActivationRange / ResetCalibration / FoldBatchNorm
+  // callers do it themselves. Until then Forward runs the previous plan.
+  // No-op for training networks. Grows workspaces if the fresh plan
+  // needs more scratch.
   Status ReplanInference();
 
   // Runs all layers; returns the last layer's output. `input` must be
@@ -94,14 +94,15 @@ class Network {
   // Execution mode chosen at Finalize.
   ExecMode exec_mode() const { return mode_; }
 
-  // THALI_INT8 opt-in, latched at Finalize like the fuse/arena knobs.
-  // When false the plan compiler never emits kQuantInt8.
+  // THALI_INT8 opt-in, latched at Finalize like the fuse knob. When
+  // false the plan compiler never emits kQuantInt8.
   bool int8_enabled() const { return int8_enabled_; }
 
-  // Active calibration pass. Conv layers consult this in Forward: any
-  // phase other than kOff forces the fp32 path and records statistics.
+  // Active calibration pass. Setting it replans: any phase other than
+  // kOff disarms every int8 conv (each runs its fp32 algorithm), and the
+  // quantizable convs record input statistics in Forward.
   CalibPhase calib_phase() const { return calib_phase_; }
-  void set_calib_phase(CalibPhase phase) { calib_phase_ = phase; }
+  void set_calib_phase(CalibPhase phase);
 
   // Opt-in for the decode fast path (base/fastpre.h): when set on an
   // inference network, YOLO heads skip their Forward sigmoid loops and
@@ -117,20 +118,19 @@ class Network {
 
   // The activation-arena plan computed at Finalize/SetBatch. For
   // kTraining networks the plan is computed for reporting only
-  // (enabled=false); for kInference it reflects the live layout unless
-  // THALI_NO_ARENA disabled placement.
+  // (enabled=false); for kInference it is the live layout.
   const ArenaPlan& arena_plan() const { return eplan_.arena; }
 
-  // The full execution plan (per-layer layouts, conv algorithms, copy
-  // elisions) the inference plan compiler produced at Finalize/SetBatch.
+  // The full execution plan (per-layer layouts, conv algorithms, int8
+  // arming, copy elisions) the inference plan compiler produced at the
+  // last Finalize/SetBatch/ReplanInference — exactly what Forward runs.
   // Training networks and THALI_NO_FUSE inference get the reference
   // plan (fused == false, all LayerPlans default).
   const ExecPlan& exec_plan() const { return eplan_; }
 
   // Bytes of activation buffers this network holds live: outputs plus
-  // deltas in training mode; the arena (or per-layer outputs under
-  // THALI_NO_ARENA) in inference mode. The acceptance metric the memory
-  // bench reports.
+  // deltas in training mode; the arena in inference mode. The
+  // acceptance metric the memory bench reports.
   int64_t ActivationBytes() const;
 
   // Per-thread scratch buffer (im2col panels). Finalize sizes one slot
@@ -183,9 +183,9 @@ class Network {
   bool finalized() const { return finalized_; }
 
  private:
-  // (Re)plans output storage: computes the arena plan and either binds
-  // layer outputs into arena_ (inference + arena enabled) or gives each
-  // layer an owned output buffer. Also records the planner report.
+  // (Re)compiles the plan, pushes it to the layers and, for inference
+  // networks, binds layer outputs into arena_ and sizes the u8 chain
+  // buffers.
   void PlanBuffers();
 
   int width_;
@@ -193,9 +193,8 @@ class Network {
   int channels_;
   int batch_;
   ExecMode mode_ = ExecMode::kTraining;
-  // THALI_NO_ARENA / THALI_NO_FUSE, sampled once at Finalize so later
-  // SetBatch re-plans keep the same decisions.
-  bool arena_disabled_ = false;
+  // THALI_NO_FUSE, sampled once at Finalize so later SetBatch re-plans
+  // keep the same decision.
   bool fuse_disabled_ = false;
   // THALI_INT8, sampled once at Finalize (opt-in, so the default is off).
   bool int8_enabled_ = false;

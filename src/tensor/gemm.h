@@ -9,21 +9,16 @@ namespace thali {
 // ta/tb select transposition of A/B. lda/ldb/ldc are leading dimensions
 // (row strides) of the *stored* matrices.
 //
-// This is the compute core of every convolutional layer (via im2col). The
-// default path packs A and B into cache-friendly panels and runs a
-// register-tiled microkernel family chosen once per process by runtime
-// CPU detection (AVX2+FMA when available, portable scalar otherwise; see
+// This is the compute core of every convolutional layer (via im2col). It
+// packs A and B into cache-friendly panels and runs a register-tiled
+// microkernel family chosen once per process by runtime CPU detection
+// (AVX2+FMA when available, portable scalar otherwise; see
 // gemm_microkernel.h for the accumulation-chain contract that keeps
-// results bitwise reproducible across thread counts and across the
-// packed / unpacked paths). Setting THALI_NO_PACK=1 in the environment
-// latches the unpacked row-parallel loop nest instead.
+// results bitwise reproducible across thread counts and bitwise equal
+// to the sequential internal::GemmReference oracle).
 void Gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
           const float* a, int64_t lda, const float* b, int64_t ldb, float beta,
           float* c, int64_t ldc);
-
-// Convenience wrapper: C[MxN] += A[MxK] * B[KxN], all tightly packed.
-void MatMulAccumulate(int64_t m, int64_t n, int64_t k, const float* a,
-                      const float* b, float* c);
 
 // Optional fused write-back for GemmPrepacked. kLeaky/kRelu replicate,
 // element for element, the conv layer's post-GEMM passes (bias add, then
@@ -47,14 +42,10 @@ void GemmPackWeights(const float* a, int64_t m, int64_t k, float* packed);
 
 // C = A * B + beta * C with a pre-packed A (GemmPackWeights), plus an
 // optional fused epilogue applied to C after the accumulation finishes.
-// Only valid when the packed path is enabled (GemmPackingEnabled()).
+// Bitwise equal to Gemm on the unpacked A (same driver, same chains).
 void GemmPrepacked(int64_t m, int64_t n, int64_t k, const float* packed_a,
                    bool tb, const float* b, int64_t ldb, float beta, float* c,
                    int64_t ldc, const GemmEpilogue* epilogue = nullptr);
-
-// False when THALI_NO_PACK=1 (or a testing override) disables the packed
-// driver. Callers holding pre-packed weights must re-check this per call.
-bool GemmPackingEnabled();
 
 // Name of the microkernel family this host dispatches to (for logs).
 const char* GemmKernelName();
@@ -66,14 +57,6 @@ namespace internal {
 void GemmReference(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
                    float alpha, const float* a, int64_t lda, const float* b,
                    int64_t ldb, float beta, float* c, int64_t ldc);
-
-// Force the packed path on (1) / off (0) or restore the THALI_NO_PACK
-// environment default (-1).
-void SetGemmPackingForTesting(int enabled);
-
-// True when the given THALI_NO_PACK value disables packing (any
-// non-empty string except "0").
-bool NoPackEnvValueDisables(const char* value);
 
 }  // namespace internal
 

@@ -61,8 +61,8 @@ struct GemmKernel {
   void (*edge_bs)(int64_t kc, const float* a, const float* b, int64_t ldb,
                   float* c, int64_t ldc, int mr, int nr);
 
-  // Unpacked reference kernels (the THALI_NO_PACK escape hatch and the
-  // conformance oracle), one per transpose combination. Accumulate
+  // Unpacked reference kernels (the conformance oracle behind
+  // internal::GemmReference), one per transpose combination. Accumulate
   // alpha * op(A) * op(B) into rows [m0, m1) of C with the same chain;
   // beta scaling is the caller's job.
   void (*ref_nn)(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,

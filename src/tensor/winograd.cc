@@ -1,6 +1,7 @@
 #include "tensor/winograd.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "base/thread_pool.h"
 #include "tensor/gemm.h"
@@ -22,18 +23,10 @@ constexpr int64_t kWinoGrainElems = int64_t{1} << 12;
 
 inline int64_t TilesAlong(int64_t extent) { return (extent + 1) / 2; }
 
-}  // namespace
-
-int64_t WinogradWeightFloats(int64_t filters, int64_t channels) {
-  return 16 * filters * channels;
-}
-
-int64_t WinogradPackedWeightFloats(int64_t filters, int64_t channels) {
-  return 16 * GemmPackedWeightFloats(filters, channels);
-}
-
-void WinogradTransformWeights(const float* w, int64_t filters,
-                              int64_t channels, float* u) {
+// U = G w G^T for every (f, c) 3x3 kernel of w (F, C, 3, 3), as 16
+// row-major F x C matrices (k-th matrix at u + k*F*C).
+void TransformWeights(const float* w, int64_t filters, int64_t channels,
+                      float* u) {
   const int64_t fc = filters * channels;
   for (int64_t f = 0; f < filters; ++f) {
     for (int64_t c = 0; c < channels; ++c) {
@@ -63,12 +56,28 @@ void WinogradTransformWeights(const float* w, int64_t filters,
   }
 }
 
-void WinogradPackWeights(const float* u, int64_t filters, int64_t channels,
+}  // namespace
+
+int64_t WinogradPackedWeightFloats(int64_t filters, int64_t channels) {
+  return 16 * GemmPackedWeightFloats(filters, channels);
+}
+
+void WinogradPackWeights(const float* w, int64_t filters, int64_t channels,
                          float* packed) {
+  // U is built inside `packed` itself (a packed slice is at least F x C
+  // floats, so all of U fits) and packed in place from the last slice
+  // down: packing slice k writes [k*stride, (k+1)*stride), which lies past
+  // every slice below k, once slice k is copied out. The one-slice copy
+  // keeps weight packing from allocating and freeing a whole-U temporary
+  // (large frees move glibc's mmap threshold, and the rest of the
+  // process's heap then stays resident).
+  const int64_t fc = filters * channels;
   const int64_t stride = GemmPackedWeightFloats(filters, channels);
-  for (int k = 0; k < 16; ++k) {
-    GemmPackWeights(u + k * filters * channels, filters, channels,
-                    packed + k * stride);
+  TransformWeights(w, filters, channels, packed);
+  std::vector<float> slice(static_cast<size_t>(fc));
+  for (int64_t k = 15; k >= 0; --k) {
+    std::copy(packed + k * fc, packed + (k + 1) * fc, slice.begin());
+    GemmPackWeights(slice.data(), filters, channels, packed + k * stride);
   }
 }
 
@@ -79,9 +88,9 @@ int64_t WinogradWorkspaceFloats(int64_t channels, int64_t filters,
 }
 
 void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,
-                     int64_t height, int64_t width, const float* u,
-                     const float* u_packed, int64_t filters, float* out,
-                     int64_t out_chan_stride, float* ws) {
+                     int64_t height, int64_t width, const float* u_packed,
+                     int64_t filters, float* out, int64_t out_chan_stride,
+                     float* ws) {
   const int64_t th = TilesAlong(height);
   const int64_t tw = TilesAlong(width);
   const int64_t tiles = th * tw;
@@ -157,13 +166,8 @@ void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,
     for (int64_t k = k0; k < k1; ++k) {
       const float* vk = v + k * channels * tiles;
       float* mk = m + k * filters * tiles;
-      if (u_packed != nullptr) {
-        GemmPrepacked(filters, tiles, channels, u_packed + k * packed_stride,
-                      /*tb=*/false, vk, tiles, 0.0f, mk, tiles);
-      } else {
-        Gemm(false, false, filters, tiles, channels, 1.0f,
-             u + k * filters * channels, channels, vk, tiles, 0.0f, mk, tiles);
-      }
+      GemmPrepacked(filters, tiles, channels, u_packed + k * packed_stride,
+                    /*tb=*/false, vk, tiles, 0.0f, mk, tiles);
     }
   });
 

@@ -14,14 +14,13 @@ namespace thali {
 //   1. input transform   V[16][C][T] = B^T d B per 4x4 input patch
 //      (tiles overlap by 2; T = ceil(H/2)*ceil(W/2) output tiles),
 //   2. 16 independent GEMMs  M_k[F][T] = U_k[F][C] * V_k[C][T], run
-//      through the packed GEMM driver (prepacked U panels when packing
-//      is enabled, the reference path under THALI_NO_PACK),
+//      through the packed GEMM driver from prepacked U panels,
 //   3. output transform  Y = A^T M A per tile, scattered to the output
 //      with edge clipping for odd spatial sizes.
 //
-// U = G w G^T is precomputed once per weight update (WinogradTransform-
-// Weights) and optionally prepacked into GEMM A panels, mirroring the
-// conv layer's GemmPackWeights flow.
+// U = G w G^T is computed and prepacked into GEMM A panels once per
+// weight update (WinogradPackWeights), mirroring the conv layer's
+// GemmPackWeights flow.
 //
 // Accuracy: Winograd is NOT bitwise identical to direct convolution —
 // the transforms re-associate the 3x3 dot products. F(2,3) with these
@@ -33,21 +32,14 @@ namespace thali {
 // packed-driver determinism contract, so results are reproducible
 // across thread counts and batch slicings.
 
-// Floats of the untransformed-weight product: 16 * F * C, laid out as
-// 16 row-major F x C matrices (k-th matrix at u + k*F*C).
-int64_t WinogradWeightFloats(int64_t filters, int64_t channels);
-
 // Floats to prepack all 16 U_k into GEMM A panels.
 int64_t WinogradPackedWeightFloats(int64_t filters, int64_t channels);
 
-// U = G w G^T for every (f, c) 3x3 kernel of w (F, C, 3, 3) into the
-// 16 x F x C layout above.
-void WinogradTransformWeights(const float* w, int64_t filters,
-                              int64_t channels, float* u);
-
-// Packs the 16 U_k matrices (from WinogradTransformWeights) into GEMM A
-// panels at stride GemmPackedWeightFloats(F, C) per k.
-void WinogradPackWeights(const float* u, int64_t filters, int64_t channels,
+// U = G w G^T for every (f, c) 3x3 kernel of w (F, C, 3, 3), as 16 F x C
+// matrices U_k packed into GEMM A panels at stride
+// GemmPackedWeightFloats(F, C) per k. `packed` must hold
+// WinogradPackedWeightFloats(F, C) floats.
+void WinogradPackWeights(const float* w, int64_t filters, int64_t channels,
                          float* packed);
 
 // Scratch floats WinogradForward needs: 16*C*T + 16*F*T.
@@ -57,14 +49,14 @@ int64_t WinogradWorkspaceFloats(int64_t channels, int64_t filters,
 // One batch item: out = conv3x3_s1_p1(in, w) with channel strides
 // `in_chan_stride` / `out_chan_stride` between consecutive channel
 // planes (H*W for NCHW, batch*H*W for the CNHW blocked layout). Output
-// spatial size equals input spatial size. `u_packed` may be null, in
-// which case the plain Gemm entry point is used (THALI_NO_PACK). `ws`
-// must hold WinogradWorkspaceFloats(C, F, H, W) floats. Bias and
-// activation are the caller's separate passes.
+// spatial size equals input spatial size. `u_packed` holds the weights
+// as WinogradPackWeights left them. `ws` must hold
+// WinogradWorkspaceFloats(C, F, H, W) floats. Bias and activation are
+// the caller's separate passes.
 void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,
-                     int64_t height, int64_t width, const float* u,
-                     const float* u_packed, int64_t filters, float* out,
-                     int64_t out_chan_stride, float* ws);
+                     int64_t height, int64_t width, const float* u_packed,
+                     int64_t filters, float* out, int64_t out_chan_stride,
+                     float* ws);
 
 }  // namespace thali
 

@@ -284,6 +284,45 @@ TEST_F(WeightsIoTest, TruncatedFileIsCorruption) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
+TEST_F(WeightsIoTest, LoadIntoFoldedNetworkFailsWithoutTouchingWeights) {
+  Rng rng(5);
+  auto src = BuildNetworkFromCfg(kTinyCfg, 0, rng);
+  ASSERT_TRUE(src.ok());
+  ASSERT_TRUE(SaveWeights(*src->net, path_).ok());
+
+  // The first conv's batch norm is folded away (as Detector::FuseBatchNorm
+  // does before serving), so the file's scales/mean/var for it have no
+  // place to go and every later tensor would land at the wrong offset.
+  Rng rng2(99);
+  auto dst = BuildNetworkFromCfg(kTinyCfg, 0, rng2, ExecMode::kInference);
+  ASSERT_TRUE(dst.ok());
+  auto& folded = static_cast<ConvLayer&>(dst->net->layer(0));
+  auto& head = static_cast<ConvLayer&>(dst->net->layer(2));
+  ASSERT_TRUE(folded.options().batch_normalize);
+  folded.FoldBatchNorm();
+  EXPECT_TRUE(folded.folded());
+  EXPECT_FALSE(head.folded());  // no batch norm to fold
+  head.FoldBatchNorm();
+  EXPECT_FALSE(head.folded());
+  const Tensor folded_weights = folded.weights();
+  const Tensor head_weights = head.weights();
+  const Tensor head_biases = head.biases();
+
+  auto loaded = LoadWeights(*dst->net, path_);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(MaxAbsDiff(folded.weights(), folded_weights), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(head.weights(), head_weights), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(head.biases(), head_biases), 0.0f);
+
+  // A cutoff that stops before the folded conv loads nothing from it,
+  // so it is allowed.
+  ASSERT_TRUE(SaveWeights(*src->net, path_, 0, /*cutoff=*/0).ok());
+  auto none = LoadWeights(*dst->net, path_, /*cutoff=*/0);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(*none, 0);
+}
+
 TEST_F(WeightsIoTest, HeaderOnlyFileLoadsZeroLayers) {
   // A header with no payload loads nothing (valid for a 0-conv prefix).
   std::string header(12, '\0');

@@ -249,26 +249,6 @@ TEST(ArenaPlanTest, FullModelFusedMatchesReferenceWithinTolerance) {
   }
 }
 
-TEST(ArenaPlanTest, NoArenaEnvVarDisablesPlacement) {
-  ASSERT_EQ(setenv("THALI_NO_ARENA", "1", 1), 0);
-  BuiltNetwork gated = BuildThali(ExecMode::kInference, 1);
-  ASSERT_EQ(unsetenv("THALI_NO_ARENA"), 0);
-  BuiltNetwork planned = BuildThali(ExecMode::kInference, 1);
-
-  EXPECT_FALSE(gated.net->arena_plan().enabled);
-  EXPECT_TRUE(planned.net->arena_plan().enabled);
-  // Escape hatch costs memory (per-layer outputs) but not correctness.
-  EXPECT_GT(gated.net->ActivationBytes(), planned.net->ActivationBytes());
-  Tensor input(gated.net->input_shape());
-  FillDeterministic(input, 23);
-  ExpectBitwiseEqual(gated.net->Forward(input), planned.net->Forward(input));
-
-  // The decision is latched at Finalize: a later SetBatch re-plan (env
-  // var long gone) must not silently re-enable the arena.
-  ASSERT_TRUE(gated.net->SetBatch(2).ok());
-  EXPECT_FALSE(gated.net->arena_plan().enabled);
-}
-
 TEST(ExecPlanTest, NoFuseEnvVarDisablesFusedPlan) {
   ASSERT_EQ(setenv("THALI_NO_FUSE", "1", 1), 0);
   BuiltNetwork gated = BuildThali(ExecMode::kInference, 1);

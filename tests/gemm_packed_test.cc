@@ -27,12 +27,11 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed) {
   return v;
 }
 
-// Restores dispatch, packing mode and parallelism after every test.
+// Restores dispatch and parallelism after every test.
 class GemmPackedTest : public ::testing::Test {
  protected:
   void TearDown() override {
     internal::SetGemmKernelForTesting(nullptr);
-    internal::SetGemmPackingForTesting(-1);
     SetMaxParallelism(1);
   }
 };
@@ -46,7 +45,6 @@ void ExpectPackedMatchesReference(bool ta, bool tb, int64_t m, int64_t n,
   const int64_t ldb = tb ? k : n;
 
   std::vector<float> c_packed = c0;
-  internal::SetGemmPackingForTesting(1);
   Gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
        c_packed.data(), n);
 
@@ -124,7 +122,6 @@ TEST_F(GemmPackedTest, PrepackedWithEpilogueMatchesSeparatePasses) {
   const auto a = RandomVec(m * k, 5);
   const auto b = RandomVec(k * n, 6);
   const auto bias = RandomVec(m, 7);
-  internal::SetGemmPackingForTesting(1);
 
   std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
   GemmPackWeights(a.data(), m, k, packed.data());
@@ -162,7 +159,6 @@ TEST_F(GemmPackedTest, PrepackedMatchesPlainGemmAcrossThreadCounts) {
   const int64_t m = 32, n = 170, k = 288;
   const auto a = RandomVec(m * k, 8);
   const auto b = RandomVec(k * n, 9);
-  internal::SetGemmPackingForTesting(1);
   std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
   GemmPackWeights(a.data(), m, k, packed.data());
 
@@ -193,41 +189,6 @@ TEST_F(GemmPackedTest, ForcedScalarFamilyIsSelfConsistent) {
   ExpectPackedMatchesReference(false, false, 23, 45, 130, 1.0f, 0.0f);
   ExpectPackedMatchesReference(true, true, 17, 29, 31, 0.7f, 1.0f);
   internal::SetGemmKernelForTesting(nullptr);
-}
-
-TEST_F(GemmPackedTest, PackingOverrideAndEnvParsing) {
-  internal::SetGemmPackingForTesting(0);
-  EXPECT_FALSE(GemmPackingEnabled());
-  internal::SetGemmPackingForTesting(1);
-  EXPECT_TRUE(GemmPackingEnabled());
-  internal::SetGemmPackingForTesting(-1);
-
-  EXPECT_FALSE(internal::NoPackEnvValueDisables(nullptr));
-  EXPECT_FALSE(internal::NoPackEnvValueDisables(""));
-  EXPECT_FALSE(internal::NoPackEnvValueDisables("0"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("1"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("yes"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("00"));
-}
-
-TEST_F(GemmPackedTest, NoPackPathMatchesPackedPath) {
-  const auto a = RandomVec(67 * 129, 12);
-  const auto b = RandomVec(129 * 83, 13);
-  const auto c0 = RandomVec(67 * 83, 14);
-
-  std::vector<float> c_packed = c0;
-  internal::SetGemmPackingForTesting(1);
-  Gemm(false, false, 67, 83, 129, 1.0f, a.data(), 129, b.data(), 83, 1.0f,
-       c_packed.data(), 83);
-
-  std::vector<float> c_nopack = c0;
-  internal::SetGemmPackingForTesting(0);
-  Gemm(false, false, 67, 83, 129, 1.0f, a.data(), 129, b.data(), 83, 1.0f,
-       c_nopack.data(), 83);
-
-  EXPECT_EQ(std::memcmp(c_packed.data(), c_nopack.data(),
-                        c_packed.size() * sizeof(float)),
-            0);
 }
 
 TEST_F(GemmPackedTest, PackedWeightLayoutRoundTrips) {

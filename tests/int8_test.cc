@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/cpu_features.h"
@@ -49,7 +50,6 @@ class Int8Test : public ::testing::Test {
     internal::SetInt8ForTesting(-1);
     internal::SetInt8GemmKernelForTesting(nullptr);
     internal::SetInt8EpilogueForTesting(nullptr);
-    internal::SetGemmPackingForTesting(-1);
     internal::SetFusionForTesting(-1);
   }
 };
@@ -353,63 +353,117 @@ BuiltNetwork BuildThali(int int8_mode) {
   return std::move(built).value();
 }
 
-TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
-  BuiltNetwork built = BuildThali(1);
-  const Network& net = *built.net;
-  ASSERT_TRUE(net.int8_enabled());
-  ASSERT_TRUE(net.exec_plan().fused);
-  int quantized_3x3 = 0, quantized_1x1 = 0, quantized_s2 = 0, head_feeders = 0;
+// Folds batch norm on every conv and calibrates the quantizable convs
+// of an int8 network with one min/max pass over `input`, then replans so
+// the quantized algorithms and their quantize-once chains take effect.
+// Returns the number of convs armed.
+int FoldAndCalibrate(Network& net, const Tensor& input) {
   for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
-    const auto& conv = static_cast<const ConvLayer&>(net.layer(i));
-    const ConvLayer::Options& o = conv.options();
-    const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
-    if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
-      // Winograd geometry: int8 unless the output is NCHW-pinned, which
-      // must stay fp32 Winograd (in yolov4-thali no 3x3 conv is pinned,
-      // so every one quantizes).
-      if (lp.out_layout == ActLayout::kCNHW) {
-        EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
-        ++quantized_3x3;
-      } else {
-        EXPECT_EQ(lp.conv_algo, ConvAlgo::kWinograd) << "layer " << i;
-      }
-    } else if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
-      // Every 1x1 quantizes, layout pins included — the int8 GEMM reads
-      // through strides like kDirect1x1, so even the NCHW-pinned head
-      // feeders take the quantized algorithm (their fp32 output is the
-      // dequant edge into the yolo heads).
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1) << "layer " << i;
-      ++quantized_1x1;
-      if (lp.out_layout == ActLayout::kNCHW) ++head_feeders;
-    } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1) {
-      // Downsampling stem convs: the u8 im2col walks any stride, so
-      // these quantize too (they demote to plain im2col — no Winograd
-      // form at stride 2 — when int8 is inactive at runtime).
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
-      ++quantized_s2;
-    } else {
-      EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
-      EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1) << "layer " << i;
+    if (std::string_view(net.layer(i).kind()) == "convolutional") {
+      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
     }
   }
-  EXPECT_EQ(quantized_3x3, 13);  // every 3x3/s1/p1 conv of the model
-  EXPECT_EQ(quantized_1x1, 10);  // every 1x1 conv, head feeders included
-  EXPECT_EQ(quantized_s2, 2);    // the stride-2 stem convs 0-1
-  EXPECT_EQ(head_feeders, 3);    // one per detection head
+  net.set_calib_phase(CalibPhase::kRange);
+  Tensor in = input;
+  net.Forward(in, /*train=*/false);
+  net.set_calib_phase(CalibPhase::kOff);
+  int armed = 0;
+  for (int i = 0; i < net.num_layers(); ++i) {
+    Layer& l = net.layer(i);
+    if (std::string_view(l.kind()) != "convolutional") continue;
+    if (!l.plan().quantizable) continue;
+    auto& conv = static_cast<ConvLayer&>(l);
+    conv.FinalizeCalibration(100.0);
+    if (conv.has_activation_range()) ++armed;
+  }
+  THALI_CHECK_OK(net.ReplanInference());
+  return armed;
+}
+
+// The fixed input HeadOutputs forwards.
+Tensor HeadInput(const Network& net) {
+  Tensor input(net.input_shape());
+  Rng irng(17);
+  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
+  return input;
+}
+
+TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
+  BuiltNetwork built = BuildThali(1);
+  Network& net = *built.net;
+  ASSERT_TRUE(net.int8_enabled());
+  ASSERT_TRUE(net.exec_plan().fused);
+  // `armed`: the plan after calibration, when every quantizable conv
+  // runs its quantized algorithm; before it, its geometry's fp32 one.
+  const auto check_plan = [&net](bool armed) {
+    int quantized_3x3 = 0, quantized_1x1 = 0, quantized_s2 = 0;
+    int head_feeders = 0;
+    for (int i = 0; i < net.num_layers(); ++i) {
+      const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
+      if (std::string_view(net.layer(i).kind()) != "convolutional") {
+        EXPECT_FALSE(lp.quantizable) << "layer " << i;
+        continue;
+      }
+      const ConvLayer::Options& o =
+          static_cast<const ConvLayer&>(net.layer(i)).options();
+      if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
+        // Winograd geometry: int8 unless the output is NCHW-pinned,
+        // which must stay fp32 Winograd (in yolov4-thali no 3x3 conv is
+        // pinned, so every one quantizes).
+        EXPECT_EQ(lp.quantizable, lp.out_layout == ActLayout::kCNHW)
+            << "layer " << i;
+        EXPECT_EQ(lp.conv_algo, armed && lp.quantizable ? ConvAlgo::kQuantInt8
+                                                        : ConvAlgo::kWinograd)
+            << "layer " << i;
+        if (lp.quantizable) ++quantized_3x3;
+      } else if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
+        // Every 1x1 quantizes, layout pins included — the int8 GEMM
+        // reads through strides like kDirect1x1, so even the
+        // NCHW-pinned head feeders take the quantized algorithm (their
+        // fp32 output is the dequant edge into the yolo heads).
+        EXPECT_TRUE(lp.quantizable) << "layer " << i;
+        EXPECT_EQ(lp.conv_algo, armed ? ConvAlgo::kQuantInt8Direct1x1
+                                      : ConvAlgo::kDirect1x1)
+            << "layer " << i;
+        ++quantized_1x1;
+        if (lp.out_layout == ActLayout::kNCHW) ++head_feeders;
+      } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1) {
+        // Downsampling stem convs: the u8 im2col walks any stride, so
+        // these quantize too (plain im2col — no Winograd form at stride
+        // 2 — until armed).
+        EXPECT_TRUE(lp.quantizable) << "layer " << i;
+        EXPECT_EQ(lp.conv_algo,
+                  armed ? ConvAlgo::kQuantInt8 : ConvAlgo::kIm2col)
+            << "layer " << i;
+        ++quantized_s2;
+      } else {
+        EXPECT_FALSE(lp.quantizable) << "layer " << i;
+      }
+    }
+    EXPECT_EQ(quantized_3x3, 13);  // every 3x3/s1/p1 conv of the model
+    EXPECT_EQ(quantized_1x1, 10);  // every 1x1 conv, head feeders included
+    EXPECT_EQ(quantized_s2, 2);    // the stride-2 stem convs 0-1
+    EXPECT_EQ(head_feeders, 3);    // one per detection head
+  };
+  check_plan(/*armed=*/false);
 
   // Before calibration no dtype chain exists: every edge is fp32.
   EXPECT_EQ(net.exec_plan().chained_edges, 0);
+  EXPECT_EQ(net.exec_plan().quantized_layers, 0);
   EXPECT_FALSE(net.exec_plan().input_u8);
   for (const LayerPlan& lp : net.exec_plan().layers) {
     EXPECT_EQ(lp.out_dtype, DType::kF32);
     EXPECT_EQ(lp.in_dtype, DType::kF32);
   }
 
+  ASSERT_EQ(FoldAndCalibrate(net, HeadInput(net)), 25);
+  check_plan(/*armed=*/true);
+
   // Int8 off: the plan must contain no quantized entry at all.
   BuiltNetwork off = BuildThali(0);
   EXPECT_FALSE(off.net->int8_enabled());
   for (const LayerPlan& lp : off.net->exec_plan().layers) {
+    EXPECT_FALSE(lp.quantizable);
     EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8);
     EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1);
   }
@@ -417,9 +471,7 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
 
 // Full thali forward on fixed input; heads flattened for comparison.
 std::vector<float> HeadOutputs(BuiltNetwork& built) {
-  Tensor input(built.net->input_shape());
-  Rng irng(17);
-  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
+  Tensor input = HeadInput(*built.net);
   built.net->Forward(input, /*train=*/false);
   std::vector<float> flat;
   for (YoloLayer* head : built.yolo_layers) {
@@ -441,36 +493,6 @@ TEST_F(Int8Test, Int8OffIsBitwiseIdenticalToDefaultFusedPlan) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
-// Folds batch norm on every conv and calibrates the int8 layers of an
-// armed-plan network with one min/max pass over `input`, then replans
-// so quantize-once chains take effect. Returns the number of convs
-// armed.
-int FoldAndCalibrate(Network& net, const Tensor& input) {
-  for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
-    }
-  }
-  net.set_calib_phase(CalibPhase::kRange);
-  Tensor in = input;
-  net.Forward(in, /*train=*/false);
-  net.set_calib_phase(CalibPhase::kOff);
-  int armed = 0;
-  for (int i = 0; i < net.num_layers(); ++i) {
-    Layer& l = net.layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
-    }
-    auto& conv = static_cast<ConvLayer&>(l);
-    conv.FinalizeCalibration(100.0);
-    if (conv.has_activation_range()) ++armed;
-  }
-  THALI_CHECK_OK(net.ReplanInference());
-  return armed;
-}
-
 TEST_F(Int8Test, Int8ForwardRunsQuantizedAndTracksFp32) {
   // fp32 oracle: same seed, same folded weights, int8 off.
   BuiltNetwork fp32 = BuildThali(0);
@@ -482,12 +504,7 @@ TEST_F(Int8Test, Int8ForwardRunsQuantizedAndTracksFp32) {
   const std::vector<float> ref = HeadOutputs(fp32);
 
   BuiltNetwork int8 = BuildThali(1);
-  Tensor calib_input(int8.net->input_shape());
-  Rng irng(17);  // the same input HeadOutputs forwards
-  for (int64_t i = 0; i < calib_input.size(); ++i) {
-    calib_input[i] = irng.NextGaussian();
-  }
-  const int armed = FoldAndCalibrate(*int8.net, calib_input);
+  const int armed = FoldAndCalibrate(*int8.net, HeadInput(*int8.net));
   ASSERT_GT(armed, 0);
   const std::vector<float> got = HeadOutputs(int8);
   ASSERT_EQ(got.size(), ref.size());
@@ -579,6 +596,104 @@ TEST_F(Int8Test, ReplanAfterCalibrationChainsMajorityOfThali) {
   // And the fp32 fallbacks still forward cleanly.
   const std::vector<float> out = HeadOutputs(int8);
   EXPECT_FALSE(out.empty());
+}
+
+TEST_F(Int8Test, CalibrationPhaseRunsFp32PlanThenRearms) {
+  BuiltNetwork int8 = BuildThali(1);
+  ASSERT_GT(FoldAndCalibrate(*int8.net, HeadInput(*int8.net)), 0);
+  ASSERT_GE(int8.net->exec_plan().quantized_layers, 49);
+  const std::vector<float> armed = HeadOutputs(int8);
+
+  // fp32 oracle: same seed, same folded weights, int8 off.
+  BuiltNetwork fp32 = BuildThali(0);
+  for (int i = 0; i < fp32.net->num_layers(); ++i) {
+    if (std::string_view(fp32.net->layer(i).kind()) == "convolutional") {
+      static_cast<ConvLayer&>(fp32.net->layer(i)).FoldBatchNorm();
+    }
+  }
+  const std::vector<float> ref = HeadOutputs(fp32);
+
+  // A calibration phase replans the chained network onto the fp32
+  // algorithms: its forward is the int8-off forward, bit for bit...
+  int8.net->set_calib_phase(CalibPhase::kRange);
+  EXPECT_EQ(int8.net->exec_plan().quantized_layers, 0);
+  const std::vector<float> observed = HeadOutputs(int8);
+  ASSERT_EQ(observed.size(), ref.size());
+  EXPECT_EQ(
+      std::memcmp(observed.data(), ref.data(), ref.size() * sizeof(float)), 0);
+
+  // ...and leaving it re-arms the same quantized plan.
+  int8.net->set_calib_phase(CalibPhase::kOff);
+  EXPECT_GE(int8.net->exec_plan().quantized_layers, 49);
+  const std::vector<float> again = HeadOutputs(int8);
+  ASSERT_EQ(again.size(), armed.size());
+  EXPECT_EQ(
+      std::memcmp(again.data(), armed.data(), armed.size() * sizeof(float)),
+      0);
+}
+
+TEST_F(Int8Test, PercentileCalibrationTrimsInsideMinMaxRanges) {
+  DatasetSpec spec;
+  spec.num_images = 10;
+  spec.seed = 321;
+  const FoodDataset ds = FoodDataset::Generate(IndianFood10(), spec);
+  BuiltNetwork built = BuildThali(1);
+  std::vector<DetectionHead*> heads(built.yolo_layers.begin(),
+                                    built.yolo_layers.end());
+  Network& net = *built.net;
+  Detector det(std::move(built.net), heads);
+  const std::span<const int> indices(ds.train_indices());
+  Detector::Int8CalibrationOptions copts;
+  copts.max_images = 4;
+
+  // Installed (min, max) per quantizable conv, in layer order.
+  const auto ranges = [&net]() {
+    std::vector<std::pair<float, float>> out;
+    for (int i = 0; i < net.num_layers(); ++i) {
+      if (!net.layer(i).plan().quantizable) continue;
+      const auto& conv = static_cast<const ConvLayer&>(net.layer(i));
+      EXPECT_TRUE(conv.has_activation_range()) << "layer " << i;
+      out.emplace_back(conv.activation_range_min(),
+                       conv.activation_range_max());
+    }
+    return out;
+  };
+  const int armed = det.CalibrateInt8(ds, indices, copts);
+  ASSERT_EQ(armed, 25);
+  const std::vector<std::pair<float, float>> minmax = ranges();
+  ASSERT_EQ(minmax.size(), 25u);
+
+  // The 100th percentile keeps the observed extremes exactly.
+  copts.mode = Detector::Int8CalibrationOptions::Mode::kPercentile;
+  copts.percentile = 100.0;
+  ASSERT_EQ(det.CalibrateInt8(ds, indices, copts), armed);
+  const std::vector<std::pair<float, float>> full = ranges();
+  ASSERT_EQ(full.size(), minmax.size());
+  for (size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(full[i].first, minmax[i].first) << "conv " << i;
+    EXPECT_EQ(full[i].second, minmax[i].second) << "conv " << i;
+  }
+
+  // Trimming the tails keeps every range inside its min/max range (up
+  // to float rounding of the bin edges) and narrows at least one by a
+  // whole histogram bin or more.
+  copts.percentile = 99.9;
+  ASSERT_EQ(det.CalibrateInt8(ds, indices, copts), armed);
+  const std::vector<std::pair<float, float>> trimmed = ranges();
+  ASSERT_EQ(trimmed.size(), minmax.size());
+  int narrower = 0;
+  for (size_t i = 0; i < trimmed.size(); ++i) {
+    const float width = minmax[i].second - minmax[i].first;
+    const float eps = 1e-6f * (std::fabs(minmax[i].first) +
+                               std::fabs(minmax[i].second));
+    EXPECT_GE(trimmed[i].first, minmax[i].first - eps) << "conv " << i;
+    EXPECT_LE(trimmed[i].second, minmax[i].second + eps) << "conv " << i;
+    if (trimmed[i].second - trimmed[i].first < width * (1.0f - 1.0f / 4096)) {
+      ++narrower;
+    }
+  }
+  EXPECT_GT(narrower, 0);
+  EXPECT_GE(net.exec_plan().quantized_layers, 49);
 }
 
 TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {

@@ -25,6 +25,7 @@
 #include "nn/yolo_layer.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
+#include "tensor/gemm_pack.h"
 
 namespace thali {
 namespace {
@@ -36,7 +37,6 @@ class ParallelTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetMaxParallelism(1);
-    internal::SetGemmPackingForTesting(-1);
     internal::SetFusionForTesting(-1);
     internal::SetInt8ForTesting(-1);
     internal::SetInt8GemmKernelForTesting(nullptr);
@@ -213,8 +213,8 @@ TEST_F(ParallelTest, GemmBitwiseIdenticalAcrossThreadCounts) {
 
 TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
   // Sizes straddle every cache block (MC=120, NC=512, KC=256). The packed
-  // driver at any thread count, and the THALI_NO_PACK reference path,
-  // must all match the sequential oracle bitwise.
+  // driver at any thread count, from a prepacked A or packing A per
+  // call, must match the sequential oracle bitwise.
   const int64_t m = 131, n = 531, kk = 307;
   const auto a = RandomVec(m * kk, 21), b = RandomVec(kk * n, 22);
   const auto c0 = RandomVec(m * n, 23);
@@ -222,34 +222,48 @@ TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
   std::vector<float> c_ref = c0;
   internal::GemmReference(false, false, m, n, kk, 1.0f, a.data(), kk,
                           b.data(), n, 0.5f, c_ref.data(), n);
+  std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, kk)));
+  GemmPackWeights(a.data(), m, kk, packed.data());
 
-  for (const int packing : {1, 0}) {
-    internal::SetGemmPackingForTesting(packing);
-    for (const int threads : {1, 2, 4}) {
-      SetMaxParallelism(threads);
-      std::vector<float> c = c0;
-      Gemm(false, false, m, n, kk, 1.0f, a.data(), kk, b.data(), n, 0.5f,
-           c.data(), n);
-      EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)),
-                0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  for (const int threads : {1, 2, 4}) {
+    SetMaxParallelism(threads);
+    std::vector<float> c = c0;
+    Gemm(false, false, m, n, kk, 1.0f, a.data(), kk, b.data(), n, 0.5f,
+         c.data(), n);
+    EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)),
+              0)
+        << "threads=" << threads;
+    std::vector<float> cp = c0;
+    GemmPrepacked(m, n, kk, packed.data(), /*tb=*/false, b.data(), n, 0.5f,
+                  cp.data(), n);
+    EXPECT_EQ(std::memcmp(cp.data(), c_ref.data(), cp.size() * sizeof(float)),
+              0)
+        << "prepacked threads=" << threads;
   }
-  internal::SetGemmPackingForTesting(-1);
 }
 
-// Full yolov4-thali inference forward; returns the detection-head
-// activations flattened for bitwise comparison. `fold_bn` folds batch
-// norm into weights/biases first, which routes every conv through the
-// fused bias+activation GEMM epilogue when packing is on.
-std::vector<float> ThaliInferenceForward(int threads, bool packing,
+// Which yolov4-thali network ThaliInferenceForward runs: the fused
+// inference plan; the reference inference plan (THALI_NO_FUSE: im2col
+// GEMMs from prepacked weights, bias and leaky fused into the C
+// write-back once batch norm is folded); or a kTraining network forward
+// with train=false (GEMMs pack the live weights per call, bias and
+// activation as separate passes).
+enum class ThaliRun { kFused, kReference, kTraining };
+
+// Full yolov4-thali forward; returns the detection-head activations
+// flattened for bitwise comparison. `fold_bn` folds batch norm into
+// weights/biases first, which routes every inference conv through the
+// fused bias+activation GEMM epilogue.
+std::vector<float> ThaliInferenceForward(int threads, ThaliRun run,
                                          bool fold_bn) {
   SetMaxParallelism(threads);
-  internal::SetGemmPackingForTesting(packing ? 1 : 0);
+  internal::SetFusionForTesting(run == ThaliRun::kReference ? 0 : -1);
   YoloThaliOptions yo;
   Rng rng(4242);
-  auto built = BuildNetworkFromCfg(YoloThaliCfg(yo), /*batch_override=*/1,
-                                   rng, ExecMode::kInference);
+  auto built = BuildNetworkFromCfg(
+      YoloThaliCfg(yo), /*batch_override=*/1, rng,
+      run == ThaliRun::kTraining ? ExecMode::kTraining : ExecMode::kInference);
+  internal::SetFusionForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
   if (fold_bn) {
@@ -268,42 +282,49 @@ std::vector<float> ThaliInferenceForward(int threads, bool packing,
     const Tensor& out = head->output();
     flat.insert(flat.end(), out.data(), out.data() + out.size());
   }
-  internal::SetGemmPackingForTesting(-1);
   return flat;
 }
 
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_FALSE(want.empty()) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
 TEST_F(ParallelTest, ThaliInferenceBitwiseIdenticalAcrossThreadsAndPacking) {
-  const std::vector<float> base = ThaliInferenceForward(1, true, false);
-  ASSERT_FALSE(base.empty());
-  for (const bool packing : {true, false}) {
-    for (const int threads : {1, 2, 4}) {
-      if (packing && threads == 1) continue;  // that's `base`
-      const std::vector<float> got =
-          ThaliInferenceForward(threads, packing, false);
-      ASSERT_EQ(got.size(), base.size());
-      EXPECT_EQ(
-          std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  // The fused plan at any thread count...
+  const std::vector<float> base =
+      ThaliInferenceForward(1, ThaliRun::kFused, false);
+  for (const int threads : {2, 4}) {
+    ExpectSameBits(ThaliInferenceForward(threads, ThaliRun::kFused, false),
+                   base, "fused threads=" + std::to_string(threads));
+  }
+  // ...and the reference plan's prepacked GEMMs against a training
+  // network's per-call packing.
+  for (const int threads : {1, 4}) {
+    ExpectSameBits(ThaliInferenceForward(threads, ThaliRun::kReference, false),
+                   ThaliInferenceForward(threads, ThaliRun::kTraining, false),
+                   "reference threads=" + std::to_string(threads));
   }
 }
 
 TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
   // Folded batch norm makes every conv eligible for the fused
-  // bias+activation write-back; packed (fused) and no-pack (staged
-  // passes) runs must still agree bitwise at every thread count.
-  const std::vector<float> base = ThaliInferenceForward(1, true, true);
-  ASSERT_FALSE(base.empty());
-  for (const bool packing : {true, false}) {
-    for (const int threads : {1, 4}) {
-      if (packing && threads == 1) continue;
-      const std::vector<float> got =
-          ThaliInferenceForward(threads, packing, true);
-      ASSERT_EQ(got.size(), base.size());
-      EXPECT_EQ(
-          std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  // bias+activation write-back. The fused plan stays bitwise stable
+  // across thread counts, and the reference plan (prepacked GEMM plus
+  // fused epilogue) equals a training network's staged passes (per-call
+  // packing, separate bias and activation) bit for bit.
+  const std::vector<float> base =
+      ThaliInferenceForward(1, ThaliRun::kFused, true);
+  ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kFused, true), base,
+                 "fused threads=4");
+  for (const int threads : {1, 4}) {
+    ExpectSameBits(ThaliInferenceForward(threads, ThaliRun::kReference, true),
+                   ThaliInferenceForward(threads, ThaliRun::kTraining, true),
+                   "reference threads=" + std::to_string(threads));
   }
 }
 
@@ -342,15 +363,13 @@ std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
   for (int i = 0; i < net.num_layers(); ++i) {
     Layer& l = net.layer(i);
     if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
-    }
+    if (!l.plan().quantizable) continue;
     static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
   }
-  // Picks up the quantize-once chains (u8 edges, int8 1x1, fused mish
-  // requantize) so the thread x kernel matrix exercises the chained
-  // forward, not just per-layer quantization.
+  // Arms the quantized algorithms and the quantize-once chains (u8
+  // edges, int8 1x1, fused mish requantize) so the thread x kernel
+  // matrix exercises the chained forward, not just per-layer
+  // quantization.
   THALI_CHECK_OK(net.ReplanInference());
 
   internal::SetInt8GemmKernelForTesting(kernel);
@@ -413,12 +432,11 @@ TEST_F(ParallelTest, Int8UnderNoFuseIsBitwiseFp32) {
 // drifting kernel is pinned to its layer, and every one of the model's
 // distinct (C,F,k,s,HxW) conv geometries gets exercised. Batch 1, where
 // CNHW and NCHW coincide bitwise, so outputs compare element for
-// element without a gather. THALI_NO_ARENA keeps every layer's output
-// in its own buffer — under the arena, early outputs are clobbered by
-// later layers before the post-forward comparison could read them.
+// element without a gather. Both networks run layer by layer, as
+// Network::Forward does, and each conv output is copied out right away:
+// later layers reuse its arena storage.
 TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
   SetMaxParallelism(4);
-  ASSERT_EQ(setenv("THALI_NO_ARENA", "1", 1), 0);
   auto build = [](int fuse) {
     internal::SetFusionForTesting(fuse);
     Rng rng(4242);
@@ -431,17 +449,30 @@ TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
   };
   BuiltNetwork ref = build(0);
   BuiltNetwork fused = build(1);
-  ASSERT_EQ(unsetenv("THALI_NO_ARENA"), 0);
   ASSERT_FALSE(ref.net->exec_plan().fused);
   ASSERT_TRUE(fused.net->exec_plan().fused);
-  ASSERT_FALSE(fused.net->arena_plan().enabled);
 
   Tensor input(ref.net->input_shape());
   Rng irng(17);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
-  ref.net->Forward(input, /*train=*/false);
-  Tensor input2 = input;  // fused net must not depend on shared storage
-  fused.net->Forward(input2, /*train=*/false);
+  const auto conv_outputs = [&input](Network& net) {
+    std::vector<std::vector<float>> outs(
+        static_cast<size_t>(net.num_layers()));
+    const Tensor* x = &input;
+    for (int li = 0; li < net.num_layers(); ++li) {
+      Layer& layer = net.layer(li);
+      layer.Forward(*x, net, /*train=*/false);
+      if (std::string_view(layer.kind()) == "convolutional") {
+        const Tensor& out = layer.output();
+        outs[static_cast<size_t>(li)].assign(out.data(),
+                                             out.data() + out.size());
+      }
+      x = &layer.output();
+    }
+    return outs;
+  };
+  const std::vector<std::vector<float>> ref_out = conv_outputs(*ref.net);
+  const std::vector<std::vector<float>> fused_out = conv_outputs(*fused.net);
 
   std::set<std::string> shapes;
   for (int li = 0; li < ref.net->num_layers(); ++li) {
@@ -455,12 +486,12 @@ TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
                   std::to_string(o.filters) + "k" + std::to_string(o.ksize) +
                   "s" + std::to_string(o.stride) + "@" +
                   std::to_string(in.dim(2)) + "x" + std::to_string(in.dim(3)));
-    const Tensor& a = ref.net->layer(li).output();
-    const Tensor& b = fused.net->layer(li).output();
+    const std::vector<float>& a = ref_out[static_cast<size_t>(li)];
+    const std::vector<float>& b = fused_out[static_cast<size_t>(li)];
     ASSERT_EQ(a.size(), b.size()) << "layer " << li;
-    for (int64_t i = 0; i < a.size(); ++i) {
-      ASSERT_NEAR(a.data()[i], b.data()[i],
-                  1e-4f + 1e-3f * std::abs(a.data()[i]))
+    ASSERT_FALSE(a.empty()) << "layer " << li;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_NEAR(a[i], b[i], 1e-4f + 1e-3f * std::abs(a[i]))
           << "conv layer " << li << " ("
           << ConvAlgoName(
                  fused.net->exec_plan().layers[static_cast<size_t>(li)]

@@ -354,10 +354,7 @@ TEST_F(PrepostTest, FusedQuantizedInputDetectMatchesFp32QuantizeRoute) {
   for (int i = 0; i < net.num_layers(); ++i) {
     Layer& l = net.layer(i);
     if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
-    }
+    if (!l.plan().quantizable) continue;
     static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
   }
   THALI_CHECK_OK(net.ReplanInference());
