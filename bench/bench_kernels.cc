@@ -174,6 +174,31 @@ void BM_GemmInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmInt8)->ArgNames({"m", "n", "k"})->Args({256, 256, 256});
 
+// Int8 activation staging of one conv at batch 1: the u8 im2col of the
+// quantized input planes plus the pack of the column matrix into the
+// GEMM panel, on the dispatched kernel family. This is the byte movement
+// the kQuantInt8 branch of ConvLayer::Forward runs before every GEMM.
+void Int8StageBench(benchmark::State& state, int64_t c, int64_t h, int64_t w,
+                    int64_t ksize, int64_t stride, int64_t pad) {
+  const int64_t k = c * ksize * ksize;
+  const int64_t n = ConvOutSize(h, ksize, stride, pad) *
+                    ConvOutSize(w, ksize, stride, pad);
+  Rng rng(3);
+  std::vector<uint8_t> im(static_cast<size_t>(c * h * w));
+  for (auto& v : im) v = static_cast<uint8_t>(rng.NextInt(0, 127));
+  std::vector<uint8_t> col(static_cast<size_t>(k * n));
+  std::vector<uint8_t> packed(static_cast<size_t>(Int8PackedActBytes(k, n)));
+  for (auto _ : state) {
+    Im2ColStridedU8(im.data(), h * w, c, h, w, ksize, stride, pad,
+                    /*pad_value=*/64, col.data());
+    Int8PackActCols(col.data(), k, n, packed.data());
+    benchmark::DoNotOptimize(packed.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          (k * n + Int8PackedActBytes(k, n)));
+}
+
 // Batch-1 end-to-end yolov4-thali inference (img/s), fp32 fused plan vs
 // the calibrated THALI_INT8 plan. The int8 run pays the per-item
 // activation quantize + u8 im2col + panel pack inside Forward, so this
@@ -503,7 +528,8 @@ BENCHMARK(BM_RenderDatasetThreaded)
 
 // Registers one BM_GemmPacked instance per distinct conv GEMM shape of
 // the yolov4-thali model (m = filters, n = out_h*out_w, k = c*ks*ks), so
-// the sweep always tracks the real network rather than a hand-kept list.
+// the sweep always tracks the real network rather than a hand-kept list;
+// likewise one BM_Int8Stage per distinct 3x3 conv input geometry.
 void RegisterYoloShapeBenches() {
   YoloThaliOptions yo;
   Rng rng(1);
@@ -511,10 +537,25 @@ void RegisterYoloShapeBenches() {
                                    rng, ExecMode::kInference);
   if (!built.ok()) return;
   std::set<std::tuple<int64_t, int64_t, int64_t>> seen;
+  std::set<std::tuple<int64_t, int64_t, int64_t, int64_t>> staged;
   for (int i = 0; i < built->net->num_layers(); ++i) {
     const Layer& l = built->net->layer(i);
     if (std::string_view(l.kind()) != "convolutional") continue;
     const auto& conv = static_cast<const ConvLayer&>(l);
+    const ConvLayer::Options& o = conv.options();
+    const int64_t c = l.input_shape().dim(1);
+    const int64_t h = l.input_shape().dim(2);
+    const int64_t w = l.input_shape().dim(3);
+    if (o.ksize == 3 && staged.insert({c, h, w, o.stride}).second) {
+      const std::string name = "BM_Int8Stage/yolo_c" + std::to_string(c) +
+                               "_h" + std::to_string(h) + "_w" +
+                               std::to_string(w) + "_s" +
+                               std::to_string(o.stride);
+      benchmark::RegisterBenchmark(
+          name.c_str(), [c, h, w, o](benchmark::State& st) {
+            Int8StageBench(st, c, h, w, o.ksize, o.stride, o.pad);
+          });
+    }
     const int64_t m = conv.options().filters;
     const int64_t k = l.input_shape().dim(1) * conv.options().ksize *
                       conv.options().ksize;

@@ -22,10 +22,14 @@ constexpr int64_t kInt8GrainMacs = 1 << 16;
 
 std::atomic<const Int8GemmKernel*> g_int8_kernel_override{nullptr};
 
-// Round to nearest, ties to even — identical to SSE cvtps2dq in the
-// default rounding mode, so a vectorized quantizer would agree bit for
-// bit with this scalar one.
+// Round to nearest, ties to even, saturating (see kInt8RoundLimit).
+// The float clamp keeps SSE maxps/minps operand order, so NaN becomes
+// the lower limit here exactly as in the AVX2 epilogue; inside the
+// limits lrintf is identical to SSE cvtps2dq in the default rounding
+// mode, so the two families agree bit for bit.
 inline int32_t RoundNearestEven(float v) {
+  v = v > -kInt8RoundLimit ? v : -kInt8RoundLimit;
+  v = v < kInt8RoundLimit ? v : kInt8RoundLimit;
   return static_cast<int32_t>(std::lrintf(v));
 }
 
@@ -63,7 +67,13 @@ void AccumulateScalar(int64_t m0, int64_t m1, int64_t n, int64_t kp,
   }
 }
 
-const Int8GemmKernel kScalarInt8Kernel = {"scalar-int8", AccumulateScalar};
+void PackScalar(const uint8_t* qcol, int64_t row_stride, int64_t k,
+                int64_t n, uint8_t* packed) {
+  Int8PackActEdges(qcol, row_stride, k, n, /*p0=*/0, packed);
+}
+
+const Int8GemmKernel kScalarInt8Kernel = {"scalar-int8", AccumulateScalar,
+                                          PackScalar};
 
 }  // namespace
 
@@ -124,20 +134,20 @@ void Int8QuantizeActivations(const float* x, int64_t count, float inv_scale,
   }
 }
 
-void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
-                            int64_t k, int64_t n, uint8_t* packed) {
+void Int8PackActEdges(const uint8_t* qcol, int64_t row_stride, int64_t k,
+                      int64_t n, int64_t p0, uint8_t* packed) {
   const int64_t kp = Int8PackedK(k);
   const int64_t nfull = n / 8;
   const int64_t ntail = n - nfull * 8;
   for (int64_t u = 0; u < nfull; ++u) {
     uint8_t* strip = packed + u * kp * 8;
     const uint8_t* src = qcol + u * 8;
-    for (int64_t p = 0; p < k; ++p) {
+    for (int64_t p = p0; p < k; ++p) {
       uint8_t* quad = strip + (p >> 2) * 32 + (p & 3);
       const uint8_t* row = src + p * row_stride;
       for (int64_t l = 0; l < 8; ++l) quad[l * 4] = row[l];
     }
-    for (int64_t p = k; p < kp; ++p) {
+    for (int64_t p = std::max(p0, k); p < kp; ++p) {
       uint8_t* quad = strip + (p >> 2) * 32 + (p & 3);
       for (int64_t l = 0; l < 8; ++l) quad[l * 4] = 0;
     }
@@ -149,6 +159,11 @@ void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
     for (int64_t p = 0; p < k; ++p) col[p] = qcol[p * row_stride + j];
     for (int64_t p = k; p < kp; ++p) col[p] = 0;
   }
+}
+
+void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
+                            int64_t k, int64_t n, uint8_t* packed) {
+  SelectInt8GemmKernel().pack(qcol, row_stride, k, n, packed);
 }
 
 void Int8PackActCols(const uint8_t* qcol, int64_t k, int64_t n,

@@ -45,6 +45,15 @@ inline int64_t Int8PackedWeightBytes(int64_t m, int64_t k) {
 void Int8QuantizeWeights(const float* w, int64_t m, int64_t k, int8_t* qw,
                          float* scale, int32_t* colsum);
 
+// Every float -> int conversion of the quantizers and requantize
+// epilogues clamps its operand into [-kInt8RoundLimit, kInt8RoundLimit]
+// in float before rounding, so it saturates instead of wrapping: +inf
+// and huge values quantize to 127, -inf and huge negatives to 0, and
+// NaN (clamped through max(v, lo), which yields lo) to 0. Every result
+// for |v| < 2^31 is unchanged, since the callers clamp the rounded value
+// plus a zero point in [0, 127] to at most 8 bits.
+inline constexpr float kInt8RoundLimit = 1073741824.0f;  // 2^30
+
 // Quantizes `count` floats to 7-bit unsigned: clamp(rne(x/s) + zp, 0, 127).
 // Shared by every caller (conv input quantization, tests, benches) so all
 // paths agree bit for bit.
@@ -67,7 +76,8 @@ inline int64_t Int8PackedActBytes(int64_t k, int64_t n) {
 // strip_base + (p/4)*32 + (j%8)*4 + p%4, strip_base = packed + u*kp*8),
 // so one 32-byte load feeds 8 columns x 4 k-steps of vpmaddubsw. The
 // n % 8 tail columns follow flat (k-contiguous, kp bytes each) for the
-// k-vectorized tail-dot kernel. Padding rows p >= k are zero.
+// k-vectorized tail-dot kernel. Padding rows p >= k are zero. Runs the
+// dispatched family's `pack`.
 void Int8PackActCols(const uint8_t* qcol, int64_t k, int64_t n,
                      uint8_t* packed);
 
@@ -79,15 +89,27 @@ void Int8PackActCols(const uint8_t* qcol, int64_t k, int64_t n,
 void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
                             int64_t k, int64_t n, uint8_t* packed);
 
-// One int8 kernel family: accumulates rows [m0, m1) of the i32 product
-// into acc (row-major, row stride ldacc) from a quantized weight blob
-// (rows of kp bytes) and a packed activation panel. Accumulation is
-// exact integer arithmetic, so every family produces identical bits.
+// The scalar share of every family's pack: rows [p0, kp) of each full
+// 8-column strip (zero from row k on) and all n % 8 tail columns. With
+// p0 = 0 it packs the whole panel, which is the scalar-int8 family's
+// pack; a SIMD pack moves the full k-quads of the full strips itself
+// and leaves the rest here from p0 = k / 4 * 4.
+void Int8PackActEdges(const uint8_t* qcol, int64_t row_stride, int64_t k,
+                      int64_t n, int64_t p0, uint8_t* packed);
+
+// One int8 kernel family: `accumulate` adds rows [m0, m1) of the i32
+// product into acc (row-major, row stride ldacc) from a quantized
+// weight blob (rows of kp bytes) and a packed activation panel; `pack`
+// builds that panel (Int8PackActColsStrided's contract). Accumulation is
+// exact integer arithmetic and packing moves bytes, so every family
+// produces identical bits.
 struct Int8GemmKernel {
   const char* name;  // "avx2-ubsw-6x8" / "scalar-int8"
   void (*accumulate)(int64_t m0, int64_t m1, int64_t n, int64_t kp,
                      const int8_t* qw, const uint8_t* packed, int32_t* acc,
                      int64_t ldacc);
+  void (*pack)(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
+               uint8_t* packed);
 };
 
 const Int8GemmKernel& ScalarInt8GemmKernel();

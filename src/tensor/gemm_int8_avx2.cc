@@ -163,7 +163,45 @@ void AccumulateAvx2(int64_t m0, int64_t m1, int64_t n, int64_t kp,
   }
 }
 
-const Int8GemmKernel kAvx2Int8Kernel = {"avx2-ubsw-6x8", AccumulateAvx2};
+// Transposing pack. Each full k-quad of a full strip is four 8-byte row
+// loads: unpacklo_epi8 pairs rows (0, 1) and (2, 3) byte by byte, and
+// unpacklo/hi_epi16 of the two pairs give the quad's columns 0-3 and
+// 4-7, 4 row bytes each. Loads cover columns [8u, 8u + 8) of rows below
+// k only, so nothing reads past column n; the k % 4 rows, the zero
+// padding rows and the n % 8 tail columns go through the shared scalar
+// Int8PackActEdges.
+void PackAvx2(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
+              uint8_t* packed) {
+  const int64_t kp = Int8PackedK(k);
+  const int64_t kq = k / 4 * 4;
+  const int64_t nfull = n / 8;
+  for (int64_t u = 0; u < nfull; ++u) {
+    uint8_t* strip = packed + u * kp * 8;
+    const uint8_t* src = qcol + u * 8;
+    for (int64_t p = 0; p < kq; p += 4) {
+      const uint8_t* r = src + p * row_stride;
+      const __m128i r0 =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r));
+      const __m128i r1 =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r + row_stride));
+      const __m128i r2 = _mm_loadl_epi64(
+          reinterpret_cast<const __m128i*>(r + 2 * row_stride));
+      const __m128i r3 = _mm_loadl_epi64(
+          reinterpret_cast<const __m128i*>(r + 3 * row_stride));
+      const __m128i r01 = _mm_unpacklo_epi8(r0, r1);
+      const __m128i r23 = _mm_unpacklo_epi8(r2, r3);
+      uint8_t* quad = strip + p * 8;
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(quad),
+                       _mm_unpacklo_epi16(r01, r23));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(quad + 16),
+                       _mm_unpackhi_epi16(r01, r23));
+    }
+  }
+  Int8PackActEdges(qcol, row_stride, k, n, kq, packed);
+}
+
+const Int8GemmKernel kAvx2Int8Kernel = {"avx2-ubsw-6x8", AccumulateAvx2,
+                                        PackAvx2};
 
 // 8-lane requantization epilogue. Repeats EpilogueScalar's elementwise
 // float sequence with vector ops: cvtepi32 (round-to-nearest-even, same
@@ -177,9 +215,10 @@ const Int8GemmKernel kAvx2Int8Kernel = {"avx2-ubsw-6x8", AccumulateAvx2};
 // FMA contraction out.
 //
 // With U8Out the activated lanes are requantized into the consumer
-// domain — cvtps_epi32 is round-to-nearest-even like the scalar
-// lrintf, so the chained bytes also match the scalar family — and
-// packed 8 x i32 -> 8 x u8 (saturating packs are safe after the
+// domain — clamped to +-kInt8RoundLimit with max(v, lo) then min(v, hi)
+// (NaN -> lo) and converted by cvtps_epi32, round-to-nearest-even like
+// the scalar lrintf, so the chained bytes also match the scalar family
+// — and packed 8 x i32 -> 8 x u8 (saturating packs are safe after the
 // explicit [0, 127] clamp).
 template <GemmActivation Act, bool U8Out>
 void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
@@ -188,6 +227,8 @@ void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
   const __m256 leak = _mm256_set1_ps(0.1f);
   const __m256 zero = _mm256_setzero_ps();
   const __m256 vqs = _mm256_set1_ps(e.out_inv_scale);
+  const __m256 vrlo = _mm256_set1_ps(-kInt8RoundLimit);
+  const __m256 vrhi = _mm256_set1_ps(kInt8RoundLimit);
   const __m256i vqzp = _mm256_set1_epi32(e.out_zp);
   const __m256i vqlo = _mm256_setzero_si256();
   const __m256i vqhi = _mm256_set1_epi32(127);
@@ -220,7 +261,9 @@ void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
       return v;
     };
     const auto quantize = [&](__m256 v) {
-      __m256i q = _mm256_cvtps_epi32(_mm256_mul_ps(v, vqs));
+      const __m256 x = _mm256_mul_ps(v, vqs);
+      __m256i q = _mm256_cvtps_epi32(
+          _mm256_min_ps(_mm256_max_ps(x, vrlo), vrhi));
       q = _mm256_add_epi32(q, vqzp);
       q = _mm256_min_epi32(_mm256_max_epi32(q, vqlo), vqhi);
       const __m128i w16 = _mm_packs_epi32(_mm256_castsi256_si128(q),

@@ -1,6 +1,7 @@
 // Tests for the per-channel int8 quantization stack (tensor/gemm_int8,
 // the kQuantInt8 conv path, calibration and its persistence): the
-// quantizer math, bitwise conformance of the scalar and AVX2 kernel
+// quantizer math and its saturation, the u8 im2col and panel pack byte
+// for byte, bitwise conformance of the scalar and AVX2 kernel
 // families on every conv GEMM shape of yolov4-thali, plan selection,
 // the THALI_INT8=0 fp32 pin, and end-to-end accuracy against fp32.
 
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <span>
@@ -36,6 +38,7 @@
 #include "nn/yolo_layer.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
+#include "tensor/im2col.h"
 #include "tensor/qtensor.h"
 
 namespace thali {
@@ -107,6 +110,18 @@ TEST_F(Int8Test, QuantizeActivationsClampsTo7Bit) {
   EXPECT_EQ(u[2], static_cast<uint8_t>(zp));  // x = 0 is exactly zp
   EXPECT_EQ(u[4], 127);
   for (uint8_t v : u) EXPECT_LE(v, 127);
+
+  // Values past int32 (client-controlled pixels reach this quantizer)
+  // saturate rather than wrap, and NaN lands on 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big[6] = {3e9f, 1e12f, -1e12f, inf, -inf,
+                        std::numeric_limits<float>::quiet_NaN()};
+  const uint8_t want[6] = {127, 127, 0, 127, 0, 0};
+  uint8_t got[6];
+  Int8QuantizeActivations(big, 6, 1.0f, 5, got);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(got[i], want[i]) << "x=" << big[i];
+  }
 }
 
 TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
@@ -139,6 +154,150 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
       const uint8_t want =
           p < k ? qcol[static_cast<size_t>(p * n + 8 + t)] : 0;
       EXPECT_EQ(tails[t * kp + p], want) << "t=" << t << " p=" << p;
+    }
+  }
+
+  // Every family's pack, called directly and through the dispatching
+  // entry point, over every n % 8 and k % 4 residue, n < 8, and a row
+  // stride wider than n. The source holds exactly (k-1)*row_stride + n
+  // bytes, so a load past column n of the last row trips ASan.
+  std::vector<std::pair<const char*, const Int8GemmKernel*>> families = {
+      {"scalar", &ScalarInt8GemmKernel()}};
+  if (Avx2Int8GemmKernel() != nullptr && CpuInfo().avx2) {
+    families.emplace_back("avx2", Avx2Int8GemmKernel());
+  }
+  Rng rng(314);
+  for (const auto& [name, family] : families) {
+    for (int64_t kk = 1; kk <= 13; ++kk) {
+      for (int64_t nn = 1; nn <= 25; ++nn) {
+        for (const int64_t stride : {nn, nn + 5}) {
+          const int64_t kkp = Int8PackedK(kk);
+          std::vector<uint8_t> src(static_cast<size_t>((kk - 1) * stride + nn));
+          for (auto& v : src) v = static_cast<uint8_t>(rng.NextInt(0, 255));
+          std::vector<uint8_t> want(static_cast<size_t>(kkp * nn));
+          const int64_t full = nn / 8 * 8;
+          for (int64_t p = 0; p < kkp; ++p) {
+            for (int64_t j = 0; j < nn; ++j) {
+              const uint8_t b =
+                  p < kk ? src[static_cast<size_t>(p * stride + j)] : 0;
+              const int64_t at = j < full ? (j / 8) * kkp * 8 + (p / 4) * 32 +
+                                                (j % 8) * 4 + p % 4
+                                          : full * kkp + (j - full) * kkp + p;
+              want[static_cast<size_t>(at)] = b;
+            }
+          }
+          std::vector<uint8_t> direct(want.size(), 0xAA);
+          family->pack(src.data(), stride, kk, nn, direct.data());
+          ASSERT_EQ(direct, want) << name << " k=" << kk << " n=" << nn
+                                  << " row_stride=" << stride;
+          internal::SetInt8GemmKernelForTesting(name);
+          std::vector<uint8_t> dispatched(want.size(), 0x55);
+          Int8PackActColsStrided(src.data(), stride, kk, nn,
+                                 dispatched.data());
+          internal::SetInt8GemmKernelForTesting(nullptr);
+          ASSERT_EQ(dispatched, want) << name << " k=" << kk << " n=" << nn
+                                      << " row_stride=" << stride;
+        }
+      }
+    }
+  }
+}
+
+// Reference u8 im2col with a bounds test per output byte: the oracle
+// the branch-free Im2ColStridedU8 must match byte for byte.
+void Im2ColU8Oracle(const uint8_t* im, int64_t chan_stride, int64_t channels,
+                    int64_t height, int64_t width, int64_t ksize,
+                    int64_t stride, int64_t pad, uint8_t pad_value,
+                    uint8_t* col) {
+  const int64_t out_h = ConvOutSize(height, ksize, stride, pad);
+  const int64_t out_w = ConvOutSize(width, ksize, stride, pad);
+  const int64_t cols = out_h * out_w;
+  int64_t row = 0;
+  for (int64_t c = 0; c < channels; ++c) {
+    const uint8_t* imc = im + c * chan_stride;
+    for (int64_t kh = 0; kh < ksize; ++kh) {
+      for (int64_t kw = 0; kw < ksize; ++kw, ++row) {
+        uint8_t* out = col + row * cols;
+        for (int64_t oh = 0; oh < out_h; ++oh) {
+          const int64_t ih = oh * stride - pad + kh;
+          if (ih < 0 || ih >= height) {
+            for (int64_t ow = 0; ow < out_w; ++ow) *out++ = pad_value;
+            continue;
+          }
+          const uint8_t* imrow = imc + ih * width;
+          int64_t iw = -pad + kw;
+          for (int64_t ow = 0; ow < out_w; ++ow, iw += stride) {
+            *out++ = (iw >= 0 && iw < width) ? imrow[iw] : pad_value;
+          }
+        }
+      }
+    }
+  }
+}
+
+// (channels, height, width, ksize, stride, pad) of one im2col.
+using Im2ColGeometry = std::array<int64_t, 6>;
+
+TEST_F(Int8Test, Im2ColStridedU8MatchesOracleOnThaliGeometriesAndEdges) {
+  // Every 3x3 conv geometry of yolov4-thali, read from the network.
+  Rng net_rng(1);
+  auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
+                                   /*batch_override=*/1, net_rng,
+                                   ExecMode::kInference);
+  ASSERT_TRUE(built.ok());
+  std::set<Im2ColGeometry> geometries;
+  for (int i = 0; i < built->net->num_layers(); ++i) {
+    const Layer& l = built->net->layer(i);
+    if (std::string_view(l.kind()) != "convolutional") continue;
+    const ConvLayer::Options& o = static_cast<const ConvLayer&>(l).options();
+    if (o.ksize != 3) continue;
+    geometries.insert({l.input_shape().dim(1), l.input_shape().dim(2),
+                       l.input_shape().dim(3), o.ksize, o.stride, o.pad});
+  }
+  // Two stride-2 stem convs and ten same-size maps from 24x24 to 3x3.
+  ASSERT_EQ(geometries.size(), 12u);
+  // Edges for each of the three copy paths: stride 2 on odd sizes, 1x1
+  // and 2x2 maps, one-row and one-column planes, valid (pad 0), 1x1 and
+  // 5x5 taps, strides the model lacks, and a large plane with a tiny
+  // output.
+  for (const Im2ColGeometry& g : std::vector<Im2ColGeometry>{
+           // At most 16 outputs: the lookup path.
+           {4, 1, 1, 3, 1, 1}, {4, 1, 1, 3, 2, 1}, {3, 2, 2, 3, 1, 1},
+           {3, 2, 2, 3, 2, 1}, {3, 5, 5, 3, 2, 1}, {2, 3, 5, 3, 1, 1},
+           {2, 6, 4, 3, 1, 0}, {2, 2, 2, 5, 1, 2}, {3, 7, 7, 1, 2, 0},
+           // Same-size stride 1: the plane memcpy.
+           {2, 5, 5, 3, 1, 1}, {2, 1, 20, 3, 1, 1}, {2, 20, 1, 3, 1, 1},
+           {2, 7, 6, 5, 1, 2}, {3, 6, 6, 1, 1, 0},
+           // Everything else: the per-row copy.
+           {2, 7, 9, 3, 2, 1}, {2, 11, 13, 3, 2, 1}, {2, 19, 17, 3, 2, 0},
+           {2, 10, 9, 3, 1, 0}, {2, 20, 23, 3, 3, 1}, {3, 9, 9, 1, 2, 0},
+           {1, 40, 40, 3, 16, 1}}) {
+    geometries.insert(g);
+  }
+  Rng rng(2718);
+  for (const auto& [c, h, w, ks, st, pd] : geometries) {
+    // Dense planes, then a plane stride wider than H*W as under CNHW at
+    // batch > 1; each with a zero and a nonzero pad byte.
+    for (const int64_t chan_stride : {h * w, 3 * h * w + 5}) {
+      for (const uint8_t pad_value : {uint8_t{0}, uint8_t{77}}) {
+        // Exactly (c-1)*chan_stride + h*w bytes: reading past the last
+        // plane's last row trips ASan.
+        std::vector<uint8_t> im(static_cast<size_t>((c - 1) * chan_stride +
+                                                    h * w));
+        for (auto& v : im) v = static_cast<uint8_t>(rng.NextInt(0, 255));
+        const int64_t cols =
+            ConvOutSize(h, ks, st, pd) * ConvOutSize(w, ks, st, pd);
+        const size_t bytes = static_cast<size_t>(c * ks * ks * cols);
+        std::vector<uint8_t> want(bytes, 0x11), got(bytes, 0x22);
+        Im2ColU8Oracle(im.data(), chan_stride, c, h, w, ks, st, pd, pad_value,
+                       want.data());
+        Im2ColStridedU8(im.data(), chan_stride, c, h, w, ks, st, pd,
+                        pad_value, got.data());
+        ASSERT_EQ(got, want) << "c=" << c << " h=" << h << " w=" << w
+                             << " k=" << ks << " s=" << st << " p=" << pd
+                             << " chan_stride=" << chan_stride
+                             << " pad=" << int{pad_value};
+      }
     }
   }
 }
@@ -740,6 +899,42 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
       ASSERT_EQ(std::memcmp(u_s.data(), u_v.data(), u_s.size()), 0)
           << "n=" << n << " act=" << static_cast<int>(act);
       for (uint8_t v : u_s) ASSERT_LE(v, 127);
+    }
+  }
+
+  // Requantized values past int32 saturate in both families: +-2^30
+  // accumulators at unit scale times out_inv_scale 100 give +-1.07e11,
+  // which must land on 127 / 0 rather than wrap. Nine columns put a
+  // saturating lane in the masked tail too.
+  const float unit_scale[1] = {1.0f};
+  const int32_t zero_colsum[1] = {0};
+  const int32_t big[9] = {1 << 30, -(1 << 30), 1 << 30, 1 << 30, -(1 << 30),
+                          0,       1 << 30,    -(1 << 30), 1 << 30};
+  for (const GemmActivation act :
+       {GemmActivation::kNone, GemmActivation::kLeaky, GemmActivation::kRelu,
+        GemmActivation::kMish}) {
+    for (const char* family : {"scalar", "avx2"}) {
+      Int8Epilogue epi;
+      epi.wscale = unit_scale;
+      epi.wcolsum = zero_colsum;
+      epi.activation = act;
+      epi.out_inv_scale = 100.0f;
+      epi.out_zp = 5;
+      uint8_t u[9];
+      epi.out_u8 = u;
+      internal::SetInt8EpilogueForTesting(family);
+      Int8ApplyEpilogue(epi, 0, 1, 9, big, 9, nullptr, 9);
+      internal::SetInt8EpilogueForTesting(nullptr);
+      // relu and mish take a huge negative to (about) 0, which
+      // quantizes to the zero point.
+      const bool keeps_sign = act == GemmActivation::kNone ||
+                              act == GemmActivation::kLeaky;
+      for (int j = 0; j < 9; ++j) {
+        const uint8_t want =
+            big[j] > 0 ? 127 : big[j] < 0 && keeps_sign ? 0 : 5;
+        EXPECT_EQ(u[j], want) << family << " act=" << static_cast<int>(act)
+                              << " acc=" << big[j];
+      }
     }
   }
 }
