@@ -200,17 +200,15 @@ void Int8StageBench(benchmark::State& state, int64_t c, int64_t h, int64_t w,
 }
 
 // Batch-1 end-to-end yolov4-thali inference (img/s), fp32 fused plan vs
-// the calibrated THALI_INT8 plan. The int8 run pays the per-item
+// the calibrated int8 plan. The int8 run pays the per-item
 // activation quantize + u8 im2col + panel pack inside Forward, so this
 // is the deployment-facing speedup number.
 void BM_ThaliInference(benchmark::State& state) {
   const bool int8 = state.range(0) != 0;
-  internal::SetInt8ForTesting(int8 ? 1 : 0);
   Rng rng(4242);
   auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
                                    /*batch_override=*/1, rng,
                                    ExecMode::kInference);
-  internal::SetInt8ForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
   for (int i = 0; i < net.num_layers(); ++i) {

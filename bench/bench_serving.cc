@@ -34,7 +34,6 @@
 #include "data/dataset.h"
 #include "data/food_classes.h"
 #include "data/renderer.h"
-#include "nn/exec_plan.h"
 #include "serve/server.h"
 
 namespace thali {
@@ -88,11 +87,8 @@ SweepResult RunConfig(const std::string& cfg, int concurrency,
   opts.max_batch_size = max_batch_size;
   opts.max_linger = std::chrono::microseconds(2000);
   auto server_or = serve::Server::Create(opts, [&cfg, int8] {
-    // Same effect as THALI_INT8=1 in the worker's environment, minus
-    // the env juggling; the detector finalizes under the forced value.
-    internal::SetInt8ForTesting(int8 ? 1 : 0);
+    // Calibrating is the int8 opt-in.
     auto det = Detector::FromCfg(cfg, /*seed=*/7);
-    internal::SetInt8ForTesting(-1);
     if (det.ok() && int8) {
       const std::vector<int> idx = {0, 1, 2, 3, 4, 5};
       const int armed = det->CalibrateInt8(CalibSet(), idx);
@@ -457,7 +453,7 @@ void WriteServingBench() {
       "client-observed end-to-end ms (exact sample percentiles, not "
       "histogram estimates). mean_batch is the average formed batch "
       "size. Each config runs a discarded warmup phase before the "
-      "measured window. int8=1 rows serve the calibrated THALI_INT8 "
+      "measured window. int8=1 rows serve the calibrated int8 "
       "quantize-once chained plan (same detector, int8 conv path + u8 "
       "activation edges).\",\n";
   json += "  \"model\": \"yolov4-thali 96x96\",\n";

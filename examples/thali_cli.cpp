@@ -2,6 +2,7 @@
 // the on-disk dataset/weights formats end to end.
 //
 //   thali_cli cfg    [--classes N] [--size N]
+//   thali_cli summary [--classes N] [--size N] [--calib]
 //   thali_cli render [--out FILE.ppm] [--platter N] [--seed N] [--classes20]
 //   thali_cli detect --weights FILE --image FILE.ppm [--thresh F]
 //                    [--classes N] [--out annotated.ppm]
@@ -79,9 +80,9 @@ int CmdSummary(int argc, char** argv) {
   const int classes = ArgI(argc, argv, "--classes", 10);
   const int size = ArgI(argc, argv, "--size", 96);
   if (ArgB(argc, argv, "--calib")) {
-    // Calibrated view: under THALI_INT8=1 a short synthetic calibration
-    // pass arms the quantized convs and chains the u8 edges, so the
-    // plan table shows the dtypes the net would actually deploy with.
+    // Calibrated view: a short synthetic calibration pass arms the
+    // quantized convs and chains the u8 edges, so the plan table shows
+    // the dtypes the net would actually deploy with.
     auto det_or = Detector::FromCfg(CfgFor(classes, size, 0));
     THALI_CHECK(det_or.ok()) << det_or.status().ToString();
     Detector detector = std::move(det_or).value();

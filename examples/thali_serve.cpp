@@ -3,12 +3,19 @@
 // burst of synthetic-platter requests at it (some with tight deadlines),
 // and print the serving metrics table on shutdown.
 //
+//   thali_serve [--int8]
+//
+// --int8 serves the quantized plan: each worker's detector runs a short
+// calibration pass over rendered platters at startup, which arms the
+// int8 convs and chains the u8 activation edges.
+//
 // Reuses the cached quickstart/benchmark weights when present (run
 // `quickstart` or any bench first for a trained model); otherwise serves
 // with random weights — the serving mechanics are identical either way.
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
@@ -20,7 +27,6 @@
 #include "data/dataset.h"
 #include "data/food_classes.h"
 #include "data/renderer.h"
-#include "nn/exec_plan.h"
 #include "serve/server.h"
 
 namespace {
@@ -37,7 +43,7 @@ std::string FindWeights() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace thali;
 
   const auto& classes = IndianFood10();
@@ -52,12 +58,9 @@ int main() {
     std::printf("Serving model %s\n", weights.c_str());
   }
 
-  // THALI_INT8=1 serves the quantized plan: each worker's detector runs
-  // a short calibration pass over rendered platters at startup, which
-  // arms the int8 convs and chains the u8 activation edges.
-  const bool int8 = Int8Enabled();
+  const bool int8 = argc > 1 && std::strcmp(argv[1], "--int8") == 0;
   if (int8) {
-    std::printf("THALI_INT8=1: serving the calibrated int8 chained plan.\n");
+    std::printf("--int8: serving the calibrated int8 chained plan.\n");
   }
 
   serve::Server::Options opts;

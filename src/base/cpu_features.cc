@@ -1,8 +1,12 @@
 #include "base/cpu_features.h"
 
+#include <atomic>
+
 namespace thali {
 
 namespace {
+
+std::atomic<bool> g_force_scalar{false};
 
 CpuFeatures Detect() {
   CpuFeatures f;
@@ -40,5 +44,17 @@ std::string CpuFeatureString() {
   add(f.avx512f, "avx512f");
   return s.empty() ? "baseline" : s;
 }
+
+bool SimdKernelsAllowed() {
+  return !g_force_scalar.load(std::memory_order_acquire);
+}
+
+namespace internal {
+
+void SetScalarKernelsForTesting(bool scalar) {
+  g_force_scalar.store(scalar, std::memory_order_release);
+}
+
+}  // namespace internal
 
 }  // namespace thali

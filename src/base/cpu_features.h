@@ -25,6 +25,19 @@ const CpuFeatures& CpuInfo();
 // "baseline" when none of them are present. For logs and summaries.
 std::string CpuFeatureString();
 
+// False while a test forces the portable scalar kernel families (see
+// internal::SetScalarKernelsForTesting), true otherwise. Every SIMD
+// kernel family — fp32 GEMM, int8 GEMM with its requantize epilogue,
+// activations and resize — reads this on each dispatch before its own
+// capability test, so one switch moves all of them together.
+bool SimdKernelsAllowed();
+
+namespace internal {
+// Testing hook: true forces every kernel family to its scalar variant,
+// false restores automatic selection. Takes effect on the next dispatch.
+void SetScalarKernelsForTesting(bool scalar);
+}  // namespace internal
+
 }  // namespace thali
 
 #endif  // THALI_BASE_CPU_FEATURES_H_

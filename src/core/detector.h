@@ -130,13 +130,16 @@ class Detector {
     int max_images = 32;
   };
 
-  // Arms the THALI_INT8 conv path: folds batch norms (the quantized
-  // path runs on folded weights), then runs fp32 forward passes over
-  // `indices` into `dataset` with the network's calibration phase set,
-  // installs each quantizable conv's activation range and replans. A
-  // network without quantizable convs (int8 off) returns 0. Returns the
-  // number of conv layers armed for int8. Persist the result with
-  // darknet/calibration_io.h to skip this pass on later loads.
+  // Arms the int8 conv path — calling this (or LoadCalibration) is the
+  // int8 opt-in: folds batch norms (the quantized path runs on folded
+  // weights), then runs fp32 forward passes over `indices` into
+  // `dataset` with the network's calibration phase set, installs each
+  // quantizable conv's activation range and replans. A network without
+  // quantizable convs (THALI_NO_FUSE's reference plan) returns 0.
+  // Returns the number of conv layers armed for int8. Persist the
+  // result with darknet/calibration_io.h to skip this pass on later
+  // loads; ResetCalibration on every conv plus ReplanInference opts out
+  // again.
   int CalibrateInt8(const FoodDataset& dataset, std::span<const int> indices,
                     const Int8CalibrationOptions& options);
   int CalibrateInt8(const FoodDataset& dataset, std::span<const int> indices) {

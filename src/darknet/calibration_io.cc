@@ -66,15 +66,17 @@ StatusOr<int> LoadCalibration(Network& net, const std::string& path) {
   if (!read(&version, sizeof(version)) || version != kVersion) {
     return Status::Corruption("unsupported calibration version");
   }
-  if (!read(&count, sizeof(count)) || count < 0) {
+  // The entry count must fit in the bytes that are left before it sizes
+  // anything.
+  if (!read(&count, sizeof(count)) || count < 0 ||
+      static_cast<size_t>(count) > (data.size() - pos) / sizeof(Entry)) {
     return Status::Corruption("calibration file truncated");
   }
-  int armed = 0;
-  for (int32_t i = 0; i < count; ++i) {
-    Entry e;
-    if (!read(&e, sizeof(e))) {
-      return Status::Corruption("calibration file truncated");
-    }
+  // Validate every entry first, then install: a bad entry must not leave
+  // the entries before it armed.
+  std::vector<Entry> entries(static_cast<size_t>(count));
+  for (Entry& e : entries) {
+    read(&e, sizeof(e));
     if (e.layer_index < 0 || e.layer_index >= net.num_layers() ||
         std::string_view(net.layer(e.layer_index).kind()) !=
             "convolutional") {
@@ -83,14 +85,15 @@ StatusOr<int> LoadCalibration(Network& net, const std::string& path) {
     if (!(e.range_min <= e.range_max)) {  // also rejects NaN
       return Status::Corruption("calibration entry has an invalid range");
     }
+  }
+  for (const Entry& e : entries) {
     static_cast<ConvLayer&>(net.layer(e.layer_index))
         .SetActivationRange(e.range_min, e.range_max);
-    ++armed;
   }
   // Installed ranges enable quantize-once chaining; recompile the plan
   // so the chains take effect before the next Forward.
   THALI_RETURN_IF_ERROR(net.ReplanInference());
-  return armed;
+  return count;
 }
 
 }  // namespace thali

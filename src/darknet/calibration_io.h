@@ -23,8 +23,11 @@ namespace thali {
 Status SaveCalibration(const Network& net, const std::string& path);
 
 // Installs saved ranges into an already-built network (layer indices
-// must match the cfg the file was calibrated against). Returns the
-// number of conv layers armed.
+// must match the cfg the file was calibrated against) and replans, so
+// loading a calibration file is an int8 opt-in like
+// Detector::CalibrateInt8. Every entry is validated before any range is
+// installed: on error the network is left untouched. Returns the number
+// of conv layers armed.
 StatusOr<int> LoadCalibration(Network& net, const std::string& path);
 
 }  // namespace thali

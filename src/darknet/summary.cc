@@ -117,7 +117,9 @@ std::string NetworkSummary(const Network& net) {
   os << StrFormat("gemm: %s kernel (cpu: %s), %lld bytes of pre-packed weights\n",
                   GemmKernelName(), CpuFeatureString().c_str(),
                   static_cast<long long>(packed_bytes));
-  if (net.int8_enabled()) {
+  // The int8 footer appears once calibration armed a conv; perfbench
+  // parses this line, so its format is fixed.
+  if (int8_layers > 0) {
     os << StrFormat(
         "int8: %s kernel, %d quantized conv layers, %lld bytes of int8 "
         "weights, %d quantized layers total, %d chained edges, %d dequant "

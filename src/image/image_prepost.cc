@@ -1,7 +1,6 @@
 #include "image/image_prepost.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -15,9 +14,6 @@ namespace thali {
 namespace {
 
 using prepost_detail::ResizeKernel;
-
-// Dispatch override for tests: 0 = auto, 1 = scalar, 2 = avx2.
-std::atomic<int> g_resize_override{0};
 
 // The seed Resize expression with the per-column indices/weights read
 // from tables instead of recomputed. The table entries hold the exact
@@ -48,19 +44,8 @@ const ResizeKernel* DetectResizeKernel() {
 }
 
 const ResizeKernel& SelectResizeKernel() {
-  switch (g_resize_override.load(std::memory_order_acquire)) {
-    case 1:
-      return kScalarResizeKernel;
-    case 2: {
-      const ResizeKernel* avx2 = prepost_detail::Avx2ResizeKernel();
-      if (avx2 != nullptr && CpuInfo().avx2 && CpuInfo().fma) return *avx2;
-      break;
-    }
-    default:
-      break;
-  }
   static const ResizeKernel* const detected = DetectResizeKernel();
-  return *detected;
+  return SimdKernelsAllowed() ? *detected : kScalarResizeKernel;
 }
 
 // Per-axis bilinear taps: for destination coordinate i, the two source
@@ -214,18 +199,5 @@ LetterboxGeometry LetterboxIntoQuantizedPlanes(const Image& src, int target_w,
 }
 
 const char* ResizeKernelName() { return SelectResizeKernel().name; }
-
-namespace internal {
-
-void SetResizeKernelForTesting(const char* name) {
-  int value = 0;
-  if (name != nullptr) {
-    if (std::strcmp(name, "scalar") == 0) value = 1;
-    if (std::strcmp(name, "avx2") == 0) value = 2;
-  }
-  g_resize_override.store(value, std::memory_order_release);
-}
-
-}  // namespace internal
 
 }  // namespace thali

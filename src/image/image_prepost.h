@@ -14,7 +14,8 @@ namespace thali {
 //
 // Runtime dispatch mirrors the PR-3 kernel families (tensor/act_kernels):
 // one portable scalar family plus an AVX2 gather+FMA family in its own
-// -mavx2 TU, selected once per process from CpuInfo(). The scalar family
+// -mavx2 TU, detected once per process from CpuInfo() (or forced scalar
+// by internal::SetScalarKernelsForTesting). The scalar family
 // evaluates the seed expression of image.cc's Resize operation for
 // operation — same index/weight derivation, same 4-tap sum order — so
 // its output is bitwise identical to the reference (the parity tests pin
@@ -59,12 +60,6 @@ LetterboxGeometry LetterboxIntoQuantizedPlanes(const Image& src, int target_w,
 
 // Name of the dispatched resize kernel family (for logs/reports).
 const char* ResizeKernelName();
-
-namespace internal {
-// Force dispatch to "scalar" or "avx2" (ignored when unavailable);
-// nullptr restores automatic detection.
-void SetResizeKernelForTesting(const char* name);
-}  // namespace internal
 
 }  // namespace thali
 

@@ -27,7 +27,6 @@ int64_t AlignUp(int64_t v) {
 }
 
 std::atomic<int> g_fuse_override{-1};
-std::atomic<int> g_int8_override{-1};
 
 // Layers the `input` argument and ExtraInputIndices say layer i reads.
 std::vector<int> InputsOf(const Network& net, int i) {
@@ -171,12 +170,6 @@ bool FusionEnabled() {
   return !internal::NoFuseEnvValueDisables(std::getenv("THALI_NO_FUSE"));
 }
 
-bool Int8Enabled() {
-  const int o = g_int8_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return internal::Int8EnvValueEnables(std::getenv("THALI_INT8"));
-}
-
 namespace internal {
 
 void SetFusionForTesting(int enabled) {
@@ -188,18 +181,9 @@ bool NoFuseEnvValueDisables(const char* value) {
          !(value[0] == '0' && value[1] == '\0');
 }
 
-void SetInt8ForTesting(int enabled) {
-  g_int8_override.store(enabled, std::memory_order_relaxed);
-}
-
-bool Int8EnvValueEnables(const char* value) {
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
-
 }  // namespace internal
 
-ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
+ExecPlan CompileExecPlan(const Network& net, bool fuse) {
   const int n = net.num_layers();
   ExecPlan plan;
   plan.fused = fuse;
@@ -287,6 +271,7 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
     // quantized algorithm only when that path can run right now — batch
     // norm folded, an input range installed, no calibration pass active
     // — and its geometry's fp32 algorithm otherwise.
+    bool armed = false;
     for (int i = 0; i < n; ++i) {
       if (cls[static_cast<size_t>(i)] != kConv) continue;
       LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
@@ -300,25 +285,26 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
         // dequant edge into the yolo heads).
         lp.conv_algo = ConvAlgo::kDirect1x1;
         quant_algo = ConvAlgo::kQuantInt8Direct1x1;
-        lp.quantizable = int8;
+        lp.quantizable = true;
       } else if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
         // int8 takes the Winograd geometry, but NCHW-pinned convs stay
         // fp32 to protect whatever consumer forced the pin (in the
         // thali net the head feeders are 1x1 direct convs, already
         // fp32; the guard covers pinned 3x3s in other topologies).
         lp.conv_algo = ConvAlgo::kWinograd;
-        lp.quantizable = int8 && !forced[static_cast<size_t>(i)];
+        lp.quantizable = !forced[static_cast<size_t>(i)];
       } else {
         // Every other geometry runs im2col. int8 also covers the strided
         // 3x3 (the thali downsampling prefix, convs 0-1): no Winograd
         // form exists, but the u8 im2col already walks any stride.
         lp.conv_algo = ConvAlgo::kIm2col;
-        lp.quantizable = int8 && o.ksize == 3 && o.stride == 2 &&
-                         o.pad == 1 && !forced[static_cast<size_t>(i)];
+        lp.quantizable = o.ksize == 3 && o.stride == 2 && o.pad == 1 &&
+                         !forced[static_cast<size_t>(i)];
       }
       if (lp.quantizable && !o.batch_normalize && cv.has_activation_range() &&
           net.calib_phase() == CalibPhase::kOff) {
         lp.conv_algo = quant_algo;
+        armed = true;
         Int8RangeToScaleZp(cv.activation_range_min(),
                            cv.activation_range_max(), &lp.in_qscale,
                            &lp.in_qzp);
@@ -414,7 +400,7 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
     // Network::ReplanInference recompiles after Detector::CalibrateInt8
     // or LoadCalibration installs ranges (ResetCalibration and
     // calibration phases disarm them again the same way).
-    if (int8) {
+    if (armed) {
       // qconv: convs step 2 armed with a quantized algorithm.
       // qprod: qconv whose activation the requantize epilogue can apply
       // (linear/leaky/relu, mish through the FastMish family) so its

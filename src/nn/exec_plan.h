@@ -105,9 +105,9 @@ struct LayerPlan {
   // (route view/concat) so its Forward copies nothing. The arena
   // planner places every aliased layer inside its group root's block.
   bool copy_elided = false;
-  // A conv the int8 path covers (THALI_INT8 on, eligible geometry, a
-  // 3x3 not NCHW-pinned), armed or not: calibration observes exactly
-  // these convs, and conv_algo turns quantized once they are armed.
+  // A conv the int8 path covers (fused plan, eligible geometry, a 3x3
+  // not NCHW-pinned), armed or not: calibration observes exactly these
+  // convs, and conv_algo turns quantized once they are armed.
   bool quantizable = false;
 
   // --- int8 input domains and quantize-once chaining (filled by
@@ -231,12 +231,12 @@ struct ExecPlan {
 //     always layout-uniform; convs absorb either layout on either side
 //     through GEMM strides, so no standalone convert pass ever runs.
 //  2. Conv algorithms: kDirect1x1 / kWinograd / kIm2col by geometry,
-//     plus fast_act for mish convs. With int8=true (latched from
-//     THALI_INT8 by Network::Finalize) eligible convs are marked
+//     plus fast_act for mish convs. Eligible convs are marked
 //     quantizable, and a quantizable conv gets kQuantInt8 /
 //     kQuantInt8Direct1x1 plus its input domain exactly when its batch
 //     norm is folded, a range is installed and net.calib_phase() is
-//     kOff.
+//     kOff — so installing ranges is the only int8 opt-in, and a
+//     network nobody calibrated runs the fp32 plan.
 //  3. Copy elision: route layers whose sources can legally alias
 //     arena storage are folded away — a group-split route becomes a
 //     view into its source, a concat route adopts its sources so they
@@ -249,17 +249,12 @@ struct ExecPlan {
 // Elision requires layout-uniform members and (kCNHW or batch == 1) so
 // a member's storage is one contiguous range. Requires every layer to
 // be configured (shapes known).
-ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8 = false);
+ExecPlan CompileExecPlan(const Network& net, bool fuse);
 
 // False when THALI_NO_FUSE=1 (or a testing override) disables the
 // inference plan compiler's fused paths. Network::Finalize latches the
 // value, so later SetBatch re-plans keep the same decision.
 bool FusionEnabled();
-
-// True when THALI_INT8 opts the int8 conv path in (set and not "0").
-// Unlike the other knobs this one is opt-IN: default builds never
-// quantize. Network::Finalize latches the value like FusionEnabled.
-bool Int8Enabled();
 
 namespace internal {
 
@@ -270,13 +265,6 @@ void SetFusionForTesting(int enabled);
 // True when the given THALI_NO_FUSE value disables fusion (any
 // non-empty string except "0").
 bool NoFuseEnvValueDisables(const char* value);
-
-// Force int8 on (1) / off (0) or restore the THALI_INT8 environment
-// default (-1).
-void SetInt8ForTesting(int enabled);
-
-// True when the given THALI_INT8 value enables int8 (set and not "0").
-bool Int8EnvValueEnables(const char* value);
 
 }  // namespace internal
 

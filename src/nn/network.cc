@@ -30,7 +30,6 @@ Status Network::Finalize(ExecMode mode) {
   // Latched here so later SetBatch re-plans keep the same decision even
   // if the environment changes while the process runs.
   fuse_disabled_ = !FusionEnabled();
-  int8_enabled_ = mode == ExecMode::kInference && Int8Enabled();
   Shape prev = input_shape();
   for (auto& layer : layers_) {
     layer->set_exec_mode(mode_);
@@ -103,7 +102,7 @@ void Network::set_calib_phase(CalibPhase phase) {
 
 void Network::PlanBuffers() {
   const bool fuse = mode_ == ExecMode::kInference && !fuse_disabled_;
-  eplan_ = CompileExecPlan(*this, fuse, fuse && int8_enabled_);
+  eplan_ = CompileExecPlan(*this, fuse);
   for (int i = 0; i < num_layers(); ++i) {
     layers_[static_cast<size_t>(i)]->set_plan(
         eplan_.layers[static_cast<size_t>(i)]);

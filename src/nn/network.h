@@ -94,10 +94,6 @@ class Network {
   // Execution mode chosen at Finalize.
   ExecMode exec_mode() const { return mode_; }
 
-  // THALI_INT8 opt-in, latched at Finalize like the fuse knob. When
-  // false the plan compiler never emits kQuantInt8.
-  bool int8_enabled() const { return int8_enabled_; }
-
   // Active calibration pass. Setting it replans: any phase other than
   // kOff disarms every int8 conv (each runs its fp32 algorithm), and the
   // quantizable convs record input statistics in Forward.
@@ -147,7 +143,7 @@ class Network {
   // write their requantized bytes here and chained consumers read their
   // sources' pointers. Storage lives in per-alias-group DTypeBuffers
   // parallel to the fp32 arena (the fp32 slots stay bound, so
-  // THALI_INT8=0 and unchained plans are untouched).
+  // uncalibrated and unchained plans are untouched).
   uint8_t* quant_act(int i) {
     return qact_.empty() ? nullptr : qact_[static_cast<size_t>(i)];
   }
@@ -196,8 +192,6 @@ class Network {
   // THALI_NO_FUSE, sampled once at Finalize so later SetBatch re-plans
   // keep the same decision.
   bool fuse_disabled_ = false;
-  // THALI_INT8, sampled once at Finalize (opt-in, so the default is off).
-  bool int8_enabled_ = false;
   CalibPhase calib_phase_ = CalibPhase::kOff;
   bool defer_head_activation_ = false;
   bool input_prequantized_ = false;

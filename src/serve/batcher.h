@@ -12,7 +12,6 @@
 #include "image/image.h"
 #include "serve/lane_queue.h"
 #include "serve/metrics.h"
-#include "serve/queue.h"
 
 namespace thali {
 namespace serve {
@@ -42,7 +41,7 @@ struct Request {
 
 using RequestPtr = std::unique_ptr<Request>;
 // Two bounded lanes (interactive / batch); plain Submit lands on the
-// interactive lane, so single-class callers see BoundedQueue semantics.
+// interactive lane, so single-class callers see one bounded FIFO.
 using RequestQueue = LaneQueue<RequestPtr>;
 
 // Dynamic micro-batcher: pulls requests off a shared queue and groups them

@@ -26,8 +26,10 @@ inline const char* PriorityName(Priority p) {
 // A two-lane bounded MPMC queue: one independently-bounded FIFO lane per
 // priority class, drained through a single consumer interface. Producers
 // never block (TryPush returns kResourceExhausted when the target lane is
-// full); consumers block until either lane has an item or the queue is
-// closed, exactly like BoundedQueue.
+// full), so admission control is a visible Status at the call site
+// instead of an unbounded wait; consumers block (optionally with a
+// timeout) until either lane has an item or the queue is closed. All
+// methods are thread-safe.
 //
 // Pop order is strict priority — interactive first — with a bounded
 // anti-starvation concession: every kBatchPreferEvery-th pop services the
@@ -36,8 +38,8 @@ inline const char* PriorityName(Priority p) {
 // fairness, is the main batch-lane control under overload — see
 // Server::Options::admission.)
 //
-// Close() keeps BoundedQueue's drain-on-shutdown contract: pushes are
-// rejected, consumers drain both lanes, then Pop reports closure.
+// Close() is the shutdown edge: pushes are rejected, consumers drain both
+// lanes, then Pop reports closure.
 template <typename T>
 class LaneQueue {
  public:
@@ -100,8 +102,8 @@ class LaneQueue {
     return closed_;
   }
 
-  // Instantaneous depth of one lane / both lanes (snapshot semantics, as
-  // BoundedQueue::Depth).
+  // Instantaneous depth of one lane / both lanes (a snapshot taken under
+  // the lock: always within capacity, possibly stale on return).
   size_t Depth(Priority lane) const {
     std::lock_guard<std::mutex> lock(mu_);
     return lanes_[static_cast<size_t>(lane)].size();

@@ -15,7 +15,6 @@
 #include "core/detector.h"
 #include "serve/batcher.h"
 #include "serve/metrics.h"
-#include "serve/queue.h"
 
 namespace thali {
 namespace serve {

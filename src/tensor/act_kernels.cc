@@ -1,8 +1,5 @@
 #include "tensor/act_kernels.h"
 
-#include <atomic>
-#include <cstring>
-
 #include "base/cpu_features.h"
 #include "tensor/act_kernels_impl.h"
 
@@ -11,9 +8,6 @@ namespace thali {
 namespace {
 
 using act_detail::ActKernel;
-
-// Dispatch override for tests: 0 = auto, 1 = scalar, 2 = avx2.
-std::atomic<int> g_act_override{0};
 
 const ActKernel kScalarActKernel = {
     /*name=*/"scalar-act",
@@ -30,19 +24,8 @@ const ActKernel* DetectActKernel() {
 }
 
 const ActKernel& SelectActKernel() {
-  switch (g_act_override.load(std::memory_order_acquire)) {
-    case 1:
-      return kScalarActKernel;
-    case 2: {
-      const ActKernel* avx2 = Avx2ActKernel();
-      if (avx2 != nullptr && CpuInfo().avx2 && CpuInfo().fma) return *avx2;
-      break;
-    }
-    default:
-      break;
-  }
   static const ActKernel* const detected = DetectActKernel();
-  return *detected;
+  return SimdKernelsAllowed() ? *detected : kScalarActKernel;
 }
 
 }  // namespace
@@ -61,15 +44,6 @@ const char* ActKernelName() { return SelectActKernel().name; }
 namespace internal {
 
 float FastExpScalar(float x) { return act_detail::FastExp(x); }
-
-void SetActKernelForTesting(const char* name) {
-  int value = 0;
-  if (name != nullptr) {
-    if (std::strcmp(name, "scalar") == 0) value = 1;
-    if (std::strcmp(name, "avx2") == 0) value = 2;
-  }
-  g_act_override.store(value, std::memory_order_release);
-}
 
 }  // namespace internal
 

@@ -8,8 +8,9 @@ namespace thali {
 // Vectorized elementwise activation kernels for the fused inference
 // path (the execution-plan compiler, src/nn/exec_plan.h). Runtime
 // dispatch mirrors the GEMM kernel families: one portable scalar family
-// plus an AVX2 family in its own -mavx2 translation unit, selected once
-// per process from CpuInfo().
+// plus an AVX2 family in its own -mavx2 translation unit, detected once
+// per process from CpuInfo() (internal::SetScalarKernelsForTesting in
+// base/cpu_features.h forces the scalar family).
 //
 // Determinism: unlike the GEMM families, the scalar and AVX2 paths here
 // compute *identical* per-element results — every operation (polynomial
@@ -52,9 +53,6 @@ namespace internal {
 // Scalar fast-exp core shared by both families and by the tests that
 // pin its accuracy. Clamps to [-87.33654, 88.72283].
 float FastExpScalar(float x);
-// Force dispatch to "scalar" or "avx2" (ignored when unavailable);
-// nullptr restores automatic detection.
-void SetActKernelForTesting(const char* name);
 }  // namespace internal
 
 }  // namespace thali

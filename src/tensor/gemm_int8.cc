@@ -1,10 +1,7 @@
 #include "tensor/gemm_int8.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
-#include <string_view>
 
 #include "base/cpu_features.h"
 #include "base/logging.h"
@@ -19,8 +16,6 @@ namespace {
 // the fp32 driver's kGrainFlops; int8 work is cheaper per MAC, so the
 // grain is larger).
 constexpr int64_t kInt8GrainMacs = 1 << 16;
-
-std::atomic<const Int8GemmKernel*> g_int8_kernel_override{nullptr};
 
 // Round to nearest, ties to even, saturating (see kInt8RoundLimit).
 // The float clamp keeps SSE maxps/minps operand order, so NaN becomes
@@ -72,24 +67,7 @@ void PackScalar(const uint8_t* qcol, int64_t row_stride, int64_t k,
   Int8PackActEdges(qcol, row_stride, k, n, /*p0=*/0, packed);
 }
 
-const Int8GemmKernel kScalarInt8Kernel = {"scalar-int8", AccumulateScalar,
-                                          PackScalar};
-
 }  // namespace
-
-const Int8GemmKernel& ScalarInt8GemmKernel() { return kScalarInt8Kernel; }
-
-const Int8GemmKernel& SelectInt8GemmKernel() {
-  const Int8GemmKernel* forced =
-      g_int8_kernel_override.load(std::memory_order_acquire);
-  if (forced != nullptr) return *forced;
-  static const Int8GemmKernel* chosen = [] {
-    const Int8GemmKernel* avx2 = Avx2Int8GemmKernel();
-    if (avx2 != nullptr && CpuInfo().avx2) return avx2;
-    return &kScalarInt8Kernel;
-  }();
-  return *chosen;
-}
 
 void Int8QuantizeWeights(const float* w, int64_t m, int64_t k, int8_t* qw,
                          float* scale, int32_t* colsum) {
@@ -212,25 +190,20 @@ void EpilogueScalar(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
   }
 }
 
-std::atomic<Int8EpilogueFn> g_int8_epilogue_override{nullptr};
+const Int8GemmKernel kScalarInt8Kernel = {"scalar-int8", AccumulateScalar,
+                                          PackScalar, EpilogueScalar};
 
 }  // namespace
 
-void Int8ApplyEpilogue(const Int8Epilogue& e, int64_t m0, int64_t m1,
-                       int64_t n, const int32_t* acc, int64_t ldacc, float* c,
-                       int64_t ldc) {
-  const Int8EpilogueFn forced =
-      g_int8_epilogue_override.load(std::memory_order_acquire);
-  if (forced != nullptr) {
-    forced(e, m0, m1, n, acc, ldacc, c, ldc);
-    return;
-  }
-  static const Int8EpilogueFn chosen = [] {
-    const Int8EpilogueFn avx2 = Avx2Int8EpilogueOrNull();
+const Int8GemmKernel& ScalarInt8GemmKernel() { return kScalarInt8Kernel; }
+
+const Int8GemmKernel& SelectInt8GemmKernel() {
+  static const Int8GemmKernel* const detected = [] {
+    const Int8GemmKernel* avx2 = Avx2Int8GemmKernel();
     if (avx2 != nullptr && CpuInfo().avx2) return avx2;
-    return static_cast<Int8EpilogueFn>(EpilogueScalar);
+    return &kScalarInt8Kernel;
   }();
-  chosen(e, m0, m1, n, acc, ldacc, c, ldc);
+  return SimdKernelsAllowed() ? *detected : kScalarInt8Kernel;
 }
 
 void Int8GemmPrepacked(int64_t m, int64_t n, int64_t k, const int8_t* qw,
@@ -244,7 +217,7 @@ void Int8GemmPrepacked(int64_t m, int64_t n, int64_t k, const int8_t* qw,
   const int64_t row_macs = n * kp;
   if (m * row_macs <= kInt8GrainMacs) {
     kernel.accumulate(0, m, n, kp, qw, packed, acc, n);
-    Int8ApplyEpilogue(e, 0, m, n, acc, n, c, ldc);
+    kernel.epilogue(e, 0, m, n, acc, n, c, ldc);
     return;
   }
   // Row blocks in multiples of 6 keep every chunk boundary on a register
@@ -256,7 +229,7 @@ void Int8GemmPrepacked(int64_t m, int64_t n, int64_t k, const int8_t* qw,
                                6 * 6);
   ParallelFor(0, m, grain, [&](int64_t m0, int64_t m1, int) {
     kernel.accumulate(m0, m1, n, kp, qw, packed, acc, n);
-    Int8ApplyEpilogue(e, m0, m1, n, acc, n, c, ldc);
+    kernel.epilogue(e, m0, m1, n, acc, n, c, ldc);
   });
 }
 
@@ -275,35 +248,5 @@ int64_t Int8Direct1x1WorkspaceBytes(int64_t m, int64_t n, int64_t k) {
          align(Int8PackedActBytes(k, n)) +   // packed activation panel
          align(m * n * 4) + 64;              // i32 accumulator tile
 }
-
-namespace internal {
-
-void SetInt8GemmKernelForTesting(const char* name) {
-  const Int8GemmKernel* k = nullptr;
-  if (name != nullptr) {
-    const std::string_view want(name);
-    if (want == "scalar") {
-      k = &kScalarInt8Kernel;
-    } else if (want == "avx2") {
-      k = Avx2Int8GemmKernel();  // stays null (auto) when unavailable
-    }
-  }
-  g_int8_kernel_override.store(k, std::memory_order_release);
-}
-
-void SetInt8EpilogueForTesting(const char* name) {
-  Int8EpilogueFn fn = nullptr;
-  if (name != nullptr) {
-    const std::string_view want(name);
-    if (want == "scalar") {
-      fn = EpilogueScalar;
-    } else if (want == "avx2") {
-      fn = Avx2Int8EpilogueOrNull();  // stays null (auto) when unavailable
-    }
-  }
-  g_int8_epilogue_override.store(fn, std::memory_order_release);
-}
-
-}  // namespace internal
 
 }  // namespace thali

@@ -97,27 +97,6 @@ void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
 void Int8PackActEdges(const uint8_t* qcol, int64_t row_stride, int64_t k,
                       int64_t n, int64_t p0, uint8_t* packed);
 
-// One int8 kernel family: `accumulate` adds rows [m0, m1) of the i32
-// product into acc (row-major, row stride ldacc) from a quantized
-// weight blob (rows of kp bytes) and a packed activation panel; `pack`
-// builds that panel (Int8PackActColsStrided's contract). Accumulation is
-// exact integer arithmetic and packing moves bytes, so every family
-// produces identical bits.
-struct Int8GemmKernel {
-  const char* name;  // "avx2-ubsw-6x8" / "scalar-int8"
-  void (*accumulate)(int64_t m0, int64_t m1, int64_t n, int64_t kp,
-                     const int8_t* qw, const uint8_t* packed, int32_t* acc,
-                     int64_t ldacc);
-  void (*pack)(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
-               uint8_t* packed);
-};
-
-const Int8GemmKernel& ScalarInt8GemmKernel();
-// nullptr when this build has no AVX2 TU (non-x86 targets).
-const Int8GemmKernel* Avx2Int8GemmKernel();
-// Runtime dispatch: AVX2 when the CPU supports it, scalar otherwise.
-const Int8GemmKernel& SelectInt8GemmKernel();
-
 // Requantization parameters of one int8 GEMM (the epilogue inputs).
 //
 // With out_u8 == nullptr the epilogue dequantizes into fp32 C (the
@@ -145,29 +124,40 @@ struct Int8Epilogue {
   int32_t out_zp = 0;              // consumer-domain zero point
 };
 
-// C[f][j] = act((acc - zp*colsum[f]) * s_in*s_w[f] + bias[f]) over rows
-// [m0, m1). Both kernel families requantize through this one entry
-// point. Internally it dispatches between a scalar reference and an
-// AVX2 lane-parallel version; every op is elementwise IEEE arithmetic
-// (cvt, mul, add, compare — no FMA contraction in either TU), so the
-// two produce bit-identical floats and the dispatch cannot break the
-// family-identity guarantee. Small-k conv shapes are epilogue-bound
-// (outputs scale with m*n while MACs scale with m*n*k), which is why
-// this is vectorized at all.
-void Int8ApplyEpilogue(const Int8Epilogue& e, int64_t m0, int64_t m1,
-                       int64_t n, const int32_t* acc, int64_t ldacc, float* c,
-                       int64_t ldc);
+// One int8 kernel family: `accumulate` adds rows [m0, m1) of the i32
+// product into acc (row-major, row stride ldacc) from a quantized
+// weight blob (rows of kp bytes) and a packed activation panel; `pack`
+// builds that panel (Int8PackActColsStrided's contract); `epilogue`
+// requantizes rows [m0, m1) of acc into C:
+//
+//   C[f][j] = act((acc - zp*colsum[f]) * s_in*s_w[f] + bias[f])
+//
+// (or into e.out_u8, see Int8Epilogue). Accumulation is exact integer
+// arithmetic and packing moves bytes; every epilogue op is elementwise
+// IEEE arithmetic (cvt, mul, add, compare — no FMA contraction in
+// either TU), so every family produces identical bits. Small-k conv
+// shapes are epilogue-bound (outputs scale with m*n while MACs scale
+// with m*n*k), which is why the epilogue is vectorized at all.
+struct Int8GemmKernel {
+  const char* name;  // "avx2-ubsw-6x8" / "scalar-int8"
+  void (*accumulate)(int64_t m0, int64_t m1, int64_t n, int64_t kp,
+                     const int8_t* qw, const uint8_t* packed, int32_t* acc,
+                     int64_t ldacc);
+  void (*pack)(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
+               uint8_t* packed);
+  void (*epilogue)(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
+                   const int32_t* acc, int64_t ldacc, float* c, int64_t ldc);
+};
 
-// One requantization epilogue implementation (same contract as
-// Int8ApplyEpilogue minus the dispatch).
-using Int8EpilogueFn = void (*)(const Int8Epilogue& e, int64_t m0, int64_t m1,
-                                int64_t n, const int32_t* acc, int64_t ldacc,
-                                float* c, int64_t ldc);
-
+const Int8GemmKernel& ScalarInt8GemmKernel();
 // nullptr when this build has no AVX2 TU (non-x86 targets).
-Int8EpilogueFn Avx2Int8EpilogueOrNull();
+const Int8GemmKernel* Avx2Int8GemmKernel();
+// Runtime dispatch: AVX2 when the CPU supports it, scalar otherwise or
+// while internal::SetScalarKernelsForTesting (base/cpu_features.h)
+// forces it.
+const Int8GemmKernel& SelectInt8GemmKernel();
 
-// Full quantized GEMM: dispatches the kernel family, row-parallel with
+// Full quantized GEMM: dispatches the kernel family once, row-parallel with
 // the shared thread pool (integer accumulation + disjoint rows keep the
 // result bitwise identical at every thread count), then requantizes into
 // fp32 C (row stride ldc) — or, when e.out_u8 is set, into the u8
@@ -189,14 +179,6 @@ int64_t Int8ConvWorkspaceBytes(int64_t m, int64_t n, int64_t k,
 // accumulator tile — no im2col panel, the channel planes ARE the
 // column matrix.
 int64_t Int8Direct1x1WorkspaceBytes(int64_t m, int64_t n, int64_t k);
-
-namespace internal {
-// Force dispatch to "scalar" or "avx2" (ignored when unavailable), or
-// nullptr to restore automatic detection.
-void SetInt8GemmKernelForTesting(const char* name);
-// Same, for the requantization epilogue inside Int8ApplyEpilogue.
-void SetInt8EpilogueForTesting(const char* name);
-}  // namespace internal
 
 }  // namespace thali
 

@@ -200,9 +200,6 @@ void PackAvx2(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
   Int8PackActEdges(qcol, row_stride, k, n, kq, packed);
 }
 
-const Int8GemmKernel kAvx2Int8Kernel = {"avx2-ubsw-6x8", AccumulateAvx2,
-                                        PackAvx2};
-
 // 8-lane requantization epilogue. Repeats EpilogueScalar's elementwise
 // float sequence with vector ops: cvtepi32 (round-to-nearest-even, same
 // as static_cast), separate mul and add (this TU is built with -mfma,
@@ -327,11 +324,12 @@ void EpilogueAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
   }
 }
 
+const Int8GemmKernel kAvx2Int8Kernel = {"avx2-ubsw-6x8", AccumulateAvx2,
+                                        PackAvx2, EpilogueAvx2};
+
 }  // namespace
 
 const Int8GemmKernel* Avx2Int8GemmKernel() { return &kAvx2Int8Kernel; }
-
-Int8EpilogueFn Avx2Int8EpilogueOrNull() { return EpilogueAvx2; }
 
 }  // namespace thali
 
@@ -339,7 +337,6 @@ Int8EpilogueFn Avx2Int8EpilogueOrNull() { return EpilogueAvx2; }
 
 namespace thali {
 const Int8GemmKernel* Avx2Int8GemmKernel() { return nullptr; }
-Int8EpilogueFn Avx2Int8EpilogueOrNull() { return nullptr; }
 }  // namespace thali
 
 #endif

@@ -1,8 +1,5 @@
 #include "tensor/gemm_microkernel.h"
 
-#include <atomic>
-#include <cstring>
-
 #include "base/cpu_features.h"
 #include "tensor/gemm_tile_impl.h"
 
@@ -11,9 +8,6 @@ namespace thali {
 namespace {
 
 using gemm_detail::MulAddOp;
-
-// Dispatch override for tests: 0 = auto, 1 = scalar, 2 = avx2.
-std::atomic<int> g_kernel_override{0};
 
 const GemmKernel kScalarKernel = {
     /*name=*/"scalar-6x16",
@@ -39,32 +33,8 @@ const GemmKernel* DetectKernel() {
 const GemmKernel& ScalarGemmKernel() { return kScalarKernel; }
 
 const GemmKernel& SelectGemmKernel() {
-  switch (g_kernel_override.load(std::memory_order_acquire)) {
-    case 1:
-      return kScalarKernel;
-    case 2: {
-      const GemmKernel* avx2 = Avx2GemmKernel();
-      if (avx2 != nullptr && CpuInfo().avx2 && CpuInfo().fma) return *avx2;
-      break;  // unavailable: fall through to auto detection
-    }
-    default:
-      break;
-  }
   static const GemmKernel* const detected = DetectKernel();
-  return *detected;
+  return SimdKernelsAllowed() ? *detected : kScalarKernel;
 }
-
-namespace internal {
-
-void SetGemmKernelForTesting(const char* name) {
-  int value = 0;
-  if (name != nullptr) {
-    if (std::strcmp(name, "scalar") == 0) value = 1;
-    if (std::strcmp(name, "avx2") == 0) value = 2;
-  }
-  g_kernel_override.store(value, std::memory_order_release);
-}
-
-}  // namespace internal
 
 }  // namespace thali

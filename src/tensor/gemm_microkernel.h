@@ -90,16 +90,11 @@ const GemmKernel& ScalarGemmKernel();
 // before dispatching to it.
 const GemmKernel* Avx2GemmKernel();
 
-// The kernel family this host dispatches to, chosen once on first use:
-// AVX2 when the CPU reports both AVX2 and FMA, scalar otherwise.
+// The kernel family this host dispatches to, detected once on first
+// use: AVX2 when the CPU reports both AVX2 and FMA, scalar otherwise —
+// or scalar while internal::SetScalarKernelsForTesting
+// (base/cpu_features.h) forces it.
 const GemmKernel& SelectGemmKernel();
-
-namespace internal {
-// Testing hook: force dispatch to "scalar" or "avx2" (silently ignored
-// when that family is unavailable on this build/host), or pass nullptr
-// to restore automatic detection.
-void SetGemmKernelForTesting(const char* name);
-}  // namespace internal
 
 }  // namespace thali
 

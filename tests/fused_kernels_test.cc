@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/cpu_features.h"
 #include "base/rng.h"
 #include "darknet/cfg.h"
 #include "darknet/model_zoo.h"
@@ -69,9 +70,9 @@ TEST(FastActTest, FastMishAccuracyPin) {
   std::vector<float> xs;
   for (int i = -3000; i <= 3000; ++i) xs.push_back(0.01f * i);
   std::vector<float> ys = xs;
-  internal::SetActKernelForTesting("scalar");
+  internal::SetScalarKernelsForTesting(true);
   FastMishInPlace(ys.data(), static_cast<int64_t>(ys.size()));
-  internal::SetActKernelForTesting(nullptr);
+  internal::SetScalarKernelsForTesting(false);
   for (size_t i = 0; i < xs.size(); ++i) {
     const float want = MishRef(xs[i]);
     const float tol = 5e-7f * std::max(1.0f, std::abs(xs[i]));
@@ -93,8 +94,8 @@ TEST(FastActTest, SaturatedBranchIsExactlyIdentity) {
 TEST(FastActTest, ScalarAndAvx2FamiliesAgreeBitwise) {
   // The determinism contract: both families spell out the identical op
   // sequence, so lane vs remainder placement never changes a value.
-  // When this host lacks AVX2 the override is ignored and the test
-  // compares scalar to scalar, which is trivially true.
+  // Forced scalar against automatic selection: when this host lacks AVX2
+  // both sides are scalar, which is trivially true.
   Rng rng(7);
   std::vector<float> base(1003);  // odd length exercises the remainder
   for (auto& v : base) v = rng.NextFloat() * 40.0f - 20.0f;
@@ -102,11 +103,10 @@ TEST(FastActTest, ScalarAndAvx2FamiliesAgreeBitwise) {
   for (void (*kernel)(float*, int64_t) :
        {&FastMishInPlace, &FastLeakyInPlace, &FastReluInPlace}) {
     std::vector<float> a = base, b = base;
-    internal::SetActKernelForTesting("scalar");
+    internal::SetScalarKernelsForTesting(true);
     kernel(a.data(), static_cast<int64_t>(a.size()));
-    internal::SetActKernelForTesting("avx2");
+    internal::SetScalarKernelsForTesting(false);
     kernel(b.data(), static_cast<int64_t>(b.size()));
-    internal::SetActKernelForTesting(nullptr);
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
   }
 }

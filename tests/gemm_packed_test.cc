@@ -13,7 +13,10 @@
 #include "base/cpu_features.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "image/image_prepost.h"
+#include "tensor/act_kernels.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_int8.h"
 #include "tensor/gemm_microkernel.h"
 #include "tensor/gemm_pack.h"
 
@@ -31,7 +34,7 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed) {
 class GemmPackedTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    internal::SetGemmKernelForTesting(nullptr);
+    internal::SetScalarKernelsForTesting(false);
     SetMaxParallelism(1);
   }
 };
@@ -184,11 +187,38 @@ TEST_F(GemmPackedTest, DispatchPicksAvx2IffCpuSupportsIt) {
 }
 
 TEST_F(GemmPackedTest, ForcedScalarFamilyIsSelfConsistent) {
-  internal::SetGemmKernelForTesting("scalar");
+  internal::SetScalarKernelsForTesting(true);
   EXPECT_STREQ(GemmKernelName(), "scalar-6x16");
   ExpectPackedMatchesReference(false, false, 23, 45, 130, 1.0f, 0.0f);
   ExpectPackedMatchesReference(true, true, 17, 29, 31, 0.7f, 1.0f);
-  internal::SetGemmKernelForTesting(nullptr);
+  internal::SetScalarKernelsForTesting(false);
+}
+
+TEST_F(GemmPackedTest, ScalarSwitchMovesEveryKernelFamilyAtOnce) {
+  // One switch forces all four SIMD families scalar, and releasing it
+  // brings back exactly what each family's own capability test detects.
+  const CpuFeatures& cpu = CpuInfo();
+  const bool avx2_fma = cpu.avx2 && cpu.fma;
+  const auto detected = [&] {
+    EXPECT_STREQ(GemmKernelName(), Avx2GemmKernel() != nullptr && avx2_fma
+                                       ? "avx2-fma-6x16"
+                                       : "scalar-6x16");
+    EXPECT_STREQ(SelectInt8GemmKernel().name,
+                 Avx2Int8GemmKernel() != nullptr && cpu.avx2
+                     ? "avx2-ubsw-6x8"
+                     : "scalar-int8");
+    EXPECT_STREQ(ActKernelName(), avx2_fma ? "avx2-act" : "scalar-act");
+    EXPECT_STREQ(ResizeKernelName(),
+                 avx2_fma ? "avx2-resize" : "scalar-resize");
+  };
+  detected();
+  internal::SetScalarKernelsForTesting(true);
+  EXPECT_STREQ(GemmKernelName(), "scalar-6x16");
+  EXPECT_STREQ(SelectInt8GemmKernel().name, "scalar-int8");
+  EXPECT_STREQ(ActKernelName(), "scalar-act");
+  EXPECT_STREQ(ResizeKernelName(), "scalar-resize");
+  internal::SetScalarKernelsForTesting(false);
+  detected();
 }
 
 TEST_F(GemmPackedTest, PackedWeightLayoutRoundTrips) {

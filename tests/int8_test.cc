@@ -3,7 +3,8 @@
 // quantizer math and its saturation, the u8 im2col and panel pack byte
 // for byte, bitwise conformance of the scalar and AVX2 kernel
 // families on every conv GEMM shape of yolov4-thali, plan selection,
-// the THALI_INT8=0 fp32 pin, and end-to-end accuracy against fp32.
+// calibration as the only int8 opt-in, THALICAL persistence and its
+// all-or-nothing load, and end-to-end accuracy against fp32.
 
 #include <gtest/gtest.h>
 
@@ -45,14 +46,12 @@ namespace thali {
 namespace {
 
 // Restores every global knob a test may flip, so a failure cannot leak
-// int8 mode, a forced kernel family, or parallelism into later tests.
+// forced scalar kernels, fusion or parallelism into later tests.
 class Int8Test : public ::testing::Test {
  protected:
   void TearDown() override {
     SetMaxParallelism(1);
-    internal::SetInt8ForTesting(-1);
-    internal::SetInt8GemmKernelForTesting(nullptr);
-    internal::SetInt8EpilogueForTesting(nullptr);
+    internal::SetScalarKernelsForTesting(false);
     internal::SetFusionForTesting(-1);
   }
 };
@@ -158,8 +157,9 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
   }
 
   // Every family's pack, called directly and through the dispatching
-  // entry point, over every n % 8 and k % 4 residue, n < 8, and a row
-  // stride wider than n. The source holds exactly (k-1)*row_stride + n
+  // entry point (forced scalar for the scalar family, automatic for
+  // AVX2), over every n % 8 and k % 4 residue, n < 8, and a row stride
+  // wider than n. The source holds exactly (k-1)*row_stride + n
   // bytes, so a load past column n of the last row trips ASan.
   std::vector<std::pair<const char*, const Int8GemmKernel*>> families = {
       {"scalar", &ScalarInt8GemmKernel()}};
@@ -190,11 +190,12 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
           family->pack(src.data(), stride, kk, nn, direct.data());
           ASSERT_EQ(direct, want) << name << " k=" << kk << " n=" << nn
                                   << " row_stride=" << stride;
-          internal::SetInt8GemmKernelForTesting(name);
+          internal::SetScalarKernelsForTesting(family ==
+                                               &ScalarInt8GemmKernel());
           std::vector<uint8_t> dispatched(want.size(), 0x55);
           Int8PackActColsStrided(src.data(), stride, kk, nn,
                                  dispatched.data());
-          internal::SetInt8GemmKernelForTesting(nullptr);
+          internal::SetScalarKernelsForTesting(false);
           ASSERT_EQ(dispatched, want) << name << " k=" << kk << " n=" << nn
                                       << " row_stride=" << stride;
         }
@@ -428,30 +429,39 @@ TEST_F(Int8Test, Int8GemmBitwiseIdenticalAcrossThreadsAndKernels) {
   epi.bias = bias.data();
   epi.activation = GemmActivation::kLeaky;
 
-  auto run = [&](const char* kernel, int threads) {
-    internal::SetInt8GemmKernelForTesting(kernel);
+  auto run = [&](bool scalar, int threads) {
+    internal::SetScalarKernelsForTesting(scalar);
     SetMaxParallelism(threads);
     std::vector<float> c(static_cast<size_t>(m * n), -9.0f);
     std::vector<int32_t> acc(static_cast<size_t>(m * n));
     Int8GemmPrepacked(m, n, k, ops.qw.data(), ops.packed.data(), epi,
                       c.data(), n, acc.data());
-    internal::SetInt8GemmKernelForTesting(nullptr);
+    internal::SetScalarKernelsForTesting(false);
     return c;
   };
-  const std::vector<float> base = run("scalar", 1);
-  for (const char* kernel : {"scalar", "avx2"}) {
+  const std::vector<float> base = run(/*scalar=*/true, 1);
+  for (const bool scalar : {true, false}) {
     for (const int threads : {1, 2, 4}) {
-      if (std::string_view(kernel) == "scalar" && threads == 1) continue;
-      const std::vector<float> got = run(kernel, threads);
+      if (scalar && threads == 1) continue;
+      const std::vector<float> got = run(scalar, threads);
       EXPECT_EQ(
           std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
-          << "kernel=" << kernel << " threads=" << threads;
+          << "scalar=" << scalar << " threads=" << threads;
     }
   }
 }
 
+// Runs the dispatched family's requantize epilogue, forced scalar or
+// automatically selected.
+void RunEpilogue(bool scalar, const Int8Epilogue& e, int64_t m, int64_t n,
+                 const int32_t* acc, float* c) {
+  internal::SetScalarKernelsForTesting(scalar);
+  SelectInt8GemmKernel().epilogue(e, 0, m, n, acc, n, c, n);
+  internal::SetScalarKernelsForTesting(false);
+}
+
 TEST_F(Int8Test, EpilogueFamiliesAgreeBitwiseIncludingMaskedTails) {
-  if (Avx2Int8EpilogueOrNull() == nullptr || !CpuInfo().avx2) {
+  if (Avx2Int8GemmKernel() == nullptr || !CpuInfo().avx2) {
     GTEST_SKIP() << "no AVX2 epilogue on this host";
   }
   Rng rng(909);
@@ -481,11 +491,8 @@ TEST_F(Int8Test, EpilogueFamiliesAgreeBitwiseIncludingMaskedTails) {
       epi.activation = act;
       std::vector<float> c_s(static_cast<size_t>(m * n), -1.0f);
       std::vector<float> c_v(static_cast<size_t>(m * n), -2.0f);
-      internal::SetInt8EpilogueForTesting("scalar");
-      Int8ApplyEpilogue(epi, 0, m, n, acc.data(), n, c_s.data(), n);
-      internal::SetInt8EpilogueForTesting("avx2");
-      Int8ApplyEpilogue(epi, 0, m, n, acc.data(), n, c_v.data(), n);
-      internal::SetInt8EpilogueForTesting(nullptr);
+      RunEpilogue(/*scalar=*/true, epi, m, n, acc.data(), c_s.data());
+      RunEpilogue(/*scalar=*/false, epi, m, n, acc.data(), c_v.data());
       ASSERT_EQ(
           std::memcmp(c_s.data(), c_v.data(), c_s.size() * sizeof(float)), 0)
           << "n=" << n << " act=" << static_cast<int>(act);
@@ -493,35 +500,30 @@ TEST_F(Int8Test, EpilogueFamiliesAgreeBitwiseIncludingMaskedTails) {
   }
 }
 
-TEST_F(Int8Test, EnvValueSemanticsAreOptIn) {
-  EXPECT_FALSE(internal::Int8EnvValueEnables(nullptr));
-  EXPECT_FALSE(internal::Int8EnvValueEnables(""));
-  EXPECT_FALSE(internal::Int8EnvValueEnables("0"));
-  EXPECT_TRUE(internal::Int8EnvValueEnables("1"));
-  EXPECT_TRUE(internal::Int8EnvValueEnables("yes"));
-}
-
-BuiltNetwork BuildThali(int int8_mode) {
-  internal::SetInt8ForTesting(int8_mode);
+BuiltNetwork BuildThali() {
   Rng rng(4242);
   auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
                                    /*batch_override=*/1, rng,
                                    ExecMode::kInference);
-  internal::SetInt8ForTesting(-1);
   THALI_CHECK_OK(built.status());
   return std::move(built).value();
 }
 
-// Folds batch norm on every conv and calibrates the quantizable convs
-// of an int8 network with one min/max pass over `input`, then replans so
-// the quantized algorithms and their quantize-once chains take effect.
-// Returns the number of convs armed.
-int FoldAndCalibrate(Network& net, const Tensor& input) {
+// Folds batch norm on every conv.
+void FoldAll(Network& net) {
   for (int i = 0; i < net.num_layers(); ++i) {
     if (std::string_view(net.layer(i).kind()) == "convolutional") {
       static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
     }
   }
+}
+
+// Folds batch norm on every conv and calibrates the quantizable convs
+// with one min/max pass over `input`, then replans so the quantized
+// algorithms and their quantize-once chains take effect. Returns the
+// number of convs armed.
+int FoldAndCalibrate(Network& net, const Tensor& input) {
+  FoldAll(net);
   net.set_calib_phase(CalibPhase::kRange);
   Tensor in = input;
   net.Forward(in, /*train=*/false);
@@ -548,9 +550,8 @@ Tensor HeadInput(const Network& net) {
 }
 
 TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
-  BuiltNetwork built = BuildThali(1);
+  BuiltNetwork built = BuildThali();
   Network& net = *built.net;
-  ASSERT_TRUE(net.int8_enabled());
   ASSERT_TRUE(net.exec_plan().fused);
   // `armed`: the plan after calibration, when every quantizable conv
   // runs its quantized algorithm; before it, its geometry's fp32 one.
@@ -618,9 +619,13 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
   ASSERT_EQ(FoldAndCalibrate(net, HeadInput(net)), 25);
   check_plan(/*armed=*/true);
 
-  // Int8 off: the plan must contain no quantized entry at all.
-  BuiltNetwork off = BuildThali(0);
-  EXPECT_FALSE(off.net->int8_enabled());
+  // Without a fused plan nothing is quantizable, so calibrating cannot
+  // arm anything: the plan must contain no quantized entry at all.
+  internal::SetFusionForTesting(0);
+  BuiltNetwork off = BuildThali();
+  internal::SetFusionForTesting(-1);
+  ASSERT_FALSE(off.net->exec_plan().fused);
+  EXPECT_EQ(FoldAndCalibrate(*off.net, HeadInput(*off.net)), 0);
   for (const LayerPlan& lp : off.net->exec_plan().layers) {
     EXPECT_FALSE(lp.quantizable);
     EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8);
@@ -640,29 +645,58 @@ std::vector<float> HeadOutputs(BuiltNetwork& built) {
   return flat;
 }
 
-TEST_F(Int8Test, Int8OffIsBitwiseIdenticalToDefaultFusedPlan) {
-  // THALI_INT8=0 (and unset) must reproduce the fp32 fused plan byte for
-  // byte — quantization support may cost default users nothing.
-  BuiltNetwork def = BuildThali(-1);
-  BuiltNetwork off = BuildThali(0);
-  const std::vector<float> a = HeadOutputs(def);
-  const std::vector<float> b = HeadOutputs(off);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+TEST_F(Int8Test, ResetCalibrationRestoresUncalibratedBytes) {
+  // Dropping every range and replanning is the int8 opt-out: it must
+  // reproduce a never-calibrated folded network byte for byte, so
+  // calibrating once leaves nothing behind in the fp32 plan.
+  BuiltNetwork never = BuildThali();
+  FoldAll(*never.net);
+  const std::vector<float> ref = HeadOutputs(never);
+
+  BuiltNetwork reset = BuildThali();
+  ASSERT_EQ(FoldAndCalibrate(*reset.net, HeadInput(*reset.net)), 25);
+  ASSERT_GE(reset.net->exec_plan().quantized_layers, 49);
+  const std::vector<float> armed = HeadOutputs(reset);
+  for (int i = 0; i < reset.net->num_layers(); ++i) {
+    if (std::string_view(reset.net->layer(i).kind()) == "convolutional") {
+      static_cast<ConvLayer&>(reset.net->layer(i)).ResetCalibration();
+    }
+  }
+  THALI_CHECK_OK(reset.net->ReplanInference());
+  EXPECT_EQ(reset.net->exec_plan().quantized_layers, 0);
+  const std::vector<float> got = HeadOutputs(reset);
+  ASSERT_EQ(got.size(), ref.size());
+  ASSERT_FALSE(ref.empty());
+  EXPECT_NE(std::memcmp(armed.data(), ref.data(), ref.size() * sizeof(float)),
+            0)
+      << "the calibrated forward never ran quantized";
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)),
+            0);
+}
+
+TEST_F(Int8Test, CalibrateInt8AloneArmsDefaultDetector) {
+  // No env var and no hook: a default-built fused detector quantizes
+  // exactly when it is calibrated.
+  auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}));
+  THALI_CHECK_OK(det.status());
+  EXPECT_EQ(det->network().exec_plan().quantized_layers, 0);
+  DatasetSpec spec;
+  spec.num_images = 4;
+  spec.seed = 99;
+  const FoodDataset ds = FoodDataset::Generate(IndianFood10(), spec);
+  const std::vector<int> idx = {0, 1, 2, 3};
+  EXPECT_EQ(det->CalibrateInt8(ds, idx), 25);
+  EXPECT_GE(det->network().exec_plan().quantized_layers, 49);
+  EXPECT_TRUE(det->network().exec_plan().input_u8);
 }
 
 TEST_F(Int8Test, Int8ForwardRunsQuantizedAndTracksFp32) {
-  // fp32 oracle: same seed, same folded weights, int8 off.
-  BuiltNetwork fp32 = BuildThali(0);
-  for (int i = 0; i < fp32.net->num_layers(); ++i) {
-    if (std::string_view(fp32.net->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(fp32.net->layer(i)).FoldBatchNorm();
-    }
-  }
+  // fp32 oracle: same seed, same folded weights, never calibrated.
+  BuiltNetwork fp32 = BuildThali();
+  FoldAll(*fp32.net);
   const std::vector<float> ref = HeadOutputs(fp32);
 
-  BuiltNetwork int8 = BuildThali(1);
+  BuiltNetwork int8 = BuildThali();
   const int armed = FoldAndCalibrate(*int8.net, HeadInput(*int8.net));
   ASSERT_GT(armed, 0);
   const std::vector<float> got = HeadOutputs(int8);
@@ -684,16 +718,16 @@ TEST_F(Int8Test, Int8ForwardRunsQuantizedAndTracksFp32) {
       << "int8 heads drifted " << std::sqrt(num / den) << " rel-L2 from fp32";
 
   // Scalar and AVX2 kernel families must agree bitwise end to end.
-  internal::SetInt8GemmKernelForTesting("scalar");
+  internal::SetScalarKernelsForTesting(true);
   const std::vector<float> scalar_out = HeadOutputs(int8);
-  internal::SetInt8GemmKernelForTesting(nullptr);
+  internal::SetScalarKernelsForTesting(false);
   EXPECT_EQ(std::memcmp(scalar_out.data(), got.data(),
                         got.size() * sizeof(float)),
             0);
 }
 
 TEST_F(Int8Test, ReplanAfterCalibrationChainsMajorityOfThali) {
-  BuiltNetwork int8 = BuildThali(1);
+  BuiltNetwork int8 = BuildThali();
   Tensor input(int8.net->input_shape());
   Rng irng(41);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
@@ -758,22 +792,18 @@ TEST_F(Int8Test, ReplanAfterCalibrationChainsMajorityOfThali) {
 }
 
 TEST_F(Int8Test, CalibrationPhaseRunsFp32PlanThenRearms) {
-  BuiltNetwork int8 = BuildThali(1);
+  BuiltNetwork int8 = BuildThali();
   ASSERT_GT(FoldAndCalibrate(*int8.net, HeadInput(*int8.net)), 0);
   ASSERT_GE(int8.net->exec_plan().quantized_layers, 49);
   const std::vector<float> armed = HeadOutputs(int8);
 
-  // fp32 oracle: same seed, same folded weights, int8 off.
-  BuiltNetwork fp32 = BuildThali(0);
-  for (int i = 0; i < fp32.net->num_layers(); ++i) {
-    if (std::string_view(fp32.net->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(fp32.net->layer(i)).FoldBatchNorm();
-    }
-  }
+  // fp32 oracle: same seed, same folded weights, never calibrated.
+  BuiltNetwork fp32 = BuildThali();
+  FoldAll(*fp32.net);
   const std::vector<float> ref = HeadOutputs(fp32);
 
   // A calibration phase replans the chained network onto the fp32
-  // algorithms: its forward is the int8-off forward, bit for bit...
+  // algorithms: its forward is the uncalibrated forward, bit for bit...
   int8.net->set_calib_phase(CalibPhase::kRange);
   EXPECT_EQ(int8.net->exec_plan().quantized_layers, 0);
   const std::vector<float> observed = HeadOutputs(int8);
@@ -796,7 +826,7 @@ TEST_F(Int8Test, PercentileCalibrationTrimsInsideMinMaxRanges) {
   spec.num_images = 10;
   spec.seed = 321;
   const FoodDataset ds = FoodDataset::Generate(IndianFood10(), spec);
-  BuiltNetwork built = BuildThali(1);
+  BuiltNetwork built = BuildThali();
   std::vector<DetectionHead*> heads(built.yolo_layers.begin(),
                                     built.yolo_layers.end());
   Network& net = *built.net;
@@ -856,7 +886,7 @@ TEST_F(Int8Test, PercentileCalibrationTrimsInsideMinMaxRanges) {
 }
 
 TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
-  if (Avx2Int8EpilogueOrNull() == nullptr || !CpuInfo().avx2) {
+  if (Avx2Int8GemmKernel() == nullptr || !CpuInfo().avx2) {
     GTEST_SKIP() << "no AVX2 epilogue on this host";
   }
   Rng rng(808);
@@ -889,13 +919,10 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
       epi.out_zp = 33;
       std::vector<uint8_t> u_s(static_cast<size_t>(m * n), 0xAA);
       std::vector<uint8_t> u_v(static_cast<size_t>(m * n), 0x55);
-      internal::SetInt8EpilogueForTesting("scalar");
       epi.out_u8 = u_s.data();
-      Int8ApplyEpilogue(epi, 0, m, n, acc.data(), n, nullptr, n);
-      internal::SetInt8EpilogueForTesting("avx2");
+      RunEpilogue(/*scalar=*/true, epi, m, n, acc.data(), nullptr);
       epi.out_u8 = u_v.data();
-      Int8ApplyEpilogue(epi, 0, m, n, acc.data(), n, nullptr, n);
-      internal::SetInt8EpilogueForTesting(nullptr);
+      RunEpilogue(/*scalar=*/false, epi, m, n, acc.data(), nullptr);
       ASSERT_EQ(std::memcmp(u_s.data(), u_v.data(), u_s.size()), 0)
           << "n=" << n << " act=" << static_cast<int>(act);
       for (uint8_t v : u_s) ASSERT_LE(v, 127);
@@ -913,7 +940,7 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
   for (const GemmActivation act :
        {GemmActivation::kNone, GemmActivation::kLeaky, GemmActivation::kRelu,
         GemmActivation::kMish}) {
-    for (const char* family : {"scalar", "avx2"}) {
+    for (const bool scalar : {true, false}) {
       Int8Epilogue epi;
       epi.wscale = unit_scale;
       epi.wcolsum = zero_colsum;
@@ -922,9 +949,7 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
       epi.out_zp = 5;
       uint8_t u[9];
       epi.out_u8 = u;
-      internal::SetInt8EpilogueForTesting(family);
-      Int8ApplyEpilogue(epi, 0, 1, 9, big, 9, nullptr, 9);
-      internal::SetInt8EpilogueForTesting(nullptr);
+      RunEpilogue(scalar, epi, 1, 9, big, nullptr);
       // relu and mish take a huge negative to (about) 0, which
       // quantizes to the zero point.
       const bool keeps_sign = act == GemmActivation::kNone ||
@@ -932,7 +957,8 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
       for (int j = 0; j < 9; ++j) {
         const uint8_t want =
             big[j] > 0 ? 127 : big[j] < 0 && keeps_sign ? 0 : 5;
-        EXPECT_EQ(u[j], want) << family << " act=" << static_cast<int>(act)
+        EXPECT_EQ(u[j], want) << "scalar=" << scalar
+                              << " act=" << static_cast<int>(act)
                               << " acc=" << big[j];
       }
     }
@@ -940,7 +966,7 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
 }
 
 TEST_F(Int8Test, CalibrationSurvivesRebatchAndMatchesBatchOne) {
-  BuiltNetwork int8 = BuildThali(1);
+  BuiltNetwork int8 = BuildThali();
   Tensor input(int8.net->input_shape());
   Rng irng(23);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
@@ -978,7 +1004,7 @@ TEST_F(Int8Test, CalibrationSurvivesRebatchAndMatchesBatchOne) {
 }
 
 TEST_F(Int8Test, CalibrationRoundTripsThroughFile) {
-  BuiltNetwork a = BuildThali(1);
+  BuiltNetwork a = BuildThali();
   Tensor input(a.net->input_shape());
   Rng irng(31);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
@@ -988,7 +1014,7 @@ TEST_F(Int8Test, CalibrationRoundTripsThroughFile) {
   const std::string path = ::testing::TempDir() + "thali_int8_test.cal";
   THALI_CHECK_OK(SaveCalibration(*a.net, path));
 
-  BuiltNetwork b = BuildThali(1);
+  BuiltNetwork b = BuildThali();
   auto loaded = LoadCalibration(*b.net, path);
   THALI_CHECK_OK(loaded.status());
   EXPECT_EQ(*loaded, armed);
@@ -1002,11 +1028,49 @@ TEST_F(Int8Test, CalibrationRoundTripsThroughFile) {
     EXPECT_EQ(ca.activation_range_max(), cb.activation_range_max()) << i;
   }
 
-  // A truncated file must fail loudly, not half-arm the network.
-  const std::string bad = ::testing::TempDir() + "thali_int8_test_bad.cal";
-  THALI_CHECK_OK(WriteStringToFile(bad, "THALICAL\x01"));
-  BuiltNetwork c = BuildThali(1);
-  EXPECT_FALSE(LoadCalibration(*c.net, bad).ok());
+  // A corrupt file must fail loudly, not half-arm the network: a
+  // truncated header, a file cut inside entry 2, and an entry 2 with an
+  // inverted range or naming a non-conv layer. The target is folded, so
+  // any range that slipped in would arm its conv on the next replan.
+  auto data = ReadFileToString(path);
+  THALI_CHECK_OK(data.status());
+  constexpr size_t kHeader = 16, kEntry = 12;
+  ASSERT_GE(data->size(), kHeader + 2 * kEntry);
+  const size_t entry2 = kHeader + kEntry;
+  std::string inverted = *data;
+  float range[2];
+  std::memcpy(range, inverted.data() + entry2 + 4, sizeof(range));
+  range[0] = range[1] + 1.0f;
+  std::memcpy(inverted.data() + entry2 + 4, range, sizeof(float));
+  std::string non_conv = *data;
+  int32_t route = -1;
+  for (int i = 0; i < a.net->num_layers() && route < 0; ++i) {
+    if (std::string_view(a.net->layer(i).kind()) == "route") route = i;
+  }
+  ASSERT_GE(route, 0);
+  std::memcpy(non_conv.data() + entry2, &route, sizeof(route));
+  const std::vector<std::pair<const char*, std::string>> corrupt = {
+      {"truncated header", "THALICAL\x01"},
+      {"cut inside entry 2", data->substr(0, entry2 + 6)},
+      {"entry 2 min > max", inverted},
+      {"entry 2 names a route", non_conv}};
+  for (const auto& [what, bytes] : corrupt) {
+    const std::string bad = ::testing::TempDir() + "thali_int8_test_bad.cal";
+    THALI_CHECK_OK(WriteStringToFile(bad, bytes));
+    BuiltNetwork c = BuildThali();
+    FoldAll(*c.net);
+    EXPECT_FALSE(LoadCalibration(*c.net, bad).ok()) << what;
+    for (int i = 0; i < c.net->num_layers(); ++i) {
+      if (std::string_view(c.net->layer(i).kind()) != "convolutional") {
+        continue;
+      }
+      EXPECT_FALSE(static_cast<const ConvLayer&>(c.net->layer(i))
+                       .has_activation_range())
+          << what << ": layer " << i;
+    }
+    THALI_CHECK_OK(c.net->ReplanInference());
+    EXPECT_EQ(c.net->exec_plan().quantized_layers, 0) << what;
+  }
 }
 
 TEST_F(Int8Test, CalibrateInt8KeepsMapWithinOnePointOfFp32) {
@@ -1033,12 +1097,10 @@ TEST_F(Int8Test, CalibrateInt8KeepsMapWithinOnePointOfFp32) {
   const std::string wpath = ::testing::TempDir() + "thali_int8_map.weights";
   THALI_CHECK_OK(trainer->SaveWeightsTo(wpath));
 
-  auto build_eval = [&](int int8_mode) {
-    internal::SetInt8ForTesting(int8_mode);
+  auto build_eval = [&]() {
     Rng rng(7);
     auto built = BuildNetworkFromCfg(topts.cfg_text, /*batch_override=*/1,
                                      rng, ExecMode::kInference);
-    internal::SetInt8ForTesting(-1);
     THALI_CHECK_OK(built.status());
     auto loaded = LoadWeights(*built->net, wpath);
     THALI_CHECK_OK(loaded.status());
@@ -1046,12 +1108,8 @@ TEST_F(Int8Test, CalibrateInt8KeepsMapWithinOnePointOfFp32) {
     return std::move(built).value();
   };
 
-  BuiltNetwork fp32 = build_eval(0);
-  for (int i = 0; i < fp32.net->num_layers(); ++i) {
-    if (std::string_view(fp32.net->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(fp32.net->layer(i)).FoldBatchNorm();
-    }
-  }
+  BuiltNetwork fp32 = build_eval();
+  FoldAll(*fp32.net);
   std::vector<DetectionHead*> fp32_heads(fp32.yolo_layers.begin(),
                                          fp32.yolo_layers.end());
   const float map_fp32 =
@@ -1059,7 +1117,7 @@ TEST_F(Int8Test, CalibrateInt8KeepsMapWithinOnePointOfFp32) {
                          EvalOptions{})
           .map;
 
-  BuiltNetwork int8 = build_eval(1);
+  BuiltNetwork int8 = build_eval();
   std::vector<DetectionHead*> int8_heads(int8.yolo_layers.begin(),
                                          int8.yolo_layers.end());
   Network& int8_net = *int8.net;

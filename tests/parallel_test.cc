@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/cpu_features.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/trainer.h"
@@ -38,8 +39,7 @@ class ParallelTest : public ::testing::Test {
   void TearDown() override {
     SetMaxParallelism(1);
     internal::SetFusionForTesting(-1);
-    internal::SetInt8ForTesting(-1);
-    internal::SetInt8GemmKernelForTesting(nullptr);
+    internal::SetScalarKernelsForTesting(false);
   }
 };
 
@@ -328,23 +328,22 @@ TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
   }
 }
 
-// Full yolov4-thali int8 inference: builds with int8 latched (and
-// optionally fusion disabled, where int8 must become a no-op), folds
-// batch norm, min/max-calibrates every quantized-algo conv on the test
-// input, replans so the quantize-once chains arm, then forwards through
-// a SetBatch(1 -> 4 -> 1) cycle with the given kernel family forced. Returns the final batch-1 head
-// activations flattened for bitwise comparison.
-std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
-                                    bool fuse, int int8_mode) {
+// Full yolov4-thali int8 inference: builds (optionally with fusion
+// disabled, where calibrating must become a no-op), folds batch norm,
+// min/max-calibrates every quantizable conv on the test input (unless
+// `calibrate` is false), replans so the quantize-once chains arm, then
+// forwards through a SetBatch(1 -> 4 -> 1) cycle with every kernel
+// family forced scalar or automatically selected. Returns the final
+// batch-1 head activations flattened for bitwise comparison.
+std::vector<float> ThaliInt8Forward(int threads, bool scalar, bool fuse,
+                                    bool calibrate = true) {
   SetMaxParallelism(threads);
-  internal::SetInt8ForTesting(int8_mode);
   internal::SetFusionForTesting(fuse ? -1 : 0);
   Rng rng(4242);
   auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
                                    /*batch_override=*/1, rng,
                                    ExecMode::kInference);
   internal::SetFusionForTesting(-1);
-  internal::SetInt8ForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
   for (int i = 0; i < net.num_layers(); ++i) {
@@ -356,23 +355,25 @@ std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
   Rng irng(17);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
 
-  net.set_calib_phase(CalibPhase::kRange);
-  Tensor calib = input;
-  net.Forward(calib, /*train=*/false);
-  net.set_calib_phase(CalibPhase::kOff);
-  for (int i = 0; i < net.num_layers(); ++i) {
-    Layer& l = net.layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (!l.plan().quantizable) continue;
-    static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
+  if (calibrate) {
+    net.set_calib_phase(CalibPhase::kRange);
+    Tensor calib = input;
+    net.Forward(calib, /*train=*/false);
+    net.set_calib_phase(CalibPhase::kOff);
+    for (int i = 0; i < net.num_layers(); ++i) {
+      Layer& l = net.layer(i);
+      if (std::string_view(l.kind()) != "convolutional") continue;
+      if (!l.plan().quantizable) continue;
+      static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
+    }
+    // Arms the quantized algorithms and the quantize-once chains (u8
+    // edges, int8 1x1, fused mish requantize) so the thread x kernel
+    // matrix exercises the chained forward, not just per-layer
+    // quantization.
+    THALI_CHECK_OK(net.ReplanInference());
   }
-  // Arms the quantized algorithms and the quantize-once chains (u8
-  // edges, int8 1x1, fused mish requantize) so the thread x kernel
-  // matrix exercises the chained forward, not just per-layer
-  // quantization.
-  THALI_CHECK_OK(net.ReplanInference());
 
-  internal::SetInt8GemmKernelForTesting(kernel);
+  internal::SetScalarKernelsForTesting(scalar);
   Tensor first = input;
   net.Forward(first, /*train=*/false);
   THALI_CHECK_OK(net.SetBatch(4));
@@ -385,7 +386,7 @@ std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
   THALI_CHECK_OK(net.SetBatch(1));
   Tensor again = input;
   net.Forward(again, /*train=*/false);
-  internal::SetInt8GemmKernelForTesting(nullptr);
+  internal::SetScalarKernelsForTesting(false);
 
   std::vector<float> flat;
   for (YoloLayer* head : built->yolo_layers) {
@@ -400,25 +401,30 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
   // kernel families, and batch re-planning — exact integer accumulation
   // plus the shared scalar requantize epilogue make this a hard
   // equality, unlike the fp32 Winograd tolerance.
-  const std::vector<float> base = ThaliInt8Forward(1, "scalar", true, 1);
+  const std::vector<float> base =
+      ThaliInt8Forward(1, /*scalar=*/true, /*fuse=*/true);
   ASSERT_FALSE(base.empty());
-  for (const char* kernel : {"scalar", "avx2"}) {
+  for (const bool scalar : {true, false}) {
     for (const int threads : {1, 2, 4}) {
-      if (std::string_view(kernel) == "scalar" && threads == 1) continue;
-      const std::vector<float> got = ThaliInt8Forward(threads, kernel, true, 1);
+      if (scalar && threads == 1) continue;
+      const std::vector<float> got =
+          ThaliInt8Forward(threads, scalar, /*fuse=*/true);
       ASSERT_EQ(got.size(), base.size());
       EXPECT_EQ(
           std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
-          << "kernel=" << kernel << " threads=" << threads;
+          << "scalar=" << scalar << " threads=" << threads;
     }
   }
 }
 
 TEST_F(ParallelTest, Int8UnderNoFuseIsBitwiseFp32) {
-  // THALI_NO_FUSE disables the whole fused plan, so THALI_INT8 must
-  // become a no-op: identical bits to an int8-off no-fuse run.
-  const std::vector<float> fp32 = ThaliInt8Forward(4, "avx2", false, 0);
-  const std::vector<float> int8 = ThaliInt8Forward(4, "avx2", false, 1);
+  // THALI_NO_FUSE disables the whole fused plan, so nothing is
+  // quantizable and calibrating must be a no-op: identical bits to an
+  // uncalibrated no-fuse run.
+  const std::vector<float> fp32 = ThaliInt8Forward(
+      4, /*scalar=*/false, /*fuse=*/false, /*calibrate=*/false);
+  const std::vector<float> int8 =
+      ThaliInt8Forward(4, /*scalar=*/false, /*fuse=*/false);
   ASSERT_EQ(int8.size(), fp32.size());
   ASSERT_FALSE(fp32.empty());
   EXPECT_EQ(

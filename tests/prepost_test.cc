@@ -42,9 +42,7 @@ class PrepostTest : public ::testing::Test {
   void TearDown() override {
     SetMaxParallelism(1);
     internal::SetFastPreForTesting(-1);
-    internal::SetResizeKernelForTesting(nullptr);
-    internal::SetActKernelForTesting(nullptr);
-    internal::SetInt8ForTesting(-1);
+    internal::SetScalarKernelsForTesting(false);
   }
 };
 
@@ -153,12 +151,12 @@ TEST_F(PrepostTest, CollectAtLeastKeepsExactSemanticsIncludingNaN) {
   const std::vector<float> x = {0.5f, -1.0f, 0.5f, nan,  2.0f,  0.49f, inf,
                                 -inf, 0.5f,  3.0f, nan,  0.51f, 0.0f,  7.0f,
                                 0.5f, -2.0f, 1.0f, 0.5f, 0.25f};
-  const auto collect = [&](const char* family, float thr) {
-    internal::SetActKernelForTesting(family);
+  const auto collect = [&](bool scalar, float thr) {
+    internal::SetScalarKernelsForTesting(scalar);
     std::vector<int32_t> idx(x.size());
     const int64_t m = CollectAtLeast(
         x.data(), static_cast<int64_t>(x.size()), thr, idx.data());
-    internal::SetActKernelForTesting(nullptr);
+    internal::SetScalarKernelsForTesting(false);
     idx.resize(static_cast<size_t>(m));
     return idx;
   };
@@ -170,10 +168,8 @@ TEST_F(PrepostTest, CollectAtLeastKeepsExactSemanticsIncludingNaN) {
     for (size_t i = 0; i < x.size(); ++i) {
       if (!(x[i] < thr)) want.push_back(static_cast<int32_t>(i));
     }
-    EXPECT_EQ(collect("scalar", thr), want) << "thr " << thr;
-    if (CpuInfo().avx2) {
-      EXPECT_EQ(collect("avx2", thr), want) << "thr " << thr;
-    }
+    EXPECT_EQ(collect(/*scalar=*/true, thr), want) << "thr " << thr;
+    EXPECT_EQ(collect(/*scalar=*/false, thr), want) << "thr " << thr;
   }
 }
 
@@ -185,7 +181,7 @@ Image RandomImage(uint64_t seed, int w, int h) {
 }
 
 TEST_F(PrepostTest, ScalarLetterboxIsBitwiseIdenticalToSeedReference) {
-  internal::SetResizeKernelForTesting("scalar");
+  internal::SetScalarKernelsForTesting(true);
   for (auto [w, h] : {std::pair{123, 77}, {200, 200}, {31, 190}, {97, 95}}) {
     const Image src = RandomImage(static_cast<uint64_t>(w * 1000 + h), w, h);
     const Letterbox ref = LetterboxImage(src, 96, 96);
@@ -206,9 +202,9 @@ TEST_F(PrepostTest, Avx2LetterboxStaysWithinToleranceOfScalar) {
   if (!CpuInfo().avx2 || !CpuInfo().fma) GTEST_SKIP() << "no AVX2+FMA";
   const Image src = RandomImage(99, 157, 83);
   std::vector<float> scalar(3 * 96 * 96), avx2(3 * 96 * 96);
-  internal::SetResizeKernelForTesting("scalar");
+  internal::SetScalarKernelsForTesting(true);
   LetterboxIntoPlanes(src, 96, 96, scalar.data());
-  internal::SetResizeKernelForTesting("avx2");
+  internal::SetScalarKernelsForTesting(false);
   EXPECT_STREQ(ResizeKernelName(), "avx2-resize");
   LetterboxIntoPlanes(src, 96, 96, avx2.data());
   for (size_t i = 0; i < scalar.size(); ++i) {
@@ -223,10 +219,8 @@ TEST_F(PrepostTest, FusedQuantizeEmitsExactlyTheQuantizedLetterbox) {
   const float scale = 0.031f;
   const float inv_scale = 1.0f / scale;
   const int32_t zp = 17;
-  std::vector<const char*> families = {"scalar"};
-  if (CpuInfo().avx2 && CpuInfo().fma) families.push_back("avx2");
-  for (const char* family : families) {
-    internal::SetResizeKernelForTesting(family);
+  for (const bool scalar : {true, false}) {
+    internal::SetScalarKernelsForTesting(scalar);
     std::vector<float> planes(3 * 96 * 96);
     LetterboxIntoPlanes(src, 96, 96, planes.data());
     std::vector<uint8_t> want(planes.size());
@@ -235,7 +229,8 @@ TEST_F(PrepostTest, FusedQuantizeEmitsExactlyTheQuantizedLetterbox) {
                             zp, want.data());
     std::vector<uint8_t> got(planes.size(), 255);
     LetterboxIntoQuantizedPlanes(src, 96, 96, inv_scale, zp, got.data());
-    EXPECT_EQ(std::memcmp(want.data(), got.data(), got.size()), 0) << family;
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), got.size()), 0)
+        << "scalar=" << scalar;
   }
 }
 
@@ -314,7 +309,7 @@ TEST_F(PrepostTest, RawDecodeMatchesReferenceDecodeOnRealHeadTensors) {
 }
 
 TEST_F(PrepostTest, DetectIsBitwiseStableAcrossFastPreWithScalarResize) {
-  internal::SetResizeKernelForTesting("scalar");
+  internal::SetScalarKernelsForTesting(true);
   auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}));
   THALI_CHECK_OK(det.status());
   const Image img = RandomImage(3, 160, 120);
@@ -333,8 +328,7 @@ TEST_F(PrepostTest, DetectIsBitwiseStableAcrossFastPreWithScalarResize) {
 }
 
 TEST_F(PrepostTest, FusedQuantizedInputDetectMatchesFp32QuantizeRoute) {
-  internal::SetInt8ForTesting(1);
-  internal::SetResizeKernelForTesting("scalar");
+  internal::SetScalarKernelsForTesting(true);
   auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}));
   THALI_CHECK_OK(det.status());
   Network& net = det->network();

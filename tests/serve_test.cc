@@ -1,4 +1,4 @@
-// Tests for the in-process serving subsystem (src/serve): bounded-queue
+// Tests for the in-process serving subsystem (src/serve): two-lane queue
 // backpressure, micro-batch formation (linger vs full batch), deadline
 // expiry while queued, drain-on-shutdown, metrics accounting, and bitwise
 // identity between served results and direct DetectBatch calls. The
@@ -21,7 +21,6 @@
 #include "data/renderer.h"
 #include "serve/batcher.h"
 #include "serve/metrics.h"
-#include "serve/queue.h"
 #include "serve/server.h"
 
 namespace thali {
@@ -78,104 +77,6 @@ void ExpectSameDetections(const std::vector<Detection>& a,
   }
 }
 
-// ---------------------------------------------------------------- queue --
-
-TEST(BoundedQueueTest, FifoOrderAndBackpressure) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1).ok());
-  EXPECT_TRUE(q.TryPush(2).ok());
-  Status full = q.TryPush(3);
-  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(q.size(), 2u);
-
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.TryPush(3).ok());  // slot freed
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 3);
-}
-
-TEST(BoundedQueueTest, CloseDrainsRemainingItemsThenReportsClosed) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.TryPush(10).ok());
-  EXPECT_TRUE(q.TryPush(20).ok());
-  q.Close();
-  EXPECT_EQ(q.TryPush(30).code(), StatusCode::kFailedPrecondition);
-
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 10);
-  EXPECT_TRUE(q.PopWait(&v, milliseconds(0)));
-  EXPECT_EQ(v, 20);
-  EXPECT_FALSE(q.Pop(&v));  // closed and drained: no blocking
-}
-
-TEST(BoundedQueueTest, CloseUnblocksWaitingConsumers) {
-  BoundedQueue<int> q(1);
-  std::atomic<int> woke{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&q, &woke] {
-      int v;
-      EXPECT_FALSE(q.Pop(&v));
-      woke.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(milliseconds(10));
-  q.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(woke.load(), 3);
-}
-
-TEST(BoundedQueueTest, PopWaitTimesOutOnEmptyOpenQueue) {
-  BoundedQueue<int> q(1);
-  int v = 0;
-  EXPECT_FALSE(q.PopWait(&v, milliseconds(5)));
-  EXPECT_FALSE(q.closed());
-}
-
-// TSan target: Depth() raced against live pushes and pops must only ever
-// see values inside [0, capacity] (snapshot semantics, no torn state).
-TEST(BoundedQueueTest, DepthStaysWithinCapacityUnderConcurrentTraffic) {
-  constexpr int kPerProducer = 400;
-  BoundedQueue<int> q(8);
-  EXPECT_EQ(q.capacity(), 8u);
-
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < 2; ++p) {
-    threads.emplace_back([&q] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        while (!q.TryPush(i).ok()) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&q, &popped] {
-      int v;
-      while (q.Pop(&v)) popped.fetch_add(1);
-    });
-  }
-  // The observer hammers Depth() while both sides run.
-  std::thread observer([&q] {
-    for (int i = 0; i < 2000; ++i) {
-      const size_t d = q.Depth();
-      ASSERT_LE(d, q.capacity());
-    }
-  });
-  observer.join();
-  threads[0].join();
-  threads[1].join();
-  q.Close();
-  threads[2].join();
-  threads[3].join();
-  EXPECT_EQ(popped.load(), 2 * kPerProducer);
-  EXPECT_EQ(q.Depth(), 0u);
-}
-
 // ----------------------------------------------------------- lane queue --
 
 TEST(LaneQueueTest, InteractiveFirstWithBoundedBatchConcession) {
@@ -212,6 +113,12 @@ TEST(LaneQueueTest, LaneCapacitiesAreIndependent) {
   EXPECT_EQ(q.Depth(Priority::kInteractive), 1u);
   EXPECT_EQ(q.Depth(Priority::kBatch), 2u);
   EXPECT_EQ(q.Depth(), 3u);
+
+  // A pop frees a slot in the lane it drained.
+  int v = 0;
+  ASSERT_TRUE(q.PopWait(&v, milliseconds(0)));
+  EXPECT_EQ(v, 1);
+  EXPECT_TRUE(q.TryPush(6, Priority::kInteractive).ok());
 }
 
 TEST(LaneQueueTest, CloseDrainsBothLanesThenReportsClosed) {
@@ -244,6 +151,55 @@ TEST(LaneQueueTest, CloseUnblocksWaitingConsumers) {
   q.Close();
   for (auto& t : consumers) t.join();
   EXPECT_EQ(woke.load(), 3);
+}
+
+TEST(LaneQueueTest, PopWaitTimesOutOnEmptyOpenQueue) {
+  LaneQueue<int> q(1);
+  int v = 0;
+  EXPECT_FALSE(q.PopWait(&v, milliseconds(5)));
+  EXPECT_FALSE(q.closed());
+}
+
+// TSan target: Depth() raced against live pushes and pops on both lanes
+// must only ever see values inside [0, capacity] (snapshot semantics, no
+// torn state).
+TEST(LaneQueueTest, DepthStaysWithinCapacityUnderConcurrentTraffic) {
+  constexpr int kPerProducer = 400;
+  LaneQueue<int> q(4, 4);
+  EXPECT_EQ(q.Capacity(), 8u);
+
+  std::atomic<int> popped{0};
+  std::vector<std::thread> threads;
+  for (const Priority lane : {Priority::kInteractive, Priority::kBatch}) {
+    threads.emplace_back([&q, lane] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        while (!q.TryPush(i, lane).ok()) std::this_thread::yield();
+      }
+    });
+  }
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&q, &popped] {
+      int v;
+      while (q.Pop(&v)) popped.fetch_add(1);
+    });
+  }
+  // The observer hammers Depth() while both sides run.
+  std::thread observer([&q] {
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_LE(q.Depth(), q.Capacity());
+      ASSERT_LE(q.Depth(Priority::kInteractive),
+                q.Capacity(Priority::kInteractive));
+      ASSERT_LE(q.Depth(Priority::kBatch), q.Capacity(Priority::kBatch));
+    }
+  });
+  observer.join();
+  threads[0].join();
+  threads[1].join();
+  q.Close();
+  threads[2].join();
+  threads[3].join();
+  EXPECT_EQ(popped.load(), 2 * kPerProducer);
+  EXPECT_EQ(q.Depth(), 0u);
 }
 
 // ------------------------------------------------------------ histogram --
