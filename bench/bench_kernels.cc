@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "base/rng.h"
@@ -23,12 +24,14 @@
 #include "eval/box.h"
 #include "eval/detection.h"
 #include "nn/conv_layer.h"
+#include "nn/maxpool_layer.h"
 #include "nn/network.h"
 #include "nn/yolo_layer.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/gemm_pack.h"
 #include "tensor/im2col.h"
+#include "tensor/pool.h"
 
 namespace thali {
 namespace {
@@ -197,6 +200,31 @@ void Int8StageBench(benchmark::State& state, int64_t c, int64_t h, int64_t w,
   }
   state.SetBytesProcessed(state.iterations() *
                           (k * n + Int8PackedActBytes(k, n)));
+}
+
+// One yolov4-thali maxpool through the inference kernel, on one strand
+// (the kernel never fans out): u8 at batch 1 as the int8 camera plan
+// runs it, fp32 at batch 8 as the offline plan does.
+template <typename T>
+void MaxPoolBench(benchmark::State& state, const PoolGeometry& g,
+                  int64_t planes) {
+  Rng rng(5);
+  std::vector<T> in(static_cast<size_t>(planes * g.y.in * g.x.in));
+  for (auto& v : in) v = static_cast<T>(rng.NextInt(0, 127));
+  std::vector<T> rows(static_cast<size_t>(MaxPoolScratch(g)));
+  std::vector<T> out(static_cast<size_t>(planes * g.y.out * g.x.out));
+  for (auto _ : state) {
+    if constexpr (std::is_same_v<T, float>) {
+      MaxPoolF32(g, in.data(), planes, rows.data(), out.data());
+    } else {
+      MaxPoolU8(g, in.data(), planes, /*empty=*/64, rows.data(), out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>((in.size() + out.size()) *
+                                               sizeof(T)));
 }
 
 // Batch-1 end-to-end yolov4-thali inference (img/s), fp32 fused plan vs
@@ -527,7 +555,8 @@ BENCHMARK(BM_RenderDatasetThreaded)
 // Registers one BM_GemmPacked instance per distinct conv GEMM shape of
 // the yolov4-thali model (m = filters, n = out_h*out_w, k = c*ks*ks), so
 // the sweep always tracks the real network rather than a hand-kept list;
-// likewise one BM_Int8Stage per distinct 3x3 conv input geometry.
+// likewise one BM_Int8Stage per distinct 3x3 conv input geometry and
+// one pair of BM_MaxPool rows per distinct pool geometry.
 void RegisterYoloShapeBenches() {
   YoloThaliOptions yo;
   Rng rng(1);
@@ -536,8 +565,30 @@ void RegisterYoloShapeBenches() {
   if (!built.ok()) return;
   std::set<std::tuple<int64_t, int64_t, int64_t>> seen;
   std::set<std::tuple<int64_t, int64_t, int64_t, int64_t>> staged;
+  std::set<std::tuple<int64_t, int64_t, int64_t, int, int>> pooled;
   for (int i = 0; i < built->net->num_layers(); ++i) {
     const Layer& l = built->net->layer(i);
+    if (std::string_view(l.kind()) == "maxpool") {
+      const auto& pool = static_cast<const MaxPoolLayer&>(l);
+      const int64_t c = l.input_shape().dim(1);
+      const int64_t h = l.input_shape().dim(2);
+      const int64_t w = l.input_shape().dim(3);
+      const MaxPoolLayer::Options& o = pool.options();
+      if (!pooled.insert({c, h, w, o.size, o.stride}).second) continue;
+      const std::string name =
+          "BM_MaxPool/yolo_c" + std::to_string(c) + "_h" + std::to_string(h) +
+          "_w" + std::to_string(w) + "_k" + std::to_string(o.size) + "_s" +
+          std::to_string(o.stride);
+      const PoolGeometry g = pool.geometry();
+      benchmark::RegisterBenchmark(
+          (name + "/u8_b1").c_str(),
+          [g, c](benchmark::State& st) { MaxPoolBench<uint8_t>(st, g, c); });
+      benchmark::RegisterBenchmark(
+          (name + "/f32_b8").c_str(), [g, c](benchmark::State& st) {
+            MaxPoolBench<float>(st, g, 8 * c);
+          });
+      continue;
+    }
     if (std::string_view(l.kind()) != "convolutional") continue;
     const auto& conv = static_cast<const ConvLayer&>(l);
     const ConvLayer::Options& o = conv.options();

@@ -155,6 +155,11 @@ StatusOr<std::unique_ptr<Layer>> MakeLayer(const CfgSection& s) {
     MaxPoolLayer::Options o;
     o.size = s.GetInt("size", 2);
     o.stride = s.GetInt("stride", o.size);
+    // Checked before the padding default derives from the size.
+    if (o.size <= 0 || o.stride <= 0) {
+      return Status::InvalidArgument("[" + s.name +
+                                     "] needs size >= 1 and stride >= 1");
+    }
     o.padding = s.GetInt("padding", o.size - 1);
     return std::unique_ptr<Layer>(new MaxPoolLayer(o));
   }

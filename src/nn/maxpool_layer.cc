@@ -22,6 +22,11 @@ Status MaxPoolLayer::Configure(const Shape& input_shape, const Network&) {
   }
   SetShapes(input_shape,
             Shape({input_shape.dim(0), input_shape.dim(1), out_h, out_w}));
+  const int64_t offset = -opts_.padding / 2;
+  geom_.y = MakePoolAxis(input_shape.dim(2), out_h, opts_.size, opts_.stride,
+                         offset);
+  geom_.x = MakePoolAxis(input_shape.dim(3), out_w, opts_.size, opts_.stride,
+                         offset);
   if (inference()) {
     // Backward never runs; skip the argmax routing cache entirely.
     argmax_.clear();
@@ -32,76 +37,64 @@ Status MaxPoolLayer::Configure(const Shape& input_shape, const Network&) {
   return Status::OK();
 }
 
-// Works unchanged in either activation layout: the loop visits input
-// plane p and writes output plane p for p = 0..batch*C-1, and pooling
-// preserves the channel count, so the (b,c) <-> (c,b) plane orderings
-// of NCHW and CNHW map through identically.
+int64_t MaxPoolLayer::WorkspaceSize() const {
+  return inference() ? MaxPoolScratch(geom_) : 0;
+}
+
+// Inference runs the separable kernel of tensor/pool.h. Planes map
+// through unchanged in either activation layout: plane p of the input
+// becomes plane p of the output for p = 0..batch*C-1, and pooling keeps
+// the channel count, so the (b,c) <-> (c,b) plane orderings of NCHW and
+// CNHW agree. The scratch holds MaxPoolScratch floats, enough for the
+// u8 chain's bytes too.
 void MaxPoolLayer::Forward(const Tensor& input, Network& net, bool) {
-  const int64_t batch = in_shape_.dim(0);
-  const int64_t c = in_shape_.dim(1);
+  const int64_t planes = in_shape_.dim(0) * in_shape_.dim(1);
+  if (inference()) {
+    float* rows = net.workspace(0, MaxPoolScratch(geom_));
+    if (plan().out_dtype == DType::kU8) {
+      // Quantize-once chain: pool the u8 bytes directly. The quantizer is
+      // monotonic, so the byte max picks the same tap the fp32 max would;
+      // an all-padding window writes the zero point (the exact image of
+      // the fp32 path's 0.0f).
+      MaxPoolU8(geom_, net.quant_act(index() - 1), planes,
+                static_cast<uint8_t>(plan().out_qzp),
+                reinterpret_cast<uint8_t*>(rows), net.quant_act(index()));
+    } else {
+      MaxPoolF32(geom_, input.data(), planes, rows, output_.data());
+    }
+    return;
+  }
+
+  // Training keeps the raster-order argmax loop: Backward routes each
+  // output's delta through it, and it is the kernel's fp32 oracle.
   const int64_t ih = in_shape_.dim(2);
   const int64_t iw = in_shape_.dim(3);
   const int64_t oh = out_shape_.dim(2);
   const int64_t ow = out_shape_.dim(3);
   const int64_t offset = -opts_.padding / 2;
-  const bool track_argmax = !argmax_.empty();
-
-  if (plan().out_dtype == DType::kU8) {
-    // Quantize-once chain: pool the u8 bytes directly. The quantizer is
-    // monotonic, so the byte max picks the same tap the fp32 max would;
-    // an all-padding window writes the zero point (the exact image of
-    // the fp32 path's 0.0f).
-    const uint8_t* qin = net.quant_act(index() - 1);
-    uint8_t* qout = net.quant_act(index());
-    const uint8_t zp = static_cast<uint8_t>(plan().out_qzp);
-    int64_t qi = 0;
-    for (int64_t p = 0; p < batch * c; ++p) {
-      const uint8_t* plane = qin + p * ih * iw;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x, ++qi) {
-          int best = -1;
-          for (int64_t ky = 0; ky < opts_.size; ++ky) {
-            const int64_t sy = y * opts_.stride + offset + ky;
-            if (sy < 0 || sy >= ih) continue;
-            for (int64_t kx = 0; kx < opts_.size; ++kx) {
-              const int64_t sx = x * opts_.stride + offset + kx;
-              if (sx < 0 || sx >= iw) continue;
-              const int v = plane[sy * iw + sx];
-              if (v > best) best = v;
-            }
-          }
-          qout[qi] = best >= 0 ? static_cast<uint8_t>(best) : zp;
-        }
-      }
-    }
-    return;
-  }
-
   int64_t out_idx = 0;
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = input.data() + (b * c + ch) * ih * iw;
-      const int64_t plane_base = (b * c + ch) * ih * iw;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x, ++out_idx) {
-          float best = -FLT_MAX;
-          int64_t best_idx = -1;
-          for (int64_t ky = 0; ky < opts_.size; ++ky) {
-            const int64_t sy = y * opts_.stride + offset + ky;
-            if (sy < 0 || sy >= ih) continue;
-            for (int64_t kx = 0; kx < opts_.size; ++kx) {
-              const int64_t sx = x * opts_.stride + offset + kx;
-              if (sx < 0 || sx >= iw) continue;
-              const float v = plane[sy * iw + sx];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + sy * iw + sx;
-              }
+  for (int64_t p = 0; p < planes; ++p) {
+    const float* plane = input.data() + p * ih * iw;
+    const int64_t plane_base = p * ih * iw;
+    for (int64_t y = 0; y < oh; ++y) {
+      for (int64_t x = 0; x < ow; ++x, ++out_idx) {
+        float best = -FLT_MAX;
+        int64_t best_idx = -1;
+        for (int64_t ky = 0; ky < opts_.size; ++ky) {
+          const int64_t sy = y * opts_.stride + offset + ky;
+          if (sy < 0 || sy >= ih) continue;
+          for (int64_t kx = 0; kx < opts_.size; ++kx) {
+            const int64_t sx = x * opts_.stride + offset + kx;
+            if (sx < 0 || sx >= iw) continue;
+            const float v = plane[sy * iw + sx];
+            if (v > best) {
+              best = v;
+              best_idx = plane_base + sy * iw + sx;
             }
           }
-          output_.data()[out_idx] = best_idx >= 0 ? best : 0.0f;
-          if (track_argmax) argmax_[static_cast<size_t>(out_idx)] = best_idx;
         }
+        output_.data()[out_idx] = best_idx >= 0 ? best : 0.0f;
+        argmax_[static_cast<size_t>(out_idx)] = best_idx;
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nn/layer.h"
+#include "tensor/pool.h"
 
 namespace thali {
 
@@ -18,8 +19,9 @@ class MaxPoolLayer : public Layer {
     int padding = -1;  // -1 -> Darknet default (size - 1)
   };
 
+  // A non-positive size keeps padding -1; Configure rejects it.
   explicit MaxPoolLayer(const Options& options) : opts_(options) {
-    if (opts_.padding < 0) opts_.padding = opts_.size - 1;
+    if (opts_.padding < 0 && opts_.size > 0) opts_.padding = opts_.size - 1;
   }
 
   const char* kind() const override { return "maxpool"; }
@@ -27,11 +29,15 @@ class MaxPoolLayer : public Layer {
   void Forward(const Tensor& input, Network& net, bool train) override;
   void Backward(const Tensor& input, Tensor* input_delta,
                 Network& net) override;
+  int64_t WorkspaceSize() const override;
 
   const Options& options() const { return opts_; }
+  // The clipped windows the inference kernel runs (valid after Configure).
+  const PoolGeometry& geometry() const { return geom_; }
 
  private:
   Options opts_;
+  PoolGeometry geom_;            // clipped windows of the inference kernel
   std::vector<int64_t> argmax_;  // flat input index of each output's max
 };
 

@@ -67,6 +67,15 @@ void PackScalar(const uint8_t* qcol, int64_t row_stride, int64_t k,
   Int8PackActEdges(qcol, row_stride, k, n, /*p0=*/0, packed);
 }
 
+// The reference quantizer every family matches bit for bit.
+void QuantizeScalar(const float* x, int64_t count, float inv_scale,
+                    int32_t zp, uint8_t* u) {
+  for (int64_t i = 0; i < count; ++i) {
+    const int32_t v = RoundNearestEven(x[i] * inv_scale) + zp;
+    u[i] = static_cast<uint8_t>(std::clamp(v, 0, 127));
+  }
+}
+
 }  // namespace
 
 void Int8QuantizeWeights(const float* w, int64_t m, int64_t k, int8_t* qw,
@@ -106,10 +115,7 @@ void Int8RangeToScaleZp(float range_min, float range_max, float* scale,
 
 void Int8QuantizeActivations(const float* x, int64_t count, float inv_scale,
                              int32_t zp, uint8_t* u) {
-  for (int64_t i = 0; i < count; ++i) {
-    const int32_t v = RoundNearestEven(x[i] * inv_scale) + zp;
-    u[i] = static_cast<uint8_t>(std::clamp(v, 0, 127));
-  }
+  SelectInt8GemmKernel().quantize(x, count, inv_scale, zp, u);
 }
 
 void Int8PackActEdges(const uint8_t* qcol, int64_t row_stride, int64_t k,
@@ -191,7 +197,8 @@ void EpilogueScalar(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
 }
 
 const Int8GemmKernel kScalarInt8Kernel = {"scalar-int8", AccumulateScalar,
-                                          PackScalar, EpilogueScalar};
+                                          PackScalar, QuantizeScalar,
+                                          EpilogueScalar};
 
 }  // namespace
 

@@ -56,7 +56,7 @@ inline constexpr float kInt8RoundLimit = 1073741824.0f;  // 2^30
 
 // Quantizes `count` floats to 7-bit unsigned: clamp(rne(x/s) + zp, 0, 127).
 // Shared by every caller (conv input quantization, tests, benches) so all
-// paths agree bit for bit.
+// paths agree bit for bit. Runs the dispatched family's `quantize`.
 void Int8QuantizeActivations(const float* x, int64_t count, float inv_scale,
                              int32_t zp, uint8_t* u);
 
@@ -127,8 +127,9 @@ struct Int8Epilogue {
 // One int8 kernel family: `accumulate` adds rows [m0, m1) of the i32
 // product into acc (row-major, row stride ldacc) from a quantized
 // weight blob (rows of kp bytes) and a packed activation panel; `pack`
-// builds that panel (Int8PackActColsStrided's contract); `epilogue`
-// requantizes rows [m0, m1) of acc into C:
+// builds that panel (Int8PackActColsStrided's contract); `quantize` is
+// Int8QuantizeActivations' contract; `epilogue` requantizes rows
+// [m0, m1) of acc into C:
 //
 //   C[f][j] = act((acc - zp*colsum[f]) * s_in*s_w[f] + bias[f])
 //
@@ -145,6 +146,8 @@ struct Int8GemmKernel {
                      int64_t ldacc);
   void (*pack)(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
                uint8_t* packed);
+  void (*quantize)(const float* x, int64_t count, float inv_scale,
+                   int32_t zp, uint8_t* u);
   void (*epilogue)(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
                    const int32_t* acc, int64_t ldacc, float* c, int64_t ldc);
 };

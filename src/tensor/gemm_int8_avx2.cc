@@ -200,6 +200,49 @@ void PackAvx2(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
   Int8PackActEdges(qcol, row_stride, k, n, kq, packed);
 }
 
+// Quantizes 8 lanes into the 7-bit domain: v * inv_scale clamped to
+// +-kInt8RoundLimit with max(x, lo) then min(x, hi) (NaN -> lo),
+// converted by cvtps_epi32 (round-to-nearest-even, like the scalar
+// lrintf), plus zp, clamped to [0, 127] and packed 8 x i32 -> 8 x u8 (the
+// saturating packs are safe after the clamp). The u8-out epilogue and
+// the activation quantizer share it, so both match the scalar family.
+inline __m128i QuantizeLanes(__m256 v, __m256 inv_scale, __m256i zp) {
+  const __m256 x = _mm256_mul_ps(v, inv_scale);
+  __m256i q = _mm256_cvtps_epi32(
+      _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-kInt8RoundLimit)),
+                    _mm256_set1_ps(kInt8RoundLimit)));
+  q = _mm256_add_epi32(q, zp);
+  q = _mm256_min_epi32(_mm256_max_epi32(q, _mm256_setzero_si256()),
+                       _mm256_set1_epi32(127));
+  const __m128i w16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                      _mm256_extracti128_si256(q, 1));
+  return _mm_packus_epi16(w16, w16);
+}
+
+// Int8QuantizeActivations, 8 floats per step; the count % 8 tail goes
+// through a masked load and the same lanes.
+void QuantizeAvx2(const float* x, int64_t count, float inv_scale, int32_t zp,
+                  uint8_t* u) {
+  const __m256 vs = _mm256_set1_ps(inv_scale);
+  const __m256i vzp = _mm256_set1_epi32(zp);
+  const int64_t nv = count / 8 * 8;
+  for (int64_t i = 0; i < nv; i += 8) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(u + i),
+                     QuantizeLanes(_mm256_loadu_ps(x + i), vs, vzp));
+  }
+  const int64_t ntail = count - nv;
+  if (ntail > 0) {
+    alignas(32) int32_t mask_bits[8];
+    for (int64_t l = 0; l < 8; ++l) mask_bits[l] = l < ntail ? -1 : 0;
+    const __m256i mask =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(mask_bits));
+    alignas(16) uint8_t buf[16];
+    _mm_store_si128(reinterpret_cast<__m128i*>(buf),
+                    QuantizeLanes(_mm256_maskload_ps(x + nv, mask), vs, vzp));
+    std::memcpy(u + nv, buf, static_cast<size_t>(ntail));
+  }
+}
+
 // 8-lane requantization epilogue. Repeats EpilogueScalar's elementwise
 // float sequence with vector ops: cvtepi32 (round-to-nearest-even, same
 // as static_cast), separate mul and add (this TU is built with -mfma,
@@ -212,11 +255,8 @@ void PackAvx2(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
 // FMA contraction out.
 //
 // With U8Out the activated lanes are requantized into the consumer
-// domain — clamped to +-kInt8RoundLimit with max(v, lo) then min(v, hi)
-// (NaN -> lo) and converted by cvtps_epi32, round-to-nearest-even like
-// the scalar lrintf, so the chained bytes also match the scalar family
-// — and packed 8 x i32 -> 8 x u8 (saturating packs are safe after the
-// explicit [0, 127] clamp).
+// domain through QuantizeLanes, so the chained bytes also match the
+// scalar family.
 template <GemmActivation Act, bool U8Out>
 void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
                       int64_t n, const int32_t* acc, int64_t ldacc, float* c,
@@ -224,11 +264,7 @@ void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
   const __m256 leak = _mm256_set1_ps(0.1f);
   const __m256 zero = _mm256_setzero_ps();
   const __m256 vqs = _mm256_set1_ps(e.out_inv_scale);
-  const __m256 vrlo = _mm256_set1_ps(-kInt8RoundLimit);
-  const __m256 vrhi = _mm256_set1_ps(kInt8RoundLimit);
   const __m256i vqzp = _mm256_set1_epi32(e.out_zp);
-  const __m256i vqlo = _mm256_setzero_si256();
-  const __m256i vqhi = _mm256_set1_epi32(127);
   const int64_t nv = n / 8 * 8;
   const int64_t ntail = n - nv;
   alignas(32) int32_t mask_bits[8];
@@ -258,14 +294,7 @@ void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
       return v;
     };
     const auto quantize = [&](__m256 v) {
-      const __m256 x = _mm256_mul_ps(v, vqs);
-      __m256i q = _mm256_cvtps_epi32(
-          _mm256_min_ps(_mm256_max_ps(x, vrlo), vrhi));
-      q = _mm256_add_epi32(q, vqzp);
-      q = _mm256_min_epi32(_mm256_max_epi32(q, vqlo), vqhi);
-      const __m128i w16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
-                                          _mm256_extracti128_si256(q, 1));
-      return _mm_packus_epi16(w16, w16);
+      return QuantizeLanes(v, vqs, vqzp);
     };
     for (int64_t j = 0; j < nv; j += 8) {
       const __m256i a = _mm256_loadu_si256(
@@ -325,7 +354,8 @@ void EpilogueAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
 }
 
 const Int8GemmKernel kAvx2Int8Kernel = {"avx2-ubsw-6x8", AccumulateAvx2,
-                                        PackAvx2, EpilogueAvx2};
+                                        PackAvx2, QuantizeAvx2,
+                                        EpilogueAvx2};
 
 }  // namespace
 

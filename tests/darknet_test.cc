@@ -111,6 +111,23 @@ TEST(BuildNetwork, RejectsUnknownSection) {
   EXPECT_EQ(built.status().code(), StatusCode::kUnimplemented);
 }
 
+TEST(BuildNetwork, RejectsNonPositiveMaxPoolGeometry) {
+  // size=INT_MIN once reached the padding default's size - 1, a signed
+  // overflow that UBSan reports; the section must fail before that.
+  for (const char* opts :
+       {"size=-2147483648\n", "size=0\n", "size=2\nstride=0\n",
+        "size=2\nstride=-1\n", "size=-3\nstride=1\npadding=0\n"}) {
+    Rng rng(1);
+    auto built = BuildNetworkFromCfg(
+        std::string("[net]\nwidth=16\nheight=16\n[maxpool]\n") + opts, 0,
+        rng);
+    ASSERT_FALSE(built.ok()) << opts;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument) << opts;
+    EXPECT_NE(built.status().ToString().find("[maxpool]"), std::string::npos)
+        << built.status().ToString();
+  }
+}
+
 TEST(ModelZoo, YoloThaliBuildsWithThreeHeads) {
   YoloThaliOptions o;
   o.classes = 10;
@@ -206,8 +223,11 @@ TEST(SummaryTest, ListsEveryLayerAndTotals) {
 
 class WeightsIoTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs the cases as parallel processes.
   void SetUp() override {
-    path_ = testing::TempDir() + "/thali_weights_test.weights";
+    path_ = testing::TempDir() + "/thali_weights_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".weights";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

@@ -123,6 +123,56 @@ TEST_F(Int8Test, QuantizeActivationsClampsTo7Bit) {
   }
 }
 
+TEST_F(Int8Test, QuantizeFamiliesAgreeBitwiseOnTiesSaturationAndNaN) {
+  if (Avx2Int8GemmKernel() == nullptr || !CpuInfo().avx2) {
+    GTEST_SKIP() << "no AVX2 quantizer on this host";
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Rounding ties (every half from -150 to 150), both sides of the
+  // +-2^30 clamp and of int32, +-inf, NaN of either sign, -0.0,
+  // denormals, then Gaussian values.
+  std::vector<float> sweep;
+  for (int t = -300; t <= 300; ++t) sweep.push_back(0.5f * t);
+  for (const float v :
+       {1073741824.0f, 1073741952.0f, 1073741760.0f, 2147483648.0f, 3e9f,
+        1e30f, inf, nan, 0.0f, 0.49999997f, 126.5f, 127.5f, 1e-45f,
+        std::numeric_limits<float>::max()}) {
+    sweep.push_back(v);
+    sweep.push_back(-v);
+  }
+  Rng rng(2718);
+  for (int i = 0; i < 200; ++i) sweep.push_back(rng.NextGaussian(0.0f, 90.0f));
+
+  const Int8GemmKernel& scalar = ScalarInt8GemmKernel();
+  const Int8GemmKernel& avx2 = *Avx2Int8GemmKernel();
+  for (const float inv_scale : {1.0f, 0.5f, 3.0f, 1.0f / 0.0173f, 1e-3f}) {
+    for (const int32_t zp : {0, 5, 64, 127}) {
+      // Every tail width, at several offsets into the sweep, then all of
+      // it; exact-size buffers, so ASan sees a read or write past count.
+      for (size_t start = 0; start + 40 <= sweep.size(); start += 97) {
+        for (size_t count = 0; count <= 40; ++count) {
+          const std::vector<float> x(sweep.begin() + start,
+                                     sweep.begin() + start + count);
+          std::vector<uint8_t> want(count), got(count);
+          scalar.quantize(x.data(), static_cast<int64_t>(count), inv_scale,
+                          zp, want.data());
+          avx2.quantize(x.data(), static_cast<int64_t>(count), inv_scale, zp,
+                        got.data());
+          ASSERT_EQ(got, want) << "start=" << start << " count=" << count
+                               << " inv_scale=" << inv_scale << " zp=" << zp;
+        }
+      }
+      std::vector<uint8_t> want(sweep.size()), got(sweep.size());
+      scalar.quantize(sweep.data(), static_cast<int64_t>(sweep.size()),
+                      inv_scale, zp, want.data());
+      avx2.quantize(sweep.data(), static_cast<int64_t>(sweep.size()),
+                    inv_scale, zp, got.data());
+      ASSERT_EQ(got, want) << "inv_scale=" << inv_scale << " zp=" << zp;
+    }
+  }
+}
+
 TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
   const int64_t k = 6, n = 11;  // kp = 8, one full strip + 3 tail cols
   const int64_t kp = Int8PackedK(k);

@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <climits>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "base/rng.h"
+#include "nn/maxpool_layer.h"
+#include "nn/network.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
+#include "tensor/pool.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
 
@@ -233,6 +241,277 @@ TEST(Ops, SigmoidKnownValues) {
   EXPECT_FLOAT_EQ(Sigmoid(0.0f), 0.5f);
   EXPECT_NEAR(Sigmoid(10.0f), 1.0f, 1e-4f);
   EXPECT_NEAR(Sigmoid(-10.0f), 0.0f, 1e-4f);
+}
+
+// ---- Max pool kernel (tensor/pool.h) ----
+
+struct PoolCase {
+  int64_t batch, channels, h, w;
+  int size, stride, padding;  // padding -1: Darknet's size - 1
+};
+
+// The yolov4-thali pools at batch 1, then the edges of the geometry.
+const PoolCase kPoolCases[] = {
+    {1, 32, 24, 24, 2, 2, -1}, {1, 64, 12, 12, 2, 2, -1},
+    {1, 128, 6, 6, 2, 2, -1},  {1, 64, 3, 3, 5, 1, -1},
+    {1, 64, 3, 3, 9, 1, -1},   {1, 64, 3, 3, 13, 1, -1},
+    // odd maps: a clipped last column / row
+    {1, 3, 7, 5, 2, 2, -1},    {2, 2, 9, 7, 3, 2, -1},
+    {1, 2, 5, 5, 3, 1, -1},    {1, 2, 11, 13, 3, 4, 2},
+    // 1x1, 1xN, Nx1
+    {1, 2, 1, 1, 2, 2, -1},    {1, 1, 1, 1, 5, 1, -1},
+    {1, 2, 1, 9, 2, 2, -1},    {1, 2, 1, 9, 3, 1, -1},
+    {1, 2, 9, 1, 2, 2, -1},
+    // stride > size: taps between windows are never read
+    {1, 2, 9, 9, 2, 3, -1},    {1, 2, 10, 7, 1, 3, -1},
+    // padding = 0
+    {1, 2, 8, 8, 2, 2, 0},     {1, 2, 7, 7, 3, 2, 0},
+    {1, 2, 5, 5, 5, 1, 0},
+    // size > map: every window is the whole plane
+    {1, 3, 3, 3, 13, 1, -1},   {1, 2, 5, 5, 31, 1, -1},
+    // padding > size: leading and trailing windows are empty
+    {1, 2, 4, 4, 2, 2, 6},     {1, 2, 3, 5, 2, 1, 9},
+    {1, 2, 3, 3, 5, 7, 16},  // the one live window is the whole plane
+    // batch x channels > 1
+    {3, 4, 6, 5, 3, 2, -1},
+};
+
+// Input values dense in ties: +0 and -0 in either order, NaN, +-inf and
+// -FLT_MAX (never chosen), so the tie-break and the "nothing chosen"
+// rule are exercised in every window.
+float PoolInputValue(Rng& rng) {
+  static const float kValues[] = {
+      0.0f, -0.0f, 0.0f, -0.0f, 1.0f, -1.0f, 2.5f,
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::infinity(), -FLT_MAX, -FLT_MAX, FLT_MAX};
+  return kValues[rng.NextInt(0, static_cast<int>(std::size(kValues)) - 1)];
+}
+
+// Fills planes with PoolInputValue, except that one plane in three is
+// uniform: all -FLT_MAX, all NaN, or all -inf (an fp32 window that
+// chooses nothing writes 0.0f).
+std::vector<float> PoolInput(const PoolCase& pc, uint64_t seed) {
+  Rng rng(seed);
+  const int64_t plane = pc.h * pc.w;
+  std::vector<float> in(static_cast<size_t>(pc.batch * pc.channels * plane));
+  for (int64_t p = 0; p < pc.batch * pc.channels; ++p) {
+    float* d = in.data() + p * plane;
+    switch (p % 6) {
+      case 1:
+        std::fill(d, d + plane, -FLT_MAX);
+        break;
+      case 3:
+        std::fill(d, d + plane, std::numeric_limits<float>::quiet_NaN());
+        break;
+      case 5:
+        std::fill(d, d + plane, -std::numeric_limits<float>::infinity());
+        break;
+      default:
+        for (int64_t i = 0; i < plane; ++i) d[i] = PoolInputValue(rng);
+    }
+  }
+  return in;
+}
+
+// A one-layer network holding the case's pool in `mode`.
+std::unique_ptr<Network> PoolNet(const PoolCase& pc, ExecMode mode) {
+  auto net = std::make_unique<Network>(static_cast<int>(pc.w),
+                                       static_cast<int>(pc.h),
+                                       static_cast<int>(pc.channels),
+                                       static_cast<int>(pc.batch));
+  net->Add(std::make_unique<MaxPoolLayer>(
+      MaxPoolLayer::Options{pc.size, pc.stride, pc.padding}));
+  THALI_CHECK_OK(net->Finalize(mode));
+  return net;
+}
+
+// The clipped windows MaxPoolLayer::Configure derives for this case.
+PoolGeometry PoolCaseGeometry(const PoolCase& pc) {
+  auto net = PoolNet(pc, ExecMode::kInference);
+  return static_cast<const MaxPoolLayer&>(net->layer(0)).geometry();
+}
+
+// The kernel on exact-size buffers, so ASan sees any over-read or
+// over-write of the input, the scratch or the output.
+std::vector<float> KernelPoolF32(const PoolGeometry& g,
+                                 const std::vector<float>& in,
+                                 int64_t planes) {
+  std::vector<float> rows(static_cast<size_t>(MaxPoolScratch(g)));
+  std::vector<float> out(static_cast<size_t>(planes * g.y.out * g.x.out));
+  MaxPoolF32(g, in.data(), planes, rows.data(), out.data());
+  return out;
+}
+
+std::vector<uint8_t> KernelPoolU8(const PoolGeometry& g,
+                                  const std::vector<uint8_t>& in,
+                                  int64_t planes, uint8_t zp) {
+  std::vector<uint8_t> rows(static_cast<size_t>(MaxPoolScratch(g)));
+  std::vector<uint8_t> out(static_cast<size_t>(planes * g.y.out * g.x.out));
+  MaxPoolU8(g, in.data(), planes, zp, rows.data(), out.data());
+  return out;
+}
+
+// The u8 oracle: the quantize-once chain's loop MaxPoolLayer::Forward
+// ran before the separable kernel.
+std::vector<uint8_t> ReferencePoolU8(const std::vector<uint8_t>& in,
+                                     int64_t planes, int64_t ih, int64_t iw,
+                                     int64_t oh, int64_t ow, int size,
+                                     int stride, int padding, uint8_t zp) {
+  const int64_t offset = -padding / 2;
+  std::vector<uint8_t> out(static_cast<size_t>(planes * oh * ow));
+  int64_t qi = 0;
+  for (int64_t p = 0; p < planes; ++p) {
+    const uint8_t* plane = in.data() + p * ih * iw;
+    for (int64_t y = 0; y < oh; ++y) {
+      for (int64_t x = 0; x < ow; ++x, ++qi) {
+        int best = -1;
+        for (int64_t ky = 0; ky < size; ++ky) {
+          const int64_t sy = y * stride + offset + ky;
+          if (sy < 0 || sy >= ih) continue;
+          for (int64_t kx = 0; kx < size; ++kx) {
+            const int64_t sx = x * stride + offset + kx;
+            if (sx < 0 || sx >= iw) continue;
+            const int v = plane[sy * iw + sx];
+            if (v > best) best = v;
+          }
+        }
+        out[static_cast<size_t>(qi)] =
+            best >= 0 ? static_cast<uint8_t>(best) : zp;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(MaxPoolKernel, AxisRangesMatchTheirDefinition) {
+  for (int64_t in = 1; in <= 9; ++in) {
+    for (int64_t size = 1; size <= 12; ++size) {
+      for (int64_t stride = 1; stride <= 4; ++stride) {
+        for (int64_t padding = 0; padding <= 14; ++padding) {
+          const int64_t out = (in + padding - size) / stride + 1;
+          if (out <= 0) continue;
+          const PoolAxis a =
+              MakePoolAxis(in, out, size, stride, -padding / 2);
+          SCOPED_TRACE(testing::Message() << "in=" << in << " size=" << size
+                                          << " stride=" << stride
+                                          << " padding=" << padding);
+          ASSERT_LE(a.live0, a.full0);
+          ASSERT_LE(a.full0, a.full1);
+          ASSERT_LE(a.full1, a.live1);
+          for (int64_t i = 0; i < out; ++i) {
+            const int64_t start = i * stride - padding / 2;
+            const bool live = start + size > 0 && start < in;
+            const bool full = start >= 0 && start + size <= in;
+            EXPECT_EQ(live, i >= a.live0 && i < a.live1) << "i=" << i;
+            if (a.full1 > a.full0) {
+              EXPECT_EQ(full, i >= a.full0 && i < a.full1) << "i=" << i;
+            } else {
+              EXPECT_FALSE(full) << "i=" << i;
+            }
+            if (live) {
+              EXPECT_EQ(a.Lo(i), std::max<int64_t>(start, 0));
+              EXPECT_EQ(a.Hi(i), std::min(start + size, in));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MaxPoolKernel, F32MatchesTrainingLayerBitwise) {
+  for (const PoolCase& pc : kPoolCases) {
+    SCOPED_TRACE(testing::Message()
+                 << pc.batch << "x" << pc.channels << "x" << pc.h << "x"
+                 << pc.w << " size=" << pc.size << " stride=" << pc.stride
+                 << " padding=" << pc.padding);
+    const std::vector<float> in = PoolInput(pc, 17);
+    auto train = PoolNet(pc, ExecMode::kTraining);
+    const Tensor& want = train->Forward(
+        Tensor(Shape({pc.batch, pc.channels, pc.h, pc.w}), in), false);
+    const std::vector<float> got =
+        KernelPoolF32(PoolCaseGeometry(pc), in, pc.batch * pc.channels);
+    ASSERT_EQ(static_cast<int64_t>(got.size()), want.size());
+    // memcmp, not ==: +0 and -0 must come out as the oracle chose them.
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * 4), 0);
+  }
+}
+
+TEST(MaxPoolKernel, InferenceLayerMatchesTrainingLayerBitwise) {
+  for (const PoolCase& pc : kPoolCases) {
+    SCOPED_TRACE(testing::Message()
+                 << pc.batch << "x" << pc.channels << "x" << pc.h << "x"
+                 << pc.w << " size=" << pc.size << " stride=" << pc.stride
+                 << " padding=" << pc.padding);
+    const Tensor input(Shape({pc.batch, pc.channels, pc.h, pc.w}),
+                       PoolInput(pc, 29));
+    auto train = PoolNet(pc, ExecMode::kTraining);
+    auto infer = PoolNet(pc, ExecMode::kInference);
+    const Tensor& want = train->Forward(input, false);
+    const Tensor& got = infer->Forward(input, false);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(got.size()) * 4),
+              0);
+  }
+}
+
+TEST(MaxPoolKernel, U8MatchesReferenceLoop) {
+  const uint8_t zp = 37;
+  for (const PoolCase& pc : kPoolCases) {
+    SCOPED_TRACE(testing::Message()
+                 << pc.batch << "x" << pc.channels << "x" << pc.h << "x"
+                 << pc.w << " size=" << pc.size << " stride=" << pc.stride
+                 << " padding=" << pc.padding);
+    const int64_t padding = pc.padding < 0 ? pc.size - 1 : pc.padding;
+    const int64_t oh = (pc.h + padding - pc.size) / pc.stride + 1;
+    const int64_t ow = (pc.w + padding - pc.size) / pc.stride + 1;
+    const int64_t planes = pc.batch * pc.channels;
+    Rng rng(41);
+    // Few distinct bytes (0 included), so windows tie often.
+    std::vector<uint8_t> in(static_cast<size_t>(planes * pc.h * pc.w));
+    for (auto& v : in) v = static_cast<uint8_t>(rng.NextInt(0, 4) * 31);
+    const std::vector<uint8_t> want =
+        ReferencePoolU8(in, planes, pc.h, pc.w, oh, ow, pc.size, pc.stride,
+                        static_cast<int>(padding), zp);
+    EXPECT_EQ(KernelPoolU8(PoolCaseGeometry(pc), in, planes, zp), want);
+  }
+}
+
+TEST(MaxPoolKernel, RowsFoldBeforeColumnsToKeepRasterTieBreak) {
+  // One 2x2 window [[-1, +0], [-0, -1]]: raster order meets +0 first and
+  // keeps it (-0 is not strictly greater). Folding columns first would
+  // meet -0 first and keep that.
+  const PoolGeometry g = PoolCaseGeometry({1, 1, 2, 2, 2, 2, 0});
+  EXPECT_FALSE(std::signbit(KernelPoolF32(g, {-1.0f, 0.0f, -0.0f, -1.0f},
+                                          1)[0]));
+  EXPECT_TRUE(std::signbit(KernelPoolF32(g, {-1.0f, -0.0f, 0.0f, -1.0f},
+                                         1)[0]));
+  // A NaN tap is never chosen; a window of nothing but NaN, -inf and
+  // -FLT_MAX writes 0.0f.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(KernelPoolF32(g, {nan, -3.0f, nan, -7.0f}, 1)[0], -3.0f);
+  const float nothing = KernelPoolF32(g, {nan, -inf, -FLT_MAX, nan}, 1)[0];
+  EXPECT_EQ(nothing, 0.0f);
+  EXPECT_FALSE(std::signbit(nothing));
+}
+
+TEST(MaxPoolKernel, HugeWindowCostsOnlyItsClippedSpan) {
+  // size = INT_MAX (Darknet padding size - 1) clips every window to the
+  // whole 3x5 plane, as size 11 does; the loops must not walk the
+  // unclipped window, which would take 2^31 steps per row.
+  const PoolCase huge{1, 6, 3, 5, INT_MAX, 1, -1};
+  const PoolCase whole{1, 6, 3, 5, 11, 1, -1};
+  const std::vector<float> in = PoolInput(whole, 5);
+  auto train = PoolNet(whole, ExecMode::kTraining);
+  const Tensor& want =
+      train->Forward(Tensor(Shape({1, 6, 3, 5}), in), false);
+  ASSERT_EQ(want.shape(), Shape({1, 6, 3, 5}));
+  const std::vector<float> got =
+      KernelPoolF32(PoolCaseGeometry(huge), in, 6);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * 4), 0);
 }
 
 }  // namespace
