@@ -30,7 +30,8 @@ ctest --test-dir build --output-on-failure -j "${JOBS}" -L net_smoke
 echo "== prepost smoke: pre/post fast-path parity suite =="
 # Letterbox bitwise pin (scalar family), fused letterbox-quantize byte
 # contract, raw-decode and fast-NMS exact-equivalence pins, and the
-# Detect stability pin across THALI_NO_FASTPRE (tests/prepost).
+# Detect pin against the test-side seed pipeline (tests/prepost,
+# oracles in tests/seed_prepost.h).
 ctest --test-dir build --output-on-failure -j "${JOBS}" -L prepost_smoke
 
 echo "== int8 chained-edge gate: calibrated yolov4-thali must chain =="

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "base/fastpre.h"
 #include "base/thread_pool.h"
 #include "darknet/weights_io.h"
 #include "image/image_prepost.h"
@@ -123,20 +122,13 @@ Detector::SlotMapping Detector::LoadImageIntoSlot(const Image& image,
   float* dst = input_staging_.data() + b * plane;
   if (m.direct) {
     std::copy(image.data(), image.data() + plane, dst);
-  } else if (FastPreEnabled()) {
+  } else {
     // Table-driven letterbox straight into the staging slot — no
     // intermediate Image allocation.
     const LetterboxGeometry g = LetterboxIntoPlanes(image, nw, nh, dst);
     m.scale = g.scale;
     m.pad_x = g.pad_x;
     m.pad_y = g.pad_y;
-  } else {
-    const Letterbox lb = LetterboxImage(image, nw, nh);
-    m.scale = lb.scale;
-    m.pad_x = lb.pad_x;
-    m.pad_y = lb.pad_y;
-    THALI_CHECK_EQ(lb.image.size(), plane);
-    std::copy(lb.image.data(), lb.image.data() + plane, dst);
   }
   return m;
 }
@@ -165,7 +157,7 @@ std::vector<std::vector<Detection>> Detector::DetectBatch(
   if (!(input_staging_.shape() == net_->input_shape())) {
     input_staging_.Resize(net_->input_shape());
   }
-  const bool fused_quant = net_->exec_plan().input_u8 && FastPreEnabled();
+  const bool fused_quant = net_->exec_plan().input_u8;
   ParallelFor(0, n, 1, [&](int64_t b0, int64_t b1, int) {
     for (int64_t b = b0; b < b1; ++b) {
       mappings[static_cast<size_t>(b)] =

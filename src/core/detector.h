@@ -135,7 +135,7 @@ class Detector {
   // weights), then runs fp32 forward passes over `indices` into
   // `dataset` with the network's calibration phase set, installs each
   // quantizable conv's activation range and replans. A network without
-  // quantizable convs (THALI_NO_FUSE's reference plan) returns 0.
+  // quantizable convs (a training network's reference plan) returns 0.
   // Returns the number of conv layers armed for int8. Persist the
   // result with darknet/calibration_io.h to skip this pass on later
   // loads; ResetCalibration on every conv plus ReplanInference opts out
@@ -161,9 +161,8 @@ class Detector {
   // slot is staged directly as u8 bytes in the plan's input domain
   // (image/image_prepost.h fused letterbox-quantize) and the fp32
   // staging slot is left untouched — a chained layer 0 never reads it.
-  // Otherwise the fast path writes the letterboxed planes straight into
-  // the staging tensor, and THALI_NO_FASTPRE=1 restores the seed
-  // Image-intermediate route bit for bit.
+  // Otherwise the letterboxed planes go straight into the staging
+  // tensor.
   SlotMapping LoadImageIntoSlot(const Image& image, int64_t b,
                                 bool fused_quant);
 

@@ -80,8 +80,8 @@ std::string NetworkSummary(const Network& net) {
   }
   // Compiled-plan table: the algorithm/layout/dtype each layer runs
   // with, so plan decisions are inspectable without digging through
-  // ExecPlan::ToString logs. Only meaningful once a fused inference plan
-  // exists; reference plans print the headline line only.
+  // ExecPlan::ToString logs. Only inference networks have a fused plan
+  // to show; a training network's reference plan prints no table.
   const ExecPlan& plan = net.exec_plan();
   int64_t int8_bytes = 0;
   int int8_layers = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "base/fastpre.h"
 #include "base/string_util.h"
 
 namespace thali {
@@ -15,40 +14,19 @@ std::string Detection::ToString() const {
 
 namespace {
 
-// Matches box.cc's kEps: the fast path reproduces Iou's arithmetic with
+// Matches box.cc's kEps: NmsImpl reproduces Iou's arithmetic with
 // cached corners/areas, so the degenerate-union guard must be the same
 // constant.
 constexpr float kIouEps = 1e-9f;
 
-std::vector<Detection> NmsImpl(std::vector<Detection> dets,
-                               float iou_threshold, bool class_aware) {
-  std::stable_sort(dets.begin(), dets.end(),
-                   [](const Detection& a, const Detection& b) {
-                     return a.confidence > b.confidence;
-                   });
-  std::vector<Detection> kept;
-  std::vector<bool> suppressed(dets.size(), false);
-  for (size_t i = 0; i < dets.size(); ++i) {
-    if (suppressed[i]) continue;
-    kept.push_back(dets[i]);
-    for (size_t j = i + 1; j < dets.size(); ++j) {
-      if (suppressed[j]) continue;
-      if (class_aware && dets[j].class_id != dets[i].class_id) continue;
-      if (Iou(dets[i].box, dets[j].box) > iou_threshold) {
-        suppressed[j] = true;
-      }
-    }
-  }
-  return kept;
-}
-
-// Fast NMS: same greedy algorithm, same kept set (pinned by the property
-// test in tests/prepost_test.cc), different bookkeeping:
+// Greedy NMS with the seed all-pairs algorithm's kept set (the seed
+// loop is the oracle of the property tests in tests/prepost_test.cc),
+// but different bookkeeping:
 //
 //  - corners and areas are computed once per box, not once per IoU pair;
 //  - class-aware runs bucket the sorted indices per class (suppression
 //    never crosses classes, so the per-class greedy scans are
-//    independent — the reference's `continue` on class mismatch does the
+//    independent — the seed's `continue` on class mismatch does the
 //    same walk with the mismatches inlined);
 //  - each bucket compacts its alive list every round (keep the
 //    highest-confidence survivor, filter the rest), so total pair work
@@ -56,8 +34,8 @@ std::vector<Detection> NmsImpl(std::vector<Detection> dets,
 //    (the common detector output) that terminates after a few rounds.
 //
 // The IoU arithmetic mirrors box.cc's Intersection/Union/Iou float for
-// float: the intersection is evaluated once and reused where the
-// reference calls the pure function twice, which cannot change the value.
+// float: the intersection is evaluated once and reused where Iou calls
+// the pure function twice, which cannot change the value.
 struct NmsScratch {
   std::vector<float> left, right, top, bottom, area;
   std::vector<int> bucket, alive, next;
@@ -85,8 +63,8 @@ void SuppressBucket(float iou_threshold, NmsScratch& s) {
   }
 }
 
-std::vector<Detection> FastNmsImpl(std::vector<Detection> dets,
-                                   float iou_threshold, bool class_aware) {
+std::vector<Detection> NmsImpl(std::vector<Detection> dets,
+                               float iou_threshold, bool class_aware) {
   std::stable_sort(dets.begin(), dets.end(),
                    [](const Detection& a, const Detection& b) {
                      return a.confidence > b.confidence;
@@ -135,37 +113,15 @@ std::vector<Detection> FastNmsImpl(std::vector<Detection> dets,
   return kept;
 }
 
-std::vector<Detection> NmsDispatch(std::vector<Detection> dets,
-                                   float iou_threshold, bool class_aware) {
-  if (FastPreEnabled()) {
-    return FastNmsImpl(std::move(dets), iou_threshold, class_aware);
-  }
-  return NmsImpl(std::move(dets), iou_threshold, class_aware);
-}
-
 }  // namespace
 
 std::vector<Detection> Nms(std::vector<Detection> dets, float iou_threshold) {
-  return NmsDispatch(std::move(dets), iou_threshold, /*class_aware=*/true);
+  return NmsImpl(std::move(dets), iou_threshold, /*class_aware=*/true);
 }
 
 std::vector<Detection> NmsClassAgnostic(std::vector<Detection> dets,
                                         float iou_threshold) {
-  return NmsDispatch(std::move(dets), iou_threshold, /*class_aware=*/false);
+  return NmsImpl(std::move(dets), iou_threshold, /*class_aware=*/false);
 }
-
-namespace internal {
-
-std::vector<Detection> NmsReference(std::vector<Detection> dets,
-                                    float iou_threshold, bool class_aware) {
-  return NmsImpl(std::move(dets), iou_threshold, class_aware);
-}
-
-std::vector<Detection> NmsFast(std::vector<Detection> dets,
-                               float iou_threshold, bool class_aware) {
-  return FastNmsImpl(std::move(dets), iou_threshold, class_aware);
-}
-
-}  // namespace internal
 
 }  // namespace thali

@@ -36,28 +36,15 @@ struct ImageEval {
 // suppresses same-class boxes whose IoU with a kept box exceeds
 // `iou_threshold`. Returns the surviving detections, still sorted.
 //
-// Dispatches between the seed all-pairs implementation and a fast
-// variant (cached areas, per-class index buckets, alive-list compaction)
-// that returns the exact same kept set; THALI_NO_FASTPRE=1 (or the
-// base/fastpre.h testing override) forces the reference.
+// Keeps exactly the set the seed all-pairs greedy loop keeps, with
+// cached areas, per-class index buckets and alive-list compaction (the
+// seed loop is the test oracle, tests/seed_prepost.h).
 std::vector<Detection> Nms(std::vector<Detection> dets, float iou_threshold);
 
 // Class-agnostic variant (suppresses across classes); not used by the
 // paper pipeline but exposed for the baseline detector.
 std::vector<Detection> NmsClassAgnostic(std::vector<Detection> dets,
                                         float iou_threshold);
-
-namespace internal {
-
-// Direct entry points to both NMS implementations, bypassing the
-// FastPreEnabled dispatch — the equivalence property test compares them
-// on the same input.
-std::vector<Detection> NmsReference(std::vector<Detection> dets,
-                                    float iou_threshold, bool class_aware);
-std::vector<Detection> NmsFast(std::vector<Detection> dets,
-                               float iou_threshold, bool class_aware);
-
-}  // namespace internal
 
 }  // namespace thali
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "base/fastpre.h"
 #include "image/image_prepost.h"
 
 namespace thali {
@@ -34,80 +33,18 @@ void Image::Clamp01() {
 Image Resize(const Image& src, int new_width, int new_height) {
   THALI_CHECK(!src.empty());
   Image dst(new_width, new_height, src.channels());
-  if (FastPreEnabled()) {
-    // Table-driven kernel family (image_prepost.h). The scalar family is
-    // bitwise identical to the reference loop below; the AVX2 family is
-    // covered by the documented tolerance.
-    ResizeIntoPlanes(src, new_width, new_height, dst.data());
-    return dst;
-  }
-  const float sx =
-      new_width > 1 ? static_cast<float>(src.width() - 1) / (new_width - 1)
-                    : 0.0f;
-  const float sy =
-      new_height > 1 ? static_cast<float>(src.height() - 1) / (new_height - 1)
-                     : 0.0f;
-  for (int c = 0; c < src.channels(); ++c) {
-    for (int y = 0; y < new_height; ++y) {
-      const float fy = y * sy;
-      const int y0 = static_cast<int>(fy);
-      const int y1 = std::min(y0 + 1, src.height() - 1);
-      const float wy = fy - y0;
-      for (int x = 0; x < new_width; ++x) {
-        const float fx = x * sx;
-        const int x0 = static_cast<int>(fx);
-        const int x1 = std::min(x0 + 1, src.width() - 1);
-        const float wx = fx - x0;
-        const float v = (1 - wy) * ((1 - wx) * src.at(c, y0, x0) +
-                                    wx * src.at(c, y0, x1)) +
-                        wy * ((1 - wx) * src.at(c, y1, x0) +
-                              wx * src.at(c, y1, x1));
-        dst.set(c, y, x, v);
-      }
-    }
-  }
+  ResizeIntoPlanes(src, new_width, new_height, dst.data());
   return dst;
 }
 
 Letterbox LetterboxImage(const Image& src, int target_w, int target_h) {
   Letterbox out;
   out.image = Image(target_w, target_h, src.channels());
-  if (FastPreEnabled()) {
-    // No intermediate resized Image, no full-canvas pre-fill: the row
-    // kernels write the interior straight into the canvas and only the
-    // pad bands are grey-filled.
-    const LetterboxGeometry g =
-        LetterboxIntoPlanes(src, target_w, target_h, out.image.data());
-    out.scale = g.scale;
-    out.pad_x = g.pad_x;
-    out.pad_y = g.pad_y;
-    return out;
-  }
-  const float scale =
-      std::min(static_cast<float>(target_w) / src.width(),
-               static_cast<float>(target_h) / src.height());
-  const int new_w = std::max(1, static_cast<int>(src.width() * scale));
-  const int new_h = std::max(1, static_cast<int>(src.height() * scale));
-  Image resized = Resize(src, new_w, new_h);
-
-  out.pad_x = (target_w - new_w) / 2;
-  out.pad_y = (target_h - new_h) / 2;
-  out.scale = scale;
-  // Grey-fill only the pad bands; Paste overwrites the interior rectangle
-  // exactly, so pre-filling the whole canvas was wasted work.
-  const int64_t plane = static_cast<int64_t>(target_w) * target_h;
-  for (int c = 0; c < src.channels(); ++c) {
-    float* p = out.image.data() + c * plane;
-    std::fill(p, p + static_cast<int64_t>(out.pad_y) * target_w, 0.5f);
-    float* bottom = p + static_cast<int64_t>(out.pad_y + new_h) * target_w;
-    std::fill(bottom, p + plane, 0.5f);
-    for (int y = 0; y < new_h; ++y) {
-      float* row = p + static_cast<int64_t>(out.pad_y + y) * target_w;
-      std::fill(row, row + out.pad_x, 0.5f);
-      std::fill(row + out.pad_x + new_w, row + target_w, 0.5f);
-    }
-  }
-  Paste(resized, out.pad_x, out.pad_y, out.image);
+  const LetterboxGeometry g =
+      LetterboxIntoPlanes(src, target_w, target_h, out.image.data());
+  out.scale = g.scale;
+  out.pad_x = g.pad_x;
+  out.pad_y = g.pad_y;
   return out;
 }
 

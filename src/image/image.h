@@ -83,12 +83,14 @@ class Image {
   std::vector<float> data_;
 };
 
-// Bilinear resize to (new_width, new_height).
+// Bilinear resize to (new_width, new_height), through the table-driven
+// kernel family of image/image_prepost.h.
 Image Resize(const Image& src, int new_width, int new_height);
 
 // Darknet-style letterbox: resizes preserving aspect ratio onto a
 // (target x target) canvas filled with 0.5 grey, returning the embedded
-// image plus the scale/offset needed to map boxes back.
+// image plus the scale/offset needed to map boxes back. Runs
+// LetterboxIntoPlanes (image/image_prepost.h) into the returned image.
 struct Letterbox {
   Image image;
   float scale = 1.0f;  // src pixels -> canvas pixels

@@ -68,7 +68,9 @@ StatusOr<Image> ReadPpm(const std::string& path) {
   if (w <= 0 || h <= 0 || maxval != 255) {
     return Status::Corruption("unsupported PPM geometry");
   }
-  ++pos;  // single whitespace after maxval
+  // Exactly one whitespace byte separates maxval from the pixel data.
+  if (pos >= raw.size()) return Status::Corruption("truncated PPM header");
+  ++pos;
   const size_t need = static_cast<size_t>(w) * h * 3;
   if (raw.size() - pos < need) return Status::Corruption("truncated PPM data");
 

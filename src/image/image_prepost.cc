@@ -15,11 +15,11 @@ namespace {
 
 using prepost_detail::ResizeKernel;
 
-// The seed Resize expression with the per-column indices/weights read
+// The seed resize expression with the per-column indices/weights read
 // from tables instead of recomputed. The table entries hold the exact
 // floats the seed loop computes (same fx = x*sx derivation), and the
 // whole build runs -ffp-contract=off, so this is bitwise identical to
-// image.cc's reference loop.
+// the seed loop (kept as the test oracle in tests/seed_prepost.h).
 void ResizeRowScalar(const float* r0, const float* r1, float wy,
                      const int32_t* ix0, const int32_t* ix1, const float* wx,
                      int nw, float* dst) {

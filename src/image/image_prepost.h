@@ -16,15 +16,15 @@ namespace thali {
 // one portable scalar family plus an AVX2 gather+FMA family in its own
 // -mavx2 TU, detected once per process from CpuInfo() (or forced scalar
 // by internal::SetScalarKernelsForTesting). The scalar family
-// evaluates the seed expression of image.cc's Resize operation for
+// evaluates the seed bilinear resize expression operation for
 // operation — same index/weight derivation, same 4-tap sum order — so
-// its output is bitwise identical to the reference (the parity tests pin
-// this). The AVX2 family reassociates the taps into lerp FMAs and is
-// covered by a small per-element tolerance instead.
+// its output is bitwise identical to the seed loop, which the parity
+// tests keep as their oracle (tests/seed_prepost.h). The AVX2 family
+// reassociates the taps into lerp FMAs and is covered by a small
+// per-element tolerance instead.
 
-// Geometry of a letterbox: the same arithmetic as image.cc's
-// LetterboxImage, exposed so callers can remap boxes without holding the
-// resized Image.
+// Geometry of a letterbox (LetterboxImage's scale and padding), exposed
+// so callers can remap boxes without holding the resized Image.
 struct LetterboxGeometry {
   float scale = 1.0f;  // src pixels -> canvas pixels
   int new_w = 1;       // resized region size inside the canvas

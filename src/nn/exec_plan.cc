@@ -1,8 +1,6 @@
 #include "nn/exec_plan.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -25,8 +23,6 @@ constexpr int64_t kArenaAlignFloats = 16;
 int64_t AlignUp(int64_t v) {
   return (v + kArenaAlignFloats - 1) / kArenaAlignFloats * kArenaAlignFloats;
 }
-
-std::atomic<int> g_fuse_override{-1};
 
 // Layers the `input` argument and ExtraInputIndices say layer i reads.
 std::vector<int> InputsOf(const Network& net, int i) {
@@ -164,27 +160,9 @@ const char* ConvAlgoName(ConvAlgo algo) {
   }
 }
 
-bool FusionEnabled() {
-  const int o = g_fuse_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return !internal::NoFuseEnvValueDisables(std::getenv("THALI_NO_FUSE"));
-}
-
-namespace internal {
-
-void SetFusionForTesting(int enabled) {
-  g_fuse_override.store(enabled, std::memory_order_relaxed);
-}
-
-bool NoFuseEnvValueDisables(const char* value) {
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
-
-}  // namespace internal
-
-ExecPlan CompileExecPlan(const Network& net, bool fuse) {
+ExecPlan CompileExecPlan(const Network& net) {
   const int n = net.num_layers();
+  const bool fuse = net.exec_mode() == ExecMode::kInference;
   ExecPlan plan;
   plan.fused = fuse;
   plan.layers.resize(static_cast<size_t>(n));
@@ -642,7 +620,7 @@ std::string ExecPlan::ToString() const {
                     DTypeName(lp.out_dtype),
                     lp.in_dtype == DType::kU8 ? "chained" : "-");
   }
-  os << (fused ? "fused plan" : "reference plan (fusion disabled)");
+  os << (fused ? "fused plan" : "reference plan (training network)");
   if (chained_edges > 0 || dequant_edges > 0 || quantized_layers > 0) {
     os << StrFormat(
         ": %d quantized layers, %d chained edges, %d dequant edges",

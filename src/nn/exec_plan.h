@@ -55,9 +55,9 @@ const char* ActLayoutName(ActLayout layout);
 // Which convolution algorithm a conv layer's Forward dispatches to.
 //
 //  kIm2col    — the reference path (im2col + GEMM); always used by
-//               training networks and by THALI_NO_FUSE inference, and
-//               by fused inference for geometries the fast paths do not
-//               cover (stride > 1, ksize other than 1/3).
+//               training networks, and by inference for geometries the
+//               fast paths do not cover (stride > 1, ksize other than
+//               1/3).
 //  kDirect1x1 — 1x1/stride-1/pad-0: the input planes already form the
 //               GEMM B matrix; with CNHW layouts on both sides the
 //               whole batch collapses into a single [F,C]x[C,N*H*W]
@@ -92,8 +92,7 @@ const char* ConvAlgoName(ConvAlgo algo);
 // Per-layer decisions of the inference plan compiler. The default
 // constructed value (NCHW in/out, kIm2col, nothing fused, nothing
 // elided) reproduces the pre-compiler behaviour exactly and is what
-// training networks, standalone layers and THALI_NO_FUSE inference run
-// with.
+// training networks and standalone layers run with.
 struct LayerPlan {
   ActLayout in_layout = ActLayout::kNCHW;
   ActLayout out_layout = ActLayout::kNCHW;
@@ -175,10 +174,9 @@ struct ArenaPlan {
 // The full execution plan Network::Finalize(kInference) compiles: one
 // LayerPlan per layer plus the (alias-aware) arena placement.
 struct ExecPlan {
-  // True when the plan compiler ran with fusion on (inference mode and
-  // neither THALI_NO_FUSE nor the testing override disabled it). When
-  // false every LayerPlan is default-constructed and the forward pass
-  // is bitwise identical to the seed per-layer path.
+  // True for inference networks, whose plan the compiler fuses. False
+  // for training networks: every LayerPlan is default-constructed and
+  // the forward pass is the seed per-layer path.
   bool fused = false;
   std::vector<LayerPlan> layers;  // one per layer
   ArenaPlan arena;
@@ -219,9 +217,9 @@ struct ExecPlan {
 // Inference networks bind their outputs to it (arena.enabled); training
 // networks get it for reporting only.
 //
-// With fuse=false, every layer gets a default LayerPlan and the arena
-// is the plain liveness plan — the seed behaviour. With fuse=true the
-// compiler decides, in order:
+// A training network gets a default LayerPlan for every layer and the
+// plain liveness arena — the seed behaviour. For an inference network
+// the compiler fuses, deciding in order:
 //
 //  1. Layouts: a fixpoint over the DAG assigns kCNHW to conv-chain
 //     interiors. Detection heads, the final output, any layer a
@@ -249,24 +247,7 @@ struct ExecPlan {
 // Elision requires layout-uniform members and (kCNHW or batch == 1) so
 // a member's storage is one contiguous range. Requires every layer to
 // be configured (shapes known).
-ExecPlan CompileExecPlan(const Network& net, bool fuse);
-
-// False when THALI_NO_FUSE=1 (or a testing override) disables the
-// inference plan compiler's fused paths. Network::Finalize latches the
-// value, so later SetBatch re-plans keep the same decision.
-bool FusionEnabled();
-
-namespace internal {
-
-// Force fusion on (1) / off (0) or restore the THALI_NO_FUSE
-// environment default (-1).
-void SetFusionForTesting(int enabled);
-
-// True when the given THALI_NO_FUSE value disables fusion (any
-// non-empty string except "0").
-bool NoFuseEnvValueDisables(const char* value);
-
-}  // namespace internal
+ExecPlan CompileExecPlan(const Network& net);
 
 }  // namespace thali
 

@@ -27,9 +27,6 @@ Status Network::Finalize(ExecMode mode) {
   THALI_CHECK(!finalized_);
   if (layers_.empty()) return Status::InvalidArgument("empty network");
   mode_ = mode;
-  // Latched here so later SetBatch re-plans keep the same decision even
-  // if the environment changes while the process runs.
-  fuse_disabled_ = !FusionEnabled();
   Shape prev = input_shape();
   for (auto& layer : layers_) {
     layer->set_exec_mode(mode_);
@@ -101,8 +98,7 @@ void Network::set_calib_phase(CalibPhase phase) {
 }
 
 void Network::PlanBuffers() {
-  const bool fuse = mode_ == ExecMode::kInference && !fuse_disabled_;
-  eplan_ = CompileExecPlan(*this, fuse);
+  eplan_ = CompileExecPlan(*this);
   for (int i = 0; i < num_layers(); ++i) {
     layers_[static_cast<size_t>(i)]->set_plan(
         eplan_.layers[static_cast<size_t>(i)]);

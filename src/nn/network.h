@@ -100,13 +100,12 @@ class Network {
   CalibPhase calib_phase() const { return calib_phase_; }
   void set_calib_phase(CalibPhase phase);
 
-  // Opt-in for the decode fast path (base/fastpre.h): when set on an
-  // inference network, YOLO heads skip their Forward sigmoid loops and
-  // leave output_ holding RAW logits; GetDetections then pre-filters in
-  // logit space and activates only surviving cells (bitwise identical
-  // detections). Only owners that never read head outputs directly
-  // (Detector) should set this — raw Network users keep the seed
-  // sigmoided outputs.
+  // Opt-in for the decode fast path: when set on an inference network,
+  // YOLO heads skip their Forward sigmoid loops and leave output_
+  // holding RAW logits; GetDetections then pre-filters in logit space
+  // and activates only surviving cells (bitwise identical detections).
+  // Only owners that never read head outputs directly (Detector) should
+  // set this — raw Network users keep the seed sigmoided outputs.
   bool defer_head_activation() const { return defer_head_activation_; }
   void set_defer_head_activation(bool defer) {
     defer_head_activation_ = defer;
@@ -120,8 +119,8 @@ class Network {
   // The full execution plan (per-layer layouts, conv algorithms, int8
   // arming, copy elisions) the inference plan compiler produced at the
   // last Finalize/SetBatch/ReplanInference — exactly what Forward runs.
-  // Training networks and THALI_NO_FUSE inference get the reference
-  // plan (fused == false, all LayerPlans default).
+  // Inference networks get the fused plan; training networks get the
+  // reference plan (fused == false, all LayerPlans default).
   const ExecPlan& exec_plan() const { return eplan_; }
 
   // Bytes of activation buffers this network holds live: outputs plus
@@ -189,9 +188,6 @@ class Network {
   int channels_;
   int batch_;
   ExecMode mode_ = ExecMode::kTraining;
-  // THALI_NO_FUSE, sampled once at Finalize so later SetBatch re-plans
-  // keep the same decision.
-  bool fuse_disabled_ = false;
   CalibPhase calib_phase_ = CalibPhase::kOff;
   bool defer_head_activation_ = false;
   bool input_prequantized_ = false;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <vector>
 
-#include "base/fastpre.h"
 #include "nn/network.h"
 #include "tensor/act_kernels.h"
 #include "tensor/ops.h"
@@ -53,8 +52,7 @@ void YoloLayer::Forward(const Tensor& input, Network& net, bool train) {
   // anyone reading output() directly; only owners that never do (the
   // detector) set it. Training forwards always activate — ComputeLoss
   // reads the sigmoided planes.
-  raw_output_ =
-      !train && inference() && net.defer_head_activation() && FastPreEnabled();
+  raw_output_ = !train && inference() && net.defer_head_activation();
   if (raw_output_) return;
   const int64_t batch = out_shape_.dim(0);
   const int64_t gh = out_shape_.dim(2);

@@ -104,8 +104,8 @@ class YoloLayer : public Layer, public DetectionHead {
   Options opts_;
   // Latched by Forward: true when output_ was left holding the RAW head
   // values (inference nets whose owner opted in via
-  // Network::set_defer_head_activation and the fast pre/post path is
-  // enabled). GetDetections then routes through DecodeRaw.
+  // Network::set_defer_head_activation). GetDetections then routes
+  // through DecodeRaw.
   bool raw_output_ = false;
 };
 

@@ -154,6 +154,16 @@ StatusOr<std::future<Server::Result>> Server::Submit(
   ServerMetrics::PerClass& cls = metrics_.ForClass(submit.priority);
   cls.submitted.fetch_add(1, std::memory_order_relaxed);
 
+  // Checked before enqueue: a worker's DetectBatch would abort on an
+  // image it cannot letterbox, taking the whole process with it.
+  if (image.empty() || image.channels() != 3) {
+    metrics_.rejected.fetch_add(1, std::memory_order_relaxed);
+    cls.rejected.fetch_add(1, std::memory_order_relaxed);
+    return Status::InvalidArgument(
+        StrFormat("detector needs a non-empty 3-channel image, got %dx%dx%d",
+                  image.width(), image.height(), image.channels()));
+  }
+
   const ServeClock::time_point now = ServeClock::now();
   Status admitted = Admit(submit.priority, submit.deadline, now);
   if (!admitted.ok()) {

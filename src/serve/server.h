@@ -96,9 +96,11 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // Enqueues one detection request and returns its future. Fails fast with
-  // kResourceExhausted (queue full — the backpressure signal to shed or
-  // retry) or kFailedPrecondition (server shut down); on failure no future
-  // exists and the request is dropped. The per-Options default deadline
+  // kInvalidArgument (an empty image, or one without exactly 3 channels,
+  // which the detector cannot take), kResourceExhausted (queue full — the
+  // backpressure signal to shed or retry) or kFailedPrecondition (server
+  // shut down); on failure no future exists and the request is dropped
+  // and counted as rejected. The per-Options default deadline
   // applies; the overloads pin an explicit one.
   StatusOr<std::future<Result>> Submit(Image image);
   StatusOr<std::future<Result>> Submit(Image image,

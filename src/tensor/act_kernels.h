@@ -21,8 +21,8 @@ namespace thali {
 // boundaries move elements between lanes and remainders) and across
 // hosts with and without AVX2.
 //
-// Numerical contract vs src/nn/activation.cc (the libm reference used
-// by training and by THALI_NO_FUSE inference):
+// Numerical contract vs src/nn/activation.cc (the libm reference that
+// training networks run):
 //  - Leaky / ReLU: bitwise identical (same compare-and-scale formulas).
 //  - Mish: x * tanh(softplus(x)) is evaluated through the algebraic
 //    identity mish(x) = x * E(E+2) / (E(E+2)+2) with E = exp(x), using

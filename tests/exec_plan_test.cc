@@ -2,13 +2,15 @@
 // (liveness over route/shortcut fan-out, bitwise identity with the seed
 // per-layer allocator), dynamic batch via Network::SetBatch /
 // Detector::DetectBatch, and batch-norm folding on arena-planned nets.
+// The oracle for every inference plan is a kTraining network built from
+// the same seed: it runs the seed per-layer allocator and the reference
+// im2col/NCHW/libm path.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string_view>
@@ -62,23 +64,26 @@ BuiltNetwork BuildThali(ExecMode mode, int batch) {
 //   └────────────────────────┘                               │
 //   └──────────────────────────────────────────────────────┘
 //                                              5 conv4(1x1) ── output
-std::unique_ptr<Network> BuildFanoutNet(ExecMode mode) {
+//
+// `ksize` sizes the three conv8 layers (3x3 by default; with 1x1 every
+// conv runs an algorithm the fused plan keeps bitwise-exact).
+std::unique_ptr<Network> BuildFanoutNet(ExecMode mode, int ksize = 3) {
   auto net = std::make_unique<Network>(16, 16, 3, 1);
-  auto conv = [](int filters, int ksize) {
+  auto conv = [](int filters, int k) {
     ConvLayer::Options o;
     o.filters = filters;
-    o.ksize = ksize;
+    o.ksize = k;
     o.stride = 1;
-    o.pad = ksize / 2;
+    o.pad = k / 2;
     o.activation = Activation::kLeaky;
     return std::make_unique<ConvLayer>(o);
   };
-  net->Add(conv(8, 3));  // 0
-  net->Add(conv(8, 3));  // 1
+  net->Add(conv(8, ksize));  // 0
+  net->Add(conv(8, ksize));  // 1
   ShortcutLayer::Options so;
   so.from = 0;
   net->Add(std::make_unique<ShortcutLayer>(so));  // 2
-  net->Add(conv(8, 3));                           // 3
+  net->Add(conv(8, ksize));                       // 3
   RouteLayer::Options ro;
   ro.layers = {0, -1};
   net->Add(std::make_unique<RouteLayer>(ro));  // 4
@@ -123,19 +128,15 @@ TEST(ArenaPlanTest, RouteFanoutKeepsSourceLive) {
 // Live-together blocks must never partially overlap. Under the fused
 // plan the compiler deliberately aliases route/shortcut storage onto a
 // producer's block, so "i nests fully inside j" (or vice versa) is
-// legal; anything else is a planner bug. With fusion latched off the
-// old strict-disjoint contract still holds exactly.
+// legal; anything else is a planner bug. The plain liveness placement a
+// training network reports (no aliasing) keeps the strict-disjoint
+// contract exactly.
 TEST(ArenaPlanTest, OverlappingLiveIntervalsNeverShareArenaBytes) {
-  struct Case {
-    int fuse;          // internal::SetFusionForTesting value
-    bool allow_nest;   // aliasing means nesting is legal
-  };
-  for (const Case c : {Case{1, true}, Case{0, false}}) {
-    internal::SetFusionForTesting(c.fuse);
-    BuiltNetwork built = BuildThali(ExecMode::kInference, 2);
-    internal::SetFusionForTesting(-1);
+  for (const ExecMode mode : {ExecMode::kInference, ExecMode::kTraining}) {
+    const bool allow_nest = mode == ExecMode::kInference;
+    BuiltNetwork built = BuildThali(mode, 2);
     const ArenaPlan& plan = built.net->arena_plan();
-    ASSERT_TRUE(plan.enabled);
+    EXPECT_EQ(plan.enabled, allow_nest);
     const auto& a = plan.assignments;
     for (size_t i = 0; i < a.size(); ++i) {
       for (size_t j = i + 1; j < a.size(); ++j) {
@@ -149,10 +150,10 @@ TEST(ArenaPlanTest, OverlappingLiveIntervalsNeverShareArenaBytes) {
              a[i].offset + a[i].floats <= a[j].offset + a[j].floats) ||
             (a[j].offset >= a[i].offset &&
              a[j].offset + a[j].floats <= a[i].offset + a[i].floats);
-        EXPECT_TRUE(disjoint || (c.allow_nest && nested))
+        EXPECT_TRUE(disjoint || (allow_nest && nested))
             << "layers " << i << " and " << j
             << " are live together but partially overlap in the arena"
-            << " (fuse=" << c.fuse << ")";
+            << " (inference=" << allow_nest << ")";
       }
     }
     // Every assignment fits inside the arena.
@@ -162,32 +163,40 @@ TEST(ArenaPlanTest, OverlappingLiveIntervalsNeverShareArenaBytes) {
   }
 }
 
-// With fusion latched off the inference plan routes every conv through
-// the reference im2col path, so the arena-planned forward must agree
-// *bitwise* with the seed per-layer allocator — arena placement alone
-// can never change arithmetic.
+// On the 1x1 fan-out net the fused plan runs only bitwise-exact steps
+// (direct 1x1 GEMMs, leaky, aliased route and in-place shortcut), so the
+// arena-planned forward must agree *bitwise* with the seed per-layer
+// allocator — arena placement and copy elision can never change
+// arithmetic. Batch 2 adds the blocked CNHW layouts.
 TEST(ArenaPlanTest, ArenaForwardMatchesSeedAllocatorBitwise) {
-  std::unique_ptr<Network> seed_net = BuildFanoutNet(ExecMode::kTraining);
-  internal::SetFusionForTesting(0);
-  std::unique_ptr<Network> arena_net = BuildFanoutNet(ExecMode::kInference);
-  internal::SetFusionForTesting(-1);
+  std::unique_ptr<Network> seed_net =
+      BuildFanoutNet(ExecMode::kTraining, /*ksize=*/1);
+  std::unique_ptr<Network> arena_net =
+      BuildFanoutNet(ExecMode::kInference, /*ksize=*/1);
+  ASSERT_TRUE(arena_net->exec_plan().fused);
+  int elided = 0;
+  for (const LayerPlan& lp : arena_net->exec_plan().layers) {
+    if (lp.copy_elided) ++elided;
+  }
+  EXPECT_GT(elided, 0) << "the fan-out net must exercise copy elision";
 
-  Tensor input(seed_net->input_shape());
-  FillDeterministic(input, 5);
-  const Tensor& seed_out = seed_net->Forward(input, /*train=*/false);
-  const Tensor& arena_out = arena_net->Forward(input, /*train=*/false);
-  ExpectBitwiseEqual(seed_out, arena_out);
+  for (const int batch : {1, 2}) {
+    ASSERT_TRUE(seed_net->SetBatch(batch).ok());
+    ASSERT_TRUE(arena_net->SetBatch(batch).ok());
+    Tensor input(seed_net->input_shape());
+    FillDeterministic(input, 5);
+    const Tensor& seed_out = seed_net->Forward(input, /*train=*/false);
+    const Tensor& arena_out = arena_net->Forward(input, /*train=*/false);
+    ExpectBitwiseEqual(seed_out, arena_out);
+  }
 }
 
 // The fused plan (Winograd 3x3, fast mish) is not bitwise vs the
 // reference — Winograd reassociates the reduction — but must stay
 // inside the documented 1e-4 + 1e-3|ref| envelope.
 TEST(ArenaPlanTest, FusedForwardMatchesReferenceWithinTolerance) {
-  internal::SetFusionForTesting(0);
-  std::unique_ptr<Network> ref_net = BuildFanoutNet(ExecMode::kInference);
-  internal::SetFusionForTesting(1);
+  std::unique_ptr<Network> ref_net = BuildFanoutNet(ExecMode::kTraining);
   std::unique_ptr<Network> fused_net = BuildFanoutNet(ExecMode::kInference);
-  internal::SetFusionForTesting(-1);
   ASSERT_FALSE(ref_net->exec_plan().fused);
   ASSERT_TRUE(fused_net->exec_plan().fused);
 
@@ -203,33 +212,58 @@ TEST(ArenaPlanTest, FusedForwardMatchesReferenceWithinTolerance) {
   }
 }
 
+// Full yolov4-thali, layer by layer: every layer the fused plan runs
+// with exact arithmetic (im2col and direct 1x1 convs without the fast
+// mish, and the detection heads), fed the seed allocator's input for
+// that layer, must write the seed allocator's output bit for bit into
+// its arena slot — prepacked weights, CNHW strides (batch 1) and, with
+// folded batch norm, the fused bias+activation GEMM epilogue included.
 TEST(ArenaPlanTest, FullModelArenaMatchesSeedAllocatorBitwise) {
-  BuiltNetwork train = BuildThali(ExecMode::kTraining, 1);
-  internal::SetFusionForTesting(0);
-  BuiltNetwork infer = BuildThali(ExecMode::kInference, 1);
-  internal::SetFusionForTesting(-1);
+  for (const bool fold : {false, true}) {
+    BuiltNetwork seed = BuildThali(ExecMode::kTraining, 1);
+    BuiltNetwork arena = BuildThali(ExecMode::kInference, 1);
+    if (fold) {
+      for (BuiltNetwork* b : {&seed, &arena}) {
+        for (int i = 0; i < b->net->num_layers(); ++i) {
+          if (std::string_view(b->net->layer(i).kind()) == "convolutional") {
+            static_cast<ConvLayer&>(b->net->layer(i)).FoldBatchNorm();
+          }
+        }
+      }
+      ASSERT_TRUE(arena.net->ReplanInference().ok());
+    }
+    Tensor input(seed.net->input_shape());
+    FillDeterministic(input, 11);
+    seed.net->Forward(input, /*train=*/false);
 
-  Tensor input(train.net->input_shape());
-  FillDeterministic(input, 11);
-  const Tensor& a = train.net->Forward(input, /*train=*/false);
-  const Tensor& b = infer.net->Forward(input, /*train=*/false);
-  ExpectBitwiseEqual(a, b);
-  // Every detection head decodes from identical activations too.
-  ASSERT_EQ(train.yolo_layers.size(), infer.yolo_layers.size());
-  for (size_t h = 0; h < train.yolo_layers.size(); ++h) {
-    ExpectBitwiseEqual(train.yolo_layers[h]->output(),
-                       infer.yolo_layers[h]->output());
+    int compared = 0;
+    for (int i = 0; i < arena.net->num_layers(); ++i) {
+      Layer& layer = arena.net->layer(i);
+      const LayerPlan& lp = layer.plan();
+      const std::string_view kind = layer.kind();
+      const bool exact_conv = kind == "convolutional" && !lp.fast_act &&
+                              (lp.conv_algo == ConvAlgo::kIm2col ||
+                               lp.conv_algo == ConvAlgo::kDirect1x1);
+      if (!exact_conv && kind != "yolo") continue;
+      const Tensor& in = i == 0 ? input : seed.net->layer(i - 1).output();
+      layer.Forward(in, *arena.net, /*train=*/false);
+      SCOPED_TRACE("layer " + std::to_string(i) + " fold=" +
+                   std::to_string(fold));
+      ExpectBitwiseEqual(layer.output(), seed.net->layer(i).output());
+      ++compared;
+    }
+    // 7 convs (the 2 stride-2 stem convs and the 10 1x1s, less the 5
+    // that run the fast mish) plus 3 heads; pinned so the sweep cannot
+    // silently shrink.
+    EXPECT_EQ(compared, 10);
   }
 }
 
-// Same comparison on the full yolov4-thali model with the fused plan:
-// every detection head must decode within tolerance of the reference.
+// The full yolov4-thali model with the fused plan: every detection head
+// must decode within tolerance of the training network's reference path.
 TEST(ArenaPlanTest, FullModelFusedMatchesReferenceWithinTolerance) {
-  internal::SetFusionForTesting(0);
-  BuiltNetwork ref = BuildThali(ExecMode::kInference, 1);
-  internal::SetFusionForTesting(1);
+  BuiltNetwork ref = BuildThali(ExecMode::kTraining, 1);
   BuiltNetwork fused = BuildThali(ExecMode::kInference, 1);
-  internal::SetFusionForTesting(-1);
   ASSERT_TRUE(fused.net->exec_plan().fused);
 
   Tensor input(ref.net->input_shape());
@@ -249,34 +283,25 @@ TEST(ArenaPlanTest, FullModelFusedMatchesReferenceWithinTolerance) {
   }
 }
 
-TEST(ExecPlanTest, NoFuseEnvVarDisablesFusedPlan) {
-  ASSERT_EQ(setenv("THALI_NO_FUSE", "1", 1), 0);
-  BuiltNetwork gated = BuildThali(ExecMode::kInference, 1);
-  ASSERT_EQ(unsetenv("THALI_NO_FUSE"), 0);
-  BuiltNetwork fused = BuildThali(ExecMode::kInference, 1);
-
-  EXPECT_FALSE(gated.net->exec_plan().fused);
-  EXPECT_TRUE(fused.net->exec_plan().fused);
-  // The reference plan keeps every conv on im2col in NCHW and elides no
-  // copies.
-  for (const LayerPlan& lp : gated.net->exec_plan().layers) {
-    EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col);
-    EXPECT_EQ(lp.out_layout, ActLayout::kNCHW);
-    EXPECT_FALSE(lp.copy_elided);
-    EXPECT_FALSE(lp.fast_act);
+// The plan is fused exactly when the network is kInference: a training
+// network (the oracle of every fused-plan test) keeps every conv on
+// im2col in NCHW, elides no copies and runs no fast activation, across
+// re-plans too.
+TEST(ExecPlanTest, TrainingNetworksRunTheReferencePlan) {
+  BuiltNetwork train = BuildThali(ExecMode::kTraining, 1);
+  BuiltNetwork infer = BuildThali(ExecMode::kInference, 1);
+  EXPECT_TRUE(infer.net->exec_plan().fused);
+  for (const int batch : {1, 2}) {
+    ASSERT_TRUE(train.net->SetBatch(batch).ok());
+    EXPECT_FALSE(train.net->exec_plan().fused);
+    for (const LayerPlan& lp : train.net->exec_plan().layers) {
+      EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col);
+      EXPECT_EQ(lp.out_layout, ActLayout::kNCHW);
+      EXPECT_FALSE(lp.copy_elided);
+      EXPECT_FALSE(lp.fast_act);
+      EXPECT_FALSE(lp.quantizable);
+    }
   }
-  // Latched at Finalize: SetBatch after the env var is gone must not
-  // silently re-enable fusion.
-  ASSERT_TRUE(gated.net->SetBatch(2).ok());
-  EXPECT_FALSE(gated.net->exec_plan().fused);
-}
-
-TEST(ExecPlanTest, NoFuseEnvValueParsing) {
-  EXPECT_FALSE(internal::NoFuseEnvValueDisables(nullptr));
-  EXPECT_FALSE(internal::NoFuseEnvValueDisables(""));
-  EXPECT_FALSE(internal::NoFuseEnvValueDisables("0"));
-  EXPECT_TRUE(internal::NoFuseEnvValueDisables("1"));
-  EXPECT_TRUE(internal::NoFuseEnvValueDisables("yes"));
 }
 
 // The fused yolov4-thali plan picks the specialized conv paths the
@@ -342,13 +367,11 @@ TEST(ExecPlanTest, SetBatchRecompilesFusedPlan) {
 TEST(ArenaPlanTest, PinnedPeakMemoryForYoloThali) {
   // Pinned so planner regressions show up as a number, not a vague slow
   // drift. Update deliberately if the architecture or planner changes.
-  // The reference plan (fusion off) keeps the PR-2 placement exactly;
-  // the fused plan's copy elision shrinks the peak further.
-  internal::SetFusionForTesting(0);
-  BuiltNetwork ref = BuildThali(ExecMode::kInference, 1);
-  internal::SetFusionForTesting(1);
+  // The plain liveness placement a training network reports keeps the
+  // PR-2 placement exactly; the fused plan's copy elision shrinks the
+  // peak further.
+  BuiltNetwork ref = BuildThali(ExecMode::kTraining, 1);
   BuiltNetwork fused = BuildThali(ExecMode::kInference, 1);
-  internal::SetFusionForTesting(-1);
 
   const ArenaPlan& ref_plan = ref.net->arena_plan();
   EXPECT_EQ(ref_plan.sum_output_floats, 195282);

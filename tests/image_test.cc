@@ -239,6 +239,19 @@ TEST(ImageIo, PpmRejectsTruncatedData) {
   std::remove(path.c_str());
 }
 
+// A header that ends right after maxval has no separator byte and no
+// pixels: Corruption, never a read past the end of the file buffer.
+TEST(ImageIo, PpmRejectsHeaderEndingAtMaxval) {
+  const std::string path = testing::TempDir() + "/thali_headonly.ppm";
+  for (const char* text : {"P6\n# a comment line here\n4 4\n255",
+                           "P6\n4 4\n255"}) {
+    ASSERT_TRUE(WriteStringToFile(path, text).ok());
+    EXPECT_EQ(ReadPpm(path).status().code(), StatusCode::kCorruption)
+        << text;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ImageIo, BmpHasValidHeader) {
   Image img = RandomImage(5, 4, 11);
   const std::string path = testing::TempDir() + "/thali_io_test.bmp";

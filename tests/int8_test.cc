@@ -46,13 +46,12 @@ namespace thali {
 namespace {
 
 // Restores every global knob a test may flip, so a failure cannot leak
-// forced scalar kernels, fusion or parallelism into later tests.
+// forced scalar kernels or parallelism into later tests.
 class Int8Test : public ::testing::Test {
  protected:
   void TearDown() override {
     SetMaxParallelism(1);
     internal::SetScalarKernelsForTesting(false);
-    internal::SetFusionForTesting(-1);
   }
 };
 
@@ -550,11 +549,10 @@ TEST_F(Int8Test, EpilogueFamiliesAgreeBitwiseIncludingMaskedTails) {
   }
 }
 
-BuiltNetwork BuildThali() {
+BuiltNetwork BuildThali(ExecMode mode = ExecMode::kInference) {
   Rng rng(4242);
   auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
-                                   /*batch_override=*/1, rng,
-                                   ExecMode::kInference);
+                                   /*batch_override=*/1, rng, mode);
   THALI_CHECK_OK(built.status());
   return std::move(built).value();
 }
@@ -669,11 +667,10 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
   ASSERT_EQ(FoldAndCalibrate(net, HeadInput(net)), 25);
   check_plan(/*armed=*/true);
 
-  // Without a fused plan nothing is quantizable, so calibrating cannot
-  // arm anything: the plan must contain no quantized entry at all.
-  internal::SetFusionForTesting(0);
-  BuiltNetwork off = BuildThali();
-  internal::SetFusionForTesting(-1);
+  // A training network's reference plan has nothing quantizable, so
+  // calibrating cannot arm anything: the plan must contain no quantized
+  // entry at all.
+  BuiltNetwork off = BuildThali(ExecMode::kTraining);
   ASSERT_FALSE(off.net->exec_plan().fused);
   EXPECT_EQ(FoldAndCalibrate(*off.net, HeadInput(*off.net)), 0);
   for (const LayerPlan& lp : off.net->exec_plan().layers) {

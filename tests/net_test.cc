@@ -429,6 +429,26 @@ TEST_F(NetServerTest, UnknownOpGetsStatusReplyNotDisconnect) {
   CloseFd(*fd);
 }
 
+// A DETECT frame whose image the detector cannot take (1 channel) is
+// well-formed on the wire; the server must answer it with the Submit
+// status instead of letting a worker abort, and the same connection
+// then gets a normal reply.
+TEST_F(NetServerTest, UndetectableImageGetsStatusReplyNotAbort) {
+  StartServer();
+  auto client = NetClient::Connect(server_->port());
+  ASSERT_TRUE(client.ok());
+
+  DetectRequest req;
+  req.image = Image(96, 96, 1);
+  auto gray = client->Detect(req);
+  EXPECT_EQ(gray.status().code(), StatusCode::kInvalidArgument);
+
+  req.image = RenderPlatter();
+  auto served = client->Detect(req);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(server_->counters().detect_errors.load(), 1);
+}
+
 TEST_F(NetServerTest, MalformedFrameCutsOnlyThatConnection) {
   StartServer();
   auto bad = ConnectLoopback(server_->port());

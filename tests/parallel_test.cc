@@ -38,7 +38,6 @@ class ParallelTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetMaxParallelism(1);
-    internal::SetFusionForTesting(-1);
     internal::SetScalarKernelsForTesting(false);
   }
 };
@@ -243,12 +242,12 @@ TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
 }
 
 // Which yolov4-thali network ThaliInferenceForward runs: the fused
-// inference plan; the reference inference plan (THALI_NO_FUSE: im2col
-// GEMMs from prepacked weights, bias and leaky fused into the C
-// write-back once batch norm is folded); or a kTraining network forward
-// with train=false (GEMMs pack the live weights per call, bias and
+// inference plan (prepacked weights; bias and activation fused into the
+// GEMM write-back once batch norm is folded), or a kTraining network
+// forward with train=false — the reference every fused-plan test
+// compares against (GEMMs pack the live weights per call, bias and
 // activation as separate passes).
-enum class ThaliRun { kFused, kReference, kTraining };
+enum class ThaliRun { kFused, kTraining };
 
 // Full yolov4-thali forward; returns the detection-head activations
 // flattened for bitwise comparison. `fold_bn` folds batch norm into
@@ -257,13 +256,11 @@ enum class ThaliRun { kFused, kReference, kTraining };
 std::vector<float> ThaliInferenceForward(int threads, ThaliRun run,
                                          bool fold_bn) {
   SetMaxParallelism(threads);
-  internal::SetFusionForTesting(run == ThaliRun::kReference ? 0 : -1);
   YoloThaliOptions yo;
   Rng rng(4242);
   auto built = BuildNetworkFromCfg(
       YoloThaliCfg(yo), /*batch_override=*/1, rng,
       run == ThaliRun::kTraining ? ExecMode::kTraining : ExecMode::kInference);
-  internal::SetFusionForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
   if (fold_bn) {
@@ -302,48 +299,43 @@ TEST_F(ParallelTest, ThaliInferenceBitwiseIdenticalAcrossThreadsAndPacking) {
     ExpectSameBits(ThaliInferenceForward(threads, ThaliRun::kFused, false),
                    base, "fused threads=" + std::to_string(threads));
   }
-  // ...and the reference plan's prepacked GEMMs against a training
-  // network's per-call packing.
-  for (const int threads : {1, 4}) {
-    ExpectSameBits(ThaliInferenceForward(threads, ThaliRun::kReference, false),
-                   ThaliInferenceForward(threads, ThaliRun::kTraining, false),
-                   "reference threads=" + std::to_string(threads));
-  }
+  // ...and so is the training network every fused-plan test uses as its
+  // reference, whose GEMMs pack the live weights per call. (Prepacked
+  // against per-call packing, layer by layer on the real geometries, is
+  // ArenaPlanTest.FullModelArenaMatchesSeedAllocatorBitwise.)
+  ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kTraining, false),
+                 ThaliInferenceForward(1, ThaliRun::kTraining, false),
+                 "training threads=4");
 }
 
 TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
   // Folded batch norm makes every conv eligible for the fused
   // bias+activation write-back. The fused plan stays bitwise stable
-  // across thread counts, and the reference plan (prepacked GEMM plus
-  // fused epilogue) equals a training network's staged passes (per-call
-  // packing, separate bias and activation) bit for bit.
+  // across thread counts, and so does the folded training network's
+  // staged passes (per-call packing, separate bias and activation). The
+  // epilogue against the staged passes, per exact layer, is
+  // ArenaPlanTest.FullModelArenaMatchesSeedAllocatorBitwise.
   const std::vector<float> base =
       ThaliInferenceForward(1, ThaliRun::kFused, true);
   ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kFused, true), base,
                  "fused threads=4");
-  for (const int threads : {1, 4}) {
-    ExpectSameBits(ThaliInferenceForward(threads, ThaliRun::kReference, true),
-                   ThaliInferenceForward(threads, ThaliRun::kTraining, true),
-                   "reference threads=" + std::to_string(threads));
-  }
+  ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kTraining, true),
+                 ThaliInferenceForward(1, ThaliRun::kTraining, true),
+                 "training threads=4");
 }
 
-// Full yolov4-thali int8 inference: builds (optionally with fusion
-// disabled, where calibrating must become a no-op), folds batch norm,
-// min/max-calibrates every quantizable conv on the test input (unless
-// `calibrate` is false), replans so the quantize-once chains arm, then
-// forwards through a SetBatch(1 -> 4 -> 1) cycle with every kernel
-// family forced scalar or automatically selected. Returns the final
-// batch-1 head activations flattened for bitwise comparison.
-std::vector<float> ThaliInt8Forward(int threads, bool scalar, bool fuse,
-                                    bool calibrate = true) {
+// Full yolov4-thali int8 inference: builds, folds batch norm,
+// min/max-calibrates every quantizable conv on the test input, replans
+// so the quantize-once chains arm, then forwards through a
+// SetBatch(1 -> 4 -> 1) cycle with every kernel family forced scalar or
+// automatically selected. Returns the final batch-1 head activations
+// flattened for bitwise comparison.
+std::vector<float> ThaliInt8Forward(int threads, bool scalar) {
   SetMaxParallelism(threads);
-  internal::SetFusionForTesting(fuse ? -1 : 0);
   Rng rng(4242);
   auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
                                    /*batch_override=*/1, rng,
                                    ExecMode::kInference);
-  internal::SetFusionForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
   for (int i = 0; i < net.num_layers(); ++i) {
@@ -355,23 +347,21 @@ std::vector<float> ThaliInt8Forward(int threads, bool scalar, bool fuse,
   Rng irng(17);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
 
-  if (calibrate) {
-    net.set_calib_phase(CalibPhase::kRange);
-    Tensor calib = input;
-    net.Forward(calib, /*train=*/false);
-    net.set_calib_phase(CalibPhase::kOff);
-    for (int i = 0; i < net.num_layers(); ++i) {
-      Layer& l = net.layer(i);
-      if (std::string_view(l.kind()) != "convolutional") continue;
-      if (!l.plan().quantizable) continue;
-      static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
-    }
-    // Arms the quantized algorithms and the quantize-once chains (u8
-    // edges, int8 1x1, fused mish requantize) so the thread x kernel
-    // matrix exercises the chained forward, not just per-layer
-    // quantization.
-    THALI_CHECK_OK(net.ReplanInference());
+  net.set_calib_phase(CalibPhase::kRange);
+  Tensor calib = input;
+  net.Forward(calib, /*train=*/false);
+  net.set_calib_phase(CalibPhase::kOff);
+  for (int i = 0; i < net.num_layers(); ++i) {
+    Layer& l = net.layer(i);
+    if (std::string_view(l.kind()) != "convolutional") continue;
+    if (!l.plan().quantizable) continue;
+    static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
   }
+  // Arms the quantized algorithms and the quantize-once chains (u8
+  // edges, int8 1x1, fused mish requantize) so the thread x kernel
+  // matrix exercises the chained forward, not just per-layer
+  // quantization.
+  THALI_CHECK_OK(net.ReplanInference());
 
   internal::SetScalarKernelsForTesting(scalar);
   Tensor first = input;
@@ -401,14 +391,12 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
   // kernel families, and batch re-planning — exact integer accumulation
   // plus the shared scalar requantize epilogue make this a hard
   // equality, unlike the fp32 Winograd tolerance.
-  const std::vector<float> base =
-      ThaliInt8Forward(1, /*scalar=*/true, /*fuse=*/true);
+  const std::vector<float> base = ThaliInt8Forward(1, /*scalar=*/true);
   ASSERT_FALSE(base.empty());
   for (const bool scalar : {true, false}) {
     for (const int threads : {1, 2, 4}) {
       if (scalar && threads == 1) continue;
-      const std::vector<float> got =
-          ThaliInt8Forward(threads, scalar, /*fuse=*/true);
+      const std::vector<float> got = ThaliInt8Forward(threads, scalar);
       ASSERT_EQ(got.size(), base.size());
       EXPECT_EQ(
           std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
@@ -417,44 +405,28 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
   }
 }
 
-TEST_F(ParallelTest, Int8UnderNoFuseIsBitwiseFp32) {
-  // THALI_NO_FUSE disables the whole fused plan, so nothing is
-  // quantizable and calibrating must be a no-op: identical bits to an
-  // uncalibrated no-fuse run.
-  const std::vector<float> fp32 = ThaliInt8Forward(
-      4, /*scalar=*/false, /*fuse=*/false, /*calibrate=*/false);
-  const std::vector<float> int8 =
-      ThaliInt8Forward(4, /*scalar=*/false, /*fuse=*/false);
-  ASSERT_EQ(int8.size(), fp32.size());
-  ASSERT_FALSE(fp32.empty());
-  EXPECT_EQ(
-      std::memcmp(int8.data(), fp32.data(), int8.size() * sizeof(float)), 0);
-}
-
 // Conformance sweep over every conv shape in yolov4-thali: the fused
 // plan (CNHW layout, direct 1x1, Winograd 3x3, fast mish) must land
-// within the documented 1e-4 + 1e-3*|ref| envelope of the reference
-// im2col plan at *every conv layer's output*, not just the heads — so a
-// drifting kernel is pinned to its layer, and every one of the model's
-// distinct (C,F,k,s,HxW) conv geometries gets exercised. Batch 1, where
-// CNHW and NCHW coincide bitwise, so outputs compare element for
-// element without a gather. Both networks run layer by layer, as
-// Network::Forward does, and each conv output is copied out right away:
-// later layers reuse its arena storage.
+// within the documented 1e-4 + 1e-3*|ref| envelope of a training
+// network's reference im2col path at *every conv layer's output*, not
+// just the heads — so a drifting kernel is pinned to its layer, and
+// every one of the model's distinct (C,F,k,s,HxW) conv geometries gets
+// exercised. Batch 1, where CNHW and NCHW coincide bitwise, so outputs
+// compare element for element without a gather. Both networks run layer
+// by layer, as Network::Forward does, and each conv output is copied
+// out right away: the fused network's later layers reuse its arena
+// storage.
 TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
   SetMaxParallelism(4);
-  auto build = [](int fuse) {
-    internal::SetFusionForTesting(fuse);
+  auto build = [](ExecMode mode) {
     Rng rng(4242);
     auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
-                                     /*batch_override=*/1, rng,
-                                     ExecMode::kInference);
-    internal::SetFusionForTesting(-1);
+                                     /*batch_override=*/1, rng, mode);
     THALI_CHECK_OK(built.status());
     return std::move(built).value();
   };
-  BuiltNetwork ref = build(0);
-  BuiltNetwork fused = build(1);
+  BuiltNetwork ref = build(ExecMode::kTraining);
+  BuiltNetwork fused = build(ExecMode::kInference);
   ASSERT_FALSE(ref.net->exec_plan().fused);
   ASSERT_TRUE(fused.net->exec_plan().fused);
 

@@ -1,12 +1,14 @@
-// Tests for the pre/post-processing fast paths (PR "close the batch-1
-// tail"): table-driven letterbox parity against the seed resize, the
-// fused letterbox+quantize byte contract, the CollectAtLeast objectness
-// pre-filter family conformance, exact equivalence of the raw-logit
-// YOLO decode and the bucketed NMS against their references, and the
-// end-to-end Detect pin across the THALI_NO_FASTPRE toggle.
+// Tests for the pre/post-processing fast paths: table-driven letterbox
+// parity against the seed resize, the fused letterbox+quantize byte
+// contract, the CollectAtLeast objectness pre-filter family
+// conformance, exact equivalence of the raw-logit YOLO decode and the
+// bucketed NMS against their references, and the end-to-end pin of
+// Detect against a seed pipeline. The seed loops live in
+// tests/seed_prepost.h; the library runs only the fast paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "base/cpu_features.h"
-#include "base/fastpre.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/detector.h"
@@ -31,17 +32,17 @@
 #include "tensor/act_kernels.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/tensor.h"
+#include "seed_prepost.h"
 
 namespace thali {
 namespace {
 
 // Restores every global knob a test may flip so a failure cannot leak a
-// forced kernel family or fast-path override into later tests.
+// forced kernel family or parallelism into later tests.
 class PrepostTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetMaxParallelism(1);
-    internal::SetFastPreForTesting(-1);
     internal::SetScalarKernelsForTesting(false);
   }
 };
@@ -106,11 +107,11 @@ TEST_F(PrepostTest, FastNmsMatchesReferenceOnClusteredBoxes) {
       for (float thr : {0.3f, 0.45f, 0.6f}) {
         const std::vector<Detection> dets =
             MakeClusteredDets(rng, n, /*classes=*/4, /*tie_confs=*/false);
-        ExpectBitwiseEqual(internal::NmsFast(dets, thr, /*class_aware=*/true),
-                           internal::NmsReference(dets, thr, true),
+        ExpectBitwiseEqual(Nms(dets, thr),
+                           SeedNms(dets, thr, /*class_aware=*/true),
                            "class-aware");
-        ExpectBitwiseEqual(internal::NmsFast(dets, thr, /*class_aware=*/false),
-                           internal::NmsReference(dets, thr, false),
+        ExpectBitwiseEqual(NmsClassAgnostic(dets, thr),
+                           SeedNms(dets, thr, /*class_aware=*/false),
                            "class-agnostic");
       }
     }
@@ -123,24 +124,12 @@ TEST_F(PrepostTest, FastNmsMatchesReferenceUnderConfidenceTies) {
     const std::vector<Detection> dets =
         MakeClusteredDets(rng, 120, /*classes=*/3, /*tie_confs=*/true);
     for (float thr : {0.2f, 0.45f, 0.9f}) {
-      ExpectBitwiseEqual(internal::NmsFast(dets, thr, true),
-                         internal::NmsReference(dets, thr, true),
+      ExpectBitwiseEqual(Nms(dets, thr), SeedNms(dets, thr, true),
                          "tied class-aware");
-      ExpectBitwiseEqual(internal::NmsFast(dets, thr, false),
-                         internal::NmsReference(dets, thr, false),
-                         "tied class-agnostic");
+      ExpectBitwiseEqual(NmsClassAgnostic(dets, thr),
+                         SeedNms(dets, thr, false), "tied class-agnostic");
     }
   }
-}
-
-TEST_F(PrepostTest, NmsDispatchHonorsFastPreToggle) {
-  Rng rng(42);
-  const std::vector<Detection> dets = MakeClusteredDets(rng, 80, 4, false);
-  internal::SetFastPreForTesting(0);
-  const std::vector<Detection> ref = Nms(dets, 0.45f);
-  internal::SetFastPreForTesting(1);
-  const std::vector<Detection> fast = Nms(dets, 0.45f);
-  ExpectBitwiseEqual(fast, ref, "dispatch");
 }
 
 TEST_F(PrepostTest, CollectAtLeastKeepsExactSemanticsIncludingNaN) {
@@ -184,7 +173,7 @@ TEST_F(PrepostTest, ScalarLetterboxIsBitwiseIdenticalToSeedReference) {
   internal::SetScalarKernelsForTesting(true);
   for (auto [w, h] : {std::pair{123, 77}, {200, 200}, {31, 190}, {97, 95}}) {
     const Image src = RandomImage(static_cast<uint64_t>(w * 1000 + h), w, h);
-    const Letterbox ref = LetterboxImage(src, 96, 96);
+    const Letterbox ref = SeedLetterbox(src, 96, 96);
     std::vector<float> dst(3 * 96 * 96, -1.0f);
     const LetterboxGeometry g = LetterboxIntoPlanes(src, 96, 96, dst.data());
     EXPECT_EQ(Bits(g.scale), Bits(ref.scale));
@@ -195,6 +184,18 @@ TEST_F(PrepostTest, ScalarLetterboxIsBitwiseIdenticalToSeedReference) {
                           dst.size() * sizeof(float)),
               0)
         << w << "x" << h;
+    // The Image-returning entry points run the same family.
+    const Letterbox lb = LetterboxImage(src, 96, 96);
+    EXPECT_EQ(std::memcmp(ref.image.data(), lb.image.data(),
+                          dst.size() * sizeof(float)),
+              0)
+        << "LetterboxImage " << w << "x" << h;
+    const Image want = SeedResize(src, 61, 45);
+    const Image got = Resize(src, 61, 45);
+    EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                          static_cast<size_t>(want.size()) * sizeof(float)),
+              0)
+        << "Resize " << w << "x" << h;
   }
 }
 
@@ -235,8 +236,8 @@ TEST_F(PrepostTest, FusedQuantizeEmitsExactlyTheQuantizedLetterbox) {
 }
 
 TEST_F(PrepostTest, ReferenceLetterboxPadsExactlyGreyAroundContent) {
-  // Satellite fix pin: LetterboxImage fills only the pad bands, so every
-  // pad pixel is exactly 0.5 and content pixels come from the resize.
+  // LetterboxImage fills only the pad bands, so every pad pixel is
+  // exactly 0.5 and content pixels come from the resize.
   const Image src = RandomImage(11, 50, 200);
   const Letterbox lb = LetterboxImage(src, 96, 96);
   ASSERT_GT(lb.pad_x, 0);
@@ -262,14 +263,15 @@ BuiltNetwork BuildThaliNet() {
   return std::move(built).value();
 }
 
+// The reference decode is the heads' seed sigmoid pass, which a network
+// runs unless its owner defers head activation.
 TEST_F(PrepostTest, RawDecodeMatchesReferenceDecodeOnRealHeadTensors) {
   BuiltNetwork built = BuildThaliNet();
-  built.net->set_defer_head_activation(true);
   Tensor input(built.net->input_shape());
   Rng irng(17);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
 
-  internal::SetFastPreForTesting(1);
+  built.net->set_defer_head_activation(true);
   built.net->Forward(input, /*train=*/false);
   ASSERT_FALSE(built.yolo_layers.empty());
   // Capture the fast decode at several thresholds, including the two
@@ -289,7 +291,7 @@ TEST_F(PrepostTest, RawDecodeMatchesReferenceDecodeOnRealHeadTensors) {
   std::memcpy(raw_head.data(), built.yolo_layers[0]->output().data(),
               raw_head.size() * sizeof(float));
 
-  internal::SetFastPreForTesting(0);
+  built.net->set_defer_head_activation(false);
   built.net->Forward(input, /*train=*/false);
   EXPECT_NE(std::memcmp(raw_head.data(),
                         built.yolo_layers[0]->output().data(),
@@ -308,25 +310,87 @@ TEST_F(PrepostTest, RawDecodeMatchesReferenceDecodeOnRealHeadTensors) {
   EXPECT_GT(nonempty, 0) << "decode comparison was vacuous";
 }
 
+// The network's detection heads in layer order — the order the detector
+// collects them in.
+std::vector<YoloLayer*> YoloHeads(Network& net) {
+  std::vector<YoloLayer*> heads;
+  for (int i = 0; i < net.num_layers(); ++i) {
+    if (std::string_view(net.layer(i).kind()) == "yolo") {
+      heads.push_back(static_cast<YoloLayer*>(&net.layer(i)));
+    }
+  }
+  return heads;
+}
+
+// Every head plane of `net` flattened, for bitwise comparison.
+std::vector<float> HeadPlanes(Network& net) {
+  std::vector<float> flat;
+  for (YoloLayer* head : YoloHeads(net)) {
+    const Tensor& out = head->output();
+    flat.insert(flat.end(), out.data(), out.data() + out.size());
+  }
+  return flat;
+}
+
+// Detect as the seed pipeline ran it, one batch-1 image: seed letterbox
+// into an intermediate Image, a forward whose heads sigmoid in place,
+// the reference decode, all-pairs NMS, then the mapping of boxes from
+// the network frame back into the image frame.
+std::vector<Detection> SeedDetect(Network& net, const Image& img,
+                                  float conf_threshold, float nms_threshold) {
+  const int nw = net.input_width();
+  const int nh = net.input_height();
+  const Letterbox lb = SeedLetterbox(img, nw, nh);
+  Tensor input(net.input_shape());
+  std::copy(lb.image.data(), lb.image.data() + lb.image.size(), input.data());
+  const bool defer = net.defer_head_activation();
+  net.set_defer_head_activation(false);
+  net.Forward(input, /*train=*/false);
+  net.set_defer_head_activation(defer);
+  std::vector<Detection> all;
+  for (YoloLayer* head : YoloHeads(net)) {
+    const std::vector<Detection> dets =
+        head->GetDetections(0, conf_threshold, nw, nh);
+    all.insert(all.end(), dets.begin(), dets.end());
+  }
+  std::vector<Detection> kept =
+      SeedNms(std::move(all), nms_threshold, /*class_aware=*/true);
+  for (Detection& d : kept) {
+    const float px = d.box.x * nw - lb.pad_x;
+    const float py = d.box.y * nh - lb.pad_y;
+    d.box.x = px / lb.scale / img.width();
+    d.box.y = py / lb.scale / img.height();
+    d.box.w = d.box.w * nw / lb.scale / img.width();
+    d.box.h = d.box.h * nh / lb.scale / img.height();
+  }
+  return kept;
+}
+
+// End-to-end pin of the fast pre/post path: under forced scalar kernels
+// (where the table-driven letterbox is bitwise the seed resize), Detect
+// returns the seed pipeline's detections bit for bit.
 TEST_F(PrepostTest, DetectIsBitwiseStableAcrossFastPreWithScalarResize) {
   internal::SetScalarKernelsForTesting(true);
   auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}));
   THALI_CHECK_OK(det.status());
   const Image img = RandomImage(3, 160, 120);
 
-  internal::SetFastPreForTesting(1);
   const std::vector<Detection> fast = det->Detect(img, 0.1f, 0.45f);
-  internal::SetFastPreForTesting(0);
-  const std::vector<Detection> ref = det->Detect(img, 0.1f, 0.45f);
+  const Detector::StageTimes st = det->last_stage_times();
+  const std::vector<Detection> ref =
+      SeedDetect(det->network(), img, 0.1f, 0.45f);
   EXPECT_FALSE(ref.empty()) << "pipeline comparison was vacuous";
   ExpectBitwiseEqual(fast, ref, "detect");
 
-  const Detector::StageTimes& st = det->last_stage_times();
   EXPECT_GT(st.forward_ms, 0.0);
   EXPECT_GE(st.preprocess_ms, 0.0);
   EXPECT_GE(st.postprocess_ms, 0.0);
 }
 
+// Fused u8 staging: Detect letterboxes and quantizes in one pass into the
+// network's quantized input, and its heads must equal a plain
+// Network::Forward of the fp32 letterboxed planes, which quantizes
+// inside Forward with the same shared quantizer.
 TEST_F(PrepostTest, FusedQuantizedInputDetectMatchesFp32QuantizeRoute) {
   internal::SetScalarKernelsForTesting(true);
   auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}));
@@ -355,15 +419,19 @@ TEST_F(PrepostTest, FusedQuantizedInputDetectMatchesFp32QuantizeRoute) {
   ASSERT_TRUE(net.exec_plan().input_u8);
 
   const Image img = RandomImage(5, 130, 100);
-  // Fast route: fused letterbox-quantize stages the u8 input directly.
-  internal::SetFastPreForTesting(1);
-  const std::vector<Detection> fused = det->Detect(img, 0.1f, 0.45f);
-  // Reference route: seed letterbox into fp32 staging, quantized inside
-  // Network::Forward by the same shared quantizer.
-  internal::SetFastPreForTesting(0);
-  const std::vector<Detection> ref = det->Detect(img, 0.1f, 0.45f);
-  EXPECT_FALSE(ref.empty()) << "fused-input comparison was vacuous";
-  ExpectBitwiseEqual(fused, ref, "fused quantized input");
+  const std::vector<Detection> dets = det->Detect(img, 0.1f, 0.45f);
+  EXPECT_FALSE(dets.empty()) << "fused-input comparison was vacuous";
+  const std::vector<float> fused = HeadPlanes(net);
+
+  Tensor planes(net.input_shape());
+  LetterboxIntoPlanes(img, net.input_width(), net.input_height(),
+                      planes.data());
+  net.Forward(planes, /*train=*/false);
+  const std::vector<float> ref = HeadPlanes(net);
+  ASSERT_FALSE(ref.empty());
+  ASSERT_EQ(fused.size(), ref.size());
+  EXPECT_EQ(
+      std::memcmp(fused.data(), ref.data(), ref.size() * sizeof(float)), 0);
 }
 
 }  // namespace

@@ -521,6 +521,39 @@ TEST(ServerTest, ShutdownDrainsEveryAcceptedFuture) {
   EXPECT_EQ(server->metrics().rejected.load(), 1);
 }
 
+// The detector letterboxes 3-channel images only; anything else must
+// bounce at Submit instead of reaching a worker, whose DetectBatch would
+// abort the process. The server keeps serving afterwards, and the
+// rejections keep submitted = completed + rejected + timed_out.
+TEST(ServerTest, SubmitRejectsImagesTheDetectorCannotTake) {
+  Server::Options opts;
+  opts.num_workers = 1;
+  auto server_or = Server::Create(opts, StandardFactory());
+  ASSERT_TRUE(server_or.ok());
+  std::unique_ptr<Server> server = std::move(server_or).value();
+
+  for (const int channels : {1, 4}) {
+    auto bad = server->Submit(Image(96, 96, channels));
+    ASSERT_FALSE(bad.ok()) << channels << " channels";
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto empty = server->Submit(Image());
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+
+  auto good = server->Submit(RenderImages(1)[0]);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(good->get().ok());
+  server->Shutdown();
+
+  const ServerMetrics& m = server->metrics();
+  EXPECT_EQ(m.submitted.load(), 4);
+  EXPECT_EQ(m.rejected.load(), 3);
+  EXPECT_EQ(m.completed.load(), 1);
+  EXPECT_EQ(m.submitted.load(),
+            m.completed.load() + m.rejected.load() + m.timed_out.load());
+}
+
 TEST(ServerTest, BackpressureRejectsWhenQueueFull) {
   Server::Options opts;
   opts.num_workers = 1;
