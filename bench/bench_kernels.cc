@@ -115,8 +115,7 @@ void GemmPackedShapeBench(benchmark::State& state, int64_t m, int64_t n,
   std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
   GemmPackWeights(a.data(), m, k, packed.data());
   for (auto _ : state) {
-    GemmPrepacked(m, n, k, packed.data(), false, b.data(), n, 0.0f, c.data(),
-                  n);
+    GemmPrepacked(m, n, k, packed.data(), b.data(), n, 0.0f, c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * m * n * k);
@@ -153,7 +152,7 @@ void GemmInt8ShapeBench(benchmark::State& state, int64_t m, int64_t n,
   Int8QuantizeActivations(x.data(), k * n, 1.0f / in_scale, in_zp,
                           qcol.data());
   std::vector<uint8_t> packed(static_cast<size_t>(Int8PackedActBytes(k, n)));
-  Int8PackActCols(qcol.data(), k, n, packed.data());
+  Int8PackActColsStrided(qcol.data(), n, k, n, packed.data());
   std::vector<float> bias(static_cast<size_t>(m), 0.1f);
   Int8Epilogue epi;
   epi.in_scale = in_scale;
@@ -194,7 +193,7 @@ void Int8StageBench(benchmark::State& state, int64_t c, int64_t h, int64_t w,
   for (auto _ : state) {
     Im2ColStridedU8(im.data(), h * w, c, h, w, ksize, stride, pad,
                     /*pad_value=*/64, col.data());
-    Int8PackActCols(col.data(), k, n, packed.data());
+    Int8PackActColsStrided(col.data(), n, k, n, packed.data());
     benchmark::DoNotOptimize(packed.data());
     benchmark::ClobberMemory();
   }

@@ -16,7 +16,15 @@ TIER1_ONLY=0
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
-cmake --build build -j "${JOBS}"
+# The build must print no warning: one that scrolls by unread buries the
+# next. An incremental build recompiles only what changed, so a fresh
+# tree is what checks every file.
+cmake --build build -j "${JOBS}" 2>&1 | tee build/verify_build.log
+if grep -q "warning:" build/verify_build.log; then
+  echo "verify: FAIL — the tier-1 build printed warnings:"
+  grep "warning:" build/verify_build.log
+  exit 1
+fi
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
 echo "== int8 smoke: quantization conformance suite =="

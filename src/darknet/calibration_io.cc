@@ -49,7 +49,11 @@ Status SaveCalibration(const Network& net, const std::string& path) {
 
 StatusOr<int> LoadCalibration(Network& net, const std::string& path) {
   if (!net.finalized()) return Status::FailedPrecondition("net not finalized");
-  THALI_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
+  // Read in place: GCC 12 flags a string moved out of the StatusOr as
+  // maybe-uninitialized.
+  const StatusOr<std::string> file = ReadFileToString(path);
+  if (!file.ok()) return file.status();
+  const std::string& data = *file;
   size_t pos = 0;
   auto read = [&](void* dst, size_t n) -> bool {
     if (pos + n > data.size()) return false;

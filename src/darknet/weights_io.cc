@@ -78,18 +78,21 @@ Status SaveWeights(Network& net, const std::string& path, uint64_t seen,
 
 StatusOr<int> LoadWeights(Network& net, const std::string& path, int cutoff) {
   if (!net.finalized()) return Status::FailedPrecondition("net not finalized");
-  THALI_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  Reader r(data);
+  // Read in place: GCC 12 flags a string moved out of the StatusOr as
+  // maybe-uninitialized.
+  const StatusOr<std::string> file = ReadFileToString(path);
+  if (!file.ok()) return file.status();
+  Reader r(*file);
 
-  int32_t major, minor, revision;
+  int32_t major = 0, minor = 0, revision = 0;
   THALI_RETURN_IF_ERROR(r.Read(&major, sizeof(major)));
   THALI_RETURN_IF_ERROR(r.Read(&minor, sizeof(minor)));
   THALI_RETURN_IF_ERROR(r.Read(&revision, sizeof(revision)));
   if (major * 10 + minor >= 2) {
-    uint64_t seen;
+    uint64_t seen = 0;
     THALI_RETURN_IF_ERROR(r.Read(&seen, sizeof(seen)));
   } else {
-    uint32_t seen32;
+    uint32_t seen32 = 0;
     THALI_RETURN_IF_ERROR(r.Read(&seen32, sizeof(seen32)));
   }
 
@@ -137,18 +140,19 @@ StatusOr<int> LoadWeights(Network& net, const std::string& path, int cutoff) {
 }
 
 StatusOr<uint64_t> ReadWeightsSeen(const std::string& path) {
-  THALI_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  Reader r(data);
-  int32_t major, minor, revision;
+  const StatusOr<std::string> file = ReadFileToString(path);
+  if (!file.ok()) return file.status();
+  Reader r(*file);
+  int32_t major = 0, minor = 0, revision = 0;
   THALI_RETURN_IF_ERROR(r.Read(&major, sizeof(major)));
   THALI_RETURN_IF_ERROR(r.Read(&minor, sizeof(minor)));
   THALI_RETURN_IF_ERROR(r.Read(&revision, sizeof(revision)));
   if (major * 10 + minor >= 2) {
-    uint64_t seen;
+    uint64_t seen = 0;
     THALI_RETURN_IF_ERROR(r.Read(&seen, sizeof(seen)));
     return seen;
   }
-  uint32_t seen32;
+  uint32_t seen32 = 0;
   THALI_RETURN_IF_ERROR(r.Read(&seen32, sizeof(seen32)));
   return static_cast<uint64_t>(seen32);
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "base/thread_pool.h"
 #include "nn/network.h"
@@ -26,26 +25,6 @@ constexpr int64_t kColCacheMaxFloats = int64_t{1} << 24;
 constexpr int64_t kBnGrainElems = int64_t{1} << 14;
 // Histogram resolution of the percentile calibration pass.
 constexpr int64_t kCalibBins = 2048;
-
-// The activation a GEMM write-back applies in place of the layer's
-// separate activation pass, or nullopt when that pass must still run
-// (logistic; mish unless the fast family is the kernel either way).
-std::optional<GemmActivation> FusableActivation(Activation a,
-                                                bool fast_mish) {
-  switch (a) {
-    case Activation::kLinear:
-      return GemmActivation::kNone;  // nothing to apply
-    case Activation::kLeaky:
-      return GemmActivation::kLeaky;
-    case Activation::kRelu:
-      return GemmActivation::kRelu;
-    case Activation::kMish:
-      if (fast_mish) return GemmActivation::kMish;
-      return std::nullopt;
-    default:
-      return std::nullopt;
-  }
-}
 }  // namespace
 
 Status ConvLayer::Configure(const Shape& input_shape, const Network&) {
@@ -117,8 +96,6 @@ Status ConvLayer::Rebatch(const Shape& input_shape, const Network&) {
 
 int64_t ConvLayer::WorkspaceSize() const {
   switch (plan().conv_algo) {
-    case ConvAlgo::kDirect1x1:
-      return 0;  // the input planes are the GEMM B matrix
     case ConvAlgo::kWinograd:
       return WinogradWorkspaceFloats(in_c_, opts_.filters, in_shape_.dim(2),
                                      in_shape_.dim(3));
@@ -126,9 +103,11 @@ int64_t ConvLayer::WorkspaceSize() const {
     case ConvAlgo::kQuantInt8Direct1x1:
       return int8_ws_.ws_floats;  // OnPlanUpdated ran first
     case ConvAlgo::kIm2col:
+    case ConvAlgo::kDirect1x1:
       break;
   }
-  if (IsDirect1x1()) return 0;  // input planes already form the col matrix
+  // One im2col panel; a direct 1x1 multiplies its input planes.
+  if (IsDirect1x1()) return 0;
   return in_c_ * opts_.ksize * opts_.ksize * out_h_ * out_w_;
 }
 
@@ -143,34 +122,23 @@ void ConvLayer::OnPlanUpdated() {
       algo != ConvAlgo::kQuantInt8Direct1x1) {
     return;
   }
-  const auto align64 = [](int64_t v) { return (v + 63) / 64 * 64; };
-  const int64_t out_hw = out_h_ * out_w_;
+  // One item's sections, in order: its quantized input planes (unused
+  // when the input arrives chained), the u8 im2col panel (3x3 only), the
+  // packed activation panel and the i32 accumulator tile; then 64 bytes
+  // of slack.
+  const Items items = BatchItems();
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const int64_t kp = Int8PackedK(k);
-  if (algo == ConvAlgo::kQuantInt8) {
-    const int64_t in_planes = in_c_ * in_shape_.dim(2) * in_shape_.dim(3);
-    int8_ws_.gemm_n = out_hw;
-    int8_ws_.qin = 0;
-    int8_ws_.col = align64(in_planes);
-    int8_ws_.packed = int8_ws_.col + align64(k * out_hw);
-    int8_ws_.acc = int8_ws_.packed + align64(kp * out_hw);
-    int8_ws_.ws_floats =
-        (Int8ConvWorkspaceBytes(opts_.filters, out_hw, k, in_planes) + 3) / 4;
-  } else {
-    // With CNHW on both sides the whole batch is one GEMM over a
-    // [C, batch*HW] panel; otherwise the path runs per item.
-    int8_ws_.whole_batch = plan().in_layout == ActLayout::kCNHW &&
-                           plan().out_layout == ActLayout::kCNHW;
-    const int64_t n =
-        (int8_ws_.whole_batch ? in_shape_.dim(0) : int64_t{1}) * out_hw;
-    int8_ws_.gemm_n = n;
-    int8_ws_.qin = 0;
-    int8_ws_.col = -1;  // no im2col panel on the direct path
-    int8_ws_.packed = align64(k * n);
-    int8_ws_.acc = int8_ws_.packed + align64(kp * n);
-    int8_ws_.ws_floats =
-        (Int8Direct1x1WorkspaceBytes(opts_.filters, n, k) + 3) / 4;
-  }
+  int64_t bytes = 0;
+  const auto take = [&bytes](int64_t size) {
+    const int64_t at = bytes;
+    bytes += (size + 63) / 64 * 64;
+    return at;
+  };
+  int8_ws_.qin = take(in_c_ * items.in_cols);
+  if (!IsDirect1x1()) int8_ws_.col = take(k * items.n);
+  int8_ws_.packed = take(Int8PackedActBytes(k, items.n));
+  int8_ws_.acc = take(opts_.filters * items.n * 4);
+  int8_ws_.ws_floats = (bytes + 64 + 3) / 4;
 }
 
 void ConvLayer::InitWeights(Rng& rng) {
@@ -231,11 +199,28 @@ bool ConvLayer::IsDirect1x1() const {
   return opts_.ksize == 1 && opts_.stride == 1 && opts_.pad == 0;
 }
 
+ConvLayer::Items ConvLayer::BatchItems() const {
+  const int64_t batch = in_shape_.dim(0);
+  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
+  const int64_t out_hw = out_h_ * out_w_;
+  const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
+  const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
+  // A direct 1x1 with CNHW on both sides multiplies the whole [C,
+  // batch*HW] block at once: one item whose planes span the batch.
+  const int64_t span = IsDirect1x1() && cnhw_in && cnhw_out ? batch : 1;
+  Items items;
+  items.count = batch / span;
+  items.in_cols = span * in_hw;
+  items.n = span * out_hw;
+  items.in_step = cnhw_in ? in_hw : in_c_ * in_hw;
+  items.out_step = cnhw_out ? out_hw : opts_.filters * out_hw;
+  items.in_chan_stride = cnhw_in ? batch * in_hw : in_hw;
+  items.out_chan_stride = cnhw_out ? batch * out_hw : out_hw;
+  return items;
+}
+
 const float* ConvLayer::PrepareCol(const float* in, int64_t chan_stride,
                                    float* ws) const {
-  // The direct shortcut is only valid when the item's channel planes are
-  // contiguous (NCHW); fused plans route 1x1 convs to kDirect1x1 before
-  // reaching here.
   if (IsDirect1x1()) return in;
   Im2ColStrided(in, chan_stride, in_c_, in_shape_.dim(2), in_shape_.dim(3),
                 opts_.ksize, opts_.stride, opts_.pad, ws);
@@ -252,306 +237,35 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
   // copy.
   if (inference() && packed_dirty_) PrepackWeights();
 
-  const int64_t batch = in_shape_.dim(0);
-  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
-  const int64_t out_hw = out_h_ * out_w_;
-  const int64_t m = opts_.filters;
-  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const int64_t n = out_hw;
-  const bool direct = IsDirect1x1();
-
-  // Layout strides from the compiled plan. NCHW: item b's channel c
-  // plane at (b*C + c)*HW — per-item base b*C*HW, channel stride
-  // HW. CNHW: plane (c, b) at (c*batch + b)*HW — per-item base b*HW,
-  // channel stride batch*HW. Both the im2col gather and the GEMM C
-  // write-back absorb either layout through these strides.
-  const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
-  const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
-  const int64_t in_chan_stride = cnhw_in ? batch * in_hw : in_hw;
-  const int64_t out_chan_stride = cnhw_out ? batch * out_hw : out_hw;
-  const int64_t in_item = cnhw_in ? in_hw : in_c_ * in_hw;
-  const int64_t out_item = cnhw_out ? out_hw : m * out_hw;
-  const int64_t col_plane =
-      plan().conv_algo == ConvAlgo::kIm2col && !direct ? k * out_hw : 0;
-
-  // During training, keep the per-item im2col panels around so Backward's
-  // weight-gradient GEMM reuses them instead of recomputing (bounded by
-  // kColCacheMaxFloats; larger layers fall back to recompute).
-  cols_cached_ =
-      train && batch * col_plane <= kColCacheMaxFloats && col_plane > 0;
-  if (cols_cached_ && col_cache_.size() != batch * col_plane) {
-    col_cache_.Resize(Shape({batch, col_plane}));
-  }
-
-  // Inference GEMMs run from the prepacked weight copy and — once batch
-  // norm has been folded away — fuse the bias add and simple activations
-  // into the C write-back. Leaky/ReLU fusion replicates the separate
-  // passes op for op, so outputs stay bitwise identical to the staged
-  // path a training network runs; the mish epilogue (fused plans only)
-  // runs the same fast kernel the separate pass would. Winograd keeps
-  // both passes separate (no GEMM C traversal spans the whole output).
-  GemmEpilogue epilogue;
-  bool fused_bias = false;
-  std::optional<GemmActivation> fused_act;
-  if ((plan().conv_algo == ConvAlgo::kIm2col ||
-       plan().conv_algo == ConvAlgo::kDirect1x1) &&
-      inference() && !opts_.batch_normalize) {
-    fused_bias = true;
-    fused_act = FusableActivation(opts_.activation, plan().fast_act);
-    epilogue.bias = biases_.data();
-    epilogue.activation = fused_act.value_or(GemmActivation::kNone);
-  }
-  const GemmEpilogue* gemm_epilogue = fused_bias ? &epilogue : nullptr;
-
   // Inference layers keep no pre-BN cache: the GEMM lands in output_
   // and BN normalizes it in place (elementwise, so bitwise identical to
   // the staged path).
   Tensor& raw =
       opts_.batch_normalize && !inference() ? conv_out_ : output_;
-
   switch (plan().conv_algo) {
-    case ConvAlgo::kQuantInt8:
-    case ConvAlgo::kQuantInt8Direct1x1: {
-      // Quantized path: the u8 activation columns come either from the
-      // chained producer's buffer (plan().in_dtype == kU8 —
-      // quantize-once) or from quantizing the fp32 input planes here, in
-      // the input domain the plan derived from the calibrated range; then
-      // pack, exact-integer GEMM, and the shared requantize epilogue
-      // fuses bias and leaky/relu. When plan().out_dtype == kU8 the
-      // epilogue also requantizes straight into this layer's u8 buffer
-      // (mish included, via the fast-math vector kernel); f32-out mish
-      // keeps its separate FastMishInPlace pass below so unchained values
-      // stay bitwise identical to the pre-chaining path.
-      const bool chained_in = plan().in_dtype == DType::kU8;
-      const bool u8_out = plan().out_dtype == DType::kU8;
-      fused_bias = true;
-      fused_act = FusableActivation(opts_.activation, u8_out);
-      Int8Epilogue epi;
-      epi.in_scale = plan().in_qscale;
-      epi.in_zp = plan().in_qzp;
-      epi.wscale = qweights_.scale.data();
-      epi.wcolsum = wcolsum_.data();
-      epi.bias = biases_.data();
-      epi.activation = fused_act.value_or(GemmActivation::kNone);
-      if (u8_out) {
-        THALI_CHECK(fused_act.has_value())
-            << "conv " << index() << ": u8-out plan with unfusable activation";
-        epi.out_inv_scale = 1.0f / plan().out_qscale;
-        epi.out_zp = plan().out_qzp;
-      }
-      // A chained layer 0 reads the quantized NETWORK INPUT (filled by
-      // Network::Forward or staged by the detector's fused
-      // letterbox-quantize); every other chained conv reads its
-      // producer's u8 activation block.
-      const uint8_t* qsrc =
-          !chained_in ? nullptr
-                      : (index() == 0 ? net.quant_input()
-                                      : net.quant_act(index() - 1));
-      uint8_t* qdst = u8_out ? net.quant_act(index()) : nullptr;
-      THALI_CHECK(!chained_in || qsrc != nullptr);
-      THALI_CHECK(!u8_out || qdst != nullptr);
-      const int64_t ws_floats = int8_ws_.ws_floats;
-      const float inv_scale = 1.0f / plan().in_qscale;
-      const int32_t in_zp = plan().in_qzp;
-      const int8_t* qw = qweights_.q.data<int8_t>();
-      if (plan().conv_algo == ConvAlgo::kQuantInt8) {
-        THALI_CHECK(int8_ws_.gemm_n == n);
-        const uint8_t in_zp_byte = static_cast<uint8_t>(in_zp);
-        ParallelForBounded(
-            0, batch, 1, net.workspace_slots(),
-            [&](int64_t b0, int64_t b1, int tid) {
-              // Byte sections inside the float workspace, precomputed by
-              // OnPlanUpdated to match Int8ConvWorkspaceBytes.
-              uint8_t* wsb =
-                  reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
-              uint8_t* qin = wsb + int8_ws_.qin;
-              uint8_t* col = wsb + int8_ws_.col;
-              uint8_t* packed = wsb + int8_ws_.packed;
-              int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-              for (int64_t b = b0; b < b1; ++b) {
-                const uint8_t* qim;
-                int64_t qim_stride;
-                if (chained_in) {
-                  // The producer already wrote this layer's input domain;
-                  // im2col gathers straight from its u8 planes (border
-                  // pad = the shared zero point, exact x = 0).
-                  qim = qsrc + b * in_item;
-                  qim_stride = in_chan_stride;
-                } else {
-                  const float* in = input.data() + b * in_item;
-                  for (int64_t c = 0; c < in_c_; ++c) {
-                    Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
-                                            inv_scale, in_zp,
-                                            qin + c * in_hw);
-                  }
-                  qim = qin;
-                  qim_stride = in_hw;
-                }
-                Im2ColStridedU8(qim, qim_stride, in_c_, in_shape_.dim(2),
-                                in_shape_.dim(3), opts_.ksize, opts_.stride,
-                                opts_.pad, in_zp_byte, col);
-                Int8PackActCols(col, k, n, packed);
-                Int8Epilogue e = epi;
-                float* cmat = nullptr;
-                if (u8_out) {
-                  e.out_u8 = qdst + b * out_item;
-                } else {
-                  cmat = raw.data() + b * out_item;
-                }
-                Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
-                                  out_chan_stride, acc);
-              }
-            });
-      } else if (int8_ws_.whole_batch) {
-        // 1x1, blocked layout on both sides: the whole batch is one GEMM
-        // over the [C, batch*HW] block (no im2col — the channel planes
-        // already form the col matrix). Runs inline; the GEMM itself
-        // row-parallelizes across the pool.
-        const int64_t nb = batch * n;
-        THALI_CHECK(int8_ws_.gemm_n == nb);
-        uint8_t* wsb =
-            reinterpret_cast<uint8_t*>(net.workspace(0, ws_floats));
-        uint8_t* packed = wsb + int8_ws_.packed;
-        int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-        const uint8_t* qcols;
-        if (chained_in) {
-          qcols = qsrc;
-        } else {
-          uint8_t* qin = wsb + int8_ws_.qin;
-          Int8QuantizeActivations(input.data(), k * nb, inv_scale, in_zp,
-                                  qin);
-          qcols = qin;
-        }
-        Int8PackActCols(qcols, k, nb, packed);
-        Int8Epilogue e = epi;
-        float* cmat = nullptr;
-        if (u8_out) {
-          e.out_u8 = qdst;
-        } else {
-          cmat = raw.data();
-        }
-        Int8GemmPrepacked(m, nb, k, qw, packed, e, cmat, batch * out_hw, acc);
-      } else {
-        // 1x1, mixed or NCHW layouts: one GEMM per item, packing the u8
-        // columns straight from the (possibly strided) channel planes.
-        THALI_CHECK(int8_ws_.gemm_n == n);
-        ParallelForBounded(
-            0, batch, 1, net.workspace_slots(),
-            [&](int64_t b0, int64_t b1, int tid) {
-              uint8_t* wsb =
-                  reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
-              uint8_t* qin = wsb + int8_ws_.qin;
-              uint8_t* packed = wsb + int8_ws_.packed;
-              int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-              for (int64_t b = b0; b < b1; ++b) {
-                if (chained_in) {
-                  Int8PackActColsStrided(qsrc + b * in_item, in_chan_stride,
-                                         k, n, packed);
-                } else {
-                  const float* in = input.data() + b * in_item;
-                  if (cnhw_in) {
-                    for (int64_t c = 0; c < in_c_; ++c) {
-                      Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
-                                              inv_scale, in_zp,
-                                              qin + c * in_hw);
-                    }
-                  } else {
-                    // NCHW item: the k*HW block is contiguous.
-                    Int8QuantizeActivations(in, k * in_hw, inv_scale, in_zp,
-                                            qin);
-                  }
-                  Int8PackActCols(qin, k, n, packed);
-                }
-                Int8Epilogue e = epi;
-                float* cmat = nullptr;
-                if (u8_out) {
-                  e.out_u8 = qdst + b * out_item;
-                } else {
-                  cmat = raw.data() + b * out_item;
-                }
-                Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
-                                  out_chan_stride, acc);
-              }
-            });
-      }
-      if (u8_out) return;  // bias + activation fused; no fp32 output exists
-      break;
-    }
-    case ConvAlgo::kWinograd: {
-      // Per-item Winograd; at batch 1 the single chunk runs inline so the
-      // 16 transform-domain GEMMs fan out across the pool instead.
-      const int64_t wino_ws = WinogradWorkspaceFloats(
-          in_c_, opts_.filters, in_shape_.dim(2), in_shape_.dim(3));
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int tid) {
-            float* ws = net.workspace(tid, wino_ws);
-            for (int64_t b = b0; b < b1; ++b) {
-              WinogradForward(input.data() + b * in_item, in_chan_stride,
-                              in_c_, in_shape_.dim(2), in_shape_.dim(3),
-                              wino_packed_.data(), opts_.filters,
-                              raw.data() + b * out_item, out_chan_stride, ws);
-            }
-          });
-      break;
-    }
-    case ConvAlgo::kDirect1x1:
-      if (cnhw_in && cnhw_out) {
-        // Blocked layout on both sides: the whole batch is one GEMM over
-        // the [C, batch*HW] input block — identical per-element
-        // accumulation chains to the per-item GEMMs, just wider.
-        GemmPrepacked(m, batch * n, k, packed_weights_.data(), /*tb=*/false,
-                      input.data(), batch * in_hw, 0.0f, raw.data(),
-                      batch * out_hw, gemm_epilogue);
-        break;
-      }
-      // Mixed or NCHW layouts: one strided GEMM per item, no im2col.
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int) {
-            for (int64_t b = b0; b < b1; ++b) {
-              GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                            input.data() + b * in_item, in_chan_stride, 0.0f,
-                            raw.data() + b * out_item, out_chan_stride,
-                            gemm_epilogue);
-            }
-          });
-      break;
     case ConvAlgo::kIm2col:
-      // Reference im2col path. Batch items are independent: each strand
-      // owns disjoint output planes and its own im2col scratch. Training
-      // networks multiply the live weights (packed per call); inference
-      // ones read the prepacked panels.
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int tid) {
-            float* ws = nullptr;
-            if (!direct && !cols_cached_) ws = net.workspace(tid, col_plane);
-            for (int64_t b = b0; b < b1; ++b) {
-              float* dst =
-                  cols_cached_ ? col_cache_.data() + b * col_plane : ws;
-              const float* col =
-                  PrepareCol(input.data() + b * in_item, in_chan_stride, dst);
-              float* cmat = raw.data() + b * out_item;
-              if (inference()) {
-                GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                              col, n, 0.0f, cmat, out_chan_stride,
-                              gemm_epilogue);
-              } else {
-                Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, col, n,
-                     0.0f, cmat, out_chan_stride);
-              }
-            }
-          });
+    case ConvAlgo::kDirect1x1:
+      ForwardFp32Gemm(input, net, train, raw);
+      break;
+    case ConvAlgo::kQuantInt8:
+    case ConvAlgo::kQuantInt8Direct1x1:
+      ForwardInt8Gemm(input, net, raw);
+      // The epilogue applied bias and activation; no fp32 output exists.
+      if (plan().out_dtype == DType::kU8) return;
+      break;
+    case ConvAlgo::kWinograd:
+      ForwardWinograd(input, net, raw);
       break;
   }
 
+  const int64_t batch = in_shape_.dim(0);
+  const int64_t spatial = out_h_ * out_w_;
   if (opts_.batch_normalize) {
     BatchNormForward(train);
-  } else if (!fused_bias) {
+  } else if (!plan().epilogue.bias) {
     // Plain bias add; (batch, filter) planes are independent. The plane
     // index maps to a filter as pl % F in NCHW and pl / batch in CNHW.
-    const int64_t spatial = out_hw;
+    const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
     ParallelFor(0, batch * opts_.filters,
                 std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(
                                                          1, spatial)),
@@ -565,34 +279,175 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
                 });
   }
 
-  // Cache pre-activation values for the backward pass (training networks
-  // only), then activate. The activation is elementwise, so it needs no
-  // layout awareness; fused plans route mish through the fast kernel
-  // family (deterministic and identical across the scalar/AVX2 paths).
-  if (inference()) {
-    if (!fused_act.has_value()) {
-      if (plan().fast_act && opts_.activation == Activation::kMish) {
-        ParallelFor(0, output_.size(), kBnGrainElems,
-                    [&](int64_t i0, int64_t i1, int) {
-                      FastMishInPlace(output_.data() + i0, i1 - i0);
-                    });
-      } else {
-        ParallelFor(0, output_.size(), kBnGrainElems,
-                    [&](int64_t i0, int64_t i1, int) {
-                      ApplyActivation(opts_.activation, output_.data() + i0,
-                                      i1 - i0);
-                    });
-      }
-    }
-  } else {
-    ParallelFor(0, output_.size(), kBnGrainElems,
-                [&](int64_t i0, int64_t i1, int) {
-                  std::copy(output_.data() + i0, output_.data() + i1,
-                            pre_activation_.data() + i0);
-                  ApplyActivation(opts_.activation, output_.data() + i0,
-                                  i1 - i0);
-                });
+  // Unless the epilogue activated, cache pre-activation values for the
+  // backward pass (training networks only), then activate. The
+  // activation is elementwise, so it needs no layout awareness;
+  // inference runs mish through the fast kernel family (deterministic
+  // and identical across the scalar/AVX2 paths).
+  if (plan().epilogue.act.has_value()) return;
+  const bool fast_mish =
+      inference() && opts_.activation == Activation::kMish;
+  ParallelFor(0, output_.size(), kBnGrainElems,
+              [&](int64_t i0, int64_t i1, int) {
+                float* x = output_.data() + i0;
+                if (!inference()) {
+                  std::copy(x, x + (i1 - i0), pre_activation_.data() + i0);
+                }
+                if (fast_mish) {
+                  FastMishInPlace(x, i1 - i0);
+                } else {
+                  ApplyActivation(opts_.activation, x, i1 - i0);
+                }
+              });
+}
+
+void ConvLayer::ForwardFp32Gemm(const Tensor& input, Network& net,
+                                bool train, Tensor& raw) {
+  const Items items = BatchItems();
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const bool direct = IsDirect1x1();
+  // B is the item's input planes (direct 1x1) or its im2col panel.
+  const int64_t ldb = direct ? items.in_chan_stride : items.n;
+  const int64_t col_plane = direct ? 0 : k * items.n;
+
+  // During training, keep the per-item im2col panels around so Backward's
+  // weight-gradient GEMM reuses them instead of recomputing (bounded by
+  // kColCacheMaxFloats; larger layers fall back to recompute).
+  cols_cached_ = train && col_plane > 0 &&
+                 items.count * col_plane <= kColCacheMaxFloats;
+  if (cols_cached_ && col_cache_.size() != items.count * col_plane) {
+    col_cache_.Resize(Shape({items.count, col_plane}));
   }
+  GemmEpilogue epilogue;
+  epilogue.bias = biases_.data();
+  epilogue.activation = plan().epilogue.act.value_or(GemmActivation::kNone);
+  const GemmEpilogue* fused = plan().epilogue.bias ? &epilogue : nullptr;
+
+  // Items are independent: each strand owns disjoint output planes and
+  // its own im2col scratch.
+  ParallelForBounded(
+      0, items.count, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        float* ws = nullptr;
+        if (!direct && !cols_cached_) ws = net.workspace(tid, col_plane);
+        for (int64_t b = b0; b < b1; ++b) {
+          const float* col = PrepareCol(
+              input.data() + b * items.in_step, items.in_chan_stride,
+              cols_cached_ ? col_cache_.data() + b * col_plane : ws);
+          float* c = raw.data() + b * items.out_step;
+          if (inference()) {
+            GemmPrepacked(m, items.n, k, packed_weights_.data(), col, ldb,
+                          0.0f, c, items.out_chan_stride, fused);
+          } else {
+            Gemm(false, false, m, items.n, k, 1.0f, weights_.data(), k, col,
+                 ldb, 0.0f, c, items.out_chan_stride);
+          }
+        }
+      });
+}
+
+void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
+                                Tensor& raw) {
+  const Items items = BatchItems();
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const bool direct = IsDirect1x1();
+  const bool chained_in = plan().in_dtype == DType::kU8;
+  const bool u8_out = plan().out_dtype == DType::kU8;
+  Int8Epilogue epi;
+  epi.in_scale = plan().in_qscale;
+  epi.in_zp = plan().in_qzp;
+  epi.wscale = qweights_.scale.data();
+  epi.wcolsum = wcolsum_.data();
+  epi.bias = biases_.data();
+  epi.activation = plan().epilogue.act.value_or(GemmActivation::kNone);
+  if (u8_out) {
+    // Requantize straight into this layer's u8 chain buffer.
+    epi.out_inv_scale = 1.0f / plan().out_qscale;
+    epi.out_zp = plan().out_qzp;
+  }
+  // A chained layer 0 reads the quantized NETWORK INPUT (filled by
+  // Network::Forward or staged by the detector's fused
+  // letterbox-quantize); every other chained conv reads its producer's
+  // u8 activation block.
+  const uint8_t* qsrc =
+      !chained_in ? nullptr
+                  : (index() == 0 ? net.quant_input()
+                                  : net.quant_act(index() - 1));
+  uint8_t* qdst = u8_out ? net.quant_act(index()) : nullptr;
+  THALI_CHECK(!chained_in || qsrc != nullptr);
+  THALI_CHECK(!u8_out || qdst != nullptr);
+  const float inv_scale = 1.0f / plan().in_qscale;
+  const int32_t in_zp = plan().in_qzp;
+  const int8_t* qw = qweights_.q.data<int8_t>();
+  ParallelForBounded(
+      0, items.count, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        uint8_t* wsb = reinterpret_cast<uint8_t*>(
+            net.workspace(tid, int8_ws_.ws_floats));
+        uint8_t* packed = wsb + int8_ws_.packed;
+        int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
+        for (int64_t b = b0; b < b1; ++b) {
+          // The item's u8 channel planes: the producer's bytes, already
+          // in this layer's input domain, or its fp32 planes quantized
+          // here in that domain.
+          const uint8_t* q;
+          int64_t q_stride;
+          if (chained_in) {
+            q = qsrc + b * items.in_step;
+            q_stride = items.in_chan_stride;
+          } else {
+            const float* in = input.data() + b * items.in_step;
+            uint8_t* qin = wsb + int8_ws_.qin;
+            for (int64_t c = 0; c < in_c_; ++c) {
+              Int8QuantizeActivations(in + c * items.in_chan_stride,
+                                      items.in_cols, inv_scale, in_zp,
+                                      qin + c * items.in_cols);
+            }
+            q = qin;
+            q_stride = items.in_cols;
+          }
+          if (!direct) {
+            // u8 im2col; border pad = the zero point, exact x = 0.
+            uint8_t* col = wsb + int8_ws_.col;
+            Im2ColStridedU8(q, q_stride, in_c_, in_shape_.dim(2),
+                            in_shape_.dim(3), opts_.ksize, opts_.stride,
+                            opts_.pad, static_cast<uint8_t>(in_zp), col);
+            q = col;
+            q_stride = items.n;
+          }
+          Int8PackActColsStrided(q, q_stride, k, items.n, packed);
+          Int8Epilogue e = epi;
+          float* c = nullptr;
+          if (u8_out) {
+            e.out_u8 = qdst + b * items.out_step;
+          } else {
+            c = raw.data() + b * items.out_step;
+          }
+          Int8GemmPrepacked(m, items.n, k, qw, packed, e, c,
+                            items.out_chan_stride, acc);
+        }
+      });
+}
+
+void ConvLayer::ForwardWinograd(const Tensor& input, Network& net,
+                                Tensor& raw) {
+  // Per-item Winograd; at batch 1 the single chunk runs inline so the
+  // 16 transform-domain GEMMs fan out across the pool instead.
+  const Items items = BatchItems();
+  ParallelForBounded(
+      0, items.count, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        float* ws = net.workspace(tid, WorkspaceSize());
+        for (int64_t b = b0; b < b1; ++b) {
+          WinogradForward(input.data() + b * items.in_step,
+                          items.in_chan_stride, in_c_, in_shape_.dim(2),
+                          in_shape_.dim(3), wino_packed_.data(),
+                          opts_.filters, raw.data() + b * items.out_step,
+                          items.out_chan_stride, ws);
+        }
+      });
 }
 
 void ConvLayer::BatchNormForward(bool train) {

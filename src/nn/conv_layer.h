@@ -13,13 +13,26 @@ namespace thali {
 
 // 2-d convolution with optional fused batch normalization and activation —
 // Darknet's `[convolutional]` layer. Weight layout is
-// (out_channels, in_channels, ksize, ksize); the reference computation is
-// im2col + GEMM. Forward runs exactly the algorithm plan().conv_algo
-// names (nn/exec_plan.h) — a direct whole-batch GEMM for 1x1 convs,
-// Winograd F(2x2,3x3) for stride-1 3x3 convs, the int8 paths once the
-// plan compiler armed them — and reads/writes either NCHW or the blocked
-// CNHW layout through GEMM strides. It never re-decides: calibration
-// changes reach it only through a replan (Network::ReplanInference).
+// (out_channels, in_channels, ksize, ksize). Forward runs the algorithm
+// plan().conv_algo names (nn/exec_plan.h) in one of three bodies:
+//
+//  - fp32 GEMM (kIm2col, kDirect1x1): per item, B is the input planes
+//    (1x1/stride-1/pad-0) or an im2col panel; inference multiplies the
+//    prepacked weight panels, training the live weights.
+//  - int8 GEMM (kQuantInt8, kQuantInt8Direct1x1): per item, the u8
+//    planes are the producer's chained bytes or the fp32 input quantized
+//    here; a 3x3 gathers them with the u8 im2col; then pack and the
+//    integer GEMM with its requantize epilogue.
+//  - Winograd F(2x2,3x3) for stride-1 3x3 convs, per batch item.
+//
+// Items (BatchItems): a direct 1x1 with CNHW on both sides is one item
+// whose planes span the whole batch (one GEMM of n = batch*H*W); every
+// other conv runs one item per batch entry. Either layout is read and
+// written through strides. The GEMM write-back applies the epilogue the
+// plan carries (plan().epilogue); the bias or batch-norm pass and the
+// activation pass run only where it did not. Forward never re-decides:
+// calibration changes reach it only through a replan
+// (Network::ReplanInference).
 //
 // With batch_normalize, the layer carries scales (gamma), biases (beta)
 // and rolling mean/variance exactly like Darknet, so the serialized
@@ -47,9 +60,9 @@ class ConvLayer : public Layer {
   std::vector<ConstParam> Params() const override;
   int64_t WorkspaceSize() const override;
 
-  // Precomputes the int8 byte-workspace section offsets for the current
-  // plan/shapes (quant algos only), once per plan push, and repacks the
-  // weights of an inference layer whose planned algorithm changed.
+  // Lays out the int8 byte workspace for the current plan and shapes
+  // (int8 algorithms only), once per plan push, and repacks the weights
+  // of an inference layer whose planned algorithm changed.
   void OnPlanUpdated() override;
 
   // Invalidates the packed copy after any mutation of weights_ (weight
@@ -114,15 +127,37 @@ class ConvLayer : public Layer {
   bool folded() const { return folded_; }
 
  private:
+  // Where the GEMM items of one Forward sit in the activation tensors.
+  // NCHW: item b's channel c plane at (b*C + c)*HW. CNHW: plane (c, b) at
+  // (c*batch + b)*HW.
+  struct Items {
+    int64_t count = 0;    // items per Forward: 1 or batch
+    int64_t in_cols = 0;  // input columns of one item's channel plane
+    int64_t n = 0;        // GEMM width: output columns of one item
+    int64_t in_step = 0, out_step = 0;  // item b's planes start at b*step
+    int64_t in_chan_stride = 0, out_chan_stride = 0;  // plane to plane
+  };
+  // The item rule, for the current plan and batch.
+  Items BatchItems() const;
+
   // 1x1/stride-1/pad-0 convs need no im2col: the input planes already
   // form the col matrix.
   bool IsDirect1x1() const;
 
-  // Returns the col matrix for one image: the input itself (1x1 fast
-  // path, only valid for a contiguous NCHW item) or `ws` after an
-  // im2col with the given channel-plane stride into it.
+  // Returns the col matrix for one item: its input planes themselves
+  // (direct 1x1; row stride = the channel-plane stride) or `ws` after an
+  // im2col with the given channel-plane stride into it (row stride = the
+  // output columns).
   const float* PrepareCol(const float* in, int64_t chan_stride,
                           float* ws) const;
+
+  // The three algorithm bodies. Each writes the pre-bias (or, where the
+  // epilogue fused it, the finished) output into `raw`; the int8 body
+  // writes a u8 output into the network's chain buffer instead.
+  void ForwardFp32Gemm(const Tensor& input, Network& net, bool train,
+                       Tensor& raw);
+  void ForwardInt8Gemm(const Tensor& input, Network& net, Tensor& raw);
+  void ForwardWinograd(const Tensor& input, Network& net, Tensor& raw);
 
   void BatchNormForward(bool train);
   void BatchNormBackward();
@@ -168,19 +203,16 @@ class ConvLayer : public Layer {
   bool cols_cached_ = false; // whether col_cache_ matches the last Forward
   Tensor wg_scratch_;        // per-item weight-gradient slots (Backward)
 
-  // Byte-section offsets inside the per-strand float workspace of the
-  // quantized paths, laid out exactly as Int8ConvWorkspaceBytes /
-  // Int8Direct1x1WorkspaceBytes size them. Derived from the plan once
-  // in OnPlanUpdated (Finalize / SetBatch / ReplanInference), never in
-  // Forward; WorkspaceSize reports ws_floats.
+  // Byte-section offsets of one item inside the per-strand float
+  // workspace of the int8 body, each 64-byte aligned. Laid out once per
+  // plan push in OnPlanUpdated (Finalize / SetBatch / ReplanInference);
+  // WorkspaceSize reports ws_floats.
   struct Int8Sections {
     int64_t qin = 0;     // quantized input planes (u8)
-    int64_t col = 0;     // u8 im2col panel (kQuantInt8 only)
+    int64_t col = -1;    // u8 im2col panel (3x3 only)
     int64_t packed = 0;  // packed activation panel
     int64_t acc = 0;     // i32 accumulator tile
     int64_t ws_floats = 0;  // floats to request from net.workspace()
-    int64_t gemm_n = 0;     // GEMM width the sections were sized for
-    bool whole_batch = false;  // direct-1x1 CNHW both sides: one GEMM
   };
   Int8Sections int8_ws_;
 

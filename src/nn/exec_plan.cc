@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -139,6 +140,25 @@ ArenaPlan PlanArenaGrouped(const Network& net, const std::vector<int>& last_use,
   return plan;
 }
 
+// The activation a GEMM write-back applies in place of the conv's own
+// pass, or nullopt when that pass must still run. Leaky and ReLU repeat
+// the separate pass op for op; mish is the fast family that fused plans
+// run either way; logistic has no epilogue form.
+std::optional<GemmActivation> EpilogueActivation(Activation a) {
+  switch (a) {
+    case Activation::kLinear:
+      return GemmActivation::kNone;
+    case Activation::kLeaky:
+      return GemmActivation::kLeaky;
+    case Activation::kRelu:
+      return GemmActivation::kRelu;
+    case Activation::kMish:
+      return GemmActivation::kMish;
+    default:
+      return std::nullopt;
+  }
+}
+
 }  // namespace
 
 const char* ActLayoutName(ActLayout layout) {
@@ -244,8 +264,7 @@ ExecPlan CompileExecPlan(const Network& net) {
       }
     }
 
-    // 2. Conv algorithm and fast-activation selection by geometry, then
-    // int8 arming. A conv int8 covers is `quantizable`; it runs the
+    // 2. Conv algorithm selection by geometry, then int8 arming. A conv int8 covers is `quantizable`; it runs the
     // quantized algorithm only when that path can run right now — batch
     // norm folded, an input range installed, no calibration pass active
     // — and its geometry's fp32 algorithm otherwise.
@@ -287,7 +306,6 @@ ExecPlan CompileExecPlan(const Network& net) {
                            cv.activation_range_max(), &lp.in_qscale,
                            &lp.in_qzp);
       }
-      lp.fast_act = o.activation == Activation::kMish;
     }
 
     // 3. Copy elision, legal when a channel range is one contiguous
@@ -380,9 +398,8 @@ ExecPlan CompileExecPlan(const Network& net) {
     // calibration phases disarm them again the same way).
     if (armed) {
       // qconv: convs step 2 armed with a quantized algorithm.
-      // qprod: qconv whose activation the requantize epilogue can apply
-      // (linear/leaky/relu, mish through the FastMish family) so its
-      // OUTPUT may be u8. qpass: layout-uniform passthroughs that move
+      // qprod: qconv whose activation has an epilogue form, so the
+      // requantize epilogue can apply it and its OUTPUT may be u8. qpass: layout-uniform passthroughs that move
       // u8 bytes exactly — max and concat/upsample copies commute with
       // the monotonic quantizer, shortcut's clamped add needs a linear
       // activation; a passthrough reading the fp32 network input can
@@ -398,12 +415,11 @@ ExecPlan CompileExecPlan(const Network& net) {
             continue;
           }
           qconv[static_cast<size_t>(i)] = 1;
-          const Activation a =
-              static_cast<const ConvLayer&>(net.layer(i)).options().activation;
           qprod[static_cast<size_t>(i)] =
-              a == Activation::kLinear || a == Activation::kLeaky ||
-              a == Activation::kRelu ||
-              (a == Activation::kMish && lp.fast_act);
+              EpilogueActivation(static_cast<const ConvLayer&>(net.layer(i))
+                                     .options()
+                                     .activation)
+                  .has_value();
         } else if (cls[static_cast<size_t>(i)] == kPass) {
           bool ok = lp.in_layout == lp.out_layout &&
                     !(i == 0 && net.layer(i).ReadsPreviousOutput());
@@ -599,6 +615,27 @@ ExecPlan CompileExecPlan(const Network& net) {
         }
       }
     }
+
+    // 5. Conv epilogues. Every GEMM conv without batch norm adds its bias
+    // in the write-back and applies there the activation that has an
+    // epilogue form. An int8 conv with an fp32 output is the exception
+    // for mish: it keeps its separate fast-mish pass. Winograd has no
+    // write-back spanning the output, and batch norm normalizes before
+    // its bias.
+    for (int i = 0; i < n; ++i) {
+      if (cls[static_cast<size_t>(i)] != kConv) continue;
+      LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
+      const auto& o = static_cast<const ConvLayer&>(net.layer(i)).options();
+      if (lp.conv_algo == ConvAlgo::kWinograd || o.batch_normalize) continue;
+      lp.epilogue.bias = true;
+      lp.epilogue.act = EpilogueActivation(o.activation);
+      const bool int8 = lp.conv_algo == ConvAlgo::kQuantInt8 ||
+                        lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1;
+      if (int8 && o.activation == Activation::kMish &&
+          lp.out_dtype == DType::kF32) {
+        lp.epilogue.act.reset();
+      }
+    }
   }
 
   plan.arena = PlanArenaGrouped(net, last_use, parent, poffset);
@@ -609,13 +646,16 @@ ExecPlan CompileExecPlan(const Network& net) {
 std::string ExecPlan::ToString() const {
   std::ostringstream os;
   os << StrFormat("%4s %5s %5s %10s %5s %6s %4s %4s %7s\n", "idx", "in",
-                  "out", "conv", "fast", "elide", "din", "dout", "chain");
+                  "out", "conv", "epi", "elide", "din", "dout", "chain");
   for (size_t i = 0; i < layers.size(); ++i) {
     const LayerPlan& lp = layers[i];
+    // epi: what the GEMM write-back fuses — bias, bias and activation.
     os << StrFormat("%4d %5s %5s %10s %5s %6s %4s %4s %7s\n",
                     static_cast<int>(i), ActLayoutName(lp.in_layout),
                     ActLayoutName(lp.out_layout), ConvAlgoName(lp.conv_algo),
-                    lp.fast_act ? "mish" : "-",
+                    lp.epilogue.act.has_value() ? "b+act"
+                    : lp.epilogue.bias          ? "b"
+                                                : "-",
                     lp.copy_elided ? "elide" : "-", DTypeName(lp.in_dtype),
                     DTypeName(lp.out_dtype),
                     lp.in_dtype == DType::kU8 ? "chained" : "-");

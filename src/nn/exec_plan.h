@@ -2,9 +2,11 @@
 #define THALI_NN_EXEC_PLAN_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "tensor/gemm.h"
 #include "tensor/qtensor.h"
 
 namespace thali {
@@ -89,6 +91,17 @@ enum class ConvAlgo {
 
 const char* ConvAlgoName(ConvAlgo algo);
 
+// What a conv's GEMM write-back (the fp32 GEMM epilogue or the int8
+// requantize epilogue) applies after the accumulation. The plan compiler
+// decides it; ConvLayer::Forward runs the passes it leaves over.
+struct ConvEpilogue {
+  // The write-back adds the bias, so no separate bias pass runs.
+  bool bias = false;
+  // The activation the write-back applies after the bias (kNone for a
+  // linear conv). Unset: the layer activates in a pass of its own.
+  std::optional<GemmActivation> act;
+};
+
 // Per-layer decisions of the inference plan compiler. The default
 // constructed value (NCHW in/out, kIm2col, nothing fused, nothing
 // elided) reproduces the pre-compiler behaviour exactly and is what
@@ -97,9 +110,7 @@ struct LayerPlan {
   ActLayout in_layout = ActLayout::kNCHW;
   ActLayout out_layout = ActLayout::kNCHW;
   ConvAlgo conv_algo = ConvAlgo::kIm2col;
-  // Route mish activations through the fast vectorized family
-  // (tensor/act_kernels.h) instead of libm — fused plans only.
-  bool fast_act = false;
+  ConvEpilogue epilogue;
   // The layer's output aliases arena storage written by other layers
   // (route view/concat) so its Forward copies nothing. The arena
   // planner places every aliased layer inside its group root's block.
@@ -201,7 +212,7 @@ struct ExecPlan {
   int32_t input_qzp = 0;
 
   // Per-layer table of the compiler's decisions (layouts, conv
-  // algorithm, fast activations, elided copies, dtypes).
+  // algorithm, conv epilogue, elided copies, dtypes).
   std::string ToString() const;
 };
 
@@ -228,13 +239,12 @@ struct ExecPlan {
 //     upsample, maxpool) propagate the pin both directions so they are
 //     always layout-uniform; convs absorb either layout on either side
 //     through GEMM strides, so no standalone convert pass ever runs.
-//  2. Conv algorithms: kDirect1x1 / kWinograd / kIm2col by geometry,
-//     plus fast_act for mish convs. Eligible convs are marked
-//     quantizable, and a quantizable conv gets kQuantInt8 /
-//     kQuantInt8Direct1x1 plus its input domain exactly when its batch
-//     norm is folded, a range is installed and net.calib_phase() is
-//     kOff — so installing ranges is the only int8 opt-in, and a
-//     network nobody calibrated runs the fp32 plan.
+//  2. Conv algorithms: kDirect1x1 / kWinograd / kIm2col by geometry.
+//     Eligible convs are marked quantizable, and a quantizable conv
+//     gets kQuantInt8 / kQuantInt8Direct1x1 plus its input domain
+//     exactly when its batch norm is folded, a range is installed and
+//     net.calib_phase() is kOff — so installing ranges is the only int8
+//     opt-in, and a network nobody calibrated runs the fp32 plan.
 //  3. Copy elision: route layers whose sources can legally alias
 //     arena storage are folded away — a group-split route becomes a
 //     view into its source, a concat route adopts its sources so they
@@ -243,6 +253,13 @@ struct ExecPlan {
 //     shortcut runs in place. The arena planner then places each alias
 //     group as one block.
 //  4. Dtypes: armed int8 convs chain through u8 edges (quantize-once).
+//  5. Conv epilogues: a GEMM conv (im2col, direct 1x1, int8) without
+//     batch norm adds its bias in the write-back, and applies there
+//     every activation with an epilogue form (linear, leaky, ReLU and
+//     the fast mish family) — except mish on an int8 conv whose output
+//     stays fp32, which keeps its separate fast-mish pass. Winograd and
+//     batch-norm convs run separate bias/batch-norm and activation
+//     passes, mish through the fast family.
 //
 // Elision requires layout-uniform members and (kCNHW or batch == 1) so
 // a member's storage is one contiguous range. Requires every layer to

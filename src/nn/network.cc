@@ -33,17 +33,9 @@ Status Network::Finalize(ExecMode mode) {
     THALI_RETURN_IF_ERROR(layer->Configure(prev, *this));
     prev = layer->output_shape();
   }
-  PlanBuffers();
-  // Workspace sizing happens after the plan is compiled: a layer's
-  // scratch need depends on its planned conv algorithm (im2col panels
-  // vs Winograd transform buffers).
-  int64_t max_ws = 0;
-  for (auto& layer : layers_) {
-    max_ws = std::max(max_ws, layer->WorkspaceSize());
-  }
-  workspace_floats_ = max_ws;
+  // One scratch slot per strand of parallelism; PlanBuffers sizes them.
   workspaces_.resize(static_cast<size_t>(MaxParallelism()));
-  for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
+  PlanBuffers();
   finalized_ = true;
   return Status::OK();
 }
@@ -58,19 +50,9 @@ Status Network::SetBatch(int batch) {
     THALI_RETURN_IF_ERROR(layer->Rebatch(prev, *this));
     prev = layer->output_shape();
   }
-  // Re-compile the plan first — batch size changes which copy elisions
-  // are legal — then re-derive workspace needs under the fresh plan
-  // (grow-only; per-item scratch is batch-independent for every
-  // current layer, but a re-plan could in principle change algorithms).
+  // Batch size changes which copy elisions are legal and how wide a
+  // whole-batch GEMM is.
   PlanBuffers();
-  int64_t max_ws = 0;
-  for (auto& layer : layers_) {
-    max_ws = std::max(max_ws, layer->WorkspaceSize());
-  }
-  if (max_ws > workspace_floats_) {
-    workspace_floats_ = max_ws;
-    for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
-  }
   return Status::OK();
 }
 
@@ -78,17 +60,6 @@ Status Network::ReplanInference() {
   THALI_CHECK(finalized_) << "ReplanInference before Finalize";
   if (mode_ != ExecMode::kInference) return Status::OK();
   PlanBuffers();
-  // Grow-only workspace re-derivation, like SetBatch: arming or
-  // disarming int8 switches convs between the quantized and the fp32
-  // algorithms, whose scratch needs differ.
-  int64_t max_ws = 0;
-  for (auto& layer : layers_) {
-    max_ws = std::max(max_ws, layer->WorkspaceSize());
-  }
-  if (max_ws > workspace_floats_) {
-    workspace_floats_ = max_ws;
-    for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
-  }
   return Status::OK();
 }
 
@@ -136,6 +107,16 @@ void Network::PlanBuffers() {
   // packed for the planned algorithm) recomputes once here instead of
   // per Forward.
   for (auto& layer : layers_) layer->OnPlanUpdated();
+  // Scratch follows the plan: a layer's need depends on its planned
+  // algorithm (im2col panel, Winograd transforms, int8 sections) and on
+  // the batch (whole-batch GEMMs). Grow-only, so a replan never frees a
+  // slot a caller may still hold.
+  int64_t need = 0;
+  for (auto& layer : layers_) need = std::max(need, layer->WorkspaceSize());
+  if (need > workspace_floats_) {
+    workspace_floats_ = need;
+    for (Tensor& ws : workspaces_) ws.Resize(Shape({need}));
+  }
   if (mode_ != ExecMode::kInference) return;  // SetShapes owns the buffers
   // Slots are 16-float (64-byte) aligned relative to the arena base, but
   // vector<float> storage only guarantees 16 bytes — over-allocate and
@@ -174,7 +155,7 @@ float* Network::workspace(int tid, int64_t required) {
   THALI_CHECK_GE(tid, 0);
   THALI_CHECK_LT(tid, workspace_slots());
   THALI_CHECK_LE(required, workspace_floats_)
-      << "layer requests " << required << " workspace floats but Finalize() "
+      << "layer requests " << required << " workspace floats but the plan "
       << "sized " << workspace_floats_;
   return workspaces_[static_cast<size_t>(tid)].data();
 }

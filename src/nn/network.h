@@ -53,8 +53,7 @@ class Network {
   // Detector::CalibrateInt8 and Detector::FuseBatchNorm do it for their
   // callers; direct SetActivationRange / ResetCalibration / FoldBatchNorm
   // callers do it themselves. Until then Forward runs the previous plan.
-  // No-op for training networks. Grows workspaces if the fresh plan
-  // needs more scratch.
+  // No-op for training networks.
   Status ReplanInference();
 
   // Runs all layers; returns the last layer's output. `input` must be
@@ -128,13 +127,13 @@ class Network {
   // acceptance metric the memory bench reports.
   int64_t ActivationBytes() const;
 
-  // Per-thread scratch buffer (im2col panels). Finalize sizes one slot
-  // per strand of parallelism (MaxParallelism() at finalize time), each
-  // holding the largest WorkspaceSize() any layer declared. `tid` is the
-  // strand index a ParallelFor chunk runs as; `required` is the float
-  // count the layer is about to use and is checked against the sized
-  // capacity — an undersized workspace would otherwise be a silent
-  // buffer overrun.
+  // Per-thread scratch buffer (im2col panels). Finalize fixes one slot
+  // per strand of parallelism (MaxParallelism() at finalize time); every
+  // plan push grows each to the largest WorkspaceSize() any layer
+  // declares under that plan. `tid` is the strand index a ParallelFor
+  // chunk runs as; `required` is the float count the layer is about to
+  // use and is checked against the sized capacity — an undersized
+  // workspace would otherwise be a silent buffer overrun.
   float* workspace(int tid, int64_t required);
 
   // Base of layer i's u8 activation tensor, or nullptr when the plan
@@ -178,9 +177,9 @@ class Network {
   bool finalized() const { return finalized_; }
 
  private:
-  // (Re)compiles the plan, pushes it to the layers and, for inference
-  // networks, binds layer outputs into arena_ and sizes the u8 chain
-  // buffers.
+  // (Re)compiles the plan, pushes it to the layers, grows the workspace
+  // slots to the plan's need and, for inference networks, binds layer
+  // outputs into arena_ and sizes the u8 chain buffers.
   void PlanBuffers();
 
   int width_;

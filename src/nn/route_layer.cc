@@ -49,67 +49,39 @@ void RouteLayer::Forward(const Tensor&, Network& net, bool) {
   // (concat adoption) — there is nothing to move.
   if (plan().copy_elided) return;
 
+  // Each source's channel slice is one copy per item. NCHW has one item
+  // per batch entry; a CNHW tensor is one item whose channel planes span
+  // the batch (plane (c, b) at (c*batch + b)*spatial), so a channel range
+  // is a single contiguous span at any batch.
   const int64_t batch = out_shape_.dim(0);
-  const int64_t spatial = out_shape_.dim(2) * out_shape_.dim(3);
+  const int64_t items =
+      plan().out_layout == ActLayout::kCNHW ? int64_t{1} : batch;
+  const int64_t plane =
+      batch / items * out_shape_.dim(2) * out_shape_.dim(3);
   const int64_t out_c = out_shape_.dim(1);
-
-  if (plan().out_dtype == DType::kU8) {
-    // Quantize-once chain: concatenate the sources' u8 bytes instead of
-    // floats. Element offsets are byte offsets, so the loops mirror the
-    // fp32 ones exactly; the dtype pass guarantees every source shares
-    // this layer's dtype (and quantization domain).
-    uint8_t* out = net.quant_act(index());
-    if (plan().out_layout == ActLayout::kCNHW) {
-      int64_t chan_base = 0;
-      for (size_t s = 0; s < sources_.size(); ++s) {
-        const uint8_t* from = net.quant_act(sources_[s]) +
-                              src_offset_[s] * batch * spatial;
-        uint8_t* to = out + chan_base * batch * spatial;
-        std::copy(from, from + src_chans_[s] * batch * spatial, to);
-        chan_base += src_chans_[s];
-      }
-      return;
-    }
+  const auto concat = [&](auto* out, auto source_of) {
     int64_t chan_base = 0;
     for (size_t s = 0; s < sources_.size(); ++s) {
-      const uint8_t* src = net.quant_act(sources_[s]);
+      const auto* src = source_of(sources_[s]);
       const int64_t src_c = net.layer(sources_[s]).output_shape().dim(1);
-      for (int64_t b = 0; b < batch; ++b) {
-        const uint8_t* from = src + (b * src_c + src_offset_[s]) * spatial;
-        uint8_t* to = out + (b * out_c + chan_base) * spatial;
-        std::copy(from, from + src_chans_[s] * spatial, to);
+      for (int64_t b = 0; b < items; ++b) {
+        const auto* from = src + (b * src_c + src_offset_[s]) * plane;
+        std::copy(from, from + src_chans_[s] * plane,
+                  out + (b * out_c + chan_base) * plane);
       }
       chan_base += src_chans_[s];
     }
-    return;
-  }
-
-  if (plan().out_layout == ActLayout::kCNHW) {
-    // Blocked layout: a channel range is one contiguous span (plane
-    // (c, b) lives at (c*batch + b)*spatial), so each source is a
-    // single copy regardless of batch.
-    int64_t chan_base = 0;
-    for (size_t s = 0; s < sources_.size(); ++s) {
-      const Tensor& src = net.layer(sources_[s]).output();
-      const float* from = src.data() + src_offset_[s] * batch * spatial;
-      float* to = output_.data() + chan_base * batch * spatial;
-      std::copy(from, from + src_chans_[s] * batch * spatial, to);
-      chan_base += src_chans_[s];
-    }
-    return;
-  }
-
-  int64_t chan_base = 0;
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    const Tensor& src = net.layer(sources_[s]).output();
-    const int64_t src_c = net.layer(sources_[s]).output_shape().dim(1);
-    for (int64_t b = 0; b < batch; ++b) {
-      const float* from =
-          src.data() + (b * src_c + src_offset_[s]) * spatial;
-      float* to = output_.data() + (b * out_c + chan_base) * spatial;
-      std::copy(from, from + src_chans_[s] * spatial, to);
-    }
-    chan_base += src_chans_[s];
+  };
+  if (plan().out_dtype == DType::kU8) {
+    // Quantize-once chain: concatenate the sources' u8 bytes. The dtype
+    // pass guarantees every source shares this layer's dtype (and
+    // quantization domain).
+    concat(net.quant_act(index()),
+           [&net](int i) -> const uint8_t* { return net.quant_act(i); });
+  } else {
+    concat(output_.data(), [&net](int i) -> const float* {
+      return net.layer(i).output().data();
+    });
   }
 }
 

@@ -24,31 +24,23 @@ void UpsampleLayer::Forward(const Tensor& input, Network& net, bool) {
   const int64_t ih = in_shape_.dim(2);
   const int64_t iw = in_shape_.dim(3);
   const int64_t ow = iw * stride_;
-  if (plan().out_dtype == DType::kU8) {
-    // Quantize-once chain: replicate the u8 bytes with the same nearest-
-    // neighbor loops (value-preserving, so the quantization domain
-    // passes through untouched).
-    const uint8_t* qin = net.quant_act(index() - 1);
-    uint8_t* qout = net.quant_act(index());
+  // Nearest-neighbor replication moves values, so a u8 chain's
+  // quantization domain passes through untouched.
+  const auto replicate = [&](const auto* in, auto* out) {
     for (int64_t p = 0; p < planes; ++p) {
-      const uint8_t* src = qin + p * ih * iw;
-      uint8_t* dst = qout + p * ih * iw * stride_ * stride_;
+      const auto* src = in + p * ih * iw;
+      auto* dst = out + p * ih * iw * stride_ * stride_;
       for (int64_t y = 0; y < ih * stride_; ++y) {
-        const uint8_t* srow = src + (y / stride_) * iw;
-        uint8_t* drow = dst + y * ow;
+        const auto* srow = src + (y / stride_) * iw;
+        auto* drow = dst + y * ow;
         for (int64_t x = 0; x < ow; ++x) drow[x] = srow[x / stride_];
       }
     }
-    return;
-  }
-  for (int64_t p = 0; p < planes; ++p) {
-    const float* src = input.data() + p * ih * iw;
-    float* dst = output_.data() + p * ih * iw * stride_ * stride_;
-    for (int64_t y = 0; y < ih * stride_; ++y) {
-      const float* srow = src + (y / stride_) * iw;
-      float* drow = dst + y * ow;
-      for (int64_t x = 0; x < ow; ++x) drow[x] = srow[x / stride_];
-    }
+  };
+  if (plan().out_dtype == DType::kU8) {
+    replicate(net.quant_act(index() - 1), net.quant_act(index()));
+  } else {
+    replicate(input.data(), output_.data());
   }
 }
 

@@ -217,14 +217,14 @@ void GemmPackWeights(const float* a, int64_t m, int64_t k, float* packed) {
 }
 
 void GemmPrepacked(int64_t m, int64_t n, int64_t k, const float* packed_a,
-                   bool tb, const float* b, int64_t ldb, float beta, float* c,
+                   const float* b, int64_t ldb, float beta, float* c,
                    int64_t ldc, const GemmEpilogue* epilogue) {
   THALI_CHECK_GT(m, 0);
   THALI_CHECK_GT(n, 0);
   THALI_CHECK_GT(k, 0);
-  PackedGemm(SelectGemmKernel(), /*ta=*/false, tb, m, n, k, /*alpha=*/1.0f,
-             /*a=*/nullptr, /*lda=*/0, packed_a, b, ldb, beta, c, ldc,
-             epilogue);
+  PackedGemm(SelectGemmKernel(), /*ta=*/false, /*tb=*/false, m, n, k,
+             /*alpha=*/1.0f, /*a=*/nullptr, /*lda=*/0, packed_a, b, ldb,
+             beta, c, ldc, epilogue);
 }
 
 const char* GemmKernelName() { return SelectGemmKernel().name; }

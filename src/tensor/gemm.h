@@ -44,7 +44,7 @@ void GemmPackWeights(const float* a, int64_t m, int64_t k, float* packed);
 // optional fused epilogue applied to C after the accumulation finishes.
 // Bitwise equal to Gemm on the unpacked A (same driver, same chains).
 void GemmPrepacked(int64_t m, int64_t n, int64_t k, const float* packed_a,
-                   bool tb, const float* b, int64_t ldb, float beta, float* c,
+                   const float* b, int64_t ldb, float beta, float* c,
                    int64_t ldc, const GemmEpilogue* epilogue = nullptr);
 
 // Name of the microkernel family this host dispatches to (for logs).

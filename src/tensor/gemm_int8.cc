@@ -150,11 +150,6 @@ void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
   SelectInt8GemmKernel().pack(qcol, row_stride, k, n, packed);
 }
 
-void Int8PackActCols(const uint8_t* qcol, int64_t k, int64_t n,
-                     uint8_t* packed) {
-  Int8PackActColsStrided(qcol, n, k, n, packed);
-}
-
 namespace {
 
 // Scalar reference epilogue. The AVX2 version in gemm_int8_avx2.cc
@@ -238,22 +233,6 @@ void Int8GemmPrepacked(int64_t m, int64_t n, int64_t k, const int8_t* qw,
     kernel.accumulate(m0, m1, n, kp, qw, packed, acc, n);
     kernel.epilogue(e, m0, m1, n, acc, n, c, ldc);
   });
-}
-
-int64_t Int8ConvWorkspaceBytes(int64_t m, int64_t n, int64_t k,
-                               int64_t in_planes) {
-  auto align = [](int64_t v) { return (v + 63) / 64 * 64; };
-  return align(in_planes) +                  // quantized input planes (u8)
-         align(k * n) +                      // u8 im2col panel
-         align(Int8PackedActBytes(k, n)) +   // packed activation panel
-         align(m * n * 4) + 64;              // i32 accumulator tile
-}
-
-int64_t Int8Direct1x1WorkspaceBytes(int64_t m, int64_t n, int64_t k) {
-  auto align = [](int64_t v) { return (v + 63) / 64 * 64; };
-  return align(k * n) +                      // quantized input planes (u8)
-         align(Int8PackedActBytes(k, n)) +   // packed activation panel
-         align(m * n * 4) + 64;              // i32 accumulator tile
 }
 
 }  // namespace thali

@@ -70,22 +70,17 @@ inline int64_t Int8PackedActBytes(int64_t k, int64_t n) {
   return Int8PackedK(k) * n;
 }
 
-// Packs the quantized k x n column matrix `qcol` (row-major, row stride
-// n) into the kernel panel layout: columns grouped in strips of 8, each
-// strip interleaved in k-quads (byte (p, j) of strip u at
-// strip_base + (p/4)*32 + (j%8)*4 + p%4, strip_base = packed + u*kp*8),
-// so one 32-byte load feeds 8 columns x 4 k-steps of vpmaddubsw. The
-// n % 8 tail columns follow flat (k-contiguous, kp bytes each) for the
-// k-vectorized tail-dot kernel. Padding rows p >= k are zero. Runs the
-// dispatched family's `pack`.
-void Int8PackActCols(const uint8_t* qcol, int64_t k, int64_t n,
-                     uint8_t* packed);
-
-// Int8PackActCols over a row-strided source: row p starts at
-// qcol + p * row_stride (row_stride >= n). Lets the direct-1x1 path
-// pack straight from quantized channel planes whose plane stride is not
-// the GEMM width (a CNHW block consumed per batch item). With
-// row_stride == n this is exactly Int8PackActCols.
+// Packs the quantized k x n column matrix `qcol` (row p starts at
+// qcol + p * row_stride, row_stride >= n) into the kernel panel layout:
+// columns grouped in strips of 8, each strip interleaved in k-quads
+// (byte (p, j) of strip u at strip_base + (p/4)*32 + (j%8)*4 + p%4,
+// strip_base = packed + u*kp*8), so one 32-byte load feeds 8 columns x
+// 4 k-steps of vpmaddubsw. The n % 8 tail columns follow flat
+// (k-contiguous, kp bytes each) for the k-vectorized tail-dot kernel.
+// Padding rows p >= k are zero. The row stride lets a direct 1x1 pack
+// straight from channel planes whose plane stride is not the GEMM width
+// (a CNHW block consumed per batch item); an im2col panel packs at
+// row_stride == n. Runs the dispatched family's `pack`.
 void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
                             int64_t k, int64_t n, uint8_t* packed);
 
@@ -169,19 +164,6 @@ const Int8GemmKernel& SelectInt8GemmKernel();
 void Int8GemmPrepacked(int64_t m, int64_t n, int64_t k, const int8_t* qw,
                        const uint8_t* packed, const Int8Epilogue& e, float* c,
                        int64_t ldc, int32_t* acc);
-
-// Workspace bytes one batch item of an int8 conv forward needs: the
-// quantized input planes, the u8 im2col panel, the packed activation
-// panel and the i32 accumulator tile, each 64-byte aligned.
-int64_t Int8ConvWorkspaceBytes(int64_t m, int64_t n, int64_t k,
-                               int64_t in_planes);
-
-// Workspace bytes of one int8 direct-1x1 GEMM over n columns: the
-// quantized input planes (skipped at runtime when the input arrives
-// already chained in u8), the packed activation panel, and the i32
-// accumulator tile — no im2col panel, the channel planes ARE the
-// column matrix.
-int64_t Int8Direct1x1WorkspaceBytes(int64_t m, int64_t n, int64_t k);
 
 }  // namespace thali
 

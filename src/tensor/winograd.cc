@@ -167,7 +167,7 @@ void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,
       const float* vk = v + k * channels * tiles;
       float* mk = m + k * filters * tiles;
       GemmPrepacked(filters, tiles, channels, u_packed + k * packed_stride,
-                    /*tb=*/false, vk, tiles, 0.0f, mk, tiles);
+                    vk, tiles, 0.0f, mk, tiles);
     }
   });
 

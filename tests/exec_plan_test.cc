@@ -241,9 +241,12 @@ TEST(ArenaPlanTest, FullModelArenaMatchesSeedAllocatorBitwise) {
       Layer& layer = arena.net->layer(i);
       const LayerPlan& lp = layer.plan();
       const std::string_view kind = layer.kind();
-      const bool exact_conv = kind == "convolutional" && !lp.fast_act &&
-                              (lp.conv_algo == ConvAlgo::kIm2col ||
-                               lp.conv_algo == ConvAlgo::kDirect1x1);
+      const bool exact_conv =
+          kind == "convolutional" &&
+          static_cast<const ConvLayer&>(layer).options().activation !=
+              Activation::kMish &&
+          (lp.conv_algo == ConvAlgo::kIm2col ||
+           lp.conv_algo == ConvAlgo::kDirect1x1);
       if (!exact_conv && kind != "yolo") continue;
       const Tensor& in = i == 0 ? input : seed.net->layer(i - 1).output();
       layer.Forward(in, *arena.net, /*train=*/false);
@@ -285,8 +288,8 @@ TEST(ArenaPlanTest, FullModelFusedMatchesReferenceWithinTolerance) {
 
 // The plan is fused exactly when the network is kInference: a training
 // network (the oracle of every fused-plan test) keeps every conv on
-// im2col in NCHW, elides no copies and runs no fast activation, across
-// re-plans too.
+// im2col in NCHW, elides no copies and fuses no epilogue (so mish runs
+// through libm, not the fast family), across re-plans too.
 TEST(ExecPlanTest, TrainingNetworksRunTheReferencePlan) {
   BuiltNetwork train = BuildThali(ExecMode::kTraining, 1);
   BuiltNetwork infer = BuildThali(ExecMode::kInference, 1);
@@ -298,7 +301,8 @@ TEST(ExecPlanTest, TrainingNetworksRunTheReferencePlan) {
       EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col);
       EXPECT_EQ(lp.out_layout, ActLayout::kNCHW);
       EXPECT_FALSE(lp.copy_elided);
-      EXPECT_FALSE(lp.fast_act);
+      EXPECT_FALSE(lp.epilogue.bias);
+      EXPECT_FALSE(lp.epilogue.act.has_value());
       EXPECT_FALSE(lp.quantizable);
     }
   }
@@ -312,7 +316,7 @@ TEST(ExecPlanTest, FusedPlanSelectsSpecializedPathsForYoloThali) {
   BuiltNetwork built = BuildThali(ExecMode::kInference, 1);
   const ExecPlan& plan = built.net->exec_plan();
   ASSERT_TRUE(plan.fused);
-  int direct = 0, winograd = 0, elided = 0, fast = 0;
+  int direct = 0, winograd = 0, elided = 0, mish = 0, fused = 0;
   for (int i = 0; i < built.net->num_layers(); ++i) {
     const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
     if (std::string_view(built.net->layer(i).kind()) != "convolutional") {
@@ -330,13 +334,21 @@ TEST(ExecPlanTest, FusedPlanSelectsSpecializedPathsForYoloThali) {
     } else {
       EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col) << "layer " << i;
     }
-    if (lp.fast_act) ++fast;
+    if (o.activation == Activation::kMish) ++mish;
+    // Unfolded batch norm leaves nothing to fuse: only the BN-free,
+    // linear head feeders add their bias in the GEMM write-back.
+    if (lp.epilogue.bias) {
+      EXPECT_FALSE(o.batch_normalize) << "layer " << i;
+      EXPECT_EQ(lp.epilogue.act, GemmActivation::kNone) << "layer " << i;
+      ++fused;
+    }
   }
   // yolov4-thali's backbone: the exact counts are structural, pin them.
   EXPECT_EQ(direct, 10);
   EXPECT_EQ(winograd, 13);
   EXPECT_EQ(elided, 15);
-  EXPECT_EQ(fast, 15);
+  EXPECT_EQ(mish, 15);
+  EXPECT_EQ(fused, 3);
   // Yolo heads and their feeder convs must see NCHW.
   for (int i = 0; i < built.net->num_layers(); ++i) {
     if (std::string_view(built.net->layer(i).kind()) == "yolo") {

@@ -265,7 +265,7 @@ TEST(GemmStreamBTest, RaggedNShapesMatchReferenceBitwise) {
         static_cast<size_t>(GemmPackedWeightFloats(s.m, s.k)));
     GemmPackWeights(a.data(), s.m, s.k, packed.data());
     std::vector<float> got2(static_cast<size_t>(s.m * s.n), 0.0f);
-    GemmPrepacked(s.m, s.n, s.k, packed.data(), false, b.data(), s.n, 0.0f,
+    GemmPrepacked(s.m, s.n, s.k, packed.data(), b.data(), s.n, 0.0f,
                   got2.data(), s.n);
     EXPECT_EQ(std::memcmp(want.data(), got2.data(),
                           want.size() * sizeof(float)),

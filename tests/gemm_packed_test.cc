@@ -135,7 +135,7 @@ TEST_F(GemmPackedTest, PrepackedWithEpilogueMatchesSeparatePasses) {
     epilogue.bias = bias.data();
     epilogue.activation = act;
     std::vector<float> c_fused(static_cast<size_t>(m * n), 0.0f);
-    GemmPrepacked(m, n, k, packed.data(), false, b.data(), n, 0.0f,
+    GemmPrepacked(m, n, k, packed.data(), b.data(), n, 0.0f,
                   c_fused.data(), n, &epilogue);
 
     // Staged: plain GEMM, then the conv layer's bias and activation
@@ -171,8 +171,7 @@ TEST_F(GemmPackedTest, PrepackedMatchesPlainGemmAcrossThreadCounts) {
   for (const int threads : {1, 2, 4}) {
     SetMaxParallelism(threads);
     std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
-    GemmPrepacked(m, n, k, packed.data(), false, b.data(), n, 0.0f, c.data(),
-                  n);
+    GemmPrepacked(m, n, k, packed.data(), b.data(), n, 0.0f, c.data(), n);
     EXPECT_EQ(std::memcmp(c.data(), base.data(), c.size() * sizeof(float)), 0)
         << threads << " threads";
   }

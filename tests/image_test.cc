@@ -181,7 +181,9 @@ TEST(Draw, EllipseStaysInsideBoundingBox) {
   for (int y = 0; y < 20; ++y) {
     for (int x = 0; x < 20; ++x) {
       const float d = std::hypot(x + 0.5f - 10.0f, y + 0.5f - 10.0f);
-      if (d > 5.5f) EXPECT_EQ(img.at(0, y, x), 0.0f) << x << "," << y;
+      if (d > 5.5f) {
+        EXPECT_EQ(img.at(0, y, x), 0.0f) << x << "," << y;
+      }
     }
   }
   // Center is painted.

@@ -184,7 +184,7 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
   }
   std::vector<uint8_t> packed(static_cast<size_t>(Int8PackedActBytes(k, n)),
                               0xAA);
-  Int8PackActCols(qcol.data(), k, n, packed.data());
+  Int8PackActColsStrided(qcol.data(), n, k, n, packed.data());
   // Strip bytes: (p, j) at (p/4)*32 + (j%8)*4 + p%4.
   for (int64_t p = 0; p < kp; ++p) {
     for (int64_t j = 0; j < 8; ++j) {
@@ -404,7 +404,7 @@ QuantOperands MakeOperands(int64_t m, int64_t n, int64_t k, uint64_t seed) {
   std::vector<uint8_t> qcol(static_cast<size_t>(k * n));
   for (auto& v : qcol) v = static_cast<uint8_t>(rng.NextInt(0, 127));
   ops.packed.resize(static_cast<size_t>(Int8PackedActBytes(k, n)));
-  Int8PackActCols(qcol.data(), k, n, ops.packed.data());
+  Int8PackActColsStrided(qcol.data(), n, k, n, ops.packed.data());
   return ops;
 }
 
@@ -680,16 +680,33 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
   }
 }
 
-// Full thali forward on fixed input; heads flattened for comparison.
-std::vector<float> HeadOutputs(BuiltNetwork& built) {
-  Tensor input = HeadInput(*built.net);
-  built.net->Forward(input, /*train=*/false);
+// Item `b` of `items` of every head's output, flattened head after head.
+std::vector<float> HeadItem(const BuiltNetwork& built, int64_t b,
+                            int64_t items) {
   std::vector<float> flat;
-  for (YoloLayer* head : built.yolo_layers) {
+  for (const YoloLayer* head : built.yolo_layers) {
     const Tensor& out = head->output();
-    flat.insert(flat.end(), out.data(), out.data() + out.size());
+    const int64_t per = out.size() / items;
+    flat.insert(flat.end(), out.data() + b * per, out.data() + (b + 1) * per);
   }
   return flat;
+}
+
+// Full thali forward on fixed input; heads flattened for comparison.
+std::vector<float> HeadOutputs(BuiltNetwork& built) {
+  built.net->Forward(HeadInput(*built.net), /*train=*/false);
+  return HeadItem(built, 0, 1);
+}
+
+// The batch of `items` for `net`, item b's planes from items[b].
+Tensor Stack(const Network& net, const std::vector<Tensor>& items) {
+  Tensor batched(net.input_shape());
+  const int64_t item = items[0].size();
+  for (size_t b = 0; b < items.size(); ++b) {
+    std::memcpy(batched.data() + static_cast<int64_t>(b) * item,
+                items[b].data(), static_cast<size_t>(item) * sizeof(float));
+  }
+  return batched;
 }
 
 TEST_F(Int8Test, ResetCalibrationRestoresUncalibratedBytes) {
@@ -1013,41 +1030,180 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
 }
 
 TEST_F(Int8Test, CalibrationSurvivesRebatchAndMatchesBatchOne) {
-  BuiltNetwork int8 = BuildThali();
-  Tensor input(int8.net->input_shape());
-  Rng irng(23);
-  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
-  ASSERT_GT(FoldAndCalibrate(*int8.net, input), 0);
+  // Four distinct inputs, for the calibrated int8 plan and for the
+  // folded fp32 plan: at batch 4, every item must reproduce its own
+  // input's batch-1 heads bitwise. Items never interact, and each reads
+  // its own planes — an item offset dropped anywhere hands later items
+  // item 0's bytes.
+  for (const bool int8 : {true, false}) {
+    SCOPED_TRACE(int8 ? "calibrated int8" : "folded fp32");
+    BuiltNetwork built = BuildThali();
+    Network& net = *built.net;
+    std::vector<Tensor> inputs;
+    for (uint64_t v = 0; v < 4; ++v) {
+      Tensor in(net.input_shape());
+      Rng irng(23 + v);
+      for (int64_t i = 0; i < in.size(); ++i) in[i] = irng.NextGaussian();
+      inputs.push_back(std::move(in));
+    }
+    if (int8) {
+      ASSERT_GT(FoldAndCalibrate(net, inputs[0]), 0);
+      ASSERT_GT(net.exec_plan().chained_edges, 0);
+    } else {
+      FoldAll(net);
+      ASSERT_TRUE(net.ReplanInference().ok());
+      ASSERT_EQ(net.exec_plan().quantized_layers, 0);
+    }
 
-  const std::vector<float> base = HeadOutputs(int8);
+    std::vector<std::vector<float>> base;
+    for (const Tensor& in : inputs) {
+      net.Forward(in, /*train=*/false);
+      base.push_back(HeadItem(built, 0, 1));
+    }
 
-  // Batch 4 of identical items: every item must reproduce the batch-1
-  // heads bitwise (per-item quantization, no cross-item interaction).
-  THALI_CHECK_OK(int8.net->SetBatch(4));
-  Tensor batched(int8.net->input_shape());
-  const int64_t item = input.size();
-  for (int64_t b = 0; b < 4; ++b) {
-    std::memcpy(batched.data() + b * item, input.data(),
-                static_cast<size_t>(item) * sizeof(float));
-  }
-  int8.net->Forward(batched, /*train=*/false);
-  for (YoloLayer* head : int8.yolo_layers) {
-    const Tensor& out = head->output();
-    const int64_t per = out.size() / 4;
-    for (int64_t b = 1; b < 4; ++b) {
-      ASSERT_EQ(std::memcmp(out.data(), out.data() + b * per,
-                            static_cast<size_t>(per) * sizeof(float)),
+    THALI_CHECK_OK(net.SetBatch(4));
+    net.Forward(Stack(net, inputs), /*train=*/false);
+    for (int64_t b = 0; b < 4; ++b) {
+      const std::vector<float> got = HeadItem(built, b, 4);
+      ASSERT_EQ(got.size(), base[b].size());
+      EXPECT_EQ(std::memcmp(got.data(), base[b].data(),
+                            got.size() * sizeof(float)),
                 0)
           << "batch item " << b;
     }
-  }
 
-  // ...and back to batch 1: bitwise identical to the first run.
-  THALI_CHECK_OK(int8.net->SetBatch(1));
-  const std::vector<float> again = HeadOutputs(int8);
-  ASSERT_EQ(again.size(), base.size());
-  EXPECT_EQ(
-      std::memcmp(again.data(), base.data(), base.size() * sizeof(float)), 0);
+    // ...and back to batch 1: bitwise identical to the first run.
+    THALI_CHECK_OK(net.SetBatch(1));
+    net.Forward(inputs[0], /*train=*/false);
+    const std::vector<float> again = HeadItem(built, 0, 1);
+    EXPECT_EQ(std::memcmp(again.data(), base[0].data(),
+                          again.size() * sizeof(float)),
+              0);
+  }
+}
+
+// A small int8 net from cfg text: 12x12x3 input, the given sections,
+// weights and nonzero biases drawn from `seed`.
+BuiltNetwork BuildSmall(const std::string& sections, uint64_t seed) {
+  Rng rng(1);
+  auto built = BuildNetworkFromCfg(
+      "[net]\nwidth=12\nheight=12\nchannels=3\nbatch=1\n" + sections,
+      /*batch_override=*/1, rng, ExecMode::kInference);
+  THALI_CHECK_OK(built.status());
+  Network& net = *built->net;
+  Rng wrng(seed);
+  for (int i = 0; i < net.num_layers(); ++i) {
+    if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
+    auto& conv = static_cast<ConvLayer&>(net.layer(i));
+    for (Tensor* t : {&conv.weights(), &conv.biases()}) {
+      for (int64_t j = 0; j < t->size(); ++j) {
+        (*t)[j] = wrng.NextGaussian(0.0f, 0.3f);
+      }
+    }
+    conv.MarkWeightsDirty();
+  }
+  return std::move(built).value();
+}
+
+Tensor SmallInput(const Network& net, uint64_t seed) {
+  Tensor in(net.input_shape());
+  Rng irng(seed);
+  for (int64_t i = 0; i < in.size(); ++i) in[i] = irng.NextGaussian();
+  return in;
+}
+
+constexpr char kConv3x3Leaky[] =
+    "[convolutional]\nfilters=8\nsize=3\nstride=1\npad=1\n"
+    "activation=leaky\n";
+constexpr char kConv1x1Linear[] =
+    "[convolutional]\nfilters=6\nsize=1\nstride=1\npad=0\n"
+    "activation=linear\n";
+
+TEST_F(Int8Test, UnchainedConvQuantizesLikeTheChainedInput) {
+  // [conv3x3 -> conv1x1] chains the network input into conv 0:
+  // Network::Forward quantizes it. Behind a size-1/stride-1 maxpool (an
+  // identity) the same conv reads fp32 — a passthrough over the network
+  // input can never be u8 — and quantizes its input itself. Same
+  // weights, same calibrated domain, same shared quantizer: the outputs
+  // must match bit for bit.
+  BuiltNetwork chained =
+      BuildSmall(std::string(kConv3x3Leaky) + kConv1x1Linear, 5);
+  BuiltNetwork unchained = BuildSmall(
+      std::string("[maxpool]\nsize=1\nstride=1\n") + kConv3x3Leaky +
+          kConv1x1Linear,
+      5);
+  const Tensor input = SmallInput(*chained.net, 8);
+  ASSERT_EQ(FoldAndCalibrate(*chained.net, input), 2);
+  ASSERT_EQ(FoldAndCalibrate(*unchained.net, input), 2);
+  const LayerPlan& a = chained.net->exec_plan().layers[0];
+  const LayerPlan& b = unchained.net->exec_plan().layers[1];
+  ASSERT_TRUE(chained.net->exec_plan().input_u8);
+  ASSERT_EQ(a.in_dtype, DType::kU8);
+  ASSERT_EQ(b.conv_algo, ConvAlgo::kQuantInt8);
+  ASSERT_EQ(b.in_dtype, DType::kF32);  // quantizes its own input
+  EXPECT_EQ(a.in_qscale, b.in_qscale);
+  EXPECT_EQ(a.in_qzp, b.in_qzp);
+
+  for (const bool scalar : {false, true}) {
+    internal::SetScalarKernelsForTesting(scalar);
+    const Tensor& x = chained.net->Forward(input, /*train=*/false);
+    const Tensor& y = unchained.net->Forward(input, /*train=*/false);
+    internal::SetScalarKernelsForTesting(false);
+    ASSERT_EQ(x.size(), y.size());
+    EXPECT_EQ(std::memcmp(x.data(), y.data(),
+                          static_cast<size_t>(x.size()) * sizeof(float)),
+              0)
+        << "scalar=" << scalar;
+  }
+}
+
+TEST_F(Int8Test, UnchainedCnhwInputsMatchBatchOnePerItem) {
+  // Logistic has no epilogue form, so a logistic conv writes fp32 and
+  // its quantized consumer must quantize a CNHW input itself: conv 1 (a
+  // 3x3, per item), conv 3 (a 1x1 with CNHW on both sides: one
+  // whole-batch item) and conv 4 (a 1x1 writing the NCHW output, per
+  // item). At batch 4 every item must equal its own batch-1 output.
+  const std::string logistic3 =
+      "[convolutional]\nfilters=8\nsize=3\nstride=1\npad=1\n"
+      "activation=logistic\n";
+  const std::string logistic1 =
+      "[convolutional]\nfilters=8\nsize=1\nstride=1\npad=0\n"
+      "activation=logistic\n";
+  BuiltNetwork built = BuildSmall(logistic3 + kConv3x3Leaky + logistic1 +
+                                      logistic1 + kConv1x1Linear,
+                                  6);
+  Network& net = *built.net;
+  std::vector<Tensor> inputs;
+  for (uint64_t v = 0; v < 4; ++v) inputs.push_back(SmallInput(net, 40 + v));
+  ASSERT_EQ(FoldAndCalibrate(net, inputs[0]), 5);
+
+  std::vector<std::vector<float>> base;
+  for (const Tensor& in : inputs) {
+    const Tensor& out = net.Forward(in, /*train=*/false);
+    base.emplace_back(out.data(), out.data() + out.size());
+  }
+  THALI_CHECK_OK(net.SetBatch(4));
+  const ExecPlan& plan = net.exec_plan();
+  for (const int i : {1, 3, 4}) {
+    const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
+    EXPECT_NE(lp.conv_algo, ConvAlgo::kIm2col) << "layer " << i;
+    EXPECT_NE(lp.conv_algo, ConvAlgo::kDirect1x1) << "layer " << i;
+    EXPECT_NE(lp.conv_algo, ConvAlgo::kWinograd) << "layer " << i;
+    EXPECT_EQ(lp.in_dtype, DType::kF32) << "layer " << i;
+    EXPECT_EQ(lp.in_layout, ActLayout::kCNHW) << "layer " << i;
+  }
+  EXPECT_EQ(plan.layers[3].out_layout, ActLayout::kCNHW);
+  EXPECT_EQ(plan.layers[4].out_layout, ActLayout::kNCHW);
+
+  const Tensor& out = net.Forward(Stack(net, inputs), /*train=*/false);
+  const int64_t per = out.size() / 4;
+  for (int64_t b = 0; b < 4; ++b) {
+    ASSERT_EQ(base[b].size(), static_cast<size_t>(per));
+    EXPECT_EQ(std::memcmp(out.data() + b * per, base[b].data(),
+                          static_cast<size_t>(per) * sizeof(float)),
+              0)
+        << "batch item " << b;
+  }
 }
 
 TEST_F(Int8Test, CalibrationRoundTripsThroughFile) {

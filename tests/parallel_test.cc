@@ -233,8 +233,7 @@ TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
               0)
         << "threads=" << threads;
     std::vector<float> cp = c0;
-    GemmPrepacked(m, n, kk, packed.data(), /*tb=*/false, b.data(), n, 0.5f,
-                  cp.data(), n);
+    GemmPrepacked(m, n, kk, packed.data(), b.data(), n, 0.5f, cp.data(), n);
     EXPECT_EQ(std::memcmp(cp.data(), c_ref.data(), cp.size() * sizeof(float)),
               0)
         << "prepacked threads=" << threads;
