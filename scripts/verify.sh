@@ -14,17 +14,21 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 TIER1_ONLY=0
 [[ "${1:-}" == "--tier1" ]] && TIER1_ONLY=1
 
+# Builds tree $1 and fails when the build prints a warning: one that
+# scrolls by unread buries the next. An incremental build recompiles only
+# what changed, so a fresh tree is what checks every file.
+build_warning_free() {
+  cmake --build "$1" -j "${JOBS}" 2>&1 | tee "$1/verify_build.log"
+  if grep -q "warning:" "$1/verify_build.log"; then
+    echo "verify: FAIL — the $1 build printed warnings:"
+    grep "warning:" "$1/verify_build.log"
+    exit 1
+  fi
+}
+
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
-# The build must print no warning: one that scrolls by unread buries the
-# next. An incremental build recompiles only what changed, so a fresh
-# tree is what checks every file.
-cmake --build build -j "${JOBS}" 2>&1 | tee build/verify_build.log
-if grep -q "warning:" build/verify_build.log; then
-  echo "verify: FAIL — the tier-1 build printed warnings:"
-  grep "warning:" build/verify_build.log
-  exit 1
-fi
+build_warning_free build
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
 echo "== int8 smoke: quantization conformance suite =="
@@ -57,12 +61,12 @@ fi
 
 echo "== tsan smoke: threading-heavy tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DTHALI_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "${JOBS}"
+build_warning_free build-tsan
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L tsan_smoke
 
 echo "== asan smoke: fused-plan / kernel-edge tests under ASan+UBSan =="
 cmake -B build-asan -S . -DTHALI_SANITIZE=address >/dev/null
-cmake --build build-asan -j "${JOBS}"
+build_warning_free build-asan
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L asan_smoke
 
 echo "verify: ALL PASS (tier-1 + tsan_smoke + asan_smoke)"

@@ -17,6 +17,9 @@ namespace {
 // inline instead of deadlocking on (or oversubscribing) the pool.
 thread_local bool t_in_parallel_region = false;
 
+// The calling thread's strand cap (ScopedStrandCap); max() = uncapped.
+thread_local int t_strand_cap = std::numeric_limits<int>::max();
+
 int ParallelismFromEnv() {
   if (const char* env = std::getenv("THALI_NUM_THREADS")) {
     char* end = nullptr;
@@ -115,16 +118,17 @@ void ParallelForBounded(
   const int64_t range = end - begin;
   if (range <= 0) return;
 
+  const int cap = std::min(std::max(1, max_strands), t_strand_cap);
   int parallelism = 1;
-  ThreadPool& pool = GlobalPool(&parallelism);
+  // A one-strand region never touches the pool.
+  ThreadPool* pool =
+      cap > 1 && !t_in_parallel_region ? &GlobalPool(&parallelism) : nullptr;
   const int64_t g = std::max<int64_t>(1, grain);
-  const int64_t strands =
-      std::min<int64_t>(std::min(parallelism, std::max(1, max_strands)),
-                        (range + g - 1) / g);
-  if (strands <= 1 || t_in_parallel_region) {
+  const int64_t strands = std::min<int64_t>(std::min(parallelism, cap),
+                                            (range + g - 1) / g);
+  if (strands <= 1) {
     // Inline execution. A single-chunk region is not a parallel region:
-    // loops nested under it (e.g. the GEMM inside a batch-1 conv loop)
-    // may still fan out.
+    // loops nested under it may still fan out, up to the thread's cap.
     fn(begin, end, 0);
     return;
   }
@@ -160,7 +164,7 @@ void ParallelForBounded(
   };
 
   for (int64_t c = 1; c < strands; ++c) {
-    pool.Schedule([&run_chunk, c] { run_chunk(c); });
+    pool->Schedule([&run_chunk, c] { run_chunk(c); });
   }
   run_chunk(0);
   {
@@ -174,5 +178,11 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t, int)>& fn) {
   ParallelForBounded(begin, end, grain, std::numeric_limits<int>::max(), fn);
 }
+
+ScopedStrandCap::ScopedStrandCap(int max_strands) : enclosing_(t_strand_cap) {
+  if (max_strands > 0) t_strand_cap = std::min(t_strand_cap, max_strands);
+}
+
+ScopedStrandCap::~ScopedStrandCap() { t_strand_cap = enclosing_; }
 
 }  // namespace thali

@@ -53,15 +53,16 @@ int MaxParallelism();
 void SetMaxParallelism(int n);
 
 // Chunked parallel-for. Splits [begin, end) into at most
-// min(MaxParallelism(), max_strands) contiguous chunks of roughly equal
-// size (never creating more chunks than ceil(range / grain)) and invokes
-// fn(chunk_begin, chunk_end, tid) with a distinct tid in
-// [0, max_strands) per chunk. The calling thread executes chunk 0;
-// remaining chunks run on the global pool.
+// min(MaxParallelism(), max_strands, the calling thread's strand cap)
+// contiguous chunks of roughly equal size (never creating more chunks
+// than ceil(range / grain)) and invokes fn(chunk_begin, chunk_end, tid)
+// with a distinct tid in [0, max_strands) per chunk. The calling thread
+// executes chunk 0; remaining chunks run on the global pool.
 //
 // Runs fn(begin, end, 0) inline — bit-identical to a plain loop — when
-// the range fits a single chunk, parallelism is 1, or the caller is
-// already inside a ParallelFor (nested regions never re-parallelize).
+// the range fits a single chunk, parallelism or the calling thread's
+// strand cap (ScopedStrandCap) is 1, or the caller is already inside a
+// ParallelFor (nested regions never re-parallelize).
 // Exceptions thrown by fn are captured and the first one is rethrown on
 // the calling thread after all chunks finish.
 //
@@ -78,6 +79,26 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
 void ParallelForBounded(int64_t begin, int64_t end, int64_t grain,
                         int max_strands,
                         const std::function<void(int64_t, int64_t, int)>& fn);
+
+// Caps every ParallelFor region the calling thread starts while this
+// object lives at `max_strands` strands, on top of MaxParallelism() and
+// the region's own bound; a region capped at one strand runs inline as
+// chunk 0. Regions started on other threads are unaffected. Caps nest:
+// the tightest enclosing cap holds, and destruction (an exception
+// unwinding through the scope included) restores the enclosing one.
+// `max_strands` <= 0 adds no cap. Network::Forward runs each inference
+// layer under its plan's strand count (LayerPlan::strands).
+class ScopedStrandCap {
+ public:
+  explicit ScopedStrandCap(int max_strands);
+  ~ScopedStrandCap();
+
+  ScopedStrandCap(const ScopedStrandCap&) = delete;
+  ScopedStrandCap& operator=(const ScopedStrandCap&) = delete;
+
+ private:
+  int enclosing_;
+};
 
 }  // namespace thali
 

@@ -78,17 +78,19 @@ std::string NetworkSummary(const Network& net) {
                     DimString(layer.output_shape()).c_str(),
                     static_cast<long long>(params));
   }
-  // Compiled-plan table: the algorithm/layout/dtype each layer runs
-  // with, so plan decisions are inspectable without digging through
-  // ExecPlan::ToString logs. Only inference networks have a fused plan
-  // to show; a training network's reference plan prints no table.
+  // Compiled-plan table: every decision the plan compiler made for each
+  // layer. epi is what the conv's GEMM write-back fuses (b: bias, b+act:
+  // bias and activation); strands is the layer's strand cap. Only
+  // inference networks have a fused plan to show; a training network's
+  // reference plan prints no table.
   const ExecPlan& plan = net.exec_plan();
   int64_t int8_bytes = 0;
   int int8_layers = 0;
   if (plan.fused) {
-    os << StrFormat("\nplan: %4s  %-14s %10s  %5s %5s  %6s %5s  %4s %4s %8s\n",
-                    "idx", "type", "algo", "in", "out", "elide", "dtype",
-                    "din", "dout", "chain");
+    os << StrFormat(
+        "\nplan: %4s  %-14s %10s %5s  %5s %5s  %6s %5s  %4s %4s %8s %7s\n",
+        "idx", "type", "algo", "epi", "in", "out", "elide", "dtype", "din",
+        "dout", "chain", "strands");
     for (int i = 0; i < net.num_layers(); ++i) {
       const Layer& layer = net.layer(i);
       const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
@@ -100,14 +102,17 @@ std::string NetworkSummary(const Network& net) {
         int8_bytes += static_cast<const ConvLayer&>(layer).int8_weight_bytes();
         ++int8_layers;
       }
-      os << StrFormat("plan: %4d  %-14s %10s  %5s %5s  %6s %5s  %4s %4s %8s\n",
-                      i, std::string(layer.kind()).c_str(),
-                      conv ? ConvAlgoName(lp.conv_algo) : "-",
-                      ActLayoutName(lp.in_layout),
-                      ActLayoutName(lp.out_layout),
-                      lp.copy_elided ? "elide" : "-", dtype,
-                      DTypeName(lp.in_dtype), DTypeName(lp.out_dtype),
-                      lp.in_dtype == DType::kU8 ? "chained" : "-");
+      const char* epi = lp.epilogue.act.has_value() ? "b+act"
+                        : lp.epilogue.bias          ? "b"
+                                                    : "-";
+      os << StrFormat(
+          "plan: %4d  %-14s %10s %5s  %5s %5s  %6s %5s  %4s %4s %8s %7d\n", i,
+          std::string(layer.kind()).c_str(),
+          conv ? ConvAlgoName(lp.conv_algo) : "-", epi,
+          ActLayoutName(lp.in_layout), ActLayoutName(lp.out_layout),
+          lp.copy_elided ? "elide" : "-", dtype, DTypeName(lp.in_dtype),
+          DTypeName(lp.out_dtype), lp.in_dtype == DType::kU8 ? "chained" : "-",
+          lp.strands);
     }
   }
   os << StrFormat(

@@ -205,9 +205,8 @@ ConvLayer::Items ConvLayer::BatchItems() const {
   const int64_t out_hw = out_h_ * out_w_;
   const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
   const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
-  // A direct 1x1 with CNHW on both sides multiplies the whole [C,
-  // batch*HW] block at once: one item whose planes span the batch.
-  const int64_t span = IsDirect1x1() && cnhw_in && cnhw_out ? batch : 1;
+  // A whole-batch item multiplies the [C, batch*HW] block at once.
+  const int64_t span = plan().whole_batch ? batch : 1;
   Items items;
   items.count = batch / span;
   items.in_cols = span * in_hw;
@@ -433,8 +432,8 @@ void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
 
 void ConvLayer::ForwardWinograd(const Tensor& input, Network& net,
                                 Tensor& raw) {
-  // Per-item Winograd; at batch 1 the single chunk runs inline so the
-  // 16 transform-domain GEMMs fan out across the pool instead.
+  // Per-item Winograd: items fan out across the layer's strands, and
+  // each item's transforms and 16 GEMMs run on the strand that owns it.
   const Items items = BatchItems();
   ParallelForBounded(
       0, items.count, 1, net.workspace_slots(),

@@ -25,14 +25,15 @@ namespace thali {
 //    integer GEMM with its requantize epilogue.
 //  - Winograd F(2x2,3x3) for stride-1 3x3 convs, per batch item.
 //
-// Items (BatchItems): a direct 1x1 with CNHW on both sides is one item
-// whose planes span the whole batch (one GEMM of n = batch*H*W); every
-// other conv runs one item per batch entry. Either layout is read and
-// written through strides. The GEMM write-back applies the epilogue the
-// plan carries (plan().epilogue); the bias or batch-norm pass and the
-// activation pass run only where it did not. Forward never re-decides:
-// calibration changes reach it only through a replan
-// (Network::ReplanInference).
+// Items (BatchItems): the plan's item rule (LayerPlan::whole_batch)
+// makes a direct 1x1 with CNHW on both sides one item whose planes span
+// the whole batch (one GEMM of n = batch*H*W); every other conv runs one
+// item per batch entry. Items fan out across the layer's planned
+// strands. Either layout is read and written through strides. The GEMM
+// write-back applies the epilogue the plan carries (plan().epilogue);
+// the bias or batch-norm pass and the activation pass run only where it
+// did not. Forward never re-decides: calibration changes reach it only
+// through a replan (Network::ReplanInference).
 //
 // With batch_normalize, the layer carries scales (gamma), biases (beta)
 // and rolling mean/variance exactly like Darknet, so the serialized
@@ -137,7 +138,7 @@ class ConvLayer : public Layer {
     int64_t in_step = 0, out_step = 0;  // item b's planes start at b*step
     int64_t in_chan_stride = 0, out_chan_stride = 0;  // plane to plane
   };
-  // The item rule, for the current plan and batch.
+  // Where the plan's items sit, for the current plan and batch.
   Items BatchItems() const;
 
   // 1x1/stride-1/pad-0 convs need no im2col: the input planes already

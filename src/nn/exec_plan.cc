@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "base/string_util.h"
+#include "base/thread_pool.h"
 #include "nn/conv_layer.h"
 #include "nn/network.h"
 #include "nn/route_layer.h"
@@ -636,38 +637,31 @@ ExecPlan CompileExecPlan(const Network& net) {
         lp.epilogue.act.reset();
       }
     }
+
+    // 6. Items and strands. A direct 1x1 with CNHW on both sides is one
+    // GEMM item spanning the batch; every other conv runs one item per
+    // batch entry. A layer fans out across its items and never inside
+    // one: splitting one item's GEMM or transforms lost time on every
+    // batch-1 conv and broke even on the batch-8 whole-batch 1x1s
+    // (DESIGN "Threading model"), so a batch-1 forward runs on one
+    // strand. The other layers run on one strand.
+    const int cap = std::min(MaxParallelism(), net.workspace_slots());
+    for (int i = 0; i < n; ++i) {
+      LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
+      lp.strands = 1;
+      if (cls[static_cast<size_t>(i)] != kConv) continue;
+      lp.whole_batch = (lp.conv_algo == ConvAlgo::kDirect1x1 ||
+                        lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1) &&
+                       lp.in_layout == ActLayout::kCNHW &&
+                       lp.out_layout == ActLayout::kCNHW;
+      const int64_t items = lp.whole_batch ? 1 : batch;
+      lp.strands = static_cast<int>(std::min<int64_t>(cap, items));
+    }
   }
 
   plan.arena = PlanArenaGrouped(net, last_use, parent, poffset);
   plan.arena.enabled = net.exec_mode() == ExecMode::kInference;
   return plan;
-}
-
-std::string ExecPlan::ToString() const {
-  std::ostringstream os;
-  os << StrFormat("%4s %5s %5s %10s %5s %6s %4s %4s %7s\n", "idx", "in",
-                  "out", "conv", "epi", "elide", "din", "dout", "chain");
-  for (size_t i = 0; i < layers.size(); ++i) {
-    const LayerPlan& lp = layers[i];
-    // epi: what the GEMM write-back fuses — bias, bias and activation.
-    os << StrFormat("%4d %5s %5s %10s %5s %6s %4s %4s %7s\n",
-                    static_cast<int>(i), ActLayoutName(lp.in_layout),
-                    ActLayoutName(lp.out_layout), ConvAlgoName(lp.conv_algo),
-                    lp.epilogue.act.has_value() ? "b+act"
-                    : lp.epilogue.bias          ? "b"
-                                                : "-",
-                    lp.copy_elided ? "elide" : "-", DTypeName(lp.in_dtype),
-                    DTypeName(lp.out_dtype),
-                    lp.in_dtype == DType::kU8 ? "chained" : "-");
-  }
-  os << (fused ? "fused plan" : "reference plan (training network)");
-  if (chained_edges > 0 || dequant_edges > 0 || quantized_layers > 0) {
-    os << StrFormat(
-        ": %d quantized layers, %d chained edges, %d dequant edges",
-        quantized_layers, chained_edges, dequant_edges);
-  }
-  os << "\n";
-  return os.str();
 }
 
 std::string ArenaPlan::ToString() const {

@@ -104,13 +104,24 @@ struct ConvEpilogue {
 
 // Per-layer decisions of the inference plan compiler. The default
 // constructed value (NCHW in/out, kIm2col, nothing fused, nothing
-// elided) reproduces the pre-compiler behaviour exactly and is what
-// training networks and standalone layers run with.
+// elided, one conv item per batch entry, uncapped strands) reproduces
+// the pre-compiler behaviour exactly and is what training networks and
+// standalone layers run with.
 struct LayerPlan {
   ActLayout in_layout = ActLayout::kNCHW;
   ActLayout out_layout = ActLayout::kNCHW;
   ConvAlgo conv_algo = ConvAlgo::kIm2col;
   ConvEpilogue epilogue;
+  // The item rule: a conv's GEMM runs as one item whose planes span the
+  // whole batch (true: a direct 1x1 with CNHW on both sides, one GEMM
+  // of n = batch*H*W) or as one item per batch entry (false).
+  bool whole_batch = false;
+  // How many strands the layer's ParallelFor regions may use; Network::
+  // Forward runs the layer under this cap (ScopedStrandCap). A layer
+  // fans out across its batch items and never inside one item, so a
+  // conv gets min(strand cap, items) and every other layer 1. 0 leaves
+  // the layer uncapped, as training networks run.
+  int strands = 0;
   // The layer's output aliases arena storage written by other layers
   // (route view/concat) so its Forward copies nothing. The arena
   // planner places every aliased layer inside its group root's block.
@@ -210,10 +221,6 @@ struct ExecPlan {
   bool input_u8 = false;
   float input_qscale = 1.0f;
   int32_t input_qzp = 0;
-
-  // Per-layer table of the compiler's decisions (layouts, conv
-  // algorithm, conv epilogue, elided copies, dtypes).
-  std::string ToString() const;
 };
 
 // Compiles the execution plan for a configured network.
@@ -260,6 +267,10 @@ struct ExecPlan {
 //     stays fp32, which keeps its separate fast-mish pass. Winograd and
 //     batch-norm convs run separate bias/batch-norm and activation
 //     passes, mish through the fast family.
+//  6. Items and strands: the item rule (LayerPlan::whole_batch), then
+//     each layer's strand count. The strand cap is the smaller of
+//     MaxParallelism() and the network's workspace slots, so no count
+//     exceeds the slots its strands index.
 //
 // Elision requires layout-uniform members and (kCNHW or batch == 1) so
 // a member's storage is one contiguous range. Requires every layer to

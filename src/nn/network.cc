@@ -181,9 +181,12 @@ const Tensor& Network::Forward(const Tensor& input, bool train) {
     input_prequantized_ = false;
   }
   const Tensor* x = &input;
-  for (auto& layer : layers_) {
-    layer->Forward(*x, *this, train);
-    x = &layer->output();
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    // Each inference layer runs on the strands its plan gives it;
+    // training plans leave the layers uncapped.
+    const ScopedStrandCap cap(eplan_.layers[i].strands);
+    layers_[i]->Forward(*x, *this, train);
+    x = &layers_[i]->output();
   }
   return *x;
 }

@@ -58,7 +58,8 @@ class Network {
 
   // Runs all layers; returns the last layer's output. `input` must be
   // (batch, channels, height, width). With train=true, layers use batch
-  // statistics and keep backward caches — kTraining networks only.
+  // statistics and keep backward caches — kTraining networks only. Each
+  // layer runs under its plan's strand cap (LayerPlan::strands).
   const Tensor& Forward(const Tensor& input, bool train = false);
 
   // Backpropagates all layer deltas (seeded by loss layers) down to the

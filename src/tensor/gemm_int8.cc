@@ -5,17 +5,11 @@
 
 #include "base/cpu_features.h"
 #include "base/logging.h"
-#include "base/thread_pool.h"
 #include "tensor/act_kernels_impl.h"
 
 namespace thali {
 
 namespace {
-
-// Multiply-accumulate count below which the GEMM stays inline (mirrors
-// the fp32 driver's kGrainFlops; int8 work is cheaper per MAC, so the
-// grain is larger).
-constexpr int64_t kInt8GrainMacs = 1 << 16;
 
 // Round to nearest, ties to even, saturating (see kInt8RoundLimit).
 // The float clamp keeps SSE maxps/minps operand order, so NaN becomes
@@ -216,23 +210,8 @@ void Int8GemmPrepacked(int64_t m, int64_t n, int64_t k, const int8_t* qw,
   THALI_CHECK_GT(k, 0);
   const Int8GemmKernel& kernel = SelectInt8GemmKernel();
   const int64_t kp = Int8PackedK(k);
-  const int64_t row_macs = n * kp;
-  if (m * row_macs <= kInt8GrainMacs) {
-    kernel.accumulate(0, m, n, kp, qw, packed, acc, n);
-    kernel.epilogue(e, 0, m, n, acc, n, c, ldc);
-    return;
-  }
-  // Row blocks in multiples of 6 keep every chunk boundary on a register
-  // tile boundary of the AVX2 kernel (which is irrelevant for bitwise
-  // identity — integer sums — but keeps edge handling off interior rows).
-  const int64_t grain =
-      std::max<int64_t>(6, (kInt8GrainMacs / std::max<int64_t>(1, row_macs) +
-                            5) /
-                               6 * 6);
-  ParallelFor(0, m, grain, [&](int64_t m0, int64_t m1, int) {
-    kernel.accumulate(m0, m1, n, kp, qw, packed, acc, n);
-    kernel.epilogue(e, m0, m1, n, acc, n, c, ldc);
-  });
+  kernel.accumulate(0, m, n, kp, qw, packed, acc, n);
+  kernel.epilogue(e, 0, m, n, acc, n, c, ldc);
 }
 
 }  // namespace thali

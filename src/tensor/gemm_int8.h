@@ -155,12 +155,12 @@ const Int8GemmKernel* Avx2Int8GemmKernel();
 // forces it.
 const Int8GemmKernel& SelectInt8GemmKernel();
 
-// Full quantized GEMM: dispatches the kernel family once, row-parallel with
-// the shared thread pool (integer accumulation + disjoint rows keep the
-// result bitwise identical at every thread count), then requantizes into
-// fp32 C (row stride ldc) — or, when e.out_u8 is set, into the u8
-// consumer domain (c may then be nullptr; ldc still strides out_u8).
-// `acc` must hold m * n int32 of scratch.
+// Full quantized GEMM on the calling strand: dispatches the kernel family
+// once, accumulates every row, then requantizes into fp32 C (row stride
+// ldc) — or, when e.out_u8 is set, into the u8 consumer domain (c may
+// then be nullptr; ldc still strides out_u8). The int8 conv fans out
+// across batch items, one GEMM per strand. `acc` must hold m * n int32
+// of scratch.
 void Int8GemmPrepacked(int64_t m, int64_t n, int64_t k, const int8_t* qw,
                        const uint8_t* packed, const Int8Epilogue& e, float* c,
                        int64_t ldc, int32_t* acc);

@@ -52,7 +52,8 @@ int64_t WinogradWorkspaceFloats(int64_t channels, int64_t filters,
 // spatial size equals input spatial size. `u_packed` holds the weights
 // as WinogradPackWeights left them. `ws` must hold
 // WinogradWorkspaceFloats(C, F, H, W) floats. Bias and activation are
-// the caller's separate passes.
+// the caller's separate passes. The item runs on the calling strand;
+// parallelism comes from the caller's item loop.
 void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,
                      int64_t height, int64_t width, const float* u_packed,
                      int64_t filters, float* out, int64_t out_chan_stride,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "base/file_util.h"
 #include "base/rng.h"
@@ -219,6 +220,32 @@ TEST(SummaryTest, ListsEveryLayerAndTotals) {
   }
   EXPECT_EQ(lines, built->net->num_layers() + 3);
   EXPECT_NE(summary.find("gemm: "), std::string::npos);
+}
+
+TEST(SummaryTest, PlanTableShowsEveryDecisionOfAnInferencePlan) {
+  Rng rng(2);
+  auto built = BuildNetworkFromCfg(kTinyCfg, 2, rng, ExecMode::kInference);
+  ASSERT_TRUE(built.ok());
+  const Network& net = *built->net;
+  const std::string summary = NetworkSummary(net);
+  const size_t header = summary.find("\nplan:");
+  ASSERT_NE(header, std::string::npos);
+  const std::string head_line =
+      summary.substr(header + 1, summary.find('\n', header + 1) - header - 1);
+  EXPECT_NE(head_line.find(" epi "), std::string::npos) << head_line;
+  EXPECT_NE(head_line.find(" strands"), std::string::npos) << head_line;
+  // One row per layer; each ends with the layer's planned strand count.
+  for (int i = 0; i < net.num_layers(); ++i) {
+    const std::string prefix = StrFormat("plan: %4d ", i);
+    const size_t row = summary.find(prefix);
+    ASSERT_NE(row, std::string::npos) << "layer " << i;
+    const std::string line =
+        summary.substr(row, summary.find('\n', row) - row);
+    const std::string strands =
+        std::to_string(net.exec_plan().layers[static_cast<size_t>(i)].strands);
+    EXPECT_EQ(line.substr(line.size() - strands.size()), strands) << line;
+    EXPECT_EQ(line[line.size() - strands.size() - 1], ' ') << line;
+  }
 }
 
 class WeightsIoTest : public ::testing::Test {

@@ -13,11 +13,13 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "base/file_util.h"
 #include "base/logging.h"
 #include "base/rng.h"
+#include "base/thread_pool.h"
 #include "core/detector.h"
 #include "darknet/cfg.h"
 #include "darknet/model_zoo.h"
@@ -374,6 +376,84 @@ TEST(ExecPlanTest, SetBatchRecompilesFusedPlan) {
   ASSERT_TRUE(net.SetBatch(1).ok());
   ASSERT_TRUE(net.exec_plan().fused);
   EXPECT_EQ(net.arena_plan().arena_floats, floats1);
+}
+
+// The strand plan on yolov4-thali: a layer fans out across its batch
+// items and never inside one. At batch 1 every layer runs on one
+// strand; at batch 8 a per-item conv gets min(P, 8) strands and a
+// whole-batch direct 1x1 (one GEMM item) and every non-conv layer get
+// 1, for the fp32 plan and the calibrated int8 plan alike. Training
+// plans stay uncapped.
+TEST(ExecPlanTest, StrandPlanFansOutOnlyAcrossBatchItems) {
+  const auto expect_plan = [](const Network& net, int parallelism,
+                              const std::string& what) {
+    int whole_batch = 0, int8 = 0;
+    for (int i = 0; i < net.num_layers(); ++i) {
+      const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
+      EXPECT_LE(lp.strands, net.workspace_slots()) << what << " layer " << i;
+      const bool conv =
+          std::string_view(net.layer(i).kind()) == "convolutional";
+      if (!conv) {
+        EXPECT_EQ(lp.strands, 1) << what << " layer " << i;
+        continue;
+      }
+      const bool direct = lp.conv_algo == ConvAlgo::kDirect1x1 ||
+                          lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1;
+      EXPECT_EQ(lp.whole_batch, direct &&
+                                    lp.in_layout == ActLayout::kCNHW &&
+                                    lp.out_layout == ActLayout::kCNHW)
+          << what << " layer " << i;
+      const int items = lp.whole_batch ? 1 : net.batch();
+      EXPECT_EQ(lp.strands, std::min(parallelism, items))
+          << what << " layer " << i;
+      whole_batch += lp.whole_batch;
+      int8 += lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1;
+    }
+    // Seven of the ten 1x1s span the batch; the three head feeders
+    // write NCHW for the yolo heads.
+    EXPECT_EQ(whole_batch, 7) << what;
+    return int8;
+  };
+  // Restores the pool's parallelism however the test ends.
+  struct RestoreParallelism {
+    int saved = MaxParallelism();
+    ~RestoreParallelism() { SetMaxParallelism(saved); }
+  } restore;
+  for (const int parallelism : {2, 4}) {
+    SetMaxParallelism(parallelism);
+    const std::string p = "P=" + std::to_string(parallelism);
+    BuiltNetwork built = BuildThali(ExecMode::kInference, 1);
+    Network& net = *built.net;
+    for (const LayerPlan& lp : net.exec_plan().layers) {
+      EXPECT_EQ(lp.strands, 1) << p;
+    }
+    ASSERT_TRUE(net.SetBatch(8).ok());
+    EXPECT_EQ(expect_plan(net, parallelism, p + " fp32 batch 8"), 0);
+
+    // Calibrated int8: every quantizable conv armed, then replanned.
+    for (int i = 0; i < net.num_layers(); ++i) {
+      if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
+      auto& conv = static_cast<ConvLayer&>(net.layer(i));
+      conv.FoldBatchNorm();
+      if (conv.plan().quantizable) conv.SetActivationRange(-4.0f, 4.0f);
+    }
+    ASSERT_TRUE(net.ReplanInference().ok());
+    EXPECT_EQ(expect_plan(net, parallelism, p + " int8 batch 8"), 10);
+
+    ASSERT_TRUE(net.SetBatch(1).ok());
+    for (const LayerPlan& lp : net.exec_plan().layers) {
+      EXPECT_EQ(lp.strands, 1) << p << " back at batch 1";
+    }
+
+    BuiltNetwork train = BuildThali(ExecMode::kTraining, 1);
+    for (const int batch : {1, 8}) {
+      ASSERT_TRUE(train.net->SetBatch(batch).ok());
+      for (const LayerPlan& lp : train.net->exec_plan().layers) {
+        EXPECT_EQ(lp.strands, 0) << p << " training batch " << batch;
+        EXPECT_FALSE(lp.whole_batch) << p << " training batch " << batch;
+      }
+    }
+  }
 }
 
 TEST(ArenaPlanTest, PinnedPeakMemoryForYoloThali) {

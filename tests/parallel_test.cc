@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "base/cpu_features.h"
@@ -168,6 +169,85 @@ TEST_F(ParallelTest, NestedParallelForRunsInlineAndCovers) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// --- Strand caps (ScopedStrandCap): the per-layer cap Network::Forward
+// installs.
+
+// How many distinct strands a region of `range` unit chunks runs on.
+int StrandsUsed(int64_t range) {
+  std::vector<std::atomic<int>> tid_hits(static_cast<size_t>(range));
+  for (auto& h : tid_hits) h.store(0);
+  ParallelFor(0, range, 1, [&](int64_t, int64_t, int tid) {
+    tid_hits[static_cast<size_t>(tid)].fetch_add(1);
+  });
+  int used = 0;
+  for (auto& h : tid_hits) used += h.load() > 0;
+  return used;
+}
+
+TEST_F(ParallelTest, StrandCapOfOneRunsRegionInlineOnCaller) {
+  SetMaxParallelism(4);
+  const ScopedStrandCap cap(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;  // no atomic needed: must run on the calling thread only
+  ParallelFor(0, 100, 1, [&](int64_t b, int64_t e, int tid) {
+    ++calls;
+    EXPECT_EQ(b, 0);
+    EXPECT_EQ(e, 100);
+    EXPECT_EQ(tid, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST_F(ParallelTest, StrandCapsNestAndRestoreOnScopeExit) {
+  SetMaxParallelism(4);
+  ASSERT_EQ(StrandsUsed(8), 4);
+  {
+    const ScopedStrandCap outer(2);
+    EXPECT_EQ(StrandsUsed(8), 2);
+    {
+      // The tightest enclosing cap holds: a looser inner cap (or none)
+      // does not widen the outer one.
+      const ScopedStrandCap looser(3);
+      EXPECT_EQ(StrandsUsed(8), 2);
+      const ScopedStrandCap none(0);
+      EXPECT_EQ(StrandsUsed(8), 2);
+      const ScopedStrandCap inner(1);
+      EXPECT_EQ(StrandsUsed(8), 1);
+    }
+    EXPECT_EQ(StrandsUsed(8), 2);
+  }
+  EXPECT_EQ(StrandsUsed(8), 4);
+}
+
+TEST_F(ParallelTest, StrandCapRestoresWhenAChunkThrows) {
+  SetMaxParallelism(4);
+  // A chunk on the caller under a cap of 1, then a worker's chunk under
+  // a cap of 2: each exception unwinds through its scope.
+  for (const int cap_strands : {1, 2}) {
+    EXPECT_THROW(
+        {
+          const ScopedStrandCap cap(cap_strands);
+          ParallelFor(0, 100, 1, [&](int64_t, int64_t e, int) {
+            if (e == 100) throw std::runtime_error("boom");
+          });
+        },
+        std::runtime_error)
+        << "cap=" << cap_strands;
+    EXPECT_EQ(StrandsUsed(8), 4) << "cap=" << cap_strands;
+  }
+}
+
+TEST_F(ParallelTest, StrandCapDoesNotLimitOtherThreads) {
+  SetMaxParallelism(4);
+  const ScopedStrandCap cap(1);
+  int other = 0;
+  std::thread t([&other] { other = StrandsUsed(8); });
+  t.join();
+  EXPECT_EQ(other, 4);
+  EXPECT_EQ(StrandsUsed(8), 1);
+}
+
 // --- Determinism: threaded kernels must be bitwise identical to 1-thread.
 
 std::vector<float> RandomVec(int64_t n, uint64_t seed) {
@@ -248,17 +328,19 @@ TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
 // activation as separate passes).
 enum class ThaliRun { kFused, kTraining };
 
-// Full yolov4-thali forward; returns the detection-head activations
-// flattened for bitwise comparison. `fold_bn` folds batch norm into
-// weights/biases first, which routes every inference conv through the
-// fused bias+activation GEMM epilogue.
+// Full yolov4-thali forward at `batch`, every batch item a distinct
+// input; returns the detection-head activations flattened for bitwise
+// comparison. `fold_bn` folds batch norm into weights/biases first,
+// which routes every inference conv through the fused bias+activation
+// GEMM epilogue. An inference plan fans out only across batch items, so
+// its cross-thread pins need batch > 1 to compare split runs at all.
 std::vector<float> ThaliInferenceForward(int threads, ThaliRun run,
-                                         bool fold_bn) {
+                                         bool fold_bn, int batch = 1) {
   SetMaxParallelism(threads);
   YoloThaliOptions yo;
   Rng rng(4242);
   auto built = BuildNetworkFromCfg(
-      YoloThaliCfg(yo), /*batch_override=*/1, rng,
+      YoloThaliCfg(yo), batch, rng,
       run == ThaliRun::kTraining ? ExecMode::kTraining : ExecMode::kInference);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
@@ -291,12 +373,17 @@ void ExpectSameBits(const std::vector<float>& got,
 }
 
 TEST_F(ParallelTest, ThaliInferenceBitwiseIdenticalAcrossThreadsAndPacking) {
-  // The fused plan at any thread count...
-  const std::vector<float> base =
-      ThaliInferenceForward(1, ThaliRun::kFused, false);
-  for (const int threads : {2, 4}) {
-    ExpectSameBits(ThaliInferenceForward(threads, ThaliRun::kFused, false),
-                   base, "fused threads=" + std::to_string(threads));
+  // The fused plan at any thread count, at batch 1 (one strand) and at
+  // batch 4 (items across strands)...
+  for (const int batch : {1, 4}) {
+    const std::vector<float> base =
+        ThaliInferenceForward(1, ThaliRun::kFused, false, batch);
+    for (const int threads : {2, 4}) {
+      ExpectSameBits(
+          ThaliInferenceForward(threads, ThaliRun::kFused, false, batch), base,
+          "fused threads=" + std::to_string(threads) +
+              " batch=" + std::to_string(batch));
+    }
   }
   // ...and so is the training network every fused-plan test uses as its
   // reference, whose GEMMs pack the live weights per call. (Prepacked
@@ -314,10 +401,11 @@ TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
   // staged passes (per-call packing, separate bias and activation). The
   // epilogue against the staged passes, per exact layer, is
   // ArenaPlanTest.FullModelArenaMatchesSeedAllocatorBitwise.
-  const std::vector<float> base =
-      ThaliInferenceForward(1, ThaliRun::kFused, true);
-  ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kFused, true), base,
-                 "fused threads=4");
+  for (const int batch : {1, 4}) {
+    ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kFused, true, batch),
+                   ThaliInferenceForward(1, ThaliRun::kFused, true, batch),
+                   "fused threads=4 batch=" + std::to_string(batch));
+  }
   ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kTraining, true),
                  ThaliInferenceForward(1, ThaliRun::kTraining, true),
                  "training threads=4");
@@ -327,7 +415,9 @@ TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
 // min/max-calibrates every quantizable conv on the test input, replans
 // so the quantize-once chains arm, then forwards through a
 // SetBatch(1 -> 4 -> 1) cycle with every kernel family forced scalar or
-// automatically selected. Returns the final batch-1 head activations
+// automatically selected. Batch 4 carries four distinct items (the test
+// input first), so its items fan out across strands. Returns the head
+// activations of the three forwards (batch 1, batch 4, batch 1 again)
 // flattened for bitwise comparison.
 std::vector<float> ThaliInt8Forward(int threads, bool scalar) {
   SetMaxParallelism(threads);
@@ -362,26 +452,30 @@ std::vector<float> ThaliInt8Forward(int threads, bool scalar) {
   // quantization.
   THALI_CHECK_OK(net.ReplanInference());
 
+  std::vector<float> flat;
+  const auto append_heads = [&] {
+    for (YoloLayer* head : built->yolo_layers) {
+      const Tensor& out = head->output();
+      flat.insert(flat.end(), out.data(), out.data() + out.size());
+    }
+  };
   internal::SetScalarKernelsForTesting(scalar);
   Tensor first = input;
   net.Forward(first, /*train=*/false);
+  append_heads();
   THALI_CHECK_OK(net.SetBatch(4));
   Tensor batched(net.input_shape());
-  for (int64_t b = 0; b < 4; ++b) {
-    std::copy(input.data(), input.data() + input.size(),
-              batched.data() + b * input.size());
+  std::copy(input.data(), input.data() + input.size(), batched.data());
+  for (int64_t i = input.size(); i < batched.size(); ++i) {
+    batched[i] = irng.NextGaussian();
   }
   net.Forward(batched, /*train=*/false);
+  append_heads();
   THALI_CHECK_OK(net.SetBatch(1));
   Tensor again = input;
   net.Forward(again, /*train=*/false);
+  append_heads();
   internal::SetScalarKernelsForTesting(false);
-
-  std::vector<float> flat;
-  for (YoloLayer* head : built->yolo_layers) {
-    const Tensor& out = head->output();
-    flat.insert(flat.end(), out.data(), out.data() + out.size());
-  }
   return flat;
 }
 
@@ -389,7 +483,8 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
   // The quantized forward must be bitwise stable across thread counts,
   // kernel families, and batch re-planning — exact integer accumulation
   // plus the shared scalar requantize epilogue make this a hard
-  // equality, unlike the fp32 Winograd tolerance.
+  // equality, unlike the fp32 Winograd tolerance. The batch-4 heads
+  // compare runs whose items split across 1, 2 and 4 strands.
   const std::vector<float> base = ThaliInt8Forward(1, /*scalar=*/true);
   ASSERT_FALSE(base.empty());
   for (const bool scalar : {true, false}) {
