@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "base/thread_pool.h"
 #include "darknet/weights_io.h"
 #include "image/image_prepost.h"
 #include "nn/conv_layer.h"
-#include "tensor/gemm_int8.h"
 
 namespace thali {
 
@@ -62,15 +62,29 @@ std::vector<Detection> Detector::Detect(const Image& image) {
 std::vector<Detection> Detector::Detect(const Image& image,
                                         float conf_threshold,
                                         float nms_threshold) {
+  const ImageView view = image;
   std::vector<std::vector<Detection>> per_image =
-      DetectBatch(std::span<const Image>(&image, 1), conf_threshold,
+      DetectBatch(std::span<const ImageView>(&view, 1), conf_threshold,
                   nms_threshold);
   return std::move(per_image.front());
 }
 
 std::vector<std::vector<Detection>> Detector::DetectBatch(
+    std::span<const ImageView> images) {
+  return DetectBatch(images, opts_.conf_threshold, opts_.nms_threshold);
+}
+
+std::vector<std::vector<Detection>> Detector::DetectBatch(
     std::span<const Image> images) {
   return DetectBatch(images, opts_.conf_threshold, opts_.nms_threshold);
+}
+
+std::vector<std::vector<Detection>> Detector::DetectBatch(
+    std::span<const Image> images, float conf_threshold,
+    float nms_threshold) {
+  const std::vector<ImageView> views(images.begin(), images.end());
+  return DetectBatch(std::span<const ImageView>(views), conf_threshold,
+                     nms_threshold);
 }
 
 namespace {
@@ -93,8 +107,8 @@ class ReentrancyGuard {
 
 }  // namespace
 
-Detector::SlotMapping Detector::LoadImageIntoSlot(const Image& image,
-                                                  int64_t b, bool fused_quant) {
+Detector::SlotMapping Detector::LoadImageIntoSlot(ImageView image, int64_t b,
+                                                  bool fused_quant) {
   const int nw = net_->input_width();
   const int nh = net_->input_height();
   const int64_t plane = static_cast<int64_t>(3) * nh * nw;
@@ -109,7 +123,7 @@ Detector::SlotMapping Detector::LoadImageIntoSlot(const Image& image,
     const float inv_scale = 1.0f / net_->exec_plan().input_qscale;
     const int32_t zp = net_->exec_plan().input_qzp;
     if (m.direct) {
-      Int8QuantizeActivations(image.data(), plane, inv_scale, zp, qdst);
+      QuantizeIntoPlanes(image, inv_scale, zp, qdst);
     } else {
       const LetterboxGeometry g =
           LetterboxIntoQuantizedPlanes(image, nw, nh, inv_scale, zp, qdst);
@@ -121,7 +135,7 @@ Detector::SlotMapping Detector::LoadImageIntoSlot(const Image& image,
   }
   float* dst = input_staging_.data() + b * plane;
   if (m.direct) {
-    std::copy(image.data(), image.data() + plane, dst);
+    std::memcpy(dst, image.bytes(), static_cast<size_t>(plane) * sizeof(float));
   } else {
     // Table-driven letterbox straight into the staging slot — no
     // intermediate Image allocation.
@@ -134,7 +148,7 @@ Detector::SlotMapping Detector::LoadImageIntoSlot(const Image& image,
 }
 
 std::vector<std::vector<Detection>> Detector::DetectBatch(
-    std::span<const Image> images, float conf_threshold,
+    std::span<const ImageView> images, float conf_threshold,
     float nms_threshold) {
   ReentrancyGuard guard(in_detect_);
   const int n = static_cast<int>(images.size());
@@ -177,7 +191,7 @@ std::vector<std::vector<Detection>> Detector::DetectBatch(
     const SlotMapping& m = mappings[static_cast<size_t>(b)];
     if (!m.direct) {
       // Map boxes from network frame back into image-normalized frame.
-      const Image& image = images[static_cast<size_t>(b)];
+      const ImageView& image = images[static_cast<size_t>(b)];
       for (Detection& d : dets) {
         const float px = d.box.x * nw - m.pad_x;
         const float py = d.box.y * nh - m.pad_y;

@@ -102,6 +102,14 @@ class Detector {
   // interact in inference: rolling batch-norm statistics, per-item
   // convolutions). The network's batch dimension is re-planned to
   // images.size() on demand and stays there until the next call.
+  // Detection reads each image through its view (at any alignment; the
+  // server passes views into received frames), and the Image overloads
+  // view their images and run the same path.
+  std::vector<std::vector<Detection>> DetectBatch(
+      std::span<const ImageView> images, float conf_threshold,
+      float nms_threshold);
+  std::vector<std::vector<Detection>> DetectBatch(
+      std::span<const ImageView> images);
   std::vector<std::vector<Detection>> DetectBatch(
       std::span<const Image> images);
   std::vector<std::vector<Detection>> DetectBatch(
@@ -163,7 +171,7 @@ class Detector {
   // staging slot is left untouched — a chained layer 0 never reads it.
   // Otherwise the letterboxed planes go straight into the staging
   // tensor.
-  SlotMapping LoadImageIntoSlot(const Image& image, int64_t b,
+  SlotMapping LoadImageIntoSlot(ImageView image, int64_t b,
                                 bool fused_quant);
 
   // Letterboxes one image into the fp32 staging tensor and runs a

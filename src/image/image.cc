@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "image/image_prepost.h"
 
 namespace thali {
+
+Image::Image(const ImageView& view)
+    : Image(view.width(), view.height(), view.channels()) {
+  std::memcpy(data_.data(), view.bytes(), data_.size() * sizeof(float));
+}
 
 void Image::BlendPixel(int y, int x, const Color& color, float alpha) {
   if (x < 0 || x >= width_ || y < 0 || y >= height_) return;

@@ -8,6 +8,8 @@
 
 namespace thali {
 
+class ImageView;
+
 // RGB color with float channels in [0,1].
 struct Color {
   float r = 0.0f;
@@ -30,6 +32,8 @@ class Image {
     THALI_CHECK_GT(height, 0);
     THALI_CHECK_GT(channels, 0);
   }
+  // Copies the pixels of `view` into a new Image.
+  explicit Image(const ImageView& view);
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -81,6 +85,53 @@ class Image {
   int height_ = 0;
   int channels_ = 0;
   std::vector<float> data_;
+};
+
+// A borrowed planar CHW f32 image: an Image's pixels, or the pixel block
+// of a received THL1 frame. Such a block starts wherever the frame's
+// header fields end, at any byte alignment, so a view hands out byte
+// addresses and never a float*: readers load through std::memcpy or
+// through SIMD loads and gathers, which take any address. Like
+// std::string_view it owns nothing; whoever made it keeps the pixels
+// alive for as long as it is read.
+class ImageView {
+ public:
+  ImageView() = default;
+  // `pixels` holds width * height * channels little-endian floats.
+  ImageView(const uint8_t* pixels, int width, int height, int channels)
+      : pixels_(pixels), width_(width), height_(height), channels_(channels) {}
+  // Views `image`'s pixels (implicit, as std::string converts to
+  // std::string_view).
+  ImageView(const Image& image)  // NOLINT
+      : pixels_(image.empty()
+                    ? nullptr
+                    : reinterpret_cast<const uint8_t*>(image.data())),
+        width_(image.width()),
+        height_(image.height()),
+        channels_(image.channels()) {}
+
+  int width() const { return width_; }
+  int height() const { return height_; }
+  int channels() const { return channels_; }
+  bool empty() const { return pixels_ == nullptr; }
+  // Number of floats.
+  int64_t size() const {
+    return static_cast<int64_t>(width_) * height_ * channels_;
+  }
+
+  // The first byte of the pixel block.
+  const uint8_t* bytes() const { return pixels_; }
+  // The first byte of row `y` of channel `c`.
+  const uint8_t* row(int c, int y) const {
+    return pixels_ + ((static_cast<int64_t>(c) * height_ + y) * width_) *
+                         static_cast<int64_t>(sizeof(float));
+  }
+
+ private:
+  const uint8_t* pixels_ = nullptr;
+  int width_ = 0;
+  int height_ = 0;
+  int channels_ = 0;
 };
 
 // Bilinear resize to (new_width, new_height), through the table-driven

@@ -17,17 +17,19 @@ using prepost_detail::ResizeKernel;
 
 // The seed resize expression with the per-column indices/weights read
 // from tables instead of recomputed. The table entries hold the exact
-// floats the seed loop computes (same fx = x*sx derivation), and the
-// whole build runs -ffp-contract=off, so this is bitwise identical to
-// the seed loop (kept as the test oracle in tests/seed_prepost.h).
-void ResizeRowScalar(const float* r0, const float* r1, float wy,
+// floats the seed loop computes (same fx = x*sx derivation), each tap is
+// loaded through memcpy (the row may be unaligned) and the whole build
+// runs -ffp-contract=off, so this is bitwise identical to the seed loop
+// (kept as the test oracle in tests/seed_prepost.h).
+void ResizeRowScalar(const uint8_t* r0, const uint8_t* r1, float wy,
                      const int32_t* ix0, const int32_t* ix1, const float* wx,
                      int nw, float* dst) {
+  using prepost_detail::LoadTap;
   for (int x = 0; x < nw; ++x) {
     const float w = wx[x];
     const float v =
-        (1 - wy) * ((1 - w) * r0[ix0[x]] + w * r0[ix1[x]]) +
-        wy * ((1 - w) * r1[ix0[x]] + w * r1[ix1[x]]);
+        (1 - wy) * ((1 - w) * LoadTap(r0, ix0[x]) + w * LoadTap(r0, ix1[x])) +
+        wy * ((1 - w) * LoadTap(r1, ix0[x]) + w * LoadTap(r1, ix1[x]));
     dst[x] = v;
   }
 }
@@ -78,21 +80,16 @@ void BuildAxisTable(int src_n, int dst_n, AxisTable* t) {
 // `post(c, y, row)` runs after the kernel finishes that row (the
 // quantized variant requantizes there; the plain variants pass a no-op).
 template <typename DestRow, typename PostRow>
-void ForEachResizedRow(const Image& src, int new_w, int new_h,
+void ForEachResizedRow(ImageView src, int new_w, int new_h,
                        const DestRow& dest, const PostRow& post) {
   AxisTable xt, yt;
   BuildAxisTable(src.width(), new_w, &xt);
   BuildAxisTable(src.height(), new_h, &yt);
   const ResizeKernel& kernel = SelectResizeKernel();
-  const int sw = src.width();
-  const int sh = src.height();
-  const float* base = src.data();
-  const int64_t splane = static_cast<int64_t>(sw) * sh;
   for (int c = 0; c < src.channels(); ++c) {
-    const float* plane = base + c * splane;
     for (int y = 0; y < new_h; ++y) {
-      const float* r0 = plane + static_cast<int64_t>(yt.i0[y]) * sw;
-      const float* r1 = plane + static_cast<int64_t>(yt.i1[y]) * sw;
+      const uint8_t* r0 = src.row(c, yt.i0[y]);
+      const uint8_t* r1 = src.row(c, yt.i1[y]);
       float* dst_row = dest(c, y);
       kernel.row(r0, r1, yt.w[y], xt.i0.data(), xt.i1.data(), xt.w.data(),
                  new_w, dst_row);
@@ -119,7 +116,7 @@ LetterboxGeometry ComputeLetterboxGeometry(int src_w, int src_h, int target_w,
   return g;
 }
 
-void ResizeIntoPlanes(const Image& src, int new_w, int new_h, float* dst) {
+void ResizeIntoPlanes(ImageView src, int new_w, int new_h, float* dst) {
   THALI_CHECK(!src.empty());
   const int64_t dplane = static_cast<int64_t>(new_w) * new_h;
   ForEachResizedRow(
@@ -130,7 +127,7 @@ void ResizeIntoPlanes(const Image& src, int new_w, int new_h, float* dst) {
       NoPost);
 }
 
-LetterboxGeometry LetterboxIntoPlanes(const Image& src, int target_w,
+LetterboxGeometry LetterboxIntoPlanes(ImageView src, int target_w,
                                       int target_h, float* dst) {
   THALI_CHECK(!src.empty());
   const LetterboxGeometry g =
@@ -160,7 +157,7 @@ LetterboxGeometry LetterboxIntoPlanes(const Image& src, int target_w,
   return g;
 }
 
-LetterboxGeometry LetterboxIntoQuantizedPlanes(const Image& src, int target_w,
+LetterboxGeometry LetterboxIntoQuantizedPlanes(ImageView src, int target_w,
                                                int target_h, float inv_scale,
                                                int32_t zp, uint8_t* dst) {
   THALI_CHECK(!src.empty());
@@ -196,6 +193,22 @@ LetterboxGeometry LetterboxIntoQuantizedPlanes(const Image& src, int target_w,
         Int8QuantizeActivations(row, g.new_w, inv_scale, zp, out);
       });
   return g;
+}
+
+void QuantizeIntoPlanes(ImageView src, float inv_scale, int32_t zp,
+                        uint8_t* dst) {
+  THALI_CHECK(!src.empty());
+  // Loaded a chunk at a time into aligned floats: the quantizer takes a
+  // float*, and the view's bytes may sit at any alignment.
+  constexpr int64_t kChunk = 256;
+  float chunk[kChunk];
+  const int64_t n = src.size();
+  for (int64_t i = 0; i < n; i += kChunk) {
+    const int64_t len = std::min(kChunk, n - i);
+    std::memcpy(chunk, src.bytes() + i * static_cast<int64_t>(sizeof(float)),
+                static_cast<size_t>(len) * sizeof(float));
+    Int8QuantizeActivations(chunk, len, inv_scale, zp, dst + i);
+  }
 }
 
 const char* ResizeKernelName() { return SelectResizeKernel().name; }

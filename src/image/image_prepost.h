@@ -12,6 +12,13 @@ namespace thali {
 // tensor), plus a fused letterbox+quantize variant for int8 plans whose
 // first conv consumes u8 network input.
 //
+// Every entry point reads its source through an ImageView, whose pixel
+// block may start at any byte alignment: a served request letterboxes
+// straight from the receive buffer of its THL1 frame. The row kernels
+// therefore take byte rows and load each tap through std::memcpy
+// (scalar) or a gather from the byte address (AVX2); no pixel is copied
+// to realign it.
+//
 // Runtime dispatch mirrors the PR-3 kernel families (tensor/act_kernels):
 // one portable scalar family plus an AVX2 gather+FMA family in its own
 // -mavx2 TU, detected once per process from CpuInfo() (or forced scalar
@@ -39,13 +46,13 @@ LetterboxGeometry ComputeLetterboxGeometry(int src_w, int src_h, int target_w,
 // Bilinear-resizes every channel plane of `src` into `dst`, which must
 // hold src.channels() * new_h * new_w floats (CHW). No allocation beyond
 // the per-call weight/index tables.
-void ResizeIntoPlanes(const Image& src, int new_w, int new_h, float* dst);
+void ResizeIntoPlanes(ImageView src, int new_w, int new_h, float* dst);
 
 // Letterboxes `src` into `dst`, which must hold
 // src.channels() * target_h * target_w floats (CHW): aspect-preserving
 // resize centered on a 0.5-grey canvas, touching pad bands exactly once
 // (never the full canvas). Returns the geometry for box remapping.
-LetterboxGeometry LetterboxIntoPlanes(const Image& src, int target_w,
+LetterboxGeometry LetterboxIntoPlanes(ImageView src, int target_w,
                                       int target_h, float* dst);
 
 // Fused letterbox + quantize: as LetterboxIntoPlanes, but every element
@@ -54,9 +61,15 @@ LetterboxGeometry LetterboxIntoPlanes(const Image& src, int target_w,
 // Int8QuantizeActivations so the bytes are exactly what quantizing the
 // fp32 letterbox output would have produced (per kernel family). `dst`
 // holds src.channels() * target_h * target_w bytes.
-LetterboxGeometry LetterboxIntoQuantizedPlanes(const Image& src, int target_w,
+LetterboxGeometry LetterboxIntoQuantizedPlanes(ImageView src, int target_w,
                                                int target_h, float inv_scale,
                                                int32_t zp, uint8_t* dst);
+
+// Quantizes `src` as it is (an image already at the network size) into
+// src.size() bytes of `dst`, through Int8QuantizeActivations: the bytes
+// equal quantizing an aligned copy of the pixels.
+void QuantizeIntoPlanes(ImageView src, float inv_scale, int32_t zp,
+                        uint8_t* dst);
 
 // Name of the dispatched resize kernel family (for logs/reports).
 const char* ResizeKernelName();

@@ -20,11 +20,13 @@ void Connection::EnqueueReady(std::vector<uint8_t> frame) {
 }
 
 void Connection::EnqueueFuture(Op op,
-                               std::future<serve::Server::Result> future) {
+                               std::future<serve::Server::Result> future,
+                               std::shared_ptr<FrameReader::Buffer> frame) {
   PendingReply r;
   r.ready = false;
   r.op = op;
   r.future = std::move(future);
+  r.frame = std::move(frame);
   pending_.push_back(std::move(r));
 }
 
@@ -42,6 +44,8 @@ bool Connection::PumpPending() {
                          ? EncodeDetectResponse(Status::OK(), *result)
                          : EncodeDetectResponse(result.status(), {});
       head.ready = true;
+      // The request let go of its frame before the future became ready.
+      reader_.Reclaim(std::move(head.frame));
     }
     outbox_.insert(outbox_.end(), head.encoded.begin(), head.encoded.end());
     pending_.pop_front();

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "base/statusor.h"
@@ -25,6 +26,13 @@ namespace net {
 // ids): a DETECT reply whose future resolved early waits behind an
 // older pending reply. PumpPending moves resolved head replies into the
 // write buffer; the server then flushes as the socket allows.
+//
+// A submitted DETECT reads its pixels from the receive buffer of its
+// frame, which it co-owns with its pending reply. The serve layer drops
+// the request's reference before it makes the future ready, so when
+// PumpPending takes the result the connection holds the last reference
+// and hands the buffer back to the reader for the next frame, with no
+// lock.
 class Connection {
  public:
   // One queued reply: either already encoded (PING, STATS, errors) or a
@@ -34,6 +42,8 @@ class Connection {
     Op op = Op::kDetect;
     std::vector<uint8_t> encoded;  // valid when ready
     std::future<serve::Server::Result> future;  // valid when !ready
+    // The receive buffer the request reads its pixels from (!ready).
+    std::shared_ptr<FrameReader::Buffer> frame;
   };
 
   explicit Connection(int fd) : fd_(fd) {}
@@ -48,11 +58,14 @@ class Connection {
 
   // Queues an already-encoded reply (keeps request order).
   void EnqueueReady(std::vector<uint8_t> frame);
-  // Queues a reply that materializes when `future` resolves.
-  void EnqueueFuture(Op op, std::future<serve::Server::Result> future);
+  // Queues a reply that materializes when `future` resolves; `frame` is
+  // the receive buffer the request reads, reclaimed once it resolves.
+  void EnqueueFuture(Op op, std::future<serve::Server::Result> future,
+                     std::shared_ptr<FrameReader::Buffer> frame);
 
-  // Moves every resolved head-of-line reply into the write buffer.
-  // Returns true if new bytes became writable.
+  // Moves every resolved head-of-line reply into the write buffer and
+  // gives each such request's frame buffer back to the reader. Returns
+  // true if new bytes became writable.
   bool PumpPending();
 
   size_t pending_count() const { return pending_.size(); }

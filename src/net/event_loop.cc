@@ -44,7 +44,7 @@ StatusOr<EventLoop> EventLoop::Create() {
 EventLoop::EventLoop(EventLoop&& other) noexcept
     : backend_(other.backend_),
       epoll_fd_(other.epoll_fd_),
-      want_write_(std::move(other.want_write_)) {
+      interest_(std::move(other.interest_)) {
   other.epoll_fd_ = -1;
 }
 
@@ -52,44 +52,49 @@ EventLoop::~EventLoop() {
   if (epoll_fd_ >= 0) CloseFd(epoll_fd_);
 }
 
-Status EventLoop::Add(int fd, bool want_write) {
-  want_write_[fd] = want_write;
+Status EventLoop::Control(int op, int fd, Interest interest) {
 #ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      want_write_.erase(fd);
-      return Errno("epoll_ctl(ADD)");
-    }
-  }
+  epoll_event ev{};
+  ev.events = (interest.read ? EPOLLIN : 0u) | (interest.write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  if (epoll_ctl(epoll_fd_, op, fd, &ev) != 0) return Errno("epoll_ctl");
+#else
+  (void)op;
+  (void)fd;
+  (void)interest;
 #endif
   return Status::OK();
 }
 
-Status EventLoop::SetWantWrite(int fd, bool want_write) {
-  auto it = want_write_.find(fd);
-  if (it == want_write_.end()) {
-    return Status::NotFound("fd not registered");
-  }
-  if (it->second == want_write) return Status::OK();
-  it->second = want_write;
+Status EventLoop::Add(int fd) {
 #ifdef __linux__
   if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-      return Errno("epoll_ctl(MOD)");
-    }
+    THALI_RETURN_IF_ERROR(Control(EPOLL_CTL_ADD, fd, Interest{}));
+  }
+#endif
+  interest_[fd] = Interest{};
+  return Status::OK();
+}
+
+Status EventLoop::SetInterest(int fd, bool read, bool write) {
+  auto it = interest_.find(fd);
+  if (it == interest_.end()) {
+    return Status::NotFound("fd not registered");
+  }
+  if (it->second.read == read && it->second.write == write) {
+    return Status::OK();
+  }
+  it->second = Interest{read, write};
+#ifdef __linux__
+  if (backend_ == Backend::kEpoll) {
+    return Control(EPOLL_CTL_MOD, fd, it->second);
   }
 #endif
   return Status::OK();
 }
 
 void EventLoop::Remove(int fd) {
-  if (want_write_.erase(fd) == 0) return;
+  if (interest_.erase(fd) == 0) return;
 #ifdef __linux__
   if (backend_ == Backend::kEpoll) {
     epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
@@ -120,11 +125,12 @@ StatusOr<int> EventLoop::Wait(std::vector<Event>* out, int timeout_ms) {
   }
 #endif
   std::vector<pollfd> pfds;
-  pfds.reserve(want_write_.size());
-  for (const auto& [fd, ww] : want_write_) {
+  pfds.reserve(interest_.size());
+  for (const auto& [fd, interest] : interest_) {
     pollfd p{};
     p.fd = fd;
-    p.events = POLLIN | (ww ? POLLOUT : 0);
+    p.events = static_cast<short>((interest.read ? POLLIN : 0) |
+                                  (interest.write ? POLLOUT : 0));
     pfds.push_back(p);
   }
   int n;

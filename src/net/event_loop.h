@@ -14,7 +14,10 @@ namespace net {
 // with a portable poll(2) backend selected when epoll is unavailable or
 // THALI_NET_POLL=1 (the fallback path stays continuously tested that
 // way). Level-triggered in both backends — the connection state machines
-// re-arm write interest explicitly, so edge semantics buy nothing here.
+// set read and write interest explicitly (a connection that may not
+// receive drops read interest, so its unread bytes do not wake the loop
+// on every wait), so edge semantics buy nothing here. Hang-ups and
+// errors are reported whatever the interest.
 class EventLoop {
  public:
   struct Event {
@@ -38,11 +41,10 @@ class EventLoop {
 
   Backend backend() const { return backend_; }
 
-  // Registers `fd` for readability (always) and writability (if
-  // `want_write`).
-  Status Add(int fd, bool want_write);
-  // Updates write interest for a registered fd.
-  Status SetWantWrite(int fd, bool want_write);
+  // Registers `fd` for readability.
+  Status Add(int fd);
+  // Sets the read and write interest of a registered fd.
+  Status SetInterest(int fd, bool read, bool write);
   // Deregisters; call before closing the fd.
   void Remove(int fd);
 
@@ -51,12 +53,20 @@ class EventLoop {
   StatusOr<int> Wait(std::vector<Event>* out, int timeout_ms);
 
  private:
+  struct Interest {
+    bool read = true;
+    bool write = false;
+  };
+
   explicit EventLoop(Backend backend, int epoll_fd)
       : backend_(backend), epoll_fd_(epoll_fd) {}
 
+  // epoll_ctl(op) with `interest` (kEpoll only).
+  Status Control(int op, int fd, Interest interest);
+
   Backend backend_;
-  int epoll_fd_ = -1;                       // kEpoll only
-  std::unordered_map<int, bool> want_write_;  // fd -> write interest
+  int epoll_fd_ = -1;                            // kEpoll only
+  std::unordered_map<int, Interest> interest_;  // registered fds
 };
 
 // Wakes an EventLoop from other threads through a non-blocking self-pipe

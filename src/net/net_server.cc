@@ -58,8 +58,8 @@ NetServer::NetServer(const Options& options, serve::ModelRouter* router,
       listen_fd_(listen_fd),
       port_(port),
       waker_(std::move(waker)) {
-  THALI_CHECK_OK(loop_.Add(listen_fd_, /*want_write=*/false));
-  THALI_CHECK_OK(loop_.Add(waker_->read_fd(), /*want_write=*/false));
+  THALI_CHECK_OK(loop_.Add(listen_fd_));
+  THALI_CHECK_OK(loop_.Add(waker_->read_fd()));
   loop_thread_ = std::thread([this] { LoopThread(); });
 }
 
@@ -93,7 +93,7 @@ void NetServer::AcceptPending() {
       counters_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    Status added = loop_.Add(*fd, /*want_write=*/false);
+    Status added = loop_.Add(*fd);
     if (!added.ok()) {
       CloseFd(*fd);
       continue;
@@ -112,7 +112,11 @@ bool NetServer::ReadFromConnection(Connection* conn) {
     if (n > 0) {
       Status committed = reader.Commit(static_cast<size_t>(n));
       if (!committed.ok()) return false;  // framing error: cut the peer off
-      if (static_cast<size_t>(n) < tail.size()) return true;
+      // A complete frame ends the read: the rest waits in the socket until
+      // this one is dispatched (see WantsRead).
+      if (static_cast<size_t>(n) < tail.size() || reader.HasFrame()) {
+        return true;
+      }
       continue;  // more may be buffered
     }
     if (n == 0) return false;  // EOF
@@ -149,10 +153,17 @@ std::string NetServer::BuildStatsJson() const {
   return json;
 }
 
-bool NetServer::CanDispatch(const Connection& conn) const {
+bool NetServer::UnderInflightCap(const Connection& conn) const {
   return conn.pending_count() <
-             static_cast<size_t>(options_.max_inflight_per_conn) &&
-         conn.reader().HasFrame();
+         static_cast<size_t>(options_.max_inflight_per_conn);
+}
+
+bool NetServer::CanDispatch(const Connection& conn) const {
+  return UnderInflightCap(conn) && conn.reader().HasFrame();
+}
+
+bool NetServer::WantsRead(const Connection& conn) const {
+  return UnderInflightCap(conn) && !conn.reader().HasFrame();
 }
 
 void NetServer::DispatchFrame(Connection* conn, const FrameHeader& header,
@@ -170,14 +181,15 @@ void NetServer::DispatchFrame(Connection* conn, const FrameHeader& header,
       return;
     case Op::kDetect: {
       counters_.detects.fetch_add(1, std::memory_order_relaxed);
-      DetectRequest req;
-      Status decoded = DecodeDetectRequest(payload, &req);
-      if (!decoded.ok()) {
+      DetectRequestView req;
+      Status parsed = ParseDetectRequest(payload, &req);
+      if (!parsed.ok()) {
         counters_.detect_errors.fetch_add(1, std::memory_order_relaxed);
-        conn->EnqueueReady(EncodeDetectResponse(decoded, {}));
+        conn->EnqueueReady(EncodeDetectResponse(parsed, {}));
         return;
       }
-      StatusOr<serve::Server*> server = router_->Route(req.model_id);
+      StatusOr<serve::Server*> server =
+          router_->Route(std::string(req.model_id));
       if (!server.ok()) {
         counters_.detect_errors.fetch_add(1, std::memory_order_relaxed);
         conn->EnqueueReady(EncodeDetectResponse(server.status(), {}));
@@ -192,15 +204,20 @@ void NetServer::DispatchFrame(Connection* conn, const FrameHeader& header,
         submit.deadline = serve::ServeClock::now() +
                           std::chrono::milliseconds(req.deadline_ms);
       }
-      auto future = (*server)->Submit(std::move(req.image), submit);
+      // The request reads its pixels where recv put them and co-owns the
+      // buffer; the connection receives on in another one.
+      std::shared_ptr<FrameReader::Buffer> frame = conn->reader().TakeBuffer();
+      auto future = (*server)->Submit(req.image, frame, submit);
       if (!future.ok()) {
         // Shed / backpressure / shutdown: the rejection status goes back
         // on the wire immediately, preserving reply order.
+        conn->reader().Reclaim(std::move(frame));
         counters_.detect_errors.fetch_add(1, std::memory_order_relaxed);
         conn->EnqueueReady(EncodeDetectResponse(future.status(), {}));
         return;
       }
-      conn->EnqueueFuture(Op::kDetect, std::move(future).value());
+      conn->EnqueueFuture(Op::kDetect, std::move(future).value(),
+                          std::move(frame));
       return;
     }
   }
@@ -279,7 +296,10 @@ void NetServer::LoopThread() {
         dead.push_back(fd);
         continue;
       }
-      if (readable && !ReadFromConnection(conn)) {
+      // Only a connection under its cap and without an undispatched frame
+      // receives; otherwise its bytes wait in the socket buffers and the
+      // peer blocks (per-client backpressure that bounds memory).
+      if (readable && WantsRead(*conn) && !ReadFromConnection(conn)) {
         dead.push_back(fd);
         continue;
       }
@@ -300,7 +320,8 @@ void NetServer::LoopThread() {
           continue;
         }
       }
-      Status armed = loop_.SetWantWrite(fd, conn->wants_write());
+      Status armed =
+          loop_.SetInterest(fd, WantsRead(*conn), conn->wants_write());
       if (!armed.ok()) dead.push_back(fd);
     }
     for (int fd : dead) CloseConnection(fd);

@@ -18,12 +18,16 @@ namespace thali {
 namespace net {
 
 // Loopback TCP front-end over a ModelRouter: one event-loop thread
-// multiplexes every client with epoll (or poll — see EventLoop),
-// non-blocking reads land straight in each connection's frame buffer,
-// DETECT frames are decoded from a view of that buffer (the pixels'
-// only copy) and admitted through the routed serve::Server (priority
-// lanes, deadline and shed policies run there), and responses stream
-// back with partial-write continuation, in request order per connection.
+// multiplexes every client with epoll (or poll — see EventLoop), and
+// non-blocking reads land straight in each connection's frame buffer.
+// A DETECT frame is parsed in place and admitted through the routed
+// serve::Server (priority lanes, deadline and shed policies run there)
+// as a view of its pixels plus a share of the buffer that holds them:
+// recv writes each pixel once and the letterbox reads it there, with no
+// copy in between. Responses stream back with partial-write
+// continuation, in request order per connection, and pumping a DETECT
+// reply gives its frame buffer back to the connection for the next
+// receive.
 //
 //   clients ──TCP──▶ EventLoop ──decode──▶ ModelRouter::Route
 //                      ▲    ▲                    │ Submit (admission)
@@ -32,9 +36,14 @@ namespace net {
 //
 // Fairness: each loop tick services ready connections starting from a
 // rotating offset and dispatches at most one frame per connection per
-// tick, so one chatty client cannot starve the rest; a connection with
-// max_inflight_per_conn unanswered DETECTs stops being parsed until
-// replies drain (per-client backpressure that also bounds memory).
+// tick, so one chatty client cannot starve the rest.
+//
+// Backpressure: a connection stops receiving while it has
+// max_inflight_per_conn replies pending or holds a complete frame not
+// yet dispatched. Its read interest is dropped, its bytes wait in the
+// socket buffers and the peer blocks; receiving resumes as replies
+// drain. A connection's memory is thus bounded by its cap: the frame
+// buffers of its requests in serve, one buffer receiving, one spare.
 //
 // Replies are event-driven: each DETECT is submitted with a completion
 // hook that pokes a shared Waker after the serve worker fulfils its
@@ -46,8 +55,8 @@ class NetServer {
   struct Options {
     uint16_t port = 0;  // 0 = ephemeral; read back with port()
     int max_connections = 64;
-    // DETECTs in flight per connection before the server stops reading
-    // more frames from it.
+    // Pending replies per connection (DETECTs in serve, and the replies
+    // queued behind them) at which the server stops receiving from it.
     int max_inflight_per_conn = 32;
   };
 
@@ -91,9 +100,16 @@ class NetServer {
   // Reads whatever the socket has; returns false if the connection died
   // (io/framing error or EOF) and must be closed.
   bool ReadFromConnection(Connection* conn);
+  // True while `conn` has fewer than max_inflight_per_conn replies
+  // pending.
+  bool UnderInflightCap(const Connection& conn) const;
   // True when `conn` holds a complete frame and is under its in-flight
   // cap, i.e. the next tick can dispatch without waiting for an event.
   bool CanDispatch(const Connection& conn) const;
+  // True when `conn` may receive: under its cap and holding no complete
+  // frame that waits for dispatch. The loop keeps read interest only
+  // while this holds.
+  bool WantsRead(const Connection& conn) const;
   // Decodes and dispatches one frame. Never fails the connection: bad
   // requests get error replies (framing errors are handled upstream).
   void DispatchFrame(Connection* conn, const FrameHeader& header,

@@ -33,12 +33,19 @@ void AppendBytes(std::vector<uint8_t>* buf, const void* data, size_t len) {
   buf->insert(buf->end(), p, p + len);
 }
 
-Status PayloadReader::ReadBytes(void* out, size_t len) {
+Status PayloadReader::ReadView(size_t len, std::span<const uint8_t>* view) {
   if (remaining() < len) {
     return Status::Corruption("truncated payload");
   }
-  std::memcpy(out, data_.data() + pos_, len);
+  *view = data_.subspan(pos_, len);
   pos_ += len;
+  return Status::OK();
+}
+
+Status PayloadReader::ReadBytes(void* out, size_t len) {
+  std::span<const uint8_t> view;
+  THALI_RETURN_IF_ERROR(ReadView(len, &view));
+  if (len > 0) std::memcpy(out, view.data(), len);
   return Status::OK();
 }
 
@@ -111,27 +118,54 @@ Status ParseHeader(std::span<const uint8_t> bytes, FrameHeader* header) {
   return Status::OK();
 }
 
+void FrameReader::EnsureBuffer() {
+  if (buf_) return;
+  buf_ = spare_ ? std::move(spare_) : std::make_shared<Buffer>();
+}
+
 std::span<uint8_t> FrameReader::WritableTail() {
+  EnsureBuffer();
+  Buffer& buf = *buf_;
   const size_t unconsumed = end_ - begin_;
-  if (buf_.size() - end_ < kRecvChunk && begin_ > 0 && unconsumed <= begin_) {
+  if (buf.size() - end_ < kRecvChunk && begin_ > 0 && unconsumed <= begin_) {
     // Slide the unconsumed bytes to the front. They are no more than the
     // consumed prefix, so every moved byte was paid for by a consumed one.
-    std::memmove(buf_.data(), buf_.data() + begin_, unconsumed);
+    std::memmove(buf.data(), buf.data() + begin_, unconsumed);
     begin_ = 0;
     end_ = unconsumed;
   }
-  if (buf_.size() - end_ < kRecvChunk) {
+  if (buf.size() - end_ < kRecvChunk) {
     // Grow by one receive chunk; capacity doubles with the bytes held,
     // never with a length some header claims.
     const size_t want = end_ + kRecvChunk;
-    if (want > buf_.capacity()) buf_.reserve(std::max(want, 2 * end_));
-    buf_.resize(want);
+    if (want > buf.capacity()) buf.reserve(std::max(want, 2 * end_));
+    buf.resize(want);
   }
-  return std::span<uint8_t>(buf_).subspan(end_);
+  return std::span<uint8_t>(buf).subspan(end_);
+}
+
+std::shared_ptr<FrameReader::Buffer> FrameReader::TakeBuffer() {
+  std::shared_ptr<Buffer> taken = std::move(buf_);
+  const size_t carry = end_ - begin_;
+  if (carry > 0) {
+    EnsureBuffer();
+    if (buf_->size() < carry + kRecvChunk) buf_->resize(carry + kRecvChunk);
+    std::memcpy(buf_->data(), taken->data() + begin_, carry);
+  }
+  begin_ = 0;
+  end_ = carry;
+  return taken;
+}
+
+void FrameReader::Reclaim(std::shared_ptr<Buffer> buffer) {
+  if (buffer.use_count() == 1 && !spare_) {
+    spare_ = std::move(buffer);
+  }
 }
 
 Status FrameReader::Commit(size_t n) {
-  THALI_CHECK_LE(n, buf_.size() - end_);
+  THALI_CHECK(buf_ != nullptr);
+  THALI_CHECK_LE(n, buf_->size() - end_);
   end_ += n;
   // Validate the header as soon as it is complete so a bad peer is cut
   // off before it streams an entire bogus payload.
@@ -153,14 +187,14 @@ Status FrameReader::Feed(std::span<const uint8_t> bytes) {
 void FrameReader::ValidateHead() {
   if (!error_.ok() || end_ - begin_ < kHeaderBytes) return;
   FrameHeader h;
-  error_ = ParseHeader(std::span<const uint8_t>(buf_).subspan(begin_),
+  error_ = ParseHeader(std::span<const uint8_t>(*buf_).subspan(begin_),
                        &h);
 }
 
 bool FrameReader::PeekFrame(FrameHeader* header) const {
   const size_t buffered = end_ - begin_;
   return error_.ok() && buffered >= kHeaderBytes &&
-         ParseHeader(std::span<const uint8_t>(buf_).subspan(begin_), header)
+         ParseHeader(std::span<const uint8_t>(*buf_).subspan(begin_), header)
              .ok() &&
          buffered - kHeaderBytes >= header->payload_len;
 }
@@ -173,8 +207,8 @@ bool FrameReader::HasFrame() const {
 bool FrameReader::NextFrame(FrameHeader* header,
                             std::span<const uint8_t>* payload) {
   if (!PeekFrame(header)) return false;
-  *payload = std::span<const uint8_t>(buf_).subspan(begin_ + kHeaderBytes,
-                                                    header->payload_len);
+  *payload = std::span<const uint8_t>(*buf_).subspan(begin_ + kHeaderBytes,
+                                                     header->payload_len);
   begin_ += kHeaderBytes + header->payload_len;
   // Fully drained: rewind for free. The view stays valid because bytes
   // are only overwritten by the next receive.
@@ -243,8 +277,8 @@ std::vector<uint8_t> EncodeDetectRequest(const DetectRequest& req) {
   return payload;
 }
 
-Status DecodeDetectRequest(std::span<const uint8_t> payload,
-                           DetectRequest* req) {
+Status ParseDetectRequest(std::span<const uint8_t> payload,
+                          DetectRequestView* req) {
   PayloadReader r(payload);
   uint8_t priority = 0, model_len = 0, channels = 0;
   uint16_t width = 0, height = 0;
@@ -257,8 +291,10 @@ Status DecodeDetectRequest(std::span<const uint8_t> payload,
       priority == 1 ? serve::Priority::kBatch : serve::Priority::kInteractive;
   THALI_RETURN_IF_ERROR(r.ReadU32(&req->deadline_ms));
   THALI_RETURN_IF_ERROR(r.ReadU8(&model_len));
-  req->model_id.resize(model_len);
-  THALI_RETURN_IF_ERROR(r.ReadBytes(req->model_id.data(), model_len));
+  std::span<const uint8_t> model_id;
+  THALI_RETURN_IF_ERROR(r.ReadView(model_len, &model_id));
+  req->model_id = std::string_view(
+      reinterpret_cast<const char*>(model_id.data()), model_id.size());
   THALI_RETURN_IF_ERROR(r.ReadU16(&width));
   THALI_RETURN_IF_ERROR(r.ReadU16(&height));
   THALI_RETURN_IF_ERROR(r.ReadU8(&channels));
@@ -273,8 +309,21 @@ Status DecodeDetectRequest(std::span<const uint8_t> payload,
         StrFormat("pixel payload is %zu bytes, geometry needs %zu",
                   r.remaining(), pixel_bytes));
   }
-  req->image = Image(width, height, channels);
-  return r.ReadBytes(req->image.data(), pixel_bytes);
+  std::span<const uint8_t> pixels;
+  THALI_RETURN_IF_ERROR(r.ReadView(pixel_bytes, &pixels));
+  req->image = ImageView(pixels.data(), width, height, channels);
+  return Status::OK();
+}
+
+Status DecodeDetectRequest(std::span<const uint8_t> payload,
+                           DetectRequest* req) {
+  DetectRequestView view;
+  THALI_RETURN_IF_ERROR(ParseDetectRequest(payload, &view));
+  req->priority = view.priority;
+  req->deadline_ms = view.deadline_ms;
+  req->model_id = std::string(view.model_id);
+  req->image = Image(view.image);
+  return Status::OK();
 }
 
 namespace {

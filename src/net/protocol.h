@@ -2,8 +2,10 @@
 #define THALI_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/statusor.h"
@@ -87,6 +89,8 @@ class PayloadReader {
   Status ReadU32(uint32_t* v);
   Status ReadF32(float* v);
   Status ReadBytes(void* out, size_t len);
+  // Views the next `len` bytes in place instead of copying them.
+  Status ReadView(size_t len, std::span<const uint8_t>* view);
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
@@ -114,18 +118,29 @@ Status ParseHeader(std::span<const uint8_t> bytes, FrameHeader* header);
 // receive buffer behind a consumed offset, so reassembly itself copies
 // nothing; the buffer keeps its capacity between frames.
 //
-// The buffer grows with the bytes actually received, never with the
+// A payload view that must outlive the next receive — a DETECT, whose
+// request reads its pixels where recv put them — takes the buffer with
+// it: TakeBuffer hands the buffer over as a shared owner and the reader
+// continues in another one. Once the owner's last other holder has let
+// go, Reclaim gives the buffer back, and the next receive lands in it
+// already grown, so a closed loop of one request at a time receives
+// every frame into the same buffer.
+//
+// Buffers grow with the bytes actually received, never with the
 // payload_len a header claims (a hostile length never allocates). A
 // framing error (bad magic/version/length) is sticky — the connection
 // cannot be resynchronized and must be closed.
 class FrameReader {
  public:
+  using Buffer = std::vector<uint8_t>;
+
   // Free space the buffer guarantees before each receive.
   static constexpr size_t kRecvChunk = 64 * 1024;
 
   // Free space after the buffered bytes: at least kRecvChunk bytes, or
   // everything left in an already-larger buffer. Invalidates payload
-  // views from earlier NextFrame calls (the buffer may move).
+  // views from earlier NextFrame calls whose buffer was not taken (the
+  // buffer may move).
   std::span<uint8_t> WritableTail();
 
   // Marks the first `n` bytes of WritableTail() as received; returns the
@@ -139,22 +154,38 @@ class FrameReader {
   bool HasFrame() const;
 
   // Pops the next complete frame, if any: *payload views the receive
-  // buffer and stays valid until the next WritableTail or Feed.
+  // buffer and stays valid until the next WritableTail or Feed, or for
+  // as long as the buffer is held after TakeBuffer.
   bool NextFrame(FrameHeader* header, std::span<const uint8_t>* payload);
 
-  // Bytes the receive buffer has allocated.
-  size_t capacity() const { return buf_.capacity(); }
+  // Hands over the buffer that holds the frames popped so far; the
+  // reader never writes to it again. The bytes received past those
+  // frames (only a pipelining peer sends them) move to the reader's next
+  // buffer: the reclaimed spare if there is one, else a new buffer that
+  // grows as bytes arrive.
+  std::shared_ptr<Buffer> TakeBuffer();
+
+  // Takes a buffer from TakeBuffer back as the spare the next receive
+  // lands in. Kept only when the caller holds its last reference and no
+  // spare is held; otherwise the reference is just dropped.
+  void Reclaim(std::shared_ptr<Buffer> buffer);
+
+  // Bytes the current receive buffer has allocated.
+  size_t capacity() const { return buf_ ? buf_->capacity() : 0; }
 
  private:
   // Records a framing error if the buffered data starts with a bad header.
   void ValidateHead();
   // Parses the buffered head; true when its whole frame has arrived.
   bool PeekFrame(FrameHeader* header) const;
+  // Makes the spare (or a new buffer) current when there is none.
+  void EnsureBuffer();
 
-  std::vector<uint8_t> buf_;  // size() is the usable capacity
-  size_t begin_ = 0;          // first unconsumed byte
-  size_t end_ = 0;            // one past the last received byte
-  Status error_;              // sticky
+  std::shared_ptr<Buffer> buf_;    // size() is the usable capacity
+  std::shared_ptr<Buffer> spare_;  // a reclaimed buffer, or null
+  size_t begin_ = 0;               // first unconsumed byte
+  size_t end_ = 0;                 // one past the last received byte
+  Status error_;                   // sticky
 };
 
 // ------------------------------------------------------------ detect --
@@ -182,6 +213,25 @@ void AppendDetectRequestPrefix(std::vector<uint8_t>* buf,
 // the response encoders below return complete frames because the server
 // writes them to the socket as-is).
 std::vector<uint8_t> EncodeDetectRequest(const DetectRequest& req);
+
+// A DETECT payload parsed in place: `model_id` and `image` view the
+// payload's bytes, so they are valid exactly as long as the payload.
+// The pixel block starts right after the variable-length model id, at
+// any byte alignment; ImageView readers take that as it is.
+struct DetectRequestView {
+  serve::Priority priority = serve::Priority::kInteractive;
+  uint32_t deadline_ms = 0;    // 0 = none
+  std::string_view model_id;   // "" = default route (A/B split applies)
+  ImageView image;
+};
+
+// The one DETECT parser. Checks every field and that the pixel block is
+// exactly the size the geometry needs, and copies nothing.
+Status ParseDetectRequest(std::span<const uint8_t> payload,
+                          DetectRequestView* req);
+
+// ParseDetectRequest plus one copy of the pixels into req->image, for
+// in-process callers that want an owning request.
 Status DecodeDetectRequest(std::span<const uint8_t> payload,
                            DetectRequest* req);
 

@@ -23,7 +23,12 @@ using ServeClock = std::chrono::steady_clock;
 // (kDeadlineExceeded when the deadline passed while the request waited in
 // the queue).
 struct Request {
-  Image image;
+  // The pixels, and what keeps them alive: the submitted Image, or the
+  // receive buffer of the THL1 frame they arrived in. Complete drops both
+  // before it fulfils the promise, so whoever waits on the future may
+  // reuse that memory once the future is ready.
+  ImageView image;
+  std::shared_ptr<const void> pixel_owner;
   ServeClock::time_point submit_time;
   // time_point::max() means no deadline.
   ServeClock::time_point deadline = ServeClock::time_point::max();
@@ -34,6 +39,8 @@ struct Request {
   std::function<void()> on_complete;
 
   void Complete(StatusOr<std::vector<Detection>> result) {
+    image = ImageView();
+    pixel_owner.reset();
     promise.set_value(std::move(result));
     if (on_complete) on_complete();
   }

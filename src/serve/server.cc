@@ -150,6 +150,14 @@ Status Server::Admit(Priority priority, ServeClock::time_point deadline,
 
 StatusOr<std::future<Server::Result>> Server::Submit(
     Image image, const SubmitOptions& submit) {
+  auto owner = std::make_shared<const Image>(std::move(image));
+  const ImageView view = *owner;
+  return Submit(view, std::move(owner), submit);
+}
+
+StatusOr<std::future<Server::Result>> Server::Submit(
+    ImageView image, std::shared_ptr<const void> owner,
+    const SubmitOptions& submit) {
   metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
   ServerMetrics::PerClass& cls = metrics_.ForClass(submit.priority);
   cls.submitted.fetch_add(1, std::memory_order_relaxed);
@@ -174,7 +182,8 @@ StatusOr<std::future<Server::Result>> Server::Submit(
   }
 
   auto req = std::make_unique<Request>();
-  req->image = std::move(image);
+  req->image = image;
+  req->pixel_owner = std::move(owner);
   req->submit_time = now;
   req->deadline = submit.deadline;
   req->priority = submit.priority;
@@ -234,14 +243,13 @@ void Server::WorkerLoop(Detector* detector) {
                   &metrics_);
   int64_t weights_gen = weights_gen_.load(std::memory_order_acquire);
   std::vector<RequestPtr> batch;
-  std::vector<Image> images;
+  std::vector<ImageView> images;
   while (batcher.NextBatch(&batch)) {
     // Weight swaps land only at batch boundaries: the batch that is
     // about to run sees one consistent weight version end to end.
     MaybeReloadWeights(detector, &weights_gen);
     images.clear();
-    images.reserve(batch.size());
-    for (RequestPtr& r : batch) images.push_back(std::move(r->image));
+    for (const RequestPtr& r : batch) images.push_back(r->image);
 
     std::vector<std::vector<Detection>> results =
         detector->DetectBatch(images);

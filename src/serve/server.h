@@ -113,6 +113,14 @@ class Server {
   // deadline budget) without ever occupying a queue slot.
   StatusOr<std::future<Result>> Submit(Image image,
                                        const SubmitOptions& submit);
+  // As above over borrowed pixels: the request co-owns `owner`, which
+  // must keep `image` readable until the request completes, and drops
+  // that reference before the future becomes ready (the network
+  // front-end passes the frame's receive buffer and reuses it after the
+  // reply). Every Image overload runs this one with its Image as owner.
+  StatusOr<std::future<Result>> Submit(ImageView image,
+                                       std::shared_ptr<const void> owner,
+                                       const SubmitOptions& submit);
 
   // Stages a new weights file and bumps the weights generation: each
   // worker notices between batches and reloads its private Detector

@@ -8,16 +8,20 @@
 
 #include <errno.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/cpu_features.h"
 #include "base/net_util.h"
 #include "core/detector.h"
 #include "darknet/model_zoo.h"
@@ -43,6 +47,17 @@ Image RenderPlatter(uint64_t seed = 11, int dishes = 3) {
   PlatterRenderer renderer(IndianFood10(), PlatterRenderer::Options{});
   Rng rng(seed);
   return renderer.RenderRandomPlatter(dishes, rng).image;
+}
+
+// A 640x480 photo, as a phone camera sends it: letterboxed 4:3 onto the
+// 96x96 network input.
+Image RenderCameraPlatter(uint64_t seed) {
+  PlatterRenderer::Options options;
+  options.width = 640;
+  options.height = 480;
+  PlatterRenderer renderer(IndianFood10(), options);
+  Rng rng(seed);
+  return renderer.RenderRandomPlatter(3, rng).image;
 }
 
 void ExpectSameDetections(const std::vector<Detection>& a,
@@ -230,6 +245,79 @@ TEST(ProtocolTest, FrameReaderReusesItsBufferAcrossFrames) {
   EXPECT_EQ(second.size(), 300'000u);
 }
 
+// A DETECT's payload must outlive later receives, so its buffer is
+// taken: the reader writes elsewhere while the owner holds it, and once
+// it is reclaimed the next frame lands in it, already grown. A closed
+// loop of one request at a time thus receives every frame into one
+// buffer, with no new allocation.
+TEST(ProtocolTest, FrameReaderReceivesIntoAReclaimedBuffer) {
+  const std::vector<uint8_t> ones(300'000, 0x5A);
+  const std::vector<uint8_t> twos(300'000, 0xA5);
+  FrameReader reader;
+  FrameHeader header;
+  std::span<const uint8_t> first;
+  ASSERT_TRUE(reader.Feed(EncodeFrame(Op::kPing, ones)).ok());
+  ASSERT_TRUE(reader.NextFrame(&header, &first));
+  const size_t grown = reader.capacity();
+  std::shared_ptr<FrameReader::Buffer> owner = reader.TakeBuffer();
+  ASSERT_NE(owner, nullptr);
+  EXPECT_EQ(owner->capacity(), grown);
+
+  // Held by its owner, the taken buffer is never written again.
+  std::span<const uint8_t> second;
+  ASSERT_TRUE(reader.Feed(EncodeFrame(Op::kPing, twos)).ok());
+  ASSERT_TRUE(reader.NextFrame(&header, &second));
+  EXPECT_NE(second.data(), first.data());
+  EXPECT_EQ(Bytes(first), ones);
+  EXPECT_EQ(Bytes(second), twos);
+  std::shared_ptr<FrameReader::Buffer> second_owner = reader.TakeBuffer();
+
+  // Reclaimed, it takes the next frame in the same bytes.
+  reader.Reclaim(std::move(owner));
+  std::span<const uint8_t> third;
+  ASSERT_TRUE(reader.Feed(EncodeFrame(Op::kPing, ones)).ok());
+  ASSERT_TRUE(reader.NextFrame(&header, &third));
+  EXPECT_EQ(third.data(), first.data());
+  EXPECT_EQ(reader.capacity(), grown);
+  EXPECT_EQ(Bytes(second), twos);
+
+  // A buffer someone else still holds is not taken back.
+  std::shared_ptr<FrameReader::Buffer> held = reader.TakeBuffer();
+  const std::shared_ptr<FrameReader::Buffer> elsewhere = held;
+  reader.Reclaim(std::move(held));
+  std::span<const uint8_t> fourth;
+  ASSERT_TRUE(reader.Feed(EncodeFrame(Op::kPing, twos)).ok());
+  ASSERT_TRUE(reader.NextFrame(&header, &fourth));
+  EXPECT_NE(fourth.data(), first.data());
+  EXPECT_EQ(Bytes(third), ones);
+}
+
+// Bytes past a taken frame (a pipelining peer's next frame, received in
+// the same read) move with the reader to its next buffer.
+TEST(ProtocolTest, FrameReaderCarriesPipelinedBytesPastATakenFrame) {
+  const std::vector<uint8_t> a(70'000, 0x11), b(90'000, 0x22);
+  std::vector<uint8_t> stream = EncodeFrame(Op::kPing, a);
+  const std::vector<uint8_t> second = EncodeFrame(Op::kStats, b);
+  stream.insert(stream.end(), second.begin(), second.end() - 100);
+
+  FrameReader reader;
+  ASSERT_TRUE(reader.Feed(stream).ok());
+  FrameHeader header;
+  std::span<const uint8_t> first;
+  ASSERT_TRUE(reader.NextFrame(&header, &first));
+  const std::shared_ptr<FrameReader::Buffer> owner = reader.TakeBuffer();
+  EXPECT_FALSE(reader.HasFrame());
+  ASSERT_TRUE(reader
+                  .Feed(std::span<const uint8_t>(second).subspan(
+                      second.size() - 100))
+                  .ok());
+  std::span<const uint8_t> payload;
+  ASSERT_TRUE(reader.NextFrame(&header, &payload));
+  EXPECT_EQ(header.op, static_cast<uint16_t>(Op::kStats));
+  EXPECT_EQ(Bytes(payload), b);
+  EXPECT_EQ(Bytes(first), a);
+}
+
 // DESIGN.md promises that a hostile length never allocates: a legal
 // header that claims the maximum payload, with nothing behind it, leaves
 // the buffer at the bytes received plus one receive chunk.
@@ -322,13 +410,20 @@ TEST(EventLoopTest, EnvForcesPollBackend) {
 
 class NetServerTest : public ::testing::Test {
  protected:
-  void StartServer(int yolo_workers = 1) {
+  void TearDown() override { internal::SetScalarKernelsForTesting(false); }
+
+  static serve::Server::Options ModelOptions() {
     serve::Server::Options opts;
-    opts.num_workers = yolo_workers;
+    opts.num_workers = 1;
     opts.queue_capacity = 16;
     opts.max_batch_size = 4;
-    THALI_CHECK_OK(router_.AddModel("yolo", opts, YoloFactory(/*seed=*/7)));
-    auto server = NetServer::Start(NetServer::Options{}, &router_);
+    return opts;
+  }
+
+  void StartServer(const NetServer::Options& net_options = {}) {
+    THALI_CHECK_OK(
+        router_.AddModel("yolo", ModelOptions(), YoloFactory(/*seed=*/7)));
+    auto server = NetServer::Start(net_options, &router_);
     THALI_CHECK(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
   }
@@ -633,6 +728,270 @@ TEST_F(NetServerTest, ServesUnderForcedPollBackend) {
   DetectRequest req;
   req.image = RenderPlatter();
   EXPECT_TRUE(client->Detect(req).ok());
+}
+
+// A DETECT's pixel block starts right after its model id, so ids of 0
+// to 3 bytes put it at every offset mod 4 of the frame. Read in place
+// from the receive buffer, a letterboxed (640x480) and a direct (96x96)
+// request must detect bitwise what an in-process Submit of the same
+// Image detects, on every route and with either kernel family.
+TEST_F(NetServerTest, ServedEqualsInProcessAtEveryPixelAlignment) {
+  StartServer();
+  for (const char* id : {"a", "ab", "abc"}) {
+    THALI_CHECK_OK(router_.AddModel(id, ModelOptions(), YoloFactory(7)));
+  }
+  auto client = NetClient::Connect(server_->port());
+  ASSERT_TRUE(client.ok());
+  const std::vector<Image> images = {RenderCameraPlatter(/*seed=*/31),
+                                     RenderPlatter(/*seed=*/23)};
+  size_t detected = 0;
+  for (const bool scalar : {true, false}) {
+    internal::SetScalarKernelsForTesting(scalar);
+    for (const std::string id : {"", "a", "ab", "abc"}) {
+      serve::Server* route = router_.Find(id.empty() ? "yolo" : id);
+      ASSERT_NE(route, nullptr);
+      for (const Image& image : images) {
+        SCOPED_TRACE("scalar=" + std::to_string(scalar) + " id='" + id +
+                     "' " + std::to_string(image.width()) + "x" +
+                     std::to_string(image.height()));
+        auto in_process = route->Submit(Image(image));
+        ASSERT_TRUE(in_process.ok());
+        serve::Server::Result direct = in_process->get();
+        ASSERT_TRUE(direct.ok());
+        DetectRequest req;
+        req.model_id = id;
+        req.image = image;
+        auto served = client->Detect(req);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        ExpectSameDetections(*served, *direct);
+        detected += served->size();
+      }
+    }
+  }
+  EXPECT_GT(detected, 0u);  // the comparisons saw real boxes
+}
+
+// Degenerate but legal geometries are letterboxed from the frame like
+// any other: each gets a reply (bitwise the in-process one), no abort.
+TEST_F(NetServerTest, ExtremeFrameGeometriesGetReplies) {
+  StartServer();
+  auto client = NetClient::Connect(server_->port());
+  ASSERT_TRUE(client.ok());
+  for (const auto& [w, h] :
+       {std::pair{1, 1}, std::pair{65535, 1}, std::pair{1, 65535}}) {
+    SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+    DetectRequest req;
+    req.model_id = "yolo";  // a 4-byte id: the pixels start unaligned
+    req.image = Image(w, h, 3);
+    for (int64_t i = 0; i < req.image.size(); ++i) {
+      req.image.data()[i] = static_cast<float>(i % 251) / 250.0f;
+    }
+    auto served = client->Detect(req);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    auto in_process = router_.Find("yolo")->Submit(Image(req.image));
+    ASSERT_TRUE(in_process.ok());
+    serve::Server::Result direct = in_process->get();
+    ASSERT_TRUE(direct.ok());
+    ExpectSameDetections(*served, *direct);
+  }
+}
+
+// Holds the model's one serve worker inside the completion hook of an
+// in-process request until Release, so requests queued behind it stay
+// unanswered for exactly as long as a test needs.
+class WorkerStall {
+ public:
+  explicit WorkerStall(serve::Server* server) : gate_(release_.get_future()) {
+    serve::Server::SubmitOptions submit;
+    submit.on_complete = [gate = gate_] { gate.wait(); };
+    auto fut = server->Submit(RenderPlatter(), submit);
+    THALI_CHECK(fut.ok()) << fut.status().ToString();
+    stalled_ = std::move(fut).value();
+  }
+  ~WorkerStall() { Release(); }
+
+  void Release() {
+    if (released_) return;
+    released_ = true;
+    release_.set_value();
+    EXPECT_TRUE(stalled_.get().ok());
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> gate_;
+  std::future<serve::Server::Result> stalled_;
+  bool released_ = false;
+};
+
+// The in-flight cap holds on reads, not only on dispatch. At a cap of 1
+// with the worker stalled, the server receives the first DETECT and then
+// leaves the stream in the socket buffers, so a client pipelining 24
+// camera frames (88 MB, more than loopback buffers hold) blocks before it
+// has sent them all. Once the worker runs, every reply arrives in order:
+// a PING carrying its index follows each DETECT.
+void ExpectInflightCapStopsReads(serve::ModelRouter* router,
+                                 NetServer* server) {
+  constexpr int kFrames = 24;
+  const Image image = RenderCameraPlatter(/*seed=*/41);
+  DetectRequest req;
+  req.image = image;
+  const std::vector<uint8_t> detect =
+      EncodeFrame(Op::kDetect, EncodeDetectRequest(req));
+  std::vector<std::vector<uint8_t>> pings;
+  for (int k = 0; k < kFrames; ++k) {
+    pings.push_back(EncodeFrame(Op::kPing, {{static_cast<uint8_t>(k)}}));
+  }
+  // The stream, as (frame, offset) so 88 MB never sit in one buffer.
+  size_t part = 0, offset = 0, sent = 0;
+  const auto frame_of = [&](size_t i) -> const std::vector<uint8_t>& {
+    return i % 2 == 0 ? detect : pings[i / 2];
+  };
+  const size_t parts = 2 * kFrames;
+  const size_t total = kFrames * (detect.size() + pings[0].size());
+  const auto send_some = [&](int fd) {
+    while (part < parts) {
+      const std::vector<uint8_t>& f = frame_of(part);
+      const ssize_t n = send(fd, f.data() + offset, f.size() - offset,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0) {
+        ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+            << strerror(errno);
+        return;
+      }
+      offset += static_cast<size_t>(n);
+      sent += static_cast<size_t>(n);
+      if (offset == f.size()) {
+        ++part;
+        offset = 0;
+      }
+    }
+  };
+
+  serve::Server* yolo = router->Find("yolo");
+  WorkerStall stall(yolo);
+  auto fd = ConnectLoopback(server->port());
+  ASSERT_TRUE(fd.ok());
+  // Send until the stream stops moving for half a second.
+  for (;;) {
+    send_some(*fd);
+    if (part == parts) break;
+    pollfd p{*fd, POLLOUT, 0};
+    if (poll(&p, 1, 500) == 0) break;
+  }
+  EXPECT_LT(sent, total) << "the server received the whole stream while "
+                            "its one allowed DETECT was stuck in serve";
+  EXPECT_EQ(server->counters().frames_received.load(), 1);
+
+  stall.Release();
+  FrameReader replies;
+  int received = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  std::vector<Detection> want;
+  {
+    auto fut = yolo->Submit(Image(image));
+    ASSERT_TRUE(fut.ok());
+    serve::Server::Result r = fut->get();
+    ASSERT_TRUE(r.ok());
+    want = *r;
+  }
+  while (received < 2 * kFrames &&
+         std::chrono::steady_clock::now() < give_up) {
+    pollfd p{*fd, static_cast<short>(POLLIN | (part < parts ? POLLOUT : 0)),
+             0};
+    ASSERT_GE(poll(&p, 1, 1000), 0);
+    if (p.revents & POLLOUT) send_some(*fd);
+    if (!(p.revents & POLLIN)) continue;
+    const std::span<uint8_t> tail = replies.WritableTail();
+    const ssize_t n = recv(*fd, tail.data(), tail.size(), MSG_DONTWAIT);
+    ASSERT_GT(n, 0) << "server closed the connection";
+    ASSERT_TRUE(replies.Commit(static_cast<size_t>(n)).ok());
+    FrameHeader header;
+    std::span<const uint8_t> payload;
+    while (replies.NextFrame(&header, &payload)) {
+      const int k = received / 2;
+      if (received % 2 == 0) {
+        ASSERT_EQ(header.op, static_cast<uint16_t>(Op::kDetect)) << k;
+        Status wire;
+        std::vector<Detection> dets;
+        ASSERT_TRUE(DecodeDetectResponse(payload, &wire, &dets).ok());
+        ASSERT_TRUE(wire.ok()) << wire.ToString();
+        ExpectSameDetections(dets, want);
+      } else {
+        ASSERT_EQ(header.op, static_cast<uint16_t>(Op::kPing)) << k;
+        // Status block (code 0, empty message), then the echoed index.
+        ASSERT_EQ(Bytes(payload),
+                  (std::vector<uint8_t>{0, 0, 0, static_cast<uint8_t>(k)}));
+      }
+      ++received;
+    }
+  }
+  EXPECT_EQ(received, 2 * kFrames);
+  EXPECT_EQ(sent, total);
+  CloseFd(*fd);
+}
+
+TEST_F(NetServerTest, InflightCapStopsReadsUntilRepliesDrain) {
+  NetServer::Options options;
+  options.max_inflight_per_conn = 1;
+  StartServer(options);
+  ExpectInflightCapStopsReads(&router_, server_.get());
+}
+
+TEST_F(NetServerTest, InflightCapStopsReadsUnderForcedPollBackend) {
+  NetServer::Options options;
+  options.max_inflight_per_conn = 1;
+  setenv("THALI_NET_POLL", "1", 1);
+  StartServer(options);
+  unsetenv("THALI_NET_POLL");
+  ASSERT_EQ(server_->backend(), EventLoop::Backend::kPoll);
+  ExpectInflightCapStopsReads(&router_, server_.get());
+}
+
+// A client that disconnects while its DETECT waits behind busy work: the
+// connection, its reader and its pending reply are gone, and the request
+// still letterboxes from the frame buffer it co-owns (ASan checks the
+// reads). The serve drain invariant holds.
+TEST(NetServerLifecycleTest, DisconnectWithADetectQueuedBehindBusyWork) {
+  serve::ModelRouter router;
+  serve::Server::Options opts;
+  opts.num_workers = 1;
+  opts.queue_capacity = 16;
+  opts.max_batch_size = 1;
+  THALI_CHECK_OK(router.AddModel("yolo", opts, YoloFactory()));
+  serve::Server* yolo = router.Find("yolo");
+  auto net_server = NetServer::Start(NetServer::Options{}, &router);
+  ASSERT_TRUE(net_server.ok()) << net_server.status().ToString();
+  const serve::ServerMetrics& m = yolo->metrics();
+  const NetServer::Counters& c = (*net_server)->counters();
+  const auto wait_for = [](const std::atomic<int64_t>& v, int64_t want) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (v.load() < want && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return v.load();
+  };
+
+  WorkerStall stall(yolo);
+  auto fd = ConnectLoopback((*net_server)->port());
+  ASSERT_TRUE(fd.ok());
+  DetectRequest req;
+  req.image = RenderCameraPlatter(/*seed=*/43);
+  const std::vector<uint8_t> frame =
+      EncodeFrame(Op::kDetect, EncodeDetectRequest(req));
+  ASSERT_TRUE(SendAll(*fd, frame.data(), frame.size()).ok());
+  ASSERT_EQ(wait_for(m.submitted, 2), 2);
+  CloseFd(*fd);
+  ASSERT_EQ(wait_for(c.connections_dropped, 1), 1);
+  EXPECT_LE(m.completed.load(), 1);  // at most the stalling request
+
+  stall.Release();
+  EXPECT_EQ(wait_for(m.completed, 2), 2);
+  yolo->Shutdown();
+  EXPECT_EQ(m.submitted.load(),
+            m.completed.load() + m.rejected.load() + m.timed_out.load());
 }
 
 }  // namespace

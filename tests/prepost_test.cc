@@ -235,6 +235,57 @@ TEST_F(PrepostTest, FusedQuantizeEmitsExactlyTheQuantizedLetterbox) {
   }
 }
 
+// A served request letterboxes straight from its frame, where the pixel
+// block sits at whatever offset the header fields leave. At every byte
+// offset mod 4, each entry point must give the same bytes from the view
+// as from the Image, in each kernel family.
+TEST_F(PrepostTest, UnalignedViewLetterboxesLikeItsImage) {
+  const Image src = RandomImage(13, 157, 83);
+  const Image same = RandomImage(17, 96, 96);
+  const float inv_scale = 1.0f / 0.031f;
+  const int32_t zp = 17;
+  const size_t n = 3 * 96 * 96;
+  for (const bool scalar : {true, false}) {
+    internal::SetScalarKernelsForTesting(scalar);
+    std::vector<float> want_f(n), want_r(3 * 45 * 61);
+    std::vector<uint8_t> want_q(n), want_d(n);
+    LetterboxIntoPlanes(src, 96, 96, want_f.data());
+    ResizeIntoPlanes(src, 61, 45, want_r.data());
+    LetterboxIntoQuantizedPlanes(src, 96, 96, inv_scale, zp, want_q.data());
+    Int8QuantizeActivations(same.data(), same.size(), inv_scale, zp,
+                            want_d.data());
+    for (size_t offset = 1; offset < 4; ++offset) {
+      SCOPED_TRACE("scalar=" + std::to_string(scalar) +
+                   " offset=" + std::to_string(offset));
+      const auto unaligned = [&](const Image& image,
+                                 std::vector<uint8_t>* storage) {
+        const size_t bytes = static_cast<size_t>(image.size()) * 4;
+        storage->assign(offset + bytes, 0);
+        std::memcpy(storage->data() + offset, image.data(), bytes);
+        return ImageView(storage->data() + offset, image.width(),
+                         image.height(), image.channels());
+      };
+      std::vector<uint8_t> src_bytes, same_bytes;
+      const ImageView view = unaligned(src, &src_bytes);
+      const ImageView same_view = unaligned(same, &same_bytes);
+      ASSERT_NE(reinterpret_cast<uintptr_t>(view.bytes()) % 4, 0u);
+
+      std::vector<float> got_f(n, -1.0f), got_r(want_r.size(), -1.0f);
+      std::vector<uint8_t> got_q(n, 255), got_d(n, 255);
+      LetterboxIntoPlanes(view, 96, 96, got_f.data());
+      ResizeIntoPlanes(view, 61, 45, got_r.data());
+      LetterboxIntoQuantizedPlanes(view, 96, 96, inv_scale, zp,
+                                   got_q.data());
+      QuantizeIntoPlanes(same_view, inv_scale, zp, got_d.data());
+      EXPECT_EQ(std::memcmp(want_f.data(), got_f.data(), n * 4), 0);
+      EXPECT_EQ(std::memcmp(want_r.data(), got_r.data(), want_r.size() * 4),
+                0);
+      EXPECT_EQ(want_q, got_q);
+      EXPECT_EQ(want_d, got_d);
+    }
+  }
+}
+
 TEST_F(PrepostTest, ReferenceLetterboxPadsExactlyGreyAroundContent) {
   // LetterboxImage fills only the pad bands, so every pad pixel is
   // exactly 0.5 and content pixels come from the resize.

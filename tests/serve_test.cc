@@ -58,7 +58,9 @@ std::vector<Image> RenderImages(int n, uint64_t seed = 11) {
 RequestPtr MakeRequest(Image image,
                        ServeClock::time_point deadline = kNoDeadline) {
   auto req = std::make_unique<Request>();
-  req->image = std::move(image);
+  auto owner = std::make_shared<const Image>(std::move(image));
+  req->image = *owner;
+  req->pixel_owner = std::move(owner);
   req->submit_time = ServeClock::now();
   req->deadline = deadline;
   return req;
@@ -552,6 +554,38 @@ TEST(ServerTest, SubmitRejectsImagesTheDetectorCannotTake) {
   EXPECT_EQ(m.completed.load(), 1);
   EXPECT_EQ(m.submitted.load(),
             m.completed.load() + m.rejected.load() + m.timed_out.load());
+}
+
+// A request drops its pixels before it fulfils its promise, so whoever
+// waits on the future holds the last reference to the pixel owner once
+// the future is ready — the network front-end reuses a frame's receive
+// buffer on exactly that rule. Served, expired and rejected requests
+// all keep it.
+TEST(ServerTest, RequestsDropThePixelOwnerBeforeTheFutureIsReady) {
+  Server::Options opts;
+  opts.num_workers = 1;
+  auto server_or = Server::Create(opts, StandardFactory());
+  ASSERT_TRUE(server_or.ok());
+  std::unique_ptr<Server> server = std::move(server_or).value();
+  const auto owner = std::make_shared<const Image>(RenderImages(1)[0]);
+
+  auto served = server->Submit(*owner, owner, Server::SubmitOptions{});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->get().ok());
+  EXPECT_EQ(owner.use_count(), 1);
+
+  Server::SubmitOptions expired;
+  expired.deadline = ServeClock::now();
+  auto late = server->Submit(*owner, owner, expired);
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(late->get().status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(owner.use_count(), 1);
+
+  const auto gray = std::make_shared<const Image>(96, 96, 1);
+  auto rejected = server->Submit(*gray, gray, Server::SubmitOptions{});
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gray.use_count(), 1);
+  server->Shutdown();
 }
 
 TEST(ServerTest, BackpressureRejectsWhenQueueFull) {
