@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string_view>
 
-#include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "nn/conv_layer.h"
 #include "nn/network.h"
@@ -662,28 +660,6 @@ ExecPlan CompileExecPlan(const Network& net) {
   plan.arena = PlanArenaGrouped(net, last_use, parent, poffset);
   plan.arena.enabled = net.exec_mode() == ExecMode::kInference;
   return plan;
-}
-
-std::string ArenaPlan::ToString() const {
-  std::ostringstream os;
-  os << StrFormat("%4s %12s %12s %6s %6s\n", "idx", "offset", "floats",
-                  "live", "until");
-  for (size_t i = 0; i < assignments.size(); ++i) {
-    const ArenaAssignment& a = assignments[i];
-    os << StrFormat("%4d %12lld %12lld %6d %6d\n", static_cast<int>(i),
-                    static_cast<long long>(a.offset),
-                    static_cast<long long>(a.floats), a.first_use, a.last_use);
-  }
-  const double ratio =
-      sum_output_floats > 0
-          ? static_cast<double>(arena_floats) / sum_output_floats
-          : 0.0;
-  os << StrFormat(
-      "arena: %lld floats peak vs %lld sum-of-outputs (%.1f%%), %s\n",
-      static_cast<long long>(arena_floats),
-      static_cast<long long>(sum_output_floats), ratio * 100.0,
-      enabled ? "enabled" : "disabled");
-  return os.str();
 }
 
 }  // namespace thali

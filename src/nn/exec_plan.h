@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -187,10 +186,6 @@ struct ArenaPlan {
   std::vector<ArenaAssignment> assignments;  // one per layer
   int64_t arena_floats = 0;       // peak concurrent footprint (arena size)
   int64_t sum_output_floats = 0;  // one-buffer-per-layer baseline
-
-  // Human-readable planner report: per-layer offset/interval table and
-  // the peak-vs-sum summary.
-  std::string ToString() const;
 };
 
 // The full execution plan Network::Finalize(kInference) compiles: one

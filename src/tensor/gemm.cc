@@ -97,19 +97,21 @@ void PackedRows(const GemmKernel& kernel, int64_t t0, int64_t t1, bool ta,
   const bool accumulate = k > 0 && alpha != 0.0f;
   const int64_t padded_m = GemmPackedRowTiles(m) * kGemmMR;
 
-  // Stream-B: skip GemmPackB and read op(B) rows in place when the
+  // Stream B: skip GemmPackB and read op(B) rows in place when the
   // problem is too thin or too short to amortize the pack traffic —
   // either a single NR strip of columns (the yolo-head n = 9 .. 33
   // GEMMs) or at most two row tiles of A sweeping each packed strip
   // once (the first-layer m = 8 im2col GEMM, where packing B costs more
-  // than the whole accumulation). Masked B loads make dead columns
-  // exactly zero, matching the packed strip's padding, so this path is
-  // bitwise identical to the packed one. The predicate depends only on
-  // the problem shape, never on the thread split.
+  // than the whole accumulation). The kernels read B at a row stride
+  // either way: b itself at ldb here, a zero-padded packed strip at
+  // kGemmNR otherwise. Their masked loads make dead columns exactly the
+  // zero the strip's padding holds, so the two sources give the same
+  // bits. The predicate depends only on the problem shape, never on the
+  // thread split.
   const bool stream_b =
-      !tb && kernel.tile_bs != nullptr &&
-      (n <= kGemmNR || GemmPackedRowTiles(m) <= 2 ||
-       (k <= 32 && GemmPackedRowTiles(m) <= 4));
+      !tb && (n <= kGemmNR || GemmPackedRowTiles(m) <= 2 ||
+              (k <= 32 && GemmPackedRowTiles(m) <= 4));
+  const int64_t b_stride = stream_b ? ldb : kGemmNR;
 
   for (int64_t jc = 0; jc < n; jc += kGemmNC) {
     const int64_t nc = std::min(kGemmNC, n - jc);
@@ -149,16 +151,10 @@ void PackedRows(const GemmKernel& kernel, int64_t t0, int64_t t1, bool ta,
                   static_cast<int>(std::min<int64_t>(kGemmMR, i_hi - t * kGemmMR));
               const float* atile = apack + (t - a_tile_base) * kGemmMR * kcb;
               float* ctile = c + t * kGemmMR * ldc + jc + u * kGemmNR;
-              if (stream_b) {
-                if (mr == kGemmMR && nr == kGemmNR) {
-                  kernel.tile_bs(kcb, atile, bstrip, ldb, ctile, ldc);
-                } else {
-                  kernel.edge_bs(kcb, atile, bstrip, ldb, ctile, ldc, mr, nr);
-                }
-              } else if (mr == kGemmMR && nr == kGemmNR) {
-                kernel.tile(kcb, atile, bstrip, ctile, ldc);
+              if (mr == kGemmMR && nr == kGemmNR) {
+                kernel.tile(kcb, atile, bstrip, b_stride, ctile, ldc);
               } else {
-                kernel.edge(kcb, atile, bstrip, ctile, ldc, mr, nr);
+                kernel.edge(kcb, atile, bstrip, b_stride, ctile, ldc, mr, nr);
               }
             }
           }

@@ -14,8 +14,6 @@ const GemmKernel kScalarKernel = {
     /*fused=*/false,
     /*tile=*/&gemm_detail::TileGeneric<MulAddOp>,
     /*edge=*/&gemm_detail::EdgeGeneric<MulAddOp>,
-    /*tile_bs=*/&gemm_detail::TileBsGeneric<MulAddOp>,
-    /*edge_bs=*/&gemm_detail::EdgeBsGeneric<MulAddOp>,
     /*ref_nn=*/&gemm_detail::RefNn<MulAddOp>,
     /*ref_tn=*/&gemm_detail::RefTn<MulAddOp>,
     /*ref_nt=*/&gemm_detail::RefNt<MulAddOp>,

@@ -20,9 +20,9 @@ inline constexpr int64_t kGemmNC = 512;  // n cache block (multiple of NR)
 
 // One family of GEMM kernels sharing a single per-element accumulation
 // chain. The determinism contract of this repo requires every path that
-// can compute the same C element (packed tile, packed edge, unpacked
-// reference, any thread count) to perform the exact same sequence of
-// IEEE operations on it:
+// can compute the same C element (full tile, edge tile, packed or
+// in-place B, unpacked reference, any thread count) to perform the exact
+// same sequence of IEEE operations on it:
 //
 //   c = beta * c                      (or 0 when beta == 0)
 //   for p in 0..k-1 ascending:        (rank-1 updates, k-outer)
@@ -38,28 +38,22 @@ struct GemmKernel {
   const char* name;  // e.g. "avx2-fma-6x16", "scalar-6x16"
   bool fused;        // accumulation chain uses fused multiply-add
 
-  // Full MR x NR register tile on packed panels: loads C, applies kc
-  // rank-1 updates in ascending-k order, stores C. `a` is a kc x MR
-  // column panel (stride MR), `b` a kc x NR row panel (stride NR).
-  void (*tile)(int64_t kc, const float* a, const float* b, float* c,
-               int64_t ldc);
+  // Full MR x NR register tile: loads C, applies kc rank-1 updates in
+  // ascending-k order, stores C. `a` is a kc x MR column panel (stride
+  // MR). `b` holds kc rows of NR columns at row stride `ldb`: a packed
+  // strip (ldb = kGemmNR, zero-padded past the last live column) or op(B)
+  // read in place from the caller's non-transposed row-major matrix.
+  void (*tile)(int64_t kc, const float* a, const float* b, int64_t ldb,
+               float* c, int64_t ldc);
 
-  // Partial tile (1 <= mr <= MR, 1 <= nr <= NR), same panel layout and
-  // per-element chain; touches only the mr x nr live corner of C.
-  void (*edge)(int64_t kc, const float* a, const float* b, float* c,
-               int64_t ldc, int mr, int nr);
-
-  // Stream-B variants: identical per-element chain to tile/edge, but op(B)
-  // is read directly from the caller's row-major matrix (non-transposed,
-  // row stride ldb) instead of a packed strip — the driver skips GemmPackB
-  // for thin-N / short-M problems where the pack traffic costs more than
-  // the strided loads. Columns j >= nr are treated as exactly zero
-  // (masked loads), matching the packed strip's zero padding bit for bit,
-  // so the two paths stay bitwise interchangeable.
-  void (*tile_bs)(int64_t kc, const float* a, const float* b, int64_t ldb,
-                  float* c, int64_t ldc);
-  void (*edge_bs)(int64_t kc, const float* a, const float* b, int64_t ldb,
-                  float* c, int64_t ldc, int mr, int nr);
+  // Partial tile (1 <= mr <= MR, 1 <= nr <= NR), same operands and
+  // per-element chain; touches only the mr x nr live corner of C and
+  // reads only the nr live columns of each B row (masked loads make a
+  // dead column exactly zero, the value a packed strip's padding holds).
+  // So packed and in-place B give the same bits, and B may end right
+  // after its last live element.
+  void (*edge)(int64_t kc, const float* a, const float* b, int64_t ldb,
+               float* c, int64_t ldc, int mr, int nr);
 
   // Unpacked reference kernels (the conformance oracle behind
   // internal::GemmReference), one per transpose combination. Accumulate

@@ -18,6 +18,17 @@ namespace {
 
 using gemm_detail::FmaOp;
 
+// Every tile reads kc rows of op(B) at row stride ldb: a zero-padded
+// packed strip (ldb = kGemmNR) or the caller's row-major B in place. B
+// loads are unaligned, and ragged columns mask-load B, so a dead lane is
+// exactly zero from either source — the value the strip's padding holds.
+//
+// kMaskTable + (16 - nr) yields 16 lane masks whose first nr entries are
+// live (all-ones).
+alignas(32) constexpr int32_t kMaskTable[32] = {
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0};
+
 // mr x 16 register tile (mr <= 6): two ymm accumulators per C row, one
 // ascending-k stream of rank-1 updates. Each C element sees exactly the
 // canonical fused chain — vector lanes are independent elements, so the
@@ -30,256 +41,8 @@ using gemm_detail::FmaOp;
 // extra stores per iteration, enough to turn an FMA-bound loop into a
 // store-port-bound one).
 template <int MR_>
-void TileAvx2(int64_t kc, const float* a, const float* b, float* c,
-              int64_t ldc) {
-  static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
-  __m256 c00, c01, c10, c11, c20, c21, c30, c31, c40, c41, c50, c51;
-  c00 = _mm256_loadu_ps(c);
-  c01 = _mm256_loadu_ps(c + 8);
-  if constexpr (MR_ > 1) {
-    c10 = _mm256_loadu_ps(c + ldc);
-    c11 = _mm256_loadu_ps(c + ldc + 8);
-  }
-  if constexpr (MR_ > 2) {
-    c20 = _mm256_loadu_ps(c + 2 * ldc);
-    c21 = _mm256_loadu_ps(c + 2 * ldc + 8);
-  }
-  if constexpr (MR_ > 3) {
-    c30 = _mm256_loadu_ps(c + 3 * ldc);
-    c31 = _mm256_loadu_ps(c + 3 * ldc + 8);
-  }
-  if constexpr (MR_ > 4) {
-    c40 = _mm256_loadu_ps(c + 4 * ldc);
-    c41 = _mm256_loadu_ps(c + 4 * ldc + 8);
-  }
-  if constexpr (MR_ > 5) {
-    c50 = _mm256_loadu_ps(c + 5 * ldc);
-    c51 = _mm256_loadu_ps(c + 5 * ldc + 8);
-  }
-  const float* ap = a;
-  const float* bp = b;
-  for (int64_t p = 0; p < kc; ++p) {
-    // Packed B panels are 64-byte aligned with NR*sizeof(float) = 64-byte
-    // rows, so aligned loads are safe for every p.
-    const __m256 b0 = _mm256_load_ps(bp);
-    const __m256 b1 = _mm256_load_ps(bp + 8);
-    __m256 ar = _mm256_broadcast_ss(ap);
-    c00 = _mm256_fmadd_ps(ar, b0, c00);
-    c01 = _mm256_fmadd_ps(ar, b1, c01);
-    if constexpr (MR_ > 1) {
-      ar = _mm256_broadcast_ss(ap + 1);
-      c10 = _mm256_fmadd_ps(ar, b0, c10);
-      c11 = _mm256_fmadd_ps(ar, b1, c11);
-    }
-    if constexpr (MR_ > 2) {
-      ar = _mm256_broadcast_ss(ap + 2);
-      c20 = _mm256_fmadd_ps(ar, b0, c20);
-      c21 = _mm256_fmadd_ps(ar, b1, c21);
-    }
-    if constexpr (MR_ > 3) {
-      ar = _mm256_broadcast_ss(ap + 3);
-      c30 = _mm256_fmadd_ps(ar, b0, c30);
-      c31 = _mm256_fmadd_ps(ar, b1, c31);
-    }
-    if constexpr (MR_ > 4) {
-      ar = _mm256_broadcast_ss(ap + 4);
-      c40 = _mm256_fmadd_ps(ar, b0, c40);
-      c41 = _mm256_fmadd_ps(ar, b1, c41);
-    }
-    if constexpr (MR_ > 5) {
-      ar = _mm256_broadcast_ss(ap + 5);
-      c50 = _mm256_fmadd_ps(ar, b0, c50);
-      c51 = _mm256_fmadd_ps(ar, b1, c51);
-    }
-    ap += kGemmMR;
-    bp += kGemmNR;
-  }
-  _mm256_storeu_ps(c, c00);
-  _mm256_storeu_ps(c + 8, c01);
-  if constexpr (MR_ > 1) {
-    _mm256_storeu_ps(c + ldc, c10);
-    _mm256_storeu_ps(c + ldc + 8, c11);
-  }
-  if constexpr (MR_ > 2) {
-    _mm256_storeu_ps(c + 2 * ldc, c20);
-    _mm256_storeu_ps(c + 2 * ldc + 8, c21);
-  }
-  if constexpr (MR_ > 3) {
-    _mm256_storeu_ps(c + 3 * ldc, c30);
-    _mm256_storeu_ps(c + 3 * ldc + 8, c31);
-  }
-  if constexpr (MR_ > 4) {
-    _mm256_storeu_ps(c + 4 * ldc, c40);
-    _mm256_storeu_ps(c + 4 * ldc + 8, c41);
-  }
-  if constexpr (MR_ > 5) {
-    _mm256_storeu_ps(c + 5 * ldc, c50);
-    _mm256_storeu_ps(c + 5 * ldc + 8, c51);
-  }
-}
-
-// Ragged column edge (nr < 16), still full vector width: the packed B
-// strip is zero-padded to NR, so the FMA stream can run all 16 lanes —
-// dead lanes accumulate garbage*0 and are masked away at the C
-// load/store (maskload also keeps the loads in bounds). Live lanes see
-// the exact full-tile chain.
-template <int MR_>
-void TileAvx2Masked(int64_t kc, const float* a, const float* b, float* c,
-                    int64_t ldc, __m256i mask0, __m256i mask1) {
-  static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
-  __m256 c00, c01, c10, c11, c20, c21, c30, c31, c40, c41, c50, c51;
-  c00 = _mm256_maskload_ps(c, mask0);
-  c01 = _mm256_maskload_ps(c + 8, mask1);
-  if constexpr (MR_ > 1) {
-    c10 = _mm256_maskload_ps(c + ldc, mask0);
-    c11 = _mm256_maskload_ps(c + ldc + 8, mask1);
-  }
-  if constexpr (MR_ > 2) {
-    c20 = _mm256_maskload_ps(c + 2 * ldc, mask0);
-    c21 = _mm256_maskload_ps(c + 2 * ldc + 8, mask1);
-  }
-  if constexpr (MR_ > 3) {
-    c30 = _mm256_maskload_ps(c + 3 * ldc, mask0);
-    c31 = _mm256_maskload_ps(c + 3 * ldc + 8, mask1);
-  }
-  if constexpr (MR_ > 4) {
-    c40 = _mm256_maskload_ps(c + 4 * ldc, mask0);
-    c41 = _mm256_maskload_ps(c + 4 * ldc + 8, mask1);
-  }
-  if constexpr (MR_ > 5) {
-    c50 = _mm256_maskload_ps(c + 5 * ldc, mask0);
-    c51 = _mm256_maskload_ps(c + 5 * ldc + 8, mask1);
-  }
-  const float* ap = a;
-  const float* bp = b;
-  for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_load_ps(bp);
-    const __m256 b1 = _mm256_load_ps(bp + 8);
-    __m256 ar = _mm256_broadcast_ss(ap);
-    c00 = _mm256_fmadd_ps(ar, b0, c00);
-    c01 = _mm256_fmadd_ps(ar, b1, c01);
-    if constexpr (MR_ > 1) {
-      ar = _mm256_broadcast_ss(ap + 1);
-      c10 = _mm256_fmadd_ps(ar, b0, c10);
-      c11 = _mm256_fmadd_ps(ar, b1, c11);
-    }
-    if constexpr (MR_ > 2) {
-      ar = _mm256_broadcast_ss(ap + 2);
-      c20 = _mm256_fmadd_ps(ar, b0, c20);
-      c21 = _mm256_fmadd_ps(ar, b1, c21);
-    }
-    if constexpr (MR_ > 3) {
-      ar = _mm256_broadcast_ss(ap + 3);
-      c30 = _mm256_fmadd_ps(ar, b0, c30);
-      c31 = _mm256_fmadd_ps(ar, b1, c31);
-    }
-    if constexpr (MR_ > 4) {
-      ar = _mm256_broadcast_ss(ap + 4);
-      c40 = _mm256_fmadd_ps(ar, b0, c40);
-      c41 = _mm256_fmadd_ps(ar, b1, c41);
-    }
-    if constexpr (MR_ > 5) {
-      ar = _mm256_broadcast_ss(ap + 5);
-      c50 = _mm256_fmadd_ps(ar, b0, c50);
-      c51 = _mm256_fmadd_ps(ar, b1, c51);
-    }
-    ap += kGemmMR;
-    bp += kGemmNR;
-  }
-  _mm256_maskstore_ps(c, mask0, c00);
-  _mm256_maskstore_ps(c + 8, mask1, c01);
-  if constexpr (MR_ > 1) {
-    _mm256_maskstore_ps(c + ldc, mask0, c10);
-    _mm256_maskstore_ps(c + ldc + 8, mask1, c11);
-  }
-  if constexpr (MR_ > 2) {
-    _mm256_maskstore_ps(c + 2 * ldc, mask0, c20);
-    _mm256_maskstore_ps(c + 2 * ldc + 8, mask1, c21);
-  }
-  if constexpr (MR_ > 3) {
-    _mm256_maskstore_ps(c + 3 * ldc, mask0, c30);
-    _mm256_maskstore_ps(c + 3 * ldc + 8, mask1, c31);
-  }
-  if constexpr (MR_ > 4) {
-    _mm256_maskstore_ps(c + 4 * ldc, mask0, c40);
-    _mm256_maskstore_ps(c + 4 * ldc + 8, mask1, c41);
-  }
-  if constexpr (MR_ > 5) {
-    _mm256_maskstore_ps(c + 5 * ldc, mask0, c50);
-    _mm256_maskstore_ps(c + 5 * ldc + 8, mask1, c51);
-  }
-}
-
-// kMaskTable + (16 - nr) yields 16 lane masks whose first nr entries are
-// live (all-ones).
-alignas(32) constexpr int32_t kMaskTable[32] = {
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0};
-
-// nr <= 8 ragged edge on packed panels: one accumulator register per C
-// row and one B vector per k step — half the FMA/load work of the
-// full-width masked tile. The yolo-head GEMMs (n = 9, 18, 33 after the
-// first strip) spend most of their time here. The packed strip's lanes
-// nr..7 are zero padding, so a plain aligned 8-lane load is safe and the
-// dead lanes stay masked away at the C store; live lanes run the exact
-// canonical chain.
-template <int MR_>
-void TileAvx2MaskedHalf(int64_t kc, const float* a, const float* b, float* c,
-                        int64_t ldc, __m256i mask0) {
-  static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
-  __m256 c00, c10, c20, c30, c40, c50;
-  c00 = _mm256_maskload_ps(c, mask0);
-  if constexpr (MR_ > 1) c10 = _mm256_maskload_ps(c + ldc, mask0);
-  if constexpr (MR_ > 2) c20 = _mm256_maskload_ps(c + 2 * ldc, mask0);
-  if constexpr (MR_ > 3) c30 = _mm256_maskload_ps(c + 3 * ldc, mask0);
-  if constexpr (MR_ > 4) c40 = _mm256_maskload_ps(c + 4 * ldc, mask0);
-  if constexpr (MR_ > 5) c50 = _mm256_maskload_ps(c + 5 * ldc, mask0);
-  const float* ap = a;
-  const float* bp = b;
-  for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_load_ps(bp);
-    __m256 ar = _mm256_broadcast_ss(ap);
-    c00 = _mm256_fmadd_ps(ar, b0, c00);
-    if constexpr (MR_ > 1) {
-      ar = _mm256_broadcast_ss(ap + 1);
-      c10 = _mm256_fmadd_ps(ar, b0, c10);
-    }
-    if constexpr (MR_ > 2) {
-      ar = _mm256_broadcast_ss(ap + 2);
-      c20 = _mm256_fmadd_ps(ar, b0, c20);
-    }
-    if constexpr (MR_ > 3) {
-      ar = _mm256_broadcast_ss(ap + 3);
-      c30 = _mm256_fmadd_ps(ar, b0, c30);
-    }
-    if constexpr (MR_ > 4) {
-      ar = _mm256_broadcast_ss(ap + 4);
-      c40 = _mm256_fmadd_ps(ar, b0, c40);
-    }
-    if constexpr (MR_ > 5) {
-      ar = _mm256_broadcast_ss(ap + 5);
-      c50 = _mm256_fmadd_ps(ar, b0, c50);
-    }
-    ap += kGemmMR;
-    bp += kGemmNR;
-  }
-  _mm256_maskstore_ps(c, mask0, c00);
-  if constexpr (MR_ > 1) _mm256_maskstore_ps(c + ldc, mask0, c10);
-  if constexpr (MR_ > 2) _mm256_maskstore_ps(c + 2 * ldc, mask0, c20);
-  if constexpr (MR_ > 3) _mm256_maskstore_ps(c + 3 * ldc, mask0, c30);
-  if constexpr (MR_ > 4) _mm256_maskstore_ps(c + 4 * ldc, mask0, c40);
-  if constexpr (MR_ > 5) _mm256_maskstore_ps(c + 5 * ldc, mask0, c50);
-}
-
-// --- Stream-B tiles: op(B) read straight from the caller's row-major
-// matrix at stride ldb (GemmPackB skipped by the driver for thin-N /
-// short-M problems). Same FMA stream as the packed tiles; B loads are
-// unaligned, and ragged columns use maskload so dead lanes are exactly
-// zero — the same value the packed strip's padding would contribute.
-
-template <int MR_>
-void TileAvx2Bs(int64_t kc, const float* a, const float* b, int64_t ldb,
-                float* c, int64_t ldc) {
+void TileAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
+              float* c, int64_t ldc) {
   static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
   __m256 c00, c01, c10, c11, c20, c21, c30, c31, c40, c41, c50, c51;
   c00 = _mm256_loadu_ps(c);
@@ -364,12 +127,12 @@ void TileAvx2Bs(int64_t kc, const float* a, const float* b, int64_t ldb,
   }
 }
 
-// Stream-B ragged edge, 8 < nr < 16: the low half is fully live (plain
+// Ragged column edge, 8 < nr < 16: the low half is fully live (plain
 // unaligned load, in bounds), the high half is mask-loaded so dead lanes
-// are zero and out-of-bounds columns are never touched.
+// are zero and columns past nr are never touched.
 template <int MR_>
-void TileAvx2BsMasked(int64_t kc, const float* a, const float* b, int64_t ldb,
-                      float* c, int64_t ldc, __m256i mask1) {
+void TileAvx2Masked(int64_t kc, const float* a, const float* b, int64_t ldb,
+                    float* c, int64_t ldc, __m256i mask1) {
   static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
   __m256 c00, c01, c10, c11, c20, c21, c30, c31, c40, c41, c50, c51;
   c00 = _mm256_loadu_ps(c);
@@ -454,7 +217,7 @@ void TileAvx2BsMasked(int64_t kc, const float* a, const float* b, int64_t ldb,
   }
 }
 
-// Stream-B nr == 9 — the yolo-head 3x3-spatial edge. The generic
+// nr == 9 — the yolo-head 3x3-spatial edge. The generic
 // 8 < nr < 16 tile above burns a second FMA per row on a register with
 // one live lane; here the 9th column of all MR_ rows instead accumulates
 // in a single register whose lane i is C[i][8] (the A panel already
@@ -464,8 +227,8 @@ void TileAvx2BsMasked(int64_t kc, const float* a, const float* b, int64_t ldb,
 // multiply-add seeded from C, so results stay bitwise identical to the
 // reference; dead lanes MR_..7 are never stored.
 template <int MR_>
-void TileAvx2BsNine(int64_t kc, const float* a, const float* b, int64_t ldb,
-                    float* c, int64_t ldc) {
+void TileAvx2Nine(int64_t kc, const float* a, const float* b, int64_t ldb,
+                  float* c, int64_t ldc) {
   static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
   const __m256i amask = _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(kMaskTable + (16 - MR_)));
@@ -520,10 +283,11 @@ void TileAvx2BsNine(int64_t kc, const float* a, const float* b, int64_t ldb,
   for (int i = 0; i < MR_; ++i) c[i * ldc + 8] = hi[i];
 }
 
-// Stream-B nr <= 8: single accumulator per row, mask-loaded B vector.
+// nr <= 8: one accumulator register per C row and one mask-loaded B
+// vector per k step — half the FMA/load work of the masked tile.
 template <int MR_>
-void TileAvx2BsHalf(int64_t kc, const float* a, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, __m256i mask0) {
+void TileAvx2Half(int64_t kc, const float* a, const float* b, int64_t ldb,
+                  float* c, int64_t ldc, __m256i mask0) {
   static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
   __m256 c00, c10, c20, c30, c40, c50;
   c00 = _mm256_maskload_ps(c, mask0);
@@ -569,95 +333,38 @@ void TileAvx2BsHalf(int64_t kc, const float* a, const float* b, int64_t ldb,
   if constexpr (MR_ > 5) _mm256_maskstore_ps(c + 5 * ldc, mask0, c50);
 }
 
-void EdgeAvx2(int64_t kc, const float* a, const float* b, float* c,
-              int64_t ldc, int mr, int nr) {
+void EdgeAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
+              float* c, int64_t ldc, int mr, int nr) {
   if (nr == kGemmNR) {
     switch (mr) {
       case 1:
-        return TileAvx2<1>(kc, a, b, c, ldc);
+        return TileAvx2<1>(kc, a, b, ldb, c, ldc);
       case 2:
-        return TileAvx2<2>(kc, a, b, c, ldc);
+        return TileAvx2<2>(kc, a, b, ldb, c, ldc);
       case 3:
-        return TileAvx2<3>(kc, a, b, c, ldc);
+        return TileAvx2<3>(kc, a, b, ldb, c, ldc);
       case 4:
-        return TileAvx2<4>(kc, a, b, c, ldc);
+        return TileAvx2<4>(kc, a, b, ldb, c, ldc);
       case 5:
-        return TileAvx2<5>(kc, a, b, c, ldc);
+        return TileAvx2<5>(kc, a, b, ldb, c, ldc);
       case 6:
-        return TileAvx2<6>(kc, a, b, c, ldc);
-    }
-  }
-  const __m256i mask0 = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskTable + (kGemmNR - nr)));
-  if (nr <= 8) {
-    switch (mr) {
-      case 1:
-        return TileAvx2MaskedHalf<1>(kc, a, b, c, ldc, mask0);
-      case 2:
-        return TileAvx2MaskedHalf<2>(kc, a, b, c, ldc, mask0);
-      case 3:
-        return TileAvx2MaskedHalf<3>(kc, a, b, c, ldc, mask0);
-      case 4:
-        return TileAvx2MaskedHalf<4>(kc, a, b, c, ldc, mask0);
-      case 5:
-        return TileAvx2MaskedHalf<5>(kc, a, b, c, ldc, mask0);
-      case 6:
-        return TileAvx2MaskedHalf<6>(kc, a, b, c, ldc, mask0);
-    }
-  }
-  const __m256i mask1 = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskTable + (kGemmNR - nr) + 8));
-  switch (mr) {
-    case 1:
-      return TileAvx2Masked<1>(kc, a, b, c, ldc, mask0, mask1);
-    case 2:
-      return TileAvx2Masked<2>(kc, a, b, c, ldc, mask0, mask1);
-    case 3:
-      return TileAvx2Masked<3>(kc, a, b, c, ldc, mask0, mask1);
-    case 4:
-      return TileAvx2Masked<4>(kc, a, b, c, ldc, mask0, mask1);
-    case 5:
-      return TileAvx2Masked<5>(kc, a, b, c, ldc, mask0, mask1);
-    case 6:
-      return TileAvx2Masked<6>(kc, a, b, c, ldc, mask0, mask1);
-  }
-  // Unreachable for valid 1 <= mr <= 6; keep the scalar fused chain as a
-  // defensive fallback (bitwise-identical to the vector lanes).
-  gemm_detail::EdgeGeneric<FmaOp>(kc, a, b, c, ldc, mr, nr);
-}
-
-void EdgeBsAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
-                float* c, int64_t ldc, int mr, int nr) {
-  if (nr == kGemmNR) {
-    switch (mr) {
-      case 1:
-        return TileAvx2Bs<1>(kc, a, b, ldb, c, ldc);
-      case 2:
-        return TileAvx2Bs<2>(kc, a, b, ldb, c, ldc);
-      case 3:
-        return TileAvx2Bs<3>(kc, a, b, ldb, c, ldc);
-      case 4:
-        return TileAvx2Bs<4>(kc, a, b, ldb, c, ldc);
-      case 5:
-        return TileAvx2Bs<5>(kc, a, b, ldb, c, ldc);
-      case 6:
-        return TileAvx2Bs<6>(kc, a, b, ldb, c, ldc);
+        return TileAvx2<6>(kc, a, b, ldb, c, ldc);
     }
   }
   if (nr == 9) {
     switch (mr) {
       case 1:
-        return TileAvx2BsNine<1>(kc, a, b, ldb, c, ldc);
+        return TileAvx2Nine<1>(kc, a, b, ldb, c, ldc);
       case 2:
-        return TileAvx2BsNine<2>(kc, a, b, ldb, c, ldc);
+        return TileAvx2Nine<2>(kc, a, b, ldb, c, ldc);
       case 3:
-        return TileAvx2BsNine<3>(kc, a, b, ldb, c, ldc);
+        return TileAvx2Nine<3>(kc, a, b, ldb, c, ldc);
       case 4:
-        return TileAvx2BsNine<4>(kc, a, b, ldb, c, ldc);
+        return TileAvx2Nine<4>(kc, a, b, ldb, c, ldc);
       case 5:
-        return TileAvx2BsNine<5>(kc, a, b, ldb, c, ldc);
+        return TileAvx2Nine<5>(kc, a, b, ldb, c, ldc);
       case 6:
-        return TileAvx2BsNine<6>(kc, a, b, ldb, c, ldc);
+        return TileAvx2Nine<6>(kc, a, b, ldb, c, ldc);
     }
   }
   const __m256i mask0 = _mm256_loadu_si256(
@@ -665,36 +372,38 @@ void EdgeBsAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
   if (nr <= 8) {
     switch (mr) {
       case 1:
-        return TileAvx2BsHalf<1>(kc, a, b, ldb, c, ldc, mask0);
+        return TileAvx2Half<1>(kc, a, b, ldb, c, ldc, mask0);
       case 2:
-        return TileAvx2BsHalf<2>(kc, a, b, ldb, c, ldc, mask0);
+        return TileAvx2Half<2>(kc, a, b, ldb, c, ldc, mask0);
       case 3:
-        return TileAvx2BsHalf<3>(kc, a, b, ldb, c, ldc, mask0);
+        return TileAvx2Half<3>(kc, a, b, ldb, c, ldc, mask0);
       case 4:
-        return TileAvx2BsHalf<4>(kc, a, b, ldb, c, ldc, mask0);
+        return TileAvx2Half<4>(kc, a, b, ldb, c, ldc, mask0);
       case 5:
-        return TileAvx2BsHalf<5>(kc, a, b, ldb, c, ldc, mask0);
+        return TileAvx2Half<5>(kc, a, b, ldb, c, ldc, mask0);
       case 6:
-        return TileAvx2BsHalf<6>(kc, a, b, ldb, c, ldc, mask0);
+        return TileAvx2Half<6>(kc, a, b, ldb, c, ldc, mask0);
     }
   }
   const __m256i mask1 = _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(kMaskTable + (kGemmNR - nr) + 8));
   switch (mr) {
     case 1:
-      return TileAvx2BsMasked<1>(kc, a, b, ldb, c, ldc, mask1);
+      return TileAvx2Masked<1>(kc, a, b, ldb, c, ldc, mask1);
     case 2:
-      return TileAvx2BsMasked<2>(kc, a, b, ldb, c, ldc, mask1);
+      return TileAvx2Masked<2>(kc, a, b, ldb, c, ldc, mask1);
     case 3:
-      return TileAvx2BsMasked<3>(kc, a, b, ldb, c, ldc, mask1);
+      return TileAvx2Masked<3>(kc, a, b, ldb, c, ldc, mask1);
     case 4:
-      return TileAvx2BsMasked<4>(kc, a, b, ldb, c, ldc, mask1);
+      return TileAvx2Masked<4>(kc, a, b, ldb, c, ldc, mask1);
     case 5:
-      return TileAvx2BsMasked<5>(kc, a, b, ldb, c, ldc, mask1);
+      return TileAvx2Masked<5>(kc, a, b, ldb, c, ldc, mask1);
     case 6:
-      return TileAvx2BsMasked<6>(kc, a, b, ldb, c, ldc, mask1);
+      return TileAvx2Masked<6>(kc, a, b, ldb, c, ldc, mask1);
   }
-  gemm_detail::EdgeBsGeneric<FmaOp>(kc, a, b, ldb, c, ldc, mr, nr);
+  // Unreachable for valid 1 <= mr <= 6; keep the scalar fused chain as a
+  // defensive fallback (bitwise-identical to the vector lanes).
+  gemm_detail::EdgeGeneric<FmaOp>(kc, a, b, ldb, c, ldc, mr, nr);
 }
 
 const GemmKernel kAvx2Kernel = {
@@ -702,8 +411,6 @@ const GemmKernel kAvx2Kernel = {
     /*fused=*/true,
     /*tile=*/&TileAvx2<kGemmMR>,
     /*edge=*/&EdgeAvx2,
-    /*tile_bs=*/&TileAvx2Bs<kGemmMR>,
-    /*edge_bs=*/&EdgeBsAvx2,
     /*ref_nn=*/&gemm_detail::RefNn<FmaOp>,
     /*ref_tn=*/&gemm_detail::RefTn<FmaOp>,
     /*ref_nt=*/&gemm_detail::RefNt<FmaOp>,

@@ -16,9 +16,11 @@ namespace thali {
 //
 // B panels (row-major strips): columns are grouped into strips of
 // kGemmNR; strip u lives at offset u*kb*kGemmNR, and element (p, j) at
-// panel[p*kGemmNR + j], zero-padded past the last column. Strips start
-// 64-byte aligned (kGemmNR floats = 64 bytes per row), which the AVX2
-// microkernel exploits with aligned loads.
+// panel[p*kGemmNR + j], zero-padded past the last column. The
+// microkernels read a strip as B at row stride kGemmNR, with the same
+// unaligned loads they use on B in place. Strips start 64-byte aligned
+// and a row is kGemmNR floats = 64 bytes, so no strip row splits a cache
+// line.
 
 // Number of MR-row tiles needed for m rows.
 int64_t GemmPackedRowTiles(int64_t m);

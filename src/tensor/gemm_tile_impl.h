@@ -33,53 +33,13 @@ struct FmaOp {
   }
 };
 
-// Full MR x NR tile on packed panels. The accumulator array is indexed
-// with compile-time bounds so the compiler keeps it in registers and
-// vectorizes the j loop.
+// Full MR x NR tile. B rows sit at stride ldb: a packed strip (ldb =
+// kGemmNR) or the caller's row-major B in place. The accumulator array is
+// indexed with compile-time bounds so the compiler keeps it in registers
+// and vectorizes the j loop.
 template <typename Op>
-void TileGeneric(int64_t kc, const float* a, const float* b, float* c,
-                 int64_t ldc) {
-  float acc[kGemmMR][kGemmNR];
-  for (int r = 0; r < kGemmMR; ++r) {
-    for (int j = 0; j < kGemmNR; ++j) acc[r][j] = c[r * ldc + j];
-  }
-  for (int64_t p = 0; p < kc; ++p) {
-    const float* ap = a + p * kGemmMR;
-    const float* bp = b + p * kGemmNR;
-    for (int r = 0; r < kGemmMR; ++r) {
-      const float ar = ap[r];
-      for (int j = 0; j < kGemmNR; ++j) {
-        acc[r][j] = Op::Apply(acc[r][j], ar, bp[j]);
-      }
-    }
-  }
-  for (int r = 0; r < kGemmMR; ++r) {
-    for (int j = 0; j < kGemmNR; ++j) c[r * ldc + j] = acc[r][j];
-  }
-}
-
-// Partial tile: per-element dot chain over the packed panels, ascending
-// p, touching only the mr x nr live corner (panel padding is never
-// read into a live element).
-template <typename Op>
-void EdgeGeneric(int64_t kc, const float* a, const float* b, float* c,
-                 int64_t ldc, int mr, int nr) {
-  for (int r = 0; r < mr; ++r) {
-    for (int j = 0; j < nr; ++j) {
-      float acc = c[r * ldc + j];
-      for (int64_t p = 0; p < kc; ++p) {
-        acc = Op::Apply(acc, a[p * kGemmMR + r], b[p * kGemmNR + j]);
-      }
-      c[r * ldc + j] = acc;
-    }
-  }
-}
-
-// Stream-B full tile: like TileGeneric but B rows come straight from the
-// caller's matrix at stride ldb (no packed strip). Same chain.
-template <typename Op>
-void TileBsGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
-                   float* c, int64_t ldc) {
+void TileGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
+                 float* c, int64_t ldc) {
   float acc[kGemmMR][kGemmNR];
   for (int r = 0; r < kGemmMR; ++r) {
     for (int j = 0; j < kGemmNR; ++j) acc[r][j] = c[r * ldc + j];
@@ -99,11 +59,12 @@ void TileBsGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
   }
 }
 
-// Stream-B partial tile; only live columns (j < nr) are ever read, which
-// trivially satisfies the dead-columns-are-zero requirement.
+// Partial tile: per-element dot chain, ascending p, touching only the
+// mr x nr live corner of C and reading only the nr live columns of B (a
+// packed strip's padding is never read into a live element).
 template <typename Op>
-void EdgeBsGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
-                   float* c, int64_t ldc, int mr, int nr) {
+void EdgeGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
+                 float* c, int64_t ldc, int mr, int nr) {
   for (int r = 0; r < mr; ++r) {
     for (int j = 0; j < nr; ++j) {
       float acc = c[r * ldc + j];

@@ -477,16 +477,6 @@ TEST(ArenaPlanTest, PinnedPeakMemoryForYoloThali) {
   EXPECT_LT(fused_plan.arena_floats, ref_plan.arena_floats);
 }
 
-TEST(ArenaPlanTest, ReportListsEveryLayerAndSummary) {
-  BuiltNetwork built = BuildThali(ExecMode::kInference, 1);
-  const std::string report = built.net->arena_plan().ToString();
-  // One header line, one row per layer, one summary line.
-  const long rows = std::count(report.begin(), report.end(), '\n');
-  EXPECT_EQ(rows, built.net->num_layers() + 2);
-  EXPECT_NE(report.find("peak"), std::string::npos);
-  EXPECT_NE(report.find("enabled"), std::string::npos);
-}
-
 TEST(SetBatchTest, GrowShrinkRegrowIsBitwiseStable) {
   BuiltNetwork built = BuildThali(ExecMode::kInference, 1);
   Network& net = *built.net;

@@ -9,10 +9,13 @@
 #include <memory>
 #include <vector>
 
+#include "base/cpu_features.h"
 #include "base/rng.h"
 #include "nn/maxpool_layer.h"
 #include "nn/network.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_microkernel.h"
+#include "tensor/gemm_pack.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -149,6 +152,59 @@ TEST(Gemm, ZeroSizedDimensionsAreNoops) {
   Gemm(false, false, 0, 2, 3, 1.0f, nullptr, 3, nullptr, 2, 0.0f, c, 2);
   Gemm(false, false, 2, 2, 0, 1.0f, nullptr, 0, nullptr, 2, 1.0f, c, 2);
   EXPECT_EQ(c[0], 1.0f);  // k=0 with beta=1 leaves C untouched
+}
+
+// Every edge tile of both kernel families, on both B sources. With
+// m = 12 + mr (the last row tile has mr rows), n = 16 + nr and k = 64 the
+// GEMM packs B, so the last strip's edge reads a zero-padded strip at
+// stride 16; with n = nr it reads B in place at stride nr. B holds exactly
+// k*n floats, so a read past a live column of the last row is an
+// out-of-bounds read under ASan. Gemm and GemmPrepacked must both equal
+// internal::GemmReference bitwise.
+TEST(GemmEdgeSweep, EveryEdgeClassOnPackedAndInPlaceB) {
+  constexpr int64_t k = 64;
+  constexpr float alpha = 0.7f, beta = 0.5f;
+  for (const bool scalar : {false, true}) {
+    internal::SetScalarKernelsForTesting(scalar);
+    for (int mr = 1; mr <= kGemmMR; ++mr) {
+      const int64_t m = 12 + mr;
+      for (int nr = 1; nr <= kGemmNR; ++nr) {
+        for (const int64_t n : {int64_t{kGemmNR} + nr, int64_t{nr}}) {
+          Rng rng(static_cast<uint64_t>(100 * mr + n));
+          std::vector<float> a(static_cast<size_t>(m * k));
+          std::vector<float> b(static_cast<size_t>(k * n));
+          std::vector<float> c0(static_cast<size_t>(m * n));
+          for (auto& v : a) v = rng.NextGaussian();
+          for (auto& v : b) v = rng.NextGaussian();
+          for (auto& v : c0) v = rng.NextGaussian();
+          const size_t bytes = c0.size() * sizeof(float);
+
+          std::vector<float> ref = c0;
+          internal::GemmReference(false, false, m, n, k, alpha, a.data(), k,
+                                  b.data(), n, beta, ref.data(), n);
+          std::vector<float> c = c0;
+          Gemm(false, false, m, n, k, alpha, a.data(), k, b.data(), n, beta,
+               c.data(), n);
+          EXPECT_EQ(std::memcmp(c.data(), ref.data(), bytes), 0)
+              << "Gemm scalar=" << scalar << " m=" << m << " n=" << n;
+
+          std::vector<float> packed(
+              static_cast<size_t>(GemmPackedWeightFloats(m, k)));
+          GemmPackWeights(a.data(), m, k, packed.data());
+          ref = c0;
+          internal::GemmReference(false, false, m, n, k, 1.0f, a.data(), k,
+                                  b.data(), n, beta, ref.data(), n);
+          c = c0;
+          GemmPrepacked(m, n, k, packed.data(), b.data(), n, beta, c.data(),
+                        n);
+          EXPECT_EQ(std::memcmp(c.data(), ref.data(), bytes), 0)
+              << "GemmPrepacked scalar=" << scalar << " m=" << m
+              << " n=" << n;
+        }
+      }
+    }
+  }
+  internal::SetScalarKernelsForTesting(false);
 }
 
 TEST(Im2Col, IdentityFor1x1) {
