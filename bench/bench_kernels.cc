@@ -274,7 +274,7 @@ void BM_Im2Col(benchmark::State& state) {
   for (auto& v : im) v = rng.NextGaussian();
   std::vector<float> col(static_cast<size_t>(c) * k * k * h * w);
   for (auto _ : state) {
-    Im2Col(im.data(), c, h, w, k, 1, 1, col.data());
+    Im2ColStrided(im.data(), h * w, c, h, w, k, 1, 1, col.data());
     benchmark::DoNotOptimize(col.data());
   }
 }

@@ -26,6 +26,27 @@ build_warning_free() {
   fi
 }
 
+echo "== settable values: THALI_NUM_THREADS, THALI_NET_POLL, one test hook =="
+# src/ keeps three settable values. Any other getenv/secure_getenv read
+# (or one whose argument is not a string literal) and any other
+# *ForTesting name fails the run; a new knob goes through a per-network
+# or per-server options struct instead.
+env_reads="$(grep -rnE '\b(secure_)?getenv\s*\(' src |
+  grep -vE '\bgetenv\("(THALI_NUM_THREADS|THALI_NET_POLL)"\)' || true)"
+if [[ -n "${env_reads}" ]]; then
+  echo "verify: FAIL — src/ reads an environment variable outside the list:"
+  echo "${env_reads}"
+  exit 1
+fi
+hooks="$(grep -rhoE '\b[A-Za-z0-9_]*ForTesting\b' src |
+  grep -vx 'SetScalarKernelsForTesting' | sort -u || true)"
+if [[ -n "${hooks}" ]]; then
+  echo "verify: FAIL — src/ names a test hook other than" \
+    "SetScalarKernelsForTesting:"
+  echo "${hooks}"
+  exit 1
+fi
+
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 build_warning_free build

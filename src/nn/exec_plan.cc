@@ -54,6 +54,53 @@ std::vector<int> ComputeLastUse(const Network& net) {
   return last_use;
 }
 
+// Passthrough pin propagation, shared by the layout and dtype passes:
+// a layer `pass` selects takes a pin from any of its inputs and gives
+// its pin to all of them, until nothing changes. So a passthrough always
+// agrees with its inputs, and layers outside `pass` stop the spread.
+void PropagatePins(const Network& net, const std::vector<char>& pass,
+                   std::vector<char>& pinned) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int i = 0; i < net.num_layers(); ++i) {
+      if (!pass[static_cast<size_t>(i)]) continue;
+      const std::vector<int> ins = InputsOf(net, i);
+      bool in_pinned = false;
+      for (int s : ins) in_pinned = in_pinned || pinned[static_cast<size_t>(s)];
+      if (in_pinned && !pinned[static_cast<size_t>(i)]) {
+        pinned[static_cast<size_t>(i)] = 1;
+        changed = true;
+      }
+      if (pinned[static_cast<size_t>(i)]) {
+        for (int s : ins) {
+          if (!pinned[static_cast<size_t>(s)]) {
+            pinned[static_cast<size_t>(s)] = 1;
+            changed = true;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Layer i's place in the alias forest the elision pass builds: its
+// root and its float offset inside the root's storage.
+struct AliasRoot {
+  int root;
+  int64_t offset;
+};
+
+AliasRoot ResolveAlias(const std::vector<int>& parent,
+                       const std::vector<int64_t>& poffset, int i) {
+  int64_t offset = 0;
+  while (parent[static_cast<size_t>(i)] >= 0) {
+    offset += poffset[static_cast<size_t>(i)];
+    i = parent[static_cast<size_t>(i)];
+  }
+  return {i, offset};
+}
+
 // Greedy first-fit placement over alias groups. `parent`/`poffset`
 // describe the alias forest the elision pass built: layer i's storage
 // lives at float offset poffset[i] inside parent[i]'s storage (-1 for
@@ -73,14 +120,9 @@ ArenaPlan PlanArenaGrouped(const Network& net, const std::vector<int>& last_use,
   std::vector<int> root(static_cast<size_t>(n));
   std::vector<int64_t> roff(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    int r = i;
-    int64_t off = 0;
-    while (parent[static_cast<size_t>(r)] >= 0) {
-      off += poffset[static_cast<size_t>(r)];
-      r = parent[static_cast<size_t>(r)];
-    }
-    root[static_cast<size_t>(i)] = r;
-    roff[static_cast<size_t>(i)] = off;
+    const AliasRoot a = ResolveAlias(parent, poffset, i);
+    root[static_cast<size_t>(i)] = a.root;
+    roff[static_cast<size_t>(i)] = a.offset;
   }
 
   // Group extents: first member's step through last member's last use.
@@ -208,11 +250,12 @@ ExecPlan CompileExecPlan(const Network& net) {
 
     // 1. Layout fixpoint. forced[i] == layer i's output must be NCHW.
     // Seeds: the final output, anything consumed post-forward, every
-    // kOther layer and its sources, and (implicitly) the network input.
-    // Passthrough layers propagate the pin both ways until stable, so a
-    // passthrough's inputs always share its output layout; convs stop
-    // the propagation.
+    // kOther layer and its sources, and a passthrough layer 0 reading
+    // the (NCHW) network input. Passthrough layers propagate the pin
+    // both ways until stable, so a passthrough's inputs always share its
+    // output layout; convs stop the propagation.
     std::vector<char> forced(static_cast<size_t>(n), 0);
+    std::vector<char> pass(static_cast<size_t>(n), 0);
     forced[static_cast<size_t>(n - 1)] = 1;
     for (int i = 0; i < n; ++i) {
       if (net.layer(i).OutputLiveAfterForward()) forced[static_cast<size_t>(i)] = 1;
@@ -220,29 +263,10 @@ ExecPlan CompileExecPlan(const Network& net) {
         forced[static_cast<size_t>(i)] = 1;
         for (int s : InputsOf(net, i)) forced[static_cast<size_t>(s)] = 1;
       }
+      pass[static_cast<size_t>(i)] = cls[static_cast<size_t>(i)] == kPass;
     }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int i = 0; i < n; ++i) {
-        if (cls[static_cast<size_t>(i)] != kPass) continue;
-        bool in_nchw = i == 0 && net.layer(i).ReadsPreviousOutput();
-        const std::vector<int> ins = InputsOf(net, i);
-        for (int s : ins) in_nchw = in_nchw || forced[static_cast<size_t>(s)];
-        if (in_nchw && !forced[static_cast<size_t>(i)]) {
-          forced[static_cast<size_t>(i)] = 1;
-          changed = true;
-        }
-        if (forced[static_cast<size_t>(i)]) {
-          for (int s : ins) {
-            if (!forced[static_cast<size_t>(s)]) {
-              forced[static_cast<size_t>(s)] = 1;
-              changed = true;
-            }
-          }
-        }
-      }
-    }
+    if (pass[0] && net.layer(0).ReadsPreviousOutput()) forced[0] = 1;
+    PropagatePins(net, pass, forced);
     for (int i = 0; i < n; ++i) {
       plan.layers[static_cast<size_t>(i)].out_layout =
           forced[static_cast<size_t>(i)] ? ActLayout::kNCHW : ActLayout::kCNHW;
@@ -312,12 +336,6 @@ ExecPlan CompileExecPlan(const Network& net) {
     // offsets into the shared arena storage).
     const int64_t batch = net.batch();
     std::vector<char> has_child(static_cast<size_t>(n), 0);
-    auto resolve_root = [&](int i) {
-      while (parent[static_cast<size_t>(i)] >= 0) {
-        i = parent[static_cast<size_t>(i)];
-      }
-      return i;
-    };
     for (int r = 0; r < n; ++r) {
       const std::string_view kind = net.layer(r).kind();
       LayerPlan& lp = plan.layers[static_cast<size_t>(r)];
@@ -354,8 +372,7 @@ ExecPlan CompileExecPlan(const Network& net) {
           ok = rt.source_offsets()[s] == 0 &&
                rt.source_channels()[s] ==
                    net.layer(src).output_shape().dim(1) &&
-               parent[static_cast<size_t>(src)] == -1 &&
-               resolve_root(src) == src;
+               parent[static_cast<size_t>(src)] == -1;
           for (size_t t = 0; t < s && ok; ++t) ok = srcs[t] != src;
         }
         if (!ok) continue;
@@ -435,7 +452,7 @@ ExecPlan CompileExecPlan(const Network& net) {
       // network output, post-forward consumers (yolo head inputs), any
       // layer that cannot emit u8, and the sources of any consumer that
       // cannot read u8. Passthroughs propagate the force both ways (they
-      // cannot convert), exactly like the layout fixpoint above.
+      // cannot convert), through the layout fixpoint's PropagatePins.
       std::vector<char> f32(static_cast<size_t>(n), 0);
       for (int i = 0; i < n; ++i) {
         if (i == n - 1 || net.layer(i).OutputLiveAfterForward() ||
@@ -448,28 +465,7 @@ ExecPlan CompileExecPlan(const Network& net) {
           for (int s : InputsOf(net, i)) f32[static_cast<size_t>(s)] = 1;
         }
       }
-      bool dchanged = true;
-      while (dchanged) {
-        dchanged = false;
-        for (int i = 0; i < n; ++i) {
-          if (!qpass[static_cast<size_t>(i)]) continue;
-          const std::vector<int> ins = InputsOf(net, i);
-          bool in_f32 = false;
-          for (int s : ins) in_f32 = in_f32 || f32[static_cast<size_t>(s)];
-          if (in_f32 && !f32[static_cast<size_t>(i)]) {
-            f32[static_cast<size_t>(i)] = 1;
-            dchanged = true;
-          }
-          if (f32[static_cast<size_t>(i)]) {
-            for (int s : ins) {
-              if (!f32[static_cast<size_t>(s)]) {
-                f32[static_cast<size_t>(s)] = 1;
-                dchanged = true;
-              }
-            }
-          }
-        }
-      }
+      PropagatePins(net, qpass, f32);
 
       // One tensor can reach several quantized convs through
       // passthroughs (which move bytes without requantizing), so the u8
@@ -550,14 +546,9 @@ ExecPlan CompileExecPlan(const Network& net) {
         const int r = find(i);
         lp.out_qscale = cscale[static_cast<size_t>(r)];
         lp.out_qzp = czp[static_cast<size_t>(r)];
-        int root = i;
-        int64_t off = 0;
-        while (parent[static_cast<size_t>(root)] >= 0) {
-          off += poffset[static_cast<size_t>(root)];
-          root = parent[static_cast<size_t>(root)];
-        }
-        lp.quant_root = root;
-        lp.quant_offset = off;
+        const AliasRoot a = ResolveAlias(parent, poffset, i);
+        lp.quant_root = a.root;
+        lp.quant_offset = a.offset;
       }
       for (int i = 0; i < n; ++i) {
         const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];

@@ -69,11 +69,7 @@ Server::Server(const Options& options,
 Server::~Server() { Shutdown(); }
 
 StatusOr<std::future<Server::Result>> Server::Submit(Image image) {
-  SubmitOptions submit;
-  if (options_.default_deadline.count() > 0) {
-    submit.deadline = ServeClock::now() + options_.default_deadline;
-  }
-  return Submit(std::move(image), submit);
+  return Submit(std::move(image), SubmitOptions{});
 }
 
 StatusOr<std::future<Server::Result>> Server::Submit(

@@ -66,8 +66,6 @@ class Server {
     // How long a worker holds an underfull batch open for stragglers. At
     // the default 0 a batch takes what is already queued and closes.
     std::chrono::microseconds max_linger{0};
-    // Applied by Submit(image); zero means requests never expire.
-    std::chrono::milliseconds default_deadline{0};
     AdmissionOptions admission;
   };
 
@@ -100,8 +98,8 @@ class Server {
   // which the detector cannot take), kResourceExhausted (queue full — the
   // backpressure signal to shed or retry) or kFailedPrecondition (server
   // shut down); on failure no future exists and the request is dropped
-  // and counted as rejected. The per-Options default deadline
-  // applies; the overloads pin an explicit one.
+  // and counted as rejected. The request never expires; the overloads
+  // pin a deadline.
   StatusOr<std::future<Result>> Submit(Image image);
   StatusOr<std::future<Result>> Submit(Image image,
                                        std::chrono::milliseconds deadline);

@@ -235,13 +235,13 @@ void GemmReference(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
   BetaPass(0, m, n, beta, c, ldc);
   if (k == 0 || alpha == 0.0f) return;
   if (!ta && !tb) {
-    kernel.ref_nn(0, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    kernel.ref_nn(m, n, k, alpha, a, lda, b, ldb, c, ldc);
   } else if (ta && !tb) {
-    kernel.ref_tn(0, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    kernel.ref_tn(m, n, k, alpha, a, lda, b, ldb, c, ldc);
   } else if (!ta && tb) {
-    kernel.ref_nt(0, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    kernel.ref_nt(m, n, k, alpha, a, lda, b, ldb, c, ldc);
   } else {
-    kernel.ref_tt(0, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    kernel.ref_tt(m, n, k, alpha, a, lda, b, ldb, c, ldc);
   }
 }
 

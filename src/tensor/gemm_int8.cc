@@ -25,15 +25,14 @@ inline int32_t RoundNearestEven(float v) {
 // Scalar reference family. Walks the exact packed panel layout the AVX2
 // kernel consumes; plain i32 sums, so (with the saturation-free 7-bit
 // activation bound) the two families agree bit for bit.
-void AccumulateScalar(int64_t m0, int64_t m1, int64_t n, int64_t kp,
-                      const int8_t* qw, const uint8_t* packed, int32_t* acc,
-                      int64_t ldacc) {
+void AccumulateScalar(int64_t m, int64_t n, int64_t kp, const int8_t* qw,
+                      const uint8_t* packed, int32_t* acc) {
   const int64_t nfull = n / 8;
   const int64_t ntail = n - nfull * 8;
   const uint8_t* tails = packed + nfull * kp * 8;
-  for (int64_t i = m0; i < m1; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     const int8_t* w = qw + i * kp;
-    int32_t* ai = acc + i * ldacc;
+    int32_t* ai = acc + i * n;
     for (int64_t u = 0; u < nfull; ++u) {
       const uint8_t* strip = packed + u * kp * 8;
       for (int64_t l = 0; l < 8; ++l) {
@@ -150,11 +149,11 @@ namespace {
 // repeats this exact elementwise float sequence with 8-lane ops (no
 // FMA; mish through the shared FastMish family), so the two are
 // bit-identical — asserted by the epilogue conformance test.
-void EpilogueScalar(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
-                    const int32_t* acc, int64_t ldacc, float* c, int64_t ldc) {
+void EpilogueScalar(const Int8Epilogue& e, int64_t m, int64_t n,
+                    const int32_t* acc, float* c, int64_t ldc) {
   const bool u8_out = e.out_u8 != nullptr;
-  for (int64_t i = m0; i < m1; ++i) {
-    const int32_t* ai = acc + i * ldacc;
+  for (int64_t i = 0; i < m; ++i) {
+    const int32_t* ai = acc + i * n;
     const float s = e.in_scale * e.wscale[i];
     const int32_t comp = e.in_zp * e.wcolsum[i];
     const float bias = e.bias != nullptr ? e.bias[i] : 0.0f;
@@ -210,8 +209,8 @@ void Int8GemmPrepacked(int64_t m, int64_t n, int64_t k, const int8_t* qw,
   THALI_CHECK_GT(k, 0);
   const Int8GemmKernel& kernel = SelectInt8GemmKernel();
   const int64_t kp = Int8PackedK(k);
-  kernel.accumulate(0, m, n, kp, qw, packed, acc, n);
-  kernel.epilogue(e, 0, m, n, acc, n, c, ldc);
+  kernel.accumulate(m, n, kp, qw, packed, acc);
+  kernel.epilogue(e, m, n, acc, c, ldc);
 }
 
 }  // namespace thali

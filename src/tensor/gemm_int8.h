@@ -119,12 +119,11 @@ struct Int8Epilogue {
   int32_t out_zp = 0;              // consumer-domain zero point
 };
 
-// One int8 kernel family: `accumulate` adds rows [m0, m1) of the i32
-// product into acc (row-major, row stride ldacc) from a quantized
-// weight blob (rows of kp bytes) and a packed activation panel; `pack`
-// builds that panel (Int8PackActColsStrided's contract); `quantize` is
-// Int8QuantizeActivations' contract; `epilogue` requantizes rows
-// [m0, m1) of acc into C:
+// One int8 kernel family: `accumulate` writes the m x n i32 product into
+// acc (row-major, row stride n) from a quantized weight blob (rows of kp
+// bytes) and a packed activation panel; `pack` builds that panel
+// (Int8PackActColsStrided's contract); `quantize` is
+// Int8QuantizeActivations' contract; `epilogue` requantizes acc into C:
 //
 //   C[f][j] = act((acc - zp*colsum[f]) * s_in*s_w[f] + bias[f])
 //
@@ -136,15 +135,14 @@ struct Int8Epilogue {
 // with m*n*k), which is why the epilogue is vectorized at all.
 struct Int8GemmKernel {
   const char* name;  // "avx2-ubsw-6x8" / "scalar-int8"
-  void (*accumulate)(int64_t m0, int64_t m1, int64_t n, int64_t kp,
-                     const int8_t* qw, const uint8_t* packed, int32_t* acc,
-                     int64_t ldacc);
+  void (*accumulate)(int64_t m, int64_t n, int64_t kp, const int8_t* qw,
+                     const uint8_t* packed, int32_t* acc);
   void (*pack)(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
                uint8_t* packed);
   void (*quantize)(const float* x, int64_t count, float inv_scale,
                    int32_t zp, uint8_t* u);
-  void (*epilogue)(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
-                   const int32_t* acc, int64_t ldacc, float* c, int64_t ldc);
+  void (*epilogue)(const Int8Epilogue& e, int64_t m, int64_t n,
+                   const int32_t* acc, float* c, int64_t ldc);
 };
 
 const Int8GemmKernel& ScalarInt8GemmKernel();

@@ -25,14 +25,14 @@ namespace thali {
 namespace {
 
 // One 8-column strip x MR_ rows: B quads (8 cols x 4 k-steps = one
-// 32-byte load) against per-row 4-byte weight broadcasts. i32 lane l of
-// the accumulator is column l of the strip; accumulators live in
-// registers for the whole k loop (no C read-modify-write). Named
-// variables, not an array — GCC spills __m256i arrays (see the fp32
-// kernel's note).
+// 32-byte load) against per-row 4-byte weight broadcasts, weight rows kp
+// bytes apart. i32 lane l of the accumulator is column l of the strip;
+// accumulators live in registers for the whole k loop (no C
+// read-modify-write). Named variables, not an array — GCC spills
+// __m256i arrays (see the fp32 kernel's note).
 template <int MR_>
-void StripRows(int64_t kp, const int8_t* qw, int64_t ldw,
-               const uint8_t* strip, int32_t* acc, int64_t ldacc) {
+void StripRows(int64_t kp, const int8_t* qw, const uint8_t* strip,
+               int32_t* acc, int64_t ldacc) {
   const __m256i ones = _mm256_set1_epi16(1);
   __m256i a0 = _mm256_setzero_si256();
   __m256i a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0;
@@ -45,27 +45,27 @@ void StripRows(int64_t kp, const int8_t* qw, int64_t ldw,
     prod = _mm256_maddubs_epi16(bq, wb);
     a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(prod, ones));
     if constexpr (MR_ > 1) {
-      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + ldw));
+      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + kp));
       prod = _mm256_maddubs_epi16(bq, wb);
       a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(prod, ones));
     }
     if constexpr (MR_ > 2) {
-      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + 2 * ldw));
+      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + 2 * kp));
       prod = _mm256_maddubs_epi16(bq, wb);
       a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(prod, ones));
     }
     if constexpr (MR_ > 3) {
-      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + 3 * ldw));
+      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + 3 * kp));
       prod = _mm256_maddubs_epi16(bq, wb);
       a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(prod, ones));
     }
     if constexpr (MR_ > 4) {
-      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + 4 * ldw));
+      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + 4 * kp));
       prod = _mm256_maddubs_epi16(bq, wb);
       a4 = _mm256_add_epi32(a4, _mm256_madd_epi16(prod, ones));
     }
     if constexpr (MR_ > 5) {
-      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + 5 * ldw));
+      wb = _mm256_set1_epi32(*reinterpret_cast<const int32_t*>(w + 5 * kp));
       prod = _mm256_maddubs_epi16(bq, wb);
       a5 = _mm256_add_epi32(a5, _mm256_madd_epi16(prod, ones));
     }
@@ -101,11 +101,11 @@ inline int32_t HSum(__m256i v) {
 // Tail column (flat, k-contiguous): one k-vectorized dot per row. 32
 // bytes per step cover 32 k-taps; the sub-32 remainder runs scalar —
 // still exact integers, so family identity is unaffected.
-void TailDot(int64_t m0, int64_t m1, const int8_t* qw, int64_t kp,
-             const uint8_t* col, int32_t* acc, int64_t ldacc) {
+void TailDot(int64_t m, const int8_t* qw, int64_t kp, const uint8_t* col,
+             int32_t* acc, int64_t ldacc) {
   const __m256i ones = _mm256_set1_epi16(1);
   const int64_t kv = kp / 32 * 32;
-  for (int64_t i = m0; i < m1; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     const int8_t* w = qw + i * kp;
     __m256i sum = _mm256_setzero_si256();
     for (int64_t p = 0; p < kv; p += 32) {
@@ -124,9 +124,8 @@ void TailDot(int64_t m0, int64_t m1, const int8_t* qw, int64_t kp,
   }
 }
 
-void AccumulateAvx2(int64_t m0, int64_t m1, int64_t n, int64_t kp,
-                    const int8_t* qw, const uint8_t* packed, int32_t* acc,
-                    int64_t ldacc) {
+void AccumulateAvx2(int64_t m, int64_t n, int64_t kp, const int8_t* qw,
+                    const uint8_t* packed, int32_t* acc) {
   const int64_t nfull = n / 8;
   const int64_t ntail = n - nfull * 8;
   // Strips are visited in L1-sized blocks with every row group inside
@@ -139,19 +138,19 @@ void AccumulateAvx2(int64_t m0, int64_t m1, int64_t n, int64_t kp,
   const int64_t block = std::max<int64_t>(1, (16 << 10) / strip_bytes);
   for (int64_t u0 = 0; u0 < nfull; u0 += block) {
     const int64_t u1 = u0 + block < nfull ? u0 + block : nfull;
-    for (int64_t i = m0; i < m1;) {
-      const int mr = static_cast<int>(m1 - i < 6 ? m1 - i : 6);
+    for (int64_t i = 0; i < m;) {
+      const int mr = static_cast<int>(m - i < 6 ? m - i : 6);
       const int8_t* w = qw + i * kp;
       for (int64_t u = u0; u < u1; ++u) {
         const uint8_t* strip = packed + u * kp * 8;
-        int32_t* a = acc + i * ldacc + u * 8;
+        int32_t* a = acc + i * n + u * 8;
         switch (mr) {
-          case 1: StripRows<1>(kp, w, kp, strip, a, ldacc); break;
-          case 2: StripRows<2>(kp, w, kp, strip, a, ldacc); break;
-          case 3: StripRows<3>(kp, w, kp, strip, a, ldacc); break;
-          case 4: StripRows<4>(kp, w, kp, strip, a, ldacc); break;
-          case 5: StripRows<5>(kp, w, kp, strip, a, ldacc); break;
-          default: StripRows<6>(kp, w, kp, strip, a, ldacc); break;
+          case 1: StripRows<1>(kp, w, strip, a, n); break;
+          case 2: StripRows<2>(kp, w, strip, a, n); break;
+          case 3: StripRows<3>(kp, w, strip, a, n); break;
+          case 4: StripRows<4>(kp, w, strip, a, n); break;
+          case 5: StripRows<5>(kp, w, strip, a, n); break;
+          default: StripRows<6>(kp, w, strip, a, n); break;
         }
       }
       i += mr;
@@ -159,7 +158,7 @@ void AccumulateAvx2(int64_t m0, int64_t m1, int64_t n, int64_t kp,
   }
   const uint8_t* tails = packed + nfull * kp * 8;
   for (int64_t t = 0; t < ntail; ++t) {
-    TailDot(m0, m1, qw, kp, tails + t * kp, acc + nfull * 8 + t, ldacc);
+    TailDot(m, qw, kp, tails + t * kp, acc + nfull * 8 + t, n);
   }
 }
 
@@ -258,9 +257,8 @@ void QuantizeAvx2(const float* x, int64_t count, float inv_scale, int32_t zp,
 // domain through QuantizeLanes, so the chained bytes also match the
 // scalar family.
 template <GemmActivation Act, bool U8Out>
-void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
-                      int64_t n, const int32_t* acc, int64_t ldacc, float* c,
-                      int64_t ldc) {
+void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m, int64_t n,
+                      const int32_t* acc, float* c, int64_t ldc) {
   const __m256 leak = _mm256_set1_ps(0.1f);
   const __m256 zero = _mm256_setzero_ps();
   const __m256 vqs = _mm256_set1_ps(e.out_inv_scale);
@@ -271,8 +269,8 @@ void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
   for (int64_t l = 0; l < 8; ++l) mask_bits[l] = l < ntail ? -1 : 0;
   const __m256i tail_mask =
       _mm256_load_si256(reinterpret_cast<const __m256i*>(mask_bits));
-  for (int64_t i = m0; i < m1; ++i) {
-    const int32_t* ai = acc + i * ldacc;
+  for (int64_t i = 0; i < m; ++i) {
+    const int32_t* ai = acc + i * n;
     float* ci = U8Out ? nullptr : c + i * ldc;
     uint8_t* ui = U8Out ? e.out_u8 + i * ldc : nullptr;
     const __m256 vs = _mm256_set1_ps(e.in_scale * e.wscale[i]);
@@ -321,34 +319,29 @@ void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
 }
 
 template <GemmActivation Act>
-void EpilogueActAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1,
-                     int64_t n, const int32_t* acc, int64_t ldacc, float* c,
-                     int64_t ldc) {
+void EpilogueActAvx2(const Int8Epilogue& e, int64_t m, int64_t n,
+                     const int32_t* acc, float* c, int64_t ldc) {
   if (e.out_u8 != nullptr) {
-    EpilogueRowsAvx2<Act, true>(e, m0, m1, n, acc, ldacc, c, ldc);
+    EpilogueRowsAvx2<Act, true>(e, m, n, acc, c, ldc);
   } else {
-    EpilogueRowsAvx2<Act, false>(e, m0, m1, n, acc, ldacc, c, ldc);
+    EpilogueRowsAvx2<Act, false>(e, m, n, acc, c, ldc);
   }
 }
 
-void EpilogueAvx2(const Int8Epilogue& e, int64_t m0, int64_t m1, int64_t n,
-                  const int32_t* acc, int64_t ldacc, float* c, int64_t ldc) {
+void EpilogueAvx2(const Int8Epilogue& e, int64_t m, int64_t n,
+                  const int32_t* acc, float* c, int64_t ldc) {
   switch (e.activation) {
     case GemmActivation::kLeaky:
-      EpilogueActAvx2<GemmActivation::kLeaky>(e, m0, m1, n, acc, ldacc, c,
-                                              ldc);
+      EpilogueActAvx2<GemmActivation::kLeaky>(e, m, n, acc, c, ldc);
       break;
     case GemmActivation::kRelu:
-      EpilogueActAvx2<GemmActivation::kRelu>(e, m0, m1, n, acc, ldacc, c,
-                                             ldc);
+      EpilogueActAvx2<GemmActivation::kRelu>(e, m, n, acc, c, ldc);
       break;
     case GemmActivation::kMish:
-      EpilogueActAvx2<GemmActivation::kMish>(e, m0, m1, n, acc, ldacc, c,
-                                             ldc);
+      EpilogueActAvx2<GemmActivation::kMish>(e, m, n, acc, c, ldc);
       break;
     default:
-      EpilogueActAvx2<GemmActivation::kNone>(e, m0, m1, n, acc, ldacc, c,
-                                             ldc);
+      EpilogueActAvx2<GemmActivation::kNone>(e, m, n, acc, c, ldc);
       break;
   }
 }

@@ -57,20 +57,20 @@ struct GemmKernel {
 
   // Unpacked reference kernels (the conformance oracle behind
   // internal::GemmReference), one per transpose combination. Accumulate
-  // alpha * op(A) * op(B) into rows [m0, m1) of C with the same chain;
-  // beta scaling is the caller's job.
-  void (*ref_nn)(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                 const float* a, int64_t lda, const float* b, int64_t ldb,
-                 float* c, int64_t ldc);
-  void (*ref_tn)(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                 const float* a, int64_t lda, const float* b, int64_t ldb,
-                 float* c, int64_t ldc);
-  void (*ref_nt)(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                 const float* a, int64_t lda, const float* b, int64_t ldb,
-                 float* c, int64_t ldc);
-  void (*ref_tt)(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                 const float* a, int64_t lda, const float* b, int64_t ldb,
-                 float* c, int64_t ldc);
+  // alpha * op(A) * op(B) into the m x n C with the same chain; beta
+  // scaling is the caller's job.
+  void (*ref_nn)(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                 int64_t lda, const float* b, int64_t ldb, float* c,
+                 int64_t ldc);
+  void (*ref_tn)(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                 int64_t lda, const float* b, int64_t ldb, float* c,
+                 int64_t ldc);
+  void (*ref_nt)(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                 int64_t lda, const float* b, int64_t ldb, float* c,
+                 int64_t ldc);
+  void (*ref_tt)(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                 int64_t lda, const float* b, int64_t ldb, float* c,
+                 int64_t ldc);
 };
 
 // Portable kernel family (separate multiply + add chain). Always

@@ -29,203 +29,114 @@ alignas(32) constexpr int32_t kMaskTable[32] = {
     -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
     0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0};
 
-// mr x 16 register tile (mr <= 6): two ymm accumulators per C row, one
-// ascending-k stream of rank-1 updates. Each C element sees exactly the
-// canonical fused chain — vector lanes are independent elements, so the
-// SIMD width never mixes accumulation orders. Templating over the row
-// count keeps ragged row-edges (m % 6 != 0) on vector code at full NR.
+// One C row's accumulators: columns 0-7 in lo, 8-15 in hi.
+struct RowAcc {
+  __m256 lo, hi;
+};
+
+// mr x nr register tile (mr <= 6, nr <= 16): kHalves 8-lane halves per C
+// row, the last one mask-loaded and mask-stored when kMasked, and one
+// ascending-k stream of rank-1 updates. A masked half reads B through the
+// mask too, so its dead lanes are zero and columns past nr are never
+// touched. Each C element sees exactly the canonical fused chain —
+// vector lanes are independent elements, so the SIMD width never mixes
+// accumulation orders. Templating over the row count keeps ragged
+// row-edges (m % 6 != 0) on vector code.
 //
-// The accumulators are individually named variables, NOT a __m256 array:
-// GCC register-allocates named __m256 locals but keeps an array's backing
-// store live, spilling every accumulator to the stack each k-step (12
-// extra stores per iteration, enough to turn an FMA-bound loop into a
+// The accumulators are six named RowAcc locals, NOT an array: GCC
+// register-allocates named locals but keeps an array's backing store
+// live, spilling every accumulator to the stack each k-step (12 extra
+// stores per iteration, enough to turn an FMA-bound loop into a
 // store-port-bound one).
-template <int MR_>
+template <int MR_, int kHalves, bool kMasked>
 void TileAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
-              float* c, int64_t ldc) {
+              float* c, int64_t ldc, __m256i mask) {
   static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
-  __m256 c00, c01, c10, c11, c20, c21, c30, c31, c40, c41, c50, c51;
-  c00 = _mm256_loadu_ps(c);
-  c01 = _mm256_loadu_ps(c + 8);
-  if constexpr (MR_ > 1) {
-    c10 = _mm256_loadu_ps(c + ldc);
-    c11 = _mm256_loadu_ps(c + ldc + 8);
-  }
-  if constexpr (MR_ > 2) {
-    c20 = _mm256_loadu_ps(c + 2 * ldc);
-    c21 = _mm256_loadu_ps(c + 2 * ldc + 8);
-  }
-  if constexpr (MR_ > 3) {
-    c30 = _mm256_loadu_ps(c + 3 * ldc);
-    c31 = _mm256_loadu_ps(c + 3 * ldc + 8);
-  }
-  if constexpr (MR_ > 4) {
-    c40 = _mm256_loadu_ps(c + 4 * ldc);
-    c41 = _mm256_loadu_ps(c + 4 * ldc + 8);
-  }
-  if constexpr (MR_ > 5) {
-    c50 = _mm256_loadu_ps(c + 5 * ldc);
-    c51 = _mm256_loadu_ps(c + 5 * ldc + 8);
-  }
+  static_assert(kHalves == 1 || kHalves == 2, "a row is two 8-lane halves");
+  const auto load = [mask](const float* p) {
+    RowAcc v;
+    if constexpr (kHalves == 1 && kMasked) {
+      v.lo = _mm256_maskload_ps(p, mask);
+    } else {
+      v.lo = _mm256_loadu_ps(p);
+    }
+    if constexpr (kHalves == 2 && kMasked) {
+      v.hi = _mm256_maskload_ps(p + 8, mask);
+    } else if constexpr (kHalves == 2) {
+      v.hi = _mm256_loadu_ps(p + 8);
+    }
+    return v;
+  };
+  const auto store = [mask](float* p, const RowAcc& v) {
+    if constexpr (kHalves == 1 && kMasked) {
+      _mm256_maskstore_ps(p, mask, v.lo);
+    } else {
+      _mm256_storeu_ps(p, v.lo);
+    }
+    if constexpr (kHalves == 2 && kMasked) {
+      _mm256_maskstore_ps(p + 8, mask, v.hi);
+    } else if constexpr (kHalves == 2) {
+      _mm256_storeu_ps(p + 8, v.hi);
+    }
+  };
+  const auto update = [](RowAcc& r, const float* ap, const RowAcc& bv) {
+    const __m256 ar = _mm256_broadcast_ss(ap);
+    r.lo = _mm256_fmadd_ps(ar, bv.lo, r.lo);
+    if constexpr (kHalves == 2) r.hi = _mm256_fmadd_ps(ar, bv.hi, r.hi);
+  };
+  RowAcc r0, r1, r2, r3, r4, r5;
+  r0 = load(c);
+  if constexpr (MR_ > 1) r1 = load(c + ldc);
+  if constexpr (MR_ > 2) r2 = load(c + 2 * ldc);
+  if constexpr (MR_ > 3) r3 = load(c + 3 * ldc);
+  if constexpr (MR_ > 4) r4 = load(c + 4 * ldc);
+  if constexpr (MR_ > 5) r5 = load(c + 5 * ldc);
   const float* ap = a;
   const float* bp = b;
-  for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp);
-    const __m256 b1 = _mm256_loadu_ps(bp + 8);
-    __m256 ar = _mm256_broadcast_ss(ap);
-    c00 = _mm256_fmadd_ps(ar, b0, c00);
-    c01 = _mm256_fmadd_ps(ar, b1, c01);
-    if constexpr (MR_ > 1) {
-      ar = _mm256_broadcast_ss(ap + 1);
-      c10 = _mm256_fmadd_ps(ar, b0, c10);
-      c11 = _mm256_fmadd_ps(ar, b1, c11);
-    }
-    if constexpr (MR_ > 2) {
-      ar = _mm256_broadcast_ss(ap + 2);
-      c20 = _mm256_fmadd_ps(ar, b0, c20);
-      c21 = _mm256_fmadd_ps(ar, b1, c21);
-    }
-    if constexpr (MR_ > 3) {
-      ar = _mm256_broadcast_ss(ap + 3);
-      c30 = _mm256_fmadd_ps(ar, b0, c30);
-      c31 = _mm256_fmadd_ps(ar, b1, c31);
-    }
-    if constexpr (MR_ > 4) {
-      ar = _mm256_broadcast_ss(ap + 4);
-      c40 = _mm256_fmadd_ps(ar, b0, c40);
-      c41 = _mm256_fmadd_ps(ar, b1, c41);
-    }
-    if constexpr (MR_ > 5) {
-      ar = _mm256_broadcast_ss(ap + 5);
-      c50 = _mm256_fmadd_ps(ar, b0, c50);
-      c51 = _mm256_fmadd_ps(ar, b1, c51);
-    }
+  const auto step = [&] {
+    const RowAcc bv = load(bp);
+    update(r0, ap, bv);
+    if constexpr (MR_ > 1) update(r1, ap + 1, bv);
+    if constexpr (MR_ > 2) update(r2, ap + 2, bv);
+    if constexpr (MR_ > 3) update(r3, ap + 3, bv);
+    if constexpr (MR_ > 4) update(r4, ap + 4, bv);
+    if constexpr (MR_ > 5) update(r5, ap + 5, bv);
     ap += kGemmMR;
     bp += ldb;
+  };
+  if constexpr (MR_ == kGemmMR && kHalves == 2 && kMasked) {
+    // 12 accumulators, two B halves, a broadcast and the mask fill all 16
+    // ymm registers. Unrolled, this loop let GCC 12 spill an accumulator,
+    // a store and reload on its FMA chain every other k step (up to 1.17x
+    // the time); rolled, everything stays in registers.
+#pragma GCC unroll 1
+    for (int64_t p = 0; p < kc; ++p) step();
+  } else {
+    for (int64_t p = 0; p < kc; ++p) step();
   }
-  _mm256_storeu_ps(c, c00);
-  _mm256_storeu_ps(c + 8, c01);
-  if constexpr (MR_ > 1) {
-    _mm256_storeu_ps(c + ldc, c10);
-    _mm256_storeu_ps(c + ldc + 8, c11);
-  }
-  if constexpr (MR_ > 2) {
-    _mm256_storeu_ps(c + 2 * ldc, c20);
-    _mm256_storeu_ps(c + 2 * ldc + 8, c21);
-  }
-  if constexpr (MR_ > 3) {
-    _mm256_storeu_ps(c + 3 * ldc, c30);
-    _mm256_storeu_ps(c + 3 * ldc + 8, c31);
-  }
-  if constexpr (MR_ > 4) {
-    _mm256_storeu_ps(c + 4 * ldc, c40);
-    _mm256_storeu_ps(c + 4 * ldc + 8, c41);
-  }
-  if constexpr (MR_ > 5) {
-    _mm256_storeu_ps(c + 5 * ldc, c50);
-    _mm256_storeu_ps(c + 5 * ldc + 8, c51);
-  }
+  store(c, r0);
+  if constexpr (MR_ > 1) store(c + ldc, r1);
+  if constexpr (MR_ > 2) store(c + 2 * ldc, r2);
+  if constexpr (MR_ > 3) store(c + 3 * ldc, r3);
+  if constexpr (MR_ > 4) store(c + 4 * ldc, r4);
+  if constexpr (MR_ > 5) store(c + 5 * ldc, r5);
 }
 
-// Ragged column edge, 8 < nr < 16: the low half is fully live (plain
-// unaligned load, in bounds), the high half is mask-loaded so dead lanes
-// are zero and columns past nr are never touched.
-template <int MR_>
-void TileAvx2Masked(int64_t kc, const float* a, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, __m256i mask1) {
-  static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
-  __m256 c00, c01, c10, c11, c20, c21, c30, c31, c40, c41, c50, c51;
-  c00 = _mm256_loadu_ps(c);
-  c01 = _mm256_maskload_ps(c + 8, mask1);
-  if constexpr (MR_ > 1) {
-    c10 = _mm256_loadu_ps(c + ldc);
-    c11 = _mm256_maskload_ps(c + ldc + 8, mask1);
-  }
-  if constexpr (MR_ > 2) {
-    c20 = _mm256_loadu_ps(c + 2 * ldc);
-    c21 = _mm256_maskload_ps(c + 2 * ldc + 8, mask1);
-  }
-  if constexpr (MR_ > 3) {
-    c30 = _mm256_loadu_ps(c + 3 * ldc);
-    c31 = _mm256_maskload_ps(c + 3 * ldc + 8, mask1);
-  }
-  if constexpr (MR_ > 4) {
-    c40 = _mm256_loadu_ps(c + 4 * ldc);
-    c41 = _mm256_maskload_ps(c + 4 * ldc + 8, mask1);
-  }
-  if constexpr (MR_ > 5) {
-    c50 = _mm256_loadu_ps(c + 5 * ldc);
-    c51 = _mm256_maskload_ps(c + 5 * ldc + 8, mask1);
-  }
-  const float* ap = a;
-  const float* bp = b;
-  for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp);
-    const __m256 b1 = _mm256_maskload_ps(bp + 8, mask1);
-    __m256 ar = _mm256_broadcast_ss(ap);
-    c00 = _mm256_fmadd_ps(ar, b0, c00);
-    c01 = _mm256_fmadd_ps(ar, b1, c01);
-    if constexpr (MR_ > 1) {
-      ar = _mm256_broadcast_ss(ap + 1);
-      c10 = _mm256_fmadd_ps(ar, b0, c10);
-      c11 = _mm256_fmadd_ps(ar, b1, c11);
-    }
-    if constexpr (MR_ > 2) {
-      ar = _mm256_broadcast_ss(ap + 2);
-      c20 = _mm256_fmadd_ps(ar, b0, c20);
-      c21 = _mm256_fmadd_ps(ar, b1, c21);
-    }
-    if constexpr (MR_ > 3) {
-      ar = _mm256_broadcast_ss(ap + 3);
-      c30 = _mm256_fmadd_ps(ar, b0, c30);
-      c31 = _mm256_fmadd_ps(ar, b1, c31);
-    }
-    if constexpr (MR_ > 4) {
-      ar = _mm256_broadcast_ss(ap + 4);
-      c40 = _mm256_fmadd_ps(ar, b0, c40);
-      c41 = _mm256_fmadd_ps(ar, b1, c41);
-    }
-    if constexpr (MR_ > 5) {
-      ar = _mm256_broadcast_ss(ap + 5);
-      c50 = _mm256_fmadd_ps(ar, b0, c50);
-      c51 = _mm256_fmadd_ps(ar, b1, c51);
-    }
-    ap += kGemmMR;
-    bp += ldb;
-  }
-  _mm256_storeu_ps(c, c00);
-  _mm256_maskstore_ps(c + 8, mask1, c01);
-  if constexpr (MR_ > 1) {
-    _mm256_storeu_ps(c + ldc, c10);
-    _mm256_maskstore_ps(c + ldc + 8, mask1, c11);
-  }
-  if constexpr (MR_ > 2) {
-    _mm256_storeu_ps(c + 2 * ldc, c20);
-    _mm256_maskstore_ps(c + 2 * ldc + 8, mask1, c21);
-  }
-  if constexpr (MR_ > 3) {
-    _mm256_storeu_ps(c + 3 * ldc, c30);
-    _mm256_maskstore_ps(c + 3 * ldc + 8, mask1, c31);
-  }
-  if constexpr (MR_ > 4) {
-    _mm256_storeu_ps(c + 4 * ldc, c40);
-    _mm256_maskstore_ps(c + 4 * ldc + 8, mask1, c41);
-  }
-  if constexpr (MR_ > 5) {
-    _mm256_storeu_ps(c + 5 * ldc, c50);
-    _mm256_maskstore_ps(c + 5 * ldc + 8, mask1, c51);
-  }
+// The kernel table's full 6 x 16 tile.
+void FullTileAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
+                  float* c, int64_t ldc) {
+  TileAvx2<kGemmMR, 2, false>(kc, a, b, ldb, c, ldc, _mm256_setzero_si256());
 }
 
-// nr == 9 — the yolo-head 3x3-spatial edge. The generic
-// 8 < nr < 16 tile above burns a second FMA per row on a register with
-// one live lane; here the 9th column of all MR_ rows instead accumulates
-// in a single register whose lane i is C[i][8] (the A panel already
-// stores the MR_ row entries of each k step contiguously, so one masked
-// load yields that column vector). Per k step: MR_ + 1 FMAs instead of
-// 2*MR_. Lane i's chain is still the canonical k-ascending fused
-// multiply-add seeded from C, so results stay bitwise identical to the
-// reference; dead lanes MR_..7 are never stored.
+// nr == 9 — the yolo-head 3x3-spatial edge. The masked two-half tile
+// above burns a second FMA per row on a register with one live lane;
+// here the 9th column of all MR_ rows instead accumulates in a single
+// register whose lane i is C[i][8] (the A panel already stores the MR_
+// row entries of each k step contiguously, so one masked load yields
+// that column vector). Per k step: MR_ + 1 FMAs instead of 2*MR_. Lane
+// i's chain is still the canonical k-ascending fused multiply-add seeded
+// from C, so results stay bitwise identical to the reference; dead lanes
+// MR_..7 are never stored.
 template <int MR_>
 void TileAvx2Nine(int64_t kc, const float* a, const float* b, int64_t ldb,
                   float* c, int64_t ldc) {
@@ -283,123 +194,40 @@ void TileAvx2Nine(int64_t kc, const float* a, const float* b, int64_t ldb,
   for (int i = 0; i < MR_; ++i) c[i * ldc + 8] = hi[i];
 }
 
-// nr <= 8: one accumulator register per C row and one mask-loaded B
-// vector per k step — half the FMA/load work of the masked tile.
+// Rows 1-6 of an edge tile: full width, nr == 9 (its own kernel), one
+// masked half (nr <= 8) or a full half plus a masked one.
 template <int MR_>
-void TileAvx2Half(int64_t kc, const float* a, const float* b, int64_t ldb,
-                  float* c, int64_t ldc, __m256i mask0) {
-  static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
-  __m256 c00, c10, c20, c30, c40, c50;
-  c00 = _mm256_maskload_ps(c, mask0);
-  if constexpr (MR_ > 1) c10 = _mm256_maskload_ps(c + ldc, mask0);
-  if constexpr (MR_ > 2) c20 = _mm256_maskload_ps(c + 2 * ldc, mask0);
-  if constexpr (MR_ > 3) c30 = _mm256_maskload_ps(c + 3 * ldc, mask0);
-  if constexpr (MR_ > 4) c40 = _mm256_maskload_ps(c + 4 * ldc, mask0);
-  if constexpr (MR_ > 5) c50 = _mm256_maskload_ps(c + 5 * ldc, mask0);
-  const float* ap = a;
-  const float* bp = b;
-  for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_maskload_ps(bp, mask0);
-    __m256 ar = _mm256_broadcast_ss(ap);
-    c00 = _mm256_fmadd_ps(ar, b0, c00);
-    if constexpr (MR_ > 1) {
-      ar = _mm256_broadcast_ss(ap + 1);
-      c10 = _mm256_fmadd_ps(ar, b0, c10);
-    }
-    if constexpr (MR_ > 2) {
-      ar = _mm256_broadcast_ss(ap + 2);
-      c20 = _mm256_fmadd_ps(ar, b0, c20);
-    }
-    if constexpr (MR_ > 3) {
-      ar = _mm256_broadcast_ss(ap + 3);
-      c30 = _mm256_fmadd_ps(ar, b0, c30);
-    }
-    if constexpr (MR_ > 4) {
-      ar = _mm256_broadcast_ss(ap + 4);
-      c40 = _mm256_fmadd_ps(ar, b0, c40);
-    }
-    if constexpr (MR_ > 5) {
-      ar = _mm256_broadcast_ss(ap + 5);
-      c50 = _mm256_fmadd_ps(ar, b0, c50);
-    }
-    ap += kGemmMR;
-    bp += ldb;
+void EdgeRowsAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
+                  float* c, int64_t ldc, int nr) {
+  if (nr == kGemmNR) {
+    return TileAvx2<MR_, 2, false>(kc, a, b, ldb, c, ldc,
+                                   _mm256_setzero_si256());
   }
-  _mm256_maskstore_ps(c, mask0, c00);
-  if constexpr (MR_ > 1) _mm256_maskstore_ps(c + ldc, mask0, c10);
-  if constexpr (MR_ > 2) _mm256_maskstore_ps(c + 2 * ldc, mask0, c20);
-  if constexpr (MR_ > 3) _mm256_maskstore_ps(c + 3 * ldc, mask0, c30);
-  if constexpr (MR_ > 4) _mm256_maskstore_ps(c + 4 * ldc, mask0, c40);
-  if constexpr (MR_ > 5) _mm256_maskstore_ps(c + 5 * ldc, mask0, c50);
+  if (nr == 9) return TileAvx2Nine<MR_>(kc, a, b, ldb, c, ldc);
+  // The last half's mask: kMaskTable + (16 - nr) masks columns 0-7, and
+  // eight entries further on, columns 8-15.
+  const int halves = nr > 8 ? 2 : 1;
+  const __m256i mask = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+      kMaskTable + (8 + 8 * halves - nr)));
+  if (halves == 1) return TileAvx2<MR_, 1, true>(kc, a, b, ldb, c, ldc, mask);
+  TileAvx2<MR_, 2, true>(kc, a, b, ldb, c, ldc, mask);
 }
 
 void EdgeAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
               float* c, int64_t ldc, int mr, int nr) {
-  if (nr == kGemmNR) {
-    switch (mr) {
-      case 1:
-        return TileAvx2<1>(kc, a, b, ldb, c, ldc);
-      case 2:
-        return TileAvx2<2>(kc, a, b, ldb, c, ldc);
-      case 3:
-        return TileAvx2<3>(kc, a, b, ldb, c, ldc);
-      case 4:
-        return TileAvx2<4>(kc, a, b, ldb, c, ldc);
-      case 5:
-        return TileAvx2<5>(kc, a, b, ldb, c, ldc);
-      case 6:
-        return TileAvx2<6>(kc, a, b, ldb, c, ldc);
-    }
-  }
-  if (nr == 9) {
-    switch (mr) {
-      case 1:
-        return TileAvx2Nine<1>(kc, a, b, ldb, c, ldc);
-      case 2:
-        return TileAvx2Nine<2>(kc, a, b, ldb, c, ldc);
-      case 3:
-        return TileAvx2Nine<3>(kc, a, b, ldb, c, ldc);
-      case 4:
-        return TileAvx2Nine<4>(kc, a, b, ldb, c, ldc);
-      case 5:
-        return TileAvx2Nine<5>(kc, a, b, ldb, c, ldc);
-      case 6:
-        return TileAvx2Nine<6>(kc, a, b, ldb, c, ldc);
-    }
-  }
-  const __m256i mask0 = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskTable + (kGemmNR - nr)));
-  if (nr <= 8) {
-    switch (mr) {
-      case 1:
-        return TileAvx2Half<1>(kc, a, b, ldb, c, ldc, mask0);
-      case 2:
-        return TileAvx2Half<2>(kc, a, b, ldb, c, ldc, mask0);
-      case 3:
-        return TileAvx2Half<3>(kc, a, b, ldb, c, ldc, mask0);
-      case 4:
-        return TileAvx2Half<4>(kc, a, b, ldb, c, ldc, mask0);
-      case 5:
-        return TileAvx2Half<5>(kc, a, b, ldb, c, ldc, mask0);
-      case 6:
-        return TileAvx2Half<6>(kc, a, b, ldb, c, ldc, mask0);
-    }
-  }
-  const __m256i mask1 = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskTable + (kGemmNR - nr) + 8));
   switch (mr) {
     case 1:
-      return TileAvx2Masked<1>(kc, a, b, ldb, c, ldc, mask1);
+      return EdgeRowsAvx2<1>(kc, a, b, ldb, c, ldc, nr);
     case 2:
-      return TileAvx2Masked<2>(kc, a, b, ldb, c, ldc, mask1);
+      return EdgeRowsAvx2<2>(kc, a, b, ldb, c, ldc, nr);
     case 3:
-      return TileAvx2Masked<3>(kc, a, b, ldb, c, ldc, mask1);
+      return EdgeRowsAvx2<3>(kc, a, b, ldb, c, ldc, nr);
     case 4:
-      return TileAvx2Masked<4>(kc, a, b, ldb, c, ldc, mask1);
+      return EdgeRowsAvx2<4>(kc, a, b, ldb, c, ldc, nr);
     case 5:
-      return TileAvx2Masked<5>(kc, a, b, ldb, c, ldc, mask1);
+      return EdgeRowsAvx2<5>(kc, a, b, ldb, c, ldc, nr);
     case 6:
-      return TileAvx2Masked<6>(kc, a, b, ldb, c, ldc, mask1);
+      return EdgeRowsAvx2<6>(kc, a, b, ldb, c, ldc, nr);
   }
   // Unreachable for valid 1 <= mr <= 6; keep the scalar fused chain as a
   // defensive fallback (bitwise-identical to the vector lanes).
@@ -409,7 +237,7 @@ void EdgeAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
 const GemmKernel kAvx2Kernel = {
     /*name=*/"avx2-fma-6x16",
     /*fused=*/true,
-    /*tile=*/&TileAvx2<kGemmMR>,
+    /*tile=*/&FullTileAvx2,
     /*edge=*/&EdgeAvx2,
     /*ref_nn=*/&gemm_detail::RefNn<FmaOp>,
     /*ref_tn=*/&gemm_detail::RefTn<FmaOp>,

@@ -76,21 +76,20 @@ void EdgeGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
   }
 }
 
-// --- Unpacked reference kernels, rows [m0, m1) of C. Loop structures
+// --- Unpacked reference kernels over the m x n C. Loop structures
 // keep the seed kernels' cache blocking where it existed; the inner op
 // is the family chain. Alpha is folded into the A element exactly as the
 // packed path folds it at pack time (one rounded multiply).
 
 template <typename Op>
-void RefNn(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-           const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
-           int64_t ldc) {
+void RefNn(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+           int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc) {
   constexpr int64_t kBlockK = 128;
   constexpr int64_t kBlockM = 64;
   for (int64_t k0 = 0; k0 < k; k0 += kBlockK) {
     const int64_t k1 = k0 + kBlockK < k ? k0 + kBlockK : k;
-    for (int64_t mb = m0; mb < m1; mb += kBlockM) {
-      const int64_t mb1 = mb + kBlockM < m1 ? mb + kBlockM : m1;
+    for (int64_t mb = 0; mb < m; mb += kBlockM) {
+      const int64_t mb1 = mb + kBlockM < m ? mb + kBlockM : m;
       for (int64_t i = mb; i < mb1; ++i) {
         float* ci = c + i * ldc;
         for (int64_t p = k0; p < k1; ++p) {
@@ -104,14 +103,13 @@ void RefNn(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
 }
 
 template <typename Op>
-void RefTn(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-           const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
-           int64_t ldc) {
+void RefTn(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+           int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc) {
   // A is stored KxM; op(A)(i,p) = a[p*lda + i]. Ascending p per row.
   for (int64_t p = 0; p < k; ++p) {
     const float* ap = a + p * lda;
     const float* bp = b + p * ldb;
-    for (int64_t i = m0; i < m1; ++i) {
+    for (int64_t i = 0; i < m; ++i) {
       const float aip = alpha * ap[i];
       float* ci = c + i * ldc;
       for (int64_t j = 0; j < n; ++j) ci[j] = Op::Apply(ci[j], aip, bp[j]);
@@ -120,12 +118,11 @@ void RefTn(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
 }
 
 template <typename Op>
-void RefNt(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-           const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
-           int64_t ldc) {
+void RefNt(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+           int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc) {
   // B is stored NxK; op(B)(p,j) = b[j*ldb + p]. Dot form keeps both
   // streams contiguous while the per-element chain stays ascending-p.
-  for (int64_t i = m0; i < m1; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
     for (int64_t j = 0; j < n; ++j) {
@@ -140,10 +137,9 @@ void RefNt(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
 }
 
 template <typename Op>
-void RefTt(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-           const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
-           int64_t ldc) {
-  for (int64_t i = m0; i < m1; ++i) {
+void RefTt(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+           int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc) {
+  for (int64_t i = 0; i < m; ++i) {
     float* ci = c + i * ldc;
     for (int64_t j = 0; j < n; ++j) {
       const float* bj = b + j * ldb;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -253,28 +254,29 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
   }
 }
 
-// Reference u8 im2col with a bounds test per output byte: the oracle
-// the branch-free Im2ColStridedU8 must match byte for byte.
-void Im2ColU8Oracle(const uint8_t* im, int64_t chan_stride, int64_t channels,
-                    int64_t height, int64_t width, int64_t ksize,
-                    int64_t stride, int64_t pad, uint8_t pad_value,
-                    uint8_t* col) {
+// Reference im2col with a bounds test per output element: the oracle
+// the byte-layout body behind Im2ColStrided and Im2ColStridedU8 must
+// match bit for bit.
+template <typename T>
+void Im2ColOracle(const T* im, int64_t chan_stride, int64_t channels,
+                  int64_t height, int64_t width, int64_t ksize,
+                  int64_t stride, int64_t pad, T pad_value, T* col) {
   const int64_t out_h = ConvOutSize(height, ksize, stride, pad);
   const int64_t out_w = ConvOutSize(width, ksize, stride, pad);
   const int64_t cols = out_h * out_w;
   int64_t row = 0;
   for (int64_t c = 0; c < channels; ++c) {
-    const uint8_t* imc = im + c * chan_stride;
+    const T* imc = im + c * chan_stride;
     for (int64_t kh = 0; kh < ksize; ++kh) {
       for (int64_t kw = 0; kw < ksize; ++kw, ++row) {
-        uint8_t* out = col + row * cols;
+        T* out = col + row * cols;
         for (int64_t oh = 0; oh < out_h; ++oh) {
           const int64_t ih = oh * stride - pad + kh;
           if (ih < 0 || ih >= height) {
             for (int64_t ow = 0; ow < out_w; ++ow) *out++ = pad_value;
             continue;
           }
-          const uint8_t* imrow = imc + ih * width;
+          const T* imrow = imc + ih * width;
           int64_t iw = -pad + kw;
           for (int64_t ow = 0; ow < out_w; ++ow, iw += stride) {
             *out++ = (iw >= 0 && iw < width) ? imrow[iw] : pad_value;
@@ -288,13 +290,13 @@ void Im2ColU8Oracle(const uint8_t* im, int64_t chan_stride, int64_t channels,
 // (channels, height, width, ksize, stride, pad) of one im2col.
 using Im2ColGeometry = std::array<int64_t, 6>;
 
-TEST_F(Int8Test, Im2ColStridedU8MatchesOracleOnThaliGeometriesAndEdges) {
-  // Every 3x3 conv geometry of yolov4-thali, read from the network.
+// Every 3x3 conv geometry of yolov4-thali, read from the network.
+std::set<Im2ColGeometry> ThaliIm2ColGeometries() {
   Rng net_rng(1);
   auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
                                    /*batch_override=*/1, net_rng,
                                    ExecMode::kInference);
-  ASSERT_TRUE(built.ok());
+  THALI_CHECK_OK(built.status());
   std::set<Im2ColGeometry> geometries;
   for (int i = 0; i < built->net->num_layers(); ++i) {
     const Layer& l = built->net->layer(i);
@@ -304,26 +306,32 @@ TEST_F(Int8Test, Im2ColStridedU8MatchesOracleOnThaliGeometriesAndEdges) {
     geometries.insert({l.input_shape().dim(1), l.input_shape().dim(2),
                        l.input_shape().dim(3), o.ksize, o.stride, o.pad});
   }
+  return geometries;
+}
+
+// Edges for each of the three copy paths: stride 2 on odd sizes, 1x1
+// and 2x2 maps, one-row and one-column planes, valid (pad 0), 1x1 and
+// 5x5 taps, strides the model lacks, and a large plane with a tiny
+// output.
+const Im2ColGeometry kIm2ColEdgeGeometries[] = {
+    // At most 16 outputs: the lookup path.
+    {4, 1, 1, 3, 1, 1}, {4, 1, 1, 3, 2, 1}, {3, 2, 2, 3, 1, 1},
+    {3, 2, 2, 3, 2, 1}, {3, 5, 5, 3, 2, 1}, {2, 3, 5, 3, 1, 1},
+    {2, 6, 4, 3, 1, 0}, {2, 2, 2, 5, 1, 2}, {3, 7, 7, 1, 2, 0},
+    // Same-size stride 1: the shifted-plane copy.
+    {2, 5, 5, 3, 1, 1}, {2, 1, 20, 3, 1, 1}, {2, 20, 1, 3, 1, 1},
+    {2, 7, 6, 5, 1, 2}, {3, 6, 6, 1, 1, 0},
+    // Everything else: the per-row copy.
+    {2, 7, 9, 3, 2, 1}, {2, 11, 13, 3, 2, 1}, {2, 19, 17, 3, 2, 0},
+    {2, 10, 9, 3, 1, 0}, {2, 20, 23, 3, 3, 1}, {3, 9, 9, 1, 2, 0},
+    {1, 40, 40, 3, 16, 1}};
+
+TEST_F(Int8Test, Im2ColStridedU8MatchesOracleOnThaliGeometriesAndEdges) {
+  std::set<Im2ColGeometry> geometries = ThaliIm2ColGeometries();
   // Two stride-2 stem convs and ten same-size maps from 24x24 to 3x3.
   ASSERT_EQ(geometries.size(), 12u);
-  // Edges for each of the three copy paths: stride 2 on odd sizes, 1x1
-  // and 2x2 maps, one-row and one-column planes, valid (pad 0), 1x1 and
-  // 5x5 taps, strides the model lacks, and a large plane with a tiny
-  // output.
-  for (const Im2ColGeometry& g : std::vector<Im2ColGeometry>{
-           // At most 16 outputs: the lookup path.
-           {4, 1, 1, 3, 1, 1}, {4, 1, 1, 3, 2, 1}, {3, 2, 2, 3, 1, 1},
-           {3, 2, 2, 3, 2, 1}, {3, 5, 5, 3, 2, 1}, {2, 3, 5, 3, 1, 1},
-           {2, 6, 4, 3, 1, 0}, {2, 2, 2, 5, 1, 2}, {3, 7, 7, 1, 2, 0},
-           // Same-size stride 1: the plane memcpy.
-           {2, 5, 5, 3, 1, 1}, {2, 1, 20, 3, 1, 1}, {2, 20, 1, 3, 1, 1},
-           {2, 7, 6, 5, 1, 2}, {3, 6, 6, 1, 1, 0},
-           // Everything else: the per-row copy.
-           {2, 7, 9, 3, 2, 1}, {2, 11, 13, 3, 2, 1}, {2, 19, 17, 3, 2, 0},
-           {2, 10, 9, 3, 1, 0}, {2, 20, 23, 3, 3, 1}, {3, 9, 9, 1, 2, 0},
-           {1, 40, 40, 3, 16, 1}}) {
-    geometries.insert(g);
-  }
+  geometries.insert(std::begin(kIm2ColEdgeGeometries),
+                    std::end(kIm2ColEdgeGeometries));
   Rng rng(2718);
   for (const auto& [c, h, w, ks, st, pd] : geometries) {
     // Dense planes, then a plane stride wider than H*W as under CNHW at
@@ -339,8 +347,8 @@ TEST_F(Int8Test, Im2ColStridedU8MatchesOracleOnThaliGeometriesAndEdges) {
             ConvOutSize(h, ks, st, pd) * ConvOutSize(w, ks, st, pd);
         const size_t bytes = static_cast<size_t>(c * ks * ks * cols);
         std::vector<uint8_t> want(bytes, 0x11), got(bytes, 0x22);
-        Im2ColU8Oracle(im.data(), chan_stride, c, h, w, ks, st, pd, pad_value,
-                       want.data());
+        Im2ColOracle(im.data(), chan_stride, c, h, w, ks, st, pd, pad_value,
+                     want.data());
         Im2ColStridedU8(im.data(), chan_stride, c, h, w, ks, st, pd,
                         pad_value, got.data());
         ASSERT_EQ(got, want) << "c=" << c << " h=" << h << " w=" << w
@@ -348,6 +356,47 @@ TEST_F(Int8Test, Im2ColStridedU8MatchesOracleOnThaliGeometriesAndEdges) {
                              << " chan_stride=" << chan_stride
                              << " pad=" << int{pad_value};
       }
+    }
+  }
+}
+
+TEST_F(Int8Test, Im2ColStridedMatchesOracleOnThaliGeometriesAndEdges) {
+  // The fp32 instantiation of the same body (convs 0-1 of the inference
+  // plan, every training conv), over the same geometries and plane
+  // strides. The planes hold NaNs with payloads, -0.0f and denormals,
+  // which an element move must carry bit for bit; pads read +0.0f.
+  std::set<Im2ColGeometry> geometries = ThaliIm2ColGeometries();
+  ASSERT_EQ(geometries.size(), 12u);
+  geometries.insert(std::begin(kIm2ColEdgeGeometries),
+                    std::end(kIm2ColEdgeGeometries));
+  const float kSpecials[] = {
+      std::bit_cast<float>(uint32_t{0x7fc01234}),  // quiet NaN, payload
+      std::bit_cast<float>(uint32_t{0xffa00001}),  // negative signaling NaN
+      -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min() * 977.0f};
+  Rng rng(3141);
+  for (const auto& [c, h, w, ks, st, pd] : geometries) {
+    for (const int64_t chan_stride : {h * w, 3 * h * w + 5}) {
+      // Exactly (c-1)*chan_stride + h*w floats: reading past the last
+      // plane's last row trips ASan.
+      std::vector<float> im(static_cast<size_t>((c - 1) * chan_stride +
+                                                h * w));
+      for (auto& v : im) {
+        const int pick = rng.NextInt(0, 9);
+        v = pick < 5 ? kSpecials[pick] : rng.NextGaussian();
+      }
+      const int64_t cols =
+          ConvOutSize(h, ks, st, pd) * ConvOutSize(w, ks, st, pd);
+      const size_t count = static_cast<size_t>(c * ks * ks * cols);
+      std::vector<float> want(count, 1.5f), got(count, 2.5f);
+      Im2ColOracle(im.data(), chan_stride, c, h, w, ks, st, pd, 0.0f,
+                   want.data());
+      Im2ColStrided(im.data(), chan_stride, c, h, w, ks, st, pd, got.data());
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)),
+                0)
+          << "c=" << c << " h=" << h << " w=" << w << " k=" << ks
+          << " s=" << st << " p=" << pd << " chan_stride=" << chan_stride;
     }
   }
 }
@@ -423,10 +472,10 @@ TEST_F(Int8Test, ScalarAndAvx2AccumulateBitwiseIdenticalOnAllThaliShapes) {
     const QuantOperands ops = MakeOperands(m, n, k, seed++);
     std::vector<int32_t> acc_s(static_cast<size_t>(m * n), -1);
     std::vector<int32_t> acc_v(static_cast<size_t>(m * n), -2);
-    ScalarInt8GemmKernel().accumulate(0, m, n, kp, ops.qw.data(),
-                                      ops.packed.data(), acc_s.data(), n);
-    avx2->accumulate(0, m, n, kp, ops.qw.data(), ops.packed.data(),
-                     acc_v.data(), n);
+    ScalarInt8GemmKernel().accumulate(m, n, kp, ops.qw.data(),
+                                      ops.packed.data(), acc_s.data());
+    avx2->accumulate(m, n, kp, ops.qw.data(), ops.packed.data(),
+                     acc_v.data());
     EXPECT_EQ(std::memcmp(acc_s.data(), acc_v.data(),
                           acc_s.size() * sizeof(int32_t)),
               0)
@@ -449,10 +498,10 @@ TEST_F(Int8Test, KernelFamiliesAgreeOnRegisterTileEdges) {
         const QuantOperands ops = MakeOperands(m, n, k, seed++);
         std::vector<int32_t> acc_s(static_cast<size_t>(m * n), 0);
         std::vector<int32_t> acc_v(static_cast<size_t>(m * n), 1);
-        ScalarInt8GemmKernel().accumulate(0, m, n, kp, ops.qw.data(),
-                                          ops.packed.data(), acc_s.data(), n);
-        avx2->accumulate(0, m, n, kp, ops.qw.data(), ops.packed.data(),
-                         acc_v.data(), n);
+        ScalarInt8GemmKernel().accumulate(m, n, kp, ops.qw.data(),
+                                          ops.packed.data(), acc_s.data());
+        avx2->accumulate(m, n, kp, ops.qw.data(), ops.packed.data(),
+                         acc_v.data());
         ASSERT_EQ(std::memcmp(acc_s.data(), acc_v.data(),
                               acc_s.size() * sizeof(int32_t)),
                   0)
@@ -501,7 +550,7 @@ TEST_F(Int8Test, Int8GemmBitwiseIdenticalAcrossKernels) {
 void RunEpilogue(bool scalar, const Int8Epilogue& e, int64_t m, int64_t n,
                  const int32_t* acc, float* c) {
   internal::SetScalarKernelsForTesting(scalar);
-  SelectInt8GemmKernel().epilogue(e, 0, m, n, acc, n, c, n);
+  SelectInt8GemmKernel().epilogue(e, m, n, acc, c, n);
   internal::SetScalarKernelsForTesting(false);
 }
 

@@ -213,7 +213,7 @@ TEST(Im2Col, IdentityFor1x1) {
   std::vector<float> im(static_cast<size_t>(c) * h * w);
   for (size_t i = 0; i < im.size(); ++i) im[i] = static_cast<float>(i);
   std::vector<float> col(im.size(), -1.0f);
-  Im2Col(im.data(), c, h, w, 1, 1, 0, col.data());
+  Im2ColStrided(im.data(), h * w, c, h, w, 1, 1, 0, col.data());
   EXPECT_EQ(im, col);
 }
 
@@ -222,7 +222,7 @@ TEST(Im2Col, KnownValues3x3) {
   // (kh=1,kw=1) must be the image itself; corner rows carry zero padding.
   std::vector<float> im = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   std::vector<float> col(9 * 9);
-  Im2Col(im.data(), 1, 3, 3, 3, 1, 1, col.data());
+  Im2ColStrided(im.data(), 9, 1, 3, 3, 3, 1, 1, col.data());
   // Row 4 = (kh=1, kw=1): identity.
   for (int i = 0; i < 9; ++i) EXPECT_EQ(col[4 * 9 + i], im[static_cast<size_t>(i)]);
   // Row 0 = (kh=0, kw=0): top-left tap. Output (0,0) reads im(-1,-1) = 0.
@@ -232,8 +232,8 @@ TEST(Im2Col, KnownValues3x3) {
 }
 
 TEST(Im2Col, Col2ImIsAdjoint) {
-  // <Col2Im(c), x> == <c, Im2Col(x)> for random tensors: the scatter-add
-  // must be the exact transpose of the gather.
+  // <Col2Im(c), x> == <c, Im2ColStrided(x)> for random tensors: the
+  // scatter-add must be the exact transpose of the gather.
   Rng rng(5);
   const int c = 3, h = 7, w = 6, k = 3, stride = 2, pad = 1;
   const int out_h = static_cast<int>(ConvOutSize(h, k, stride, pad));
@@ -246,7 +246,7 @@ TEST(Im2Col, Col2ImIsAdjoint) {
   for (auto& v : cvec) v = rng.NextGaussian();
 
   std::vector<float> col_x(col_size, 0.0f);
-  Im2Col(x.data(), c, h, w, k, stride, pad, col_x.data());
+  Im2ColStrided(x.data(), h * w, c, h, w, k, stride, pad, col_x.data());
   std::vector<float> im_c(im_size, 0.0f);
   Col2Im(cvec.data(), c, h, w, k, stride, pad, im_c.data());
 
