@@ -304,8 +304,8 @@ BENCHMARK(BM_ConvForward)->Arg(16)->Arg(64);
 
 // Inference-mode conv forward with batch norm already folded (the
 // deployment configuration). The plan runs this 3x3 stride-1 geometry
-// as Winograd F(2x2, 3x3): 16 pre-packed GEMMs (m = 64 filters,
-// n = 144 tiles, k = 64 channels), then the bias and leaky passes.
+// as im2col and one pre-packed GEMM (m = 64 filters, n = 576 pixels,
+// k = 576) whose write-back adds the bias and applies leaky.
 void BM_ConvForwardInference(benchmark::State& state) {
   const int channels = static_cast<int>(state.range(0));
   Network net(24, 24, channels, 1);

@@ -100,10 +100,12 @@ int main(int argc, char** argv) {
       Rng rng(900 + static_cast<uint64_t>(c));
       for (int i = 0; i < kPerClient; ++i) {
         RenderedScene scene = renderer.RenderRandomPlatter(2 + i % 3, rng);
-        auto fut = i % 2 == 1
-                       ? server.Submit(std::move(scene.image),
-                                       std::chrono::milliseconds(250))
-                       : server.Submit(std::move(scene.image));
+        serve::Server::SubmitOptions submit;
+        if (i % 2 == 1) {
+          submit.deadline =
+              serve::ServeClock::now() + std::chrono::milliseconds(250);
+        }
+        auto fut = server.Submit(std::move(scene.image), submit);
         if (!fut.ok()) {
           // Queue full: a real frontend would shed or retry; the burst
           // just counts the rejection and moves on.

@@ -5,8 +5,6 @@
 namespace thali {
 
 namespace {
-LogSeverity g_min_level = LogSeverity::kInfo;
-
 const char* SeverityTag(LogSeverity s) {
   switch (s) {
     case LogSeverity::kInfo:
@@ -27,9 +25,6 @@ const char* Basename(const char* path) {
 }
 }  // namespace
 
-LogSeverity MinLogLevel() { return g_min_level; }
-void SetMinLogLevel(LogSeverity severity) { g_min_level = severity; }
-
 namespace internal {
 
 LogMessage::LogMessage(const char* file, int line, LogSeverity severity)
@@ -39,9 +34,7 @@ LogMessage::LogMessage(const char* file, int line, LogSeverity severity)
 }
 
 LogMessage::~LogMessage() {
-  if (severity_ >= g_min_level || severity_ == LogSeverity::kFatal) {
-    std::cerr << stream_.str() << std::endl;
-  }
+  std::cerr << stream_.str() << std::endl;
   if (severity_ == LogSeverity::kFatal) {
     std::abort();
   }

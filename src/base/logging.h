@@ -10,11 +10,6 @@ namespace thali {
 
 enum class LogSeverity { kInfo = 0, kWarning = 1, kError = 2, kFatal = 3 };
 
-// Minimum severity that is actually printed. Defaults to kInfo; benches and
-// tests may raise it to quiet the library.
-LogSeverity MinLogLevel();
-void SetMinLogLevel(LogSeverity severity);
-
 namespace internal {
 
 // Accumulates one log line and emits it (with file:line prefix) on

@@ -32,10 +32,6 @@ void Image::FillColor(const Color& color) {
   std::fill(data_.begin() + 2 * plane, data_.begin() + 3 * plane, color.b);
 }
 
-void Image::Clamp01() {
-  for (float& v : data_) v = std::clamp(v, 0.0f, 1.0f);
-}
-
 Image Resize(const Image& src, int new_width, int new_height) {
   THALI_CHECK(!src.empty());
   Image dst(new_width, new_height, src.channels());

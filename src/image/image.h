@@ -74,8 +74,6 @@ class Image {
   // Fills the whole image with `color`.
   void FillColor(const Color& color);
 
-  void Clamp01();
-
  private:
   size_t Index(int c, int y, int x) const {
     return (static_cast<size_t>(c) * height_ + y) * width_ + x;

@@ -10,7 +10,6 @@
 #include "tensor/gemm_int8.h"
 #include "tensor/gemm_pack.h"
 #include "tensor/im2col.h"
-#include "tensor/winograd.h"
 
 namespace thali {
 
@@ -96,9 +95,6 @@ Status ConvLayer::Rebatch(const Shape& input_shape, const Network&) {
 
 int64_t ConvLayer::WorkspaceSize() const {
   switch (plan().conv_algo) {
-    case ConvAlgo::kWinograd:
-      return WinogradWorkspaceFloats(in_c_, opts_.filters, in_shape_.dim(2),
-                                     in_shape_.dim(3));
     case ConvAlgo::kQuantInt8:
     case ConvAlgo::kQuantInt8Direct1x1:
       return int8_ws_.ws_floats;  // OnPlanUpdated ran first
@@ -164,32 +160,23 @@ void ConvLayer::PrepackWeights() {
   const bool quant = algo == ConvAlgo::kQuantInt8 ||
                      algo == ConvAlgo::kQuantInt8Direct1x1;
   if (quant) {
-    // Per-output-channel symmetric int8 rows plus their column sums.
+    // Per-output-channel symmetric int8 rows plus their scales and
+    // column sums.
     const Shape qshape({m, Int8PackedK(k)});
-    if (qweights_.q.dtype() != DType::kI8 ||
-        !(qweights_.q.shape() == qshape)) {
-      qweights_.q.Resize(DType::kI8, qshape);
+    if (qweights_.dtype() != DType::kI8 || !(qweights_.shape() == qshape)) {
+      qweights_.Resize(DType::kI8, qshape);
     }
-    qweights_.scale.resize(static_cast<size_t>(m));
-    qweights_.zero_point = 0;
+    wscale_.resize(static_cast<size_t>(m));
     wcolsum_.resize(static_cast<size_t>(m));
-    Int8QuantizeWeights(weights_.data(), m, k, qweights_.q.data<int8_t>(),
-                        qweights_.scale.data(), wcolsum_.data());
+    Int8QuantizeWeights(weights_.data(), m, k, qweights_.data<int8_t>(),
+                        wscale_.data(), wcolsum_.data());
+    packed_weights_ = Tensor();
   } else {
     qweights_.Clear();
+    wscale_.clear();
     wcolsum_.clear();
-  }
-  if (algo == ConvAlgo::kWinograd) {
-    wino_packed_.Resize(Shape({WinogradPackedWeightFloats(m, in_c_)}));
-    WinogradPackWeights(weights_.data(), m, in_c_, wino_packed_.data());
-  } else {
-    wino_packed_ = Tensor();
-  }
-  if (algo == ConvAlgo::kIm2col || algo == ConvAlgo::kDirect1x1) {
     packed_weights_.Resize(Shape({GemmPackedWeightFloats(m, k)}));
     GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
-  } else {
-    packed_weights_ = Tensor();
   }
   packed_algo_ = algo;
   packed_dirty_ = false;
@@ -251,9 +238,6 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
       ForwardInt8Gemm(input, net, raw);
       // The epilogue applied bias and activation; no fp32 output exists.
       if (plan().out_dtype == DType::kU8) return;
-      break;
-    case ConvAlgo::kWinograd:
-      ForwardWinograd(input, net, raw);
       break;
   }
 
@@ -357,7 +341,7 @@ void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
   Int8Epilogue epi;
   epi.in_scale = plan().in_qscale;
   epi.in_zp = plan().in_qzp;
-  epi.wscale = qweights_.scale.data();
+  epi.wscale = wscale_.data();
   epi.wcolsum = wcolsum_.data();
   epi.bias = biases_.data();
   epi.activation = plan().epilogue.act.value_or(GemmActivation::kNone);
@@ -379,7 +363,7 @@ void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
   THALI_CHECK(!u8_out || qdst != nullptr);
   const float inv_scale = 1.0f / plan().in_qscale;
   const int32_t in_zp = plan().in_qzp;
-  const int8_t* qw = qweights_.q.data<int8_t>();
+  const int8_t* qw = qweights_.data<int8_t>();
   ParallelForBounded(
       0, items.count, 1, net.workspace_slots(),
       [&](int64_t b0, int64_t b1, int tid) {
@@ -426,25 +410,6 @@ void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
           }
           Int8GemmPrepacked(m, items.n, k, qw, packed, e, c,
                             items.out_chan_stride, acc);
-        }
-      });
-}
-
-void ConvLayer::ForwardWinograd(const Tensor& input, Network& net,
-                                Tensor& raw) {
-  // Per-item Winograd: items fan out across the layer's strands, and
-  // each item's transforms and 16 GEMMs run on the strand that owns it.
-  const Items items = BatchItems();
-  ParallelForBounded(
-      0, items.count, 1, net.workspace_slots(),
-      [&](int64_t b0, int64_t b1, int tid) {
-        float* ws = net.workspace(tid, WorkspaceSize());
-        for (int64_t b = b0; b < b1; ++b) {
-          WinogradForward(input.data() + b * items.in_step,
-                          items.in_chan_stride, in_c_, in_shape_.dim(2),
-                          in_shape_.dim(3), wino_packed_.data(),
-                          opts_.filters, raw.data() + b * items.out_step,
-                          items.out_chan_stride, ws);
         }
       });
 }

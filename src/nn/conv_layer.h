@@ -14,7 +14,7 @@ namespace thali {
 // 2-d convolution with optional fused batch normalization and activation —
 // Darknet's `[convolutional]` layer. Weight layout is
 // (out_channels, in_channels, ksize, ksize). Forward runs the algorithm
-// plan().conv_algo names (nn/exec_plan.h) in one of three bodies:
+// plan().conv_algo names (nn/exec_plan.h) in one of two bodies:
 //
 //  - fp32 GEMM (kIm2col, kDirect1x1): per item, B is the input planes
 //    (1x1/stride-1/pad-0) or an im2col panel; inference multiplies the
@@ -23,7 +23,6 @@ namespace thali {
 //    planes are the producer's chained bytes or the fp32 input quantized
 //    here; a 3x3 gathers them with the u8 im2col; then pack and the
 //    integer GEMM with its requantize epilogue.
-//  - Winograd F(2x2,3x3) for stride-1 3x3 convs, per batch item.
 //
 // Items (BatchItems): the plan's item rule (LayerPlan::whole_batch)
 // makes a direct 1x1 with CNHW on both sides one item whose planes span
@@ -78,7 +77,7 @@ class ConvLayer : public Layer {
 
   // Bytes held by the quantized int8 weight copy (0 when the layer's
   // plan is not a quantized algorithm or weights are not packed yet).
-  int64_t int8_weight_bytes() const { return qweights_.q.bytes(); }
+  int64_t int8_weight_bytes() const { return qweights_.bytes(); }
 
   // --- int8 activation calibration (LayerPlan::quantizable convs) ---
   //
@@ -152,13 +151,12 @@ class ConvLayer : public Layer {
   const float* PrepareCol(const float* in, int64_t chan_stride,
                           float* ws) const;
 
-  // The three algorithm bodies. Each writes the pre-bias (or, where the
+  // The two algorithm bodies. Each writes the pre-bias (or, where the
   // epilogue fused it, the finished) output into `raw`; the int8 body
   // writes a u8 output into the network's chain buffer instead.
   void ForwardFp32Gemm(const Tensor& input, Network& net, bool train,
                        Tensor& raw);
   void ForwardInt8Gemm(const Tensor& input, Network& net, Tensor& raw);
-  void ForwardWinograd(const Tensor& input, Network& net, Tensor& raw);
 
   void BatchNormForward(bool train);
   void BatchNormBackward();
@@ -168,9 +166,9 @@ class ConvLayer : public Layer {
   void ObserveCalibration(const Tensor& input, CalibPhase phase);
 
   // Builds the weight copy the planned algorithm reads — GEMM panels
-  // (im2col / direct 1x1), prepacked Winograd U (kWinograd) or
-  // per-channel int8 rows (the quantized algorithms) — and releases the
-  // others. Inference layers only: training multiplies weights_ live.
+  // (im2col / direct 1x1) or per-channel int8 rows (the quantized
+  // algorithms) — and releases the other. Inference layers only:
+  // training multiplies weights_ live.
   void PrepackWeights();
 
   // Sizes the activation-shaped caches for the current out_shape_ and
@@ -186,9 +184,9 @@ class ConvLayer : public Layer {
   // Inference weight copies; PrepackWeights holds only the one the
   // planned algorithm reads.
   Tensor packed_weights_;      // microkernel panels (im2col / direct 1x1)
-  QTensor qweights_;           // per-channel int8 rows (quantized algos)
+  DTypeBuffer qweights_;       // per-channel int8 rows (quantized algos)
+  std::vector<float> wscale_;  // per-filter int8 weight scales
   std::vector<int32_t> wcolsum_;  // per-filter quantized-row sums
-  Tensor wino_packed_;         // the 16 U_k = (G w G^T)_k as GEMM A panels
   bool packed_dirty_ = true;   // weights_ changed since the last pack
   std::optional<ConvAlgo> packed_algo_;  // what the held copy serves
   bool folded_ = false;

@@ -210,8 +210,6 @@ const char* ConvAlgoName(ConvAlgo algo) {
   switch (algo) {
     case ConvAlgo::kDirect1x1:
       return "direct1x1";
-    case ConvAlgo::kWinograd:
-      return "winograd";
     case ConvAlgo::kQuantInt8:
       return "int8";
     case ConvAlgo::kQuantInt8Direct1x1:
@@ -287,10 +285,11 @@ ExecPlan CompileExecPlan(const Network& net) {
       }
     }
 
-    // 2. Conv algorithm selection by geometry, then int8 arming. A conv int8 covers is `quantizable`; it runs the
-    // quantized algorithm only when that path can run right now — batch
-    // norm folded, an input range installed, no calibration pass active
-    // — and its geometry's fp32 algorithm otherwise.
+    // 2. Conv algorithm selection by geometry, then int8 arming. A conv
+    // int8 covers is `quantizable`; it runs the quantized algorithm only
+    // when that path can run right now — batch norm folded, an input
+    // range installed, no calibration pass active — and its geometry's
+    // fp32 algorithm otherwise.
     bool armed = false;
     for (int i = 0; i < n; ++i) {
       if (cls[static_cast<size_t>(i)] != kConv) continue;
@@ -306,20 +305,16 @@ ExecPlan CompileExecPlan(const Network& net) {
         lp.conv_algo = ConvAlgo::kDirect1x1;
         quant_algo = ConvAlgo::kQuantInt8Direct1x1;
         lp.quantizable = true;
-      } else if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
-        // int8 takes the Winograd geometry, but NCHW-pinned convs stay
-        // fp32 to protect whatever consumer forced the pin (in the
-        // thali net the head feeders are 1x1 direct convs, already
-        // fp32; the guard covers pinned 3x3s in other topologies).
-        lp.conv_algo = ConvAlgo::kWinograd;
-        lp.quantizable = !forced[static_cast<size_t>(i)];
       } else {
-        // Every other geometry runs im2col. int8 also covers the strided
-        // 3x3 (the thali downsampling prefix, convs 0-1): no Winograd
-        // form exists, but the u8 im2col already walks any stride.
+        // Every other geometry runs im2col. int8 takes the 3x3/pad-1 at
+        // stride 1 or 2 (the u8 im2col walks either stride), but
+        // NCHW-pinned convs stay fp32 to protect whatever consumer
+        // forced the pin (in the thali net the head feeders are 1x1
+        // direct convs, already fp32; the guard covers pinned 3x3s in
+        // other topologies).
         lp.conv_algo = ConvAlgo::kIm2col;
-        lp.quantizable = o.ksize == 3 && o.stride == 2 && o.pad == 1 &&
-                         !forced[static_cast<size_t>(i)];
+        lp.quantizable = o.ksize == 3 && (o.stride == 1 || o.stride == 2) &&
+                         o.pad == 1 && !forced[static_cast<size_t>(i)];
       }
       if (lp.quantizable && !o.batch_normalize && cv.has_activation_range() &&
           net.calib_phase() == CalibPhase::kOff) {
@@ -606,17 +601,16 @@ ExecPlan CompileExecPlan(const Network& net) {
       }
     }
 
-    // 5. Conv epilogues. Every GEMM conv without batch norm adds its bias
-    // in the write-back and applies there the activation that has an
+    // 5. Conv epilogues. Every conv without batch norm adds its bias in
+    // the GEMM write-back and applies there the activation that has an
     // epilogue form. An int8 conv with an fp32 output is the exception
-    // for mish: it keeps its separate fast-mish pass. Winograd has no
-    // write-back spanning the output, and batch norm normalizes before
-    // its bias.
+    // for mish: it keeps its separate fast-mish pass. Batch norm
+    // normalizes before its bias.
     for (int i = 0; i < n; ++i) {
       if (cls[static_cast<size_t>(i)] != kConv) continue;
       LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
       const auto& o = static_cast<const ConvLayer&>(net.layer(i)).options();
-      if (lp.conv_algo == ConvAlgo::kWinograd || o.batch_normalize) continue;
+      if (o.batch_normalize) continue;
       lp.epilogue.bias = true;
       lp.epilogue.act = EpilogueActivation(o.activation);
       const bool int8 = lp.conv_algo == ConvAlgo::kQuantInt8 ||
@@ -630,7 +624,7 @@ ExecPlan CompileExecPlan(const Network& net) {
     // 6. Items and strands. A direct 1x1 with CNHW on both sides is one
     // GEMM item spanning the batch; every other conv runs one item per
     // batch entry. A layer fans out across its items and never inside
-    // one: splitting one item's GEMM or transforms lost time on every
+    // one: splitting one item's GEMM lost time on every
     // batch-1 conv and broke even on the batch-8 whole-batch 1x1s
     // (DESIGN "Threading model"), so a batch-1 forward runs on one
     // strand. The other layers run on one strand.

@@ -55,25 +55,18 @@ const char* ActLayoutName(ActLayout layout);
 
 // Which convolution algorithm a conv layer's Forward dispatches to.
 //
-//  kIm2col    — the reference path (im2col + GEMM); always used by
-//               training networks, and by inference for geometries the
-//               fast paths do not cover (stride > 1, ksize other than
-//               1/3).
+//  kIm2col    — im2col + GEMM; always used by training networks, and by
+//               inference for every geometry but the direct 1x1 (the
+//               3x3 convs at either stride included).
 //  kDirect1x1 — 1x1/stride-1/pad-0: the input planes already form the
 //               GEMM B matrix; with CNHW layouts on both sides the
 //               whole batch collapses into a single [F,C]x[C,N*H*W]
 //               GEMM. Bitwise identical to kIm2col.
-//  kWinograd  — F(2x2,3x3) for 3x3/stride-1/pad-1: 2.25x fewer
-//               multiplies, no im2col. NOT bitwise identical to the
-//               reference (transforms re-associate the 3x3 dot
-//               products); covered by the documented fused-plan
-//               tolerance (see tensor/winograd.h).
 //  kQuantInt8 — per-channel symmetric int8 (tensor/gemm_int8.h) for
 //               3x3/pad-1 at stride 1 or 2 (the u8 im2col walks any
 //               stride) on a LayerPlan::quantizable conv, emitted only
 //               once the quantized path can run (see CompileExecPlan);
-//               until then the conv plans kWinograd (stride 1) or
-//               kIm2col (stride 2).
+//               until then the conv plans kIm2col.
 //  kQuantInt8Direct1x1 — int8 variant of kDirect1x1 (1x1/stride-1/
 //               pad-0): the quantized channel planes ARE the GEMM B
 //               matrix, so the path quantizes (or chains) and packs
@@ -83,7 +76,6 @@ const char* ActLayoutName(ActLayout layout);
 enum class ConvAlgo {
   kIm2col,
   kDirect1x1,
-  kWinograd,
   kQuantInt8,
   kQuantInt8Direct1x1,
 };
@@ -241,7 +233,7 @@ struct ExecPlan {
 //     upsample, maxpool) propagate the pin both directions so they are
 //     always layout-uniform; convs absorb either layout on either side
 //     through GEMM strides, so no standalone convert pass ever runs.
-//  2. Conv algorithms: kDirect1x1 / kWinograd / kIm2col by geometry.
+//  2. Conv algorithms: kDirect1x1 / kIm2col by geometry.
 //     Eligible convs are marked quantizable, and a quantizable conv
 //     gets kQuantInt8 / kQuantInt8Direct1x1 plus its input domain
 //     exactly when its batch norm is folded, a range is installed and
@@ -259,9 +251,9 @@ struct ExecPlan {
 //     batch norm adds its bias in the write-back, and applies there
 //     every activation with an epilogue form (linear, leaky, ReLU and
 //     the fast mish family) — except mish on an int8 conv whose output
-//     stays fp32, which keeps its separate fast-mish pass. Winograd and
-//     batch-norm convs run separate bias/batch-norm and activation
-//     passes, mish through the fast family.
+//     stays fp32, which keeps its separate fast-mish pass. Batch-norm
+//     convs run separate batch-norm and activation passes, mish through
+//     the fast family.
 //  6. Items and strands: the item rule (LayerPlan::whole_batch), then
 //     each layer's strand count. The strand cap is the smaller of
 //     MaxParallelism() and the network's workspace slots, so no count

@@ -108,9 +108,9 @@ void Network::PlanBuffers() {
   // per Forward.
   for (auto& layer : layers_) layer->OnPlanUpdated();
   // Scratch follows the plan: a layer's need depends on its planned
-  // algorithm (im2col panel, Winograd transforms, int8 sections) and on
-  // the batch (whole-batch GEMMs). Grow-only, so a replan never frees a
-  // slot a caller may still hold.
+  // algorithm (im2col panel, int8 sections) and on the batch
+  // (whole-batch GEMMs). Grow-only, so a replan never frees a slot a
+  // caller may still hold.
   int64_t need = 0;
   for (auto& layer : layers_) need = std::max(need, layer->WorkspaceSize());
   if (need > workspace_floats_) {

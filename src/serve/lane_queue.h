@@ -19,10 +19,6 @@ namespace serve {
 // crawlers); the admission layer sheds batch work first under pressure.
 enum class Priority { kInteractive = 0, kBatch = 1 };
 
-inline const char* PriorityName(Priority p) {
-  return p == Priority::kInteractive ? "interactive" : "batch";
-}
-
 // A two-lane bounded MPMC queue: one independently-bounded FIFO lane per
 // priority class, drained through a single consumer interface. Producers
 // never block (TryPush returns kResourceExhausted when the target lane is

@@ -44,16 +44,6 @@ Status ModelRouter::AddModel(const std::string& name,
     return Status::InvalidArgument("duplicate model name: " + name);
   }
   models_.push_back(Entry{name, std::move(server).value()});
-  if (default_model_.empty()) default_model_ = name;
-  return Status::OK();
-}
-
-Status ModelRouter::SetDefaultModel(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (FindLocked(name) == nullptr) {
-    return Status::NotFound("unknown model: " + name);
-  }
-  default_model_ = name;
   return Status::OK();
 }
 
@@ -83,7 +73,7 @@ StatusOr<Server*> ModelRouter::Route(const std::string& model_id) {
     if (e == nullptr) return Status::NotFound("unknown model: " + model_id);
     return e->server.get();
   }
-  std::string name = default_model_;
+  std::string name = models_.front().name;
   if (ab_percent_ > 0) {
     const uint64_t k =
         ab_counter_.fetch_add(1, std::memory_order_relaxed) % 100;
@@ -115,15 +105,11 @@ std::vector<std::string> ModelRouter::ModelNames() const {
   return names;
 }
 
-std::string ModelRouter::DefaultModelName() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return default_model_;
-}
-
 std::string ModelRouter::StatsJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string json = "{";
-  json += StrFormat("\"default_model\": \"%s\", ", default_model_.c_str());
+  json += StrFormat("\"default_model\": \"%s\", ",
+                    models_.empty() ? "" : models_.front().name.c_str());
   json += StrFormat("\"ab_model\": \"%s\", \"ab_percent\": %d, ",
                     ab_model_.c_str(), ab_percent_);
   json += "\"models\": {";

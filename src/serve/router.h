@@ -43,12 +43,9 @@ class ModelRouter {
   ModelRouter& operator=(const ModelRouter&) = delete;
 
   // Builds and registers a named model server. The first model added
-  // becomes the default route. kInvalidArgument on a duplicate name.
+  // is the default route. kInvalidArgument on a duplicate name.
   Status AddModel(const std::string& name, const Server::Options& options,
                   const Server::DetectorFactory& factory);
-
-  // Makes `name` the default route. kNotFound if unregistered.
-  Status SetDefaultModel(const std::string& name);
 
   // Diverts `percent_to_b` of every 100 default-routed requests to model
   // `b_name` (0 clears the split). kNotFound if unregistered,
@@ -67,7 +64,6 @@ class ModelRouter {
                        const std::string& weights_path);
 
   std::vector<std::string> ModelNames() const;
-  std::string DefaultModelName() const;
 
   // Aggregated stats for the STATS op: one JSON object keyed by model
   // name, each value a ServerMetrics snapshot plus live lane depths.
@@ -89,7 +85,6 @@ class ModelRouter {
   mutable std::mutex mu_;
   std::vector<Entry> models_;        // guarded by mu_ (pointers stable:
                                      // Server objects are heap-owned)
-  std::string default_model_;        // guarded by mu_
   std::string ab_model_;             // guarded by mu_; "" = no split
   int ab_percent_ = 0;               // guarded by mu_
   std::atomic<uint64_t> ab_counter_{0};

@@ -72,18 +72,6 @@ StatusOr<std::future<Server::Result>> Server::Submit(Image image) {
   return Submit(std::move(image), SubmitOptions{});
 }
 
-StatusOr<std::future<Server::Result>> Server::Submit(
-    Image image, std::chrono::milliseconds deadline) {
-  return Submit(std::move(image), ServeClock::now() + deadline);
-}
-
-StatusOr<std::future<Server::Result>> Server::Submit(
-    Image image, ServeClock::time_point deadline) {
-  SubmitOptions submit;
-  submit.deadline = deadline;
-  return Submit(std::move(image), submit);
-}
-
 double Server::EstimateQueueWaitMs(Priority lane) const {
   const LatencyHistogram& qw = metrics_.queue_wait_ms;
   if (qw.count() < options_.admission.min_wait_samples) return 0.0;

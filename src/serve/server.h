@@ -99,12 +99,8 @@ class Server {
   // backpressure signal to shed or retry) or kFailedPrecondition (server
   // shut down); on failure no future exists and the request is dropped
   // and counted as rejected. The request never expires; the overloads
-  // pin a deadline.
+  // below take a deadline (SubmitOptions::deadline).
   StatusOr<std::future<Result>> Submit(Image image);
-  StatusOr<std::future<Result>> Submit(Image image,
-                                       std::chrono::milliseconds deadline);
-  StatusOr<std::future<Result>> Submit(Image image,
-                                       ServeClock::time_point deadline);
   // Full-control overload: deadline + priority class. Admission control
   // (when enabled) runs here; a shed request returns kResourceExhausted
   // (pressure shed) or kDeadlineExceeded (estimated wait exceeds the

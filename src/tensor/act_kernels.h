@@ -31,7 +31,8 @@ namespace thali {
 //    reference's saturated branch bit for bit. Measured error against
 //    the libm reference is below 3e-7 * max(1, |x|) per element; the
 //    fused-inference conformance tests budget 1e-4 + 1e-3 * |ref|
-//    network-wide (Winograd convs dominate that bound, not this).
+//    network-wide; fast mish is the only step of the fused fp32 plan
+//    that is not bitwise equal to the reference.
 void FastLeakyInPlace(float* x, int64_t n);
 void FastReluInPlace(float* x, int64_t n);
 void FastMishInPlace(float* x, int64_t n);

@@ -10,8 +10,6 @@ const char* DTypeName(DType t) {
       return "i8";
     case DType::kU8:
       return "u8";
-    case DType::kI32:
-      return "i32";
   }
   return "?";
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "base/logging.h"
 #include "tensor/shape.h"
@@ -14,24 +13,16 @@ namespace thali {
 // Element type of a typed buffer. The fp32 training substrate stays on
 // Tensor (tensor/tensor.h); DType exists for the inference-side buffers
 // the quantized paths carry next to it.
-enum class DType : uint8_t { kF32, kI8, kU8, kI32 };
+enum class DType : uint8_t { kF32, kI8, kU8 };
 
-inline int64_t DTypeBytes(DType t) {
-  switch (t) {
-    case DType::kF32:
-    case DType::kI32:
-      return 4;
-    default:
-      return 1;
-  }
-}
+inline int64_t DTypeBytes(DType t) { return t == DType::kF32 ? 4 : 1; }
 
 const char* DTypeName(DType t);
 
 // Dtype-aware dense buffer with 64-byte-aligned owned storage. Unlike
 // Tensor it never binds external memory and never participates in the
-// activation arena: QTensors hold derived, layer-owned data (quantized
-// weight panels, column sums) whose lifetime is the layer's own.
+// activation arena: it holds derived, network-owned data (quantized
+// weight rows, u8 activation blocks) whose lifetime is its owner's.
 //
 // Kept deliberately small: shape + raw aligned bytes + a typed view.
 // Copy is a deep copy, preserving the value semantics of Tensor.
@@ -116,24 +107,6 @@ class DTypeBuffer {
   Shape shape_;
   std::unique_ptr<uint8_t[]> storage_;
   int64_t capacity_ = 0;  // bytes (excluding the alignment slack)
-};
-
-// A quantized tensor: int8 values plus the per-channel symmetric scales
-// that map them back to floats (value[c][..] ~= scale[c] * q[c][..]).
-// Channel = dim 0 (the conv filter axis). zero_point covers the
-// asymmetric-unsigned activation case (one zp for the whole tensor; the
-// weight quantizer leaves it 0).
-struct QTensor {
-  DTypeBuffer q;              // kI8 or kU8 values
-  std::vector<float> scale;   // one per channel (dim 0), or size 1
-  int32_t zero_point = 0;
-
-  bool empty() const { return q.empty(); }
-  void Clear() {
-    q.Clear();
-    scale.clear();
-    zero_point = 0;
-  }
 };
 
 }  // namespace thali

@@ -67,17 +67,19 @@ BuiltNetwork BuildThali(ExecMode mode, int batch) {
 //   └──────────────────────────────────────────────────────┘
 //                                              5 conv4(1x1) ── output
 //
-// `ksize` sizes the three conv8 layers (3x3 by default; with 1x1 every
-// conv runs an algorithm the fused plan keeps bitwise-exact).
-std::unique_ptr<Network> BuildFanoutNet(ExecMode mode, int ksize = 3) {
+// `ksize` sizes the three conv8 layers (3x3 by default) and `act` is
+// every conv's activation; with leaky the fused plan runs every conv
+// bitwise-exact, with mish through the fast mish family.
+std::unique_ptr<Network> BuildFanoutNet(
+    ExecMode mode, int ksize = 3, Activation act = Activation::kLeaky) {
   auto net = std::make_unique<Network>(16, 16, 3, 1);
-  auto conv = [](int filters, int k) {
+  auto conv = [act](int filters, int k) {
     ConvLayer::Options o;
     o.filters = filters;
     o.ksize = k;
     o.stride = 1;
     o.pad = k / 2;
-    o.activation = Activation::kLeaky;
+    o.activation = act;
     return std::make_unique<ConvLayer>(o);
   };
   net->Add(conv(8, ksize));  // 0
@@ -165,40 +167,46 @@ TEST(ArenaPlanTest, OverlappingLiveIntervalsNeverShareArenaBytes) {
   }
 }
 
-// On the 1x1 fan-out net the fused plan runs only bitwise-exact steps
-// (direct 1x1 GEMMs, leaky, aliased route and in-place shortcut), so the
-// arena-planned forward must agree *bitwise* with the seed per-layer
-// allocator — arena placement and copy elision can never change
-// arithmetic. Batch 2 adds the blocked CNHW layouts.
+// On the leaky fan-out net the fused plan runs only bitwise-exact steps
+// (im2col and direct 1x1 GEMMs with the bias+leaky epilogue, aliased
+// route and in-place shortcut), so the arena-planned forward must agree
+// *bitwise* with the seed per-layer allocator — arena placement and copy
+// elision can never change arithmetic. Batch 2 adds the blocked CNHW
+// layouts.
 TEST(ArenaPlanTest, ArenaForwardMatchesSeedAllocatorBitwise) {
-  std::unique_ptr<Network> seed_net =
-      BuildFanoutNet(ExecMode::kTraining, /*ksize=*/1);
-  std::unique_ptr<Network> arena_net =
-      BuildFanoutNet(ExecMode::kInference, /*ksize=*/1);
-  ASSERT_TRUE(arena_net->exec_plan().fused);
-  int elided = 0;
-  for (const LayerPlan& lp : arena_net->exec_plan().layers) {
-    if (lp.copy_elided) ++elided;
-  }
-  EXPECT_GT(elided, 0) << "the fan-out net must exercise copy elision";
+  for (const int ksize : {1, 3}) {
+    SCOPED_TRACE("ksize " + std::to_string(ksize));
+    std::unique_ptr<Network> seed_net =
+        BuildFanoutNet(ExecMode::kTraining, ksize);
+    std::unique_ptr<Network> arena_net =
+        BuildFanoutNet(ExecMode::kInference, ksize);
+    ASSERT_TRUE(arena_net->exec_plan().fused);
+    int elided = 0;
+    for (const LayerPlan& lp : arena_net->exec_plan().layers) {
+      if (lp.copy_elided) ++elided;
+    }
+    EXPECT_GT(elided, 0) << "the fan-out net must exercise copy elision";
 
-  for (const int batch : {1, 2}) {
-    ASSERT_TRUE(seed_net->SetBatch(batch).ok());
-    ASSERT_TRUE(arena_net->SetBatch(batch).ok());
-    Tensor input(seed_net->input_shape());
-    FillDeterministic(input, 5);
-    const Tensor& seed_out = seed_net->Forward(input, /*train=*/false);
-    const Tensor& arena_out = arena_net->Forward(input, /*train=*/false);
-    ExpectBitwiseEqual(seed_out, arena_out);
+    for (const int batch : {1, 2}) {
+      ASSERT_TRUE(seed_net->SetBatch(batch).ok());
+      ASSERT_TRUE(arena_net->SetBatch(batch).ok());
+      Tensor input(seed_net->input_shape());
+      FillDeterministic(input, 5);
+      const Tensor& seed_out = seed_net->Forward(input, /*train=*/false);
+      const Tensor& arena_out = arena_net->Forward(input, /*train=*/false);
+      ExpectBitwiseEqual(seed_out, arena_out);
+    }
   }
 }
 
-// The fused plan (Winograd 3x3, fast mish) is not bitwise vs the
-// reference — Winograd reassociates the reduction — but must stay
-// inside the documented 1e-4 + 1e-3|ref| envelope.
+// Fast mish is the one step of the fused fp32 plan that is not bitwise
+// vs the reference (libm mish), so the mish fan-out net must stay inside
+// the documented 1e-4 + 1e-3|ref| envelope.
 TEST(ArenaPlanTest, FusedForwardMatchesReferenceWithinTolerance) {
-  std::unique_ptr<Network> ref_net = BuildFanoutNet(ExecMode::kTraining);
-  std::unique_ptr<Network> fused_net = BuildFanoutNet(ExecMode::kInference);
+  std::unique_ptr<Network> ref_net =
+      BuildFanoutNet(ExecMode::kTraining, 3, Activation::kMish);
+  std::unique_ptr<Network> fused_net =
+      BuildFanoutNet(ExecMode::kInference, 3, Activation::kMish);
   ASSERT_FALSE(ref_net->exec_plan().fused);
   ASSERT_TRUE(fused_net->exec_plan().fused);
 
@@ -215,8 +223,8 @@ TEST(ArenaPlanTest, FusedForwardMatchesReferenceWithinTolerance) {
 }
 
 // Full yolov4-thali, layer by layer: every layer the fused plan runs
-// with exact arithmetic (im2col and direct 1x1 convs without the fast
-// mish, and the detection heads), fed the seed allocator's input for
+// with exact arithmetic (every conv without the fast mish, and the
+// detection heads), fed the seed allocator's input for
 // that layer, must write the seed allocator's output bit for bit into
 // its arena slot — prepacked weights, CNHW strides (batch 1) and, with
 // folded batch norm, the fused bias+activation GEMM epilogue included.
@@ -241,14 +249,11 @@ TEST(ArenaPlanTest, FullModelArenaMatchesSeedAllocatorBitwise) {
     int compared = 0;
     for (int i = 0; i < arena.net->num_layers(); ++i) {
       Layer& layer = arena.net->layer(i);
-      const LayerPlan& lp = layer.plan();
       const std::string_view kind = layer.kind();
       const bool exact_conv =
           kind == "convolutional" &&
           static_cast<const ConvLayer&>(layer).options().activation !=
-              Activation::kMish &&
-          (lp.conv_algo == ConvAlgo::kIm2col ||
-           lp.conv_algo == ConvAlgo::kDirect1x1);
+              Activation::kMish;
       if (!exact_conv && kind != "yolo") continue;
       const Tensor& in = i == 0 ? input : seed.net->layer(i - 1).output();
       layer.Forward(in, *arena.net, /*train=*/false);
@@ -257,10 +262,10 @@ TEST(ArenaPlanTest, FullModelArenaMatchesSeedAllocatorBitwise) {
       ExpectBitwiseEqual(layer.output(), seed.net->layer(i).output());
       ++compared;
     }
-    // 7 convs (the 2 stride-2 stem convs and the 10 1x1s, less the 5
-    // that run the fast mish) plus 3 heads; pinned so the sweep cannot
-    // silently shrink.
-    EXPECT_EQ(compared, 10);
+    // 10 convs (the 2 stride-2 stem convs, the 13 stride-1 3x3s and the
+    // 10 1x1s, less the 15 that run the fast mish) plus 3 heads; pinned
+    // so the sweep cannot silently shrink.
+    EXPECT_EQ(compared, 13);
   }
 }
 
@@ -310,15 +315,15 @@ TEST(ExecPlanTest, TrainingNetworksRunTheReferencePlan) {
   }
 }
 
-// The fused yolov4-thali plan picks the specialized conv paths the
-// geometry allows: every 1x1/s1 conv goes direct, every 3x3/s1 conv
-// goes Winograd, and strided 3x3 downsamplers stay on im2col. Routes
-// and shortcuts whose layout/liveness permit are elided outright.
+// The fused yolov4-thali plan picks the conv paths the geometry allows:
+// every 1x1/s1 conv goes direct, and every 3x3 conv, at stride 1 or 2,
+// runs im2col. Routes and shortcuts whose layout/liveness permit are
+// elided outright.
 TEST(ExecPlanTest, FusedPlanSelectsSpecializedPathsForYoloThali) {
   BuiltNetwork built = BuildThali(ExecMode::kInference, 1);
   const ExecPlan& plan = built.net->exec_plan();
   ASSERT_TRUE(plan.fused);
-  int direct = 0, winograd = 0, elided = 0, mish = 0, fused = 0;
+  int direct = 0, im2col = 0, elided = 0, mish = 0, fused = 0;
   for (int i = 0; i < built.net->num_layers(); ++i) {
     const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
     if (std::string_view(built.net->layer(i).kind()) != "convolutional") {
@@ -330,11 +335,9 @@ TEST(ExecPlanTest, FusedPlanSelectsSpecializedPathsForYoloThali) {
     if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
       EXPECT_EQ(lp.conv_algo, ConvAlgo::kDirect1x1) << "layer " << i;
       ++direct;
-    } else if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kWinograd) << "layer " << i;
-      ++winograd;
     } else {
       EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col) << "layer " << i;
+      ++im2col;
     }
     if (o.activation == Activation::kMish) ++mish;
     // Unfolded batch norm leaves nothing to fuse: only the BN-free,
@@ -347,7 +350,7 @@ TEST(ExecPlanTest, FusedPlanSelectsSpecializedPathsForYoloThali) {
   }
   // yolov4-thali's backbone: the exact counts are structural, pin them.
   EXPECT_EQ(direct, 10);
-  EXPECT_EQ(winograd, 13);
+  EXPECT_EQ(im2col, 15);
   EXPECT_EQ(elided, 15);
   EXPECT_EQ(mish, 15);
   EXPECT_EQ(fused, 3);

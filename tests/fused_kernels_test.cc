@@ -1,11 +1,10 @@
 // Unit tests for the kernels the fused inference plan dispatches to
-// (nn/exec_plan.h): the fast activation family (tensor/act_kernels.h),
-// Winograd F(2x2,3x3) convolution (tensor/winograd.h), and the GEMM
-// stream-B / masked edge-tile paths that back the direct 1x1 and CNHW
-// strided convs. Carries the `asan_smoke` ctest label: a
+// (nn/exec_plan.h): the fast activation family (tensor/act_kernels.h)
+// and the GEMM stream-B / masked edge-tile paths that back the direct
+// 1x1 and CNHW strided convs. Carries the `asan_smoke` ctest label: a
 // -DTHALI_SANITIZE=address build runs these to sweep the fused paths
-// (transform scratch, masked loads, arena-aliased full-model forward)
-// for out-of-bounds access.
+// (masked loads, arena-aliased full-model forward) for out-of-bounds
+// access.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 #include "tensor/act_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_pack.h"
-#include "tensor/winograd.h"
 
 namespace thali {
 namespace {
@@ -112,119 +110,6 @@ TEST(FastActTest, ScalarAndAvx2FamiliesAgreeBitwise) {
 }
 
 // ---------------------------------------------------------------------
-// Winograd F(2x2, 3x3).
-
-// Reference direct 3x3 stride-1 pad-1 convolution, NCHW single item.
-void DirectConv3x3(const float* in, int64_t c, int64_t h, int64_t w,
-                   const float* weights, int64_t f, float* out) {
-  for (int64_t of = 0; of < f; ++of) {
-    for (int64_t y = 0; y < h; ++y) {
-      for (int64_t x = 0; x < w; ++x) {
-        double acc = 0.0;
-        for (int64_t ic = 0; ic < c; ++ic) {
-          for (int64_t ky = 0; ky < 3; ++ky) {
-            const int64_t sy = y + ky - 1;
-            if (sy < 0 || sy >= h) continue;
-            for (int64_t kx = 0; kx < 3; ++kx) {
-              const int64_t sx = x + kx - 1;
-              if (sx < 0 || sx >= w) continue;
-              acc += static_cast<double>(in[(ic * h + sy) * w + sx]) *
-                     weights[((of * c + ic) * 3 + ky) * 3 + kx];
-            }
-          }
-        }
-        out[(of * h + y) * w + x] = static_cast<float>(acc);
-      }
-    }
-  }
-}
-
-// U = G w G^T prepacked into GEMM A panels, as ConvLayer::PrepackWeights
-// builds it for a kWinograd plan.
-std::vector<float> PackedWinogradWeights(const std::vector<float>& weights,
-                                         int64_t f, int64_t c) {
-  std::vector<float> u_packed(
-      static_cast<size_t>(WinogradPackedWeightFloats(f, c)));
-  WinogradPackWeights(weights.data(), f, c, u_packed.data());
-  return u_packed;
-}
-
-void WinogradVsDirectCase(int64_t c, int64_t f, int64_t h, int64_t w) {
-  Rng rng(static_cast<uint64_t>(c * 1000 + f * 100 + h * 10 + w));
-  std::vector<float> in(static_cast<size_t>(c * h * w));
-  std::vector<float> weights(static_cast<size_t>(f * c * 9));
-  for (auto& v : in) v = rng.NextFloat() * 2.0f - 1.0f;
-  for (auto& v : weights) v = rng.NextFloat() * 2.0f - 1.0f;
-
-  std::vector<float> ref(static_cast<size_t>(f * h * w));
-  DirectConv3x3(in.data(), c, h, w, weights.data(), f, ref.data());
-
-  const std::vector<float> u_packed = PackedWinogradWeights(weights, f, c);
-  std::vector<float> ws(
-      static_cast<size_t>(WinogradWorkspaceFloats(c, f, h, w)));
-  std::vector<float> got(static_cast<size_t>(f * h * w), -1.0f);
-  WinogradForward(in.data(), h * w, c, h, w, u_packed.data(), f, got.data(),
-                  h * w, ws.data());
-
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_NEAR(got[i], ref[i], 1e-4f + 1e-3f * std::abs(ref[i]))
-        << "c=" << c << " f=" << f << " h=" << h << " w=" << w << " at "
-        << i;
-  }
-}
-
-TEST(WinogradTest, MatchesDirectConvWithinTolerance) {
-  // Even, odd, and non-square spatial sizes (odd exercises the edge
-  // clipping of partial 2x2 output tiles), tiny and yolo-scale channel
-  // counts.
-  WinogradVsDirectCase(1, 1, 4, 4);
-  WinogradVsDirectCase(3, 8, 7, 5);
-  WinogradVsDirectCase(16, 32, 12, 12);
-  WinogradVsDirectCase(8, 4, 1, 1);
-  WinogradVsDirectCase(32, 64, 6, 6);
-}
-
-TEST(WinogradTest, StridedLayoutMatchesContiguous) {
-  // CNHW at batch > 1 reaches WinogradForward with channel strides
-  // batch*H*W; planting the item inside a larger block must read/write
-  // exactly the same values as the contiguous run.
-  const int64_t c = 5, f = 7, h = 6, w = 6, batch = 3;
-  Rng rng(31);
-  std::vector<float> weights(static_cast<size_t>(f * c * 9));
-  for (auto& v : weights) v = rng.NextFloat() * 2.0f - 1.0f;
-  const std::vector<float> u_packed = PackedWinogradWeights(weights, f, c);
-  std::vector<float> ws(
-      static_cast<size_t>(WinogradWorkspaceFloats(c, f, h, w)));
-
-  std::vector<float> in_blocked(static_cast<size_t>(c * batch * h * w));
-  for (auto& v : in_blocked) v = rng.NextFloat() * 2.0f - 1.0f;
-  std::vector<float> out_blocked(static_cast<size_t>(f * batch * h * w), 0.0f);
-
-  const int64_t item = 1;  // middle batch slot
-  WinogradForward(in_blocked.data() + item * h * w, batch * h * w, c, h, w,
-                  u_packed.data(), f, out_blocked.data() + item * h * w,
-                  batch * h * w, ws.data());
-
-  // Contiguous control: gather item 1's channels, run, compare bitwise.
-  std::vector<float> in_c(static_cast<size_t>(c * h * w));
-  for (int64_t ic = 0; ic < c; ++ic) {
-    std::memcpy(in_c.data() + ic * h * w,
-                in_blocked.data() + (ic * batch + item) * h * w,
-                static_cast<size_t>(h * w) * sizeof(float));
-  }
-  std::vector<float> out_c(static_cast<size_t>(f * h * w), 0.0f);
-  WinogradForward(in_c.data(), h * w, c, h, w, u_packed.data(), f,
-                  out_c.data(), h * w, ws.data());
-  for (int64_t of = 0; of < f; ++of) {
-    EXPECT_EQ(std::memcmp(out_blocked.data() + (of * batch + item) * h * w,
-                          out_c.data() + of * h * w,
-                          static_cast<size_t>(h * w) * sizeof(float)),
-              0)
-        << "filter " << of;
-  }
-}
-
-// ---------------------------------------------------------------------
 // GEMM stream-B / masked ragged-N edge tiles.
 
 TEST(GemmStreamBTest, RaggedNShapesMatchReferenceBitwise) {
@@ -276,7 +161,7 @@ TEST(GemmStreamBTest, RaggedNShapesMatchReferenceBitwise) {
 
 // ---------------------------------------------------------------------
 // Full-model sweep under the fused plan (the ASan workhorse: arena
-// aliasing, Winograd scratch, masked loads all run in one pass).
+// aliasing, im2col panels, masked loads all run in one pass).
 
 TEST(FusedModelTest, FusedForwardProducesFiniteOutputs) {
   Rng rng(99);

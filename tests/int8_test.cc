@@ -659,16 +659,17 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
       }
       const ConvLayer::Options& o =
           static_cast<const ConvLayer&>(net.layer(i)).options();
-      if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
-        // Winograd geometry: int8 unless the output is NCHW-pinned,
-        // which must stay fp32 Winograd (in yolov4-thali no 3x3 conv is
-        // pinned, so every one quantizes).
+      if (o.ksize == 3 && o.pad == 1 && (o.stride == 1 || o.stride == 2)) {
+        // A 3x3 at either stride (the u8 im2col walks any stride): int8
+        // unless the output is NCHW-pinned, which must stay fp32 (in
+        // yolov4-thali no 3x3 conv is pinned, so every one quantizes);
+        // im2col until armed.
         EXPECT_EQ(lp.quantizable, lp.out_layout == ActLayout::kCNHW)
             << "layer " << i;
         EXPECT_EQ(lp.conv_algo, armed && lp.quantizable ? ConvAlgo::kQuantInt8
-                                                        : ConvAlgo::kWinograd)
+                                                        : ConvAlgo::kIm2col)
             << "layer " << i;
-        if (lp.quantizable) ++quantized_3x3;
+        if (lp.quantizable) ++(o.stride == 1 ? quantized_3x3 : quantized_s2);
       } else if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
         // Every 1x1 quantizes, layout pins included — the int8 GEMM
         // reads through strides like kDirect1x1, so even the
@@ -680,15 +681,6 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
             << "layer " << i;
         ++quantized_1x1;
         if (lp.out_layout == ActLayout::kNCHW) ++head_feeders;
-      } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1) {
-        // Downsampling stem convs: the u8 im2col walks any stride, so
-        // these quantize too (plain im2col — no Winograd form at stride
-        // 2 — until armed).
-        EXPECT_TRUE(lp.quantizable) << "layer " << i;
-        EXPECT_EQ(lp.conv_algo,
-                  armed ? ConvAlgo::kQuantInt8 : ConvAlgo::kIm2col)
-            << "layer " << i;
-        ++quantized_s2;
       } else {
         EXPECT_FALSE(lp.quantizable) << "layer " << i;
       }
@@ -1233,7 +1225,6 @@ TEST_F(Int8Test, UnchainedCnhwInputsMatchBatchOnePerItem) {
     const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
     EXPECT_NE(lp.conv_algo, ConvAlgo::kIm2col) << "layer " << i;
     EXPECT_NE(lp.conv_algo, ConvAlgo::kDirect1x1) << "layer " << i;
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kWinograd) << "layer " << i;
     EXPECT_EQ(lp.in_dtype, DType::kF32) << "layer " << i;
     EXPECT_EQ(lp.in_layout, ActLayout::kCNHW) << "layer " << i;
   }

@@ -483,8 +483,8 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
   // The quantized forward must be bitwise stable across thread counts,
   // kernel families, and batch re-planning — exact integer accumulation
   // plus the shared scalar requantize epilogue make this a hard
-  // equality, unlike the fp32 Winograd tolerance. The batch-4 heads
-  // compare runs whose items split across 1, 2 and 4 strands.
+  // equality. The batch-4 heads compare runs whose items split across 1,
+  // 2 and 4 strands.
   const std::vector<float> base = ThaliInt8Forward(1, /*scalar=*/true);
   ASSERT_FALSE(base.empty());
   for (const bool scalar : {true, false}) {
@@ -500,7 +500,7 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
 }
 
 // Conformance sweep over every conv shape in yolov4-thali: the fused
-// plan (CNHW layout, direct 1x1, Winograd 3x3, fast mish) must land
+// plan (CNHW layout, direct 1x1, im2col 3x3, fast mish) must land
 // within the documented 1e-4 + 1e-3*|ref| envelope of a training
 // network's reference im2col path at *every conv layer's output*, not
 // just the heads — so a drifting kernel is pinned to its layer, and

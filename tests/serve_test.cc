@@ -473,8 +473,9 @@ TEST(ServerTest, ExpiredDeadlineCompletesWithoutRunningNetwork) {
 
   // An already-expired absolute deadline: the worker must complete it with
   // kDeadlineExceeded without ever forming a batch.
-  auto fut = server->Submit(RenderImages(1)[0],
-                            ServeClock::now() - milliseconds(1));
+  Server::SubmitOptions expired;
+  expired.deadline = ServeClock::now() - milliseconds(1);
+  auto fut = server->Submit(RenderImages(1)[0], expired);
   ASSERT_TRUE(fut.ok());
   Server::Result r = fut->get();
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
