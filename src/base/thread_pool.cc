@@ -112,9 +112,15 @@ void SetMaxParallelism(int n) {
   }
 }
 
-void ParallelForBounded(
-    int64_t begin, int64_t end, int64_t grain, int max_strands,
-    const std::function<void(int64_t, int64_t, int)>& fn) {
+namespace internal {
+
+bool RegionRunsInline(int64_t range, int64_t grain, int max_strands) {
+  return t_in_parallel_region || std::min(max_strands, t_strand_cap) <= 1 ||
+         range <= std::max<int64_t>(1, grain);
+}
+
+void RunRegion(int64_t begin, int64_t end, int64_t grain, int max_strands,
+               const std::function<void(int64_t, int64_t, int)>& fn) {
   const int64_t range = end - begin;
   if (range <= 0) return;
 
@@ -174,10 +180,7 @@ void ParallelForBounded(
   }
 }
 
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t, int)>& fn) {
-  ParallelForBounded(begin, end, grain, std::numeric_limits<int>::max(), fn);
-}
+}  // namespace internal
 
 ScopedStrandCap::ScopedStrandCap(int max_strands) : enclosing_(t_strand_cap) {
   if (max_strands > 0) t_strand_cap = std::min(t_strand_cap, max_strands);

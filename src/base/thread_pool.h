@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -52,6 +53,19 @@ int MaxParallelism();
 // ParallelFor is in flight.
 void SetMaxParallelism(int n);
 
+namespace internal {
+
+// True when a region over `range` > 0 indices runs as one inline chunk
+// on the calling thread without asking the pool: one grain, a strand cap
+// or bound of 1, or a caller already inside a region.
+bool RegionRunsInline(int64_t range, int64_t grain, int max_strands);
+
+// The region body of ParallelForBounded once the inline test failed.
+void RunRegion(int64_t begin, int64_t end, int64_t grain, int max_strands,
+               const std::function<void(int64_t, int64_t, int)>& fn);
+
+}  // namespace internal
+
 // Chunked parallel-for. Splits [begin, end) into at most
 // min(MaxParallelism(), max_strands, the calling thread's strand cap)
 // contiguous chunks of roughly equal size (never creating more chunks
@@ -62,7 +76,10 @@ void SetMaxParallelism(int n);
 // Runs fn(begin, end, 0) inline — bit-identical to a plain loop — when
 // the range fits a single chunk, parallelism or the calling thread's
 // strand cap (ScopedStrandCap) is 1, or the caller is already inside a
-// ParallelFor (nested regions never re-parallelize).
+// ParallelFor (nested regions never re-parallelize). An inline region
+// that can tell so from the range, the bound and the calling thread
+// alone calls fn directly, without wrapping it in a std::function (no
+// allocation).
 // Exceptions thrown by fn are captured and the first one is rethrown on
 // the calling thread after all chunks finish.
 //
@@ -70,15 +87,25 @@ void SetMaxParallelism(int n);
 // only to locations derived from indices in its chunk and (b) preserves
 // the sequential iteration order inside the chunk produces bitwise
 // identical results for every parallelism level, 1 included.
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t, int)>& fn);
-
-// ParallelFor with an explicit strand cap, for callers whose per-strand
-// resources (e.g. per-thread workspaces) were sized below the current
-// pool parallelism.
+//
+// ParallelForBounded takes an explicit strand cap, for callers whose
+// per-strand resources (e.g. per-thread workspaces) were sized below the
+// current pool parallelism.
+template <typename Fn>
 void ParallelForBounded(int64_t begin, int64_t end, int64_t grain,
-                        int max_strands,
-                        const std::function<void(int64_t, int64_t, int)>& fn);
+                        int max_strands, Fn&& fn) {
+  if (end <= begin) return;
+  if (internal::RegionRunsInline(end - begin, grain, max_strands)) {
+    fn(begin, end, 0);
+    return;
+  }
+  internal::RunRegion(begin, end, grain, max_strands, fn);
+}
+
+template <typename Fn>
+void ParallelFor(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
+  ParallelForBounded(begin, end, grain, std::numeric_limits<int>::max(), fn);
+}
 
 // Caps every ParallelFor region the calling thread starts while this
 // object lives at `max_strands` strands, on top of MaxParallelism() and
@@ -86,8 +113,8 @@ void ParallelForBounded(int64_t begin, int64_t end, int64_t grain,
 // chunk 0. Regions started on other threads are unaffected. Caps nest:
 // the tightest enclosing cap holds, and destruction (an exception
 // unwinding through the scope included) restores the enclosing one.
-// `max_strands` <= 0 adds no cap. Network::Forward runs each inference
-// layer under its plan's strand count (LayerPlan::strands).
+// `max_strands` <= 0 adds no cap. Network::Forward runs each item group
+// under a cap of 1, so nothing inside an inference forward fans out.
 class ScopedStrandCap {
  public:
   explicit ScopedStrandCap(int max_strands);

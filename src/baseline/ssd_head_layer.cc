@@ -20,8 +20,7 @@ Status SsdHeadLayer::Configure(const Shape& input_shape, const Network&) {
   if (input_shape.dim(1) != want) {
     return Status::InvalidArgument("ssd head channel mismatch");
   }
-  SetShapes(input_shape, input_shape);
-  return Status::OK();
+  return SetShapes(input_shape, input_shape);
 }
 
 int64_t SsdHeadLayer::Entry(int64_t b, int64_t n, int64_t attr, int64_t y,
@@ -32,12 +31,15 @@ int64_t SsdHeadLayer::Entry(int64_t b, int64_t n, int64_t attr, int64_t y,
   return ((b * c + n * (5 + opts_.classes) + attr) * gh + y) * gw + x;
 }
 
-void SsdHeadLayer::Forward(const Tensor& input, Network&, bool) {
-  std::copy(input.data(), input.data() + input.size(), output_.data());
-  const int64_t batch = out_shape_.dim(0);
+void SsdHeadLayer::Forward(const Tensor& input, Network&, bool,
+                           const ItemRange& items) {
+  // A head's input is NCHW, so the group's items are one run.
+  const int64_t item = in_shape_.dim(1) * in_shape_.dim(2) * in_shape_.dim(3);
+  std::copy(input.data() + items.begin * item, input.data() + items.end * item,
+            output_.data() + items.begin * item);
   const int64_t spatial = out_shape_.dim(2) * out_shape_.dim(3);
   const int64_t n_anchors = static_cast<int64_t>(opts_.anchors.size());
-  for (int64_t b = 0; b < batch; ++b) {
+  for (int64_t b = items.begin; b < items.end; ++b) {
     for (int64_t n = 0; n < n_anchors; ++n) {
       for (int64_t attr = 0; attr < 5 + opts_.classes; ++attr) {
         if (attr == 2 || attr == 3) continue;  // w,h stay raw

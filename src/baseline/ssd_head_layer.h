@@ -33,7 +33,8 @@ class SsdHeadLayer : public Layer, public DetectionHead {
   // Detections are decoded from the head output after the forward pass.
   bool OutputLiveAfterForward() const override { return true; }
   Status Configure(const Shape& input_shape, const Network& net) override;
-  void Forward(const Tensor& input, Network& net, bool train) override;
+  void Forward(const Tensor& input, Network& net, bool train,
+               const ItemRange& items) override;
   void Backward(const Tensor& input, Tensor* input_delta,
                 Network& net) override;
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "base/thread_pool.h"
 #include "darknet/weights_io.h"
 #include "image/image_prepost.h"
 #include "nn/conv_layer.h"
@@ -164,16 +163,17 @@ std::vector<std::vector<Detection>> Detector::DetectBatch(
   };
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Letterbox + load each image into its batch slot. Slots are disjoint
-  // and letterboxing is a pure per-item function, so items parallelize
-  // without changing any result.
+  // Each stage runs over the forward's item groups, so an item is
+  // staged, forwarded and decoded by the same group. Letterbox + load
+  // each image into its batch slot: slots are disjoint and letterboxing
+  // is a pure per-item function, so groups change no result.
   std::vector<SlotMapping> mappings(static_cast<size_t>(n));
   if (!(input_staging_.shape() == net_->input_shape())) {
     input_staging_.Resize(net_->input_shape());
   }
   const bool fused_quant = net_->exec_plan().input_u8;
-  ParallelFor(0, n, 1, [&](int64_t b0, int64_t b1, int) {
-    for (int64_t b = b0; b < b1; ++b) {
+  net_->ForEachGroup([&](const ItemRange& items) {
+    for (int64_t b = items.begin; b < items.end; ++b) {
       mappings[static_cast<size_t>(b)] =
           LoadImageIntoSlot(images[static_cast<size_t>(b)], b, fused_quant);
     }
@@ -184,25 +184,29 @@ std::vector<std::vector<Detection>> Detector::DetectBatch(
   net_->Forward(input_staging_, /*train=*/false);
   const auto t2 = std::chrono::steady_clock::now();
 
+  // Decode and NMS per item: both only read the head outputs.
   std::vector<std::vector<Detection>> results(static_cast<size_t>(n));
-  for (int b = 0; b < n; ++b) {
-    std::vector<Detection> dets =
-        CollectDetections(heads_, b, conf_threshold, nms_threshold, nw, nh);
-    const SlotMapping& m = mappings[static_cast<size_t>(b)];
-    if (!m.direct) {
-      // Map boxes from network frame back into image-normalized frame.
-      const ImageView& image = images[static_cast<size_t>(b)];
-      for (Detection& d : dets) {
-        const float px = d.box.x * nw - m.pad_x;
-        const float py = d.box.y * nh - m.pad_y;
-        d.box.x = px / m.scale / image.width();
-        d.box.y = py / m.scale / image.height();
-        d.box.w = d.box.w * nw / m.scale / image.width();
-        d.box.h = d.box.h * nh / m.scale / image.height();
+  net_->ForEachGroup([&](const ItemRange& items) {
+    for (int64_t b = items.begin; b < items.end; ++b) {
+      std::vector<Detection> dets =
+          CollectDetections(heads_, static_cast<int>(b), conf_threshold,
+                            nms_threshold, nw, nh);
+      const SlotMapping& m = mappings[static_cast<size_t>(b)];
+      if (!m.direct) {
+        // Map boxes from network frame back into image-normalized frame.
+        const ImageView& image = images[static_cast<size_t>(b)];
+        for (Detection& d : dets) {
+          const float px = d.box.x * nw - m.pad_x;
+          const float py = d.box.y * nh - m.pad_y;
+          d.box.x = px / m.scale / image.width();
+          d.box.y = py / m.scale / image.height();
+          d.box.w = d.box.w * nw / m.scale / image.width();
+          d.box.h = d.box.h * nh / m.scale / image.height();
+        }
       }
+      results[static_cast<size_t>(b)] = std::move(dets);
     }
-    results[static_cast<size_t>(b)] = std::move(dets);
-  }
+  });
   const auto t3 = std::chrono::steady_clock::now();
   stage_times_ = {ms(t1 - t0), ms(t2 - t1), ms(t3 - t2)};
   return results;

@@ -133,6 +133,10 @@ StatusOr<NetOptions> ParseNetOptions(const CfgSection& s) {
   o.mosaic = s.GetInt("mosaic", o.mosaic ? 1 : 0) != 0;
   o.flip = s.GetInt("flip", o.flip ? 1 : 0) != 0;
   o.jitter = s.GetFloat("jitter", o.jitter);
+  if (o.width < 1 || o.height < 1 || o.channels < 1 || o.batch < 1) {
+    return Status::InvalidArgument(
+        "[net] needs width, height, channels and batch >= 1");
+  }
   return o;
 }
 

@@ -69,7 +69,10 @@ struct BuiltNetwork {
 // Weights are randomly initialized from `rng`. `mode` selects the buffer
 // plan: kTraining allocates per-layer deltas and backward caches;
 // kInference skips both and arena-plans the activations (see
-// nn/exec_plan.h).
+// nn/exec_plan.h). Invalid input is a Status, never an abort: [net]
+// width, height, channels and batch below 1, and a layer whose weights
+// or output exceed kMaxLayerElements (nn/layer.h), are InvalidArgument
+// before anything of that size is allocated.
 StatusOr<BuiltNetwork> BuildNetworkFromCfg(const std::string& text,
                                            int batch_override, Rng& rng,
                                            ExecMode mode = ExecMode::kTraining);

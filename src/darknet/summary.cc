@@ -80,7 +80,7 @@ std::string NetworkSummary(const Network& net) {
   }
   // Compiled-plan table: every decision the plan compiler made for each
   // layer. epi is what the conv's GEMM write-back fuses (b: bias, b+act:
-  // bias and activation); strands is the layer's strand cap. Only
+  // bias and activation). The item-group count follows the table. Only
   // inference networks have a fused plan to show; a training network's
   // reference plan prints no table.
   const ExecPlan& plan = net.exec_plan();
@@ -88,9 +88,9 @@ std::string NetworkSummary(const Network& net) {
   int int8_layers = 0;
   if (plan.fused) {
     os << StrFormat(
-        "\nplan: %4s  %-14s %10s %5s  %5s %5s  %6s %5s  %4s %4s %8s %7s\n",
+        "\nplan: %4s  %-14s %10s %5s  %5s %5s  %6s %5s  %4s %4s %8s\n",
         "idx", "type", "algo", "epi", "in", "out", "elide", "dtype", "din",
-        "dout", "chain", "strands");
+        "dout", "chain");
     for (int i = 0; i < net.num_layers(); ++i) {
       const Layer& layer = net.layer(i);
       const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
@@ -106,14 +106,16 @@ std::string NetworkSummary(const Network& net) {
                         : lp.epilogue.bias          ? "b"
                                                     : "-";
       os << StrFormat(
-          "plan: %4d  %-14s %10s %5s  %5s %5s  %6s %5s  %4s %4s %8s %7d\n", i,
+          "plan: %4d  %-14s %10s %5s  %5s %5s  %6s %5s  %4s %4s %8s\n", i,
           std::string(layer.kind()).c_str(),
           conv ? ConvAlgoName(lp.conv_algo) : "-", epi,
           ActLayoutName(lp.in_layout), ActLayoutName(lp.out_layout),
           lp.copy_elided ? "elide" : "-", dtype, DTypeName(lp.in_dtype),
-          DTypeName(lp.out_dtype), lp.in_dtype == DType::kU8 ? "chained" : "-",
-          lp.strands);
+          DTypeName(lp.out_dtype), lp.in_dtype == DType::kU8 ? "chained" : "-");
     }
+    os << StrFormat(
+        "groups: %d (batch %d in contiguous item groups, one strand each)\n",
+        plan.groups, net.batch());
   }
   os << StrFormat(
       "total: %lld parameters, %lld floats of per-thread workspace, batch %d\n",

@@ -44,8 +44,10 @@ Status ConvLayer::Configure(const Shape& input_shape, const Network&) {
     return Status::InvalidArgument("conv output collapses to zero");
   }
 
-  SetShapes(input_shape,
-            Shape({input_shape.dim(0), opts_.filters, out_h_, out_w_}));
+  THALI_RETURN_IF_ERROR(CheckElementBudget(
+      {opts_.filters, in_c_, opts_.ksize, opts_.ksize}, "conv weights"));
+  THALI_RETURN_IF_ERROR(SetShapes(
+      input_shape, Shape({input_shape.dim(0), opts_.filters, out_h_, out_w_})));
 
   weights_.Resize(Shape({opts_.filters, in_c_, opts_.ksize, opts_.ksize}));
   biases_.Resize(Shape({opts_.filters}));
@@ -86,8 +88,8 @@ Status ConvLayer::Rebatch(const Shape& input_shape, const Network&) {
         "conv Rebatch may only change the batch dimension: " +
         in_shape_.ToString() + " -> " + input_shape.ToString());
   }
-  SetShapes(input_shape,
-            Shape({input_shape.dim(0), opts_.filters, out_h_, out_w_}));
+  THALI_RETURN_IF_ERROR(SetShapes(
+      input_shape, Shape({input_shape.dim(0), opts_.filters, out_h_, out_w_})));
   SizeActivationCaches();
   cols_cached_ = false;
   return Status::OK();
@@ -107,11 +109,11 @@ int64_t ConvLayer::WorkspaceSize() const {
   return in_c_ * opts_.ksize * opts_.ksize * out_h_ * out_w_;
 }
 
-void ConvLayer::OnPlanUpdated() {
+void ConvLayer::OnPlanUpdated(const ExecPlan& eplan) {
   const ConvAlgo algo = plan().conv_algo;
   // The held weight copy always matches the planned algorithm: the first
   // plan and every replan onto another algorithm pack here, while weight
-  // mutations repack lazily in Forward.
+  // mutations repack in BeginForward.
   if (inference() && packed_algo_ != algo) PrepackWeights();
   int8_ws_ = Int8Sections();
   if (algo != ConvAlgo::kQuantInt8 &&
@@ -121,8 +123,9 @@ void ConvLayer::OnPlanUpdated() {
   // One item's sections, in order: its quantized input planes (unused
   // when the input arrives chained), the u8 im2col panel (3x3 only), the
   // packed activation panel and the i32 accumulator tile; then 64 bytes
-  // of slack.
-  const Items items = BatchItems();
+  // of slack. A whole-group item is as wide as the largest group.
+  const Items items = BatchItems(ItemRange{
+      0, MaxGroupItems(in_shape_.dim(0), eplan.groups), 0});
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
   int64_t bytes = 0;
   const auto take = [&bytes](int64_t size) {
@@ -186,18 +189,20 @@ bool ConvLayer::IsDirect1x1() const {
   return opts_.ksize == 1 && opts_.stride == 1 && opts_.pad == 0;
 }
 
-ConvLayer::Items ConvLayer::BatchItems() const {
+ConvLayer::Items ConvLayer::BatchItems(const ItemRange& range) const {
   const int64_t batch = in_shape_.dim(0);
   const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
   const int64_t out_hw = out_h_ * out_w_;
   const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
   const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
-  // A whole-batch item multiplies the [C, batch*HW] block at once.
-  const int64_t span = plan().whole_batch ? batch : 1;
   Items items;
-  items.count = batch / span;
-  items.in_cols = span * in_hw;
-  items.n = span * out_hw;
+  items.first = range.begin;
+  // A whole-batch item multiplies the [C, items*HW] block of the range
+  // at once.
+  items.span = plan().whole_batch ? range.size() : 1;
+  items.count = range.size() / items.span;
+  items.in_cols = items.span * in_hw;
+  items.n = items.span * out_hw;
   items.in_step = cnhw_in ? in_hw : in_c_ * in_hw;
   items.out_step = cnhw_out ? out_hw : opts_.filters * out_hw;
   items.in_chan_stride = cnhw_in ? batch * in_hw : in_hw;
@@ -213,15 +218,20 @@ const float* ConvLayer::PrepareCol(const float* in, int64_t chan_stride,
   return ws;
 }
 
-void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
-  // A calibration phase replans every conv onto its fp32 algorithm, so
-  // the statistics describe the unquantized network.
-  if (plan().quantizable && net.calib_phase() != CalibPhase::kOff) {
-    ObserveCalibration(input, net.calib_phase());
-  }
+void ConvLayer::BeginForward(const Network&, bool) {
   // InitWeights, FoldBatchNorm and weight loading invalidate the packed
   // copy.
   if (inference() && packed_dirty_) PrepackWeights();
+}
+
+void ConvLayer::Forward(const Tensor& input, Network& net, bool train,
+                        const ItemRange& items) {
+  // A calibration phase replans every conv onto its fp32 algorithm, so
+  // the statistics describe the unquantized network, and into one item
+  // group, so this reads the whole input.
+  if (plan().quantizable && net.calib_phase() != CalibPhase::kOff) {
+    ObserveCalibration(input, net.calib_phase());
+  }
 
   // Inference layers keep no pre-BN cache: the GEMM lands in output_
   // and BN normalizes it in place (elementwise, so bitwise identical to
@@ -231,35 +241,42 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
   switch (plan().conv_algo) {
     case ConvAlgo::kIm2col:
     case ConvAlgo::kDirect1x1:
-      ForwardFp32Gemm(input, net, train, raw);
+      ForwardFp32Gemm(input, net, train, items, raw);
       break;
     case ConvAlgo::kQuantInt8:
     case ConvAlgo::kQuantInt8Direct1x1:
-      ForwardInt8Gemm(input, net, raw);
+      ForwardInt8Gemm(input, net, items, raw);
       // The epilogue applied bias and activation; no fp32 output exists.
       if (plan().out_dtype == DType::kU8) return;
       break;
   }
 
+  // The bias, batch-norm and activation passes below run over the
+  // planes of the range's items (ForEachPlaneRun).
   const int64_t batch = in_shape_.dim(0);
   const int64_t spatial = out_h_ * out_w_;
+  const int64_t plane_grain =
+      std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(1, spatial));
   if (opts_.batch_normalize) {
-    BatchNormForward(train);
+    BatchNormForward(train, items);
   } else if (!plan().epilogue.bias) {
     // Plain bias add; (batch, filter) planes are independent. The plane
     // index maps to a filter as pl % F in NCHW and pl / batch in CNHW.
     const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
-    ParallelFor(0, batch * opts_.filters,
-                std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(
-                                                         1, spatial)),
-                [&](int64_t p0, int64_t p1, int) {
-                  for (int64_t pl = p0; pl < p1; ++pl) {
-                    float* p = output_.data() + pl * spatial;
-                    const float bias =
-                        biases_[cnhw_out ? pl / batch : pl % opts_.filters];
-                    for (int64_t i = 0; i < spatial; ++i) p[i] += bias;
-                  }
-                });
+    ForEachPlaneRun(
+        plan().out_layout, batch, opts_.filters, items,
+        [&](int64_t first, int64_t count) {
+          ParallelFor(first, first + count, plane_grain,
+                      [&](int64_t p0, int64_t p1, int) {
+                        for (int64_t pl = p0; pl < p1; ++pl) {
+                          float* p = output_.data() + pl * spatial;
+                          const float bias =
+                              biases_[cnhw_out ? pl / batch
+                                               : pl % opts_.filters];
+                          for (int64_t i = 0; i < spatial; ++i) p[i] += bias;
+                        }
+                      });
+        });
   }
 
   // Unless the epilogue activated, cache pre-activation values for the
@@ -270,23 +287,29 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
   if (plan().epilogue.act.has_value()) return;
   const bool fast_mish =
       inference() && opts_.activation == Activation::kMish;
-  ParallelFor(0, output_.size(), kBnGrainElems,
-              [&](int64_t i0, int64_t i1, int) {
-                float* x = output_.data() + i0;
-                if (!inference()) {
-                  std::copy(x, x + (i1 - i0), pre_activation_.data() + i0);
-                }
-                if (fast_mish) {
-                  FastMishInPlace(x, i1 - i0);
-                } else {
-                  ApplyActivation(opts_.activation, x, i1 - i0);
-                }
-              });
+  ForEachPlaneRun(
+      plan().out_layout, batch, opts_.filters, items,
+      [&](int64_t first, int64_t count) {
+        ParallelFor(first * spatial, (first + count) * spatial, kBnGrainElems,
+                    [&](int64_t i0, int64_t i1, int) {
+                      float* x = output_.data() + i0;
+                      if (!inference()) {
+                        std::copy(x, x + (i1 - i0),
+                                  pre_activation_.data() + i0);
+                      }
+                      if (fast_mish) {
+                        FastMishInPlace(x, i1 - i0);
+                      } else {
+                        ApplyActivation(opts_.activation, x, i1 - i0);
+                      }
+                    });
+      });
 }
 
 void ConvLayer::ForwardFp32Gemm(const Tensor& input, Network& net,
-                                bool train, Tensor& raw) {
-  const Items items = BatchItems();
+                                bool train, const ItemRange& range,
+                                Tensor& raw) {
+  const Items items = BatchItems(range);
   const int64_t m = opts_.filters;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
   const bool direct = IsDirect1x1();
@@ -296,11 +319,14 @@ void ConvLayer::ForwardFp32Gemm(const Tensor& input, Network& net,
 
   // During training, keep the per-item im2col panels around so Backward's
   // weight-gradient GEMM reuses them instead of recomputing (bounded by
-  // kColCacheMaxFloats; larger layers fall back to recompute).
-  cols_cached_ = train && col_plane > 0 &&
-                 items.count * col_plane <= kColCacheMaxFloats;
-  if (cols_cached_ && col_cache_.size() != items.count * col_plane) {
-    col_cache_.Resize(Shape({items.count, col_plane}));
+  // kColCacheMaxFloats; larger layers fall back to recompute). Training
+  // forwards cover the whole batch, so item j is batch entry j.
+  if (!inference()) {
+    cols_cached_ = train && col_plane > 0 &&
+                   items.count * col_plane <= kColCacheMaxFloats;
+    if (cols_cached_ && col_cache_.size() != items.count * col_plane) {
+      col_cache_.Resize(Shape({items.count, col_plane}));
+    }
   }
   GemmEpilogue epilogue;
   epilogue.bias = biases_.data();
@@ -308,16 +334,19 @@ void ConvLayer::ForwardFp32Gemm(const Tensor& input, Network& net,
   const GemmEpilogue* fused = plan().epilogue.bias ? &epilogue : nullptr;
 
   // Items are independent: each strand owns disjoint output planes and
-  // its own im2col scratch.
+  // its own im2col scratch slot.
   ParallelForBounded(
-      0, items.count, 1, net.workspace_slots(),
-      [&](int64_t b0, int64_t b1, int tid) {
+      0, items.count, 1, net.workspace_slots() - range.slot,
+      [&](int64_t j0, int64_t j1, int tid) {
         float* ws = nullptr;
-        if (!direct && !cols_cached_) ws = net.workspace(tid, col_plane);
-        for (int64_t b = b0; b < b1; ++b) {
+        if (!direct && !cols_cached_) {
+          ws = net.workspace(range.slot + tid, col_plane);
+        }
+        for (int64_t j = j0; j < j1; ++j) {
+          const int64_t b = items.first + j * items.span;
           const float* col = PrepareCol(
               input.data() + b * items.in_step, items.in_chan_stride,
-              cols_cached_ ? col_cache_.data() + b * col_plane : ws);
+              cols_cached_ ? col_cache_.data() + j * col_plane : ws);
           float* c = raw.data() + b * items.out_step;
           if (inference()) {
             GemmPrepacked(m, items.n, k, packed_weights_.data(), col, ldb,
@@ -331,8 +360,8 @@ void ConvLayer::ForwardFp32Gemm(const Tensor& input, Network& net,
 }
 
 void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
-                                Tensor& raw) {
-  const Items items = BatchItems();
+                                const ItemRange& range, Tensor& raw) {
+  const Items items = BatchItems(range);
   const int64_t m = opts_.filters;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
   const bool direct = IsDirect1x1();
@@ -365,13 +394,14 @@ void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
   const int32_t in_zp = plan().in_qzp;
   const int8_t* qw = qweights_.data<int8_t>();
   ParallelForBounded(
-      0, items.count, 1, net.workspace_slots(),
-      [&](int64_t b0, int64_t b1, int tid) {
+      0, items.count, 1, net.workspace_slots() - range.slot,
+      [&](int64_t j0, int64_t j1, int tid) {
         uint8_t* wsb = reinterpret_cast<uint8_t*>(
-            net.workspace(tid, int8_ws_.ws_floats));
+            net.workspace(range.slot + tid, int8_ws_.ws_floats));
         uint8_t* packed = wsb + int8_ws_.packed;
         int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-        for (int64_t b = b0; b < b1; ++b) {
+        for (int64_t j = j0; j < j1; ++j) {
+          const int64_t b = items.first + j * items.span;
           // The item's u8 channel planes: the producer's bytes, already
           // in this layer's input domain, or its fp32 planes quantized
           // here in that domain.
@@ -414,7 +444,7 @@ void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
       });
 }
 
-void ConvLayer::BatchNormForward(bool train) {
+void ConvLayer::BatchNormForward(bool train, const ItemRange& range) {
   const int64_t batch = out_shape_.dim(0);
   const int64_t spatial = out_h_ * out_w_;
   const int64_t m = batch * spatial;
@@ -459,41 +489,46 @@ void ConvLayer::BatchNormForward(bool train) {
     use_var = rolling_var_.data();
   }
 
-  // Normalize: (batch, filter) planes are independent. Inference layers
-  // read the raw conv output from output_ itself (written there by
-  // Forward) and keep no x_norm_ cache; the per-element arithmetic is
-  // unchanged, so both paths produce bitwise identical activations.
-  // Under a CNHW plan (inference only) plane pl belongs to filter
-  // pl / batch instead of pl % filters.
-  const bool cnhw = inference() && plan().out_layout == ActLayout::kCNHW;
+  // Normalize the range's planes: (batch, filter) planes are
+  // independent. Inference layers read the raw conv output from output_
+  // itself (written there by Forward) and keep no x_norm_ cache; the
+  // per-element arithmetic is unchanged, so both paths produce bitwise
+  // identical activations. Under a CNHW plan (inference only) plane pl
+  // belongs to filter pl / batch instead of pl % filters.
+  const bool cnhw = plan().out_layout == ActLayout::kCNHW;
   const float* src_base = inference() ? output_.data() : conv_out_.data();
   float* xn_base = inference() ? nullptr : x_norm_.data();
-  ParallelFor(
-      0, batch * opts_.filters,
-      std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(1, spatial)),
-      [&](int64_t p0, int64_t p1, int) {
-        for (int64_t pl = p0; pl < p1; ++pl) {
-          const int64_t f = cnhw ? pl / batch : pl % opts_.filters;
-          const float inv_std = 1.0f / std::sqrt(use_var[f] + kBnEps);
-          const float mu = use_mean[f];
-          const float gamma = scales_[f];
-          const float beta = biases_[f];
-          const float* src = src_base + pl * spatial;
-          float* dst = output_.data() + pl * spatial;
-          if (xn_base != nullptr) {
-            float* xn = xn_base + pl * spatial;
-            for (int64_t i = 0; i < spatial; ++i) {
-              const float norm = (src[i] - mu) * inv_std;
-              xn[i] = norm;
-              dst[i] = gamma * norm + beta;
-            }
-          } else {
-            for (int64_t i = 0; i < spatial; ++i) {
-              const float norm = (src[i] - mu) * inv_std;
-              dst[i] = gamma * norm + beta;
-            }
-          }
-        }
+  const int64_t plane_grain =
+      std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(1, spatial));
+  ForEachPlaneRun(
+      plan().out_layout, batch, opts_.filters, range,
+      [&](int64_t first, int64_t count) {
+        ParallelFor(
+            first, first + count, plane_grain,
+            [&](int64_t p0, int64_t p1, int) {
+              for (int64_t pl = p0; pl < p1; ++pl) {
+                const int64_t f = cnhw ? pl / batch : pl % opts_.filters;
+                const float inv_std = 1.0f / std::sqrt(use_var[f] + kBnEps);
+                const float mu = use_mean[f];
+                const float gamma = scales_[f];
+                const float beta = biases_[f];
+                const float* src = src_base + pl * spatial;
+                float* dst = output_.data() + pl * spatial;
+                if (xn_base != nullptr) {
+                  float* xn = xn_base + pl * spatial;
+                  for (int64_t i = 0; i < spatial; ++i) {
+                    const float norm = (src[i] - mu) * inv_std;
+                    xn[i] = norm;
+                    dst[i] = gamma * norm + beta;
+                  }
+                } else {
+                  for (int64_t i = 0; i < spatial; ++i) {
+                    const float norm = (src[i] - mu) * inv_std;
+                    dst[i] = gamma * norm + beta;
+                  }
+                }
+              }
+            });
       });
 }
 

@@ -26,8 +26,10 @@ namespace thali {
 //
 // Items (BatchItems): the plan's item rule (LayerPlan::whole_batch)
 // makes a direct 1x1 with CNHW on both sides one item whose planes span
-// the whole batch (one GEMM of n = batch*H*W); every other conv runs one
-// item per batch entry. Items fan out across the layer's planned
+// the items Forward covers (one GEMM of n = items*H*W at row stride
+// batch*H*W); every other conv runs one item per batch entry. An
+// inference Forward covers one item group and runs on one strand; a
+// training Forward covers the batch and fans its items out across
 // strands. Either layout is read and written through strides. The GEMM
 // write-back applies the epilogue the plan carries (plan().epilogue);
 // the bias or batch-norm pass and the activation pass run only where it
@@ -53,21 +55,27 @@ class ConvLayer : public Layer {
   const char* kind() const override { return "convolutional"; }
   Status Configure(const Shape& input_shape, const Network& net) override;
   Status Rebatch(const Shape& input_shape, const Network& net) override;
-  void Forward(const Tensor& input, Network& net, bool train) override;
+  void Forward(const Tensor& input, Network& net, bool train,
+               const ItemRange& items) override;
   void Backward(const Tensor& input, Tensor* input_delta,
                 Network& net) override;
   std::vector<Param> Params() override;
   std::vector<ConstParam> Params() const override;
   int64_t WorkspaceSize() const override;
 
-  // Lays out the int8 byte workspace for the current plan and shapes
-  // (int8 algorithms only), once per plan push, and repacks the weights
-  // of an inference layer whose planned algorithm changed.
-  void OnPlanUpdated() override;
+  // Lays out the int8 byte workspace for the current plan, shapes and
+  // largest item group (int8 algorithms only), once per plan push, and
+  // repacks the weights of an inference layer whose planned algorithm
+  // changed.
+  void OnPlanUpdated(const ExecPlan& plan) override;
+
+  // Repacks an inference layer's weights after a mutation, before any
+  // item group reads them.
+  void BeginForward(const Network& net, bool train) override;
 
   // Invalidates the packed copy after any mutation of weights_ (weight
   // loading, optimizer steps, batch-norm folding); the next inference
-  // Forward re-packs.
+  // forward re-packs.
   void MarkWeightsDirty() { packed_dirty_ = true; }
 
   // Bytes held by the pre-packed weight copy (0 when not packed).
@@ -128,17 +136,21 @@ class ConvLayer : public Layer {
 
  private:
   // Where the GEMM items of one Forward sit in the activation tensors.
-  // NCHW: item b's channel c plane at (b*C + c)*HW. CNHW: plane (c, b) at
-  // (c*batch + b)*HW.
+  // NCHW: batch entry b's channel c plane at (b*C + c)*HW. CNHW: plane
+  // (c, b) at (c*batch + b)*HW. Item j starts at batch entry
+  // first + j*span.
   struct Items {
-    int64_t count = 0;    // items per Forward: 1 or batch
+    int64_t first = 0;    // batch entry of item 0
+    int64_t count = 0;    // GEMM items in the range: 1 or its size
+    int64_t span = 1;     // batch entries one item covers
     int64_t in_cols = 0;  // input columns of one item's channel plane
     int64_t n = 0;        // GEMM width: output columns of one item
-    int64_t in_step = 0, out_step = 0;  // item b's planes start at b*step
+    int64_t in_step = 0, out_step = 0;  // entry b's planes start at b*step
     int64_t in_chan_stride = 0, out_chan_stride = 0;  // plane to plane
   };
-  // Where the plan's items sit, for the current plan and batch.
-  Items BatchItems() const;
+  // Where the plan's items over batch entries `range` sit, for the
+  // current plan and batch.
+  Items BatchItems(const ItemRange& range) const;
 
   // 1x1/stride-1/pad-0 convs need no im2col: the input planes already
   // form the col matrix.
@@ -151,14 +163,18 @@ class ConvLayer : public Layer {
   const float* PrepareCol(const float* in, int64_t chan_stride,
                           float* ws) const;
 
-  // The two algorithm bodies. Each writes the pre-bias (or, where the
-  // epilogue fused it, the finished) output into `raw`; the int8 body
-  // writes a u8 output into the network's chain buffer instead.
+  // The two algorithm bodies, over the batch entries of `range`. Each
+  // writes the pre-bias (or, where the epilogue fused it, the finished)
+  // output into `raw`; the int8 body writes a u8 output into the
+  // network's chain buffer instead.
   void ForwardFp32Gemm(const Tensor& input, Network& net, bool train,
-                       Tensor& raw);
-  void ForwardInt8Gemm(const Tensor& input, Network& net, Tensor& raw);
+                       const ItemRange& range, Tensor& raw);
+  void ForwardInt8Gemm(const Tensor& input, Network& net,
+                       const ItemRange& range, Tensor& raw);
 
-  void BatchNormForward(bool train);
+  // Batch norm over the planes of `range`; training (whole batch only)
+  // first computes the batch statistics.
+  void BatchNormForward(bool train, const ItemRange& range);
   void BatchNormBackward();
 
   // Records input statistics for the active calibration phase (min/max
@@ -199,12 +215,15 @@ class ConvLayer : public Layer {
   Tensor x_norm_;            // normalized activations cache
   Tensor pre_activation_;    // post-BN/bias, pre-activation cache
   Tensor col_cache_;         // per-item im2col panels cached by Forward
-  bool cols_cached_ = false; // whether col_cache_ matches the last Forward
+  // Whether col_cache_ matches the last training-layer Forward; always
+  // false on inference layers, whose groups never write it.
+  bool cols_cached_ = false;
   Tensor wg_scratch_;        // per-item weight-gradient slots (Backward)
 
-  // Byte-section offsets of one item inside the per-strand float
-  // workspace of the int8 body, each 64-byte aligned. Laid out once per
-  // plan push in OnPlanUpdated (Finalize / SetBatch / ReplanInference);
+  // Byte-section offsets of one item inside the per-slot float
+  // workspace of the int8 body, each 64-byte aligned; a whole-group item
+  // is sized for the plan's largest group. Laid out once per plan push
+  // in OnPlanUpdated (Finalize / SetBatch / ReplanInference);
   // WorkspaceSize reports ws_floats.
   struct Int8Sections {
     int64_t qin = 0;     // quantized input planes (u8)

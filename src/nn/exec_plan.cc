@@ -146,11 +146,13 @@ ArenaPlan PlanArenaGrouped(const Network& net, const std::vector<int>& last_use,
     int last_use;
   };
   std::vector<LiveBlock> live;
+  std::vector<LiveBlock> placed;  // every block so far, for the fences
   std::vector<int64_t> goffset(static_cast<size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     const int64_t floats = net.layer(i).output_shape().num_elements();
     plan.sum_output_floats += floats;
     const int r = root[static_cast<size_t>(i)];
+    int fence = 0;
     if (gstart[static_cast<size_t>(r)] == i) {
       const int64_t gfloats = net.layer(r).output_shape().num_elements();
       live.erase(std::remove_if(live.begin(), live.end(),
@@ -166,7 +168,15 @@ ArenaPlan PlanArenaGrouped(const Network& net, const std::vector<int>& last_use,
         offset = AlignUp(std::max(offset, b.offset + b.floats));
       }
       goffset[static_cast<size_t>(r)] = offset;
+      // The expired blocks this one overlaps: their last readers must
+      // be done in every item group before any group writes here.
+      for (const LiveBlock& b : placed) {
+        if (b.offset < offset + gfloats && offset < b.offset + b.floats) {
+          fence = std::max(fence, b.last_use + 1);
+        }
+      }
       live.push_back({offset, gfloats, gend[static_cast<size_t>(r)]});
+      placed.push_back(live.back());
       plan.arena_floats = std::max(plan.arena_floats, offset + gfloats);
     }
     THALI_CHECK_LE(roff[static_cast<size_t>(i)] + floats,
@@ -177,6 +187,7 @@ ArenaPlan PlanArenaGrouped(const Network& net, const std::vector<int>& last_use,
     a.first_use = i;
     a.last_use = last_use[static_cast<size_t>(i)];
     a.aliased = parent[static_cast<size_t>(i)] >= 0;
+    a.fence = fence;
   }
   return plan;
 }
@@ -621,30 +632,37 @@ ExecPlan CompileExecPlan(const Network& net) {
       }
     }
 
-    // 6. Items and strands. A direct 1x1 with CNHW on both sides is one
-    // GEMM item spanning the batch; every other conv runs one item per
-    // batch entry. A layer fans out across its items and never inside
-    // one: splitting one item's GEMM lost time on every
-    // batch-1 conv and broke even on the batch-8 whole-batch 1x1s
-    // (DESIGN "Threading model"), so a batch-1 forward runs on one
-    // strand. The other layers run on one strand.
-    const int cap = std::min(MaxParallelism(), net.workspace_slots());
+    // 6. Items and groups. A direct 1x1 with CNHW on both sides is one
+    // GEMM over its group's items; every other conv runs one GEMM per
+    // item. The batch splits once into item groups, each running every
+    // layer over its items on one strand (Network::Forward): one fork
+    // and join per forward, every layer on every strand, and an item's
+    // activations stay on the core that wrote them. Splitting inside an
+    // item lost time on every batch-1 conv (DESIGN "Threading model"),
+    // so batch 1 is one group. A calibration phase folds statistics
+    // across the batch, so it runs as one group too.
     for (int i = 0; i < n; ++i) {
-      LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-      lp.strands = 1;
       if (cls[static_cast<size_t>(i)] != kConv) continue;
+      LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
       lp.whole_batch = (lp.conv_algo == ConvAlgo::kDirect1x1 ||
                         lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1) &&
                        lp.in_layout == ActLayout::kCNHW &&
                        lp.out_layout == ActLayout::kCNHW;
-      const int64_t items = lp.whole_batch ? 1 : batch;
-      lp.strands = static_cast<int>(std::min<int64_t>(cap, items));
+    }
+    if (net.calib_phase() == CalibPhase::kOff) {
+      plan.groups = static_cast<int>(std::max<int64_t>(
+          1, std::min<int64_t>({MaxParallelism(), net.workspace_slots(),
+                                batch})));
     }
   }
 
   plan.arena = PlanArenaGrouped(net, last_use, parent, poffset);
   plan.arena.enabled = net.exec_mode() == ExecMode::kInference;
   return plan;
+}
+
+ItemRange GroupItems(int64_t batch, int groups, int g) {
+  return ItemRange{batch * g / groups, batch * (g + 1) / groups, g};
 }
 
 }  // namespace thali

@@ -95,24 +95,18 @@ struct ConvEpilogue {
 
 // Per-layer decisions of the inference plan compiler. The default
 // constructed value (NCHW in/out, kIm2col, nothing fused, nothing
-// elided, one conv item per batch entry, uncapped strands) reproduces
-// the pre-compiler behaviour exactly and is what training networks and
-// standalone layers run with.
+// elided, one conv item per batch entry) reproduces the pre-compiler
+// behaviour exactly and is what training networks and standalone layers
+// run with.
 struct LayerPlan {
   ActLayout in_layout = ActLayout::kNCHW;
   ActLayout out_layout = ActLayout::kNCHW;
   ConvAlgo conv_algo = ConvAlgo::kIm2col;
   ConvEpilogue epilogue;
-  // The item rule: a conv's GEMM runs as one item whose planes span the
-  // whole batch (true: a direct 1x1 with CNHW on both sides, one GEMM
-  // of n = batch*H*W) or as one item per batch entry (false).
+  // The item rule: a conv's GEMM runs as one item whose planes span all
+  // the items of its group (true: a direct 1x1 with CNHW on both sides,
+  // one GEMM of n = items*H*W) or as one item per batch entry (false).
   bool whole_batch = false;
-  // How many strands the layer's ParallelFor regions may use; Network::
-  // Forward runs the layer under this cap (ScopedStrandCap). A layer
-  // fans out across its batch items and never inside one item, so a
-  // conv gets min(strand cap, items) and every other layer 1. 0 leaves
-  // the layer uncapped, as training networks run.
-  int strands = 0;
   // The layer's output aliases arena storage written by other layers
   // (route view/concat) so its Forward copies nothing. The arena
   // planner places every aliased layer inside its group root's block.
@@ -166,6 +160,12 @@ struct ArenaAssignment {
   // offset may not be cache-line aligned, so the network binds it with
   // BindExternalAliased instead of BindExternal.
   bool aliased = false;
+  // Item groups run the layers without a barrier between them, so a
+  // block that reuses expired storage must wait for the slowest group:
+  // every group finishes layers [0, fence) before any group runs this
+  // layer (Network::Forward). Set on the first layer of a block whose
+  // span overlaps a block an earlier layer still read; 0 otherwise.
+  int fence = 0;
 };
 
 // The planner's result: per-layer offsets plus the headline numbers the
@@ -180,6 +180,45 @@ struct ArenaPlan {
   int64_t sum_output_floats = 0;  // one-buffer-per-layer baseline
 };
 
+// The batch items one Layer::Forward call computes, [begin, end), and
+// the network workspace slot its item group owns. An inference forward
+// runs one range per item group (ExecPlan::groups); a training forward
+// runs the whole batch from slot 0, and its layers fan out inside.
+struct ItemRange {
+  int64_t begin = 0;
+  int64_t end = 0;
+  int slot = 0;
+
+  int64_t size() const { return end - begin; }
+};
+
+// Item group `g` of `batch` items split into `groups` contiguous groups:
+// items [batch*g/groups, batch*(g+1)/groups), workspace slot g. Sizes
+// differ by at most one item, and no group holds more than
+// MaxGroupItems.
+ItemRange GroupItems(int64_t batch, int groups, int g);
+inline int64_t MaxGroupItems(int64_t batch, int groups) {
+  return (batch + groups - 1) / groups;
+}
+
+// Calls fn(first, count) for each contiguous run of plane indices that
+// items [items.begin, items.end) occupy in an activation of `batch`
+// items by `channels` planes. NCHW keeps an item's planes together, so
+// a range is one run. CNHW keeps a channel's planes together, so a range
+// is one run per channel, or a single run when it spans the batch.
+template <typename Fn>
+void ForEachPlaneRun(ActLayout layout, int64_t batch, int64_t channels,
+                     const ItemRange& items, Fn&& fn) {
+  const int64_t n = items.size();
+  if (layout == ActLayout::kNCHW) {
+    fn(items.begin * channels, n * channels);
+  } else if (n == batch) {
+    fn(int64_t{0}, batch * channels);
+  } else {
+    for (int64_t c = 0; c < channels; ++c) fn(c * batch + items.begin, n);
+  }
+}
+
 // The full execution plan Network::Finalize(kInference) compiles: one
 // LayerPlan per layer plus the (alias-aware) arena placement.
 struct ExecPlan {
@@ -189,6 +228,11 @@ struct ExecPlan {
   bool fused = false;
   std::vector<LayerPlan> layers;  // one per layer
   ArenaPlan arena;
+  // Item groups: Network::Forward splits the batch once into this many
+  // contiguous groups (GroupItems), and each group runs every layer over
+  // its own items on one strand. 1 for training plans, calibration
+  // phases and batch 1.
+  int groups = 1;
 
   // Quantize-once chaining stats (zero until ReplanInference installs
   // dtypes): edges whose producer writes u8 (consumer skips
@@ -254,10 +298,9 @@ struct ExecPlan {
 //     stays fp32, which keeps its separate fast-mish pass. Batch-norm
 //     convs run separate batch-norm and activation passes, mish through
 //     the fast family.
-//  6. Items and strands: the item rule (LayerPlan::whole_batch), then
-//     each layer's strand count. The strand cap is the smaller of
-//     MaxParallelism() and the network's workspace slots, so no count
-//     exceeds the slots its strands index.
+//  6. Items and groups: the item rule (LayerPlan::whole_batch), then
+//     the group count, min(MaxParallelism(), workspace slots, batch),
+//     so each group owns a slot; 1 while a calibration phase is active.
 //
 // Elision requires layout-uniform members and (kCNHW or batch == 1) so
 // a member's storage is one contiguous range. Requires every layer to

@@ -31,6 +31,30 @@ struct ConstParam {
   std::string name;
 };
 
+// The most elements one layer's weights or output may hold: 2^28, a
+// GiB of fp32. Configure returns InvalidArgument above it before
+// allocating anything, so a well-formed but absurd cfg value
+// (filters=1000000000) is a Status rather than an allocation failure.
+// A constant, not a setting: every tensor of the models here is orders
+// of magnitude smaller.
+inline constexpr int64_t kMaxLayerElements = int64_t{1} << 28;
+
+// OK when the product of `dims` is at most kMaxLayerElements, else
+// InvalidArgument naming `what`. Never overflows: the running product
+// stops at the first factor that takes it past the budget.
+inline Status CheckElementBudget(const std::vector<int64_t>& dims,
+                                 const char* what) {
+  int64_t n = 1;
+  for (const int64_t d : dims) {
+    if (d > kMaxLayerElements || (n *= d) > kMaxLayerElements) {
+      return Status::InvalidArgument(
+          std::string(what) + " exceeds the budget of " +
+          std::to_string(kMaxLayerElements) + " elements per layer");
+    }
+  }
+  return Status::OK();
+}
+
 // Base class for all network layers (Darknet semantics: every layer owns
 // its output activation tensor; training networks additionally give each
 // layer a delta tensor holding dLoss/dOutput).
@@ -66,10 +90,21 @@ class Layer {
     return Configure(input_shape, net);
   }
 
-  // Computes output_ from `input` (the preceding layer's output, NCHW).
-  // `train` selects training behaviour (batch statistics, caches) and is
-  // only legal on a kTraining network.
-  virtual void Forward(const Tensor& input, Network& net, bool train) = 0;
+  // Computes the elements of output_ that batch items [items.begin,
+  // items.end) own, from `input` (the preceding layer's output), with
+  // network workspace slots from items.slot on. An inference forward
+  // calls it once per item group, the groups concurrently: Forward then
+  // writes no member and touches only its items' elements. `train`
+  // selects training behaviour (batch statistics, caches) and is only
+  // legal on a kTraining network, whose forwards cover the whole batch
+  // from slot 0 and may fan out inside.
+  virtual void Forward(const Tensor& input, Network& net, bool train,
+                       const ItemRange& items) = 0;
+
+  // Called by Network::Forward once per forward, before any item group
+  // runs. Layers latch here the per-forward state their groups only
+  // read (weights repacked after a mutation, the head's decode mode).
+  virtual void BeginForward(const Network& /*net*/, bool /*train*/) {}
 
   // Propagates delta_ (dL/dOutput) into `input_delta` (accumulating;
   // may be null at the network input) and accumulates parameter
@@ -127,10 +162,12 @@ class Layer {
 
   // Called by Network::PlanBuffers after every layer's plan has been
   // (re)pushed — at Finalize, SetBatch and ReplanInference — and before
-  // WorkspaceSize is queried. Layers that derive per-forward state from
-  // the plan (conv int8 workspace sections, conv weights packed for the
-  // planned algorithm) recompute it here instead of on every Forward.
-  virtual void OnPlanUpdated() {}
+  // WorkspaceSize is queried; `plan` is the whole network's plan. Layers
+  // that derive per-forward state from the plan (conv int8 workspace
+  // sections sized for the largest item group, conv weights packed for
+  // the planned algorithm) recompute it here instead of on every
+  // Forward.
+  virtual void OnPlanUpdated(const ExecPlan& /*plan*/) {}
 
   // When frozen, the optimizer skips this layer's parameters (transfer
   // learning freezes backbone layers).
@@ -147,8 +184,11 @@ class Layer {
   // Records shapes and allocates the mode-appropriate buffers: training
   // layers own output_ and delta_; inference layers get their output
   // storage (an arena slot) from Network::Finalize after all layers are
-  // configured.
-  void SetShapes(Shape input_shape, Shape output_shape) {
+  // configured. An output above kMaxLayerElements is InvalidArgument,
+  // before anything is allocated.
+  Status SetShapes(Shape input_shape, Shape output_shape) {
+    THALI_RETURN_IF_ERROR(
+        CheckElementBudget(output_shape.dims(), "layer output"));
     in_shape_ = std::move(input_shape);
     out_shape_ = std::move(output_shape);
     if (!inference()) {
@@ -158,6 +198,7 @@ class Layer {
       // Drop any stale owned storage; the network (re)binds or sizes it.
       output_ = Tensor();
     }
+    return Status::OK();
   }
 
   Shape in_shape_;

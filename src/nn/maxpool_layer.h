@@ -26,7 +26,8 @@ class MaxPoolLayer : public Layer {
 
   const char* kind() const override { return "maxpool"; }
   Status Configure(const Shape& input_shape, const Network& net) override;
-  void Forward(const Tensor& input, Network& net, bool train) override;
+  void Forward(const Tensor& input, Network& net, bool train,
+               const ItemRange& items) override;
   void Backward(const Tensor& input, Tensor* input_delta,
                 Network& net) override;
   int64_t WorkspaceSize() const override;

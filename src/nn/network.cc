@@ -1,13 +1,25 @@
 #include "nn/network.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 
 #include "base/logging.h"
 #include "base/thread_pool.h"
 #include "tensor/gemm_int8.h"
 
 namespace thali {
+
+namespace {
+
+// How long a fence waits on a group that no strand has claimed before
+// the waiting strand runs that group itself: long enough for a pool
+// worker to wake and claim its own group, short against a forward.
+constexpr auto kAdoptAfter = std::chrono::microseconds(200);
+
+}  // namespace
 
 Network::Network(int width, int height, int channels, int batch)
     : width_(width), height_(height), channels_(channels), batch_(batch) {
@@ -26,6 +38,9 @@ void Network::Add(std::unique_ptr<Layer> layer) {
 Status Network::Finalize(ExecMode mode) {
   THALI_CHECK(!finalized_);
   if (layers_.empty()) return Status::InvalidArgument("empty network");
+  // Callers stage the input at this shape, so it obeys the layer budget.
+  THALI_RETURN_IF_ERROR(
+      CheckElementBudget(input_shape().dims(), "network input"));
   mode_ = mode;
   Shape prev = input_shape();
   for (auto& layer : layers_) {
@@ -33,8 +48,11 @@ Status Network::Finalize(ExecMode mode) {
     THALI_RETURN_IF_ERROR(layer->Configure(prev, *this));
     prev = layer->output_shape();
   }
-  // One scratch slot per strand of parallelism; PlanBuffers sizes them.
+  // One scratch slot and one progress counter per strand of
+  // parallelism; PlanBuffers sizes the slots.
   workspaces_.resize(static_cast<size_t>(MaxParallelism()));
+  group_progress_ =
+      std::vector<GroupProgress>(static_cast<size_t>(MaxParallelism()));
   PlanBuffers();
   finalized_ = true;
   return Status::OK();
@@ -106,16 +124,21 @@ void Network::PlanBuffers() {
   // Plan-derived layer state (conv int8 workspace sections, weights
   // packed for the planned algorithm) recomputes once here instead of
   // per Forward.
-  for (auto& layer : layers_) layer->OnPlanUpdated();
+  for (auto& layer : layers_) layer->OnPlanUpdated(eplan_);
   // Scratch follows the plan: a layer's need depends on its planned
-  // algorithm (im2col panel, int8 sections) and on the batch
-  // (whole-batch GEMMs). Grow-only, so a replan never frees a slot a
-  // caller may still hold.
+  // algorithm (im2col panel, int8 sections) and on the largest item
+  // group (whole-group GEMMs). Every slot is sized to exactly the
+  // plan's need, shrinking as well as growing: the old storage is freed
+  // first (Resize would keep its capacity), so a replan never holds
+  // both sizes at once.
   int64_t need = 0;
   for (auto& layer : layers_) need = std::max(need, layer->WorkspaceSize());
-  if (need > workspace_floats_) {
+  if (need != workspace_floats_) {
     workspace_floats_ = need;
-    for (Tensor& ws : workspaces_) ws.Resize(Shape({need}));
+    for (Tensor& ws : workspaces_) {
+      ws = Tensor();
+      if (need > 0) ws.Resize(Shape({need}));
+    }
   }
   if (mode_ != ExecMode::kInference) return;  // SetShapes owns the buffers
   // Slots are 16-float (64-byte) aligned relative to the arena base, but
@@ -151,13 +174,13 @@ int64_t Network::ActivationBytes() const {
   return floats * static_cast<int64_t>(sizeof(float));
 }
 
-float* Network::workspace(int tid, int64_t required) {
-  THALI_CHECK_GE(tid, 0);
-  THALI_CHECK_LT(tid, workspace_slots());
+float* Network::workspace(int slot, int64_t required) {
+  THALI_CHECK_GE(slot, 0);
+  THALI_CHECK_LT(slot, workspace_slots());
   THALI_CHECK_LE(required, workspace_floats_)
       << "layer requests " << required << " workspace floats but the plan "
       << "sized " << workspace_floats_;
-  return workspaces_[static_cast<size_t>(tid)].data();
+  return workspaces_[static_cast<size_t>(slot)].data();
 }
 
 const Tensor& Network::Forward(const Tensor& input, bool train) {
@@ -167,6 +190,8 @@ const Tensor& Network::Forward(const Tensor& input, bool train) {
   THALI_CHECK(input.shape() == input_shape())
       << "input " << input.shape().ToString() << " vs net "
       << input_shape().ToString();
+  // The prologue runs once, before any group: what the groups share is
+  // written here and only read by them.
   if (eplan_.input_u8) {
     // Layer 0 consumes quantized input bytes. Either the caller staged
     // them already (the detector's fused letterbox-quantize, armed
@@ -180,15 +205,81 @@ const Tensor& Network::Forward(const Tensor& input, bool train) {
     }
     input_prequantized_ = false;
   }
-  const Tensor* x = &input;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    // Each inference layer runs on the strands its plan gives it;
-    // training plans leave the layers uncapped.
-    const ScopedStrandCap cap(eplan_.layers[i].strands);
-    layers_[i]->Forward(*x, *this, train);
-    x = &layers_[i]->output();
+  for (auto& layer : layers_) layer->BeginForward(*this, train);
+  const int groups = eplan_.groups;
+  if (mode_ == ExecMode::kTraining || groups == 1) {
+    // Training runs the whole batch per layer: batch norm's statistics
+    // need every item, and the layers fan out inside. One inference
+    // group runs inline on one strand.
+    const ScopedStrandCap cap(mode_ == ExecMode::kTraining ? 0 : 1);
+    const Tensor* x = &input;
+    for (auto& layer : layers_) {
+      layer->Forward(*x, *this, train, ItemRange{0, batch_, 0});
+      x = &layer->output();
+    }
+    return *x;
   }
-  return *x;
+  for (int g = 0; g < groups; ++g) {
+    GroupProgress& p = group_progress_[static_cast<size_t>(g)];
+    p.layers.store(0, std::memory_order_relaxed);
+    p.claimed.store(false, std::memory_order_relaxed);
+  }
+  ParallelForBounded(0, groups, 1, groups, [&](int64_t g0, int64_t g1, int) {
+    const ScopedStrandCap cap(1);
+    // The strand's groups, plus any it adopts while waiting at a fence.
+    // Several groups on one strand (a capped or nested region) run in
+    // lockstep, one layer each in turn.
+    std::vector<int> owned;
+    for (int64_t g = g0; g < g1; ++g) {
+      if (!group_progress_[static_cast<size_t>(g)].claimed.exchange(
+              true, std::memory_order_acq_rel)) {
+        owned.push_back(static_cast<int>(g));
+      }
+    }
+    for (int i = 1; i <= num_layers(); ++i) {
+      for (size_t k = 0; k < owned.size(); ++k) {
+        AdvanceGroup(input, owned[k], i, owned);
+      }
+    }
+  });
+  return layers_.back()->output();
+}
+
+void Network::AdvanceGroup(const Tensor& input, int g, int layers,
+                           std::vector<int>& owned) {
+  const int groups = eplan_.groups;
+  std::atomic<int>& done = group_progress_[static_cast<size_t>(g)].layers;
+  for (int i = done.load(std::memory_order_relaxed); i < layers; ++i) {
+    const int fence = eplan_.arena.assignments[static_cast<size_t>(i)].fence;
+    for (int h = 0; fence > 0 && h < groups; ++h) {
+      if (h != g) AwaitGroup(input, h, fence, owned);
+    }
+    layers_[static_cast<size_t>(i)]->Forward(
+        i == 0 ? input : layers_[static_cast<size_t>(i) - 1]->output(), *this,
+        /*train=*/false, GroupItems(batch_, groups, g));
+    done.store(i + 1, std::memory_order_release);
+  }
+}
+
+void Network::AwaitGroup(const Tensor& input, int h, int layers,
+                         std::vector<int>& owned) {
+  GroupProgress& p = group_progress_[static_cast<size_t>(h)];
+  std::chrono::steady_clock::time_point since;
+  for (int spins = 0; p.layers.load(std::memory_order_acquire) < layers;
+       ++spins) {
+    if (spins < 64) continue;
+    // A group no strand has claimed is a pool task queued behind busy
+    // workers; waiting for it could wait forever, so run it here.
+    if (spins == 64) since = std::chrono::steady_clock::now();
+    if (!p.claimed.load(std::memory_order_relaxed) &&
+        std::chrono::steady_clock::now() - since >= kAdoptAfter &&
+        !p.claimed.exchange(true, std::memory_order_acq_rel)) {
+      owned.push_back(h);
+      AdvanceGroup(input, h, layers, owned);
+      return;
+    }
+    std::this_thread::yield();
+  }
 }
 
 void Network::Backward(const Tensor& input) {

@@ -1,10 +1,12 @@
 #ifndef THALI_NN_NETWORK_H_
 #define THALI_NN_NETWORK_H_
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "base/statusor.h"
+#include "base/thread_pool.h"
 #include "nn/exec_plan.h"
 #include "nn/layer.h"
 #include "tensor/tensor.h"
@@ -58,9 +60,36 @@ class Network {
 
   // Runs all layers; returns the last layer's output. `input` must be
   // (batch, channels, height, width). With train=true, layers use batch
-  // statistics and keep backward caches — kTraining networks only. Each
-  // layer runs under its plan's strand cap (LayerPlan::strands).
+  // statistics and keep backward caches — kTraining networks only. An
+  // inference network runs the plan's item groups concurrently, each
+  // through every layer on one strand, a group waiting only where the
+  // arena reuses storage another group may still read
+  // (ArenaAssignment::fence); a training network runs each layer over
+  // the whole batch, and its layers fan out inside.
   const Tensor& Forward(const Tensor& input, bool train = false);
+
+  // Runs fn(ItemRange) once per item group of the plan
+  // (ExecPlan::groups, GroupItems): the groups concurrently in one
+  // ParallelFor region, each under a strand cap of 1 so nothing inside
+  // fans out. A single group runs inline on the caller, still capped,
+  // with no region and no allocation. The detector runs its staging and
+  // decode this way, over the groups Forward runs its layers in.
+  template <typename Fn>
+  void ForEachGroup(Fn&& fn) const {
+    const int groups = eplan_.groups;
+    if (groups == 1) {
+      const ScopedStrandCap cap(1);
+      fn(ItemRange{0, batch_, 0});
+      return;
+    }
+    ParallelForBounded(0, groups, 1, groups,
+                       [&](int64_t g0, int64_t g1, int) {
+                         const ScopedStrandCap cap(1);
+                         for (int64_t g = g0; g < g1; ++g) {
+                           fn(GroupItems(batch_, groups, static_cast<int>(g)));
+                         }
+                       });
+  }
 
   // Backpropagates all layer deltas (seeded by loss layers) down to the
   // input. Call after Forward(train=true) and after loss layers populated
@@ -128,14 +157,15 @@ class Network {
   // acceptance metric the memory bench reports.
   int64_t ActivationBytes() const;
 
-  // Per-thread scratch buffer (im2col panels). Finalize fixes one slot
+  // Per-strand scratch buffer (im2col panels). Finalize fixes one slot
   // per strand of parallelism (MaxParallelism() at finalize time); every
-  // plan push grows each to the largest WorkspaceSize() any layer
-  // declares under that plan. `tid` is the strand index a ParallelFor
-  // chunk runs as; `required` is the float count the layer is about to
-  // use and is checked against the sized capacity — an undersized
-  // workspace would otherwise be a silent buffer overrun.
-  float* workspace(int tid, int64_t required);
+  // plan push sizes each to the largest WorkspaceSize() any layer
+  // declares under that plan. `slot` is the item group's slot
+  // (ItemRange::slot), plus the ParallelFor strand index in a training
+  // forward; `required` is the float count the layer is about to use
+  // and is checked against the sized capacity — an undersized workspace
+  // would otherwise be a silent buffer overrun.
+  float* workspace(int slot, int64_t required);
 
   // Base of layer i's u8 activation tensor, or nullptr when the plan
   // keeps that layer fp32. Valid after PlanBuffers; chained producers
@@ -160,8 +190,8 @@ class Network {
   }
   // Scratch floats available per slot.
   int64_t workspace_size() const { return workspace_floats_; }
-  // Number of per-thread slots; callers running layer code in parallel
-  // must bound their strand count by this (ParallelForBounded).
+  // Number of per-strand slots; the plan's group count and callers
+  // running layer code in parallel are bounded by this.
   int workspace_slots() const { return static_cast<int>(workspaces_.size()); }
 
   // All learnable parameters of unfrozen layers, in layer order.
@@ -178,7 +208,17 @@ class Network {
   bool finalized() const { return finalized_; }
 
  private:
-  // (Re)compiles the plan, pushes it to the layers, grows the workspace
+  // Runs item group g of an inference forward until it has finished
+  // `layers` layers, first waiting at each layer's arena fence for the
+  // other groups. Groups adopted while waiting join `owned`.
+  void AdvanceGroup(const Tensor& input, int g, int layers,
+                    std::vector<int>& owned);
+  // Returns once group h has finished `layers` layers; adopts h into
+  // `owned` and runs it here if no strand claimed it in time.
+  void AwaitGroup(const Tensor& input, int h, int layers,
+                  std::vector<int>& owned);
+
+  // (Re)compiles the plan, pushes it to the layers, sizes the workspace
   // slots to the plan's need and, for inference networks, binds layer
   // outputs into arena_ and sizes the u8 chain buffers.
   void PlanBuffers();
@@ -193,9 +233,17 @@ class Network {
   bool input_prequantized_ = false;
   bool finalized_ = false;
   std::vector<std::unique_ptr<Layer>> layers_;
-  // One im2col scratch tensor per parallel strand (distinct allocations,
-  // so concurrent strands never share cache lines).
+  // One scratch tensor per parallel strand (distinct allocations, so
+  // concurrent strands never share cache lines).
   std::vector<Tensor> workspaces_;
+  // Each item group's state in the running forward, one cache line per
+  // group: the layers it finished, which the arena fences
+  // (ArenaAssignment::fence) wait on, and whether a strand runs it.
+  struct alignas(64) GroupProgress {
+    std::atomic<int> layers{0};
+    std::atomic<bool> claimed{false};
+  };
+  std::vector<GroupProgress> group_progress_;
   int64_t workspace_floats_ = 0;
   // Shared activation storage for arena-planned inference outputs.
   Tensor arena_;

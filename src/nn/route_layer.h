@@ -23,7 +23,8 @@ class RouteLayer : public Layer {
 
   const char* kind() const override { return "route"; }
   Status Configure(const Shape& input_shape, const Network& net) override;
-  void Forward(const Tensor& input, Network& net, bool train) override;
+  void Forward(const Tensor& input, Network& net, bool train,
+               const ItemRange& items) override;
   void Backward(const Tensor& input, Tensor* input_delta,
                 Network& net) override;
   // Route reads only its source layers, never the `input` argument.

@@ -23,7 +23,8 @@ class ShortcutLayer : public Layer {
 
   const char* kind() const override { return "shortcut"; }
   Status Configure(const Shape& input_shape, const Network& net) override;
-  void Forward(const Tensor& input, Network& net, bool train) override;
+  void Forward(const Tensor& input, Network& net, bool train,
+               const ItemRange& items) override;
   void Backward(const Tensor& input, Tensor* input_delta,
                 Network& net) override;
   std::vector<int> ExtraInputIndices() const override { return {from_}; }

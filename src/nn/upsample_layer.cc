@@ -1,5 +1,7 @@
 #include "nn/upsample_layer.h"
 
+#include <algorithm>
+
 #include "nn/network.h"
 
 namespace thali {
@@ -9,39 +11,76 @@ Status UpsampleLayer::Configure(const Shape& input_shape, const Network&) {
     return Status::InvalidArgument("upsample input must be NCHW");
   }
   if (stride_ <= 0) return Status::InvalidArgument("bad upsample stride");
-  SetShapes(input_shape,
-            Shape({input_shape.dim(0), input_shape.dim(1),
-                   input_shape.dim(2) * stride_, input_shape.dim(3) * stride_}));
-  return Status::OK();
+  return SetShapes(input_shape, Shape({input_shape.dim(0), input_shape.dim(1),
+                                       input_shape.dim(2) * stride_,
+                                       input_shape.dim(3) * stride_}));
+}
+
+namespace {
+
+// Each output row is built once, every input value repeated `stride`
+// times, then copied to the `stride` - 1 rows below it: values only
+// move, so any element type works and no index is divided.
+template <typename T>
+void UpsampleNearestImpl(const T* in, int64_t planes, int64_t h, int64_t w,
+                         int stride, T* out) {
+  const int64_t ow = w * stride;
+  for (int64_t p = 0; p < planes; ++p) {
+    const T* src = in + p * h * w;
+    T* dst = out + p * h * w * stride * stride;
+    for (int64_t y = 0; y < h; ++y) {
+      const T* srow = src + y * w;
+      T* row = dst + y * stride * ow;
+      if (stride == 2) {
+        for (int64_t x = 0; x < w; ++x) row[2 * x] = row[2 * x + 1] = srow[x];
+      } else {
+        for (int64_t x = 0; x < w; ++x) {
+          std::fill_n(row + x * stride, stride, srow[x]);
+        }
+      }
+      for (int s = 1; s < stride; ++s) std::copy_n(row, ow, row + s * ow);
+    }
+  }
+}
+
+}  // namespace
+
+void UpsampleNearest(const float* in, int64_t planes, int64_t h, int64_t w,
+                     int stride, float* out) {
+  UpsampleNearestImpl(in, planes, h, w, stride, out);
+}
+
+void UpsampleNearest(const uint8_t* in, int64_t planes, int64_t h, int64_t w,
+                     int stride, uint8_t* out) {
+  UpsampleNearestImpl(in, planes, h, w, stride, out);
 }
 
 // Layout-invariant (NCHW or CNHW): plane p maps to plane p and the
-// channel count is preserved. When the plan compiler adopted this
-// layer into a following route's concat block, output_ is simply bound
-// inside that block — the writes below land in place.
-void UpsampleLayer::Forward(const Tensor& input, Network& net, bool) {
-  const int64_t planes = in_shape_.dim(0) * in_shape_.dim(1);
+// channel count is preserved, so the group's planes map to themselves.
+// When the plan compiler adopted this layer into a following route's
+// concat block, output_ is simply bound inside that block — the writes
+// below land in place.
+void UpsampleLayer::Forward(const Tensor& input, Network& net, bool,
+                            const ItemRange& items) {
   const int64_t ih = in_shape_.dim(2);
   const int64_t iw = in_shape_.dim(3);
-  const int64_t ow = iw * stride_;
+  const int64_t in_plane = ih * iw;
+  const int64_t out_plane = in_plane * stride_ * stride_;
   // Nearest-neighbor replication moves values, so a u8 chain's
   // quantization domain passes through untouched.
-  const auto replicate = [&](const auto* in, auto* out) {
-    for (int64_t p = 0; p < planes; ++p) {
-      const auto* src = in + p * ih * iw;
-      auto* dst = out + p * ih * iw * stride_ * stride_;
-      for (int64_t y = 0; y < ih * stride_; ++y) {
-        const auto* srow = src + (y / stride_) * iw;
-        auto* drow = dst + y * ow;
-        for (int64_t x = 0; x < ow; ++x) drow[x] = srow[x / stride_];
-      }
-    }
-  };
-  if (plan().out_dtype == DType::kU8) {
-    replicate(net.quant_act(index() - 1), net.quant_act(index()));
-  } else {
-    replicate(input.data(), output_.data());
-  }
+  const bool u8 = plan().out_dtype == DType::kU8;
+  ForEachPlaneRun(
+      plan().out_layout, in_shape_.dim(0), in_shape_.dim(1), items,
+      [&](int64_t first, int64_t count) {
+        if (u8) {
+          UpsampleNearest(net.quant_act(index() - 1) + first * in_plane,
+                          count, ih, iw, stride_,
+                          net.quant_act(index()) + first * out_plane);
+        } else {
+          UpsampleNearest(input.data() + first * in_plane, count, ih, iw,
+                          stride_, output_.data() + first * out_plane);
+        }
+      });
 }
 
 void UpsampleLayer::Backward(const Tensor&, Tensor* input_delta, Network&) {

@@ -31,8 +31,7 @@ Status YoloLayer::Configure(const Shape& input_shape, const Network&) {
         "yolo input channels mismatch: got " +
         std::to_string(input_shape.dim(1)) + ", want " + std::to_string(want));
   }
-  SetShapes(input_shape, input_shape);
-  return Status::OK();
+  return SetShapes(input_shape, input_shape);
 }
 
 int64_t YoloLayer::Entry(int64_t b, int64_t n, int64_t attr, int64_t y,
@@ -44,8 +43,7 @@ int64_t YoloLayer::Entry(int64_t b, int64_t n, int64_t attr, int64_t y,
   return ((b * c + chan) * gh + y) * gw + x;
 }
 
-void YoloLayer::Forward(const Tensor& input, Network& net, bool train) {
-  std::copy(input.data(), input.data() + input.size(), output_.data());
+void YoloLayer::BeginForward(const Network& net, bool train) {
   // Fast decode path: leave the raw values in place and let
   // GetDetections pre-filter in logit space, sigmoiding only survivors.
   // Opt-in via the network flag because the raw output is observable to
@@ -53,15 +51,22 @@ void YoloLayer::Forward(const Tensor& input, Network& net, bool train) {
   // detector) set it. Training forwards always activate — ComputeLoss
   // reads the sigmoided planes.
   raw_output_ = !train && inference() && net.defer_head_activation();
+}
+
+void YoloLayer::Forward(const Tensor& input, Network&, bool,
+                        const ItemRange& items) {
+  // The plan pins a head's input NCHW, so the group's items are one run.
+  const int64_t item = in_shape_.dim(1) * in_shape_.dim(2) * in_shape_.dim(3);
+  std::copy(input.data() + items.begin * item, input.data() + items.end * item,
+            output_.data() + items.begin * item);
   if (raw_output_) return;
-  const int64_t batch = out_shape_.dim(0);
   const int64_t gh = out_shape_.dim(2);
   const int64_t gw = out_shape_.dim(3);
   const int64_t spatial = gh * gw;
   const float s = opts_.scale_x_y;
   const int64_t n_anchors = static_cast<int64_t>(opts_.mask.size());
 
-  for (int64_t b = 0; b < batch; ++b) {
+  for (int64_t b = items.begin; b < items.end; ++b) {
     for (int64_t n = 0; n < n_anchors; ++n) {
       // x, y planes: scaled sigmoid.
       for (int64_t attr = 0; attr < 2; ++attr) {

@@ -56,7 +56,10 @@ class YoloLayer : public Layer, public DetectionHead {
   // Detections are decoded from the head output after the forward pass.
   bool OutputLiveAfterForward() const override { return true; }
   Status Configure(const Shape& input_shape, const Network& net) override;
-  void Forward(const Tensor& input, Network& net, bool train) override;
+  void Forward(const Tensor& input, Network& net, bool train,
+               const ItemRange& items) override;
+  // Latches the decode mode (raw_output_) for the forward's groups.
+  void BeginForward(const Network& net, bool train) override;
   void Backward(const Tensor& input, Tensor* input_delta,
                 Network& net) override;
 
@@ -102,7 +105,7 @@ class YoloLayer : public Layer, public DetectionHead {
                   LossStats& stats);
 
   Options opts_;
-  // Latched by Forward: true when output_ was left holding the RAW head
+  // Latched by BeginForward: true when output_ was left holding the RAW head
   // values (inference nets whose owner opted in via
   // Network::set_defer_head_activation). GetDetections then routes
   // through DecodeRaw.

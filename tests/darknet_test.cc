@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "base/file_util.h"
+#include "base/thread_pool.h"
 #include "base/rng.h"
 #include "base/string_util.h"
+#include "core/detector.h"
 #include "darknet/cfg.h"
 #include "darknet/model_zoo.h"
 #include "darknet/summary.h"
@@ -129,6 +132,50 @@ TEST(BuildNetwork, RejectsNonPositiveMaxPoolGeometry) {
   }
 }
 
+TEST(BuildNetwork, RejectsNonPositiveNetDimensions) {
+  // [net] dimensions below 1 once reached Network's constructor checks
+  // and aborted; a batch override does not excuse a bad cfg batch.
+  for (const char* net :
+       {"width=0\nheight=16\n", "width=16\nheight=0\n",
+        "width=16\nheight=16\nchannels=0\n", "width=16\nheight=16\nbatch=0\n",
+        "width=-16\nheight=16\n", "width=16\nheight=16\nbatch=-1\n"}) {
+    for (const int batch_override : {0, 1}) {
+      Rng rng(1);
+      auto built = BuildNetworkFromCfg(
+          std::string("[net]\n") + net + "[maxpool]\nsize=2\n",
+          batch_override, rng);
+      ASSERT_FALSE(built.ok()) << net;
+      EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument) << net;
+    }
+  }
+}
+
+TEST(BuildNetwork, RejectsLayersAboveTheElementBudget) {
+  // Well-formed but absurd sizes: conv weights of a billion filters (once
+  // an uncaught std::bad_alloc in Detector::FromCfg), an upsampled
+  // output and a padded pool output past kMaxLayerElements. Each is
+  // InvalidArgument before anything of that size is allocated.
+  for (const char* layers :
+       {"[convolutional]\nfilters=1000000000\nsize=3\npad=1\n",
+        "[convolutional]\nfilters=16\nsize=3\npad=1\n"
+        "[upsample]\nstride=100000\n",
+        "[maxpool]\nsize=1\nstride=1\npadding=2000000000\n"}) {
+    const std::string cfg =
+        std::string("[net]\nwidth=16\nheight=16\nchannels=3\n") + layers;
+    for (const ExecMode mode : {ExecMode::kTraining, ExecMode::kInference}) {
+      Rng rng(1);
+      auto built = BuildNetworkFromCfg(cfg, 1, rng, mode);
+      ASSERT_FALSE(built.ok()) << layers;
+      EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument) << layers;
+      EXPECT_NE(built.status().ToString().find("budget"), std::string::npos)
+          << built.status().ToString();
+    }
+    auto det = Detector::FromCfg(cfg);
+    ASSERT_FALSE(det.ok()) << layers;
+    EXPECT_EQ(det.status().code(), StatusCode::kInvalidArgument) << layers;
+  }
+}
+
 TEST(ModelZoo, YoloThaliBuildsWithThreeHeads) {
   YoloThaliOptions o;
   o.classes = 10;
@@ -233,19 +280,26 @@ TEST(SummaryTest, PlanTableShowsEveryDecisionOfAnInferencePlan) {
   const std::string head_line =
       summary.substr(header + 1, summary.find('\n', header + 1) - header - 1);
   EXPECT_NE(head_line.find(" epi "), std::string::npos) << head_line;
-  EXPECT_NE(head_line.find(" strands"), std::string::npos) << head_line;
-  // One row per layer; each ends with the layer's planned strand count.
+  EXPECT_NE(head_line.find(" chain"), std::string::npos) << head_line;
+  // One row per layer, each ending with the layer's chain column.
   for (int i = 0; i < net.num_layers(); ++i) {
     const std::string prefix = StrFormat("plan: %4d ", i);
     const size_t row = summary.find(prefix);
     ASSERT_NE(row, std::string::npos) << "layer " << i;
     const std::string line =
         summary.substr(row, summary.find('\n', row) - row);
-    const std::string strands =
-        std::to_string(net.exec_plan().layers[static_cast<size_t>(i)].strands);
-    EXPECT_EQ(line.substr(line.size() - strands.size()), strands) << line;
-    EXPECT_EQ(line[line.size() - strands.size() - 1], ' ') << line;
+    EXPECT_EQ(line.substr(line.size() - 2), " -") << line;
   }
+  // The plan's item-group count, once, right after the table.
+  const std::string groups =
+      StrFormat("\ngroups: %d (batch 2 in contiguous item groups, one "
+                "strand each)\n",
+                net.exec_plan().groups);
+  EXPECT_EQ(net.exec_plan().groups, std::min(MaxParallelism(), 2));
+  const size_t at = summary.find(groups);
+  ASSERT_NE(at, std::string::npos) << summary;
+  EXPECT_EQ(summary.find("\ngroups:", at + 1), std::string::npos) << summary;
+  EXPECT_EQ(summary.substr(at + groups.size(), 6), "total:") << summary;
 }
 
 class WeightsIoTest : public ::testing::Test {

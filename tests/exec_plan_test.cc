@@ -256,7 +256,9 @@ TEST(ArenaPlanTest, FullModelArenaMatchesSeedAllocatorBitwise) {
               Activation::kMish;
       if (!exact_conv && kind != "yolo") continue;
       const Tensor& in = i == 0 ? input : seed.net->layer(i - 1).output();
-      layer.Forward(in, *arena.net, /*train=*/false);
+      layer.BeginForward(*arena.net, /*train=*/false);
+      layer.Forward(in, *arena.net, /*train=*/false,
+                    ItemRange{0, arena.net->batch(), 0});
       SCOPED_TRACE("layer " + std::to_string(i) + " fold=" +
                    std::to_string(fold));
       ExpectBitwiseEqual(layer.output(), seed.net->layer(i).output());
@@ -381,39 +383,47 @@ TEST(ExecPlanTest, SetBatchRecompilesFusedPlan) {
   EXPECT_EQ(net.arena_plan().arena_floats, floats1);
 }
 
-// The strand plan on yolov4-thali: a layer fans out across its batch
-// items and never inside one. At batch 1 every layer runs on one
-// strand; at batch 8 a per-item conv gets min(P, 8) strands and a
-// whole-batch direct 1x1 (one GEMM item) and every non-conv layer get
-// 1, for the fp32 plan and the calibrated int8 plan alike. Training
-// plans stay uncapped.
-TEST(ExecPlanTest, StrandPlanFansOutOnlyAcrossBatchItems) {
+// The group plan on yolov4-thali: an inference forward splits its batch
+// once into min(P, workspace slots, batch) contiguous item groups, and
+// the item rule still makes the seven CNHW direct 1x1s one GEMM over a
+// group's items, for the fp32 plan and the calibrated int8 plan alike.
+// Batch 1 and a calibration phase run one group; training plans keep
+// one group and no whole-batch items.
+TEST(ExecPlanTest, GroupPlanSplitsEachInferenceBatchOnce) {
   const auto expect_plan = [](const Network& net, int parallelism,
                               const std::string& what) {
+    const int batch = net.batch();
+    const int groups = net.exec_plan().groups;
+    EXPECT_EQ(groups, std::min(parallelism, batch)) << what;
+    EXPECT_LE(groups, net.workspace_slots()) << what;
+    // The groups tile the batch in order, none larger than the largest.
+    int64_t next = 0;
+    for (int g = 0; g < groups; ++g) {
+      const ItemRange items = GroupItems(batch, groups, g);
+      EXPECT_EQ(items.begin, next) << what << " group " << g;
+      EXPECT_GE(items.size(), 1) << what << " group " << g;
+      EXPECT_LE(items.size(), MaxGroupItems(batch, groups))
+          << what << " group " << g;
+      EXPECT_EQ(items.slot, g) << what;
+      next = items.end;
+    }
+    EXPECT_EQ(next, batch) << what;
     int whole_batch = 0, int8 = 0;
     for (int i = 0; i < net.num_layers(); ++i) {
       const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
-      EXPECT_LE(lp.strands, net.workspace_slots()) << what << " layer " << i;
       const bool conv =
           std::string_view(net.layer(i).kind()) == "convolutional";
-      if (!conv) {
-        EXPECT_EQ(lp.strands, 1) << what << " layer " << i;
-        continue;
-      }
       const bool direct = lp.conv_algo == ConvAlgo::kDirect1x1 ||
                           lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1;
-      EXPECT_EQ(lp.whole_batch, direct &&
+      EXPECT_EQ(lp.whole_batch, conv && direct &&
                                     lp.in_layout == ActLayout::kCNHW &&
                                     lp.out_layout == ActLayout::kCNHW)
-          << what << " layer " << i;
-      const int items = lp.whole_batch ? 1 : net.batch();
-      EXPECT_EQ(lp.strands, std::min(parallelism, items))
           << what << " layer " << i;
       whole_batch += lp.whole_batch;
       int8 += lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1;
     }
-    // Seven of the ten 1x1s span the batch; the three head feeders
-    // write NCHW for the yolo heads.
+    // Seven of the ten 1x1s span their group's items; the three head
+    // feeders write NCHW for the yolo heads.
     EXPECT_EQ(whole_batch, 7) << what;
     return int8;
   };
@@ -427,13 +437,14 @@ TEST(ExecPlanTest, StrandPlanFansOutOnlyAcrossBatchItems) {
     const std::string p = "P=" + std::to_string(parallelism);
     BuiltNetwork built = BuildThali(ExecMode::kInference, 1);
     Network& net = *built.net;
-    for (const LayerPlan& lp : net.exec_plan().layers) {
-      EXPECT_EQ(lp.strands, 1) << p;
-    }
+    EXPECT_EQ(net.exec_plan().groups, 1) << p;
     ASSERT_TRUE(net.SetBatch(8).ok());
     EXPECT_EQ(expect_plan(net, parallelism, p + " fp32 batch 8"), 0);
+    ASSERT_TRUE(net.SetBatch(3).ok());
+    EXPECT_EQ(expect_plan(net, parallelism, p + " fp32 batch 3"), 0);
 
     // Calibrated int8: every quantizable conv armed, then replanned.
+    ASSERT_TRUE(net.SetBatch(8).ok());
     for (int i = 0; i < net.num_layers(); ++i) {
       if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
       auto& conv = static_cast<ConvLayer&>(net.layer(i));
@@ -443,16 +454,21 @@ TEST(ExecPlanTest, StrandPlanFansOutOnlyAcrossBatchItems) {
     ASSERT_TRUE(net.ReplanInference().ok());
     EXPECT_EQ(expect_plan(net, parallelism, p + " int8 batch 8"), 10);
 
+    // A calibration phase folds statistics across the batch: one group.
+    net.set_calib_phase(CalibPhase::kRange);
+    EXPECT_EQ(net.exec_plan().groups, 1) << p << " calibrating";
+    net.set_calib_phase(CalibPhase::kOff);
+    EXPECT_EQ(net.exec_plan().groups, parallelism) << p << " calibrated";
+
     ASSERT_TRUE(net.SetBatch(1).ok());
-    for (const LayerPlan& lp : net.exec_plan().layers) {
-      EXPECT_EQ(lp.strands, 1) << p << " back at batch 1";
-    }
+    EXPECT_EQ(net.exec_plan().groups, 1) << p << " back at batch 1";
 
     BuiltNetwork train = BuildThali(ExecMode::kTraining, 1);
     for (const int batch : {1, 8}) {
       ASSERT_TRUE(train.net->SetBatch(batch).ok());
+      EXPECT_EQ(train.net->exec_plan().groups, 1)
+          << p << " training batch " << batch;
       for (const LayerPlan& lp : train.net->exec_plan().layers) {
-        EXPECT_EQ(lp.strands, 0) << p << " training batch " << batch;
         EXPECT_FALSE(lp.whole_batch) << p << " training batch " << batch;
       }
     }

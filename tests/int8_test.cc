@@ -1267,6 +1267,33 @@ TEST_F(Int8Test, CalibrationRoundTripsThroughFile) {
     EXPECT_EQ(ca.activation_range_max(), cb.activation_range_max()) << i;
   }
 
+  // The workspace slots follow the plan: each holds exactly the largest
+  // WorkspaceSize() of the current plan's layers, so they shrink once
+  // the loaded ranges arm int8 on the folded network and grow back when
+  // the calibration is reset.
+  const auto largest_need = [](const Network& net) {
+    int64_t need = 0;
+    for (int i = 0; i < net.num_layers(); ++i) {
+      need = std::max(need, net.layer(i).WorkspaceSize());
+    }
+    return need;
+  };
+  const int64_t fp32_floats = b.net->workspace_size();
+  EXPECT_EQ(fp32_floats, largest_need(*b.net));
+  FoldAll(*b.net);
+  THALI_CHECK_OK(b.net->ReplanInference());
+  ASSERT_GT(b.net->exec_plan().quantized_layers, 0);
+  EXPECT_EQ(b.net->workspace_size(), largest_need(*b.net));
+  EXPECT_LT(b.net->workspace_size(), fp32_floats);
+  for (int i = 0; i < b.net->num_layers(); ++i) {
+    if (std::string_view(b.net->layer(i).kind()) != "convolutional") continue;
+    static_cast<ConvLayer&>(b.net->layer(i)).ResetCalibration();
+  }
+  THALI_CHECK_OK(b.net->ReplanInference());
+  EXPECT_EQ(b.net->exec_plan().quantized_layers, 0);
+  EXPECT_EQ(b.net->workspace_size(), largest_need(*b.net));
+  EXPECT_EQ(b.net->workspace_size(), fp32_floats);
+
   // A corrupt file must fail loudly, not half-arm the network: a
   // truncated header, a file cut inside entry 2, and an entry 2 with an
   // inverted range or naming a non-conv layer. The target is folded, so

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "base/rng.h"
 #include "nn/activation.h"
@@ -208,6 +212,59 @@ TEST(UpsampleLayerTest, NearestNeighborValues) {
   EXPECT_FLOAT_EQ(out[2], 2.0f);
   EXPECT_FLOAT_EQ(out[5], 1.0f);
   EXPECT_FLOAT_EQ(out[15], 4.0f);
+}
+
+// The division loop UpsampleNearest replaced: out[y][x] =
+// in[y/stride][x/stride], one division pair per output element.
+template <typename T>
+std::vector<T> UpsampleByDivision(const std::vector<T>& in, int64_t planes,
+                                  int64_t h, int64_t w, int stride) {
+  const int64_t ow = w * stride;
+  std::vector<T> out(static_cast<size_t>(planes * h * w * stride * stride));
+  for (int64_t p = 0; p < planes; ++p) {
+    const T* src = in.data() + p * h * w;
+    T* dst = out.data() + p * h * w * stride * stride;
+    for (int64_t y = 0; y < h * stride; ++y) {
+      const T* srow = src + (y / stride) * w;
+      T* drow = dst + y * ow;
+      for (int64_t x = 0; x < ow; ++x) drow[x] = srow[x / stride];
+    }
+  }
+  return out;
+}
+
+// Row replication moves the same values as the division loop, for fp32
+// activations and u8 chain bytes, at strides 2 and 3 and odd widths.
+TEST(UpsampleLayerTest, RowReplicationMatchesDivisionLoop) {
+  Rng rng(23);
+  for (const int stride : {2, 3}) {
+    for (const int64_t w : {1, 3, 5, 9}) {
+      for (const int64_t h : {1, 2, 3}) {
+        const int64_t planes = 3;
+        const size_t n = static_cast<size_t>(planes * h * w);
+        std::vector<float> fin(n);
+        std::vector<uint8_t> qin(n);
+        for (size_t i = 0; i < n; ++i) {
+          fin[i] = rng.NextGaussian();
+          qin[i] = static_cast<uint8_t>(rng.NextU64() % 128);
+        }
+        const size_t out_n = n * static_cast<size_t>(stride * stride);
+        std::vector<float> fout(out_n, -1.0f);
+        std::vector<uint8_t> qout(out_n, 255);
+        UpsampleNearest(fin.data(), planes, h, w, stride, fout.data());
+        UpsampleNearest(qin.data(), planes, h, w, stride, qout.data());
+        const std::string what = "stride " + std::to_string(stride) + " " +
+                                 std::to_string(h) + "x" + std::to_string(w);
+        const std::vector<float> fwant =
+            UpsampleByDivision(fin, planes, h, w, stride);
+        EXPECT_EQ(std::memcmp(fout.data(), fwant.data(),
+                              out_n * sizeof(float)),
+                  0)
+            << what;
+        EXPECT_EQ(qout, UpsampleByDivision(qin, planes, h, w, stride)) << what;
+      }
+    }
+  }
 }
 
 TEST(RouteLayerTest, ConcatenatesChannels) {

@@ -373,9 +373,11 @@ void ExpectSameBits(const std::vector<float>& got,
 }
 
 TEST_F(ParallelTest, ThaliInferenceBitwiseIdenticalAcrossThreadsAndPacking) {
-  // The fused plan at any thread count, at batch 1 (one strand) and at
-  // batch 4 (items across strands)...
-  for (const int batch : {1, 4}) {
+  // The fused plan at any thread count: batch 1 is one item group;
+  // batch 3 splits into groups of 1 and 2 at two strands and into three
+  // groups at four; batches 4 and 8 split evenly. Every group count
+  // gives the one-strand bytes.
+  for (const int batch : {1, 3, 4, 8}) {
     const std::vector<float> base =
         ThaliInferenceForward(1, ThaliRun::kFused, false, batch);
     for (const int threads : {2, 4}) {
@@ -397,14 +399,19 @@ TEST_F(ParallelTest, ThaliInferenceBitwiseIdenticalAcrossThreadsAndPacking) {
 TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
   // Folded batch norm makes every conv eligible for the fused
   // bias+activation write-back. The fused plan stays bitwise stable
-  // across thread counts, and so does the folded training network's
-  // staged passes (per-call packing, separate bias and activation). The
-  // epilogue against the staged passes, per exact layer, is
-  // ArenaPlanTest.FullModelArenaMatchesSeedAllocatorBitwise.
-  for (const int batch : {1, 4}) {
-    ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kFused, true, batch),
-                   ThaliInferenceForward(1, ThaliRun::kFused, true, batch),
-                   "fused threads=4 batch=" + std::to_string(batch));
+  // across thread counts and item groups, and so does the folded
+  // training network's staged passes (per-call packing, separate bias
+  // and activation). The epilogue against the staged passes, per exact
+  // layer, is ArenaPlanTest.FullModelArenaMatchesSeedAllocatorBitwise.
+  for (const int batch : {1, 3, 4, 8}) {
+    const std::vector<float> base =
+        ThaliInferenceForward(1, ThaliRun::kFused, true, batch);
+    for (const int threads : {2, 4}) {
+      ExpectSameBits(
+          ThaliInferenceForward(threads, ThaliRun::kFused, true, batch), base,
+          "fused threads=" + std::to_string(threads) +
+              " batch=" + std::to_string(batch));
+    }
   }
   ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kTraining, true),
                  ThaliInferenceForward(1, ThaliRun::kTraining, true),
@@ -414,10 +421,10 @@ TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
 // Full yolov4-thali int8 inference: builds, folds batch norm,
 // min/max-calibrates every quantizable conv on the test input, replans
 // so the quantize-once chains arm, then forwards through a
-// SetBatch(1 -> 4 -> 1) cycle with every kernel family forced scalar or
-// automatically selected. Batch 4 carries four distinct items (the test
-// input first), so its items fan out across strands. Returns the head
-// activations of the three forwards (batch 1, batch 4, batch 1 again)
+// SetBatch(1 -> 4 -> 3 -> 8 -> 1) cycle with every kernel family forced
+// scalar or automatically selected. Each batch carries distinct items
+// (the test input first), so batches above 1 split into item groups
+// across strands. Returns the head activations of the five forwards
 // flattened for bitwise comparison.
 std::vector<float> ThaliInt8Forward(int threads, bool scalar) {
   SetMaxParallelism(threads);
@@ -463,14 +470,16 @@ std::vector<float> ThaliInt8Forward(int threads, bool scalar) {
   Tensor first = input;
   net.Forward(first, /*train=*/false);
   append_heads();
-  THALI_CHECK_OK(net.SetBatch(4));
-  Tensor batched(net.input_shape());
-  std::copy(input.data(), input.data() + input.size(), batched.data());
-  for (int64_t i = input.size(); i < batched.size(); ++i) {
-    batched[i] = irng.NextGaussian();
+  for (const int batch : {4, 3, 8}) {
+    THALI_CHECK_OK(net.SetBatch(batch));
+    Tensor batched(net.input_shape());
+    std::copy(input.data(), input.data() + input.size(), batched.data());
+    for (int64_t i = input.size(); i < batched.size(); ++i) {
+      batched[i] = irng.NextGaussian();
+    }
+    net.Forward(batched, /*train=*/false);
+    append_heads();
   }
-  net.Forward(batched, /*train=*/false);
-  append_heads();
   THALI_CHECK_OK(net.SetBatch(1));
   Tensor again = input;
   net.Forward(again, /*train=*/false);
@@ -483,8 +492,8 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
   // The quantized forward must be bitwise stable across thread counts,
   // kernel families, and batch re-planning — exact integer accumulation
   // plus the shared scalar requantize epilogue make this a hard
-  // equality. The batch-4 heads compare runs whose items split across 1,
-  // 2 and 4 strands.
+  // equality. The batch-3, -4 and -8 heads compare runs whose items
+  // split into 1, 2 and 3 or 4 item groups.
   const std::vector<float> base = ThaliInt8Forward(1, /*scalar=*/true);
   ASSERT_FALSE(base.empty());
   for (const bool scalar : {true, false}) {
@@ -533,7 +542,8 @@ TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
     const Tensor* x = &input;
     for (int li = 0; li < net.num_layers(); ++li) {
       Layer& layer = net.layer(li);
-      layer.Forward(*x, net, /*train=*/false);
+      layer.BeginForward(net, /*train=*/false);
+      layer.Forward(*x, net, /*train=*/false, ItemRange{0, net.batch(), 0});
       if (std::string_view(layer.kind()) == "convolutional") {
         const Tensor& out = layer.output();
         outs[static_cast<size_t>(li)].assign(out.data(),
