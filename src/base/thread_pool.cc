@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <utility>
 
@@ -13,12 +12,10 @@ namespace thali {
 
 namespace {
 
-// Set while a thread executes a ParallelFor chunk so nested regions run
-// inline instead of deadlocking on (or oversubscribing) the pool.
+// Set while a thread executes a ParallelFor chunk (or holds a
+// ScopedSingleStrand) so nested regions run inline instead of
+// deadlocking on (or oversubscribing) the pool.
 thread_local bool t_in_parallel_region = false;
-
-// The calling thread's strand cap (ScopedStrandCap); max() = uncapped.
-thread_local int t_strand_cap = std::numeric_limits<int>::max();
 
 int ParallelismFromEnv() {
   if (const char* env = std::getenv("THALI_NUM_THREADS")) {
@@ -115,26 +112,20 @@ void SetMaxParallelism(int n) {
 namespace internal {
 
 bool RegionRunsInline(int64_t range, int64_t grain, int max_strands) {
-  return t_in_parallel_region || std::min(max_strands, t_strand_cap) <= 1 ||
+  return t_in_parallel_region || max_strands <= 1 ||
          range <= std::max<int64_t>(1, grain);
 }
 
 void RunRegion(int64_t begin, int64_t end, int64_t grain, int max_strands,
                const std::function<void(int64_t, int64_t, int)>& fn) {
   const int64_t range = end - begin;
-  if (range <= 0) return;
-
-  const int cap = std::min(std::max(1, max_strands), t_strand_cap);
   int parallelism = 1;
-  // A one-strand region never touches the pool.
-  ThreadPool* pool =
-      cap > 1 && !t_in_parallel_region ? &GlobalPool(&parallelism) : nullptr;
+  ThreadPool& pool = GlobalPool(&parallelism);
   const int64_t g = std::max<int64_t>(1, grain);
-  const int64_t strands = std::min<int64_t>(std::min(parallelism, cap),
+  const int64_t strands = std::min<int64_t>(std::min(parallelism, max_strands),
                                             (range + g - 1) / g);
   if (strands <= 1) {
-    // Inline execution. A single-chunk region is not a parallel region:
-    // loops nested under it may still fan out, up to the thread's cap.
+    // Parallelism 1: one chunk inline, and nothing nested can fan out.
     fn(begin, end, 0);
     return;
   }
@@ -170,7 +161,7 @@ void RunRegion(int64_t begin, int64_t end, int64_t grain, int max_strands,
   };
 
   for (int64_t c = 1; c < strands; ++c) {
-    pool->Schedule([&run_chunk, c] { run_chunk(c); });
+    pool.Schedule([&run_chunk, c] { run_chunk(c); });
   }
   run_chunk(0);
   {
@@ -182,10 +173,12 @@ void RunRegion(int64_t begin, int64_t end, int64_t grain, int max_strands,
 
 }  // namespace internal
 
-ScopedStrandCap::ScopedStrandCap(int max_strands) : enclosing_(t_strand_cap) {
-  if (max_strands > 0) t_strand_cap = std::min(t_strand_cap, max_strands);
+ScopedSingleStrand::ScopedSingleStrand() : enclosing_(t_in_parallel_region) {
+  t_in_parallel_region = true;
 }
 
-ScopedStrandCap::~ScopedStrandCap() { t_strand_cap = enclosing_; }
+ScopedSingleStrand::~ScopedSingleStrand() {
+  t_in_parallel_region = enclosing_;
+}
 
 }  // namespace thali

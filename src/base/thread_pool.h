@@ -56,8 +56,8 @@ void SetMaxParallelism(int n);
 namespace internal {
 
 // True when a region over `range` > 0 indices runs as one inline chunk
-// on the calling thread without asking the pool: one grain, a strand cap
-// or bound of 1, or a caller already inside a region.
+// on the calling thread without asking the pool: one grain, a bound of
+// 1, or a caller already inside a region (or a ScopedSingleStrand).
 bool RegionRunsInline(int64_t range, int64_t grain, int max_strands);
 
 // The region body of ParallelForBounded once the inline test failed.
@@ -67,16 +67,16 @@ void RunRegion(int64_t begin, int64_t end, int64_t grain, int max_strands,
 }  // namespace internal
 
 // Chunked parallel-for. Splits [begin, end) into at most
-// min(MaxParallelism(), max_strands, the calling thread's strand cap)
-// contiguous chunks of roughly equal size (never creating more chunks
-// than ceil(range / grain)) and invokes fn(chunk_begin, chunk_end, tid)
-// with a distinct tid in [0, max_strands) per chunk. The calling thread
-// executes chunk 0; remaining chunks run on the global pool.
+// min(MaxParallelism(), max_strands) contiguous chunks of roughly equal
+// size (never creating more chunks than ceil(range / grain)) and invokes
+// fn(chunk_begin, chunk_end, tid) with a distinct tid in
+// [0, max_strands) per chunk. The calling thread executes chunk 0;
+// remaining chunks run on the global pool.
 //
 // Runs fn(begin, end, 0) inline — bit-identical to a plain loop — when
-// the range fits a single chunk, parallelism or the calling thread's
-// strand cap (ScopedStrandCap) is 1, or the caller is already inside a
-// ParallelFor (nested regions never re-parallelize). An inline region
+// the range fits a single chunk, parallelism is 1, or the caller is
+// already inside a ParallelFor or a ScopedSingleStrand (nested regions
+// never re-parallelize). An inline region
 // that can tell so from the range, the bound and the calling thread
 // alone calls fn directly, without wrapping it in a std::function (no
 // allocation).
@@ -107,24 +107,24 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
   ParallelForBounded(begin, end, grain, std::numeric_limits<int>::max(), fn);
 }
 
-// Caps every ParallelFor region the calling thread starts while this
-// object lives at `max_strands` strands, on top of MaxParallelism() and
-// the region's own bound; a region capped at one strand runs inline as
-// chunk 0. Regions started on other threads are unaffected. Caps nest:
-// the tightest enclosing cap holds, and destruction (an exception
-// unwinding through the scope included) restores the enclosing one.
-// `max_strands` <= 0 adds no cap. Network::Forward runs each item group
-// under a cap of 1, so nothing inside an inference forward fans out.
-class ScopedStrandCap {
+// Runs every ParallelFor region the calling thread starts while this
+// object lives inline on that thread, as one chunk, the way a region
+// nested in a chunk runs. Regions started on other threads are
+// unaffected. Destruction (an exception unwinding through the scope
+// included) restores the thread's enclosing state, so scopes nest,
+// inside a chunk too. A one-group inference forward runs under one
+// (Network::Forward, Network::ForEachGroup), so nothing inside it fans
+// out.
+class ScopedSingleStrand {
  public:
-  explicit ScopedStrandCap(int max_strands);
-  ~ScopedStrandCap();
+  ScopedSingleStrand();
+  ~ScopedSingleStrand();
 
-  ScopedStrandCap(const ScopedStrandCap&) = delete;
-  ScopedStrandCap& operator=(const ScopedStrandCap&) = delete;
+  ScopedSingleStrand(const ScopedSingleStrand&) = delete;
+  ScopedSingleStrand& operator=(const ScopedSingleStrand&) = delete;
 
  private:
-  int enclosing_;
+  bool enclosing_;
 };
 
 }  // namespace thali

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <thread>
 
 #include "base/logging.h"
@@ -211,7 +212,8 @@ const Tensor& Network::Forward(const Tensor& input, bool train) {
     // Training runs the whole batch per layer: batch norm's statistics
     // need every item, and the layers fan out inside. One inference
     // group runs inline on one strand.
-    const ScopedStrandCap cap(mode_ == ExecMode::kTraining ? 0 : 1);
+    std::optional<ScopedSingleStrand> one_strand;
+    if (mode_ == ExecMode::kInference) one_strand.emplace();
     const Tensor* x = &input;
     for (auto& layer : layers_) {
       layer->Forward(*x, *this, train, ItemRange{0, batch_, 0});
@@ -224,11 +226,11 @@ const Tensor& Network::Forward(const Tensor& input, bool train) {
     p.layers.store(0, std::memory_order_relaxed);
     p.claimed.store(false, std::memory_order_relaxed);
   }
+  group_failed_.store(false, std::memory_order_relaxed);
   ParallelForBounded(0, groups, 1, groups, [&](int64_t g0, int64_t g1, int) {
-    const ScopedStrandCap cap(1);
     // The strand's groups, plus any it adopts while waiting at a fence.
-    // Several groups on one strand (a capped or nested region) run in
-    // lockstep, one layer each in turn.
+    // Several groups on one strand (a nested region) run in lockstep,
+    // one layer each in turn.
     std::vector<int> owned;
     for (int64_t g = g0; g < g1; ++g) {
       if (!group_progress_[static_cast<size_t>(g)].claimed.exchange(
@@ -236,38 +238,47 @@ const Tensor& Network::Forward(const Tensor& input, bool train) {
         owned.push_back(static_cast<int>(g));
       }
     }
-    for (int i = 1; i <= num_layers(); ++i) {
-      for (size_t k = 0; k < owned.size(); ++k) {
-        AdvanceGroup(input, owned[k], i, owned);
+    try {
+      for (int i = 1; i <= num_layers(); ++i) {
+        for (size_t k = 0; k < owned.size(); ++k) {
+          if (!AdvanceGroup(input, owned[k], i, owned)) return;
+        }
       }
+    } catch (...) {
+      // The group that threw never finishes: release every strand
+      // waiting on it, then let the region rethrow once all stopped.
+      group_failed_.store(true, std::memory_order_relaxed);
+      throw;
     }
   });
   return layers_.back()->output();
 }
 
-void Network::AdvanceGroup(const Tensor& input, int g, int layers,
+bool Network::AdvanceGroup(const Tensor& input, int g, int layers,
                            std::vector<int>& owned) {
   const int groups = eplan_.groups;
   std::atomic<int>& done = group_progress_[static_cast<size_t>(g)].layers;
   for (int i = done.load(std::memory_order_relaxed); i < layers; ++i) {
     const int fence = eplan_.arena.assignments[static_cast<size_t>(i)].fence;
     for (int h = 0; fence > 0 && h < groups; ++h) {
-      if (h != g) AwaitGroup(input, h, fence, owned);
+      if (h != g && !AwaitGroup(input, h, fence, owned)) return false;
     }
     layers_[static_cast<size_t>(i)]->Forward(
         i == 0 ? input : layers_[static_cast<size_t>(i) - 1]->output(), *this,
         /*train=*/false, GroupItems(batch_, groups, g));
     done.store(i + 1, std::memory_order_release);
   }
+  return true;
 }
 
-void Network::AwaitGroup(const Tensor& input, int h, int layers,
+bool Network::AwaitGroup(const Tensor& input, int h, int layers,
                          std::vector<int>& owned) {
   GroupProgress& p = group_progress_[static_cast<size_t>(h)];
   std::chrono::steady_clock::time_point since;
   for (int spins = 0; p.layers.load(std::memory_order_acquire) < layers;
        ++spins) {
     if (spins < 64) continue;
+    if (group_failed_.load(std::memory_order_relaxed)) return false;
     // A group no strand has claimed is a pool task queued behind busy
     // workers; waiting for it could wait forever, so run it here.
     if (spins == 64) since = std::chrono::steady_clock::now();
@@ -275,11 +286,11 @@ void Network::AwaitGroup(const Tensor& input, int h, int layers,
         std::chrono::steady_clock::now() - since >= kAdoptAfter &&
         !p.claimed.exchange(true, std::memory_order_acq_rel)) {
       owned.push_back(h);
-      AdvanceGroup(input, h, layers, owned);
-      return;
+      return AdvanceGroup(input, h, layers, owned);
     }
     std::this_thread::yield();
   }
+  return true;
 }
 
 void Network::Backward(const Tensor& input) {

@@ -65,26 +65,27 @@ class Network {
   // through every layer on one strand, a group waiting only where the
   // arena reuses storage another group may still read
   // (ArenaAssignment::fence); a training network runs each layer over
-  // the whole batch, and its layers fan out inside.
+  // the whole batch, and its layers fan out inside. An exception thrown
+  // by a layer in any group stops every group at its next fence and is
+  // rethrown here once all groups have stopped.
   const Tensor& Forward(const Tensor& input, bool train = false);
 
   // Runs fn(ItemRange) once per item group of the plan
   // (ExecPlan::groups, GroupItems): the groups concurrently in one
-  // ParallelFor region, each under a strand cap of 1 so nothing inside
-  // fans out. A single group runs inline on the caller, still capped,
-  // with no region and no allocation. The detector runs its staging and
-  // decode this way, over the groups Forward runs its layers in.
+  // ParallelFor region, whose chunks never fan out further. A single
+  // group runs inline on the caller under a ScopedSingleStrand, with no
+  // region and no allocation. The detector runs its staging and decode
+  // this way, over the groups Forward runs its layers in.
   template <typename Fn>
   void ForEachGroup(Fn&& fn) const {
     const int groups = eplan_.groups;
     if (groups == 1) {
-      const ScopedStrandCap cap(1);
+      const ScopedSingleStrand one_strand;
       fn(ItemRange{0, batch_, 0});
       return;
     }
     ParallelForBounded(0, groups, 1, groups,
                        [&](int64_t g0, int64_t g1, int) {
-                         const ScopedStrandCap cap(1);
                          for (int64_t g = g0; g < g1; ++g) {
                            fn(GroupItems(batch_, groups, static_cast<int>(g)));
                          }
@@ -210,12 +211,14 @@ class Network {
  private:
   // Runs item group g of an inference forward until it has finished
   // `layers` layers, first waiting at each layer's arena fence for the
-  // other groups. Groups adopted while waiting join `owned`.
-  void AdvanceGroup(const Tensor& input, int g, int layers,
+  // other groups. Groups adopted while waiting join `owned`. False when
+  // another group threw, so the forward stops.
+  bool AdvanceGroup(const Tensor& input, int g, int layers,
                     std::vector<int>& owned);
-  // Returns once group h has finished `layers` layers; adopts h into
-  // `owned` and runs it here if no strand claimed it in time.
-  void AwaitGroup(const Tensor& input, int h, int layers,
+  // Returns true once group h has finished `layers` layers, adopting h
+  // into `owned` and running it here if no strand claimed it in time;
+  // false as soon as a group threw.
+  bool AwaitGroup(const Tensor& input, int h, int layers,
                   std::vector<int>& owned);
 
   // (Re)compiles the plan, pushes it to the layers, sizes the workspace
@@ -244,6 +247,9 @@ class Network {
     std::atomic<bool> claimed{false};
   };
   std::vector<GroupProgress> group_progress_;
+  // Set when a layer threw in some group of the running forward: that
+  // group never finishes its layers, so the others stop waiting on it.
+  std::atomic<bool> group_failed_{false};
   int64_t workspace_floats_ = 0;
   // Shared activation storage for arena-planned inference outputs.
   Tensor arena_;

@@ -31,12 +31,8 @@ void UpsampleNearestImpl(const T* in, int64_t planes, int64_t h, int64_t w,
     for (int64_t y = 0; y < h; ++y) {
       const T* srow = src + y * w;
       T* row = dst + y * stride * ow;
-      if (stride == 2) {
-        for (int64_t x = 0; x < w; ++x) row[2 * x] = row[2 * x + 1] = srow[x];
-      } else {
-        for (int64_t x = 0; x < w; ++x) {
-          std::fill_n(row + x * stride, stride, srow[x]);
-        }
+      for (int64_t x = 0; x < w; ++x) {
+        std::fill_n(row + x * stride, stride, srow[x]);
       }
       for (int s = 1; s < stride; ++s) std::copy_n(row, ow, row + s * ow);
     }

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -169,8 +173,8 @@ TEST_F(ParallelTest, NestedParallelForRunsInlineAndCovers) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-// --- Strand caps (ScopedStrandCap): the per-layer cap Network::Forward
-// installs.
+// --- Strand caps of one (ScopedSingleStrand): what a one-group
+// inference forward and the detector's one-group stages run under.
 
 // How many distinct strands a region of `range` unit chunks runs on.
 int StrandsUsed(int64_t range) {
@@ -186,7 +190,7 @@ int StrandsUsed(int64_t range) {
 
 TEST_F(ParallelTest, StrandCapOfOneRunsRegionInlineOnCaller) {
   SetMaxParallelism(4);
-  const ScopedStrandCap cap(1);
+  const ScopedSingleStrand one_strand;
   const std::thread::id caller = std::this_thread::get_id();
   int calls = 0;  // no atomic needed: must run on the calling thread only
   ParallelFor(0, 100, 1, [&](int64_t b, int64_t e, int tid) {
@@ -203,44 +207,54 @@ TEST_F(ParallelTest, StrandCapsNestAndRestoreOnScopeExit) {
   SetMaxParallelism(4);
   ASSERT_EQ(StrandsUsed(8), 4);
   {
-    const ScopedStrandCap outer(2);
-    EXPECT_EQ(StrandsUsed(8), 2);
+    const ScopedSingleStrand outer;
+    EXPECT_EQ(StrandsUsed(8), 1);
     {
-      // The tightest enclosing cap holds: a looser inner cap (or none)
-      // does not widen the outer one.
-      const ScopedStrandCap looser(3);
-      EXPECT_EQ(StrandsUsed(8), 2);
-      const ScopedStrandCap none(0);
-      EXPECT_EQ(StrandsUsed(8), 2);
-      const ScopedStrandCap inner(1);
+      const ScopedSingleStrand inner;
       EXPECT_EQ(StrandsUsed(8), 1);
     }
-    EXPECT_EQ(StrandsUsed(8), 2);
+    // Closing the inner scope restores the outer one, not the uncapped
+    // state.
+    EXPECT_EQ(StrandsUsed(8), 1);
   }
+  EXPECT_EQ(StrandsUsed(8), 4);
+  // Inside a chunk, where regions already run inline, a scope's exit
+  // leaves them inline.
+  std::atomic<int> nested_strands{0};
+  ParallelFor(0, 4, 1, [&](int64_t, int64_t, int) {
+    { const ScopedSingleStrand one_strand; }
+    nested_strands.fetch_add(StrandsUsed(8));
+  });
+  EXPECT_EQ(nested_strands.load(), 4);
   EXPECT_EQ(StrandsUsed(8), 4);
 }
 
 TEST_F(ParallelTest, StrandCapRestoresWhenAChunkThrows) {
   SetMaxParallelism(4);
-  // A chunk on the caller under a cap of 1, then a worker's chunk under
-  // a cap of 2: each exception unwinds through its scope.
-  for (const int cap_strands : {1, 2}) {
-    EXPECT_THROW(
-        {
-          const ScopedStrandCap cap(cap_strands);
-          ParallelFor(0, 100, 1, [&](int64_t, int64_t e, int) {
-            if (e == 100) throw std::runtime_error("boom");
-          });
-        },
-        std::runtime_error)
-        << "cap=" << cap_strands;
-    EXPECT_EQ(StrandsUsed(8), 4) << "cap=" << cap_strands;
-  }
+  // The region runs inline under the scope and throws on the caller;
+  // the exception unwinds through the scope.
+  EXPECT_THROW(
+      {
+        const ScopedSingleStrand one_strand;
+        ParallelFor(0, 100, 1, [&](int64_t, int64_t e, int) {
+          if (e == 100) throw std::runtime_error("boom");
+        });
+      },
+      std::runtime_error);
+  EXPECT_EQ(StrandsUsed(8), 4);
+  // A worker's chunk throws inside a scope of its own.
+  EXPECT_THROW(ParallelFor(0, 100, 1,
+                           [&](int64_t, int64_t e, int) {
+                             const ScopedSingleStrand one_strand;
+                             if (e == 100) throw std::runtime_error("boom");
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(StrandsUsed(8), 4);
 }
 
 TEST_F(ParallelTest, StrandCapDoesNotLimitOtherThreads) {
   SetMaxParallelism(4);
-  const ScopedStrandCap cap(1);
+  const ScopedSingleStrand one_strand;
   int other = 0;
   std::thread t([&other] { other = StrandsUsed(8); });
   t.join();
@@ -416,6 +430,239 @@ TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
   ExpectSameBits(ThaliInferenceForward(4, ThaliRun::kTraining, true),
                  ThaliInferenceForward(1, ThaliRun::kTraining, true),
                  "training threads=4");
+}
+
+// --- How a grouped forward schedules its item groups: groups queued
+// behind busy pool workers, several groups on one strand, and a layer
+// that throws in one group.
+
+// Copies its input through, item by item, and records the threads that
+// ran its item groups; throws for the group holding item `throw_item`
+// (never when -1). An unknown kind, so the plan keeps it NCHW.
+class ProbeLayer : public Layer {
+ public:
+  const char* kind() const override { return "probe"; }
+  Status Configure(const Shape& input_shape, const Network&) override {
+    return SetShapes(input_shape, input_shape);
+  }
+  void Forward(const Tensor& input, Network&, bool,
+               const ItemRange& items) override {
+    if (items.begin <= throw_item_ && throw_item_ < items.end) {
+      throw std::runtime_error("probe");
+    }
+    const int64_t per_item = in_shape_.num_elements() / in_shape_.dim(0);
+    std::copy_n(input.data() + items.begin * per_item,
+                items.size() * per_item,
+                output_.data() + items.begin * per_item);
+    const std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    items_done_ += items.size();
+    passed_.notify_all();
+  }
+  void Backward(const Tensor&, Tensor*, Network&) override {}
+
+  void set_throw_item(int64_t item) { throw_item_ = item; }
+  // True once `items` items passed through, false after `timeout`.
+  bool AwaitItems(int64_t items, std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return passed_.wait_for(lock, timeout,
+                            [&] { return items_done_ >= items; });
+  }
+  std::set<std::thread::id> threads() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  int64_t throw_item_ = -1;
+  std::mutex mu_;
+  std::condition_variable passed_;
+  std::set<std::thread::id> threads_;
+  int64_t items_done_ = 0;
+};
+
+// A small inference net at `batch` on the current parallelism, seeded
+// weights, with a probe in the middle (layer 3) and one at the end:
+//
+//   0 conv8 3x3 - 1 conv8 1x1 - 2 conv8 3x3 - 3 probe - 4 conv8 3x3
+//   - 5 conv8 1x1 - 6 conv4 3x3 - 7 probe
+//
+// The arena reuses expired blocks after the middle probe, so groups wait
+// for each other at fences there.
+std::unique_ptr<Network> BuildProbeNet(int batch) {
+  auto net = std::make_unique<Network>(16, 16, 3, batch);
+  auto conv = [](int filters, int k) {
+    ConvLayer::Options o;
+    o.filters = filters;
+    o.ksize = k;
+    o.pad = k / 2;
+    return std::make_unique<ConvLayer>(o);
+  };
+  net->Add(conv(8, 3));
+  net->Add(conv(8, 1));
+  net->Add(conv(8, 3));
+  net->Add(std::make_unique<ProbeLayer>());
+  net->Add(conv(8, 3));
+  net->Add(conv(8, 1));
+  net->Add(conv(4, 3));
+  net->Add(std::make_unique<ProbeLayer>());
+  THALI_CHECK_OK(net->Finalize(ExecMode::kInference));
+  Rng rng(1234);
+  for (int i = 0; i < net->num_layers(); ++i) {
+    if (std::string_view(net->layer(i).kind()) == "convolutional") {
+      static_cast<ConvLayer&>(net->layer(i)).InitWeights(rng);
+    }
+  }
+  return net;
+}
+
+ProbeLayer& Probe(Network& net, int i) {
+  return static_cast<ProbeLayer&>(net.layer(i));
+}
+
+Tensor ProbeInput(const Network& net) {
+  Tensor input(net.input_shape());
+  Rng rng(17);
+  for (int64_t i = 0; i < input.size(); ++i) input[i] = rng.NextGaussian();
+  return input;
+}
+
+// The one-strand bytes of the probe net's output at `batch`.
+std::vector<float> ProbeNetOneStrand(int batch) {
+  SetMaxParallelism(1);
+  auto net = BuildProbeNet(batch);
+  const Tensor& out = net->Forward(ProbeInput(*net));
+  return std::vector<float>(out.data(), out.data() + out.size());
+}
+
+std::vector<float> Flat(const Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.size());
+}
+
+// Occupies every pool worker until Release(): a region started from a
+// thread of its own, whose worker chunks block, so chunks other threads
+// schedule queue behind them.
+class BusyPool {
+ public:
+  explicit BusyPool(int parallelism) {
+    thread_ = std::thread([this, parallelism] {
+      ParallelFor(0, parallelism, 1, [this](int64_t, int64_t, int tid) {
+        if (tid == 0) return;
+        std::unique_lock<std::mutex> lock(mu_);
+        ++blocked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      });
+    });
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return blocked_ == parallelism - 1; });
+  }
+  ~BusyPool() {
+    Release();
+    thread_.join();
+  }
+
+  void Release() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int blocked_ = 0;
+  bool released_ = false;
+  std::thread thread_;
+};
+
+TEST_F(ParallelTest, GroupsQueuedBehindBusyWorkersRunOnTheWaitingStrand) {
+  // With every worker busy, the groups' chunks cannot start: the caller
+  // adopts each group at a fence and runs all of them. The workers are
+  // released only once every item left the last layer, so the forward
+  // finishing at all shows the adoption, and the probe shows where the
+  // groups ran.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int batch : {4, 8}) {
+    const std::vector<float> want = ProbeNetOneStrand(batch);
+    for (const int threads : {2, 4}) {
+      SetMaxParallelism(threads);
+      auto net = BuildProbeNet(batch);
+      ASSERT_EQ(net->exec_plan().groups, threads);
+      const Tensor input = ProbeInput(*net);
+      ProbeLayer& last = Probe(*net, 7);
+      bool all_items_passed = false;
+      {
+        BusyPool busy(threads);
+        std::thread releaser([&] {
+          all_items_passed = last.AwaitItems(batch, std::chrono::seconds(60));
+          busy.Release();
+        });
+        net->Forward(input);
+        releaser.join();
+      }
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " batch=" + std::to_string(batch);
+      EXPECT_TRUE(all_items_passed) << what;
+      EXPECT_EQ(last.threads(), std::set<std::thread::id>{caller}) << what;
+      ExpectSameBits(Flat(net->layer(7).output()), want, what);
+    }
+  }
+}
+
+TEST_F(ParallelTest, ForwardInsideAChunkRunsEveryGroupInLockstep) {
+  // A forward started inside a ParallelFor chunk (a server worker's
+  // request, say) cannot fan out: one strand holds every group and runs
+  // them a layer each in turn, which the fences must not block.
+  for (const int batch : {4, 8}) {
+    const std::vector<float> want = ProbeNetOneStrand(batch);
+    for (const int threads : {2, 4}) {
+      SetMaxParallelism(threads);
+      auto net = BuildProbeNet(batch);
+      ASSERT_EQ(net->exec_plan().groups, threads);
+      const Tensor input = ProbeInput(*net);
+      std::thread::id ran_on;
+      ParallelFor(0, threads, 1, [&](int64_t, int64_t, int tid) {
+        if (tid != 0) return;
+        ran_on = std::this_thread::get_id();
+        net->Forward(input);
+      });
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " batch=" + std::to_string(batch);
+      EXPECT_EQ(Probe(*net, 7).threads(), std::set<std::thread::id>{ran_on})
+          << what;
+      ExpectSameBits(Flat(net->layer(7).output()), want, what);
+    }
+  }
+}
+
+TEST_F(ParallelTest, ALayerThrowingInOneGroupStopsEveryGroupAndRethrows) {
+  // The group that throws never reaches the fences after the middle
+  // probe; the other groups stop there instead of waiting for it, and
+  // Forward rethrows. The next forward runs normally.
+  const std::vector<float> want = ProbeNetOneStrand(8);
+  for (const int threads : {2, 4}) {
+    SetMaxParallelism(threads);
+    auto net = BuildProbeNet(8);
+    int fences_after_throw = 0;
+    for (int i = 4; i < net->num_layers(); ++i) {
+      fences_after_throw +=
+          net->exec_plan().arena.assignments[static_cast<size_t>(i)].fence > 0;
+    }
+    ASSERT_GT(fences_after_throw, 0);
+    const Tensor input = ProbeInput(*net);
+    // The caller's group (item 0), then the last group (item 7).
+    for (const int64_t item : {0, 7}) {
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " item=" + std::to_string(item);
+      Probe(*net, 3).set_throw_item(item);
+      EXPECT_THROW(net->Forward(input), std::runtime_error) << what;
+      Probe(*net, 3).set_throw_item(-1);
+      ExpectSameBits(Flat(net->Forward(input)), want, what);
+    }
+  }
 }
 
 // Full yolov4-thali int8 inference: builds, folds batch norm,
