@@ -76,10 +76,9 @@ void RunRegion(int64_t begin, int64_t end, int64_t grain, int max_strands,
 // Runs fn(begin, end, 0) inline — bit-identical to a plain loop — when
 // the range fits a single chunk, parallelism is 1, or the caller is
 // already inside a ParallelFor or a ScopedSingleStrand (nested regions
-// never re-parallelize). An inline region
-// that can tell so from the range, the bound and the calling thread
-// alone calls fn directly, without wrapping it in a std::function (no
-// allocation).
+// never re-parallelize). An inline region that can tell so from the
+// range, the bound and the calling thread alone calls fn directly,
+// without wrapping it in a std::function (no allocation).
 // Exceptions thrown by fn are captured and the first one is rethrown on
 // the calling thread after all chunks finish.
 //

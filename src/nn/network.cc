@@ -229,8 +229,8 @@ const Tensor& Network::Forward(const Tensor& input, bool train) {
   group_failed_.store(false, std::memory_order_relaxed);
   ParallelForBounded(0, groups, 1, groups, [&](int64_t g0, int64_t g1, int) {
     // The strand's groups, plus any it adopts while waiting at a fence.
-    // Several groups on one strand (a nested region) run in lockstep,
-    // one layer each in turn.
+    // Several groups on one strand (a nested region, or fewer strands
+    // than groups) run in lockstep, one layer each in turn.
     std::vector<int> owned;
     for (int64_t g = g0; g < g1; ++g) {
       if (!group_progress_[static_cast<size_t>(g)].claimed.exchange(
