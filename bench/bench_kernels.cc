@@ -152,7 +152,7 @@ void GemmInt8ShapeBench(benchmark::State& state, int64_t m, int64_t n,
   Int8QuantizeActivations(x.data(), k * n, 1.0f / in_scale, in_zp,
                           qcol.data());
   std::vector<uint8_t> packed(static_cast<size_t>(Int8PackedActBytes(k, n)));
-  Int8PackActColsStrided(qcol.data(), n, k, n, packed.data());
+  Int8PackActCols(qcol.data(), k, n, packed.data());
   std::vector<float> bias(static_cast<size_t>(m), 0.1f);
   Int8Epilogue epi;
   epi.in_scale = in_scale;
@@ -179,7 +179,7 @@ BENCHMARK(BM_GemmInt8)->ArgNames({"m", "n", "k"})->Args({256, 256, 256});
 // Int8 activation staging of one conv at batch 1: the u8 im2col of the
 // quantized input planes plus the pack of the column matrix into the
 // GEMM panel, on the dispatched kernel family. This is the byte movement
-// the kQuantInt8 branch of ConvLayer::Forward runs before every GEMM.
+// the int8 body of ConvLayer::Forward runs before every 3x3 GEMM.
 void Int8StageBench(benchmark::State& state, int64_t c, int64_t h, int64_t w,
                     int64_t ksize, int64_t stride, int64_t pad) {
   const int64_t k = c * ksize * ksize;
@@ -191,9 +191,9 @@ void Int8StageBench(benchmark::State& state, int64_t c, int64_t h, int64_t w,
   std::vector<uint8_t> col(static_cast<size_t>(k * n));
   std::vector<uint8_t> packed(static_cast<size_t>(Int8PackedActBytes(k, n)));
   for (auto _ : state) {
-    Im2ColStridedU8(im.data(), h * w, c, h, w, ksize, stride, pad,
+    Im2ColStridedU8(im.data(), c, h, w, ksize, stride, pad,
                     /*pad_value=*/64, col.data());
-    Int8PackActColsStrided(col.data(), n, k, n, packed.data());
+    Int8PackActCols(col.data(), k, n, packed.data());
     benchmark::DoNotOptimize(packed.data());
     benchmark::ClobberMemory();
   }
@@ -274,7 +274,7 @@ void BM_Im2Col(benchmark::State& state) {
   for (auto& v : im) v = rng.NextGaussian();
   std::vector<float> col(static_cast<size_t>(c) * k * k * h * w);
   for (auto _ : state) {
-    Im2ColStrided(im.data(), h * w, c, h, w, k, 1, 1, col.data());
+    Im2ColStrided(im.data(), c, h, w, k, 1, 1, col.data());
     benchmark::DoNotOptimize(col.data());
   }
 }

@@ -87,31 +87,30 @@ std::string NetworkSummary(const Network& net) {
   int64_t int8_bytes = 0;
   int int8_layers = 0;
   if (plan.fused) {
-    os << StrFormat(
-        "\nplan: %4s  %-14s %10s %5s  %5s %5s  %6s %5s  %4s %4s %8s\n",
-        "idx", "type", "algo", "epi", "in", "out", "elide", "dtype", "din",
-        "dout", "chain");
+    os << StrFormat("\nplan: %4s  %-14s %10s %5s  %6s %5s  %4s %4s %8s\n",
+                    "idx", "type", "algo", "epi", "elide", "dtype", "din",
+                    "dout", "chain");
     for (int i = 0; i < net.num_layers(); ++i) {
       const Layer& layer = net.layer(i);
       const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-      const bool conv = std::string_view(layer.kind()) == "convolutional";
-      const char* dtype = "f32";
-      if (lp.conv_algo == ConvAlgo::kQuantInt8 ||
-          lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1) {
-        dtype = DTypeName(DType::kI8);
-        int8_bytes += static_cast<const ConvLayer&>(layer).int8_weight_bytes();
-        ++int8_layers;
+      const char* algo = "-";
+      if (std::string_view(layer.kind()) == "convolutional") {
+        const auto& conv = static_cast<const ConvLayer&>(layer);
+        algo = conv.IsDirect1x1() ? "direct1x1" : "im2col";
+        if (lp.int8) {
+          int8_bytes += conv.int8_weight_bytes();
+          ++int8_layers;
+        }
       }
       const char* epi = lp.epilogue.act.has_value() ? "b+act"
                         : lp.epilogue.bias          ? "b"
                                                     : "-";
-      os << StrFormat(
-          "plan: %4d  %-14s %10s %5s  %5s %5s  %6s %5s  %4s %4s %8s\n", i,
-          std::string(layer.kind()).c_str(),
-          conv ? ConvAlgoName(lp.conv_algo) : "-", epi,
-          ActLayoutName(lp.in_layout), ActLayoutName(lp.out_layout),
-          lp.copy_elided ? "elide" : "-", dtype, DTypeName(lp.in_dtype),
-          DTypeName(lp.out_dtype), lp.in_dtype == DType::kU8 ? "chained" : "-");
+      os << StrFormat("plan: %4d  %-14s %10s %5s  %6s %5s  %4s %4s %8s\n", i,
+                      std::string(layer.kind()).c_str(), algo, epi,
+                      lp.copy_elided ? "elide" : "-",
+                      lp.int8 ? DTypeName(DType::kI8) : "f32",
+                      DTypeName(lp.in_dtype), DTypeName(lp.out_dtype),
+                      lp.in_dtype == DType::kU8 ? "chained" : "-");
     }
     os << StrFormat(
         "groups: %d (batch %d in contiguous item groups, one strand each)\n",

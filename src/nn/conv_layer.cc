@@ -96,47 +96,38 @@ Status ConvLayer::Rebatch(const Shape& input_shape, const Network&) {
 }
 
 int64_t ConvLayer::WorkspaceSize() const {
-  switch (plan().conv_algo) {
-    case ConvAlgo::kQuantInt8:
-    case ConvAlgo::kQuantInt8Direct1x1:
-      return int8_ws_.ws_floats;  // OnPlanUpdated ran first
-    case ConvAlgo::kIm2col:
-    case ConvAlgo::kDirect1x1:
-      break;
-  }
+  if (plan().int8) return int8_ws_.ws_floats;  // OnPlanUpdated ran first
   // One im2col panel; a direct 1x1 multiplies its input planes.
   if (IsDirect1x1()) return 0;
   return in_c_ * opts_.ksize * opts_.ksize * out_h_ * out_w_;
 }
 
-void ConvLayer::OnPlanUpdated(const ExecPlan& eplan) {
-  const ConvAlgo algo = plan().conv_algo;
-  // The held weight copy always matches the planned algorithm: the first
-  // plan and every replan onto another algorithm pack here, while weight
-  // mutations repack in BeginForward.
-  if (inference() && packed_algo_ != algo) PrepackWeights();
-  int8_ws_ = Int8Sections();
-  if (algo != ConvAlgo::kQuantInt8 &&
-      algo != ConvAlgo::kQuantInt8Direct1x1) {
-    return;
+void ConvLayer::OnPlanUpdated() {
+  // The held weight copy always matches the planned dtype: a replan
+  // packs whenever the copy is stale (the first plan, a replan onto the
+  // other dtype, weights changed since the last pack); a weight mutation
+  // with no replan after it repacks in BeginForward.
+  if (inference() && (packed_dirty_ || packed_int8_ != plan().int8)) {
+    PrepackWeights();
   }
+  int8_ws_ = Int8Sections();
+  if (!plan().int8) return;
   // One item's sections, in order: its quantized input planes (unused
   // when the input arrives chained), the u8 im2col panel (3x3 only), the
   // packed activation panel and the i32 accumulator tile; then 64 bytes
-  // of slack. A whole-group item is as wide as the largest group.
-  const Items items = BatchItems(ItemRange{
-      0, MaxGroupItems(in_shape_.dim(0), eplan.groups), 0});
+  // of slack.
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const int64_t n = out_h_ * out_w_;
   int64_t bytes = 0;
   const auto take = [&bytes](int64_t size) {
     const int64_t at = bytes;
     bytes += (size + 63) / 64 * 64;
     return at;
   };
-  int8_ws_.qin = take(in_c_ * items.in_cols);
-  if (!IsDirect1x1()) int8_ws_.col = take(k * items.n);
-  int8_ws_.packed = take(Int8PackedActBytes(k, items.n));
-  int8_ws_.acc = take(opts_.filters * items.n * 4);
+  int8_ws_.qin = take(in_c_ * in_shape_.dim(2) * in_shape_.dim(3));
+  if (!IsDirect1x1()) int8_ws_.col = take(k * n);
+  int8_ws_.packed = take(Int8PackedActBytes(k, n));
+  int8_ws_.acc = take(opts_.filters * n * 4);
   int8_ws_.ws_floats = (bytes + 64 + 3) / 4;
 }
 
@@ -159,10 +150,7 @@ void ConvLayer::InitWeights(Rng& rng) {
 void ConvLayer::PrepackWeights() {
   const int64_t m = opts_.filters;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const ConvAlgo algo = plan().conv_algo;
-  const bool quant = algo == ConvAlgo::kQuantInt8 ||
-                     algo == ConvAlgo::kQuantInt8Direct1x1;
-  if (quant) {
+  if (plan().int8) {
     // Per-output-channel symmetric int8 rows plus their scales and
     // column sums.
     const Shape qshape({m, Int8PackedK(k)});
@@ -181,7 +169,7 @@ void ConvLayer::PrepackWeights() {
     packed_weights_.Resize(Shape({GemmPackedWeightFloats(m, k)}));
     GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
   }
-  packed_algo_ = algo;
+  packed_int8_ = plan().int8;
   packed_dirty_ = false;
 }
 
@@ -189,32 +177,10 @@ bool ConvLayer::IsDirect1x1() const {
   return opts_.ksize == 1 && opts_.stride == 1 && opts_.pad == 0;
 }
 
-ConvLayer::Items ConvLayer::BatchItems(const ItemRange& range) const {
-  const int64_t batch = in_shape_.dim(0);
-  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
-  const int64_t out_hw = out_h_ * out_w_;
-  const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
-  const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
-  Items items;
-  items.first = range.begin;
-  // A whole-batch item multiplies the [C, items*HW] block of the range
-  // at once.
-  items.span = plan().whole_batch ? range.size() : 1;
-  items.count = range.size() / items.span;
-  items.in_cols = items.span * in_hw;
-  items.n = items.span * out_hw;
-  items.in_step = cnhw_in ? in_hw : in_c_ * in_hw;
-  items.out_step = cnhw_out ? out_hw : opts_.filters * out_hw;
-  items.in_chan_stride = cnhw_in ? batch * in_hw : in_hw;
-  items.out_chan_stride = cnhw_out ? batch * out_hw : out_hw;
-  return items;
-}
-
-const float* ConvLayer::PrepareCol(const float* in, int64_t chan_stride,
-                                   float* ws) const {
+const float* ConvLayer::PrepareCol(const float* in, float* ws) const {
   if (IsDirect1x1()) return in;
-  Im2ColStrided(in, chan_stride, in_c_, in_shape_.dim(2), in_shape_.dim(3),
-                opts_.ksize, opts_.stride, opts_.pad, ws);
+  Im2ColStrided(in, in_c_, in_shape_.dim(2), in_shape_.dim(3), opts_.ksize,
+                opts_.stride, opts_.pad, ws);
   return ws;
 }
 
@@ -238,94 +204,76 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train,
   // the staged path).
   Tensor& raw =
       opts_.batch_normalize && !inference() ? conv_out_ : output_;
-  switch (plan().conv_algo) {
-    case ConvAlgo::kIm2col:
-    case ConvAlgo::kDirect1x1:
-      ForwardFp32Gemm(input, net, train, items, raw);
-      break;
-    case ConvAlgo::kQuantInt8:
-    case ConvAlgo::kQuantInt8Direct1x1:
-      ForwardInt8Gemm(input, net, items, raw);
-      // The epilogue applied bias and activation; no fp32 output exists.
-      if (plan().out_dtype == DType::kU8) return;
-      break;
+  if (plan().int8) {
+    ForwardInt8Gemm(input, net, items, raw);
+    // The epilogue applied bias and activation; no fp32 output exists.
+    if (plan().out_dtype == DType::kU8) return;
+  } else {
+    ForwardFp32Gemm(input, net, train, items, raw);
   }
 
   // The bias, batch-norm and activation passes below run over the
-  // planes of the range's items (ForEachPlaneRun).
-  const int64_t batch = in_shape_.dim(0);
+  // range's planes, [begin*F, end*F); plane pl belongs to filter pl % F.
   const int64_t spatial = out_h_ * out_w_;
-  const int64_t plane_grain =
-      std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(1, spatial));
+  const int64_t first = items.begin * opts_.filters;
+  const int64_t last = items.end * opts_.filters;
   if (opts_.batch_normalize) {
     BatchNormForward(train, items);
   } else if (!plan().epilogue.bias) {
-    // Plain bias add; (batch, filter) planes are independent. The plane
-    // index maps to a filter as pl % F in NCHW and pl / batch in CNHW.
-    const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
-    ForEachPlaneRun(
-        plan().out_layout, batch, opts_.filters, items,
-        [&](int64_t first, int64_t count) {
-          ParallelFor(first, first + count, plane_grain,
-                      [&](int64_t p0, int64_t p1, int) {
-                        for (int64_t pl = p0; pl < p1; ++pl) {
-                          float* p = output_.data() + pl * spatial;
-                          const float bias =
-                              biases_[cnhw_out ? pl / batch
-                                               : pl % opts_.filters];
-                          for (int64_t i = 0; i < spatial; ++i) p[i] += bias;
-                        }
-                      });
-        });
+    // Plain bias add; (batch, filter) planes are independent.
+    const int64_t plane_grain =
+        std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(1, spatial));
+    ParallelFor(first, last, plane_grain, [&](int64_t p0, int64_t p1, int) {
+      for (int64_t pl = p0; pl < p1; ++pl) {
+        float* p = output_.data() + pl * spatial;
+        const float bias = biases_[pl % opts_.filters];
+        for (int64_t i = 0; i < spatial; ++i) p[i] += bias;
+      }
+    });
   }
 
   // Unless the epilogue activated, cache pre-activation values for the
-  // backward pass (training networks only), then activate. The
-  // activation is elementwise, so it needs no layout awareness;
-  // inference runs mish through the fast kernel family (deterministic
-  // and identical across the scalar/AVX2 paths).
+  // backward pass (training networks only), then activate. Inference
+  // runs mish through the fast kernel family (deterministic and
+  // identical across the scalar/AVX2 paths).
   if (plan().epilogue.act.has_value()) return;
   const bool fast_mish =
       inference() && opts_.activation == Activation::kMish;
-  ForEachPlaneRun(
-      plan().out_layout, batch, opts_.filters, items,
-      [&](int64_t first, int64_t count) {
-        ParallelFor(first * spatial, (first + count) * spatial, kBnGrainElems,
-                    [&](int64_t i0, int64_t i1, int) {
-                      float* x = output_.data() + i0;
-                      if (!inference()) {
-                        std::copy(x, x + (i1 - i0),
-                                  pre_activation_.data() + i0);
-                      }
-                      if (fast_mish) {
-                        FastMishInPlace(x, i1 - i0);
-                      } else {
-                        ApplyActivation(opts_.activation, x, i1 - i0);
-                      }
-                    });
-      });
+  ParallelFor(first * spatial, last * spatial, kBnGrainElems,
+              [&](int64_t i0, int64_t i1, int) {
+                float* x = output_.data() + i0;
+                if (!inference()) {
+                  std::copy(x, x + (i1 - i0), pre_activation_.data() + i0);
+                }
+                if (fast_mish) {
+                  FastMishInPlace(x, i1 - i0);
+                } else {
+                  ApplyActivation(opts_.activation, x, i1 - i0);
+                }
+              });
 }
 
 void ConvLayer::ForwardFp32Gemm(const Tensor& input, Network& net,
                                 bool train, const ItemRange& range,
                                 Tensor& raw) {
-  const Items items = BatchItems(range);
   const int64_t m = opts_.filters;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const int64_t n = out_h_ * out_w_;
+  const int64_t in_item = in_c_ * in_shape_.dim(2) * in_shape_.dim(3);
   const bool direct = IsDirect1x1();
-  // B is the item's input planes (direct 1x1) or its im2col panel.
-  const int64_t ldb = direct ? items.in_chan_stride : items.n;
-  const int64_t col_plane = direct ? 0 : k * items.n;
+  // B is the item's input planes (direct 1x1) or its im2col panel; both
+  // have rows of n columns.
+  const int64_t col_plane = direct ? 0 : k * n;
 
   // During training, keep the per-item im2col panels around so Backward's
   // weight-gradient GEMM reuses them instead of recomputing (bounded by
   // kColCacheMaxFloats; larger layers fall back to recompute). Training
-  // forwards cover the whole batch, so item j is batch entry j.
+  // forwards cover the whole batch, so panel b is batch entry b's.
   if (!inference()) {
     cols_cached_ = train && col_plane > 0 &&
-                   items.count * col_plane <= kColCacheMaxFloats;
-    if (cols_cached_ && col_cache_.size() != items.count * col_plane) {
-      col_cache_.Resize(Shape({items.count, col_plane}));
+                   range.size() * col_plane <= kColCacheMaxFloats;
+    if (cols_cached_ && col_cache_.size() != range.size() * col_plane) {
+      col_cache_.Resize(Shape({range.size(), col_plane}));
     }
   }
   GemmEpilogue epilogue;
@@ -336,24 +284,23 @@ void ConvLayer::ForwardFp32Gemm(const Tensor& input, Network& net,
   // Items are independent: each strand owns disjoint output planes and
   // its own im2col scratch slot.
   ParallelForBounded(
-      0, items.count, 1, net.workspace_slots() - range.slot,
-      [&](int64_t j0, int64_t j1, int tid) {
+      range.begin, range.end, 1, net.workspace_slots() - range.slot,
+      [&](int64_t b0, int64_t b1, int tid) {
         float* ws = nullptr;
         if (!direct && !cols_cached_) {
           ws = net.workspace(range.slot + tid, col_plane);
         }
-        for (int64_t j = j0; j < j1; ++j) {
-          const int64_t b = items.first + j * items.span;
+        for (int64_t b = b0; b < b1; ++b) {
           const float* col = PrepareCol(
-              input.data() + b * items.in_step, items.in_chan_stride,
-              cols_cached_ ? col_cache_.data() + j * col_plane : ws);
-          float* c = raw.data() + b * items.out_step;
+              input.data() + b * in_item,
+              cols_cached_ ? col_cache_.data() + b * col_plane : ws);
+          float* c = raw.data() + b * m * n;
           if (inference()) {
-            GemmPrepacked(m, items.n, k, packed_weights_.data(), col, ldb,
-                          0.0f, c, items.out_chan_stride, fused);
+            GemmPrepacked(m, n, k, packed_weights_.data(), col, n, 0.0f, c,
+                          n, fused);
           } else {
-            Gemm(false, false, m, items.n, k, 1.0f, weights_.data(), k, col,
-                 ldb, 0.0f, c, items.out_chan_stride);
+            Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, col, n,
+                 0.0f, c, n);
           }
         }
       });
@@ -361,9 +308,10 @@ void ConvLayer::ForwardFp32Gemm(const Tensor& input, Network& net,
 
 void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
                                 const ItemRange& range, Tensor& raw) {
-  const Items items = BatchItems(range);
   const int64_t m = opts_.filters;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const int64_t n = out_h_ * out_w_;
+  const int64_t in_item = in_c_ * in_shape_.dim(2) * in_shape_.dim(3);
   const bool direct = IsDirect1x1();
   const bool chained_in = plan().in_dtype == DType::kU8;
   const bool u8_out = plan().out_dtype == DType::kU8;
@@ -394,52 +342,42 @@ void ConvLayer::ForwardInt8Gemm(const Tensor& input, Network& net,
   const int32_t in_zp = plan().in_qzp;
   const int8_t* qw = qweights_.data<int8_t>();
   ParallelForBounded(
-      0, items.count, 1, net.workspace_slots() - range.slot,
-      [&](int64_t j0, int64_t j1, int tid) {
+      range.begin, range.end, 1, net.workspace_slots() - range.slot,
+      [&](int64_t b0, int64_t b1, int tid) {
         uint8_t* wsb = reinterpret_cast<uint8_t*>(
             net.workspace(range.slot + tid, int8_ws_.ws_floats));
         uint8_t* packed = wsb + int8_ws_.packed;
         int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-        for (int64_t j = j0; j < j1; ++j) {
-          const int64_t b = items.first + j * items.span;
+        for (int64_t b = b0; b < b1; ++b) {
           // The item's u8 channel planes: the producer's bytes, already
           // in this layer's input domain, or its fp32 planes quantized
           // here in that domain.
           const uint8_t* q;
-          int64_t q_stride;
           if (chained_in) {
-            q = qsrc + b * items.in_step;
-            q_stride = items.in_chan_stride;
+            q = qsrc + b * in_item;
           } else {
-            const float* in = input.data() + b * items.in_step;
             uint8_t* qin = wsb + int8_ws_.qin;
-            for (int64_t c = 0; c < in_c_; ++c) {
-              Int8QuantizeActivations(in + c * items.in_chan_stride,
-                                      items.in_cols, inv_scale, in_zp,
-                                      qin + c * items.in_cols);
-            }
+            Int8QuantizeActivations(input.data() + b * in_item, in_item,
+                                    inv_scale, in_zp, qin);
             q = qin;
-            q_stride = items.in_cols;
           }
           if (!direct) {
             // u8 im2col; border pad = the zero point, exact x = 0.
             uint8_t* col = wsb + int8_ws_.col;
-            Im2ColStridedU8(q, q_stride, in_c_, in_shape_.dim(2),
-                            in_shape_.dim(3), opts_.ksize, opts_.stride,
-                            opts_.pad, static_cast<uint8_t>(in_zp), col);
+            Im2ColStridedU8(q, in_c_, in_shape_.dim(2), in_shape_.dim(3),
+                            opts_.ksize, opts_.stride, opts_.pad,
+                            static_cast<uint8_t>(in_zp), col);
             q = col;
-            q_stride = items.n;
           }
-          Int8PackActColsStrided(q, q_stride, k, items.n, packed);
+          Int8PackActCols(q, k, n, packed);
           Int8Epilogue e = epi;
           float* c = nullptr;
           if (u8_out) {
-            e.out_u8 = qdst + b * items.out_step;
+            e.out_u8 = qdst + b * m * n;
           } else {
-            c = raw.data() + b * items.out_step;
+            c = raw.data() + b * m * n;
           }
-          Int8GemmPrepacked(m, items.n, k, qw, packed, e, c,
-                            items.out_chan_stride, acc);
+          Int8GemmPrepacked(m, n, k, qw, packed, e, c, n, acc);
         }
       });
 }
@@ -490,45 +428,39 @@ void ConvLayer::BatchNormForward(bool train, const ItemRange& range) {
   }
 
   // Normalize the range's planes: (batch, filter) planes are
-  // independent. Inference layers read the raw conv output from output_
-  // itself (written there by Forward) and keep no x_norm_ cache; the
-  // per-element arithmetic is unchanged, so both paths produce bitwise
-  // identical activations. Under a CNHW plan (inference only) plane pl
-  // belongs to filter pl / batch instead of pl % filters.
-  const bool cnhw = plan().out_layout == ActLayout::kCNHW;
+  // independent, and plane pl belongs to filter pl % F. Inference layers
+  // read the raw conv output from output_ itself (written there by
+  // Forward) and keep no x_norm_ cache; the per-element arithmetic is
+  // unchanged, so both paths produce bitwise identical activations.
   const float* src_base = inference() ? output_.data() : conv_out_.data();
   float* xn_base = inference() ? nullptr : x_norm_.data();
   const int64_t plane_grain =
       std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(1, spatial));
-  ForEachPlaneRun(
-      plan().out_layout, batch, opts_.filters, range,
-      [&](int64_t first, int64_t count) {
-        ParallelFor(
-            first, first + count, plane_grain,
-            [&](int64_t p0, int64_t p1, int) {
-              for (int64_t pl = p0; pl < p1; ++pl) {
-                const int64_t f = cnhw ? pl / batch : pl % opts_.filters;
-                const float inv_std = 1.0f / std::sqrt(use_var[f] + kBnEps);
-                const float mu = use_mean[f];
-                const float gamma = scales_[f];
-                const float beta = biases_[f];
-                const float* src = src_base + pl * spatial;
-                float* dst = output_.data() + pl * spatial;
-                if (xn_base != nullptr) {
-                  float* xn = xn_base + pl * spatial;
-                  for (int64_t i = 0; i < spatial; ++i) {
-                    const float norm = (src[i] - mu) * inv_std;
-                    xn[i] = norm;
-                    dst[i] = gamma * norm + beta;
-                  }
-                } else {
-                  for (int64_t i = 0; i < spatial; ++i) {
-                    const float norm = (src[i] - mu) * inv_std;
-                    dst[i] = gamma * norm + beta;
-                  }
-                }
-              }
-            });
+  ParallelFor(
+      range.begin * opts_.filters, range.end * opts_.filters, plane_grain,
+      [&](int64_t p0, int64_t p1, int) {
+        for (int64_t pl = p0; pl < p1; ++pl) {
+          const int64_t f = pl % opts_.filters;
+          const float inv_std = 1.0f / std::sqrt(use_var[f] + kBnEps);
+          const float mu = use_mean[f];
+          const float gamma = scales_[f];
+          const float beta = biases_[f];
+          const float* src = src_base + pl * spatial;
+          float* dst = output_.data() + pl * spatial;
+          if (xn_base != nullptr) {
+            float* xn = xn_base + pl * spatial;
+            for (int64_t i = 0; i < spatial; ++i) {
+              const float norm = (src[i] - mu) * inv_std;
+              xn[i] = norm;
+              dst[i] = gamma * norm + beta;
+            }
+          } else {
+            for (int64_t i = 0; i < spatial; ++i) {
+              const float norm = (src[i] - mu) * inv_std;
+              dst[i] = gamma * norm + beta;
+            }
+          }
+        }
       });
 }
 
@@ -634,7 +566,7 @@ void ConvLayer::Backward(const Tensor& input, Tensor* input_delta,
           const float* col =
               cols_cached_
                   ? col_cache_.data() + b * col_plane
-                  : PrepareCol(in, in_shape_.dim(2) * in_shape_.dim(3), ws);
+                  : PrepareCol(in, ws);
           // dW_b[f, ckk] = d[f, hw] * col[ckk, hw]^T into this item's slot.
           Gemm(false, true, opts_.filters, k, spatial, 1.0f, d, spatial, col,
                spatial, 0.0f, wg_scratch_.data() + b * wsize, k);

@@ -1,7 +1,6 @@
 #ifndef THALI_NN_CONV_LAYER_H_
 #define THALI_NN_CONV_LAYER_H_
 
-#include <optional>
 #include <vector>
 
 #include "base/rng.h"
@@ -13,28 +12,24 @@ namespace thali {
 
 // 2-d convolution with optional fused batch normalization and activation —
 // Darknet's `[convolutional]` layer. Weight layout is
-// (out_channels, in_channels, ksize, ksize). Forward runs the algorithm
-// plan().conv_algo names (nn/exec_plan.h) in one of two bodies:
+// (out_channels, in_channels, ksize, ksize). Forward runs one GEMM per
+// batch item, in one of two bodies (LayerPlan::int8):
 //
-//  - fp32 GEMM (kIm2col, kDirect1x1): per item, B is the input planes
-//    (1x1/stride-1/pad-0) or an im2col panel; inference multiplies the
-//    prepacked weight panels, training the live weights.
-//  - int8 GEMM (kQuantInt8, kQuantInt8Direct1x1): per item, the u8
-//    planes are the producer's chained bytes or the fp32 input quantized
-//    here; a 3x3 gathers them with the u8 im2col; then pack and the
-//    integer GEMM with its requantize epilogue.
+//  - fp32: B is the item's input planes (1x1/stride-1/pad-0, IsDirect1x1)
+//    or its im2col panel; inference multiplies the prepacked weight
+//    panels, training the live weights.
+//  - int8: the item's u8 planes are the producer's chained bytes or the
+//    fp32 input quantized here; a 3x3 gathers them with the u8 im2col;
+//    then pack and the integer GEMM with its requantize epilogue.
 //
-// Items (BatchItems): the plan's item rule (LayerPlan::whole_batch)
-// makes a direct 1x1 with CNHW on both sides one item whose planes span
-// the items Forward covers (one GEMM of n = items*H*W at row stride
-// batch*H*W); every other conv runs one item per batch entry. An
-// inference Forward covers one item group and runs on one strand; a
-// training Forward covers the batch and fans its items out across
-// strands. Either layout is read and written through strides. The GEMM
-// write-back applies the epilogue the plan carries (plan().epilogue);
-// the bias or batch-norm pass and the activation pass run only where it
-// did not. Forward never re-decides: calibration changes reach it only
-// through a replan (Network::ReplanInference).
+// Activations are NCHW, so an item's planes are one contiguous block of
+// each tensor. An inference Forward covers one item group and runs on
+// one strand; a training Forward covers the batch and fans its items
+// out across strands. The GEMM write-back applies the epilogue the plan
+// carries (plan().epilogue); the bias or batch-norm pass and the
+// activation pass run only where it did not. Forward never re-decides:
+// calibration changes reach it only through a replan
+// (Network::ReplanInference).
 //
 // With batch_normalize, the layer carries scales (gamma), biases (beta)
 // and rolling mean/variance exactly like Darknet, so the serialized
@@ -63,11 +58,10 @@ class ConvLayer : public Layer {
   std::vector<ConstParam> Params() const override;
   int64_t WorkspaceSize() const override;
 
-  // Lays out the int8 byte workspace for the current plan, shapes and
-  // largest item group (int8 algorithms only), once per plan push, and
-  // repacks the weights of an inference layer whose planned algorithm
-  // changed.
-  void OnPlanUpdated(const ExecPlan& plan) override;
+  // Lays out the int8 byte workspace for the current plan and shapes
+  // (int8 convs only), once per plan push, and repacks the weights of an
+  // inference layer whose held copy is stale for the planned dtype.
+  void OnPlanUpdated() override;
 
   // Repacks an inference layer's weights after a mutation, before any
   // item group reads them.
@@ -84,7 +78,7 @@ class ConvLayer : public Layer {
   }
 
   // Bytes held by the quantized int8 weight copy (0 when the layer's
-  // plan is not a quantized algorithm or weights are not packed yet).
+  // plan is not int8 or weights are not packed yet).
   int64_t int8_weight_bytes() const { return qweights_.bytes(); }
 
   // --- int8 activation calibration (LayerPlan::quantizable convs) ---
@@ -95,7 +89,7 @@ class ConvLayer : public Layer {
   // calling FinalizeCalibration; a persisted calibration instead lands
   // directly in SetActivationRange. The plan compiler arms the quantized
   // algorithm (deriving the input domain from this range) only once a
-  // range is installed; until then the layer's plan is its fp32 one.
+  // range is installed; until then the layer runs fp32.
 
   // Installs the input range the next replan quantizes with.
   void SetActivationRange(float range_min, float range_max);
@@ -113,6 +107,10 @@ class ConvLayer : public Layer {
   void FinalizeCalibration(double percentile);
 
   const Options& options() const { return opts_; }
+
+  // 1x1/stride-1/pad-0 convs need no im2col: the input planes already
+  // form the GEMM B matrix.
+  bool IsDirect1x1() const;
 
   // He-style initialization scaled for the fan-in, matching Darknet's
   // scale = sqrt(2/(k*k*c)).
@@ -135,33 +133,9 @@ class ConvLayer : public Layer {
   bool folded() const { return folded_; }
 
  private:
-  // Where the GEMM items of one Forward sit in the activation tensors.
-  // NCHW: batch entry b's channel c plane at (b*C + c)*HW. CNHW: plane
-  // (c, b) at (c*batch + b)*HW. Item j starts at batch entry
-  // first + j*span.
-  struct Items {
-    int64_t first = 0;    // batch entry of item 0
-    int64_t count = 0;    // GEMM items in the range: 1 or its size
-    int64_t span = 1;     // batch entries one item covers
-    int64_t in_cols = 0;  // input columns of one item's channel plane
-    int64_t n = 0;        // GEMM width: output columns of one item
-    int64_t in_step = 0, out_step = 0;  // entry b's planes start at b*step
-    int64_t in_chan_stride = 0, out_chan_stride = 0;  // plane to plane
-  };
-  // Where the plan's items over batch entries `range` sit, for the
-  // current plan and batch.
-  Items BatchItems(const ItemRange& range) const;
-
-  // 1x1/stride-1/pad-0 convs need no im2col: the input planes already
-  // form the col matrix.
-  bool IsDirect1x1() const;
-
   // Returns the col matrix for one item: its input planes themselves
-  // (direct 1x1; row stride = the channel-plane stride) or `ws` after an
-  // im2col with the given channel-plane stride into it (row stride = the
-  // output columns).
-  const float* PrepareCol(const float* in, int64_t chan_stride,
-                          float* ws) const;
+  // (direct 1x1) or `ws` after an im2col into it.
+  const float* PrepareCol(const float* in, float* ws) const;
 
   // The two algorithm bodies, over the batch entries of `range`. Each
   // writes the pre-bias (or, where the epilogue fused it, the finished)
@@ -181,9 +155,8 @@ class ConvLayer : public Layer {
   // under kRange, histogram under kHist).
   void ObserveCalibration(const Tensor& input, CalibPhase phase);
 
-  // Builds the weight copy the planned algorithm reads — GEMM panels
-  // (im2col / direct 1x1) or per-channel int8 rows (the quantized
-  // algorithms) — and releases the other. Inference layers only:
+  // Builds the weight copy the planned dtype reads — fp32 GEMM panels or
+  // per-channel int8 rows — and releases the other. Inference layers only:
   // training multiplies weights_ live.
   void PrepackWeights();
 
@@ -198,13 +171,13 @@ class ConvLayer : public Layer {
 
   Tensor weights_, weight_grads_;
   // Inference weight copies; PrepackWeights holds only the one the
-  // planned algorithm reads.
-  Tensor packed_weights_;      // microkernel panels (im2col / direct 1x1)
-  DTypeBuffer qweights_;       // per-channel int8 rows (quantized algos)
+  // planned dtype reads.
+  Tensor packed_weights_;      // fp32 microkernel panels
+  DTypeBuffer qweights_;       // per-channel int8 rows
   std::vector<float> wscale_;  // per-filter int8 weight scales
   std::vector<int32_t> wcolsum_;  // per-filter quantized-row sums
   bool packed_dirty_ = true;   // weights_ changed since the last pack
-  std::optional<ConvAlgo> packed_algo_;  // what the held copy serves
+  bool packed_int8_ = false;   // the dtype the held copy serves
   bool folded_ = false;
   Tensor biases_, bias_grads_;
   // Batch-norm parameters (allocated only when batch_normalize).
@@ -221,9 +194,8 @@ class ConvLayer : public Layer {
   Tensor wg_scratch_;        // per-item weight-gradient slots (Backward)
 
   // Byte-section offsets of one item inside the per-slot float
-  // workspace of the int8 body, each 64-byte aligned; a whole-group item
-  // is sized for the plan's largest group. Laid out once per plan push
-  // in OnPlanUpdated (Finalize / SetBatch / ReplanInference);
+  // workspace of the int8 body, each 64-byte aligned. Laid out once per
+  // plan push in OnPlanUpdated (Finalize / SetBatch / ReplanInference);
   // WorkspaceSize reports ws_floats.
   struct Int8Sections {
     int64_t qin = 0;     // quantized input planes (u8)

@@ -54,10 +54,10 @@ std::vector<int> ComputeLastUse(const Network& net) {
   return last_use;
 }
 
-// Passthrough pin propagation, shared by the layout and dtype passes:
-// a layer `pass` selects takes a pin from any of its inputs and gives
-// its pin to all of them, until nothing changes. So a passthrough always
-// agrees with its inputs, and layers outside `pass` stop the spread.
+// Passthrough pin propagation for the dtype pass: a layer `pass`
+// selects takes a pin from any of its inputs and gives its pin to all of
+// them, until nothing changes. So a passthrough always agrees with its
+// inputs, and layers outside `pass` stop the spread.
 void PropagatePins(const Network& net, const std::vector<char>& pass,
                    std::vector<char>& pinned) {
   bool changed = true;
@@ -213,23 +213,6 @@ std::optional<GemmActivation> EpilogueActivation(Activation a) {
 
 }  // namespace
 
-const char* ActLayoutName(ActLayout layout) {
-  return layout == ActLayout::kNCHW ? "nchw" : "cnhw";
-}
-
-const char* ConvAlgoName(ConvAlgo algo) {
-  switch (algo) {
-    case ConvAlgo::kDirect1x1:
-      return "direct1x1";
-    case ConvAlgo::kQuantInt8:
-      return "int8";
-    case ConvAlgo::kQuantInt8Direct1x1:
-      return "int8-1x1";
-    default:
-      return "im2col";
-  }
-}
-
 ExecPlan CompileExecPlan(const Network& net) {
   const int n = net.num_layers();
   const bool fuse = net.exec_mode() == ExecMode::kInference;
@@ -241,10 +224,9 @@ ExecPlan CompileExecPlan(const Network& net) {
   std::vector<int64_t> poffset(static_cast<size_t>(n), 0);
 
   if (fuse) {
-    // Layer classes: convs are layout-polymorphic (strided GEMMs absorb
-    // either layout on either side); passthrough layers work in any
-    // layout but must be layout-uniform; everything else (yolo) indexes
-    // NCHW explicitly and pins itself and its sources.
+    // Layer classes: convs, passthrough layers that move or combine
+    // whole planes (the u8 chain can run through them), and everything
+    // else (yolo).
     enum Class { kConv, kPass, kOther };
     std::vector<Class> cls(static_cast<size_t>(n), kOther);
     for (int i = 0; i < n; ++i) {
@@ -257,79 +239,24 @@ ExecPlan CompileExecPlan(const Network& net) {
       }
     }
 
-    // 1. Layout fixpoint. forced[i] == layer i's output must be NCHW.
-    // Seeds: the final output, anything consumed post-forward, every
-    // kOther layer and its sources, and a passthrough layer 0 reading
-    // the (NCHW) network input. Passthrough layers propagate the pin
-    // both ways until stable, so a passthrough's inputs always share its
-    // output layout; convs stop the propagation.
-    std::vector<char> forced(static_cast<size_t>(n), 0);
-    std::vector<char> pass(static_cast<size_t>(n), 0);
-    forced[static_cast<size_t>(n - 1)] = 1;
-    for (int i = 0; i < n; ++i) {
-      if (net.layer(i).OutputLiveAfterForward()) forced[static_cast<size_t>(i)] = 1;
-      if (cls[static_cast<size_t>(i)] == kOther) {
-        forced[static_cast<size_t>(i)] = 1;
-        for (int s : InputsOf(net, i)) forced[static_cast<size_t>(s)] = 1;
-      }
-      pass[static_cast<size_t>(i)] = cls[static_cast<size_t>(i)] == kPass;
-    }
-    if (pass[0] && net.layer(0).ReadsPreviousOutput()) forced[0] = 1;
-    PropagatePins(net, pass, forced);
-    for (int i = 0; i < n; ++i) {
-      plan.layers[static_cast<size_t>(i)].out_layout =
-          forced[static_cast<size_t>(i)] ? ActLayout::kNCHW : ActLayout::kCNHW;
-    }
-    for (int i = 0; i < n; ++i) {
-      LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-      switch (cls[static_cast<size_t>(i)]) {
-        case kConv:
-          lp.in_layout = i == 0 ? ActLayout::kNCHW
-                                : plan.layers[static_cast<size_t>(i - 1)].out_layout;
-          break;
-        case kPass:
-          lp.in_layout = lp.out_layout;  // uniform by fixpoint
-          break;
-        case kOther:
-          lp.in_layout = ActLayout::kNCHW;
-          break;
-      }
-    }
-
-    // 2. Conv algorithm selection by geometry, then int8 arming. A conv
-    // int8 covers is `quantizable`; it runs the quantized algorithm only
-    // when that path can run right now — batch norm folded, an input
-    // range installed, no calibration pass active — and its geometry's
-    // fp32 algorithm otherwise.
+    // 1. int8 arming. int8 covers every 1x1/stride-1/pad-0 conv (its
+    // quantized input planes are the GEMM B matrix) and the 3x3/pad-1
+    // at stride 1 or 2 (the u8 im2col walks either stride); such a conv
+    // is `quantizable`. It runs int8 only when that path can run right
+    // now — batch norm folded, an input range installed, no calibration
+    // pass active — and fp32 otherwise.
     bool armed = false;
     for (int i = 0; i < n; ++i) {
       if (cls[static_cast<size_t>(i)] != kConv) continue;
       LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
       const auto& cv = static_cast<const ConvLayer&>(net.layer(i));
       const auto& o = cv.options();
-      ConvAlgo quant_algo = ConvAlgo::kQuantInt8;
-      if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
-        // int8 takes 1x1s regardless of layout pins — like kDirect1x1,
-        // the quantized GEMM absorbs layouts through strides, so even
-        // the NCHW-pinned head feeders quantize (their f32 output is a
-        // dequant edge into the yolo heads).
-        lp.conv_algo = ConvAlgo::kDirect1x1;
-        quant_algo = ConvAlgo::kQuantInt8Direct1x1;
-        lp.quantizable = true;
-      } else {
-        // Every other geometry runs im2col. int8 takes the 3x3/pad-1 at
-        // stride 1 or 2 (the u8 im2col walks either stride), but
-        // NCHW-pinned convs stay fp32 to protect whatever consumer
-        // forced the pin (in the thali net the head feeders are 1x1
-        // direct convs, already fp32; the guard covers pinned 3x3s in
-        // other topologies).
-        lp.conv_algo = ConvAlgo::kIm2col;
-        lp.quantizable = o.ksize == 3 && (o.stride == 1 || o.stride == 2) &&
-                         o.pad == 1 && !forced[static_cast<size_t>(i)];
-      }
+      lp.quantizable = cv.IsDirect1x1() ||
+                       (o.ksize == 3 && (o.stride == 1 || o.stride == 2) &&
+                        o.pad == 1);
       if (lp.quantizable && !o.batch_normalize && cv.has_activation_range() &&
           net.calib_phase() == CalibPhase::kOff) {
-        lp.conv_algo = quant_algo;
+        lp.int8 = true;
         armed = true;
         Int8RangeToScaleZp(cv.activation_range_min(),
                            cv.activation_range_max(), &lp.in_qscale,
@@ -337,24 +264,20 @@ ExecPlan CompileExecPlan(const Network& net) {
       }
     }
 
-    // 3. Copy elision, legal when a channel range is one contiguous
-    // span: CNHW at any batch, or any layout at batch 1 (aliases are
-    // offsets into the shared arena storage).
-    const int64_t batch = net.batch();
+    // 2. Copy elision, at batch 1 only: there a channel range is one
+    // contiguous span of its tensor, so an alias is an offset into the
+    // shared arena storage. At batch > 1 each item's planes hold their
+    // own slice, and routes and shortcuts copy.
+    const bool elide = net.batch() == 1;
     std::vector<char> has_child(static_cast<size_t>(n), 0);
-    for (int r = 0; r < n; ++r) {
+    for (int r = 0; elide && r < n; ++r) {
       const std::string_view kind = net.layer(r).kind();
       LayerPlan& lp = plan.layers[static_cast<size_t>(r)];
-      const bool span_ok =
-          lp.in_layout == lp.out_layout &&
-          (lp.out_layout == ActLayout::kCNHW || batch == 1);
-      if (!span_ok) continue;
       if (kind == "route") {
         const auto& rt = static_cast<const RouteLayer&>(net.layer(r));
         const std::vector<int>& srcs = rt.source_indices();
-        const int64_t plane =
-            batch * net.layer(r).output_shape().dim(2) *
-            net.layer(r).output_shape().dim(3);
+        const int64_t plane = net.layer(r).output_shape().dim(2) *
+                              net.layer(r).output_shape().dim(3);
         if (srcs.size() == 1) {
           // Group-split view: the route's output is a contiguous
           // channel slice of its (sole) source; alias it in place.
@@ -410,7 +333,7 @@ ExecPlan CompileExecPlan(const Network& net) {
       }
     }
 
-    // 4. Quantize-once dtype assignment. A u8 edge means the producer's
+    // 3. Quantize-once dtype assignment. A u8 edge means the producer's
     // requantize epilogue emits 7-bit bytes in the edge domain and the
     // consumer skips quantize + pack-from-fp32. The pass only sees
     // chains between armed convs: the Finalize-time compile is
@@ -419,23 +342,20 @@ ExecPlan CompileExecPlan(const Network& net) {
     // or LoadCalibration installs ranges (ResetCalibration and
     // calibration phases disarm them again the same way).
     if (armed) {
-      // qconv: convs step 2 armed with a quantized algorithm.
+      // qconv: convs step 1 armed int8.
       // qprod: qconv whose activation has an epilogue form, so the
-      // requantize epilogue can apply it and its OUTPUT may be u8. qpass: layout-uniform passthroughs that move
-      // u8 bytes exactly — max and concat/upsample copies commute with
-      // the monotonic quantizer, shortcut's clamped add needs a linear
-      // activation; a passthrough reading the fp32 network input can
-      // never be u8.
+      // requantize epilogue can apply it and its OUTPUT may be u8.
+      // qpass: passthroughs that move u8 bytes exactly — max and
+      // concat/upsample copies commute with the monotonic quantizer,
+      // shortcut's clamped add needs a linear activation; a passthrough
+      // reading the fp32 network input can never be u8.
       std::vector<char> qconv(static_cast<size_t>(n), 0);
       std::vector<char> qprod(static_cast<size_t>(n), 0);
       std::vector<char> qpass(static_cast<size_t>(n), 0);
       for (int i = 0; i < n; ++i) {
         const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
         if (cls[static_cast<size_t>(i)] == kConv) {
-          if (lp.conv_algo != ConvAlgo::kQuantInt8 &&
-              lp.conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-            continue;
-          }
+          if (!lp.int8) continue;
           qconv[static_cast<size_t>(i)] = 1;
           qprod[static_cast<size_t>(i)] =
               EpilogueActivation(static_cast<const ConvLayer&>(net.layer(i))
@@ -443,8 +363,7 @@ ExecPlan CompileExecPlan(const Network& net) {
                                      .activation)
                   .has_value();
         } else if (cls[static_cast<size_t>(i)] == kPass) {
-          bool ok = lp.in_layout == lp.out_layout &&
-                    !(i == 0 && net.layer(i).ReadsPreviousOutput());
+          bool ok = !(i == 0 && net.layer(i).ReadsPreviousOutput());
           if (ok && net.layer(i).kind() == std::string_view("shortcut")) {
             ok = static_cast<const ShortcutLayer&>(net.layer(i))
                      .options()
@@ -458,7 +377,7 @@ ExecPlan CompileExecPlan(const Network& net) {
       // network output, post-forward consumers (yolo head inputs), any
       // layer that cannot emit u8, and the sources of any consumer that
       // cannot read u8. Passthroughs propagate the force both ways (they
-      // cannot convert), through the layout fixpoint's PropagatePins.
+      // cannot convert).
       std::vector<char> f32(static_cast<size_t>(n), 0);
       for (int i = 0; i < n; ++i) {
         if (i == n - 1 || net.layer(i).OutputLiveAfterForward() ||
@@ -583,7 +502,7 @@ ExecPlan CompileExecPlan(const Network& net) {
       // Layer-0 chaining: the network input is an edge InputsOf cannot
       // express (layer 0 has no producer layer). When layer 0 is a
       // quantized conv, the input becomes a u8 edge in layer 0's own
-      // input domain (step 2) — derived from its calibrated range, by
+      // input domain (step 1) — derived from its calibrated range, by
       // definition the observed range of the net input itself.
       // Network::Forward (or the detector's fused letterbox-quantize)
       // supplies the bytes.
@@ -612,7 +531,7 @@ ExecPlan CompileExecPlan(const Network& net) {
       }
     }
 
-    // 5. Conv epilogues. Every conv without batch norm adds its bias in
+    // 4. Conv epilogues. Every conv without batch norm adds its bias in
     // the GEMM write-back and applies there the activation that has an
     // epilogue form. An int8 conv with an fp32 output is the exception
     // for mish: it keeps its separate fast-mish pass. Batch norm
@@ -624,35 +543,23 @@ ExecPlan CompileExecPlan(const Network& net) {
       if (o.batch_normalize) continue;
       lp.epilogue.bias = true;
       lp.epilogue.act = EpilogueActivation(o.activation);
-      const bool int8 = lp.conv_algo == ConvAlgo::kQuantInt8 ||
-                        lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1;
-      if (int8 && o.activation == Activation::kMish &&
+      if (lp.int8 && o.activation == Activation::kMish &&
           lp.out_dtype == DType::kF32) {
         lp.epilogue.act.reset();
       }
     }
 
-    // 6. Items and groups. A direct 1x1 with CNHW on both sides is one
-    // GEMM over its group's items; every other conv runs one GEMM per
-    // item. The batch splits once into item groups, each running every
-    // layer over its items on one strand (Network::Forward): one fork
-    // and join per forward, every layer on every strand, and an item's
-    // activations stay on the core that wrote them. Splitting inside an
-    // item lost time on every batch-1 conv (DESIGN "Threading model"),
-    // so batch 1 is one group. A calibration phase folds statistics
-    // across the batch, so it runs as one group too.
-    for (int i = 0; i < n; ++i) {
-      if (cls[static_cast<size_t>(i)] != kConv) continue;
-      LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-      lp.whole_batch = (lp.conv_algo == ConvAlgo::kDirect1x1 ||
-                        lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1) &&
-                       lp.in_layout == ActLayout::kCNHW &&
-                       lp.out_layout == ActLayout::kCNHW;
-    }
+    // 5. Groups. The batch splits once into item groups, each running
+    // every layer over its items on one strand (Network::Forward): one
+    // fork and join per forward, every layer on every strand, and an
+    // item's activations stay on the core that wrote them. Splitting
+    // inside an item lost time on every batch-1 conv (DESIGN "Threading
+    // model"), so batch 1 is one group. A calibration phase folds
+    // statistics across the batch, so it runs as one group too.
     if (net.calib_phase() == CalibPhase::kOff) {
       plan.groups = static_cast<int>(std::max<int64_t>(
           1, std::min<int64_t>({MaxParallelism(), net.workspace_slots(),
-                                batch})));
+                                net.batch()})));
     }
   }
 

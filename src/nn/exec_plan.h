@@ -38,50 +38,6 @@ enum class ExecMode { kTraining, kInference };
 // network.
 enum class CalibPhase { kOff, kRange, kHist };
 
-// Memory layout of one layer's activation tensor.
-//
-//  kNCHW — the Darknet layout every layer uses in training mode: batch
-//          item b's channel c plane starts at float (b*C + c)*H*W.
-//  kCNHW — the blocked layout the inference plan compiler assigns to
-//          backbone conv chains: channel-major with the batch folded
-//          inside, plane (c, b) at float (c*N + b)*H*W. At batch 1 the
-//          two layouts are byte-identical. CNHW keeps a channel range
-//          contiguous at any batch, so route concats become single
-//          memcpys (or alias away entirely) and a 1x1 conv is one
-//          whole-batch GEMM over an [C, N*H*W] matrix.
-enum class ActLayout { kNCHW, kCNHW };
-
-const char* ActLayoutName(ActLayout layout);
-
-// Which convolution algorithm a conv layer's Forward dispatches to.
-//
-//  kIm2col    — im2col + GEMM; always used by training networks, and by
-//               inference for every geometry but the direct 1x1 (the
-//               3x3 convs at either stride included).
-//  kDirect1x1 — 1x1/stride-1/pad-0: the input planes already form the
-//               GEMM B matrix; with CNHW layouts on both sides the
-//               whole batch collapses into a single [F,C]x[C,N*H*W]
-//               GEMM. Bitwise identical to kIm2col.
-//  kQuantInt8 — per-channel symmetric int8 (tensor/gemm_int8.h) for
-//               3x3/pad-1 at stride 1 or 2 (the u8 im2col walks any
-//               stride) on a LayerPlan::quantizable conv, emitted only
-//               once the quantized path can run (see CompileExecPlan);
-//               until then the conv plans kIm2col.
-//  kQuantInt8Direct1x1 — int8 variant of kDirect1x1 (1x1/stride-1/
-//               pad-0): the quantized channel planes ARE the GEMM B
-//               matrix, so the path quantizes (or chains) and packs
-//               with no im2col at all. Covers 1x1s regardless of layout
-//               pins (the GEMM absorbs layouts through strides like
-//               kDirect1x1 does); kDirect1x1 until armed.
-enum class ConvAlgo {
-  kIm2col,
-  kDirect1x1,
-  kQuantInt8,
-  kQuantInt8Direct1x1,
-};
-
-const char* ConvAlgoName(ConvAlgo algo);
-
 // What a conv's GEMM write-back (the fp32 GEMM epilogue or the int8
 // requantize epilogue) applies after the accumulation. The plan compiler
 // decides it; ConvLayer::Forward runs the passes it leaves over.
@@ -94,26 +50,25 @@ struct ConvEpilogue {
 };
 
 // Per-layer decisions of the inference plan compiler. The default
-// constructed value (NCHW in/out, kIm2col, nothing fused, nothing
-// elided, one conv item per batch entry) reproduces the pre-compiler
-// behaviour exactly and is what training networks and standalone layers
-// run with.
+// constructed value (fp32, nothing fused, nothing elided) reproduces the
+// pre-compiler behaviour exactly and is what training networks and
+// standalone layers run with. Every activation is NCHW: batch item b's
+// channel c plane starts at float (b*C + c)*H*W, so an item group's
+// items are one contiguous span of every tensor.
 struct LayerPlan {
-  ActLayout in_layout = ActLayout::kNCHW;
-  ActLayout out_layout = ActLayout::kNCHW;
-  ConvAlgo conv_algo = ConvAlgo::kIm2col;
+  // An armed int8 conv: it runs the quantized GEMM (tensor/gemm_int8.h)
+  // in place of the fp32 one. Geometry picks the GEMM's B matrix either
+  // way: the input planes for a 1x1/stride-1/pad-0 conv, an im2col panel
+  // otherwise (ConvLayer::IsDirect1x1).
+  bool int8 = false;
   ConvEpilogue epilogue;
-  // The item rule: a conv's GEMM runs as one item whose planes span all
-  // the items of its group (true: a direct 1x1 with CNHW on both sides,
-  // one GEMM of n = items*H*W) or as one item per batch entry (false).
-  bool whole_batch = false;
   // The layer's output aliases arena storage written by other layers
   // (route view/concat) so its Forward copies nothing. The arena
   // planner places every aliased layer inside its group root's block.
   bool copy_elided = false;
-  // A conv the int8 path covers (fused plan, eligible geometry, a 3x3
-  // not NCHW-pinned), armed or not: calibration observes exactly these
-  // convs, and conv_algo turns quantized once they are armed.
+  // A conv the int8 path covers (fused plan, eligible geometry), armed
+  // or not: calibration observes exactly these convs, and int8 turns on
+  // once they are armed.
   bool quantizable = false;
 
   // --- int8 input domains and quantize-once chaining (filled by
@@ -194,30 +149,9 @@ struct ItemRange {
 
 // Item group `g` of `batch` items split into `groups` contiguous groups:
 // items [batch*g/groups, batch*(g+1)/groups), workspace slot g. Sizes
-// differ by at most one item, and no group holds more than
-// MaxGroupItems.
+// differ by at most one item. In a tensor of C planes per item, the
+// group's planes are [begin*C, end*C).
 ItemRange GroupItems(int64_t batch, int groups, int g);
-inline int64_t MaxGroupItems(int64_t batch, int groups) {
-  return (batch + groups - 1) / groups;
-}
-
-// Calls fn(first, count) for each contiguous run of plane indices that
-// items [items.begin, items.end) occupy in an activation of `batch`
-// items by `channels` planes. NCHW keeps an item's planes together, so
-// a range is one run. CNHW keeps a channel's planes together, so a range
-// is one run per channel, or a single run when it spans the batch.
-template <typename Fn>
-void ForEachPlaneRun(ActLayout layout, int64_t batch, int64_t channels,
-                     const ItemRange& items, Fn&& fn) {
-  const int64_t n = items.size();
-  if (layout == ActLayout::kNCHW) {
-    fn(items.begin * channels, n * channels);
-  } else if (n == batch) {
-    fn(int64_t{0}, batch * channels);
-  } else {
-    for (int64_t c = 0; c < channels; ++c) fn(c * batch + items.begin, n);
-  }
-}
 
 // The full execution plan Network::Finalize(kInference) compiles: one
 // LayerPlan per layer plus the (alias-aware) arena placement.
@@ -270,41 +204,30 @@ struct ExecPlan {
 // plain liveness arena — the seed behaviour. For an inference network
 // the compiler fuses, deciding in order:
 //
-//  1. Layouts: a fixpoint over the DAG assigns kCNHW to conv-chain
-//     interiors. Detection heads, the final output, any layer a
-//     non-conv non-passthrough consumer (yolo) reads, and the network
-//     input are pinned kNCHW; passthrough layers (route, shortcut,
-//     upsample, maxpool) propagate the pin both directions so they are
-//     always layout-uniform; convs absorb either layout on either side
-//     through GEMM strides, so no standalone convert pass ever runs.
-//  2. Conv algorithms: kDirect1x1 / kIm2col by geometry.
-//     Eligible convs are marked quantizable, and a quantizable conv
-//     gets kQuantInt8 / kQuantInt8Direct1x1 plus its input domain
-//     exactly when its batch norm is folded, a range is installed and
+//  1. Conv algorithms: eligible convs are marked quantizable, and a
+//     quantizable conv is armed int8, with its input domain, exactly
+//     when its batch norm is folded, a range is installed and
 //     net.calib_phase() is kOff — so installing ranges is the only int8
 //     opt-in, and a network nobody calibrated runs the fp32 plan.
-//  3. Copy elision: route layers whose sources can legally alias
-//     arena storage are folded away — a group-split route becomes a
-//     view into its source, a concat route adopts its sources so they
-//     write into the concat's block directly (this also folds
-//     upsample+route pairs), and a shortcut whose addend dies at the
-//     shortcut runs in place. The arena planner then places each alias
-//     group as one block.
-//  4. Dtypes: armed int8 convs chain through u8 edges (quantize-once).
-//  5. Conv epilogues: a GEMM conv (im2col, direct 1x1, int8) without
-//     batch norm adds its bias in the write-back, and applies there
-//     every activation with an epilogue form (linear, leaky, ReLU and
-//     the fast mish family) — except mish on an int8 conv whose output
+//  2. Copy elision, at batch 1 only: there a channel range of any
+//     tensor is one contiguous span (at batch > 1 it is one span per
+//     item). A group-split route becomes a view into its source, a
+//     concat route adopts its sources so they write into the concat's
+//     block directly (this also folds upsample+route pairs), and a
+//     shortcut whose addend dies at the shortcut runs in place. The
+//     arena planner then places each alias group as one block.
+//  3. Dtypes: armed int8 convs chain through u8 edges (quantize-once).
+//  4. Conv epilogues: a GEMM conv (fp32 or int8) without batch norm
+//     adds its bias in the write-back, and applies there every
+//     activation with an epilogue form (linear, leaky, ReLU and the
+//     fast mish family) — except mish on an int8 conv whose output
 //     stays fp32, which keeps its separate fast-mish pass. Batch-norm
 //     convs run separate batch-norm and activation passes, mish through
 //     the fast family.
-//  6. Items and groups: the item rule (LayerPlan::whole_batch), then
-//     the group count, min(MaxParallelism(), workspace slots, batch),
-//     so each group owns a slot; 1 while a calibration phase is active.
+//  5. Groups: min(MaxParallelism(), workspace slots, batch), so each
+//     group owns a slot; 1 while a calibration phase is active.
 //
-// Elision requires layout-uniform members and (kCNHW or batch == 1) so
-// a member's storage is one contiguous range. Requires every layer to
-// be configured (shapes known).
+// Requires every layer to be configured (shapes known).
 ExecPlan CompileExecPlan(const Network& net);
 
 }  // namespace thali

@@ -154,20 +154,18 @@ class Layer {
   // This layer's slice of the compiled execution plan, pushed by
   // Network::PlanBuffers after CompileExecPlan runs (and re-pushed on
   // every SetBatch and ReplanInference). Forward runs what it says and
-  // decides nothing itself. The default-constructed LayerPlan (NCHW,
-  // im2col, nothing fused or elided) is what training networks and
-  // standalone layers run with.
+  // decides nothing itself. The default-constructed LayerPlan (fp32,
+  // nothing fused or elided) is what training networks and standalone
+  // layers run with.
   const LayerPlan& plan() const { return plan_; }
   void set_plan(const LayerPlan& plan) { plan_ = plan; }
 
   // Called by Network::PlanBuffers after every layer's plan has been
   // (re)pushed — at Finalize, SetBatch and ReplanInference — and before
-  // WorkspaceSize is queried; `plan` is the whole network's plan. Layers
-  // that derive per-forward state from the plan (conv int8 workspace
-  // sections sized for the largest item group, conv weights packed for
-  // the planned algorithm) recompute it here instead of on every
-  // Forward.
-  virtual void OnPlanUpdated(const ExecPlan& /*plan*/) {}
+  // WorkspaceSize is queried. Layers that derive per-forward state from
+  // their plan (conv int8 workspace sections, conv weights packed for
+  // the planned dtype) recompute it here instead of on every Forward.
+  virtual void OnPlanUpdated() {}
 
   // When frozen, the optimizer skips this layer's parameters (transfer
   // learning freezes backbone layers).

@@ -43,39 +43,31 @@ int64_t MaxPoolLayer::WorkspaceSize() const {
 }
 
 // Inference runs the separable kernel of tensor/pool.h over the planes
-// of the group's items. Planes map through unchanged in either
-// activation layout: plane p of the input becomes plane p of the output
-// for p = 0..batch*C-1, and pooling keeps the channel count, so the
-// (b,c) <-> (c,b) plane orderings of NCHW and CNHW agree. The group's
-// scratch slot holds MaxPoolScratch floats, enough for the u8 chain's
-// bytes too.
+// of the group's items. Pooling keeps the channel count, so input plane
+// p becomes output plane p. The group's scratch slot holds
+// MaxPoolScratch floats, enough for the u8 chain's bytes too.
 void MaxPoolLayer::Forward(const Tensor& input, Network& net, bool,
                            const ItemRange& items) {
   const int64_t planes = in_shape_.dim(0) * in_shape_.dim(1);
   if (inference()) {
+    const int64_t first = items.begin * in_shape_.dim(1);
+    const int64_t count = items.size() * in_shape_.dim(1);
     const int64_t in_plane = in_shape_.dim(2) * in_shape_.dim(3);
     const int64_t out_plane = out_shape_.dim(2) * out_shape_.dim(3);
     float* rows = net.workspace(items.slot, MaxPoolScratch(geom_));
-    const bool u8 = plan().out_dtype == DType::kU8;
-    const uint8_t* qin = u8 ? net.quant_act(index() - 1) : nullptr;
-    uint8_t* qout = u8 ? net.quant_act(index()) : nullptr;
-    ForEachPlaneRun(
-        plan().out_layout, in_shape_.dim(0), in_shape_.dim(1), items,
-        [&](int64_t first, int64_t count) {
-          if (u8) {
-            // Quantize-once chain: pool the u8 bytes directly. The
-            // quantizer is monotonic, so the byte max picks the same tap
-            // the fp32 max would; an all-padding window writes the zero
-            // point (the exact image of the fp32 path's 0.0f).
-            MaxPoolU8(geom_, qin + first * in_plane, count,
-                      static_cast<uint8_t>(plan().out_qzp),
-                      reinterpret_cast<uint8_t*>(rows),
-                      qout + first * out_plane);
-          } else {
-            MaxPoolF32(geom_, input.data() + first * in_plane, count, rows,
-                       output_.data() + first * out_plane);
-          }
-        });
+    if (plan().out_dtype == DType::kU8) {
+      // Quantize-once chain: pool the u8 bytes directly. The quantizer is
+      // monotonic, so the byte max picks the same tap the fp32 max
+      // would; an all-padding window writes the zero point (the exact
+      // image of the fp32 path's 0.0f).
+      MaxPoolU8(geom_, net.quant_act(index() - 1) + first * in_plane, count,
+                static_cast<uint8_t>(plan().out_qzp),
+                reinterpret_cast<uint8_t*>(rows),
+                net.quant_act(index()) + first * out_plane);
+    } else {
+      MaxPoolF32(geom_, input.data() + first * in_plane, count, rows,
+                 output_.data() + first * out_plane);
+    }
     return;
   }
 

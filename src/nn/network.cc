@@ -69,8 +69,7 @@ Status Network::SetBatch(int batch) {
     THALI_RETURN_IF_ERROR(layer->Rebatch(prev, *this));
     prev = layer->output_shape();
   }
-  // Batch size changes which copy elisions are legal and how wide a
-  // whole-batch GEMM is.
+  // Batch size changes which copy elisions are legal.
   PlanBuffers();
   return Status::OK();
 }
@@ -125,13 +124,12 @@ void Network::PlanBuffers() {
   // Plan-derived layer state (conv int8 workspace sections, weights
   // packed for the planned algorithm) recomputes once here instead of
   // per Forward.
-  for (auto& layer : layers_) layer->OnPlanUpdated(eplan_);
+  for (auto& layer : layers_) layer->OnPlanUpdated();
   // Scratch follows the plan: a layer's need depends on its planned
-  // algorithm (im2col panel, int8 sections) and on the largest item
-  // group (whole-group GEMMs). Every slot is sized to exactly the
-  // plan's need, shrinking as well as growing: the old storage is freed
-  // first (Resize would keep its capacity), so a replan never holds
-  // both sizes at once.
+  // algorithm (im2col panel, int8 sections). Every slot is sized to
+  // exactly the plan's need, shrinking as well as growing: the old
+  // storage is freed first (Resize would keep its capacity), so a replan
+  // never holds both sizes at once.
   int64_t need = 0;
   for (auto& layer : layers_) need = std::max(need, layer->WorkspaceSize());
   if (need != workspace_floats_) {

@@ -49,36 +49,19 @@ void RouteLayer::Forward(const Tensor&, Network& net, bool,
   // (concat adoption) — there is nothing to move.
   if (plan().copy_elided) return;
 
-  // Each source's channel slice of the group's items, one copy per run
-  // of planes. NCHW keeps an item's planes together: one copy per item
-  // and source. CNHW keeps a channel's planes together (plane (c, b) at
-  // (c*batch + b)*spatial): one copy per channel and source, or one per
-  // source when the group spans the batch.
-  const int64_t batch = out_shape_.dim(0);
+  // Each source's channel slice of the group's items: one copy per item
+  // and source.
   const int64_t spatial = out_shape_.dim(2) * out_shape_.dim(3);
   const int64_t out_c = out_shape_.dim(1);
-  const bool cnhw = plan().out_layout == ActLayout::kCNHW;
   const auto concat = [&](auto* out, auto source_of) {
     int64_t chan_base = 0;
     for (size_t s = 0; s < sources_.size(); ++s) {
       const auto* src = source_of(sources_[s]);
       const int64_t src_c = net.layer(sources_[s]).output_shape().dim(1);
-      if (cnhw) {
-        // The slice is a CNHW tensor of its own, starting at plane
-        // src_offset*batch of the source and chan_base*batch of the output.
-        ForEachPlaneRun(ActLayout::kCNHW, batch, src_chans_[s], items,
-                        [&](int64_t p, int64_t count) {
-                          const auto* from =
-                              src + (src_offset_[s] * batch + p) * spatial;
-                          std::copy(from, from + count * spatial,
-                                    out + (chan_base * batch + p) * spatial);
-                        });
-      } else {
-        for (int64_t b = items.begin; b < items.end; ++b) {
-          const auto* from = src + (b * src_c + src_offset_[s]) * spatial;
-          std::copy(from, from + src_chans_[s] * spatial,
-                    out + (b * out_c + chan_base) * spatial);
-        }
+      for (int64_t b = items.begin; b < items.end; ++b) {
+        const auto* from = src + (b * src_c + src_offset_[s]) * spatial;
+        std::copy(from, from + src_chans_[s] * spatial,
+                  out + (b * out_c + chan_base) * spatial);
       }
       chan_base += src_chans_[s];
     }

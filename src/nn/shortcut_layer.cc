@@ -22,20 +22,15 @@ Status ShortcutLayer::Configure(const Shape& input_shape, const Network& net) {
   return Status::OK();
 }
 
-// Elementwise over the group's planes, so layout-invariant as long as
-// both inputs share the output's layout (the plan compiler's fixpoint
-// guarantees that). When the plan elided this layer's copy, output_
-// aliases the previous layer's block: each o[i] reads a[i] before
-// overwriting it, so the in-place add needs no special casing.
+// Elementwise over the group's items, elements [begin*CHW, end*CHW).
+// When the plan elided this layer's copy, output_ aliases the previous
+// layer's block: each o[i] reads a[i] before overwriting it, so the
+// in-place add needs no special casing.
 void ShortcutLayer::Forward(const Tensor& input, Network& net, bool,
                             const ItemRange& items) {
-  const int64_t spatial = out_shape_.dim(2) * out_shape_.dim(3);
-  const auto for_each_run = [&](auto fn) {
-    ForEachPlaneRun(plan().out_layout, out_shape_.dim(0), out_shape_.dim(1),
-                    items, [&](int64_t first, int64_t count) {
-                      fn(first * spatial, count * spatial);
-                    });
-  };
+  const int64_t item = out_shape_.num_elements() / out_shape_.dim(0);
+  const int64_t i0 = items.begin * item;
+  const int64_t i1 = items.end * item;
   if (plan().out_dtype == DType::kU8) {
     // Quantize-once chain (linear-activation shortcuts only, per the
     // dtype pass). Both inputs share the output's quantization domain,
@@ -46,26 +41,22 @@ void ShortcutLayer::Forward(const Tensor& input, Network& net, bool,
     const uint8_t* b = net.quant_act(from_);
     uint8_t* o = net.quant_act(index());
     const int zp = plan().out_qzp;
-    for_each_run([&](int64_t i0, int64_t n) {
-      for (int64_t i = i0; i < i0 + n; ++i) {
-        const int v = static_cast<int>(a[i]) + static_cast<int>(b[i]) - zp;
-        o[i] = static_cast<uint8_t>(v < 0 ? 0 : (v > 127 ? 127 : v));
-      }
-    });
+    for (int64_t i = i0; i < i1; ++i) {
+      const int v = static_cast<int>(a[i]) + static_cast<int>(b[i]) - zp;
+      o[i] = static_cast<uint8_t>(v < 0 ? 0 : (v > 127 ? 127 : v));
+    }
     return;
   }
   const float* a = input.data();
   const float* b = net.layer(from_).output().data();
   float* o = output_.data();
-  for_each_run([&](int64_t i0, int64_t n) {
-    for (int64_t i = i0; i < i0 + n; ++i) o[i] = a[i] + b[i];
-    if (opts_.activation != Activation::kLinear) {
-      if (!inference()) {
-        std::copy(o + i0, o + i0 + n, pre_activation_.data() + i0);
-      }
-      ApplyActivation(opts_.activation, o + i0, n);
+  for (int64_t i = i0; i < i1; ++i) o[i] = a[i] + b[i];
+  if (opts_.activation != Activation::kLinear) {
+    if (!inference()) {
+      std::copy(o + i0, o + i1, pre_activation_.data() + i0);
     }
-  });
+    ApplyActivation(opts_.activation, o + i0, i1 - i0);
+  }
 }
 
 void ShortcutLayer::Backward(const Tensor&, Tensor* input_delta,

@@ -51,32 +51,27 @@ void UpsampleNearest(const uint8_t* in, int64_t planes, int64_t h, int64_t w,
   UpsampleNearestImpl(in, planes, h, w, stride, out);
 }
 
-// Layout-invariant (NCHW or CNHW): plane p maps to plane p and the
-// channel count is preserved, so the group's planes map to themselves.
-// When the plan compiler adopted this layer into a following route's
-// concat block, output_ is simply bound inside that block — the writes
-// below land in place.
+// Plane p maps to plane p and the channel count is preserved, so the
+// group's planes map to themselves. When the plan compiler adopted this
+// layer into a following route's concat block, output_ is simply bound
+// inside that block — the writes below land in place.
 void UpsampleLayer::Forward(const Tensor& input, Network& net, bool,
                             const ItemRange& items) {
   const int64_t ih = in_shape_.dim(2);
   const int64_t iw = in_shape_.dim(3);
-  const int64_t in_plane = ih * iw;
-  const int64_t out_plane = in_plane * stride_ * stride_;
+  const int64_t first = items.begin * in_shape_.dim(1);
+  const int64_t count = items.size() * in_shape_.dim(1);
+  const int64_t in_at = first * ih * iw;
+  const int64_t out_at = in_at * stride_ * stride_;
   // Nearest-neighbor replication moves values, so a u8 chain's
   // quantization domain passes through untouched.
-  const bool u8 = plan().out_dtype == DType::kU8;
-  ForEachPlaneRun(
-      plan().out_layout, in_shape_.dim(0), in_shape_.dim(1), items,
-      [&](int64_t first, int64_t count) {
-        if (u8) {
-          UpsampleNearest(net.quant_act(index() - 1) + first * in_plane,
-                          count, ih, iw, stride_,
-                          net.quant_act(index()) + first * out_plane);
-        } else {
-          UpsampleNearest(input.data() + first * in_plane, count, ih, iw,
-                          stride_, output_.data() + first * out_plane);
-        }
-      });
+  if (plan().out_dtype == DType::kU8) {
+    UpsampleNearest(net.quant_act(index() - 1) + in_at, count, ih, iw, stride_,
+                    net.quant_act(index()) + out_at);
+  } else {
+    UpsampleNearest(input.data() + in_at, count, ih, iw, stride_,
+                    output_.data() + out_at);
+  }
 }
 
 void UpsampleLayer::Backward(const Tensor&, Tensor* input_delta, Network&) {

@@ -55,9 +55,8 @@ void AccumulateScalar(int64_t m, int64_t n, int64_t kp, const int8_t* qw,
   }
 }
 
-void PackScalar(const uint8_t* qcol, int64_t row_stride, int64_t k,
-                int64_t n, uint8_t* packed) {
-  Int8PackActEdges(qcol, row_stride, k, n, /*p0=*/0, packed);
+void PackScalar(const uint8_t* qcol, int64_t k, int64_t n, uint8_t* packed) {
+  Int8PackActEdges(qcol, k, n, /*p0=*/0, packed);
 }
 
 // The reference quantizer every family matches bit for bit.
@@ -111,8 +110,8 @@ void Int8QuantizeActivations(const float* x, int64_t count, float inv_scale,
   SelectInt8GemmKernel().quantize(x, count, inv_scale, zp, u);
 }
 
-void Int8PackActEdges(const uint8_t* qcol, int64_t row_stride, int64_t k,
-                      int64_t n, int64_t p0, uint8_t* packed) {
+void Int8PackActEdges(const uint8_t* qcol, int64_t k, int64_t n, int64_t p0,
+                      uint8_t* packed) {
   const int64_t kp = Int8PackedK(k);
   const int64_t nfull = n / 8;
   const int64_t ntail = n - nfull * 8;
@@ -121,7 +120,7 @@ void Int8PackActEdges(const uint8_t* qcol, int64_t row_stride, int64_t k,
     const uint8_t* src = qcol + u * 8;
     for (int64_t p = p0; p < k; ++p) {
       uint8_t* quad = strip + (p >> 2) * 32 + (p & 3);
-      const uint8_t* row = src + p * row_stride;
+      const uint8_t* row = src + p * n;
       for (int64_t l = 0; l < 8; ++l) quad[l * 4] = row[l];
     }
     for (int64_t p = std::max(p0, k); p < kp; ++p) {
@@ -133,14 +132,14 @@ void Int8PackActEdges(const uint8_t* qcol, int64_t row_stride, int64_t k,
   for (int64_t t = 0; t < ntail; ++t) {
     uint8_t* col = tails + t * kp;
     const int64_t j = nfull * 8 + t;
-    for (int64_t p = 0; p < k; ++p) col[p] = qcol[p * row_stride + j];
+    for (int64_t p = 0; p < k; ++p) col[p] = qcol[p * n + j];
     for (int64_t p = k; p < kp; ++p) col[p] = 0;
   }
 }
 
-void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
-                            int64_t k, int64_t n, uint8_t* packed) {
-  SelectInt8GemmKernel().pack(qcol, row_stride, k, n, packed);
+void Int8PackActCols(const uint8_t* qcol, int64_t k, int64_t n,
+                     uint8_t* packed) {
+  SelectInt8GemmKernel().pack(qcol, k, n, packed);
 }
 
 namespace {

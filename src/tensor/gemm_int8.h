@@ -70,27 +70,24 @@ inline int64_t Int8PackedActBytes(int64_t k, int64_t n) {
   return Int8PackedK(k) * n;
 }
 
-// Packs the quantized k x n column matrix `qcol` (row p starts at
-// qcol + p * row_stride, row_stride >= n) into the kernel panel layout:
+// Packs the quantized row-major k x n column matrix `qcol` (an im2col
+// panel, or a direct 1x1's channel planes) into the kernel panel layout:
 // columns grouped in strips of 8, each strip interleaved in k-quads
 // (byte (p, j) of strip u at strip_base + (p/4)*32 + (j%8)*4 + p%4,
 // strip_base = packed + u*kp*8), so one 32-byte load feeds 8 columns x
 // 4 k-steps of vpmaddubsw. The n % 8 tail columns follow flat
 // (k-contiguous, kp bytes each) for the k-vectorized tail-dot kernel.
-// Padding rows p >= k are zero. The row stride lets a direct 1x1 pack
-// straight from channel planes whose plane stride is not the GEMM width
-// (a CNHW block consumed per batch item); an im2col panel packs at
-// row_stride == n. Runs the dispatched family's `pack`.
-void Int8PackActColsStrided(const uint8_t* qcol, int64_t row_stride,
-                            int64_t k, int64_t n, uint8_t* packed);
+// Padding rows p >= k are zero. Runs the dispatched family's `pack`.
+void Int8PackActCols(const uint8_t* qcol, int64_t k, int64_t n,
+                     uint8_t* packed);
 
 // The scalar share of every family's pack: rows [p0, kp) of each full
 // 8-column strip (zero from row k on) and all n % 8 tail columns. With
 // p0 = 0 it packs the whole panel, which is the scalar-int8 family's
 // pack; a SIMD pack moves the full k-quads of the full strips itself
 // and leaves the rest here from p0 = k / 4 * 4.
-void Int8PackActEdges(const uint8_t* qcol, int64_t row_stride, int64_t k,
-                      int64_t n, int64_t p0, uint8_t* packed);
+void Int8PackActEdges(const uint8_t* qcol, int64_t k, int64_t n, int64_t p0,
+                      uint8_t* packed);
 
 // Requantization parameters of one int8 GEMM (the epilogue inputs).
 //
@@ -122,7 +119,7 @@ struct Int8Epilogue {
 // One int8 kernel family: `accumulate` writes the m x n i32 product into
 // acc (row-major, row stride n) from a quantized weight blob (rows of kp
 // bytes) and a packed activation panel; `pack` builds that panel
-// (Int8PackActColsStrided's contract); `quantize` is
+// (Int8PackActCols' contract); `quantize` is
 // Int8QuantizeActivations' contract; `epilogue` requantizes acc into C:
 //
 //   C[f][j] = act((acc - zp*colsum[f]) * s_in*s_w[f] + bias[f])
@@ -137,8 +134,7 @@ struct Int8GemmKernel {
   const char* name;  // "avx2-ubsw-6x8" / "scalar-int8"
   void (*accumulate)(int64_t m, int64_t n, int64_t kp, const int8_t* qw,
                      const uint8_t* packed, int32_t* acc);
-  void (*pack)(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
-               uint8_t* packed);
+  void (*pack)(const uint8_t* qcol, int64_t k, int64_t n, uint8_t* packed);
   void (*quantize)(const float* x, int64_t count, float inv_scale,
                    int32_t zp, uint8_t* u);
   void (*epilogue)(const Int8Epilogue& e, int64_t m, int64_t n,

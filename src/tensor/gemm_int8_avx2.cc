@@ -169,8 +169,7 @@ void AccumulateAvx2(int64_t m, int64_t n, int64_t kp, const int8_t* qw,
 // k only, so nothing reads past column n; the k % 4 rows, the zero
 // padding rows and the n % 8 tail columns go through the shared scalar
 // Int8PackActEdges.
-void PackAvx2(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
-              uint8_t* packed) {
+void PackAvx2(const uint8_t* qcol, int64_t k, int64_t n, uint8_t* packed) {
   const int64_t kp = Int8PackedK(k);
   const int64_t kq = k / 4 * 4;
   const int64_t nfull = n / 8;
@@ -178,15 +177,15 @@ void PackAvx2(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
     uint8_t* strip = packed + u * kp * 8;
     const uint8_t* src = qcol + u * 8;
     for (int64_t p = 0; p < kq; p += 4) {
-      const uint8_t* r = src + p * row_stride;
+      const uint8_t* r = src + p * n;
       const __m128i r0 =
           _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r));
       const __m128i r1 =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r + row_stride));
-      const __m128i r2 = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(r + 2 * row_stride));
-      const __m128i r3 = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(r + 3 * row_stride));
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r + n));
+      const __m128i r2 =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r + 2 * n));
+      const __m128i r3 =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r + 3 * n));
       const __m128i r01 = _mm_unpacklo_epi8(r0, r1);
       const __m128i r23 = _mm_unpacklo_epi8(r2, r3);
       uint8_t* quad = strip + p * 8;
@@ -196,7 +195,7 @@ void PackAvx2(const uint8_t* qcol, int64_t row_stride, int64_t k, int64_t n,
                        _mm_unpackhi_epi16(r01, r23));
     }
   }
-  Int8PackActEdges(qcol, row_stride, k, n, kq, packed);
+  Int8PackActEdges(qcol, k, n, kq, packed);
 }
 
 // Quantizes 8 lanes into the 7-bit domain: v * inv_scale clamped to

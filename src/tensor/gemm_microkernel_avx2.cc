@@ -48,11 +48,24 @@ struct RowAcc {
 // live, spilling every accumulator to the stack each k-step (12 extra
 // stores per iteration, enough to turn an FMA-bound loop into a
 // store-port-bound one).
+//
+// The tile takes the column count, not a ready __m256i mask: GCC emits
+// no vzeroupper in a function with a 256-bit argument, nor before a
+// tail call into one, so a by-value mask would return with the upper
+// YMM halves dirty, and the caller's next SSE instruction would pay the
+// AVX-SSE transition. Every entry of this file returns clean
+// (tests/ymm_state.h).
 template <int MR_, int kHalves, bool kMasked>
 void TileAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
-              float* c, int64_t ldc, __m256i mask) {
+              float* c, int64_t ldc, int nr) {
   static_assert(MR_ >= 1 && MR_ <= kGemmMR, "row count exceeds panel stride");
   static_assert(kHalves == 1 || kHalves == 2, "a row is two 8-lane halves");
+  // The last half's mask: kMaskTable + (16 - nr) masks columns 0-7, and
+  // eight entries further on, columns 8-15.
+  const __m256i mask =
+      kMasked ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                    kMaskTable + (8 + 8 * kHalves - nr)))
+              : _mm256_setzero_si256();
   const auto load = [mask](const float* p) {
     RowAcc v;
     if constexpr (kHalves == 1 && kMasked) {
@@ -125,7 +138,7 @@ void TileAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
 // The kernel table's full 6 x 16 tile.
 void FullTileAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
                   float* c, int64_t ldc) {
-  TileAvx2<kGemmMR, 2, false>(kc, a, b, ldb, c, ldc, _mm256_setzero_si256());
+  TileAvx2<kGemmMR, 2, false>(kc, a, b, ldb, c, ldc, kGemmNR);
 }
 
 // nr == 9 — the yolo-head 3x3-spatial edge. The masked two-half tile
@@ -200,17 +213,11 @@ template <int MR_>
 void EdgeRowsAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
                   float* c, int64_t ldc, int nr) {
   if (nr == kGemmNR) {
-    return TileAvx2<MR_, 2, false>(kc, a, b, ldb, c, ldc,
-                                   _mm256_setzero_si256());
+    return TileAvx2<MR_, 2, false>(kc, a, b, ldb, c, ldc, nr);
   }
   if (nr == 9) return TileAvx2Nine<MR_>(kc, a, b, ldb, c, ldc);
-  // The last half's mask: kMaskTable + (16 - nr) masks columns 0-7, and
-  // eight entries further on, columns 8-15.
-  const int halves = nr > 8 ? 2 : 1;
-  const __m256i mask = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-      kMaskTable + (8 + 8 * halves - nr)));
-  if (halves == 1) return TileAvx2<MR_, 1, true>(kc, a, b, ldb, c, ldc, mask);
-  TileAvx2<MR_, 2, true>(kc, a, b, ldb, c, ldc, mask);
+  if (nr <= 8) return TileAvx2<MR_, 1, true>(kc, a, b, ldb, c, ldc, nr);
+  TileAvx2<MR_, 2, true>(kc, a, b, ldb, c, ldc, nr);
 }
 
 void EdgeAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,

@@ -37,9 +37,9 @@ void GatherStrided(const T* src, int64_t count, int64_t stride, T* dst) {
 // The one im2col body behind Im2ColStrided (fp32) and Im2ColStridedU8. It
 // only moves elements: every output is an input element or `pad_value`.
 template <typename T>
-void Im2ColImpl(const T* im, int64_t chan_stride, int64_t channels,
-                int64_t height, int64_t width, int64_t ksize, int64_t stride,
-                int64_t pad, T pad_value, T* col) {
+void Im2ColImpl(const T* im, int64_t channels, int64_t height, int64_t width,
+                int64_t ksize, int64_t stride, int64_t pad, T pad_value,
+                T* col) {
   const int64_t out_h = ConvOutSize(height, ksize, stride, pad);
   const int64_t out_w = ConvOutSize(width, ksize, stride, pad);
   const int64_t cols = out_h * out_w;
@@ -72,7 +72,7 @@ void Im2ColImpl(const T* im, int64_t chan_stride, int64_t channels,
     T padded[256];
     padded[plane] = pad_value;
     for (int64_t c = 0; c < channels; ++c) {
-      std::copy_n(im + c * chan_stride, plane, padded);
+      std::copy_n(im + c * plane, plane, padded);
       T* out = col + c * lookups;
       for (int64_t i = 0; i < lookups; ++i) out[i] = padded[src_of[i]];
     }
@@ -95,7 +95,7 @@ void Im2ColImpl(const T* im, int64_t chan_stride, int64_t channels,
       const int64_t d = (kh - pad) * width + (kw - pad);
       const int64_t len = plane - (d < 0 ? -d : d);
       for (int64_t c = 0; c < channels; ++c) {
-        const T* imc = im + c * chan_stride;
+        const T* imc = im + c * plane;
         T* out = col + ((c * ksize + kh) * ksize + kw) * cols;
         if (same_size) {
           if (len > 0) {
@@ -141,19 +141,18 @@ void Im2ColImpl(const T* im, int64_t chan_stride, int64_t channels,
 
 }  // namespace
 
-void Im2ColStrided(const float* im, int64_t chan_stride, int64_t channels,
-                   int64_t height, int64_t width, int64_t ksize,
-                   int64_t stride, int64_t pad, float* col) {
-  Im2ColImpl<float>(im, chan_stride, channels, height, width, ksize, stride,
-                    pad, 0.0f, col);
+void Im2ColStrided(const float* im, int64_t channels, int64_t height,
+                   int64_t width, int64_t ksize, int64_t stride, int64_t pad,
+                   float* col) {
+  Im2ColImpl<float>(im, channels, height, width, ksize, stride, pad, 0.0f,
+                    col);
 }
 
-void Im2ColStridedU8(const uint8_t* im, int64_t chan_stride, int64_t channels,
-                     int64_t height, int64_t width, int64_t ksize,
-                     int64_t stride, int64_t pad, uint8_t pad_value,
-                     uint8_t* col) {
-  Im2ColImpl<uint8_t>(im, chan_stride, channels, height, width, ksize, stride,
-                      pad, pad_value, col);
+void Im2ColStridedU8(const uint8_t* im, int64_t channels, int64_t height,
+                     int64_t width, int64_t ksize, int64_t stride,
+                     int64_t pad, uint8_t pad_value, uint8_t* col) {
+  Im2ColImpl<uint8_t>(im, channels, height, width, ksize, stride, pad,
+                      pad_value, col);
 }
 
 void Col2Im(const float* col, int64_t channels, int64_t height, int64_t width,

@@ -5,26 +5,23 @@
 
 namespace thali {
 
-// Unrolls one image into a column matrix of shape
-// (channels*ksize*ksize) x (out_h*out_w), so a convolution becomes a GEMM
-// with the (out_channels) x (channels*ksize*ksize) weight matrix. Channel
-// planes sit `chan_stride` elements apart: H*W for a dense CHW image,
-// batch*H*W for one item of a CNHW blocked activation. `pad` is
-// symmetric zero padding; out-of-image taps read as 0.
-void Im2ColStrided(const float* im, int64_t chan_stride, int64_t channels,
-                   int64_t height, int64_t width, int64_t ksize,
-                   int64_t stride, int64_t pad, float* col);
+// Unrolls one dense CHW image into a column matrix of shape
+// (channels*ksize*ksize) x (out_h*out_w), so a convolution at any
+// `stride` becomes a GEMM with the (out_channels) x
+// (channels*ksize*ksize) weight matrix. `pad` is symmetric zero padding;
+// out-of-image taps read as 0.
+void Im2ColStrided(const float* im, int64_t channels, int64_t height,
+                   int64_t width, int64_t ksize, int64_t stride, int64_t pad,
+                   float* col);
 
 // Im2ColStrided over quantized u8 planes, from the same body. Out-of-image
 // taps read as `pad_value` — the activation zero point, which quantizes
 // the real x = 0 exactly (see tensor/gemm_int8.h).
-void Im2ColStridedU8(const uint8_t* im, int64_t chan_stride, int64_t channels,
-                     int64_t height, int64_t width, int64_t ksize,
-                     int64_t stride, int64_t pad, uint8_t pad_value,
-                     uint8_t* col);
+void Im2ColStridedU8(const uint8_t* im, int64_t channels, int64_t height,
+                     int64_t width, int64_t ksize, int64_t stride,
+                     int64_t pad, uint8_t pad_value, uint8_t* col);
 
-// Inverse scatter-add of Im2ColStrided over dense planes, used on the
-// backward pass: accumulates the column-matrix gradient back into the
+// Inverse scatter-add of Im2ColStrided, used on the backward pass: accumulates the column-matrix gradient back into the
 // (pre-zeroed) image gradient buffer.
 void Col2Im(const float* col, int64_t channels, int64_t height, int64_t width,
             int64_t ksize, int64_t stride, int64_t pad, float* im);

@@ -171,8 +171,8 @@ TEST(ArenaPlanTest, OverlappingLiveIntervalsNeverShareArenaBytes) {
 // (im2col and direct 1x1 GEMMs with the bias+leaky epilogue, aliased
 // route and in-place shortcut), so the arena-planned forward must agree
 // *bitwise* with the seed per-layer allocator — arena placement and copy
-// elision can never change arithmetic. Batch 2 adds the blocked CNHW
-// layouts.
+// elision can never change arithmetic. Batch 2 elides nothing and
+// copies every route and shortcut.
 TEST(ArenaPlanTest, ArenaForwardMatchesSeedAllocatorBitwise) {
   for (const int ksize : {1, 3}) {
     SCOPED_TRACE("ksize " + std::to_string(ksize));
@@ -226,8 +226,8 @@ TEST(ArenaPlanTest, FusedForwardMatchesReferenceWithinTolerance) {
 // with exact arithmetic (every conv without the fast mish, and the
 // detection heads), fed the seed allocator's input for
 // that layer, must write the seed allocator's output bit for bit into
-// its arena slot — prepacked weights, CNHW strides (batch 1) and, with
-// folded batch norm, the fused bias+activation GEMM epilogue included.
+// its arena slot — prepacked weights and, with folded batch norm, the
+// fused bias+activation GEMM epilogue included.
 TEST(ArenaPlanTest, FullModelArenaMatchesSeedAllocatorBitwise) {
   for (const bool fold : {false, true}) {
     BuiltNetwork seed = BuildThali(ExecMode::kTraining, 1);
@@ -297,8 +297,8 @@ TEST(ArenaPlanTest, FullModelFusedMatchesReferenceWithinTolerance) {
 
 // The plan is fused exactly when the network is kInference: a training
 // network (the oracle of every fused-plan test) keeps every conv on
-// im2col in NCHW, elides no copies and fuses no epilogue (so mish runs
-// through libm, not the fast family), across re-plans too.
+// fp32, elides no copies and fuses no epilogue (so mish runs through
+// libm, not the fast family), across re-plans too.
 TEST(ExecPlanTest, TrainingNetworksRunTheReferencePlan) {
   BuiltNetwork train = BuildThali(ExecMode::kTraining, 1);
   BuiltNetwork infer = BuildThali(ExecMode::kInference, 1);
@@ -307,8 +307,7 @@ TEST(ExecPlanTest, TrainingNetworksRunTheReferencePlan) {
     ASSERT_TRUE(train.net->SetBatch(batch).ok());
     EXPECT_FALSE(train.net->exec_plan().fused);
     for (const LayerPlan& lp : train.net->exec_plan().layers) {
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col);
-      EXPECT_EQ(lp.out_layout, ActLayout::kNCHW);
+      EXPECT_FALSE(lp.int8);
       EXPECT_FALSE(lp.copy_elided);
       EXPECT_FALSE(lp.epilogue.bias);
       EXPECT_FALSE(lp.epilogue.act.has_value());
@@ -317,10 +316,10 @@ TEST(ExecPlanTest, TrainingNetworksRunTheReferencePlan) {
   }
 }
 
-// The fused yolov4-thali plan picks the conv paths the geometry allows:
-// every 1x1/s1 conv goes direct, and every 3x3 conv, at stride 1 or 2,
-// runs im2col. Routes and shortcuts whose layout/liveness permit are
-// elided outright.
+// The fused yolov4-thali plan before calibration: every conv runs fp32,
+// ten 1x1/s1 convs multiply their input planes directly and fifteen 3x3
+// convs, at stride 1 or 2, run im2col. Routes and shortcuts whose
+// liveness permits are elided outright at batch 1.
 TEST(ExecPlanTest, FusedPlanSelectsSpecializedPathsForYoloThali) {
   BuiltNetwork built = BuildThali(ExecMode::kInference, 1);
   const ExecPlan& plan = built.net->exec_plan();
@@ -328,19 +327,14 @@ TEST(ExecPlanTest, FusedPlanSelectsSpecializedPathsForYoloThali) {
   int direct = 0, im2col = 0, elided = 0, mish = 0, fused = 0;
   for (int i = 0; i < built.net->num_layers(); ++i) {
     const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
+    EXPECT_FALSE(lp.int8) << "layer " << i;
     if (std::string_view(built.net->layer(i).kind()) != "convolutional") {
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col) << "layer " << i;
       if (lp.copy_elided) ++elided;
       continue;
     }
-    const auto& o = static_cast<const ConvLayer&>(built.net->layer(i)).options();
-    if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kDirect1x1) << "layer " << i;
-      ++direct;
-    } else {
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col) << "layer " << i;
-      ++im2col;
-    }
+    const auto& conv = static_cast<const ConvLayer&>(built.net->layer(i));
+    const ConvLayer::Options& o = conv.options();
+    ++(conv.IsDirect1x1() ? direct : im2col);
     if (o.activation == Activation::kMish) ++mish;
     // Unfolded batch norm leaves nothing to fuse: only the BN-free,
     // linear head feeders add their bias in the GEMM write-back.
@@ -356,27 +350,23 @@ TEST(ExecPlanTest, FusedPlanSelectsSpecializedPathsForYoloThali) {
   EXPECT_EQ(elided, 15);
   EXPECT_EQ(mish, 15);
   EXPECT_EQ(fused, 3);
-  // Yolo heads and their feeder convs must see NCHW.
-  for (int i = 0; i < built.net->num_layers(); ++i) {
-    if (std::string_view(built.net->layer(i).kind()) == "yolo") {
-      EXPECT_EQ(plan.layers[static_cast<size_t>(i)].in_layout,
-                ActLayout::kNCHW)
-          << "yolo layer " << i;
-    }
-  }
 }
 
 // SetBatch must re-run the plan compiler, not just resize buffers:
-// elision legality and arena grouping depend on the batch.
+// elision legality and arena grouping depend on the batch. Above batch 1
+// nothing is elided, so the fused arena is the plain liveness placement
+// a training network reports, at the larger batch.
 TEST(ExecPlanTest, SetBatchRecompilesFusedPlan) {
   BuiltNetwork built = BuildThali(ExecMode::kInference, 1);
+  BuiltNetwork ref = BuildThali(ExecMode::kTraining, 1);
   Network& net = *built.net;
   ASSERT_TRUE(net.exec_plan().fused);
   const int64_t floats1 = net.arena_plan().arena_floats;
 
   ASSERT_TRUE(net.SetBatch(4).ok());
   ASSERT_TRUE(net.exec_plan().fused);
-  EXPECT_EQ(net.arena_plan().arena_floats, floats1 * 4);
+  EXPECT_EQ(net.arena_plan().arena_floats,
+            ref.net->arena_plan().arena_floats * 4);
 
   ASSERT_TRUE(net.SetBatch(1).ok());
   ASSERT_TRUE(net.exec_plan().fused);
@@ -384,11 +374,9 @@ TEST(ExecPlanTest, SetBatchRecompilesFusedPlan) {
 }
 
 // The group plan on yolov4-thali: an inference forward splits its batch
-// once into min(P, workspace slots, batch) contiguous item groups, and
-// the item rule still makes the seven CNHW direct 1x1s one GEMM over a
-// group's items, for the fp32 plan and the calibrated int8 plan alike.
-// Batch 1 and a calibration phase run one group; training plans keep
-// one group and no whole-batch items.
+// once into min(P, workspace slots, batch) contiguous item groups, for
+// the fp32 plan and the calibrated int8 plan alike. Batch 1 and a
+// calibration phase run one group, and so do training plans.
 TEST(ExecPlanTest, GroupPlanSplitsEachInferenceBatchOnce) {
   const auto expect_plan = [](const Network& net, int parallelism,
                               const std::string& what) {
@@ -396,35 +384,21 @@ TEST(ExecPlanTest, GroupPlanSplitsEachInferenceBatchOnce) {
     const int groups = net.exec_plan().groups;
     EXPECT_EQ(groups, std::min(parallelism, batch)) << what;
     EXPECT_LE(groups, net.workspace_slots()) << what;
-    // The groups tile the batch in order, none larger than the largest.
-    int64_t next = 0;
+    // The groups tile the batch in order, their sizes at most one apart.
+    int64_t next = 0, smallest = batch, largest = 0;
     for (int g = 0; g < groups; ++g) {
       const ItemRange items = GroupItems(batch, groups, g);
       EXPECT_EQ(items.begin, next) << what << " group " << g;
       EXPECT_GE(items.size(), 1) << what << " group " << g;
-      EXPECT_LE(items.size(), MaxGroupItems(batch, groups))
-          << what << " group " << g;
       EXPECT_EQ(items.slot, g) << what;
+      smallest = std::min(smallest, items.size());
+      largest = std::max(largest, items.size());
       next = items.end;
     }
     EXPECT_EQ(next, batch) << what;
-    int whole_batch = 0, int8 = 0;
-    for (int i = 0; i < net.num_layers(); ++i) {
-      const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
-      const bool conv =
-          std::string_view(net.layer(i).kind()) == "convolutional";
-      const bool direct = lp.conv_algo == ConvAlgo::kDirect1x1 ||
-                          lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1;
-      EXPECT_EQ(lp.whole_batch, conv && direct &&
-                                    lp.in_layout == ActLayout::kCNHW &&
-                                    lp.out_layout == ActLayout::kCNHW)
-          << what << " layer " << i;
-      whole_batch += lp.whole_batch;
-      int8 += lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1;
-    }
-    // Seven of the ten 1x1s span their group's items; the three head
-    // feeders write NCHW for the yolo heads.
-    EXPECT_EQ(whole_batch, 7) << what;
+    EXPECT_LE(largest - smallest, 1) << what;
+    int int8 = 0;
+    for (const LayerPlan& lp : net.exec_plan().layers) int8 += lp.int8;
     return int8;
   };
   // Restores the pool's parallelism however the test ends.
@@ -452,7 +426,7 @@ TEST(ExecPlanTest, GroupPlanSplitsEachInferenceBatchOnce) {
       if (conv.plan().quantizable) conv.SetActivationRange(-4.0f, 4.0f);
     }
     ASSERT_TRUE(net.ReplanInference().ok());
-    EXPECT_EQ(expect_plan(net, parallelism, p + " int8 batch 8"), 10);
+    EXPECT_EQ(expect_plan(net, parallelism, p + " int8 batch 8"), 25);
 
     // A calibration phase folds statistics across the batch: one group.
     net.set_calib_phase(CalibPhase::kRange);
@@ -468,9 +442,6 @@ TEST(ExecPlanTest, GroupPlanSplitsEachInferenceBatchOnce) {
       ASSERT_TRUE(train.net->SetBatch(batch).ok());
       EXPECT_EQ(train.net->exec_plan().groups, 1)
           << p << " training batch " << batch;
-      for (const LayerPlan& lp : train.net->exec_plan().layers) {
-        EXPECT_FALSE(lp.whole_batch) << p << " training batch " << batch;
-      }
     }
   }
 }
@@ -479,10 +450,15 @@ TEST(ArenaPlanTest, PinnedPeakMemoryForYoloThali) {
   // Pinned so planner regressions show up as a number, not a vague slow
   // drift. Update deliberately if the architecture or planner changes.
   // The plain liveness placement a training network reports keeps the
-  // PR-2 placement exactly; the fused plan's copy elision shrinks the
-  // peak further.
+  // PR-2 placement exactly; at batch 1 the fused plan's copy elision
+  // shrinks the peak further. Above batch 1 nothing is elided.
   BuiltNetwork ref = BuildThali(ExecMode::kTraining, 1);
   BuiltNetwork fused = BuildThali(ExecMode::kInference, 1);
+  const auto elided = [](const Network& net) {
+    int count = 0;
+    for (const LayerPlan& lp : net.exec_plan().layers) count += lp.copy_elided;
+    return count;
+  };
 
   const ArenaPlan& ref_plan = ref.net->arena_plan();
   EXPECT_EQ(ref_plan.sum_output_floats, 195282);
@@ -494,6 +470,11 @@ TEST(ArenaPlanTest, PinnedPeakMemoryForYoloThali) {
   EXPECT_EQ(fused_plan.sum_output_floats, 195282);
   EXPECT_EQ(fused_plan.arena_floats, 27648);
   EXPECT_LT(fused_plan.arena_floats, ref_plan.arena_floats);
+  EXPECT_EQ(elided(*fused.net), 15);
+
+  ASSERT_TRUE(fused.net->SetBatch(8).ok());
+  EXPECT_EQ(fused.net->arena_plan().arena_floats, 294912);
+  EXPECT_EQ(elided(*fused.net), 0);
 }
 
 TEST(SetBatchTest, GrowShrinkRegrowIsBitwiseStable) {

@@ -1,7 +1,7 @@
 // Unit tests for the kernels the fused inference plan dispatches to
 // (nn/exec_plan.h): the fast activation family (tensor/act_kernels.h)
 // and the GEMM stream-B / masked edge-tile paths that back the direct
-// 1x1 and CNHW strided convs. Carries the `asan_smoke` ctest label: a
+// 1x1 and im2col convs. Carries the `asan_smoke` ctest label: a
 // -DTHALI_SANITIZE=address build runs these to sweep the fused paths
 // (masked loads, arena-aliased full-model forward) for out-of-bounds
 // access.
@@ -23,6 +23,7 @@
 #include "tensor/act_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_pack.h"
+#include "ymm_state.h"
 
 namespace thali {
 namespace {
@@ -104,7 +105,9 @@ TEST(FastActTest, ScalarAndAvx2FamiliesAgreeBitwise) {
     internal::SetScalarKernelsForTesting(true);
     kernel(a.data(), static_cast<int64_t>(a.size()));
     internal::SetScalarKernelsForTesting(false);
-    kernel(b.data(), static_cast<int64_t>(b.size()));
+    // The AVX2 family returns with the upper YMM halves clean.
+    EXPECT_FALSE(LeavesYmmUpperDirty(
+        [&] { kernel(b.data(), static_cast<int64_t>(b.size())); }));
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
   }
 }

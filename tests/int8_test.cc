@@ -42,6 +42,7 @@
 #include "tensor/gemm_int8.h"
 #include "tensor/im2col.h"
 #include "tensor/qtensor.h"
+#include "ymm_state.h"
 
 namespace thali {
 namespace {
@@ -157,8 +158,10 @@ TEST_F(Int8Test, QuantizeFamiliesAgreeBitwiseOnTiesSaturationAndNaN) {
           std::vector<uint8_t> want(count), got(count);
           scalar.quantize(x.data(), static_cast<int64_t>(count), inv_scale,
                           zp, want.data());
-          avx2.quantize(x.data(), static_cast<int64_t>(count), inv_scale, zp,
-                        got.data());
+          ASSERT_FALSE(LeavesYmmUpperDirty([&] {
+            avx2.quantize(x.data(), static_cast<int64_t>(count), inv_scale,
+                          zp, got.data());
+          })) << "quantize count=" << count;
           ASSERT_EQ(got, want) << "start=" << start << " count=" << count
                                << " inv_scale=" << inv_scale << " zp=" << zp;
         }
@@ -185,7 +188,7 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
   }
   std::vector<uint8_t> packed(static_cast<size_t>(Int8PackedActBytes(k, n)),
                               0xAA);
-  Int8PackActColsStrided(qcol.data(), n, k, n, packed.data());
+  Int8PackActCols(qcol.data(), k, n, packed.data());
   // Strip bytes: (p, j) at (p/4)*32 + (j%8)*4 + p%4.
   for (int64_t p = 0; p < kp; ++p) {
     for (int64_t j = 0; j < 8; ++j) {
@@ -208,9 +211,9 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
 
   // Every family's pack, called directly and through the dispatching
   // entry point (forced scalar for the scalar family, automatic for
-  // AVX2), over every n % 8 and k % 4 residue, n < 8, and a row stride
-  // wider than n. The source holds exactly (k-1)*row_stride + n
-  // bytes, so a load past column n of the last row trips ASan.
+  // AVX2), over every n % 8 and k % 4 residue and n < 8. The source
+  // holds exactly k*n bytes, so a load past column n of the last row
+  // trips ASan.
   std::vector<std::pair<const char*, const Int8GemmKernel*>> families = {
       {"scalar", &ScalarInt8GemmKernel()}};
   if (Avx2Int8GemmKernel() != nullptr && CpuInfo().avx2) {
@@ -220,35 +223,31 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
   for (const auto& [name, family] : families) {
     for (int64_t kk = 1; kk <= 13; ++kk) {
       for (int64_t nn = 1; nn <= 25; ++nn) {
-        for (const int64_t stride : {nn, nn + 5}) {
-          const int64_t kkp = Int8PackedK(kk);
-          std::vector<uint8_t> src(static_cast<size_t>((kk - 1) * stride + nn));
-          for (auto& v : src) v = static_cast<uint8_t>(rng.NextInt(0, 255));
-          std::vector<uint8_t> want(static_cast<size_t>(kkp * nn));
-          const int64_t full = nn / 8 * 8;
-          for (int64_t p = 0; p < kkp; ++p) {
-            for (int64_t j = 0; j < nn; ++j) {
-              const uint8_t b =
-                  p < kk ? src[static_cast<size_t>(p * stride + j)] : 0;
-              const int64_t at = j < full ? (j / 8) * kkp * 8 + (p / 4) * 32 +
-                                                (j % 8) * 4 + p % 4
-                                          : full * kkp + (j - full) * kkp + p;
-              want[static_cast<size_t>(at)] = b;
-            }
+        const int64_t kkp = Int8PackedK(kk);
+        std::vector<uint8_t> src(static_cast<size_t>(kk * nn));
+        for (auto& v : src) v = static_cast<uint8_t>(rng.NextInt(0, 255));
+        std::vector<uint8_t> want(static_cast<size_t>(kkp * nn));
+        const int64_t full = nn / 8 * 8;
+        for (int64_t p = 0; p < kkp; ++p) {
+          for (int64_t j = 0; j < nn; ++j) {
+            const uint8_t b = p < kk ? src[static_cast<size_t>(p * nn + j)] : 0;
+            const int64_t at = j < full ? (j / 8) * kkp * 8 + (p / 4) * 32 +
+                                              (j % 8) * 4 + p % 4
+                                        : full * kkp + (j - full) * kkp + p;
+            want[static_cast<size_t>(at)] = b;
           }
-          std::vector<uint8_t> direct(want.size(), 0xAA);
-          family->pack(src.data(), stride, kk, nn, direct.data());
-          ASSERT_EQ(direct, want) << name << " k=" << kk << " n=" << nn
-                                  << " row_stride=" << stride;
-          internal::SetScalarKernelsForTesting(family ==
-                                               &ScalarInt8GemmKernel());
-          std::vector<uint8_t> dispatched(want.size(), 0x55);
-          Int8PackActColsStrided(src.data(), stride, kk, nn,
-                                 dispatched.data());
-          internal::SetScalarKernelsForTesting(false);
-          ASSERT_EQ(dispatched, want) << name << " k=" << kk << " n=" << nn
-                                      << " row_stride=" << stride;
         }
+        std::vector<uint8_t> direct(want.size(), 0xAA);
+        ASSERT_FALSE(LeavesYmmUpperDirty(
+            [&] { family->pack(src.data(), kk, nn, direct.data()); }))
+            << name << " pack k=" << kk << " n=" << nn;
+        ASSERT_EQ(direct, want) << name << " k=" << kk << " n=" << nn;
+        internal::SetScalarKernelsForTesting(family ==
+                                             &ScalarInt8GemmKernel());
+        std::vector<uint8_t> dispatched(want.size(), 0x55);
+        Int8PackActCols(src.data(), kk, nn, dispatched.data());
+        internal::SetScalarKernelsForTesting(false);
+        ASSERT_EQ(dispatched, want) << name << " k=" << kk << " n=" << nn;
       }
     }
   }
@@ -258,15 +257,15 @@ TEST_F(Int8Test, PackActColsMatchesDocumentedLayout) {
 // the byte-layout body behind Im2ColStrided and Im2ColStridedU8 must
 // match bit for bit.
 template <typename T>
-void Im2ColOracle(const T* im, int64_t chan_stride, int64_t channels,
-                  int64_t height, int64_t width, int64_t ksize,
-                  int64_t stride, int64_t pad, T pad_value, T* col) {
+void Im2ColOracle(const T* im, int64_t channels, int64_t height,
+                  int64_t width, int64_t ksize, int64_t stride, int64_t pad,
+                  T pad_value, T* col) {
   const int64_t out_h = ConvOutSize(height, ksize, stride, pad);
   const int64_t out_w = ConvOutSize(width, ksize, stride, pad);
   const int64_t cols = out_h * out_w;
   int64_t row = 0;
   for (int64_t c = 0; c < channels; ++c) {
-    const T* imc = im + c * chan_stride;
+    const T* imc = im + c * height * width;
     for (int64_t kh = 0; kh < ksize; ++kh) {
       for (int64_t kw = 0; kw < ksize; ++kw, ++row) {
         T* out = col + row * cols;
@@ -334,36 +333,28 @@ TEST_F(Int8Test, Im2ColStridedU8MatchesOracleOnThaliGeometriesAndEdges) {
                     std::end(kIm2ColEdgeGeometries));
   Rng rng(2718);
   for (const auto& [c, h, w, ks, st, pd] : geometries) {
-    // Dense planes, then a plane stride wider than H*W as under CNHW at
-    // batch > 1; each with a zero and a nonzero pad byte.
-    for (const int64_t chan_stride : {h * w, 3 * h * w + 5}) {
-      for (const uint8_t pad_value : {uint8_t{0}, uint8_t{77}}) {
-        // Exactly (c-1)*chan_stride + h*w bytes: reading past the last
-        // plane's last row trips ASan.
-        std::vector<uint8_t> im(static_cast<size_t>((c - 1) * chan_stride +
-                                                    h * w));
-        for (auto& v : im) v = static_cast<uint8_t>(rng.NextInt(0, 255));
-        const int64_t cols =
-            ConvOutSize(h, ks, st, pd) * ConvOutSize(w, ks, st, pd);
-        const size_t bytes = static_cast<size_t>(c * ks * ks * cols);
-        std::vector<uint8_t> want(bytes, 0x11), got(bytes, 0x22);
-        Im2ColOracle(im.data(), chan_stride, c, h, w, ks, st, pd, pad_value,
-                     want.data());
-        Im2ColStridedU8(im.data(), chan_stride, c, h, w, ks, st, pd,
-                        pad_value, got.data());
-        ASSERT_EQ(got, want) << "c=" << c << " h=" << h << " w=" << w
-                             << " k=" << ks << " s=" << st << " p=" << pd
-                             << " chan_stride=" << chan_stride
-                             << " pad=" << int{pad_value};
-      }
+    // A zero and a nonzero pad byte.
+    for (const uint8_t pad_value : {uint8_t{0}, uint8_t{77}}) {
+      // Exactly c*h*w bytes: reading past the last plane's last row
+      // trips ASan.
+      std::vector<uint8_t> im(static_cast<size_t>(c * h * w));
+      for (auto& v : im) v = static_cast<uint8_t>(rng.NextInt(0, 255));
+      const int64_t cols =
+          ConvOutSize(h, ks, st, pd) * ConvOutSize(w, ks, st, pd);
+      const size_t bytes = static_cast<size_t>(c * ks * ks * cols);
+      std::vector<uint8_t> want(bytes, 0x11), got(bytes, 0x22);
+      Im2ColOracle(im.data(), c, h, w, ks, st, pd, pad_value, want.data());
+      Im2ColStridedU8(im.data(), c, h, w, ks, st, pd, pad_value, got.data());
+      ASSERT_EQ(got, want) << "c=" << c << " h=" << h << " w=" << w
+                           << " k=" << ks << " s=" << st << " p=" << pd
+                           << " pad=" << int{pad_value};
     }
   }
 }
 
 TEST_F(Int8Test, Im2ColStridedMatchesOracleOnThaliGeometriesAndEdges) {
-  // The fp32 instantiation of the same body (convs 0-1 of the inference
-  // plan, every training conv), over the same geometries and plane
-  // strides. The planes hold NaNs with payloads, -0.0f and denormals,
+  // The fp32 instantiation of the same body (every fp32 3x3 conv), over
+  // the same geometries. The planes hold NaNs with payloads, -0.0f and denormals,
   // which an element move must carry bit for bit; pads read +0.0f.
   std::set<Im2ColGeometry> geometries = ThaliIm2ColGeometries();
   ASSERT_EQ(geometries.size(), 12u);
@@ -377,27 +368,22 @@ TEST_F(Int8Test, Im2ColStridedMatchesOracleOnThaliGeometriesAndEdges) {
       -std::numeric_limits<float>::denorm_min() * 977.0f};
   Rng rng(3141);
   for (const auto& [c, h, w, ks, st, pd] : geometries) {
-    for (const int64_t chan_stride : {h * w, 3 * h * w + 5}) {
-      // Exactly (c-1)*chan_stride + h*w floats: reading past the last
-      // plane's last row trips ASan.
-      std::vector<float> im(static_cast<size_t>((c - 1) * chan_stride +
-                                                h * w));
-      for (auto& v : im) {
-        const int pick = rng.NextInt(0, 9);
-        v = pick < 5 ? kSpecials[pick] : rng.NextGaussian();
-      }
-      const int64_t cols =
-          ConvOutSize(h, ks, st, pd) * ConvOutSize(w, ks, st, pd);
-      const size_t count = static_cast<size_t>(c * ks * ks * cols);
-      std::vector<float> want(count, 1.5f), got(count, 2.5f);
-      Im2ColOracle(im.data(), chan_stride, c, h, w, ks, st, pd, 0.0f,
-                   want.data());
-      Im2ColStrided(im.data(), chan_stride, c, h, w, ks, st, pd, got.data());
-      ASSERT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)),
-                0)
-          << "c=" << c << " h=" << h << " w=" << w << " k=" << ks
-          << " s=" << st << " p=" << pd << " chan_stride=" << chan_stride;
+    // Exactly c*h*w floats: reading past the last plane's last row trips
+    // ASan.
+    std::vector<float> im(static_cast<size_t>(c * h * w));
+    for (auto& v : im) {
+      const int pick = rng.NextInt(0, 9);
+      v = pick < 5 ? kSpecials[pick] : rng.NextGaussian();
     }
+    const int64_t cols =
+        ConvOutSize(h, ks, st, pd) * ConvOutSize(w, ks, st, pd);
+    const size_t count = static_cast<size_t>(c * ks * ks * cols);
+    std::vector<float> want(count, 1.5f), got(count, 2.5f);
+    Im2ColOracle(im.data(), c, h, w, ks, st, pd, 0.0f, want.data());
+    Im2ColStrided(im.data(), c, h, w, ks, st, pd, got.data());
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)), 0)
+        << "c=" << c << " h=" << h << " w=" << w << " k=" << ks
+        << " s=" << st << " p=" << pd;
   }
 }
 
@@ -453,7 +439,7 @@ QuantOperands MakeOperands(int64_t m, int64_t n, int64_t k, uint64_t seed) {
   std::vector<uint8_t> qcol(static_cast<size_t>(k * n));
   for (auto& v : qcol) v = static_cast<uint8_t>(rng.NextInt(0, 127));
   ops.packed.resize(static_cast<size_t>(Int8PackedActBytes(k, n)));
-  Int8PackActColsStrided(qcol.data(), n, k, n, ops.packed.data());
+  Int8PackActCols(qcol.data(), k, n, ops.packed.data());
   return ops;
 }
 
@@ -474,8 +460,10 @@ TEST_F(Int8Test, ScalarAndAvx2AccumulateBitwiseIdenticalOnAllThaliShapes) {
     std::vector<int32_t> acc_v(static_cast<size_t>(m * n), -2);
     ScalarInt8GemmKernel().accumulate(m, n, kp, ops.qw.data(),
                                       ops.packed.data(), acc_s.data());
-    avx2->accumulate(m, n, kp, ops.qw.data(), ops.packed.data(),
-                     acc_v.data());
+    EXPECT_FALSE(LeavesYmmUpperDirty([&] {
+      avx2->accumulate(m, n, kp, ops.qw.data(), ops.packed.data(),
+                       acc_v.data());
+    })) << "accumulate m=" << m << " n=" << n << " k=" << k;
     EXPECT_EQ(std::memcmp(acc_s.data(), acc_v.data(),
                           acc_s.size() * sizeof(int32_t)),
               0)
@@ -500,8 +488,10 @@ TEST_F(Int8Test, KernelFamiliesAgreeOnRegisterTileEdges) {
         std::vector<int32_t> acc_v(static_cast<size_t>(m * n), 1);
         ScalarInt8GemmKernel().accumulate(m, n, kp, ops.qw.data(),
                                           ops.packed.data(), acc_s.data());
-        avx2->accumulate(m, n, kp, ops.qw.data(), ops.packed.data(),
-                         acc_v.data());
+        ASSERT_FALSE(LeavesYmmUpperDirty([&] {
+          avx2->accumulate(m, n, kp, ops.qw.data(), ops.packed.data(),
+                           acc_v.data());
+        })) << "accumulate m=" << m << " n=" << n << " k=" << k;
         ASSERT_EQ(std::memcmp(acc_s.data(), acc_v.data(),
                               acc_s.size() * sizeof(int32_t)),
                   0)
@@ -546,12 +536,14 @@ TEST_F(Int8Test, Int8GemmBitwiseIdenticalAcrossKernels) {
 }
 
 // Runs the dispatched family's requantize epilogue, forced scalar or
-// automatically selected.
-void RunEpilogue(bool scalar, const Int8Epilogue& e, int64_t m, int64_t n,
+// automatically selected; true when it left the upper YMM halves in use.
+bool RunEpilogue(bool scalar, const Int8Epilogue& e, int64_t m, int64_t n,
                  const int32_t* acc, float* c) {
   internal::SetScalarKernelsForTesting(scalar);
-  SelectInt8GemmKernel().epilogue(e, m, n, acc, c, n);
+  const bool dirty = LeavesYmmUpperDirty(
+      [&] { SelectInt8GemmKernel().epilogue(e, m, n, acc, c, n); });
   internal::SetScalarKernelsForTesting(false);
+  return dirty;
 }
 
 TEST_F(Int8Test, EpilogueFamiliesAgreeBitwiseIncludingMaskedTails) {
@@ -586,7 +578,9 @@ TEST_F(Int8Test, EpilogueFamiliesAgreeBitwiseIncludingMaskedTails) {
       std::vector<float> c_s(static_cast<size_t>(m * n), -1.0f);
       std::vector<float> c_v(static_cast<size_t>(m * n), -2.0f);
       RunEpilogue(/*scalar=*/true, epi, m, n, acc.data(), c_s.data());
-      RunEpilogue(/*scalar=*/false, epi, m, n, acc.data(), c_v.data());
+      EXPECT_FALSE(
+          RunEpilogue(/*scalar=*/false, epi, m, n, acc.data(), c_v.data()))
+          << "epilogue left the upper YMM halves in use, n=" << n;
       ASSERT_EQ(
           std::memcmp(c_s.data(), c_v.data(), c_s.size() * sizeof(float)), 0)
           << "n=" << n << " act=" << static_cast<int>(act);
@@ -642,12 +636,12 @@ Tensor HeadInput(const Network& net) {
   return input;
 }
 
-TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
+TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleConvs) {
   BuiltNetwork built = BuildThali();
   Network& net = *built.net;
   ASSERT_TRUE(net.exec_plan().fused);
   // `armed`: the plan after calibration, when every quantizable conv
-  // runs its quantized algorithm; before it, its geometry's fp32 one.
+  // runs int8; before it, every conv runs fp32.
   const auto check_plan = [&net](bool armed) {
     int quantized_3x3 = 0, quantized_1x1 = 0, quantized_s2 = 0;
     int head_feeders = 0;
@@ -655,35 +649,28 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
       const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
       if (std::string_view(net.layer(i).kind()) != "convolutional") {
         EXPECT_FALSE(lp.quantizable) << "layer " << i;
+        EXPECT_FALSE(lp.int8) << "layer " << i;
         continue;
       }
-      const ConvLayer::Options& o =
-          static_cast<const ConvLayer&>(net.layer(i)).options();
+      const auto& conv = static_cast<const ConvLayer&>(net.layer(i));
+      const ConvLayer::Options& o = conv.options();
       if (o.ksize == 3 && o.pad == 1 && (o.stride == 1 || o.stride == 2)) {
-        // A 3x3 at either stride (the u8 im2col walks any stride): int8
-        // unless the output is NCHW-pinned, which must stay fp32 (in
-        // yolov4-thali no 3x3 conv is pinned, so every one quantizes);
-        // im2col until armed.
-        EXPECT_EQ(lp.quantizable, lp.out_layout == ActLayout::kCNHW)
-            << "layer " << i;
-        EXPECT_EQ(lp.conv_algo, armed && lp.quantizable ? ConvAlgo::kQuantInt8
-                                                        : ConvAlgo::kIm2col)
-            << "layer " << i;
-        if (lp.quantizable) ++(o.stride == 1 ? quantized_3x3 : quantized_s2);
-      } else if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
-        // Every 1x1 quantizes, layout pins included — the int8 GEMM
-        // reads through strides like kDirect1x1, so even the
-        // NCHW-pinned head feeders take the quantized algorithm (their
-        // fp32 output is the dequant edge into the yolo heads).
+        // A 3x3 at either stride (the u8 im2col walks any stride).
         EXPECT_TRUE(lp.quantizable) << "layer " << i;
-        EXPECT_EQ(lp.conv_algo, armed ? ConvAlgo::kQuantInt8Direct1x1
-                                      : ConvAlgo::kDirect1x1)
-            << "layer " << i;
+        ++(o.stride == 1 ? quantized_3x3 : quantized_s2);
+      } else if (conv.IsDirect1x1()) {
+        // Every 1x1, the head feeders included: a yolo head reads fp32,
+        // so a head feeder's output is a dequant edge.
+        EXPECT_TRUE(lp.quantizable) << "layer " << i;
         ++quantized_1x1;
-        if (lp.out_layout == ActLayout::kNCHW) ++head_feeders;
+        if (std::string_view(net.layer(i + 1).kind()) == "yolo") {
+          EXPECT_EQ(lp.out_dtype, DType::kF32) << "layer " << i;
+          ++head_feeders;
+        }
       } else {
         EXPECT_FALSE(lp.quantizable) << "layer " << i;
       }
+      EXPECT_EQ(lp.int8, armed && lp.quantizable) << "layer " << i;
     }
     EXPECT_EQ(quantized_3x3, 13);  // every 3x3/s1/p1 conv of the model
     EXPECT_EQ(quantized_1x1, 10);  // every 1x1 conv, head feeders included
@@ -712,8 +699,7 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
   EXPECT_EQ(FoldAndCalibrate(*off.net, HeadInput(*off.net)), 0);
   for (const LayerPlan& lp : off.net->exec_plan().layers) {
     EXPECT_FALSE(lp.quantizable);
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8);
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1);
+    EXPECT_FALSE(lp.int8);
   }
 }
 
@@ -1023,7 +1009,9 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
       epi.out_u8 = u_s.data();
       RunEpilogue(/*scalar=*/true, epi, m, n, acc.data(), nullptr);
       epi.out_u8 = u_v.data();
-      RunEpilogue(/*scalar=*/false, epi, m, n, acc.data(), nullptr);
+      EXPECT_FALSE(
+          RunEpilogue(/*scalar=*/false, epi, m, n, acc.data(), nullptr))
+          << "epilogue left the upper YMM halves in use, n=" << n;
       ASSERT_EQ(std::memcmp(u_s.data(), u_v.data(), u_s.size()), 0)
           << "n=" << n << " act=" << static_cast<int>(act);
       for (uint8_t v : u_s) ASSERT_LE(v, 127);
@@ -1176,7 +1164,7 @@ TEST_F(Int8Test, UnchainedConvQuantizesLikeTheChainedInput) {
   const LayerPlan& b = unchained.net->exec_plan().layers[1];
   ASSERT_TRUE(chained.net->exec_plan().input_u8);
   ASSERT_EQ(a.in_dtype, DType::kU8);
-  ASSERT_EQ(b.conv_algo, ConvAlgo::kQuantInt8);
+  ASSERT_TRUE(b.int8);
   ASSERT_EQ(b.in_dtype, DType::kF32);  // quantizes its own input
   EXPECT_EQ(a.in_qscale, b.in_qscale);
   EXPECT_EQ(a.in_qzp, b.in_qzp);
@@ -1194,12 +1182,12 @@ TEST_F(Int8Test, UnchainedConvQuantizesLikeTheChainedInput) {
   }
 }
 
-TEST_F(Int8Test, UnchainedCnhwInputsMatchBatchOnePerItem) {
+TEST_F(Int8Test, UnchainedInputsMatchBatchOnePerItem) {
   // Logistic has no epilogue form, so a logistic conv writes fp32 and
-  // its quantized consumer must quantize a CNHW input itself: conv 1 (a
-  // 3x3, per item), conv 3 (a 1x1 with CNHW on both sides: one
-  // whole-batch item) and conv 4 (a 1x1 writing the NCHW output, per
-  // item). At batch 4 every item must equal its own batch-1 output.
+  // its int8 consumer must quantize that input itself, one item at a
+  // time: conv 1 (a 3x3), conv 3 (a 1x1 between two convs) and conv 4
+  // (a 1x1 writing the network output). At batch 4 every item must equal
+  // its own batch-1 output.
   const std::string logistic3 =
       "[convolutional]\nfilters=8\nsize=3\nstride=1\npad=1\n"
       "activation=logistic\n";
@@ -1223,13 +1211,9 @@ TEST_F(Int8Test, UnchainedCnhwInputsMatchBatchOnePerItem) {
   const ExecPlan& plan = net.exec_plan();
   for (const int i : {1, 3, 4}) {
     const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kIm2col) << "layer " << i;
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kDirect1x1) << "layer " << i;
+    EXPECT_TRUE(lp.int8) << "layer " << i;
     EXPECT_EQ(lp.in_dtype, DType::kF32) << "layer " << i;
-    EXPECT_EQ(lp.in_layout, ActLayout::kCNHW) << "layer " << i;
   }
-  EXPECT_EQ(plan.layers[3].out_layout, ActLayout::kCNHW);
-  EXPECT_EQ(plan.layers[4].out_layout, ActLayout::kNCHW);
 
   const Tensor& out = net.Forward(Stack(net, inputs), /*train=*/false);
   const int64_t per = out.size() / 4;

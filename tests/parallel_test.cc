@@ -756,16 +756,14 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
 }
 
 // Conformance sweep over every conv shape in yolov4-thali: the fused
-// plan (CNHW layout, direct 1x1, im2col 3x3, fast mish) must land
+// plan (prepacked direct 1x1 and im2col 3x3, fast mish) must land
 // within the documented 1e-4 + 1e-3*|ref| envelope of a training
 // network's reference im2col path at *every conv layer's output*, not
 // just the heads — so a drifting kernel is pinned to its layer, and
 // every one of the model's distinct (C,F,k,s,HxW) conv geometries gets
-// exercised. Batch 1, where CNHW and NCHW coincide bitwise, so outputs
-// compare element for element without a gather. Both networks run layer
-// by layer, as Network::Forward does, and each conv output is copied
-// out right away: the fused network's later layers reuse its arena
-// storage.
+// exercised. Both networks run layer by layer, as Network::Forward
+// does, and each conv output is copied out right away: the fused
+// network's later layers reuse its arena storage.
 TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
   SetMaxParallelism(4);
   auto build = [](ExecMode mode) {
@@ -822,10 +820,7 @@ TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_NEAR(a[i], b[i], 1e-4f + 1e-3f * std::abs(a[i]))
           << "conv layer " << li << " ("
-          << ConvAlgoName(
-                 fused.net->exec_plan().layers[static_cast<size_t>(li)]
-                     .conv_algo)
-          << ") at " << i;
+          << (conv.IsDirect1x1() ? "direct1x1" : "im2col") << ") at " << i;
     }
   }
   // yolov4-thali spans 22 distinct conv geometries; the sweep must not

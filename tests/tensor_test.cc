@@ -21,6 +21,7 @@
 #include "tensor/pool.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
+#include "ymm_state.h"
 
 namespace thali {
 namespace {
@@ -164,6 +165,10 @@ TEST(Gemm, ZeroSizedDimensionsAreNoops) {
 TEST(GemmEdgeSweep, EveryEdgeClassOnPackedAndInPlaceB) {
   constexpr int64_t k = 64;
   constexpr float alpha = 0.7f, beta = 0.5f;
+  // Every entry of the AVX2 family's table, and the drivers over it,
+  // must return with the upper YMM halves clean (tests/ymm_state.h).
+  const GemmKernel* avx2 =
+      CpuInfo().avx2 && CpuInfo().fma ? Avx2GemmKernel() : nullptr;
   for (const bool scalar : {false, true}) {
     internal::SetScalarKernelsForTesting(scalar);
     for (int mr = 1; mr <= kGemmMR; ++mr) {
@@ -183,8 +188,10 @@ TEST(GemmEdgeSweep, EveryEdgeClassOnPackedAndInPlaceB) {
           internal::GemmReference(false, false, m, n, k, alpha, a.data(), k,
                                   b.data(), n, beta, ref.data(), n);
           std::vector<float> c = c0;
-          Gemm(false, false, m, n, k, alpha, a.data(), k, b.data(), n, beta,
-               c.data(), n);
+          EXPECT_FALSE(LeavesYmmUpperDirty([&] {
+            Gemm(false, false, m, n, k, alpha, a.data(), k, b.data(), n,
+                 beta, c.data(), n);
+          })) << "Gemm scalar=" << scalar << " m=" << m << " n=" << n;
           EXPECT_EQ(std::memcmp(c.data(), ref.data(), bytes), 0)
               << "Gemm scalar=" << scalar << " m=" << m << " n=" << n;
 
@@ -195,11 +202,25 @@ TEST(GemmEdgeSweep, EveryEdgeClassOnPackedAndInPlaceB) {
           internal::GemmReference(false, false, m, n, k, 1.0f, a.data(), k,
                                   b.data(), n, beta, ref.data(), n);
           c = c0;
-          GemmPrepacked(m, n, k, packed.data(), b.data(), n, beta, c.data(),
-                        n);
+          EXPECT_FALSE(LeavesYmmUpperDirty([&] {
+            GemmPrepacked(m, n, k, packed.data(), b.data(), n, beta,
+                          c.data(), n);
+          })) << "GemmPrepacked scalar=" << scalar << " m=" << m
+              << " n=" << n;
           EXPECT_EQ(std::memcmp(c.data(), ref.data(), bytes), 0)
               << "GemmPrepacked scalar=" << scalar << " m=" << m
               << " n=" << n;
+
+          // The table entries themselves: the edge of this class, and the
+          // full tile once B has its 16 columns.
+          if (scalar || avx2 == nullptr) continue;
+          EXPECT_FALSE(LeavesYmmUpperDirty([&] {
+            avx2->edge(k, packed.data(), b.data(), n, c.data(), n, mr, nr);
+          })) << "avx2 edge mr=" << mr << " nr=" << nr;
+          if (n < kGemmNR) continue;
+          EXPECT_FALSE(LeavesYmmUpperDirty([&] {
+            avx2->tile(k, packed.data(), b.data(), n, c.data(), n);
+          })) << "avx2 tile";
         }
       }
     }
@@ -213,7 +234,7 @@ TEST(Im2Col, IdentityFor1x1) {
   std::vector<float> im(static_cast<size_t>(c) * h * w);
   for (size_t i = 0; i < im.size(); ++i) im[i] = static_cast<float>(i);
   std::vector<float> col(im.size(), -1.0f);
-  Im2ColStrided(im.data(), h * w, c, h, w, 1, 1, 0, col.data());
+  Im2ColStrided(im.data(), c, h, w, 1, 1, 0, col.data());
   EXPECT_EQ(im, col);
 }
 
@@ -222,7 +243,7 @@ TEST(Im2Col, KnownValues3x3) {
   // (kh=1,kw=1) must be the image itself; corner rows carry zero padding.
   std::vector<float> im = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   std::vector<float> col(9 * 9);
-  Im2ColStrided(im.data(), 9, 1, 3, 3, 3, 1, 1, col.data());
+  Im2ColStrided(im.data(), 1, 3, 3, 3, 1, 1, col.data());
   // Row 4 = (kh=1, kw=1): identity.
   for (int i = 0; i < 9; ++i) EXPECT_EQ(col[4 * 9 + i], im[static_cast<size_t>(i)]);
   // Row 0 = (kh=0, kw=0): top-left tap. Output (0,0) reads im(-1,-1) = 0.
@@ -246,7 +267,7 @@ TEST(Im2Col, Col2ImIsAdjoint) {
   for (auto& v : cvec) v = rng.NextGaussian();
 
   std::vector<float> col_x(col_size, 0.0f);
-  Im2ColStrided(x.data(), h * w, c, h, w, k, stride, pad, col_x.data());
+  Im2ColStrided(x.data(), c, h, w, k, stride, pad, col_x.data());
   std::vector<float> im_c(im_size, 0.0f);
   Col2Im(cvec.data(), c, h, w, k, stride, pad, im_c.data());
 
