@@ -21,8 +21,9 @@ void Im2ColStridedU8(const uint8_t* im, int64_t channels, int64_t height,
                      int64_t width, int64_t ksize, int64_t stride,
                      int64_t pad, uint8_t pad_value, uint8_t* col);
 
-// Inverse scatter-add of Im2ColStrided, used on the backward pass: accumulates the column-matrix gradient back into the
-// (pre-zeroed) image gradient buffer.
+// Inverse scatter-add of Im2ColStrided, used on the backward pass:
+// accumulates the column-matrix gradient back into the (pre-zeroed)
+// image gradient buffer.
 void Col2Im(const float* col, int64_t channels, int64_t height, int64_t width,
             int64_t ksize, int64_t stride, int64_t pad, float* im);
 

@@ -354,8 +354,9 @@ TEST_F(Int8Test, Im2ColStridedU8MatchesOracleOnThaliGeometriesAndEdges) {
 
 TEST_F(Int8Test, Im2ColStridedMatchesOracleOnThaliGeometriesAndEdges) {
   // The fp32 instantiation of the same body (every fp32 3x3 conv), over
-  // the same geometries. The planes hold NaNs with payloads, -0.0f and denormals,
-  // which an element move must carry bit for bit; pads read +0.0f.
+  // the same geometries. The planes hold NaNs with payloads, -0.0f and
+  // denormals, which an element move must carry bit for bit; pads read
+  // +0.0f.
   std::set<Im2ColGeometry> geometries = ThaliIm2ColGeometries();
   ASSERT_EQ(geometries.size(), 12u);
   geometries.insert(std::begin(kIm2ColEdgeGeometries),
