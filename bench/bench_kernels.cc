@@ -29,6 +29,7 @@
 #include "nn/yolo_layer.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
+#include "tensor/gemm_microkernel.h"
 #include "tensor/gemm_pack.h"
 #include "tensor/im2col.h"
 #include "tensor/pool.h"
@@ -102,11 +103,13 @@ void BM_GemmSeedScalar(benchmark::State& state) {
 BENCHMARK(BM_GemmSeedScalar)->Arg(256);
 
 // Packed inference GEMM on one conv shape (m = filters, k = c*ks*ks,
-// n = out_h*out_w), weights pre-packed outside the timed loop exactly as
-// ConvLayer::PrepackWeights does. Registered dynamically in main() for
-// every distinct conv shape of the yolov4-thali model.
-void GemmPackedShapeBench(benchmark::State& state, int64_t m, int64_t n,
-                          int64_t k) {
+// n = out_h*out_w) and one kernel family, weights pre-packed outside the
+// timed loop exactly as ConvLayer::PrepackWeights does. Registered
+// dynamically in main() for every distinct conv shape of the
+// yolov4-thali model and every family the host runs, so families compare
+// within one process.
+void GemmPackedShapeBench(benchmark::State& state, const GemmKernel& kernel,
+                          int64_t m, int64_t n, int64_t k) {
   Rng rng(1);
   std::vector<float> a(static_cast<size_t>(m * k)),
       b(static_cast<size_t>(k * n)), c(static_cast<size_t>(m * n));
@@ -115,14 +118,17 @@ void GemmPackedShapeBench(benchmark::State& state, int64_t m, int64_t n,
   std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
   GemmPackWeights(a.data(), m, k, packed.data());
   for (auto _ : state) {
-    GemmPrepacked(m, n, k, packed.data(), b.data(), n, 0.0f, c.data(), n);
+    internal::GemmPrepackedOn(kernel, m, n, k, packed.data(), b.data(), n,
+                              0.0f, c.data(), n);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2LL * m * n * k);
 }
 
 void BM_GemmPacked(benchmark::State& state) {
-  GemmPackedShapeBench(state, state.range(0), state.range(1), state.range(2));
+  GemmPackedShapeBench(state, SelectGemmKernel(), state.range(0),
+                       state.range(1), state.range(2));
 }
 BENCHMARK(BM_GemmPacked)->ArgNames({"m", "n", "k"})->Args({256, 256, 256});
 
@@ -553,7 +559,8 @@ BENCHMARK(BM_RenderDatasetThreaded)
 }  // namespace
 
 // Registers one BM_GemmPacked instance per distinct conv GEMM shape of
-// the yolov4-thali model (m = filters, n = out_h*out_w, k = c*ks*ks), so
+// the yolov4-thali model (m = filters, n = out_h*out_w, k = c*ks*ks) and
+// fp32 kernel family, the families of one shape next to each other, so
 // the sweep always tracks the real network rather than a hand-kept list;
 // likewise one BM_Int8Stage per distinct 3x3 conv input geometry and
 // one pair of BM_MaxPool rows per distinct pool geometry.
@@ -612,11 +619,13 @@ void RegisterYoloShapeBenches() {
     if (!seen.insert({m, n, k}).second) continue;
     const std::string suffix = "yolo_m" + std::to_string(m) + "_n" +
                                std::to_string(n) + "_k" + std::to_string(k);
-    benchmark::RegisterBenchmark(
-        ("BM_GemmPacked/" + suffix).c_str(),
-        [m, n, k](benchmark::State& st) {
-          GemmPackedShapeBench(st, m, n, k);
-        });
+    for (const GemmKernel* kernel : RunnableGemmKernels()) {
+      benchmark::RegisterBenchmark(
+          ("BM_GemmPacked/" + suffix + "/" + kernel->name).c_str(),
+          [kernel, m, n, k](benchmark::State& st) {
+            GemmPackedShapeBench(st, *kernel, m, n, k);
+          });
+    }
     benchmark::RegisterBenchmark(
         ("BM_GemmInt8/" + suffix).c_str(), [m, n, k](benchmark::State& st) {
           GemmInt8ShapeBench(st, m, n, k);

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Fails when an AVX2 kernel loop spills a vector register to the stack.
+"""Fails when a SIMD kernel loop spills a vector register to the stack.
 
-The GEMM tiles keep every accumulator in a ymm register; whether GCC
-manages that depends on the code around a tile, not only on the tile, so
+The GEMM tiles keep every accumulator in a ymm or zmm register; whether
+GCC manages that depends on the code around a tile, not only on the tile, so
 an unrelated edit can bring a spill back without any test failing. This
 check reads the disassembly of the given object files and flags every
 innermost loop that contains a multiply-add (vfmadd*, vpmadd*) and reads
@@ -91,7 +91,7 @@ def main(paths):
         print(f"{path}: {checked} multiply-add loops checked")
         if checked == 0:
             failed = True
-            print(f"{path}: no multiply-add loop found; is it an AVX2 object?")
+            print(f"{path}: no multiply-add loop found; is it a SIMD object?")
     return 1 if failed else 0
 
 

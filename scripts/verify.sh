@@ -52,16 +52,17 @@ cmake -B build -S . >/dev/null
 build_warning_free build
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-echo "== vector spills: AVX2 kernel loops keep their vectors in registers =="
-# Whether GCC keeps every tile accumulator in a ymm register depends on
-# the code around a tile, and a spill in a k loop costs time without
+echo "== vector spills: SIMD kernel loops keep their vectors in registers =="
+# Whether GCC keeps every tile accumulator in a ymm/zmm register depends
+# on the code around a tile, and a spill in a k loop costs time without
 # failing any test. Fails when an innermost loop with a multiply-add
-# moves an xmm/ymm register to or from the stack (x86-64 hosts only).
+# moves an xmm/ymm/zmm register to or from the stack (x86-64 hosts only).
 if [[ "$(uname -m)" == "x86_64" ]]; then
   obj=build/src/tensor/CMakeFiles/thali_tensor.dir
   if ! python3 scripts/check_vector_spills.py \
-      "${obj}/gemm_microkernel_avx2.cc.o" "${obj}/gemm_int8_avx2.cc.o"; then
-    echo "verify: FAIL — an AVX2 kernel loop spills a vector register"
+      "${obj}/gemm_microkernel_avx2.cc.o" "${obj}/gemm_int8_avx2.cc.o" \
+      "${obj}/gemm_microkernel_avx512.cc.o"; then
+    echo "verify: FAIL — a SIMD kernel loop spills a vector register"
     exit 1
   fi
 else

@@ -10,6 +10,10 @@
 #include "base/logging.h"
 #include "base/net_util.h"
 #include "base/string_util.h"
+#include "image/image_prepost.h"
+#include "tensor/act_kernels.h"
+#include "tensor/gemm.h"
+#include "tensor/gemm_int8.h"
 
 namespace thali {
 namespace net {
@@ -133,7 +137,7 @@ std::string NetServer::BuildStatsJson() const {
       ", \"net\": {\"backend\": \"%s\", \"connections\": %zu, "
       "\"connections_accepted\": %lld, \"connections_dropped\": %lld, "
       "\"frames_received\": %lld, \"detects\": %lld, \"detect_errors\": "
-      "%lld, \"pings\": %lld, \"stats_requests\": %lld}}",
+      "%lld, \"pings\": %lld, \"stats_requests\": %lld}",
       loop_.backend() == EventLoop::Backend::kEpoll ? "epoll" : "poll",
       conns_.size(),
       static_cast<long long>(
@@ -150,6 +154,12 @@ std::string NetServer::BuildStatsJson() const {
           counters_.pings.load(std::memory_order_relaxed)),
       static_cast<long long>(
           counters_.stats_requests.load(std::memory_order_relaxed)));
+  // The kernel families this process dispatches to (each detected once).
+  json += StrFormat(
+      ", \"kernels\": {\"gemm\": \"%s\", \"int8\": \"%s\", "
+      "\"act\": \"%s\", \"resize\": \"%s\"}}",
+      GemmKernelName(), SelectInt8GemmKernel().name, ActKernelName(),
+      ResizeKernelName());
   return json;
 }
 

@@ -23,40 +23,32 @@ namespace thali {
 namespace {
 
 using act_detail::ActKernel;
-using simd_detail::FastMishVec;
+using simd_detail::ActivateVec;
 
-void LeakyAvx2(float* x, int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 slope = _mm256_set1_ps(0.1f);
+// The vector bodies are shared with the int8 requantize epilogue and the
+// fp32 GEMM's tile finish (simd_exp_avx2.h), so all produce the same bits
+// as the scalar family.
+template <GemmActivation Act>
+int64_t ActivateVectorPart(float* x, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 pos = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(x + i,
-                     _mm256_blendv_ps(_mm256_mul_ps(slope, v), v, pos));
+    _mm256_storeu_ps(x + i, ActivateVec<Act>(_mm256_loadu_ps(x + i)));
   }
+  return i;
+}
+
+void LeakyAvx2(float* x, int64_t n) {
+  const int64_t i = ActivateVectorPart<GemmActivation::kLeaky>(x, n);
   act_detail::LeakyScalar(x + i, n - i);
 }
 
 void ReluAvx2(float* x, int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 pos = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(x + i, _mm256_blendv_ps(zero, v, pos));
-  }
+  const int64_t i = ActivateVectorPart<GemmActivation::kRelu>(x, n);
   act_detail::ReluScalar(x + i, n - i);
 }
 
 void MishAvx2(float* x, int64_t n) {
-  // Vector body shared with the int8 requantize epilogue
-  // (simd_exp_avx2.h) so both produce the same bits as the scalar
-  // family.
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, FastMishVec(_mm256_loadu_ps(x + i)));
-  }
+  const int64_t i = ActivateVectorPart<GemmActivation::kMish>(x, n);
   act_detail::MishScalar(x + i, n - i);
 }
 

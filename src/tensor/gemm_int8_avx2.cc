@@ -245,8 +245,9 @@ void QuantizeAvx2(const float* x, int64_t count, float inv_scale, int32_t zp,
 // float sequence with vector ops: cvtepi32 (round-to-nearest-even, same
 // as static_cast), separate mul and add (this TU is built with -mfma,
 // so the scalar expression form could be FMA-contracted — intrinsics
-// pin the two-rounding sequence), ordered > 0 compare + blend for
-// leaky/relu, the shared FastMishVec (simd_exp_avx2.h) for mish. Every
+// pin the two-rounding sequence), then the shared ActivateVec
+// (simd_exp_avx2.h: ordered > 0 compare + blend for leaky/relu,
+// FastMishVec for mish). Every
 // lane is independent IEEE arithmetic, so the result is bit-identical
 // to the scalar reference. The n % 8 tail uses masked load/store
 // through the SAME vector ops rather than scalar code, again to keep
@@ -258,8 +259,6 @@ void QuantizeAvx2(const float* x, int64_t count, float inv_scale, int32_t zp,
 template <GemmActivation Act, bool U8Out>
 void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m, int64_t n,
                       const int32_t* acc, float* c, int64_t ldc) {
-  const __m256 leak = _mm256_set1_ps(0.1f);
-  const __m256 zero = _mm256_setzero_ps();
   const __m256 vqs = _mm256_set1_ps(e.out_inv_scale);
   const __m256i vqzp = _mm256_set1_epi32(e.out_zp);
   const int64_t nv = n / 8 * 8;
@@ -279,16 +278,7 @@ void EpilogueRowsAvx2(const Int8Epilogue& e, int64_t m, int64_t n,
     const auto requant = [&](__m256i a) {
       __m256 v = _mm256_cvtepi32_ps(_mm256_sub_epi32(a, vcomp));
       v = _mm256_add_ps(_mm256_mul_ps(v, vs), vb);
-      if constexpr (Act == GemmActivation::kLeaky) {
-        const __m256 gt = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
-        v = _mm256_blendv_ps(_mm256_mul_ps(v, leak), v, gt);
-      } else if constexpr (Act == GemmActivation::kRelu) {
-        const __m256 gt = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
-        v = _mm256_blendv_ps(zero, v, gt);
-      } else if constexpr (Act == GemmActivation::kMish) {
-        v = simd_detail::FastMishVec(v);
-      }
-      return v;
+      return simd_detail::ActivateVec<Act>(v);
     };
     const auto quantize = [&](__m256 v) {
       return QuantizeLanes(v, vqs, vqzp);

@@ -11,6 +11,7 @@
 #include <immintrin.h>
 
 #include "tensor/gemm_tile_impl.h"
+#include "tensor/simd_exp_avx2.h"
 
 namespace thali {
 
@@ -18,7 +19,8 @@ namespace {
 
 using gemm_detail::FmaOp;
 
-// Every tile reads kc rows of op(B) at row stride ldb: a zero-padded
+// Every tile is one A panel by one B strip, so the strip stride is
+// unused. It reads kc rows of op(B) at row stride ldb: a zero-padded
 // packed strip (ldb = kGemmNR) or the caller's row-major B in place. B
 // loads are unaligned, and ragged columns mask-load B, so a dead lane is
 // exactly zero from either source — the value the strip's padding holds.
@@ -137,7 +139,7 @@ void TileAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
 
 // The kernel table's full 6 x 16 tile.
 void FullTileAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
-                  float* c, int64_t ldc) {
+                  int64_t /*b_strip*/, float* c, int64_t ldc) {
   TileAvx2<kGemmMR, 2, false>(kc, a, b, ldb, c, ldc, kGemmNR);
 }
 
@@ -221,7 +223,7 @@ void EdgeRowsAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
 }
 
 void EdgeAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
-              float* c, int64_t ldc, int mr, int nr) {
+              int64_t b_strip, float* c, int64_t ldc, int mr, int nr) {
   switch (mr) {
     case 1:
       return EdgeRowsAvx2<1>(kc, a, b, ldb, c, ldc, nr);
@@ -238,14 +240,57 @@ void EdgeAvx2(int64_t kc, const float* a, const float* b, int64_t ldb,
   }
   // Unreachable for valid 1 <= mr <= 6; keep the scalar fused chain as a
   // defensive fallback (bitwise-identical to the vector lanes).
-  gemm_detail::EdgeGeneric<FmaOp>(kc, a, b, ldb, c, ldc, mr, nr);
+  gemm_detail::EdgeGeneric<FmaOp>(kc, a, b, ldb, b_strip, c, ldc, mr, nr);
+}
+
+// Tile epilogue from L1, right after the tile's last store: bias, then
+// the activation, per 8-lane half of each row; a ragged half reads and
+// writes through its mask. (Folded into TileAvx2's registers, it made
+// GCC spill in the 6 x 16 tile's k loop.)
+template <GemmActivation Act>
+void FinishActAvx2(float* c, int64_t ldc, int mr, int nr,
+                   const float* bias) {
+  for (int r = 0; r < mr; ++r) {
+    float* cr = c + r * ldc;
+    const __m256 bv = _mm256_set1_ps(bias != nullptr ? bias[r] : 0.0f);
+    int j = 0;
+    for (; j + 8 <= nr; j += 8) {
+      __m256 v = _mm256_loadu_ps(cr + j);
+      if (bias != nullptr) v = _mm256_add_ps(v, bv);
+      _mm256_storeu_ps(cr + j, simd_detail::ActivateVec<Act>(v));
+    }
+    if (j < nr) {
+      const __m256i mask = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(kMaskTable + (16 - (nr - j))));
+      __m256 v = _mm256_maskload_ps(cr + j, mask);
+      if (bias != nullptr) v = _mm256_add_ps(v, bv);
+      _mm256_maskstore_ps(cr + j, mask, simd_detail::ActivateVec<Act>(v));
+    }
+  }
+}
+
+void FinishAvx2(float* c, int64_t ldc, int mr, int nr, const float* bias,
+                GemmActivation act) {
+  switch (act) {
+    case GemmActivation::kNone:
+      return FinishActAvx2<GemmActivation::kNone>(c, ldc, mr, nr, bias);
+    case GemmActivation::kLeaky:
+      return FinishActAvx2<GemmActivation::kLeaky>(c, ldc, mr, nr, bias);
+    case GemmActivation::kRelu:
+      return FinishActAvx2<GemmActivation::kRelu>(c, ldc, mr, nr, bias);
+    case GemmActivation::kMish:
+      return FinishActAvx2<GemmActivation::kMish>(c, ldc, mr, nr, bias);
+  }
 }
 
 const GemmKernel kAvx2Kernel = {
     /*name=*/"avx2-fma-6x16",
     /*fused=*/true,
+    /*panels=*/1,
+    /*strips=*/1,
     /*tile=*/&FullTileAvx2,
     /*edge=*/&EdgeAvx2,
+    /*finish=*/&FinishAvx2,
     /*ref_nn=*/&gemm_detail::RefNn<FmaOp>,
     /*ref_tn=*/&gemm_detail::RefTn<FmaOp>,
     /*ref_nt=*/&gemm_detail::RefNt<FmaOp>,

@@ -61,8 +61,8 @@ void GemmPackA(bool trans_a, const float* a, int64_t lda, int64_t i0,
   }
 }
 
-void GemmPackB(bool trans_b, const float* b, int64_t ldb, int64_t p0,
-               int64_t kb, int64_t j0, int64_t nb, float* dst) {
+void GemmPackB(const float* b, int64_t ldb, int64_t p0, int64_t kb,
+               int64_t j0, int64_t nb, float* dst) {
   const int64_t strips = (nb + kGemmNR - 1) / kGemmNR;
   for (int64_t u = 0; u < strips; ++u) {
     const int64_t col0 = j0 + u * kGemmNR;
@@ -71,13 +71,8 @@ void GemmPackB(bool trans_b, const float* b, int64_t ldb, int64_t p0,
     float* panel = dst + u * kb * kGemmNR;
     for (int64_t p = 0; p < kb; ++p) {
       float* out = panel + p * kGemmNR;
-      if (!trans_b) {
-        const float* bp = b + (p0 + p) * ldb + col0;
-        for (int64_t j = 0; j < cols; ++j) out[j] = bp[j];
-      } else {
-        for (int64_t j = 0; j < cols; ++j) {
-          out[j] = b[(col0 + j) * ldb + (p0 + p)];
-        }
+      for (int64_t j = 0; j < cols; ++j) {
+        out[j] = b[(col0 + j) * ldb + (p0 + p)];
       }
       for (int64_t j = cols; j < kGemmNR; ++j) out[j] = 0.0f;
     }

@@ -14,13 +14,14 @@ namespace thali {
 // MR-row tile; alpha is folded into the packed values with the same
 // single rounded multiply the reference kernels use (`alpha * a[i][p]`).
 //
-// B panels (row-major strips): columns are grouped into strips of
-// kGemmNR; strip u lives at offset u*kb*kGemmNR, and element (p, j) at
-// panel[p*kGemmNR + j], zero-padded past the last column. The
-// microkernels read a strip as B at row stride kGemmNR, with the same
-// unaligned loads they use on B in place. Strips start 64-byte aligned
-// and a row is kGemmNR floats = 64 bytes, so no strip row splits a cache
-// line.
+// B panels (row-major strips), for a transposed B only: a non-transposed
+// B is already row-major and the microkernels read it where the caller
+// wrote it. Columns are grouped into strips of kGemmNR; strip u lives at
+// offset u*kb*kGemmNR, and element (p, j) at panel[p*kGemmNR + j],
+// zero-padded past the last column. The microkernels read a strip as B
+// at row stride kGemmNR, with the same unaligned loads they use on B in
+// place. Strips start 64-byte aligned and a row is kGemmNR floats = 64
+// bytes, so no strip row splits a cache line.
 
 // Number of MR-row tiles needed for m rows.
 int64_t GemmPackedRowTiles(int64_t m);
@@ -34,11 +35,10 @@ int64_t GemmPackedWeightFloats(int64_t m, int64_t k);
 void GemmPackA(bool trans_a, const float* a, int64_t lda, int64_t i0,
                int64_t mb, int64_t p0, int64_t kb, float alpha, float* dst);
 
-// Pack op(B) k-range [p0, p0+kb) x cols [j0, j0+nb) into `dst`
-// (kb * ceil(nb/NR)*NR floats). op(B)(p,j) is b[p*ldb+j], or b[j*ldb+p]
-// when trans_b.
-void GemmPackB(bool trans_b, const float* b, int64_t ldb, int64_t p0,
-               int64_t kb, int64_t j0, int64_t nb, float* dst);
+// Pack op(B) = B^T, k-range [p0, p0+kb) x cols [j0, j0+nb), into `dst`
+// (kb * ceil(nb/NR)*NR floats); op(B)(p,j) is b[j*ldb+p].
+void GemmPackB(const float* b, int64_t ldb, int64_t p0, int64_t kb,
+               int64_t j0, int64_t nb, float* dst);
 
 // Pre-pack all of op(A) (m x k), blocked by kGemmKC exactly as the
 // driver consumes it: the block for k-range [p0, p0+kcb) starts at

@@ -2,10 +2,11 @@
 #define THALI_TENSOR_GEMM_TILE_IMPL_H_
 
 // Shared implementation templates for the GEMM kernel families
-// (gemm_microkernel.h). Included by exactly two translation units:
+// (gemm_microkernel.h). Included by the family translation units:
 // gemm_microkernel.cc (instantiated with MulAddOp, baseline ISA) and
-// gemm_microkernel_avx2.cc (instantiated with FmaOp, compiled with
-// -mavx2 -mfma so the fma builtin inlines to a hardware instruction).
+// gemm_microkernel_avx2.cc / gemm_microkernel_avx512.cc (instantiated
+// with FmaOp, compiled with their ISA flags so the fma builtin inlines to
+// a hardware instruction).
 //
 // Every function here realizes the canonical per-element accumulation
 // chain documented in gemm_microkernel.h; nothing below may reorder,
@@ -25,21 +26,23 @@ struct MulAddOp {
   static float Apply(float acc, float x, float y) { return acc + x * y; }
 };
 
-// One correctly rounded fused step. In the AVX2 TU (-mfma) this inlines
-// to vfmadd and matches _mm256_fmadd_ps lane arithmetic bit-for-bit.
+// One correctly rounded fused step. In the vector TUs this inlines to
+// vfmadd and matches _mm256_fmadd_ps / _mm512_fmadd_ps lane arithmetic
+// bit-for-bit.
 struct FmaOp {
   static float Apply(float acc, float x, float y) {
     return __builtin_fmaf(x, y, acc);
   }
 };
 
-// Full MR x NR tile. B rows sit at stride ldb: a packed strip (ldb =
-// kGemmNR) or the caller's row-major B in place. The accumulator array is
-// indexed with compile-time bounds so the compiler keeps it in registers
-// and vectorizes the j loop.
+// Full MR x NR tile (one panel, one strip, so b_strip is unused). B rows
+// sit at stride ldb: a packed strip (ldb = kGemmNR) or the caller's
+// row-major B in place. The accumulator array is indexed with
+// compile-time bounds so the compiler keeps it in registers and
+// vectorizes the j loop.
 template <typename Op>
 void TileGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
-                 float* c, int64_t ldc) {
+                 int64_t /*b_strip*/, float* c, int64_t ldc) {
   float acc[kGemmMR][kGemmNR];
   for (int r = 0; r < kGemmMR; ++r) {
     for (int j = 0; j < kGemmNR; ++j) acc[r][j] = c[r * ldc + j];
@@ -64,7 +67,7 @@ void TileGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
 // packed strip's padding is never read into a live element).
 template <typename Op>
 void EdgeGeneric(int64_t kc, const float* a, const float* b, int64_t ldb,
-                 float* c, int64_t ldc, int mr, int nr) {
+                 int64_t /*b_strip*/, float* c, int64_t ldc, int mr, int nr) {
   for (int r = 0; r < mr; ++r) {
     for (int j = 0; j < nr; ++j) {
       float acc = c[r * ldc + j];

@@ -1,20 +1,22 @@
 #ifndef THALI_TENSOR_SIMD_EXP_AVX2_H_
 #define THALI_TENSOR_SIMD_EXP_AVX2_H_
 
-// 8-lane FastExp / FastMish bodies shared by the AVX2 TUs
-// (act_kernels_avx2.cc and gemm_int8_avx2.cc, both built with per-file
-// -mavx2 -mfma). Each vector op mirrors the scalar formulas in
-// act_kernels_impl.h operation for operation — same op order, same
-// rounding mode, multiply+add (never fmadd) — so a lane's result is
-// bitwise identical to act_detail::FastExp / FastMish. Keeping one
-// definition here is what lets the int8 mish requantize epilogue and
-// the standalone activation pass agree bit for bit.
+// 8-lane FastExp / FastMish and activation bodies shared by the AVX2 TUs
+// (act_kernels_avx2.cc, gemm_int8_avx2.cc and gemm_microkernel_avx2.cc,
+// all built with per-file -mavx2 -mfma). Each vector op mirrors the
+// scalar formulas in act_kernels_impl.h operation for operation — same op
+// order, same rounding mode, multiply+add (never fmadd) — so a lane's
+// result is bitwise identical to act_detail::FastExp / FastMish. Keeping
+// one definition here is what lets the int8 requantize epilogue, the
+// fp32 GEMM's tile finish and the standalone activation pass agree bit
+// for bit.
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
 #include "tensor/act_kernels_impl.h"
+#include "tensor/gemm.h"
 
 namespace thali {
 namespace simd_detail {
@@ -58,6 +60,24 @@ inline __m256 FastMishVec(__m256 v) {
       _mm256_mul_ps(v, _mm256_div_ps(num, _mm256_add_ps(num, two)));
   const __m256 saturated = _mm256_cmp_ps(v, sat, _CMP_GE_OQ);
   return _mm256_blendv_ps(m, v, saturated);
+}
+
+// The activation of 8 lanes: leaky `v > 0 ? v : 0.1f * v` and ReLU
+// `v > 0 ? v : 0` by an ordered compare and a blend, mish by FastMishVec,
+// kNone the identity.
+template <GemmActivation Act>
+inline __m256 ActivateVec(__m256 v) {
+  if constexpr (Act == GemmActivation::kLeaky) {
+    const __m256 pos = _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ);
+    return _mm256_blendv_ps(_mm256_mul_ps(_mm256_set1_ps(0.1f), v), v, pos);
+  } else if constexpr (Act == GemmActivation::kRelu) {
+    const __m256 zero = _mm256_setzero_ps();
+    return _mm256_blendv_ps(zero, v, _mm256_cmp_ps(v, zero, _CMP_GT_OQ));
+  } else if constexpr (Act == GemmActivation::kMish) {
+    return FastMishVec(v);
+  } else {
+    return v;
+  }
 }
 
 }  // namespace simd_detail

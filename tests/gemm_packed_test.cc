@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "base/cpu_features.h"
@@ -60,6 +62,19 @@ void ExpectPackedMatchesReference(bool ta, bool tb, int64_t m, int64_t n,
       0)
       << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n << " k=" << k
       << " alpha=" << alpha << " beta=" << beta;
+}
+
+// The fp32 GEMM family this host should dispatch to: the widest one
+// whose ISA the CPU reports.
+const char* WidestGemmFamily() {
+  const CpuFeatures& cpu = CpuInfo();
+  if (Avx512GemmKernel() != nullptr && cpu.avx512f && cpu.fma) {
+    return "avx512-fma-12x32";
+  }
+  if (Avx2GemmKernel() != nullptr && cpu.avx2 && cpu.fma) {
+    return "avx2-fma-6x16";
+  }
+  return "scalar-6x16";
 }
 
 struct ShapeCase {
@@ -120,41 +135,84 @@ TEST_F(GemmPackedTest, KZeroOnlyScalesByBeta) {
   }
 }
 
+// The fused epilogue against the conv layer's separate passes (bias,
+// then leaky/ReLU by the layer's formulas or mish through
+// FastMishInPlace), on the dispatched family and on the scalar family,
+// at k in one KC block and over two. Rows 3 and 17 feed the epilogue
+// chosen values: their A row is -0 and B is positive, so with beta = 1
+// and a -0 bias each such element is exactly its C0 value — values on
+// mish's saturated branch (x >= 20), ±0, ±inf and NaN.
 TEST_F(GemmPackedTest, PrepackedWithEpilogueMatchesSeparatePasses) {
-  const int64_t m = 19, n = 333, k = 75;  // ragged on every tile boundary
-  const auto a = RandomVec(m * k, 5);
-  const auto b = RandomVec(k * n, 6);
-  const auto bias = RandomVec(m, 7);
+  const std::vector<float> kSpecial = {
+      20.0f,   19.999998f, 20.5f, 88.0f, 88.8f,   1e30f,
+      0.0f,    -0.0f,      0.5f,  -0.5f, -20.0f,  -87.5f,
+      -100.0f, 1e-40f,     -1e-40f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN()};
+  const int64_t m = 19, n = 333;  // ragged on every tile boundary
+  const int64_t special_rows[] = {3, 17};
+  for (const bool scalar : {false, true}) {
+    internal::SetScalarKernelsForTesting(scalar);
+    for (const int64_t k : {int64_t{75}, kGemmKC + 44}) {
+      auto a = RandomVec(m * k, 5);
+      auto b = RandomVec(k * n, 6);
+      for (auto& v : b) v = std::fabs(v) + 0.125f;
+      auto bias = RandomVec(m, 7);
+      auto c0 = RandomVec(m * n, 8);
+      for (const int64_t r : special_rows) {
+        std::fill(a.begin() + r * k, a.begin() + (r + 1) * k, -0.0f);
+        bias[static_cast<size_t>(r)] = -0.0f;
+        for (int64_t j = 0; j < n; ++j) {
+          c0[static_cast<size_t>(r * n + j)] =
+              kSpecial[static_cast<size_t>(j) % kSpecial.size()];
+        }
+      }
+      std::vector<float> packed(
+          static_cast<size_t>(GemmPackedWeightFloats(m, k)));
+      GemmPackWeights(a.data(), m, k, packed.data());
 
-  std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
-  GemmPackWeights(a.data(), m, k, packed.data());
+      for (const GemmActivation act :
+           {GemmActivation::kNone, GemmActivation::kLeaky,
+            GemmActivation::kRelu, GemmActivation::kMish}) {
+        GemmEpilogue epilogue;
+        epilogue.bias = bias.data();
+        epilogue.activation = act;
+        std::vector<float> c_fused = c0;
+        GemmPrepacked(m, n, k, packed.data(), b.data(), n, 1.0f,
+                      c_fused.data(), n, &epilogue);
 
-  for (const GemmActivation act :
-       {GemmActivation::kNone, GemmActivation::kLeaky, GemmActivation::kRelu}) {
-    GemmEpilogue epilogue;
-    epilogue.bias = bias.data();
-    epilogue.activation = act;
-    std::vector<float> c_fused(static_cast<size_t>(m * n), 0.0f);
-    GemmPrepacked(m, n, k, packed.data(), b.data(), n, 0.0f,
-                  c_fused.data(), n, &epilogue);
-
-    // Staged: plain GEMM, then the conv layer's bias and activation
-    // passes, op for op.
-    std::vector<float> c_staged(static_cast<size_t>(m * n), 0.0f);
-    Gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-         c_staged.data(), n);
-    for (int64_t i = 0; i < m; ++i) {
-      float* ci = c_staged.data() + i * n;
-      for (int64_t j = 0; j < n; ++j) ci[j] += bias[i];
+        // Staged: plain GEMM, then the conv layer's bias and activation
+        // passes, op for op.
+        std::vector<float> c_staged = c0;
+        Gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f,
+             c_staged.data(), n);
+        for (int64_t i = 0; i < m; ++i) {
+          float* ci = c_staged.data() + i * n;
+          const float bi = bias[static_cast<size_t>(i)];
+          for (int64_t j = 0; j < n; ++j) ci[j] += bi;
+        }
+        for (const int64_t r : special_rows) {
+          ASSERT_EQ(std::memcmp(c_staged.data() + r * n, c0.data() + r * n,
+                                n * sizeof(float)),
+                    0)
+              << "row " << r << " does not carry its chosen values";
+        }
+        if (act == GemmActivation::kMish) {
+          FastMishInPlace(c_staged.data(), m * n);
+        }
+        for (auto& x : c_staged) {
+          if (act == GemmActivation::kLeaky) x = x > 0 ? x : 0.1f * x;
+          if (act == GemmActivation::kRelu) x = x > 0 ? x : 0.0f;
+        }
+        EXPECT_EQ(std::memcmp(c_fused.data(), c_staged.data(),
+                              c_fused.size() * sizeof(float)),
+                  0)
+            << GemmKernelName() << " k=" << k << " activation "
+            << static_cast<int>(act);
+      }
     }
-    for (auto& x : c_staged) {
-      if (act == GemmActivation::kLeaky) x = x > 0 ? x : 0.1f * x;
-      if (act == GemmActivation::kRelu) x = x > 0 ? x : 0.0f;
-    }
-    EXPECT_EQ(std::memcmp(c_fused.data(), c_staged.data(),
-                          c_fused.size() * sizeof(float)),
-              0)
-        << "activation " << static_cast<int>(act);
   }
 }
 
@@ -177,12 +235,10 @@ TEST_F(GemmPackedTest, PrepackedMatchesPlainGemmAcrossThreadCounts) {
   }
 }
 
-TEST_F(GemmPackedTest, DispatchPicksAvx2IffCpuSupportsIt) {
-  const bool want_avx2 =
-      Avx2GemmKernel() != nullptr && CpuInfo().avx2 && CpuInfo().fma;
-  EXPECT_STREQ(GemmKernelName(),
-               want_avx2 ? "avx2-fma-6x16" : "scalar-6x16");
-  EXPECT_EQ(SelectGemmKernel().fused, want_avx2);
+TEST_F(GemmPackedTest, DispatchPicksTheWidestFamilyTheCpuRuns) {
+  const char* want = WidestGemmFamily();
+  EXPECT_STREQ(GemmKernelName(), want);
+  EXPECT_EQ(SelectGemmKernel().fused, std::strcmp(want, "scalar-6x16") != 0);
 }
 
 TEST_F(GemmPackedTest, ForcedScalarFamilyIsSelfConsistent) {
@@ -199,9 +255,7 @@ TEST_F(GemmPackedTest, ScalarSwitchMovesEveryKernelFamilyAtOnce) {
   const CpuFeatures& cpu = CpuInfo();
   const bool avx2_fma = cpu.avx2 && cpu.fma;
   const auto detected = [&] {
-    EXPECT_STREQ(GemmKernelName(), Avx2GemmKernel() != nullptr && avx2_fma
-                                       ? "avx2-fma-6x16"
-                                       : "scalar-6x16");
+    EXPECT_STREQ(GemmKernelName(), WidestGemmFamily());
     EXPECT_STREQ(SelectInt8GemmKernel().name,
                  Avx2Int8GemmKernel() != nullptr && cpu.avx2
                      ? "avx2-ubsw-6x8"

@@ -27,11 +27,15 @@
 #include "darknet/model_zoo.h"
 #include "data/food_classes.h"
 #include "data/renderer.h"
+#include "image/image_prepost.h"
 #include "net/client.h"
 #include "net/event_loop.h"
 #include "net/net_server.h"
 #include "net/protocol.h"
 #include "serve/router.h"
+#include "tensor/act_kernels.h"
+#include "tensor/gemm.h"
+#include "tensor/gemm_int8.h"
 
 namespace thali {
 namespace net {
@@ -499,6 +503,13 @@ TEST_F(NetServerTest, StatsOpReturnsRouterAndNetJson) {
                           "\"weights_generation\"", "\"frames_received\""}) {
     EXPECT_NE(stats->find(key), std::string::npos) << key;
   }
+  // The dispatched kernel families close the object.
+  const std::string kernels =
+      std::string(", \"kernels\": {\"gemm\": \"") + GemmKernelName() +
+      "\", \"int8\": \"" + SelectInt8GemmKernel().name + "\", \"act\": \"" +
+      ActKernelName() + "\", \"resize\": \"" + ResizeKernelName() + "\"}}";
+  ASSERT_GE(stats->size(), kernels.size());
+  EXPECT_EQ(stats->substr(stats->size() - kernels.size()), kernels);
 }
 
 TEST_F(NetServerTest, UnknownOpGetsStatusReplyNotDisconnect) {

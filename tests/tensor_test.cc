@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <climits>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "base/rng.h"
 #include "nn/maxpool_layer.h"
 #include "nn/network.h"
+#include "tensor/act_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_microkernel.h"
 #include "tensor/gemm_pack.h"
@@ -155,45 +157,81 @@ TEST(Gemm, ZeroSizedDimensionsAreNoops) {
   EXPECT_EQ(c[0], 1.0f);  // k=0 with beta=1 leaves C untouched
 }
 
-// Every edge tile of both kernel families, on both B sources. With
-// m = 12 + mr (the last row tile has mr rows), n = 16 + nr and k = 64 the
-// GEMM packs B, so the last strip's edge reads a zero-padded strip at
-// stride 16; with n = nr it reads B in place at stride nr. B holds exactly
-// k*n floats, so a read past a live column of the last row is an
-// out-of-bounds read under ASan. Gemm and GemmPrepacked must both equal
-// internal::GemmReference bitwise.
+// Every edge class of every kernel family the host runs, at the family's
+// own tile geometry, on both B sources. For tiles of tile_m x tile_n,
+// m = 2 * tile_m + mr (the last row tile has mr rows) and n = tile_n + nr
+// (full tiles, then an nr-column edge) or n = nr; k = 300 spans two KC
+// blocks, so a tile may only be finished after its last one. B holds
+// exactly k*n floats and is read in place, so a read past a live column
+// of the last row is an out-of-bounds read under ASan; its transposed copy
+// goes through the packed strips. Every GEMM result must equal
+// internal::GemmReference bitwise, with the bias + activation epilogue
+// equal to the same family's separate passes, and the AVX-512 family
+// must give the AVX2 family's bytes. Every entry of a vector family's
+// table, and Gemm / GemmPrepackedOn over it, must return with the upper
+// YMM and ZMM halves clean (tests/ymm_state.h).
 TEST(GemmEdgeSweep, EveryEdgeClassOnPackedAndInPlaceB) {
-  constexpr int64_t k = 64;
+  constexpr int64_t k = 300;
+  static_assert(k > kGemmKC, "the sweep needs two k blocks");
   constexpr float alpha = 0.7f, beta = 0.5f;
-  // Every entry of the AVX2 family's table, and the drivers over it,
-  // must return with the upper YMM halves clean (tests/ymm_state.h).
-  const GemmKernel* avx2 =
-      CpuInfo().avx2 && CpuInfo().fma ? Avx2GemmKernel() : nullptr;
-  for (const bool scalar : {false, true}) {
+  constexpr GemmActivation kActs[] = {
+      GemmActivation::kNone, GemmActivation::kLeaky, GemmActivation::kRelu,
+      GemmActivation::kMish};
+  const std::vector<const GemmKernel*> families = RunnableGemmKernels();
+  const bool has_avx2 =
+      std::find(families.begin(), families.end(), Avx2GemmKernel()) !=
+      families.end();
+  for (const GemmKernel* family : families) {
+    const GemmKernel& kernel = *family;
+    const bool scalar = &kernel == &ScalarGemmKernel();
+    // The scalar family's oracles (reference chain, activation passes)
+    // are the forced-scalar ones.
     internal::SetScalarKernelsForTesting(scalar);
-    for (int mr = 1; mr <= kGemmMR; ++mr) {
-      const int64_t m = 12 + mr;
-      for (int nr = 1; nr <= kGemmNR; ++nr) {
-        for (const int64_t n : {int64_t{kGemmNR} + nr, int64_t{nr}}) {
+    const bool dispatched = &kernel == &SelectGemmKernel();
+    const int tile_m = kernel.panels * kGemmMR;
+    const int tile_n = kernel.strips * kGemmNR;
+    for (int mr = 1; mr <= tile_m; ++mr) {
+      const int64_t m = 2 * tile_m + mr;
+      for (int nr = 1; nr <= tile_n; ++nr) {
+        for (const int64_t n : {int64_t{tile_n} + nr, int64_t{nr}}) {
+          SCOPED_TRACE(::testing::Message() << kernel.name << " m=" << m
+                                            << " n=" << n << " mr=" << mr
+                                            << " nr=" << nr);
           Rng rng(static_cast<uint64_t>(100 * mr + n));
           std::vector<float> a(static_cast<size_t>(m * k));
           std::vector<float> b(static_cast<size_t>(k * n));
+          std::vector<float> bt(b.size());
           std::vector<float> c0(static_cast<size_t>(m * n));
+          std::vector<float> bias(static_cast<size_t>(m));
           for (auto& v : a) v = rng.NextGaussian();
           for (auto& v : b) v = rng.NextGaussian();
           for (auto& v : c0) v = rng.NextGaussian();
+          for (auto& v : bias) v = rng.NextGaussian();
+          for (int64_t p = 0; p < k; ++p) {
+            for (int64_t j = 0; j < n; ++j) {
+              bt[static_cast<size_t>(j * k + p)] =
+                  b[static_cast<size_t>(p * n + j)];
+            }
+          }
           const size_t bytes = c0.size() * sizeof(float);
+          std::vector<float> ref;
+          std::vector<float> c;
 
-          std::vector<float> ref = c0;
-          internal::GemmReference(false, false, m, n, k, alpha, a.data(), k,
-                                  b.data(), n, beta, ref.data(), n);
-          std::vector<float> c = c0;
-          EXPECT_FALSE(LeavesYmmUpperDirty([&] {
-            Gemm(false, false, m, n, k, alpha, a.data(), k, b.data(), n,
-                 beta, c.data(), n);
-          })) << "Gemm scalar=" << scalar << " m=" << m << " n=" << n;
-          EXPECT_EQ(std::memcmp(c.data(), ref.data(), bytes), 0)
-              << "Gemm scalar=" << scalar << " m=" << m << " n=" << n;
+          if (dispatched) {
+            ref = c0;
+            internal::GemmReference(false, false, m, n, k, alpha, a.data(), k,
+                                    b.data(), n, beta, ref.data(), n);
+            for (const bool tb : {false, true}) {
+              c = c0;
+              EXPECT_FALSE(LeavesYmmUpperDirty([&] {
+                Gemm(false, tb, m, n, k, alpha, a.data(), k,
+                     tb ? bt.data() : b.data(), tb ? k : n, beta, c.data(),
+                     n);
+              })) << "Gemm tb=" << tb;
+              EXPECT_EQ(std::memcmp(c.data(), ref.data(), bytes), 0)
+                  << "Gemm tb=" << tb;
+            }
+          }
 
           std::vector<float> packed(
               static_cast<size_t>(GemmPackedWeightFloats(m, k)));
@@ -203,24 +241,67 @@ TEST(GemmEdgeSweep, EveryEdgeClassOnPackedAndInPlaceB) {
                                   b.data(), n, beta, ref.data(), n);
           c = c0;
           EXPECT_FALSE(LeavesYmmUpperDirty([&] {
-            GemmPrepacked(m, n, k, packed.data(), b.data(), n, beta,
-                          c.data(), n);
-          })) << "GemmPrepacked scalar=" << scalar << " m=" << m
-              << " n=" << n;
+            internal::GemmPrepackedOn(kernel, m, n, k, packed.data(),
+                                      b.data(), n, beta, c.data(), n);
+          })) << "GemmPrepackedOn";
           EXPECT_EQ(std::memcmp(c.data(), ref.data(), bytes), 0)
-              << "GemmPrepacked scalar=" << scalar << " m=" << m
-              << " n=" << n;
+              << "GemmPrepackedOn";
 
-          // The table entries themselves: the edge of this class, and the
-          // full tile once B has its 16 columns.
-          if (scalar || avx2 == nullptr) continue;
+          // The epilogue: the reference, then the bias pass and the
+          // activation pass of this family.
+          const GemmEpilogue epilogue{bias.data(), kActs[(mr + nr) % 4]};
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) ref[i * n + j] += bias[i];
+          }
+          switch (epilogue.activation) {
+            case GemmActivation::kNone:
+              break;
+            case GemmActivation::kLeaky:
+              FastLeakyInPlace(ref.data(), m * n);
+              break;
+            case GemmActivation::kRelu:
+              FastReluInPlace(ref.data(), m * n);
+              break;
+            case GemmActivation::kMish:
+              FastMishInPlace(ref.data(), m * n);
+              break;
+          }
+          c = c0;
           EXPECT_FALSE(LeavesYmmUpperDirty([&] {
-            avx2->edge(k, packed.data(), b.data(), n, c.data(), n, mr, nr);
-          })) << "avx2 edge mr=" << mr << " nr=" << nr;
-          if (n < kGemmNR) continue;
+            internal::GemmPrepackedOn(kernel, m, n, k, packed.data(),
+                                      b.data(), n, beta, c.data(), n,
+                                      &epilogue);
+          })) << "GemmPrepackedOn + epilogue";
+          EXPECT_EQ(std::memcmp(c.data(), ref.data(), bytes), 0)
+              << "GemmPrepackedOn + epilogue "
+              << static_cast<int>(epilogue.activation);
+          if (&kernel == Avx512GemmKernel() && has_avx2) {
+            std::vector<float> c2 = c0;
+            internal::GemmPrepackedOn(*Avx2GemmKernel(), m, n, k,
+                                      packed.data(), b.data(), n, beta,
+                                      c2.data(), n, &epilogue);
+            EXPECT_EQ(std::memcmp(c.data(), c2.data(), bytes), 0)
+                << "AVX-512 vs AVX2 + epilogue";
+          }
+
+          // The table entries themselves, on the first k block of the
+          // packed A (its panels sit kGemmKC deep): the edge of this class,
+          // the full tile once B has its columns, and the finish.
+          if (scalar) continue;
+          c = c0;
           EXPECT_FALSE(LeavesYmmUpperDirty([&] {
-            avx2->tile(k, packed.data(), b.data(), n, c.data(), n);
-          })) << "avx2 tile";
+            kernel.edge(kGemmKC, packed.data(), b.data(), n, kGemmNR,
+                        c.data(), n, mr, nr);
+          })) << "edge";
+          EXPECT_FALSE(LeavesYmmUpperDirty([&] {
+            kernel.finish(c.data(), n, mr, nr, bias.data(),
+                          epilogue.activation);
+          })) << "finish";
+          if (n < tile_n) continue;
+          EXPECT_FALSE(LeavesYmmUpperDirty([&] {
+            kernel.tile(kGemmKC, packed.data(), b.data(), n, kGemmNR,
+                        c.data(), n);
+          })) << "tile";
         }
       }
     }
